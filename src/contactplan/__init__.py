@@ -6,28 +6,8 @@ a safe region while a heavy bar is moved through glovebox ports, and
 computes prioritized joint torques that realize the support forces first.
 """
 
-from .contact import (ContactCandidate, ContactState, complementarity_residual,
-                      evaluate_gaps, select_active_candidates,
-                      support_force_vector)
-from .errors import (ContactPlanError, DegenerateGraspError,
-                     InfeasibleStepError, PlanStepError, ReachabilityError,
-                     ScenarioError, UnbalancedStateError)
-from .kinematics import (GapResult, LinkFrame, PlanarArm, Segment,
-                         end_effector, forward_kinematics, link_segment,
-                         point_jacobian, signed_gap)
-from .planner import (PlanDecision, PlanStep, PlanningProblem, StepContext,
-                      build_context, evaluate_constraints, evaluate_cost,
-                      gradient_check, initial_joint_angles, plan_path,
-                      plan_waypoint, solve_step)
-from .scenario import (ScenarioConfig, default_scenario, load_scenario,
-                       save_scenario)
-from .sqp import NlpProblem, SolverSettings, SqpResult, solve_qp, solve_sqp
-from .statics import (AppliedWrench, GraspMap, RobotMassModel,
-                      RobotStaticsState, ZmpResult, compute_fzmp, compute_zmp,
-                      distribute_object_wrench, inside_safe_circle,
-                      robot_center_of_mass, wrench_matrix)
-from .torque import (TorqueCommand, combined_torques, nullspace_projector,
-                     object_wrench_torques, pseudo_inverse,
-                     stacked_support_jacobian, support_torques)
+from .errors import ContactPlanError
+from .planner import plan_path
+from .scenario import default_scenario, load_scenario
 
 __version__ = "0.1.0"

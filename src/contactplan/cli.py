@@ -9,7 +9,7 @@ import argparse
 import csv
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from . import planner as pl
 from . import torque as tq
 from .errors import ContactPlanError
 from .plots import emit_plots as _emit_plot_files
-from .scenario import ScenarioConfig, default_scenario, load_scenario
+from .scenario import (ScenarioConfig, _from_dict, _merge, default_scenario,
+                       load_scenario)
 from .statics import GraspMap
 
 log = logging.getLogger("contactplan")
@@ -179,16 +180,17 @@ def run(argv=None) -> int:
             config = load_scenario(args.scenario)
         overrides = {}
         if args.waypoints is not None:
-            overrides["waypoint_count"] = args.waypoints
-        solver = config.solver
+            overrides["task"] = {"waypoint_count": args.waypoints}
+        solver = {}
         if args.max_iters is not None:
-            solver = replace(solver, max_iterations=args.max_iters)
+            solver["max_iterations"] = args.max_iters
         if args.tol is not None:
-            solver = replace(solver, tol_kkt=args.tol, tol_con=args.tol)
-        if solver is not config.solver:
+            solver.update(tol_kkt=args.tol, tol_con=args.tol)
+        if solver:
             overrides["solver"] = solver
         if overrides:
-            config = replace(config, **overrides)
+            # Flags pass through the same checks as scenario-file values.
+            config = _from_dict(_merge(config.to_dict(), overrides))
     except (ContactPlanError, ValueError) as exc:
         log.error("scenario error: %s", exc)
         return 1

@@ -20,7 +20,6 @@ class ContactCandidate:
 
     arm_index: int
     edge_point: np.ndarray
-    plane_height: float
     link_index: int = 1
 
     def __post_init__(self):
@@ -75,7 +74,7 @@ def evaluate_gaps(arms, candidates) -> list[ContactState]:
     return states
 
 
-def select_active_candidates(arms, edge_points_per_arm, plane_height: float,
+def select_active_candidates(arms, edge_points_per_arm,
                              link_index: int = 1) -> list[ContactCandidate]:
     """Pick one active candidate per arm: the edge with the smaller gap.
 
@@ -85,7 +84,6 @@ def select_active_candidates(arms, edge_points_per_arm, plane_height: float,
     active = []
     for arm_index, edges in enumerate(edge_points_per_arm):
         candidates = [ContactCandidate(arm_index=arm_index, edge_point=e,
-                                       plane_height=plane_height,
                                        link_index=link_index)
                       for e in edges]
         states = evaluate_gaps(arms, candidates)

@@ -49,25 +49,6 @@ class PlanarArm:
         if not np.all(np.isfinite(self.base_position)):
             raise ValueError("base position must be finite")
 
-    def with_angles(self, joint_angles) -> "PlanarArm":
-        """Same arm at a different configuration."""
-        return PlanarArm(self.base_position, self.link_lengths,
-                         self.link_radius, joint_angles)
-
-    @property
-    def reach(self) -> float:
-        """Total stretched-out length from the base."""
-        return float(np.sum(self.link_lengths))
-
-
-@dataclass(frozen=True)
-class LinkFrame:
-    """Pose of one link: proximal joint position and accumulated angle."""
-
-    origin: np.ndarray
-    cumulative_angle: float
-    link_index: int
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -79,10 +60,6 @@ class Segment:
     def __post_init__(self):
         object.__setattr__(self, "a", _as_vec(self.a, 2))
         object.__setattr__(self, "b", _as_vec(self.b, 2))
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
 
 
 @dataclass(frozen=True)
@@ -101,39 +78,36 @@ class GapResult:
     axis_param: float = field(default=0.0)
 
 
-def forward_kinematics(arm: PlanarArm) -> tuple[list[LinkFrame], np.ndarray]:
-    """Chain the link frames and return them plus the end-effector position.
+def forward_kinematics(arm: PlanarArm) -> np.ndarray:
+    """Joint points of the chain as a (NUM_LINKS + 1, 2) array.
 
-    Frame ``i`` sits at the proximal joint of link ``i``; the end effector is
-    the distal end of the last link.
+    Row ``i`` is the proximal joint of link ``i``; the last row is the end
+    effector (the distal end of the last link).
     """
+    # Accumulated link by link, not vectorized: the planner's NLP sees these
+    # exact roundings, and an ulp change can flip a marginal solve.
     angles = np.cumsum(arm.joint_angles)
-    frames = []
-    origin = arm.base_position.copy()
+    points = np.empty((NUM_LINKS + 1, 2))
+    origin = arm.base_position
+    points[0] = origin
     for i in range(NUM_LINKS):
-        frames.append(LinkFrame(origin=origin.copy(), cumulative_angle=float(angles[i]),
-                                link_index=i))
         origin = origin + arm.link_lengths[i] * np.array(
             [np.cos(angles[i]), np.sin(angles[i])])
-    return frames, origin
+        points[i + 1] = origin
+    return points
 
 
 def end_effector(arm: PlanarArm) -> np.ndarray:
     """End-effector position only."""
-    return forward_kinematics(arm)[1]
+    return forward_kinematics(arm)[-1]
 
 
 def link_segment(arm: PlanarArm, link_index: int) -> Segment:
     """Axis segment of one link at the current configuration."""
     if not 0 <= link_index < NUM_LINKS:
         raise ValueError(f"link_index must be in 0..{NUM_LINKS - 1}, got {link_index}")
-    frames, ee = forward_kinematics(arm)
-    a = frames[link_index].origin
-    if link_index + 1 < NUM_LINKS:
-        b = frames[link_index + 1].origin
-    else:
-        b = ee
-    return Segment(a, b)
+    points = forward_kinematics(arm)
+    return Segment(points[link_index], points[link_index + 1])
 
 
 def point_on_link(arm: PlanarArm, link_index: int, point_param: float) -> np.ndarray:
@@ -154,12 +128,12 @@ def point_jacobian(arm: PlanarArm, link_index: int, point_param: float) -> np.nd
         raise ValueError(f"link_index must be in 0..{NUM_LINKS - 1}, got {link_index}")
     if not 0.0 <= point_param <= 1.0:
         raise ValueError(f"point_param must be in [0, 1], got {point_param}")
-    frames, ee = forward_kinematics(arm)
-    seg_b = frames[link_index + 1].origin if link_index + 1 < NUM_LINKS else ee
-    point = frames[link_index].origin + point_param * (seg_b - frames[link_index].origin)
+    points = forward_kinematics(arm)
+    a = points[link_index]
+    point = a + point_param * (points[link_index + 1] - a)
     jac = np.zeros((2, NUM_LINKS))
     for j in range(link_index + 1):
-        lever = point - frames[j].origin
+        lever = point - points[j]
         jac[0, j] = -lever[1]
         jac[1, j] = lever[0]
     return jac

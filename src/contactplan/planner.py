@@ -29,7 +29,7 @@ import numpy as np
 from . import contact as ct
 from . import kinematics as kin
 from . import statics as st
-from .errors import PlanStepError, ReachabilityError
+from .errors import ContactPlanError, PlanStepError, ReachabilityError
 from .scenario import ScenarioConfig
 from .sqp import NlpProblem, SolverSettings, finite_difference_jacobian, solve_sqp
 
@@ -140,8 +140,7 @@ def build_context(config: ScenarioConfig, theta) -> StepContext:
     arms = (config.arm(0, np.asarray(theta)[:kin.NUM_LINKS]),
             config.arm(1, np.asarray(theta)[kin.NUM_LINKS:]))
     candidates = ct.select_active_candidates(
-        arms, config.port_edges, config.plane_height,
-        link_index=config.contact_link_index)
+        arms, config.port_edges, link_index=config.contact_link_index)
     return StepContext(config=config, theta=np.asarray(theta, dtype=float),
                        candidates=tuple(candidates))
 
@@ -194,30 +193,23 @@ def _contact_geometry(arm, candidate) -> dict:
     from the normal-angle gradient.
     """
     link = candidate.link_index
-    frames, ee = kin.forward_kinematics(arm)
-    a = frames[link].origin
-    b = frames[link + 1].origin if link + 1 < kin.NUM_LINKS else ee
+    edge = candidate.edge_point
+    seg = kin.link_segment(arm, link)
+    res = kin.signed_gap(edge, seg, arm.link_radius)
     jac_a = kin.point_jacobian(arm, link, 0.0)
     jac_b = kin.point_jacobian(arm, link, 1.0)
-    edge = candidate.edge_point
-    seg = b - a
-    len_sq = float(seg @ seg)
-    t_raw = float((edge - a) @ seg) / len_sq
-    t = min(max(t_raw, 0.0), 1.0)
-    closest = a + t * seg
+    axis = seg.b - seg.a
+    t = res.axis_param
     d_closest = (1.0 - t) * jac_a + t * jac_b
-    if 0.0 < t_raw < 1.0:
-        dt = (-(seg @ jac_a) + (edge - a) @ (jac_b - jac_a)) / len_sq
-        d_closest = d_closest + np.outer(seg, dt)
-    v = closest - edge
-    dist = float(np.linalg.norm(v))
-    dist = max(dist, 1e-12)
-    gap = dist - arm.link_radius
+    if 0.0 < t < 1.0:
+        dt = (-(axis @ jac_a) + (edge - seg.a) @ (jac_b - jac_a)) / float(axis @ axis)
+        d_closest = d_closest + np.outer(axis, dt)
+    v = res.closest_point - edge
+    dist = max(float(np.linalg.norm(v)), 1e-12)
     d_gap = (v / dist) @ d_closest
-    beta = float(np.arctan2(v[1], v[0]))
     d_beta = (v[0] * d_closest[1] - v[1] * d_closest[0]) / (dist * dist)
-    return {"gap": gap, "beta": beta, "d_gap": d_gap, "d_beta": d_beta,
-            "closest": closest, "t": t}
+    return {"gap": res.gap, "beta": res.normal_angle, "d_gap": d_gap,
+            "d_beta": d_beta}
 
 
 def _grasp_distribution(ctx: StepContext, ee0, ee1, j0, j1):
@@ -233,9 +225,10 @@ def _grasp_distribution(ctx: StepContext, ee0, ee1, j0, j1):
     p1 = np.array([ee1[0], ee1[1], plane])
     o3 = np.array([origin[0], origin[1], plane])
     grasp = st.GraspMap(r_c1=o3 - p0, r_c2=o3 - p1)
+    h_c = st.distribute_object_wrench(grasp, h_o)
     w = grasp.w_c
     s_mat = w @ w.T
-    h_c = w.T @ np.linalg.solve(s_mat, h_o)
+    s_inv_h = np.linalg.solve(s_mat, h_o)
 
     dr0 = np.zeros((3, NUM_JOINTS))
     dr0[:2] = 0.5 * (j1 - j0)
@@ -243,7 +236,6 @@ def _grasp_distribution(ctx: StepContext, ee0, ee1, j0, j1):
 
     forces = np.array([h_c[0:3], h_c[6:9]])
     d_forces = np.zeros((2, 3, NUM_JOINTS))
-    s_inv_h = np.linalg.solve(s_mat, h_o)
     for j in range(NUM_JOINTS):
         dw = np.zeros((6, 12))
         dw[3:, 0:3] = -st.skew(dr0[:, j])
@@ -620,9 +612,9 @@ def plan_waypoint(ctx: StepContext, waypoint, settings: SolverSettings,
     contacts = [state.with_force(float(g)) for state, g in zip(
         ct.evaluate_gaps(arms_after, ctx.candidates), decision.gamma)]
     chain = _zmp_chain(ctx, arms_after, decision.gamma)
-    state = config.statics_state(arms_after)
     zmp = chain["zmp_result"]
-    fzmp = st.compute_fzmp(state, chain["object_wrenches"])
+    fzmp = st.compute_zmp(config.statics_state(arms_after),
+                          chain["object_wrenches"])
     ee0, ee1, _, _ = _end_effectors(arms_after)
     object_position = 0.5 * (ee0 + ee1)
 
@@ -670,24 +662,15 @@ def _two_segment_angles(config: ScenarioConfig, arm_index: int,
     return angles
 
 
-def _settle_on_edge(config: ScenarioConfig, arm_index: int, grasp: np.ndarray,
-                    start: np.ndarray) -> np.ndarray | None:
-    """Refine one arm's pose so its contact link rests on the nearer edge.
+def _settle_on_edge(config: ScenarioConfig, candidate: ct.ContactCandidate,
+                    grasp: np.ndarray, start: np.ndarray) -> np.ndarray | None:
+    """Refine one arm's pose so its contact link rests on the candidate edge.
 
     Minimizes the distance to the starting pose subject to the hand staying
     on the grasp point and the link capsule touching the edge (gap zero).
     Returns None when no touching pose is found.
     """
-    arm0 = config.arm(arm_index, start)
-    seg = kin.link_segment(arm0, config.contact_link_index)
-    gaps = [kin.signed_gap(edge, seg, config.link_radius).gap
-            for edge in config.port_edges[arm_index]]
-    order = sorted(range(len(gaps)),
-                   key=lambda i: (gaps[i], config.port_edges[arm_index][i][0]))
-    edge = config.port_edges[arm_index][order[0]]
-    candidate = ct.ContactCandidate(arm_index=arm_index, edge_point=edge,
-                                    plane_height=config.plane_height,
-                                    link_index=config.contact_link_index)
+    arm_index = candidate.arm_index
 
     def residuals(q: np.ndarray) -> np.ndarray:
         arm = config.arm(arm_index, q)
@@ -725,13 +708,18 @@ def initial_joint_angles(config: ScenarioConfig) -> np.ndarray:
     Raises:
         ReachabilityError: a grasp point outside the arm's workspace.
     """
-    theta = np.zeros(NUM_JOINTS)
     grasps = config.grasp_points(config.initial_center)
-    for arm_index in range(2):
+    bent = [_two_segment_angles(config, i, grasps[i]) for i in range(2)]
+    arms = [config.arm(i, bent[i]) for i in range(2)]
+    candidates = ct.select_active_candidates(
+        arms, config.port_edges, link_index=config.contact_link_index)
+    theta = np.zeros(NUM_JOINTS)
+    for arm_index, candidate in enumerate(candidates):
         offset = arm_index * kin.NUM_LINKS
-        bent = _two_segment_angles(config, arm_index, grasps[arm_index])
-        settled = _settle_on_edge(config, arm_index, grasps[arm_index], bent)
-        theta[offset:offset + kin.NUM_LINKS] = bent if settled is None else settled
+        settled = _settle_on_edge(config, candidate, grasps[arm_index],
+                                  bent[arm_index])
+        theta[offset:offset + kin.NUM_LINKS] = \
+            bent[arm_index] if settled is None else settled
     return theta
 
 
@@ -748,28 +736,19 @@ def plan_path(config: ScenarioConfig, settings: SolverSettings | None = None,
             far and ``waypoint_index`` names the step.
     """
     settings = settings if settings is not None else config.solver
-    waypoints = config.waypoints()
-    reach = float(np.sum(config.link_lengths))
-    for index, waypoint in enumerate(waypoints):
-        for arm_index, grasp in enumerate(config.grasp_points(waypoint)):
-            dist = float(np.linalg.norm(grasp - config.arm_bases[arm_index]))
-            if dist > reach:
-                raise ReachabilityError(
-                    f"waypoint {index} at {waypoint} is out of reach for arm "
-                    f"{arm_index} ({dist:.3f} m > {reach:.3f} m)",
-                    waypoint_index=index)
-
+    config.check_reach()
     theta = np.asarray(theta0, dtype=float) if theta0 is not None \
         else initial_joint_angles(config)
     steps: list[PlanStep] = []
-    for index, waypoint in enumerate(waypoints):
+    for index, waypoint in enumerate(config.waypoints()):
         ctx = build_context(config, theta)
         try:
             step = plan_waypoint(ctx, waypoint, settings)
-        except PlanStepError as exc:
+        except ContactPlanError as exc:
             raise PlanStepError(
                 f"step {index} failed: {exc}", waypoint_index=index,
-                diagnostics=exc.diagnostics, partial_steps=steps) from exc
+                diagnostics=getattr(exc, "diagnostics", None),
+                partial_steps=steps) from exc
         steps.append(step)
         theta = step.theta_after
     return steps

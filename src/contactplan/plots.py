@@ -90,9 +90,7 @@ def _step_color(index: int, count: int) -> str:
 
 
 def _arm_polyline(config, theta4, arm_index):
-    arm = config.arm(arm_index, theta4)
-    frames, ee = kin.forward_kinematics(arm)
-    return [tuple(f.origin) for f in frames] + [tuple(ee)]
+    return [tuple(p) for p in kin.forward_kinematics(config.arm(arm_index, theta4))]
 
 
 def write_path_plot(records, config, path: str) -> None:

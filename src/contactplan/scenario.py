@@ -44,20 +44,21 @@ Sections and keys (SI units throughout):
       support_force_scale   scale on the planar support force, default 1.0
     solver:
       tol_kkt, tol_con, max_iterations, armijo_c1, backtrack_ratio,
-      fd_step, penalty_growth, slack_max  (see SolverSettings defaults)
+      penalty_growth, slack_max  (see SolverSettings defaults)
     gravity:                m/s^2, default 9.81
 
 The environment variable ``CONTACTPLAN_SCENARIO_DIR`` names a directory that
 relative scenario paths are resolved against when they do not exist locally.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 import yaml
 
-from .errors import ScenarioError
+from .errors import ReachabilityError, ScenarioError
 from .kinematics import NUM_LINKS, PlanarArm
 from .sqp import SolverSettings
 from .statics import RobotMassModel, RobotStaticsState, robot_center_of_mass
@@ -110,7 +111,6 @@ _DEFAULTS = {
         "max_iterations": 200,
         "armijo_c1": 1e-4,
         "backtrack_ratio": 0.5,
-        "fd_step": 1e-6,
         "penalty_growth": 2.0,
         "slack_max": 1e-4,
     },
@@ -192,6 +192,22 @@ class ScenarioConfig:
         return self.initial_center + np.outer(steps * self.path_length,
                                               self.path_direction)
 
+    def check_reach(self) -> None:
+        """Both grasp points must lie within total arm reach at every waypoint.
+
+        Raises:
+            ReachabilityError: naming the first waypoint out of reach.
+        """
+        reach = float(np.sum(self.link_lengths))
+        for index, waypoint in enumerate(self.waypoints()):
+            for arm_index, grasp in enumerate(self.grasp_points(waypoint)):
+                dist = float(np.linalg.norm(grasp - self.arm_bases[arm_index]))
+                if dist > reach:
+                    raise ReachabilityError(
+                        f"waypoint {index} at {waypoint} is out of reach for "
+                        f"arm {arm_index} ({dist:.3f} m > {reach:.3f} m)",
+                        waypoint_index=index)
+
     def to_dict(self) -> dict:
         """Plain nested dict in the scenario-file schema (round-trips)."""
         solver = {f.name: getattr(self.solver, f.name)
@@ -265,26 +281,46 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     return merged
 
 
-def _vec(raw, n: int, key: str) -> np.ndarray:
+def _vec(raw, shape, key: str) -> np.ndarray:
+    """A finite float array of ``shape``: an int is a vector length, and
+    None in a tuple matches any length."""
+    shape = (shape,) if isinstance(shape, int) else shape
     try:
         v = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{key} must be a list of {n} numbers") from exc
-    if v.shape != (n,):
-        raise ScenarioError(f"{key} must have {n} entries, got shape {v.shape}")
+        raise ScenarioError(f"{key} must be numbers of shape {shape}") from exc
+    if v.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, v.shape)):
+        raise ScenarioError(f"{key} must have shape {shape}, got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ScenarioError(f"{key} must be finite")
     return v
 
 
-def _positive(raw, key: str) -> float:
+def _number(raw, key: str, lower: float = 0.0, upper: float = math.inf, *,
+            closed: bool = False, integer: bool = False):
+    """A finite scalar in (lower, upper), or in [lower, upper] when ``closed``.
+
+    Booleans, None, non-numeric strings and non-finite values are rejected,
+    and so is anything but an int for an ``integer`` key.  Numeric strings
+    are accepted for float keys: PyYAML reads ``2.0e6`` (no exponent sign)
+    as a string.  Every error names the key.
+    """
+    kind = "an integer" if integer else "a number"
+    if isinstance(raw, bool) or (integer and not isinstance(raw, int)):
+        raise ScenarioError(f"{key} must be {kind}, got {raw!r}")
     try:
-        value = float(raw)
+        value = raw if integer else float(raw)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{key} must be a number") from exc
-    if not value > 0.0:
-        raise ScenarioError(f"{key} must be > 0")
-    return value
+        raise ScenarioError(f"{key} must be {kind}, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"{key} must be finite, got {raw!r}")
+    if lower <= value <= upper if closed else lower < value < upper:
+        return value
+    if upper == math.inf:
+        bound = f"{'>=' if closed else '>'} {lower:g}"
+    else:
+        bound = f"in {'[' if closed else '('}{lower:g}, {upper:g}{']' if closed else ')'}"
+    raise ScenarioError(f"{key} must be {bound}, got {raw!r}")
 
 
 def _from_dict(data: dict) -> ScenarioConfig:
@@ -296,7 +332,7 @@ def _from_dict(data: dict) -> ScenarioConfig:
     weights = data["weights"]
     contact = data["contact"]
 
-    bar_length = _positive(obj["bar_length"], "object.bar_length")
+    bar_length = _number(obj["bar_length"], "object.bar_length")
     grasp_offsets = obj["grasp_offsets"]
     if grasp_offsets is None:
         grasp_offsets = [-bar_length / 2.0, bar_length / 2.0]
@@ -308,85 +344,71 @@ def _from_dict(data: dict) -> ScenarioConfig:
     if not np.all(link_lengths > 0.0):
         raise ScenarioError("robot.link_lengths must be > 0")
 
-    port_edges = []
-    for side in ("left", "right"):
-        raw = glovebox[f"port_edges_{side}"]
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ScenarioError(f"glovebox.port_edges_{side} must list two points")
-        port_edges.append([_vec(p, 2, f"glovebox.port_edges_{side}[{i}]")
-                           for i, p in enumerate(raw)])
-
     direction = _vec(task["path_direction"], 2, "task.path_direction")
     norm = float(np.linalg.norm(direction))
     if norm <= 0.0:
         raise ScenarioError("task.path_direction must be nonzero")
 
-    waypoint_count = task["waypoint_count"]
-    if not isinstance(waypoint_count, int) or waypoint_count < 1:
-        raise ScenarioError("task.waypoint_count must be an integer >= 1")
-
-    link_index = contact["link_index"]
-    if not isinstance(link_index, int) or not 0 <= link_index < NUM_LINKS:
-        raise ScenarioError(f"contact.link_index must be in 0..{NUM_LINKS - 1}")
-
+    # Types and finiteness here, ranges in SolverSettings.
+    solver_raw = data["solver"]
     try:
-        solver = SolverSettings(**data["solver"])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"solver: {exc}") from exc
+        solver = SolverSettings(**{
+            f.name: _number(solver_raw[f.name], f"solver.{f.name}", -math.inf,
+                            integer=f.name == "max_iterations")
+            for f in dataclass_fields(SolverSettings)})
+    except ValueError as exc:
+        raise ScenarioError(f"solver.{exc}") from exc
 
     config = ScenarioConfig(
-        torso_mass=_positive(robot["torso_mass"], "robot.torso_mass"),
+        torso_mass=_number(robot["torso_mass"], "robot.torso_mass"),
         torso_position=_vec(robot["torso_position"], 3, "robot.torso_position"),
-        link_mass=_positive(robot["link_mass"], "robot.link_mass"),
+        link_mass=_number(robot["link_mass"], "robot.link_mass"),
         arm_bases=np.array([_vec(robot["arm_base_left"], 2, "robot.arm_base_left"),
                             _vec(robot["arm_base_right"], 2, "robot.arm_base_right")]),
         link_lengths=link_lengths,
-        link_radius=_positive(robot["link_radius"], "robot.link_radius"),
-        plane_height=_positive(glovebox["plane_height"], "glovebox.plane_height"),
-        port_edges=np.array(port_edges),
-        object_mass=_positive(obj["mass"], "object.mass"),
+        link_radius=_number(robot["link_radius"], "robot.link_radius"),
+        plane_height=_number(glovebox["plane_height"], "glovebox.plane_height"),
+        port_edges=np.array([_vec(glovebox[f"port_edges_{side}"], (2, 2),
+                                  f"glovebox.port_edges_{side}")
+                             for side in ("left", "right")]),
+        object_mass=_number(obj["mass"], "object.mass"),
         bar_length=bar_length,
         initial_center=_vec(obj["initial_center"], 2, "object.initial_center"),
         grasp_offsets=grasp_offsets,
-        sp_polygon=np.asarray(balance["sp_polygon"], dtype=float),
+        sp_polygon=_vec(balance["sp_polygon"], (None, 2), "balance.sp_polygon"),
         sp_center=_vec(balance["sp_center"], 2, "balance.sp_center"),
-        safe_radius=_positive(balance["safe_radius"], "balance.safe_radius"),
-        object_radius=_positive(balance["object_radius"], "balance.object_radius"),
+        safe_radius=_number(balance["safe_radius"], "balance.safe_radius"),
+        object_radius=_number(balance["object_radius"], "balance.object_radius"),
         path_direction=direction / norm,
-        path_length=float(task["path_length"]),
-        waypoint_count=waypoint_count,
+        path_length=_number(task["path_length"], "task.path_length", closed=True),
+        waypoint_count=_number(task["waypoint_count"], "task.waypoint_count", 1,
+                               closed=True, integer=True),
         object_wrench=_vec(task["object_wrench"], 6, "task.object_wrench"),
-        weight_position=_positive(weights["position"], "weights.position"),
-        weight_displacement=_positive(weights["displacement"], "weights.displacement"),
-        weight_slack=_positive(weights["slack"], "weights.slack"),
-        contact_link_index=link_index,
-        support_force_scale=float(contact["support_force_scale"]),
+        weight_position=_number(weights["position"], "weights.position"),
+        weight_displacement=_number(weights["displacement"], "weights.displacement"),
+        weight_slack=_number(weights["slack"], "weights.slack"),
+        contact_link_index=_number(contact["link_index"], "contact.link_index", 0,
+                                   NUM_LINKS - 1, closed=True, integer=True),
+        support_force_scale=_number(contact["support_force_scale"],
+                                    "contact.support_force_scale"),
         solver=solver,
-        gravity=_positive(data["gravity"], "gravity"),
+        gravity=_number(data["gravity"], "gravity"),
     )
     _validate(config)
     return config
 
 
 def _validate(config: ScenarioConfig) -> None:
-    if config.path_length < 0.0:
-        raise ScenarioError("task.path_length must be >= 0")
     # The statics state constructor checks the polygon and the safe circle.
     try:
         arms = [config.arm(i, np.zeros(NUM_LINKS)) for i in range(2)]
         config.statics_state(arms)
     except ValueError as exc:
         raise ScenarioError(f"balance: {exc}") from exc
-    # Both grasp points must be reachable at every waypoint.
-    reach = float(np.sum(config.link_lengths))
-    for index, waypoint in enumerate(config.waypoints()):
-        for arm_index in range(2):
-            grasp = waypoint + np.array([config.grasp_offsets[arm_index], 0.0])
-            dist = float(np.linalg.norm(grasp - config.arm_bases[arm_index]))
-            if dist > reach:
-                raise ScenarioError(
-                    f"waypoint {index} grasp point is out of reach for arm "
-                    f"{arm_index} ({dist:.3f} m > {reach:.3f} m)")
+    try:
+        config.check_reach()
+    except ReachabilityError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def default_scenario() -> ScenarioConfig:

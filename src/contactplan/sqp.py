@@ -34,17 +34,21 @@ class SolverSettings:
     max_iterations: int = 200
     armijo_c1: float = 1e-4
     backtrack_ratio: float = 0.5
-    fd_step: float = 1e-6
     penalty_growth: float = 2.0
     slack_max: float = 1e-4
 
     def __post_init__(self):
-        if self.tol_kkt <= 0.0 or self.tol_con <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not 0.0 < self.armijo_c1 < 1.0 or not 0.0 < self.backtrack_ratio < 1.0:
-            raise ValueError("line-search parameters must lie in (0, 1)")
+        # Written as "not x > bound" so that NaN fails every check.
+        for name in ("tol_kkt", "tol_con", "slack_max"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        if not self.max_iterations >= 1:
+            raise ValueError("max_iterations must be >= 1")
+        for name in ("armijo_c1", "backtrack_ratio"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1)")
+        if not self.penalty_growth > 1.0:
+            raise ValueError("penalty_growth must be > 1")
 
 
 @dataclass

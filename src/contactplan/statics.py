@@ -185,16 +185,6 @@ def compute_zmp(state: RobotStaticsState,
                      inside_safe_circle=inside_circle, inside_sp=inside_sp)
 
 
-def compute_fzmp(state: RobotStaticsState,
-                 externals_without_supports: list[AppliedWrench]) -> ZmpResult:
-    """ZMP computed while ignoring the environment-support wrenches.
-
-    The caller passes the external wrenches *minus* the support contacts.
-    The result may lie outside the support polygon.
-    """
-    return compute_zmp(state, externals_without_supports)
-
-
 def inside_safe_circle(point, state: RobotStaticsState) -> bool:
     """Closed-disk membership: the boundary counts as inside."""
     point = np.asarray(point, dtype=float)
@@ -247,7 +237,8 @@ def distribute_object_wrench(grasp: GraspMap, h_o) -> np.ndarray:
     """Minimum-norm contact wrenches realizing an object wrench.
 
     Returns the stacked 12-vector (force, moment per contact) whose image
-    under the grasp map reproduces ``h_o``.
+    under the grasp map reproduces ``h_o``: the pseudo-inverse solution
+    W' (W W')^-1 h_o of the full-row-rank grasp map W.
 
     Raises:
         DegenerateGraspError: if the two grasp points coincide.
@@ -257,7 +248,8 @@ def distribute_object_wrench(grasp: GraspMap, h_o) -> np.ndarray:
         raise ValueError("object wrench must be a 6-vector")
     if np.linalg.norm(grasp.r_c1 - grasp.r_c2) < 1e-12:
         raise DegenerateGraspError("grasp points coincide")
-    return np.linalg.pinv(grasp.w_c) @ h_o
+    w = grasp.w_c
+    return w.T @ np.linalg.solve(w @ w.T, h_o)
 
 
 @dataclass(frozen=True)
@@ -290,10 +282,9 @@ def robot_center_of_mass(mass_model: RobotMassModel, arms,
     weighted = mass_model.torso_mass * mass_model.torso_position
     num_links = 0
     for arm in arms:
-        frames, ee = kin.forward_kinematics(arm)
+        points = kin.forward_kinematics(arm)
         for i in range(kin.NUM_LINKS):
-            distal = frames[i + 1].origin if i + 1 < kin.NUM_LINKS else ee
-            mid = 0.5 * (frames[i].origin + distal)
+            mid = 0.5 * (points[i] + points[i + 1])
             weighted = weighted + mass_model.link_mass * np.array(
                 [mid[0], mid[1], plane_height])
             num_links += 1

@@ -21,6 +21,10 @@ NUM_JOINTS = 2 * kin.NUM_LINKS
 # Contacts with a force magnitude below this carry no support priority.
 ACTIVE_FORCE_TOL = 1e-6
 
+# Pseudo-inverse cutoff: singular values below this fraction of the largest
+# are treated as zero.
+PINV_RCOND = 1e-10
+
 
 @dataclass(frozen=True)
 class TorqueCommand:
@@ -30,20 +34,6 @@ class TorqueCommand:
     support_torques: np.ndarray
     object_torques_projected: np.ndarray
     realized_support_forces: tuple   # per active contact, 3-vector
-
-
-def pseudo_inverse(matrix, tol: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values below ``tol`` times the largest are treated as zero.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix entries must be finite")
-    u, sigma, vt = np.linalg.svd(matrix, full_matrices=False)
-    cutoff = tol * (sigma[0] if sigma.size else 0.0)
-    inv_sigma = np.array([1.0 / s if s > cutoff else 0.0 for s in sigma])
-    return vt.T @ np.diag(inv_sigma) @ u.T
 
 
 def object_wrench_torques(arms, grasp: GraspMap, h_o) -> np.ndarray:
@@ -123,7 +113,7 @@ def nullspace_projector(j_support: np.ndarray) -> np.ndarray:
     if j_support.shape[0] == 0 or not np.any(j_support):
         return np.eye(NUM_JOINTS)
     jt = j_support.T
-    return np.eye(NUM_JOINTS) - jt @ pseudo_inverse(jt)
+    return np.eye(NUM_JOINTS) - jt @ np.linalg.pinv(jt, rcond=PINV_RCOND)
 
 
 def combined_torques(arms, contacts, grasp: GraspMap, h_o,
@@ -143,7 +133,7 @@ def combined_torques(arms, contacts, grasp: GraspMap, h_o,
 
     realized = []
     if j_support.shape[0]:
-        recovered = pseudo_inverse(j_support.T) @ tau
+        recovered = np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ tau
         for i in range(j_support.shape[0] // 2):
             realized.append(np.array([recovered[2 * i], recovered[2 * i + 1],
                                       0.0]))

@@ -13,7 +13,7 @@ from contactplan.kinematics import point_jacobian, point_on_link
 from contactplan.planner import PlanDecision, gradient_check
 from contactplan.sqp import SolverSettings, solve_sqp
 from contactplan.statics import AppliedWrench, RobotStaticsState, compute_zmp
-from contactplan.torque import (nullspace_projector, pseudo_inverse,
+from contactplan.torque import (PINV_RCOND, nullspace_projector,
                                 stacked_support_jacobian)
 
 from test_sqp import halfspace_qp, mpcc_grid_oracle, toy_mpcc
@@ -148,7 +148,7 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
         projector = nullspace_projector(j_support)
         assert np.abs(projector @ projector - projector).max() <= 1e-9
-        assert np.abs(pseudo_inverse(j_support.T) @ projector).max() <= 1e-9
+        assert np.abs(np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ projector).max() <= 1e-9
         from contactplan.statics import GraspMap
         from contactplan.torque import combined_torques
         grasps = [np.append(c, default_config.plane_height)
@@ -159,7 +159,7 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
             GraspMap.from_points(grasps[0], grasps[1], origin),
             default_config.object_wrench,
             scale=default_config.support_force_scale)
-        recovered = pseudo_inverse(j_support.T) @ command.torques
+        recovered = np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ command.torques
         planned = np.concatenate(
             [c.force_magnitude * np.array([np.cos(c.normal_angle),
                                            np.sin(c.normal_angle)])

@@ -145,6 +145,17 @@ class TestRun:
     def test_failing_plan_exit_nonzero(self, tmp_path):
         assert run(["--max-iters", "1"]) == 1
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_invalid_waypoint_override_exit_1(self, tmp_path, caplog, count):
+        csv_path = tmp_path / "none.csv"
+        assert run(["--waypoints", count, "--csv", str(csv_path)]) == 1
+        assert "task.waypoint_count" in caplog.text
+        assert not csv_path.exists()
+
+    def test_nan_tolerance_override_exit_1(self, caplog):
+        assert run(["--tol", "nan"]) == 1
+        assert "solver.tol_kkt" in caplog.text
+
     def test_tolerance_override(self, tmp_path):
         csv_path = tmp_path / "loose.csv"
         assert run(["--tol", "1e-5", "--csv", str(csv_path)]) == 0

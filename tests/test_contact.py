@@ -15,7 +15,7 @@ def make_arm(theta, base=(0.2, 0.0)):
 
 def candidate(edge, arm_index=0, link_index=1):
     return ContactCandidate(arm_index=arm_index, edge_point=np.array(edge),
-                            plane_height=0.9, link_index=link_index)
+                            link_index=link_index)
 
 
 class TestEvaluateGaps:
@@ -61,7 +61,7 @@ class TestSelection:
         seg = link_segment(arms[0], 1)
         near = seg.a + 0.4 * (seg.b - seg.a) + np.array([0.0, 0.05])
         far = near + np.array([0.0, 0.5])
-        active = select_active_candidates(arms, [[far, near]], 0.9)
+        active = select_active_candidates(arms, [[far, near]])
         np.testing.assert_allclose(active[0].edge_point, near)
 
     def test_tie_breaks_toward_smaller_x(self):
@@ -70,7 +70,7 @@ class TestSelection:
         # so the smaller x-coordinate wins.
         a = np.array([0.6, 0.1])
         b = np.array([0.59, -0.1])
-        active = select_active_candidates(arms, [[a, b]], 0.9)
+        active = select_active_candidates(arms, [[a, b]])
         np.testing.assert_allclose(active[0].edge_point, b)
 
 

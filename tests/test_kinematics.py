@@ -44,23 +44,24 @@ class TestForwardKinematics:
 
     def test_frames_chain(self):
         arm = make_arm([0.3, -0.2, 0.5, 0.1])
-        frames, ee = forward_kinematics(arm)
-        assert [f.link_index for f in frames] == [0, 1, 2, 3]
-        np.testing.assert_allclose(frames[0].origin, arm.base_position)
+        points = forward_kinematics(arm)
+        assert points.shape == (5, 2)
+        np.testing.assert_allclose(points[0], arm.base_position)
         cumulative = np.cumsum(arm.joint_angles)
-        for frame, angle in zip(frames, cumulative):
-            assert frame.cumulative_angle == pytest.approx(angle)
+        for i, angle in enumerate(cumulative):
+            step = points[i + 1] - points[i]
+            np.testing.assert_allclose(step, arm.link_lengths[i] * np.array(
+                [np.cos(angle), np.sin(angle)]), atol=1e-15)
+        np.testing.assert_array_equal(points[-1], end_effector(arm))
         seg = link_segment(arm, 3)
-        np.testing.assert_allclose(seg.b, ee)
+        np.testing.assert_allclose(seg.b, points[-1])
 
     def test_base_translation_equivariance(self, rng):
         theta = rng.normal(size=4)
         shift = np.array([0.7, -1.3])
-        frames_a, ee_a = forward_kinematics(make_arm(theta))
-        frames_b, ee_b = forward_kinematics(make_arm(theta, base=(0.9, -1.3)))
-        np.testing.assert_allclose(ee_b, ee_a + shift, atol=1e-12)
-        for fa, fb in zip(frames_a, frames_b):
-            np.testing.assert_allclose(fb.origin, fa.origin + shift, atol=1e-12)
+        points_a = forward_kinematics(make_arm(theta))
+        points_b = forward_kinematics(make_arm(theta, base=(0.9, -1.3)))
+        np.testing.assert_allclose(points_b, points_a + shift, atol=1e-12)
 
     def test_nonfinite_angles_rejected(self):
         with pytest.raises(ValueError):

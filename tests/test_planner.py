@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from contactplan import planner as pl
-from contactplan.errors import PlanStepError, ReachabilityError
+from contactplan.errors import (InfeasibleStepError, PlanStepError,
+                                ReachabilityError)
 from contactplan.kinematics import end_effector
 from contactplan.planner import (PlanDecision, evaluate_constraints,
                                  evaluate_cost, gradient_check,
@@ -215,6 +216,19 @@ class TestPlanPath:
             plan_path(config)
         assert excinfo.value.waypoint_index == 0
         assert excinfo.value.partial_steps == []
+
+    def test_solver_failure_is_typed_with_index(self, default_config,
+                                                monkeypatch):
+        def infeasible(*args, **kwargs):
+            raise InfeasibleStepError("active-set QP iteration limit reached")
+
+        monkeypatch.setattr(pl, "solve_sqp", infeasible)
+        with pytest.raises(PlanStepError) as excinfo:
+            plan_path(default_config, theta0=np.zeros(pl.NUM_JOINTS))
+        assert excinfo.value.waypoint_index == 0
+        assert excinfo.value.partial_steps == []
+        assert isinstance(excinfo.value.__cause__, InfeasibleStepError)
+        assert "iteration limit" in str(excinfo.value)
 
     def test_deterministic(self, default_config, planned_steps):
         again = plan_path(default_config)

@@ -1,9 +1,26 @@
+import re
+
 import numpy as np
 import pytest
+import yaml
 
 from contactplan.errors import ScenarioError
-from contactplan.scenario import (default_scenario, load_scenario,
+from contactplan.scenario import (_DEFAULTS, default_scenario, load_scenario,
                                   save_scenario)
+
+# Every key whose default is a single number, as "section.key" (or "key").
+SCALAR_KEYS = [f"{section}.{key}"
+               for section, values in _DEFAULTS.items() if isinstance(values, dict)
+               for key, value in values.items() if isinstance(value, (int, float))] \
+    + [key for key, value in _DEFAULTS.items() if isinstance(value, (int, float))]
+
+
+def _load_override(tmp_path, key, value):
+    section, _, name = key.rpartition(".")
+    path = tmp_path / "override.yaml"
+    path.write_text(yaml.safe_dump({section: {name: value}} if section
+                                   else {name: value}))
+    return load_scenario(str(path))
 
 
 class TestDefaults:
@@ -93,6 +110,43 @@ class TestLoadScenario:
         path.write_text("balance:\n  safe_radius: 0.5\n")
         with pytest.raises(ScenarioError, match="safe circle"):
             load_scenario(str(path))
+
+
+class TestScalarKeys:
+    def test_scalar_keys_cover_the_schema(self):
+        assert len(SCALAR_KEYS) == 23
+        assert "gravity" in SCALAR_KEYS and "solver.slack_max" in SCALAR_KEYS
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, None, "x"],
+                             ids=["nan", "inf", "true", "null", "text"])
+    @pytest.mark.parametrize("key", SCALAR_KEYS)
+    def test_malformed_value_names_the_key(self, tmp_path, key, value):
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            _load_override(tmp_path, key, value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("task.path_length", -0.1),
+        ("task.waypoint_count", 0),
+        ("task.waypoint_count", 2.0),
+        ("contact.link_index", 4),
+        ("contact.support_force_scale", -1.0),
+        ("object.mass", 0.0),
+        ("solver.max_iterations", 1.5),
+        ("solver.max_iterations", 0),
+        ("solver.armijo_c1", 1.0),
+        ("solver.penalty_growth", 0.5),
+        ("solver.penalty_growth", 1.0),
+        ("solver.slack_max", -1),
+        ("balance.sp_polygon", "abc"),
+        ("balance.sp_polygon", [[float("nan"), 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_out_of_range_value_names_the_key(self, tmp_path, key, value):
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            _load_override(tmp_path, key, value)
+
+    def test_integer_valued_float_keys_accept_ints(self, tmp_path):
+        config = _load_override(tmp_path, "object.mass", 8)
+        assert config.object_mass == 8.0 and isinstance(config.object_mass, float)
 
 
 class TestRoundTrip:
