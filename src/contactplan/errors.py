@@ -2,7 +2,12 @@
 
 
 class ContactPlanError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; layers an error passes
+    through may add context to its ``diagnostics`` dict."""
+
+    def __init__(self, *args, diagnostics: dict | None = None):
+        super().__init__(*args)
+        self.diagnostics = dict(diagnostics or {})
 
 
 class UnbalancedStateError(ContactPlanError):
@@ -30,9 +35,8 @@ class PlanStepError(ContactPlanError):
 
     def __init__(self, message: str, waypoint_index: int | None = None,
                  diagnostics: dict | None = None, partial_steps: list | None = None):
-        super().__init__(message)
+        super().__init__(message, diagnostics=diagnostics)
         self.waypoint_index = waypoint_index
-        self.diagnostics = diagnostics or {}
         self.partial_steps = partial_steps or []
 
 

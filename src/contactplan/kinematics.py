@@ -116,19 +116,21 @@ def point_on_link(arm: PlanarArm, link_index: int, point_param: float) -> np.nda
     return seg.a + point_param * (seg.b - seg.a)
 
 
-def point_jacobian(arm: PlanarArm, link_index: int, point_param: float) -> np.ndarray:
+def point_jacobian(points: np.ndarray, link_index: int,
+                   point_param: float) -> np.ndarray:
     """Translational Jacobian (2x4) of a material point on a link.
 
-    Column ``j`` is the perpendicular of the lever arm from joint ``j`` to the
-    point for all joints at or proximal to the link; columns for joints distal
-    to the point are zero.  With ``link_index=3, point_param=1`` this is the
+    ``points`` is the joint-point array of ``forward_kinematics``, so one
+    kinematics pass serves every point of an arm.  Column ``j`` is the
+    perpendicular of the lever arm from joint ``j`` to the point for all
+    joints at or proximal to the link; columns for joints distal to the
+    point are zero.  With ``link_index=3, point_param=1`` this is the
     end-effector Jacobian.
     """
     if not 0 <= link_index < NUM_LINKS:
         raise ValueError(f"link_index must be in 0..{NUM_LINKS - 1}, got {link_index}")
     if not 0.0 <= point_param <= 1.0:
         raise ValueError(f"point_param must be in [0, 1], got {point_param}")
-    points = forward_kinematics(arm)
     a = points[link_index]
     point = a + point_param * (points[link_index + 1] - a)
     jac = np.zeros((2, NUM_LINKS))

@@ -20,9 +20,12 @@ enters the balance at the end effectors; support forces enter at the port
 edges.  Every constraint Jacobian is analytic (the ZMP row differentiates
 the closed-form moment balance); ``gradient_check`` validates them against
 central finite differences.
+Each SQP iterate is evaluated once, by ``evaluate_nlp``, with one
+forward-kinematics pass per arm (the evaluate-once interface of IPOPT and
+CasADi).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -176,28 +179,30 @@ def _smooth_norm(v: np.ndarray) -> tuple[float, np.ndarray]:
     return root - _NORM_EPS, v / root
 
 
-def _end_effectors(arms) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    ee0 = kin.end_effector(arms[0])
-    ee1 = kin.end_effector(arms[1])
-    j0 = _embed(kin.point_jacobian(arms[0], kin.NUM_LINKS - 1, 1.0), 0)
-    j1 = _embed(kin.point_jacobian(arms[1], kin.NUM_LINKS - 1, 1.0), 1)
+def _end_effectors(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """End-effector positions and their (2, 8) Jacobians from joint points."""
+    ee0 = points[0][-1]
+    ee1 = points[1][-1]
+    j0 = _embed(kin.point_jacobian(points[0], kin.NUM_LINKS - 1, 1.0), 0)
+    j1 = _embed(kin.point_jacobian(points[1], kin.NUM_LINKS - 1, 1.0), 1)
     return ee0, ee1, j0, j1
 
 
-def _contact_geometry(arm, candidate) -> dict:
+def _contact_geometry(points: np.ndarray, link_radius: float, candidate) -> dict:
     """Gap, normal angle, and their joint gradients for one candidate.
 
-    The closest-point parameter along the link both moves the material point
+    ``points`` are the joint points of the candidate's arm.  The
+    closest-point parameter along the link both moves the material point
     and slides along the axis; the sliding term vanishes from the gap
     gradient (the axis direction is orthogonal to the separation) but not
     from the normal-angle gradient.
     """
     link = candidate.link_index
     edge = candidate.edge_point
-    seg = kin.link_segment(arm, link)
-    res = kin.signed_gap(edge, seg, arm.link_radius)
-    jac_a = kin.point_jacobian(arm, link, 0.0)
-    jac_b = kin.point_jacobian(arm, link, 1.0)
+    seg = kin.Segment(points[link], points[link + 1])
+    res = kin.signed_gap(edge, seg, link_radius)
+    jac_a = kin.point_jacobian(points, link, 0.0)
+    jac_b = kin.point_jacobian(points, link, 1.0)
     axis = seg.b - seg.a
     t = res.axis_param
     d_closest = (1.0 - t) * jac_a + t * jac_b
@@ -247,17 +252,16 @@ def _grasp_distribution(ctx: StepContext, ee0, ee1, j0, j1):
     return forces, d_forces
 
 
-def _com_with_grads(ctx: StepContext, arms):
-    """Centre of mass and its (3, 8) joint gradient (z fixed)."""
+def _com_gradient(ctx: StepContext, points) -> np.ndarray:
+    """(3, 8) joint gradient of the centre of mass (z fixed)."""
     model = ctx.config.mass_model
     total = ctx.config.robot_mass
-    com = st.robot_center_of_mass(model, arms, ctx.config.plane_height)
     d_com = np.zeros((3, NUM_JOINTS))
-    for arm_index, arm in enumerate(arms):
+    for arm_index, arm_points in enumerate(points):
         for link in range(kin.NUM_LINKS):
-            jac = _embed(kin.point_jacobian(arm, link, 0.5), arm_index)
+            jac = _embed(kin.point_jacobian(arm_points, link, 0.5), arm_index)
             d_com[:2] += (model.link_mass / total) * jac
-    return com, d_com
+    return d_com
 
 
 def _zmp_chain(ctx: StepContext, arms, gamma):
@@ -265,14 +269,16 @@ def _zmp_chain(ctx: StepContext, arms, gamma):
 
     Mirrors ``statics.compute_zmp`` exactly: the value is obtained from the
     same wrench list; only the derivatives are assembled analytically here.
-    Also returns the evaluated contact geometry and the wrench lists so
-    callers can reuse them.
+    Forward kinematics runs once per arm.  Also returns the end effectors
+    with their Jacobians, the evaluated contact geometry and the wrench
+    lists so callers can reuse them.
     """
     config = ctx.config
     plane = config.plane_height
-    ee0, ee1, j0, j1 = _end_effectors(arms)
+    points = [kin.forward_kinematics(arm) for arm in arms]
+    ee0, ee1, j0, j1 = _end_effectors(points)
     forces, d_forces = _grasp_distribution(ctx, ee0, ee1, j0, j1)
-    geoms = [_contact_geometry(arms[cand.arm_index], cand)
+    geoms = [_contact_geometry(points[cand.arm_index], config.link_radius, cand)
              for cand in ctx.candidates]
 
     object_wrenches = [
@@ -292,7 +298,7 @@ def _zmp_chain(ctx: StepContext, arms, gamma):
     zmp_result = st.compute_zmp(state, object_wrenches + support_wrenches)
     fz = float(zmp_result.ground_force[2])
 
-    _, d_com = _com_with_grads(ctx, arms)
+    d_com = _com_gradient(ctx, points)
     weight_z = -config.robot_mass * config.gravity
 
     # Horizontal moment (x, y) and vertical force gradients.
@@ -345,6 +351,7 @@ def _zmp_chain(ctx: StepContext, arms, gamma):
     return {
         "zmp": zmp_result.zmp, "zmp_result": zmp_result,
         "d_zmp_theta": d_zmp_theta, "d_zmp_gamma": d_zmp_gamma,
+        "end_effectors": (ee0, ee1, j0, j1),
         "geoms": geoms, "object_wrenches": object_wrenches,
         "support_wrenches": support_wrenches,
     }
@@ -358,62 +365,43 @@ def _split(x: np.ndarray):
     return x[:NUM_JOINTS], x[NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS], float(x[-1])
 
 
-def _cost_value(problem: PlanningProblem, ctx: StepContext, x: np.ndarray) -> float:
-    dtheta, _, slack = _split(x)
-    arms = ctx.arms_at(dtheta)
-    ee0, ee1, _, _ = _end_effectors(arms)
-    p_obj = 0.5 * (ee0 + ee1)
-    err = problem.target_object_position - p_obj
-    return (problem.weight_position * float(err @ err)
-            + problem.weight_displacement * float(dtheta @ dtheta)
-            + problem.weight_slack * slack)
+def evaluate_nlp(problem: PlanningProblem, ctx: StepContext, x) -> dict:
+    """Cost, constraints and all their derivatives at one decision vector.
 
-
-def _cost_gradient(problem: PlanningProblem, ctx: StepContext,
-                   x: np.ndarray) -> np.ndarray:
-    dtheta, _, _ = _split(x)
-    arms = ctx.arms_at(dtheta)
-    ee0, ee1, j0, j1 = _end_effectors(arms)
+    The keys are the ``NlpProblem`` field names: ``cost``, ``cost_grad``,
+    ``equalities`` (grasp closure), ``equality_jac``, ``inequalities`` and
+    ``inequality_jac``.  Inequality rows: gamma (2), s, s - gamma.phi, safe
+    circle, object deviation, phi (2).  Everything comes from one ZMP chain,
+    so forward kinematics runs once per arm.  The arrays are read-only:
+    ``build_step_nlp`` hands the same ones to every field.
+    """
+    x = np.asarray(x, dtype=float)
+    dtheta, gamma, slack = _split(x)
+    chain = _zmp_chain(ctx, ctx.arms_at(dtheta), gamma)
+    ee0, ee1, j0, j1 = chain["end_effectors"]
     p_obj = 0.5 * (ee0 + ee1)
     d_obj = 0.5 * (j0 + j1)
     err = problem.target_object_position - p_obj
-    grad = np.zeros(DECISION_DIM)
-    grad[:NUM_JOINTS] = (-2.0 * problem.weight_position * (err @ d_obj)
-                         + 2.0 * problem.weight_displacement * dtheta)
-    grad[-1] = problem.weight_slack
-    return grad
 
+    cost = (problem.weight_position * float(err @ err)
+            + problem.weight_displacement * float(dtheta @ dtheta)
+            + problem.weight_slack * slack)
+    cost_grad = np.zeros(DECISION_DIM)
+    cost_grad[:NUM_JOINTS] = (-2.0 * problem.weight_position * (err @ d_obj)
+                              + 2.0 * problem.weight_displacement * dtheta)
+    cost_grad[-1] = problem.weight_slack
 
-def _equality_value(problem: PlanningProblem, ctx: StepContext,
-                    x: np.ndarray) -> np.ndarray:
-    dtheta, _, _ = _split(x)
-    arms = ctx.arms_at(dtheta)
-    ee0, ee1, _, _ = _end_effectors(arms)
-    return ee0 - ee1 + np.array([problem.grasp_separation, 0.0])
+    equality_jac = np.zeros((2, DECISION_DIM))
+    equality_jac[:, :NUM_JOINTS] = j0 - j1
 
+    geoms = chain["geoms"]
+    phi = np.array([g["gap"] for g in geoms])
+    d_phi = np.zeros((NUM_CONTACTS, NUM_JOINTS))
+    for i, (cand, geom) in enumerate(zip(ctx.candidates, geoms)):
+        d_phi[i] = _embed(geom["d_gap"][None, :], cand.arm_index)[0]
+    safe_dist, safe_dir = _smooth_norm(chain["zmp"] - problem.zmp_target)
+    dev_dist, dev_dir = _smooth_norm(p_obj - problem.target_object_position)
 
-def _equality_jacobian(problem: PlanningProblem, ctx: StepContext,
-                       x: np.ndarray) -> np.ndarray:
-    dtheta, _, _ = _split(x)
-    arms = ctx.arms_at(dtheta)
-    _, _, j0, j1 = _end_effectors(arms)
-    jac = np.zeros((2, DECISION_DIM))
-    jac[:, :NUM_JOINTS] = j0 - j1
-    return jac
-
-
-def _inequality_value(problem: PlanningProblem, ctx: StepContext,
-                      x: np.ndarray) -> np.ndarray:
-    """Rows: gamma (2), s, s - gamma.phi, safe circle, object deviation,
-    phi (2)."""
-    dtheta, gamma, slack = _split(x)
-    arms = ctx.arms_at(dtheta)
-    chain = _zmp_chain(ctx, arms, gamma)
-    phi = np.array([g["gap"] for g in chain["geoms"]])
-    ee0, ee1, _, _ = _end_effectors(arms)
-    p_obj = 0.5 * (ee0 + ee1)
-    safe_dist, _ = _smooth_norm(chain["zmp"] - problem.zmp_target)
-    dev_dist, _ = _smooth_norm(p_obj - problem.target_object_position)
     rows = np.zeros(6 + NUM_CONTACTS)
     rows[0:2] = gamma
     rows[2] = slack
@@ -421,23 +409,6 @@ def _inequality_value(problem: PlanningProblem, ctx: StepContext,
     rows[4] = problem.safe_radius - safe_dist
     rows[5] = problem.object_radius - dev_dist
     rows[6:] = phi
-    return rows
-
-
-def _inequality_jacobian(problem: PlanningProblem, ctx: StepContext,
-                         x: np.ndarray) -> np.ndarray:
-    dtheta, gamma, _ = _split(x)
-    arms = ctx.arms_at(dtheta)
-    chain = _zmp_chain(ctx, arms, gamma)
-    geoms = chain["geoms"]
-    phi = np.array([g["gap"] for g in geoms])
-    d_phi = np.zeros((NUM_CONTACTS, NUM_JOINTS))
-    for i, (cand, geom) in enumerate(zip(ctx.candidates, geoms)):
-        d_phi[i] = _embed(geom["d_gap"][None, :], cand.arm_index)[0]
-
-    ee0, ee1, j0, j1 = _end_effectors(arms)
-    p_obj = 0.5 * (ee0 + ee1)
-    d_obj = 0.5 * (j0 + j1)
 
     jac = np.zeros((6 + NUM_CONTACTS, DECISION_DIM))
     jac[0, NUM_JOINTS] = 1.0
@@ -446,56 +417,50 @@ def _inequality_jacobian(problem: PlanningProblem, ctx: StepContext,
     jac[3, :NUM_JOINTS] = -(gamma @ d_phi)
     jac[3, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -phi
     jac[3, -1] = 1.0
-    _, safe_dir = _smooth_norm(chain["zmp"] - problem.zmp_target)
     jac[4, :NUM_JOINTS] = -(safe_dir @ chain["d_zmp_theta"])
     jac[4, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -(safe_dir @ chain["d_zmp_gamma"])
-    _, dev_dir = _smooth_norm(p_obj - problem.target_object_position)
     jac[5, :NUM_JOINTS] = -(dev_dir @ d_obj)
     jac[6:6 + NUM_CONTACTS, :NUM_JOINTS] = d_phi
-    return jac
 
-
-def evaluate_cost(problem: PlanningProblem, ctx: StepContext,
-                  decision: PlanDecision) -> float:
-    """Weighted sum of object error, joint displacement, and slack."""
-    return _cost_value(problem, ctx, decision.to_vector())
-
-
-def evaluate_constraints(problem: PlanningProblem, ctx: StepContext,
-                         decision: PlanDecision) -> dict:
-    """Grasp equality rows and the stacked inequality rows at the decision."""
-    x = decision.to_vector()
-    return {"equalities": _equality_value(problem, ctx, x),
-            "inequalities": _inequality_value(problem, ctx, x)}
+    values = {"cost": cost, "cost_grad": cost_grad,
+              "equalities": ee0 - ee1 + np.array([problem.grasp_separation, 0.0]),
+              "equality_jac": equality_jac,
+              "inequalities": rows, "inequality_jac": jac}
+    for value in values.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return values
 
 
 def build_step_nlp(problem: PlanningProblem, ctx: StepContext) -> NlpProblem:
-    return NlpProblem(
-        dim=DECISION_DIM,
-        cost=lambda x: _cost_value(problem, ctx, x),
-        cost_grad=lambda x: _cost_gradient(problem, ctx, x),
-        equalities=lambda x: _equality_value(problem, ctx, x),
-        equality_jac=lambda x: _equality_jacobian(problem, ctx, x),
-        inequalities=lambda x: _inequality_value(problem, ctx, x),
-        inequality_jac=lambda x: _inequality_jacobian(problem, ctx, x))
+    """The waypoint NLP; every field reads one ``evaluate_nlp`` of the last
+    point asked for, so each distinct iterate is evaluated once."""
+    last = {}
+
+    def field(name):
+        def read(x):
+            key = np.asarray(x, dtype=float).tobytes()
+            if last.get("key") != key:
+                last.update(values=evaluate_nlp(problem, ctx, x), key=key)
+            return last["values"][name]
+        return read
+
+    names = [f.name for f in fields(NlpProblem) if f.name != "dim"]
+    return NlpProblem(dim=DECISION_DIM, **{name: field(name) for name in names})
 
 
 def gradient_check(problem: PlanningProblem, ctx: StepContext,
                    decision: PlanDecision, fd_step: float = 1e-6) -> float:
     """Largest relative error of the analytic derivatives vs central FD."""
     x = decision.to_vector()
-    analytic = np.vstack([
-        _cost_gradient(problem, ctx, x)[None, :],
-        _equality_jacobian(problem, ctx, x),
-        _inequality_jacobian(problem, ctx, x),
-    ])
+    values = evaluate_nlp(problem, ctx, x)
+    analytic = np.vstack([values["cost_grad"][None, :], values["equality_jac"],
+                          values["inequality_jac"]])
 
     def stacked(v: np.ndarray) -> np.ndarray:
-        return np.concatenate([
-            [_cost_value(problem, ctx, v)],
-            _equality_value(problem, ctx, v),
-            _inequality_value(problem, ctx, v),
-        ])
+        values = evaluate_nlp(problem, ctx, v)
+        return np.concatenate([[values["cost"]], values["equalities"],
+                               values["inequalities"]])
 
     numeric = finite_difference_jacobian(stacked, x, step=fd_step)
     return relative_error(analytic, numeric)
@@ -520,8 +485,8 @@ def _seed_hessian(problem: PlanningProblem, ctx: StepContext,
     constraint-limited rather than curvature-limited.
     """
     dtheta, _, _ = _split(x0)
-    arms = ctx.arms_at(dtheta)
-    _, _, j0, j1 = _end_effectors(arms)
+    _, _, j0, j1 = _end_effectors(
+        [kin.forward_kinematics(arm) for arm in ctx.arms_at(dtheta)])
     d_obj = 0.5 * (j0 + j1)
     hess = np.eye(DECISION_DIM) * 1e-2
     hess[:NUM_JOINTS, :NUM_JOINTS] = (
@@ -541,23 +506,34 @@ def solve_step(problem: PlanningProblem, ctx: StepContext,
     the bilinear complementarity coupling steers the gap shut; solving at
     the full weight from a cold start routinely stalls instead.  The
     reported decision is the final stage's solution of the target problem.
+
+    Raises:
+        ContactPlanError: from a stage's solve, with the waypoint, that
+            stage's slack weight and the completed stages' iterations added
+            to its diagnostics.
     """
     initial = initial if initial is not None else PlanDecision.zeros()
     x = initial.to_vector()
     stages = [w for w in (1e2, 1e4) if w < problem.weight_slack]
     stages.append(problem.weight_slack)
-    total_iterations = 0
+    stage_iterations = []
     result = None
     for weight in stages:
         staged = replace(problem, weight_slack=weight)
         nlp = build_step_nlp(staged, ctx)
-        result = solve_sqp(nlp, x, settings,
-                           initial_hessian=_seed_hessian(staged, ctx, x))
-        total_iterations += result.iterations
+        try:
+            result = solve_sqp(nlp, x, settings,
+                               initial_hessian=_seed_hessian(staged, ctx, x))
+        except ContactPlanError as exc:
+            exc.diagnostics.update(
+                waypoint=problem.target_object_position.tolist(),
+                slack_weight=weight, stage_iterations=stage_iterations)
+            raise
+        stage_iterations.append(result.iterations)
         x = result.x
     return PlanDecision.from_vector(
         result.x, cost=result.cost, kkt_residual=result.kkt_residual,
-        iterations=total_iterations, converged=result.converged)
+        iterations=sum(stage_iterations), converged=result.converged)
 
 
 def _check_step(problem: PlanningProblem, config: ScenarioConfig,
@@ -615,7 +591,7 @@ def plan_waypoint(ctx: StepContext, waypoint, settings: SolverSettings,
     zmp = chain["zmp_result"]
     fzmp = st.compute_zmp(config.statics_state(arms_after),
                           chain["object_wrenches"])
-    ee0, ee1, _, _ = _end_effectors(arms_after)
+    ee0, ee1, _, _ = chain["end_effectors"]
     object_position = 0.5 * (ee0 + ee1)
 
     failures = _check_step(problem, config, decision, contacts, zmp,
@@ -673,16 +649,16 @@ def _settle_on_edge(config: ScenarioConfig, candidate: ct.ContactCandidate,
     arm_index = candidate.arm_index
 
     def residuals(q: np.ndarray) -> np.ndarray:
-        arm = config.arm(arm_index, q)
-        ee = kin.end_effector(arm)
-        geom = _contact_geometry(arm, candidate)
+        points = kin.forward_kinematics(config.arm(arm_index, q))
+        ee = points[-1]
+        geom = _contact_geometry(points, config.link_radius, candidate)
         return np.array([ee[0] - grasp[0], ee[1] - grasp[1], geom["gap"]])
 
     def residual_jac(q: np.ndarray) -> np.ndarray:
-        arm = config.arm(arm_index, q)
+        points = kin.forward_kinematics(config.arm(arm_index, q))
         jac = np.zeros((3, kin.NUM_LINKS))
-        jac[:2] = kin.point_jacobian(arm, kin.NUM_LINKS - 1, 1.0)
-        jac[2] = _contact_geometry(arm, candidate)["d_gap"]
+        jac[:2] = kin.point_jacobian(points, kin.NUM_LINKS - 1, 1.0)
+        jac[2] = _contact_geometry(points, config.link_radius, candidate)["d_gap"]
         return jac
 
     nlp = NlpProblem(
@@ -747,7 +723,7 @@ def plan_path(config: ScenarioConfig, settings: SolverSettings | None = None,
         except ContactPlanError as exc:
             raise PlanStepError(
                 f"step {index} failed: {exc}", waypoint_index=index,
-                diagnostics=getattr(exc, "diagnostics", None),
+                diagnostics=exc.diagnostics,
                 partial_steps=steps) from exc
         steps.append(step)
         theta = step.theta_after

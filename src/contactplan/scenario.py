@@ -25,14 +25,16 @@ Sections and keys (SI units throughout):
       initial_center        [x, y] m, default [0.0, 0.45]
       grasp_offsets         two floats, m along the bar, default [-0.30, 0.30]
     balance:
-      sp_polygon            convex CCW vertices, default 0.40 x 0.32 rectangle
+      sp_polygon            convex CCW vertices, edges of positive length,
+                            default 0.40 x 0.32 rectangle
       sp_center             [x, y] m, default [0.0, 0.0]
       safe_radius           m, default 0.15
       object_radius         m, default 0.10
     task:
-      path_direction        [x, y], default [0.0, 1.0] (normalized on load)
+      path_direction        [x, y], default [0.0, 1.0] (normalized on load;
+                            its norm must lie in [1e-150, 1e150])
       path_length           m, default 0.40
-      waypoint_count        int >= 1, default 9
+      waypoint_count        int in [1, 10000], default 9
       object_wrench         6 floats, default [0, 10, -117.72, 0, 0, 0]
                             (the load wrench the object transmits to the hands)
     weights:
@@ -62,6 +64,9 @@ from .errors import ReachabilityError, ScenarioError
 from .kinematics import NUM_LINKS, PlanarArm
 from .sqp import SolverSettings
 from .statics import RobotMassModel, RobotStaticsState, robot_center_of_mass
+
+# Waypoints are materialized at load time for the reach check.
+MAX_WAYPOINTS = 10_000
 
 _DEFAULTS = {
     "robot": {
@@ -287,7 +292,7 @@ def _vec(raw, shape, key: str) -> np.ndarray:
     shape = (shape,) if isinstance(shape, int) else shape
     try:
         v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{key} must be numbers of shape {shape}") from exc
     if v.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, v.shape)):
         raise ScenarioError(f"{key} must have shape {shape}, got {v.shape}")
@@ -305,14 +310,15 @@ def _number(raw, key: str, lower: float = 0.0, upper: float = math.inf, *,
     are accepted for float keys: PyYAML reads ``2.0e6`` (no exponent sign)
     as a string.  Every error names the key.
     """
-    kind = "an integer" if integer else "a number"
+    kind = "an integer" if integer else "a finite number"
     if isinstance(raw, bool) or (integer and not isinstance(raw, int)):
         raise ScenarioError(f"{key} must be {kind}, got {raw!r}")
     try:
         value = raw if integer else float(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{key} must be {kind}, got {raw!r}") from exc
-    if not math.isfinite(value):
+    # Python ints are exact and finite; math.isfinite cannot take huge ones.
+    if not integer and not math.isfinite(value):
         raise ScenarioError(f"{key} must be finite, got {raw!r}")
     if lower <= value <= upper if closed else lower < value < upper:
         return value
@@ -346,8 +352,11 @@ def _from_dict(data: dict) -> ScenarioConfig:
 
     direction = _vec(task["path_direction"], 2, "task.path_direction")
     norm = float(np.linalg.norm(direction))
-    if norm <= 0.0:
-        raise ScenarioError("task.path_direction must be nonzero")
+    # Beyond this range the squares in the norm overflow or underflow, and
+    # direction / norm is zero, NaN or off unit length.
+    if not 1e-150 <= norm <= 1e150:
+        raise ScenarioError(
+            f"task.path_direction must have a norm in [1e-150, 1e150], got {norm!r}")
 
     # Types and finiteness here, ranges in SolverSettings.
     solver_raw = data["solver"]
@@ -382,7 +391,7 @@ def _from_dict(data: dict) -> ScenarioConfig:
         path_direction=direction / norm,
         path_length=_number(task["path_length"], "task.path_length", closed=True),
         waypoint_count=_number(task["waypoint_count"], "task.waypoint_count", 1,
-                               closed=True, integer=True),
+                               MAX_WAYPOINTS, closed=True, integer=True),
         object_wrench=_vec(task["object_wrench"], 6, "task.object_wrench"),
         weight_position=_number(weights["position"], "weights.position"),
         weight_displacement=_number(weights["displacement"], "weights.displacement"),

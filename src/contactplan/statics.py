@@ -74,7 +74,8 @@ def _circle_inside_polygon(center: np.ndarray, radius: float,
         length = np.linalg.norm(edge)
         # CCW polygon: inward distance is the left-perp projection.
         inward = (edge[0] * (center[1] - a[1]) - edge[1] * (center[0] - a[0])) / length
-        if inward < radius - 1e-12:
+        # NaN-safe: a zero-length or overflowing edge gives NaN and fails.
+        if not inward >= radius - 1e-12:
             return False
     return True
 

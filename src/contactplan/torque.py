@@ -47,7 +47,7 @@ def object_wrench_torques(arms, grasp: GraspMap, h_o) -> np.ndarray:
     torques = np.zeros(NUM_JOINTS)
     for arm_index, arm in enumerate(arms):
         force_xy = h_c[6 * arm_index:6 * arm_index + 2]
-        jac = kin.point_jacobian(arm, kin.NUM_LINKS - 1, 1.0)
+        jac = kin.point_jacobian(kin.forward_kinematics(arm), kin.NUM_LINKS - 1, 1.0)
         torques[4 * arm_index:4 * arm_index + 4] = jac.T @ force_xy
     return torques
 
@@ -61,14 +61,15 @@ def _contact_jacobian(arms, contact) -> np.ndarray:
     """
     cand = contact.candidate
     arm = arms[cand.arm_index]
-    seg = kin.link_segment(arm, cand.link_index)
+    points = kin.forward_kinematics(arm)
+    seg = kin.Segment(points[cand.link_index], points[cand.link_index + 1])
     res = kin.signed_gap(contact.contact_point, seg, arm.link_radius)
     # A point on the capsule surface sits at zero signed gap.
     if abs(res.gap) > 1e-6:
         raise ValueError(
             f"contact point {contact.contact_point} is not on link "
             f"{cand.link_index} of arm {cand.arm_index} (gap {res.gap:.3g})")
-    return kin.point_jacobian(arm, cand.link_index, res.axis_param)
+    return kin.point_jacobian(points, cand.link_index, res.axis_param)
 
 
 def support_force_vectors(contacts, scale: float = 1.0) -> list[np.ndarray]:

@@ -9,7 +9,7 @@ import numpy as np
 
 from contactplan import planner as pl
 from contactplan.cli import read_csv, run
-from contactplan.kinematics import point_jacobian, point_on_link
+from contactplan.kinematics import forward_kinematics, point_jacobian, point_on_link
 from contactplan.planner import PlanDecision, gradient_check
 from contactplan.sqp import SolverSettings, solve_sqp
 from contactplan.statics import AppliedWrench, RobotStaticsState, compute_zmp
@@ -110,7 +110,7 @@ def test_criterion_6_derivatives_match_finite_differences(default_config, rng):
         link = int(rng.integers(0, 4))
         param = float(rng.uniform())
         arm = default_config.arm(0, theta)
-        jac = point_jacobian(arm, link, param)
+        jac = point_jacobian(forward_kinematics(arm), link, param)
         for j in range(4):
             bump = np.zeros(4)
             bump[j] = step

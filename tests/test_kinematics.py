@@ -78,12 +78,12 @@ class TestForwardKinematics:
 
 class TestPointJacobian:
     def test_straight_chain_lever_arms(self):
-        jac = point_jacobian(make_arm([0, 0, 0, 0]), 3, 1.0)
+        jac = point_jacobian(forward_kinematics(make_arm([0, 0, 0, 0])), 3, 1.0)
         np.testing.assert_allclose(jac[:, 0], [0.0, 1.0], atol=1e-15)
         assert jac[0, 0] == pytest.approx(0.0)
 
     def test_distal_joints_do_not_move_proximal_points(self):
-        jac = point_jacobian(make_arm([0, 0, 0, 0]), 1, 0.5)
+        jac = point_jacobian(forward_kinematics(make_arm([0, 0, 0, 0])), 1, 0.5)
         np.testing.assert_allclose(jac[:, 2:], 0.0)
         assert np.any(jac[:, :2] != 0.0)
 
@@ -94,7 +94,7 @@ class TestPointJacobian:
             link = int(rng.integers(0, 4))
             param = float(rng.uniform())
             arm = make_arm(theta)
-            jac = point_jacobian(arm, link, param)
+            jac = point_jacobian(forward_kinematics(arm), link, param)
             for j in range(4):
                 bump = np.zeros(4)
                 bump[j] = step
@@ -108,7 +108,7 @@ class TestPointJacobian:
         # The distal end of the last link is the end effector itself.
         step = 1e-6
         theta = rng.normal(scale=1.0, size=4)
-        jac = point_jacobian(make_arm(theta), 3, 1.0)
+        jac = point_jacobian(forward_kinematics(make_arm(theta)), 3, 1.0)
         for j in range(4):
             bump = np.zeros(4)
             bump[j] = step
@@ -117,13 +117,13 @@ class TestPointJacobian:
             np.testing.assert_allclose(jac[:, j], fd, atol=1e-6)
 
     def test_range_checks(self):
-        arm = make_arm([0] * 4)
+        points = forward_kinematics(make_arm([0] * 4))
         with pytest.raises(ValueError):
-            point_jacobian(arm, 4, 0.5)
+            point_jacobian(points, 4, 0.5)
         with pytest.raises(ValueError):
-            point_jacobian(arm, -1, 0.5)
+            point_jacobian(points, -1, 0.5)
         with pytest.raises(ValueError):
-            point_jacobian(arm, 1, 1.5)
+            point_jacobian(points, 1, 1.5)
 
 
 class TestSignedGap:

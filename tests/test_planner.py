@@ -7,8 +7,7 @@ from contactplan import planner as pl
 from contactplan.errors import (InfeasibleStepError, PlanStepError,
                                 ReachabilityError)
 from contactplan.kinematics import end_effector
-from contactplan.planner import (PlanDecision, evaluate_constraints,
-                                 evaluate_cost, gradient_check,
+from contactplan.planner import (PlanDecision, evaluate_nlp, gradient_check,
                                  initial_joint_angles, plan_path,
                                  plan_waypoint, relative_error)
 from contactplan.scenario import _DEFAULTS, _from_dict, _merge
@@ -55,7 +54,7 @@ class TestCost:
         theta = initial_joint_angles(config)
         ctx = pl.build_context(config, theta)
         problem = pl.problem_for_waypoint(config, object_position(config, theta))
-        cost = evaluate_cost(problem, ctx, PlanDecision.zeros())
+        cost = evaluate_nlp(problem, ctx, PlanDecision.zeros().to_vector())["cost"]
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_position_error_term(self, default_config):
@@ -64,7 +63,7 @@ class TestCost:
         ctx = pl.build_context(config, theta)
         target = object_position(config, theta) + np.array([0.1, 0.0])
         problem = pl.problem_for_waypoint(config, target)
-        cost = evaluate_cost(problem, ctx, PlanDecision.zeros())
+        cost = evaluate_nlp(problem, ctx, PlanDecision.zeros().to_vector())["cost"]
         assert cost == pytest.approx(10.0, abs=1e-9)  # 1e3 * 0.1^2
 
     def test_slack_term(self, default_config):
@@ -74,7 +73,7 @@ class TestCost:
         problem = pl.problem_for_waypoint(config, object_position(config, theta))
         decision = PlanDecision(dtheta=np.zeros(8), gamma=np.zeros(2),
                                 slack=1e-4)
-        cost = evaluate_cost(problem, ctx, decision)
+        cost = evaluate_nlp(problem, ctx, decision.to_vector())["cost"]
         assert cost == pytest.approx(100.0, abs=1e-9)  # 1e6 * 1e-4
 
 
@@ -84,7 +83,7 @@ class TestConstraints:
         theta = initial_joint_angles(config)
         ctx = pl.build_context(config, theta)
         problem = pl.problem_for_waypoint(config, object_position(config, theta))
-        values = evaluate_constraints(problem, ctx, PlanDecision.zeros())
+        values = evaluate_nlp(problem, ctx, PlanDecision.zeros().to_vector())
         np.testing.assert_allclose(values["equalities"], 0.0, atol=1e-9)
         assert np.all(values["inequalities"] >= -1e-9)
 
@@ -95,7 +94,7 @@ class TestConstraints:
         problem = pl.problem_for_waypoint(config, object_position(config, theta))
         decision = PlanDecision(dtheta=np.zeros(8),
                                 gamma=np.array([-1.0, 0.0]), slack=0.0)
-        values = evaluate_constraints(problem, ctx, decision)
+        values = evaluate_nlp(problem, ctx, decision.to_vector())
         assert values["inequalities"][0] < 0.0
         assert values["inequalities"][1] >= 0.0
 
@@ -108,7 +107,7 @@ class TestConstraints:
         problem = replace(
             pl.problem_for_waypoint(config, object_position(config, theta)),
             zmp_target=chain["zmp"])
-        values = evaluate_constraints(problem, ctx, decision)
+        values = evaluate_nlp(problem, ctx, decision.to_vector())
         assert values["inequalities"][4] == pytest.approx(config.safe_radius,
                                                           abs=1e-9)
 
@@ -119,7 +118,7 @@ class TestConstraints:
         problem = pl.problem_for_waypoint(config, object_position(config, theta))
         decision = PlanDecision(dtheta=np.zeros(8),
                                 gamma=np.array([2.0, 3.0]), slack=0.5)
-        rows = evaluate_constraints(problem, ctx, decision)["inequalities"]
+        rows = evaluate_nlp(problem, ctx, decision.to_vector())["inequalities"]
         assert rows.shape == (8,)
         assert rows[0] == pytest.approx(2.0)   # gamma_1
         assert rows[1] == pytest.approx(3.0)   # gamma_2
@@ -150,14 +149,49 @@ class TestGradientCheck:
         problem = pl.problem_for_waypoint(config, config.waypoints()[1])
         decision = PlanDecision.zeros()
         x = decision.to_vector()
-        analytic = pl._inequality_jacobian(problem, ctx, x)
+        analytic = evaluate_nlp(problem, ctx, x)["inequality_jac"]
         from contactplan.sqp import finite_difference_jacobian
         numeric = finite_difference_jacobian(
-            lambda v: pl._inequality_value(problem, ctx, v), x, 1e-6)
+            lambda v: evaluate_nlp(problem, ctx, v)["inequalities"], x, 1e-6)
         corrupted = analytic.copy()
         corrupted[4, 0] += 1.0
         assert relative_error(analytic, numeric) <= 1e-5
         assert relative_error(corrupted, numeric) > 1e-2
+
+
+class TestStepNlp:
+    FIELDS = ("cost", "cost_grad", "equalities", "equality_jac",
+              "inequalities", "inequality_jac")
+
+    def test_one_evaluation_per_point(self, default_config, monkeypatch):
+        theta = initial_joint_angles(default_config)
+        ctx = pl.build_context(default_config, theta)
+        problem = pl.problem_for_waypoint(default_config,
+                                          default_config.waypoints()[1])
+        nlp = pl.build_step_nlp(problem, ctx)
+        chains = []
+        real = pl._zmp_chain
+
+        def counted(*args):
+            chains.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pl, "_zmp_chain", counted)
+        x = np.zeros(pl.DECISION_DIM)
+        first = {name: getattr(nlp, name)(x) for name in self.FIELDS}
+        assert len(chains) == 1
+        x_next = x.copy()
+        x_next[0] = 1e-3
+        for name in self.FIELDS:
+            getattr(nlp, name)(x_next)
+        assert len(chains) == 2
+        expected = evaluate_nlp(problem, ctx, x)
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(first[name], expected[name])
+            if isinstance(first[name], np.ndarray):
+                assert not first[name].flags.writeable
+                with pytest.raises(ValueError):
+                    first[name][0] = 1.0
 
 
 class TestPlanWaypoint:
@@ -229,6 +263,31 @@ class TestPlanPath:
         assert excinfo.value.partial_steps == []
         assert isinstance(excinfo.value.__cause__, InfeasibleStepError)
         assert "iteration limit" in str(excinfo.value)
+        # The failing stage is the first of the continuation.
+        diagnostics = excinfo.value.diagnostics
+        assert diagnostics["waypoint"] == default_config.waypoints()[0].tolist()
+        assert diagnostics["slack_weight"] == 1e2
+        assert diagnostics["stage_iterations"] == []
+
+    def test_late_stage_failure_reports_completed_stages(self, default_config,
+                                                         monkeypatch):
+        theta0 = initial_joint_angles(default_config)
+        real = pl.solve_sqp
+        calls = []
+
+        def fail_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise InfeasibleStepError("QP subproblem infeasible")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pl, "solve_sqp", fail_third)
+        with pytest.raises(PlanStepError) as excinfo:
+            plan_path(default_config, theta0=theta0)
+        assert excinfo.value.waypoint_index == 0
+        diagnostics = excinfo.value.diagnostics
+        assert diagnostics["slack_weight"] == default_config.weight_slack
+        assert len(diagnostics["stage_iterations"]) == 2
 
     def test_deterministic(self, default_config, planned_steps):
         again = plan_path(default_config)

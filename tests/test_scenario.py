@@ -1,12 +1,14 @@
+import math
 import re
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from contactplan.errors import ScenarioError
-from contactplan.scenario import (_DEFAULTS, default_scenario, load_scenario,
-                                  save_scenario)
+from contactplan.scenario import (_DEFAULTS, _from_dict, _merge, default_scenario,
+                                  load_scenario, save_scenario)
 
 # Every key whose default is a single number, as "section.key" (or "key").
 SCALAR_KEYS = [f"{section}.{key}"
@@ -111,6 +113,14 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="safe circle"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("polygon", [
+        [[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]],
+        [[-0.2, -0.16], [0.2, -0.16], [0.2, -0.16], [0.2, 0.16], [-0.2, 0.16]],
+    ], ids=["one-point", "repeated-vertex"])
+    def test_zero_length_polygon_edge_rejected(self, tmp_path, polygon):
+        with pytest.raises(ScenarioError, match="balance"):
+            _load_override(tmp_path, "balance.sp_polygon", polygon)
+
 
 class TestScalarKeys:
     def test_scalar_keys_cover_the_schema(self):
@@ -139,6 +149,14 @@ class TestScalarKeys:
         ("solver.slack_max", -1),
         ("balance.sp_polygon", "abc"),
         ("balance.sp_polygon", [[float("nan"), 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        ("task.path_direction", [0.0, 0.0]),
+        ("task.path_direction", [1e308, 1e308]),
+        ("task.path_direction", [1e-160, 1e-160]),
+        ("task.waypoint_count", 10_001),
+        pytest.param("task.waypoint_count", 10**400, id="task.waypoint_count-huge-int"),
+        pytest.param("object.mass", 10**400, id="object.mass-huge-int"),
+        pytest.param("robot.link_lengths", [10**400, 0.3, 0.3, 0.2],
+                     id="robot.link_lengths-huge-int"),
     ])
     def test_out_of_range_value_names_the_key(self, tmp_path, key, value):
         with pytest.raises(ScenarioError, match=re.escape(key)):
@@ -172,3 +190,68 @@ def test_default_scenario_is_validated():
     config = default_scenario()
     assert config.waypoint_count >= 1
     assert config.solver.tol_kkt > 0
+
+
+# Leaf keys of the schema as (section, key); section None for top-level keys.
+LEAF_KEYS = [(section, key)
+             for section, values in _DEFAULTS.items() if isinstance(values, dict)
+             for key in values] \
+    + [(None, key) for key, value in _DEFAULTS.items() if not isinstance(value, dict)]
+# The keys the property's invariants read get half of the draws.
+INVARIANT_KEYS = [("task", "path_direction"), ("balance", "sp_polygon"),
+                  ("balance", "sp_center"), ("balance", "safe_radius")]
+
+# Around the limits of float64 and of its squares (1e-154 .. 1e154).
+_EXTREME_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-200, -1e-160, 1e-160,
+                                   1e-150, 1e150, 1e160, 1e308, -1e308,
+                                   1.7976931348623157e308])
+_FLOATS = st.floats() | _EXTREME_FLOATS
+_SCALARS = _FLOATS | st.integers() | st.booleans() | st.none() | st.text(max_size=6)
+_NESTED = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=4),
+                       max_leaves=10)
+_POINT_LISTS = st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=6)
+
+
+def _shaped(shape):
+    if not shape:
+        return _FLOATS
+    return st.lists(_shaped(shape[1:]), min_size=shape[0], max_size=shape[0])
+
+
+def _override(key):
+    """A value for one key: half the time numbers shaped like its default
+    (grasp_offsets defaults to None and takes two), else any junk."""
+    section, name = key
+    default = _DEFAULTS[name] if section is None else _DEFAULTS[section][name]
+    shape = np.shape(default) if default is not None else (2,)
+    return st.tuples(st.just(key), _shaped(shape) | st.one_of(_SCALARS, _NESTED,
+                                                              _POINT_LISTS))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@example([(("balance", "sp_polygon"), [[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]])])
+@example([(("task", "path_direction"), [1e308, 1e308])])
+@example([(("task", "path_direction"), [1e-160, 1e-160])])
+@example([(("object", "mass"), 10**400), (("task", "waypoint_count"), 10**400)])
+@given(st.lists((st.sampled_from(LEAF_KEYS) | st.sampled_from(INVARIANT_KEYS))
+                .flatmap(_override), min_size=1, max_size=2))
+def test_any_override_loads_valid_or_raises_scenario_error(overrides):
+    raw = {}
+    for (section, key), value in overrides:
+        if section is None:
+            raw[key] = value
+        else:
+            raw.setdefault(section, {})[key] = value
+    try:
+        config = _from_dict(_merge(_DEFAULTS, raw))
+    except ScenarioError:
+        return
+    assert abs(math.hypot(*config.path_direction) - 1.0) <= 1e-12
+    center, radius = config.sp_center, config.safe_radius
+    polygon = config.sp_polygon
+    for a, b in zip(polygon, np.roll(polygon, -1, axis=0)):
+        edge = b - a
+        length = math.hypot(*edge)
+        assert 0.0 < length < math.inf
+        inward = (edge[0] * (center[1] - a[1]) - edge[1] * (center[0] - a[0])) / length
+        assert inward >= radius - 1e-12

@@ -97,15 +97,15 @@ class TestObjectWrenchTorques:
         np.testing.assert_allclose(tau[4:], [1.1, 0.8, 0.5, 0.2], atol=1e-9)
 
     def test_matches_hand_assembled_chain(self):
-        from contactplan.kinematics import point_jacobian
+        from contactplan.kinematics import forward_kinematics, point_jacobian
         arms = make_arms([2.0, 0.3, -0.4, 0.2, 1.1, -0.3, 0.4, -0.2])
         grasp = self.bar_grasp(arms)
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
         tau = object_wrench_torques(arms, grasp, h_o)
         h_c = np.linalg.pinv(grasp.w_c) @ h_o
         expected = np.concatenate([
-            point_jacobian(arms[0], 3, 1.0).T @ h_c[0:2],
-            point_jacobian(arms[1], 3, 1.0).T @ h_c[6:8]])
+            point_jacobian(forward_kinematics(arms[0]), 3, 1.0).T @ h_c[0:2],
+            point_jacobian(forward_kinematics(arms[1]), 3, 1.0).T @ h_c[6:8]])
         np.testing.assert_allclose(tau, expected, atol=1e-9)
 
 
