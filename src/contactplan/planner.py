@@ -20,12 +20,19 @@ enters the balance at the end effectors; support forces enter at the port
 edges.  Every constraint Jacobian is analytic (the ZMP row differentiates
 the closed-form moment balance); ``gradient_check`` validates them against
 central finite differences.
-Each SQP iterate is evaluated once, by ``evaluate_nlp``, with one
-forward-kinematics pass per arm (the evaluate-once interface of IPOPT and
-CasADi).
+
+The ZMP chain behind cost and constraints has a value pass
+(``_chain_values``: forward kinematics once per arm, loads, gaps, statics
+state, ZMP) and a derivative pass (``_chain_derivatives``: the Jacobians,
+from the value pass's joint points).  The solver's value callbacks read the
+value pass only; its Jacobian callbacks add the derivative pass at their
+point, which the SQP asks for at start points and accepted iterates.  Each
+``StepContext`` memoizes the chains of its last two points, shared by every
+continuation stage and the post-solve observables (the evaluate-once
+interface of IPOPT and CasADi).
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -108,11 +115,19 @@ class PlanDecision:
 
 @dataclass(frozen=True)
 class StepContext:
-    """Scenario state a single waypoint solve works against."""
+    """Scenario state a single waypoint solve works against.
+
+    ``memo`` holds the ZMP chain of the last points evaluated against this
+    context (see ``_chain``); the chain depends on the context and the
+    decision vector only, so every continuation stage and the post-solve
+    observables share it.
+    """
 
     config: ScenarioConfig
     theta: np.ndarray                      # (8,) current joint angles
     candidates: tuple                      # one active ContactCandidate per arm
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
@@ -161,8 +176,13 @@ def problem_for_waypoint(config: ScenarioConfig, waypoint) -> PlanningProblem:
 
 
 # ---------------------------------------------------------------------------
-# Kinematic and statics chains with analytic derivatives
+# The ZMP chain: a value pass and a derivative pass
 # ---------------------------------------------------------------------------
+
+# Points a context's chain memo keeps: the line search's expansion loop
+# evaluates its rejected trial after the accepted one.
+_MEMO_POINTS = 2
+
 
 def _embed(jac: np.ndarray, arm_index: int) -> np.ndarray:
     """Lift a per-arm 2x4 Jacobian into the 8 joint columns."""
@@ -179,58 +199,46 @@ def _smooth_norm(v: np.ndarray) -> tuple[float, np.ndarray]:
     return root - _NORM_EPS, v / root
 
 
-def _end_effectors(points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """End-effector positions and their (2, 8) Jacobians from joint points."""
-    ee0 = points[0][-1]
-    ee1 = points[1][-1]
-    j0 = _embed(kin.point_jacobian(points[0], kin.NUM_LINKS - 1, 1.0), 0)
-    j1 = _embed(kin.point_jacobian(points[1], kin.NUM_LINKS - 1, 1.0), 1)
-    return ee0, ee1, j0, j1
+def _contact_gap(points: np.ndarray, link_radius: float, candidate) -> kin.GapResult:
+    """Gap and normal angle of one candidate from its arm's joint points."""
+    link = candidate.link_index
+    return kin.signed_gap(candidate.edge_point,
+                          kin.Segment(points[link], points[link + 1]), link_radius)
 
 
-def _contact_geometry(points: np.ndarray, link_radius: float, candidate) -> dict:
-    """Gap, normal angle, and their joint gradients for one candidate.
+def _gap_gradients(points: np.ndarray, candidate,
+                   res: kin.GapResult) -> tuple[np.ndarray, np.ndarray]:
+    """Joint gradients (4,) of a candidate's gap and normal angle.
 
-    ``points`` are the joint points of the candidate's arm.  The
-    closest-point parameter along the link both moves the material point
+    The closest-point parameter along the link both moves the material point
     and slides along the axis; the sliding term vanishes from the gap
     gradient (the axis direction is orthogonal to the separation) but not
     from the normal-angle gradient.
     """
     link = candidate.link_index
     edge = candidate.edge_point
-    seg = kin.Segment(points[link], points[link + 1])
-    res = kin.signed_gap(edge, seg, link_radius)
+    a = points[link]
     jac_a = kin.point_jacobian(points, link, 0.0)
     jac_b = kin.point_jacobian(points, link, 1.0)
-    axis = seg.b - seg.a
+    axis = points[link + 1] - a
     t = res.axis_param
     d_closest = (1.0 - t) * jac_a + t * jac_b
     if 0.0 < t < 1.0:
-        dt = (-(axis @ jac_a) + (edge - seg.a) @ (jac_b - jac_a)) / float(axis @ axis)
+        dt = (-(axis @ jac_a) + (edge - a) @ (jac_b - jac_a)) / float(axis @ axis)
         d_closest = d_closest + np.outer(axis, dt)
     v = res.closest_point - edge
     dist = max(float(np.linalg.norm(v)), 1e-12)
     d_gap = (v / dist) @ d_closest
     d_beta = (v[0] * d_closest[1] - v[1] * d_closest[0]) / (dist * dist)
-    return {"gap": res.gap, "beta": res.normal_angle, "d_gap": d_gap,
-            "d_beta": d_beta}
+    return d_gap, d_beta
 
 
-def _grasp_distribution(ctx: StepContext, ee0, ee1, j0, j1):
-    """Per-hand load forces from the object wrench, with joint gradients.
+def _grasp_force_gradients(h_o: np.ndarray, grasp: st.GraspMap, j0, j1) -> np.ndarray:
+    """(2, 3, 8) joint gradients of the per-hand load forces.
 
-    Returns forces (2, 3) and d_forces (2, 3, 8).  The pseudo-inverse of the
-    grasp map is differentiated through W+ = W' (W W')^-1.
+    The pseudo-inverse of the grasp map is differentiated through
+    W+ = W' (W W')^-1; ``j0``/``j1`` are the end-effector Jacobians.
     """
-    h_o = ctx.config.object_wrench
-    plane = ctx.config.plane_height
-    origin = 0.5 * (ee0 + ee1)
-    p0 = np.array([ee0[0], ee0[1], plane])
-    p1 = np.array([ee1[0], ee1[1], plane])
-    o3 = np.array([origin[0], origin[1], plane])
-    grasp = st.GraspMap(r_c1=o3 - p0, r_c2=o3 - p1)
-    h_c = st.distribute_object_wrench(grasp, h_o)
     w = grasp.w_c
     s_mat = w @ w.T
     s_inv_h = np.linalg.solve(s_mat, h_o)
@@ -239,7 +247,6 @@ def _grasp_distribution(ctx: StepContext, ee0, ee1, j0, j1):
     dr0[:2] = 0.5 * (j1 - j0)
     dr1 = -dr0
 
-    forces = np.array([h_c[0:3], h_c[6:9]])
     d_forces = np.zeros((2, 3, NUM_JOINTS))
     for j in range(NUM_JOINTS):
         dw = np.zeros((6, 12))
@@ -249,7 +256,7 @@ def _grasp_distribution(ctx: StepContext, ee0, ee1, j0, j1):
         dh = dw.T @ s_inv_h + w.T @ np.linalg.solve(s_mat, -(ds @ s_inv_h))
         d_forces[0, :, j] = dh[0:3]
         d_forces[1, :, j] = dh[6:9]
-    return forces, d_forces
+    return d_forces
 
 
 def _com_gradient(ctx: StepContext, points) -> np.ndarray:
@@ -264,22 +271,33 @@ def _com_gradient(ctx: StepContext, points) -> np.ndarray:
     return d_com
 
 
-def _zmp_chain(ctx: StepContext, arms, gamma):
-    """ZMP value and gradients w.r.t. joints (2, 8) and forces (2, 2).
+def _split(x: np.ndarray):
+    return x[:NUM_JOINTS], x[NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS], float(x[-1])
 
-    Mirrors ``statics.compute_zmp`` exactly: the value is obtained from the
-    same wrench list; only the derivatives are assembled analytically here.
-    Forward kinematics runs once per arm.  Also returns the end effectors
-    with their Jacobians, the evaluated contact geometry and the wrench
-    lists so callers can reuse them.
+
+def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
+    """Value pass of the ZMP chain at decision vector ``x``.
+
+    Forward kinematics runs once per arm; the end effectors, hand load
+    forces, contact gaps, wrench lists, statics state and ZMP all come from
+    those joint points.  The ZMP is ``statics.compute_zmp`` of the same
+    wrench list the derivative pass differentiates.
     """
     config = ctx.config
     plane = config.plane_height
-    points = [kin.forward_kinematics(arm) for arm in arms]
-    ee0, ee1, j0, j1 = _end_effectors(points)
-    forces, d_forces = _grasp_distribution(ctx, ee0, ee1, j0, j1)
-    geoms = [_contact_geometry(points[cand.arm_index], config.link_radius, cand)
-             for cand in ctx.candidates]
+    dtheta, gamma, _ = _split(x)
+    points = [kin.forward_kinematics(arm) for arm in ctx.arms_at(dtheta)]
+    ee0, ee1 = points[0][-1], points[1][-1]
+
+    origin = 0.5 * (ee0 + ee1)
+    p0 = np.array([ee0[0], ee0[1], plane])
+    p1 = np.array([ee1[0], ee1[1], plane])
+    o3 = np.array([origin[0], origin[1], plane])
+    grasp = st.GraspMap(r_c1=o3 - p0, r_c2=o3 - p1)
+    h_c = st.distribute_object_wrench(grasp, config.object_wrench)
+    forces = np.array([h_c[0:3], h_c[6:9]])
+    gaps = [_contact_gap(points[cand.arm_index], config.link_radius, cand)
+            for cand in ctx.candidates]
 
     object_wrenches = [
         st.AppliedWrench(position=np.array([ee[0], ee[1], plane]),
@@ -291,11 +309,36 @@ def _zmp_chain(ctx: StepContext, arms, gamma):
         st.AppliedWrench(
             position=np.array([cand.edge_point[0], cand.edge_point[1], plane]),
             force=config.support_force_scale * float(g) * np.array(
-                [np.cos(geom["beta"]), np.sin(geom["beta"]), 0.0]))
-        for cand, geom, g in zip(ctx.candidates, geoms, gamma)]
+                [np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0]))
+        for cand, res, g in zip(ctx.candidates, gaps, gamma)]
 
-    state = config.statics_state(arms)
+    state = config.statics_state(points)
     zmp_result = st.compute_zmp(state, object_wrenches + support_wrenches)
+    return {
+        "points": points, "gamma": gamma.copy(), "end_effectors": (ee0, ee1),
+        "grasp": grasp, "gaps": gaps, "phi": np.array([res.gap for res in gaps]),
+        "object_wrenches": object_wrenches, "state": state,
+        "zmp_result": zmp_result,
+    }
+
+
+def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
+    """Derivative pass: joint and force gradients of a value pass's results.
+
+    Returns the end-effector Jacobians (2, 8) each, the gap gradients
+    ``d_phi`` (2, 8) and the ZMP gradients w.r.t. joints (2, 8) and forces
+    (2, 2).  Works from the value pass's joint points and never reruns
+    forward kinematics.
+    """
+    config = ctx.config
+    plane = config.plane_height
+    points = chain["points"]
+    j0 = _embed(kin.point_jacobian(points[0], kin.NUM_LINKS - 1, 1.0), 0)
+    j1 = _embed(kin.point_jacobian(points[1], kin.NUM_LINKS - 1, 1.0), 1)
+    d_forces = _grasp_force_gradients(config.object_wrench, chain["grasp"], j0, j1)
+    gap_grads = [_gap_gradients(points[cand.arm_index], cand, res)
+                 for cand, res in zip(ctx.candidates, chain["gaps"])]
+    zmp_result = chain["zmp_result"]
     fz = float(zmp_result.ground_force[2])
 
     d_com = _com_gradient(ctx, points)
@@ -312,7 +355,7 @@ def _zmp_chain(ctx: StepContext, arms, gamma):
     d_moment[1] += -weight_z * d_com[0]
 
     ee_jacs = (j0, j1)
-    for i, wrench in enumerate(object_wrenches):
+    for i, wrench in enumerate(chain["object_wrenches"]):
         pos, force = wrench.position, wrench.force
         d_pos = np.zeros((3, NUM_JOINTS))
         d_pos[:2] = ee_jacs[i]
@@ -326,10 +369,13 @@ def _zmp_chain(ctx: StepContext, arms, gamma):
         d_fz += -df[2]
 
     scale = config.support_force_scale
-    for i, (cand, geom, g) in enumerate(zip(ctx.candidates, geoms, gamma)):
+    d_phi = np.zeros((NUM_CONTACTS, NUM_JOINTS))
+    for i, (cand, res, (d_gap, d_beta), g) in enumerate(
+            zip(ctx.candidates, chain["gaps"], gap_grads, chain["gamma"])):
+        d_phi[i] = _embed(d_gap[None, :], cand.arm_index)[0]
         pos = np.array([cand.edge_point[0], cand.edge_point[1], plane])
-        unit = np.array([np.cos(geom["beta"]), np.sin(geom["beta"]), 0.0])
-        d_unit = np.outer(np.array([-unit[1], unit[0], 0.0]), geom["d_beta"])
+        unit = np.array([np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0])
+        d_unit = np.outer(np.array([-unit[1], unit[0], 0.0]), d_beta)
         df_theta = scale * float(g) * d_unit          # (3, 4) in arm columns
         df_theta = _embed(df_theta[:2], cand.arm_index)  # planar rows only
         # cross(p, f) horizontal rows with p constant, f planar (f_z = 0).
@@ -348,44 +394,76 @@ def _zmp_chain(ctx: StepContext, arms, gamma):
     d_zmp_gamma[0] = d_moment_gamma[1] / fz
     d_zmp_gamma[1] = -d_moment_gamma[0] / fz
 
-    return {
-        "zmp": zmp_result.zmp, "zmp_result": zmp_result,
-        "d_zmp_theta": d_zmp_theta, "d_zmp_gamma": d_zmp_gamma,
-        "end_effectors": (ee0, ee1, j0, j1),
-        "geoms": geoms, "object_wrenches": object_wrenches,
-        "support_wrenches": support_wrenches,
-    }
+    return {"ee_jacobians": (j0, j1), "d_phi": d_phi,
+            "d_zmp_theta": d_zmp_theta, "d_zmp_gamma": d_zmp_gamma}
+
+
+def _chain(ctx: StepContext, x: np.ndarray, derivatives: bool = False) -> dict:
+    """The ZMP chain at ``x``, read from the context's memo when it holds x.
+
+    The value pass runs once per point; the derivative pass runs the first
+    time derivatives are asked for there.  The memo keeps the last
+    ``_MEMO_POINTS`` points, keyed on ``x.tobytes()``; a pass that raises
+    caches nothing.
+    """
+    key = x.tobytes()
+    chain = ctx.memo.get(key)
+    if chain is None:
+        chain = _chain_values(ctx, x)
+        ctx.memo[key] = chain
+        if len(ctx.memo) > _MEMO_POINTS:
+            del ctx.memo[next(iter(ctx.memo))]
+    if derivatives and "d_zmp_theta" not in chain:
+        chain.update(_chain_derivatives(ctx, chain))
+    return chain
 
 
 # ---------------------------------------------------------------------------
 # Cost, constraints, and their Jacobians over the decision vector
 # ---------------------------------------------------------------------------
 
-def _split(x: np.ndarray):
-    return x[:NUM_JOINTS], x[NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS], float(x[-1])
+def _read_only(values: dict) -> dict:
+    for value in values.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return values
 
 
-def evaluate_nlp(problem: PlanningProblem, ctx: StepContext, x) -> dict:
-    """Cost, constraints and all their derivatives at one decision vector.
-
-    The keys are the ``NlpProblem`` field names: ``cost``, ``cost_grad``,
-    ``equalities`` (grasp closure), ``equality_jac``, ``inequalities`` and
-    ``inequality_jac``.  Inequality rows: gamma (2), s, s - gamma.phi, safe
-    circle, object deviation, phi (2).  Everything comes from one ZMP chain,
-    so forward kinematics runs once per arm.  The arrays are read-only:
-    ``build_step_nlp`` hands the same ones to every field.
-    """
-    x = np.asarray(x, dtype=float)
+def _nlp_values(problem: PlanningProblem, x: np.ndarray, chain: dict) -> dict:
+    """Cost, equalities and inequalities from a value pass."""
     dtheta, gamma, slack = _split(x)
-    chain = _zmp_chain(ctx, ctx.arms_at(dtheta), gamma)
-    ee0, ee1, j0, j1 = chain["end_effectors"]
+    ee0, ee1 = chain["end_effectors"]
+    p_obj = 0.5 * (ee0 + ee1)
+    err = problem.target_object_position - p_obj
+    cost = (problem.weight_position * float(err @ err)
+            + problem.weight_displacement * float(dtheta @ dtheta)
+            + problem.weight_slack * slack)
+
+    phi = chain["phi"]
+    safe_dist, _ = _smooth_norm(chain["zmp_result"].zmp - problem.zmp_target)
+    dev_dist, _ = _smooth_norm(p_obj - problem.target_object_position)
+    rows = np.zeros(6 + NUM_CONTACTS)
+    rows[0:2] = gamma
+    rows[2] = slack
+    rows[3] = slack - float(gamma @ phi)
+    rows[4] = problem.safe_radius - safe_dist
+    rows[5] = problem.object_radius - dev_dist
+    rows[6:] = phi
+    return _read_only({
+        "cost": cost,
+        "equalities": ee0 - ee1 + np.array([problem.grasp_separation, 0.0]),
+        "inequalities": rows})
+
+
+def _nlp_jacobians(problem: PlanningProblem, x: np.ndarray, chain: dict) -> dict:
+    """Cost gradient and constraint Jacobians from a chain with derivatives."""
+    dtheta, gamma, _ = _split(x)
+    ee0, ee1 = chain["end_effectors"]
+    j0, j1 = chain["ee_jacobians"]
     p_obj = 0.5 * (ee0 + ee1)
     d_obj = 0.5 * (j0 + j1)
     err = problem.target_object_position - p_obj
 
-    cost = (problem.weight_position * float(err @ err)
-            + problem.weight_displacement * float(dtheta @ dtheta)
-            + problem.weight_slack * slack)
     cost_grad = np.zeros(DECISION_DIM)
     cost_grad[:NUM_JOINTS] = (-2.0 * problem.weight_position * (err @ d_obj)
                               + 2.0 * problem.weight_displacement * dtheta)
@@ -394,55 +472,64 @@ def evaluate_nlp(problem: PlanningProblem, ctx: StepContext, x) -> dict:
     equality_jac = np.zeros((2, DECISION_DIM))
     equality_jac[:, :NUM_JOINTS] = j0 - j1
 
-    geoms = chain["geoms"]
-    phi = np.array([g["gap"] for g in geoms])
-    d_phi = np.zeros((NUM_CONTACTS, NUM_JOINTS))
-    for i, (cand, geom) in enumerate(zip(ctx.candidates, geoms)):
-        d_phi[i] = _embed(geom["d_gap"][None, :], cand.arm_index)[0]
-    safe_dist, safe_dir = _smooth_norm(chain["zmp"] - problem.zmp_target)
-    dev_dist, dev_dir = _smooth_norm(p_obj - problem.target_object_position)
-
-    rows = np.zeros(6 + NUM_CONTACTS)
-    rows[0:2] = gamma
-    rows[2] = slack
-    rows[3] = slack - float(gamma @ phi)
-    rows[4] = problem.safe_radius - safe_dist
-    rows[5] = problem.object_radius - dev_dist
-    rows[6:] = phi
-
+    d_phi = chain["d_phi"]
+    _, safe_dir = _smooth_norm(chain["zmp_result"].zmp - problem.zmp_target)
+    _, dev_dir = _smooth_norm(p_obj - problem.target_object_position)
     jac = np.zeros((6 + NUM_CONTACTS, DECISION_DIM))
     jac[0, NUM_JOINTS] = 1.0
     jac[1, NUM_JOINTS + 1] = 1.0
     jac[2, -1] = 1.0
     jac[3, :NUM_JOINTS] = -(gamma @ d_phi)
-    jac[3, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -phi
+    jac[3, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -chain["phi"]
     jac[3, -1] = 1.0
     jac[4, :NUM_JOINTS] = -(safe_dir @ chain["d_zmp_theta"])
     jac[4, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -(safe_dir @ chain["d_zmp_gamma"])
     jac[5, :NUM_JOINTS] = -(dev_dir @ d_obj)
     jac[6:6 + NUM_CONTACTS, :NUM_JOINTS] = d_phi
+    return _read_only({"cost_grad": cost_grad, "equality_jac": equality_jac,
+                       "inequality_jac": jac})
 
-    values = {"cost": cost, "cost_grad": cost_grad,
-              "equalities": ee0 - ee1 + np.array([problem.grasp_separation, 0.0]),
-              "equality_jac": equality_jac,
-              "inequalities": rows, "inequality_jac": jac}
-    for value in values.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return values
+
+def evaluate_nlp(problem: PlanningProblem, ctx: StepContext, x) -> dict:
+    """Cost, constraints and all their derivatives at one decision vector.
+
+    The keys are the ``NlpProblem`` field names: ``cost``, ``cost_grad``,
+    ``equalities`` (grasp closure), ``equality_jac``, ``inequalities`` and
+    ``inequality_jac``.  Inequality rows: gamma (2), s, s - gamma.phi, safe
+    circle, object deviation, phi (2).  One value pass and one derivative
+    pass of the ZMP chain, outside the context's memo; the arrays are
+    read-only.
+    """
+    x = np.asarray(x, dtype=float)
+    chain = _chain_values(ctx, x)
+    chain.update(_chain_derivatives(ctx, chain))
+    return {**_nlp_values(problem, x, chain), **_nlp_jacobians(problem, x, chain)}
+
+
+_VALUE_FIELDS = ("cost", "equalities", "inequalities")
 
 
 def build_step_nlp(problem: PlanningProblem, ctx: StepContext) -> NlpProblem:
-    """The waypoint NLP; every field reads one ``evaluate_nlp`` of the last
-    point asked for, so each distinct iterate is evaluated once."""
+    """The waypoint NLP over the context's chain memo.
+
+    Value fields read only the value pass; Jacobian fields add the
+    derivative pass at their point.  Each half of the assembly (values,
+    Jacobians) is cached for the last point it was asked for.
+    """
     last = {}
 
     def field(name):
+        derivatives = name not in _VALUE_FIELDS
+        assemble = _nlp_jacobians if derivatives else _nlp_values
+
         def read(x):
-            key = np.asarray(x, dtype=float).tobytes()
-            if last.get("key") != key:
-                last.update(values=evaluate_nlp(problem, ctx, x), key=key)
-            return last["values"][name]
+            x = np.asarray(x, dtype=float)
+            key = x.tobytes()
+            cached = last.get(derivatives)
+            if cached is None or cached[0] != key:
+                cached = last[derivatives] = (
+                    key, assemble(problem, x, _chain(ctx, x, derivatives)))
+            return cached[1][name]
         return read
 
     names = [f.name for f in fields(NlpProblem) if f.name != "dim"]
@@ -484,9 +571,7 @@ def _seed_hessian(problem: PlanningProblem, ctx: StepContext,
     their blocks get a small positive scale so the first QP steps stay
     constraint-limited rather than curvature-limited.
     """
-    dtheta, _, _ = _split(x0)
-    _, _, j0, j1 = _end_effectors(
-        [kin.forward_kinematics(arm) for arm in ctx.arms_at(dtheta)])
+    j0, j1 = _chain(ctx, x0, derivatives=True)["ee_jacobians"]
     d_obj = 0.5 * (j0 + j1)
     hess = np.eye(DECISION_DIM) * 1e-2
     hess[:NUM_JOINTS, :NUM_JOINTS] = (
@@ -584,14 +669,14 @@ def plan_waypoint(ctx: StepContext, waypoint, settings: SolverSettings,
     decision = replace(decision, gamma=gamma, slack=float(slack))
 
     theta_after = ctx.theta + decision.dtheta
-    arms_after = ctx.arms_at(decision.dtheta)
     contacts = [state.with_force(float(g)) for state, g in zip(
-        ct.evaluate_gaps(arms_after, ctx.candidates), decision.gamma)]
-    chain = _zmp_chain(ctx, arms_after, decision.gamma)
+        ct.evaluate_gaps(ctx.arms_at(decision.dtheta), ctx.candidates),
+        decision.gamma)]
+    # The solver's last point when the clamp changed nothing: a memo hit.
+    chain = _chain(ctx, decision.to_vector())
     zmp = chain["zmp_result"]
-    fzmp = st.compute_zmp(config.statics_state(arms_after),
-                          chain["object_wrenches"])
-    ee0, ee1, _, _ = chain["end_effectors"]
+    fzmp = st.compute_zmp(chain["state"], chain["object_wrenches"])
+    ee0, ee1 = chain["end_effectors"]
     object_position = 0.5 * (ee0 + ee1)
 
     failures = _check_step(problem, config, decision, contacts, zmp,
@@ -651,14 +736,15 @@ def _settle_on_edge(config: ScenarioConfig, candidate: ct.ContactCandidate,
     def residuals(q: np.ndarray) -> np.ndarray:
         points = kin.forward_kinematics(config.arm(arm_index, q))
         ee = points[-1]
-        geom = _contact_geometry(points, config.link_radius, candidate)
-        return np.array([ee[0] - grasp[0], ee[1] - grasp[1], geom["gap"]])
+        gap = _contact_gap(points, config.link_radius, candidate).gap
+        return np.array([ee[0] - grasp[0], ee[1] - grasp[1], gap])
 
     def residual_jac(q: np.ndarray) -> np.ndarray:
         points = kin.forward_kinematics(config.arm(arm_index, q))
         jac = np.zeros((3, kin.NUM_LINKS))
         jac[:2] = kin.point_jacobian(points, kin.NUM_LINKS - 1, 1.0)
-        jac[2] = _contact_geometry(points, config.link_radius, candidate)["d_gap"]
+        jac[2], _ = _gap_gradients(
+            points, candidate, _contact_gap(points, config.link_radius, candidate))
         return jac
 
     nlp = NlpProblem(

@@ -61,7 +61,7 @@ import numpy as np
 import yaml
 
 from .errors import ReachabilityError, ScenarioError
-from .kinematics import NUM_LINKS, PlanarArm
+from .kinematics import NUM_LINKS, PlanarArm, forward_kinematics
 from .sqp import SolverSettings
 from .statics import RobotMassModel, RobotStaticsState, robot_center_of_mass
 
@@ -181,9 +181,10 @@ class ScenarioConfig:
         return np.array([center + [self.grasp_offsets[0], 0.0],
                          center + [self.grasp_offsets[1], 0.0]])
 
-    def statics_state(self, arms) -> RobotStaticsState:
-        """Balance state for a pair of arms at their current configuration."""
-        com = robot_center_of_mass(self.mass_model, arms, self.plane_height)
+    def statics_state(self, points) -> RobotStaticsState:
+        """Balance state for both arms, given their ``forward_kinematics``
+        joint-point arrays (left then right)."""
+        com = robot_center_of_mass(self.mass_model, points, self.plane_height)
         return RobotStaticsState(
             total_mass=self.robot_mass, com=com, sp_center=self.sp_center,
             sp_polygon=self.sp_polygon, safe_radius=self.safe_radius,
@@ -329,6 +330,10 @@ def _number(raw, key: str, lower: float = 0.0, upper: float = math.inf, *,
     raise ScenarioError(f"{key} must be {bound}, got {raw!r}")
 
 
+# Extreme inputs overflow to inf or NaN in the norms and cross products of
+# validation; the NaN-safe "not x >= bound" checks reject them, so numpy's
+# warnings would only repeat the ScenarioError.
+@np.errstate(over="ignore", invalid="ignore")
 def _from_dict(data: dict) -> ScenarioConfig:
     robot = data["robot"]
     glovebox = data["glovebox"]
@@ -410,8 +415,8 @@ def _from_dict(data: dict) -> ScenarioConfig:
 def _validate(config: ScenarioConfig) -> None:
     # The statics state constructor checks the polygon and the safe circle.
     try:
-        arms = [config.arm(i, np.zeros(NUM_LINKS)) for i in range(2)]
-        config.statics_state(arms)
+        config.statics_state([forward_kinematics(config.arm(i, np.zeros(NUM_LINKS)))
+                              for i in range(2)])
     except ValueError as exc:
         raise ScenarioError(f"balance: {exc}") from exc
     try:

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InfeasibleStepError
+from .errors import InfeasibleStepError, UnbalancedStateError
 
 
 @dataclass(frozen=True)
@@ -455,8 +455,14 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         zero_steps = 0
 
         def merit_of(x_t: np.ndarray) -> float:
-            return float(problem.cost(x_t)) + mu * _l1_violation(
-                problem.eq(x_t), problem.ineq(x_t))
+            # A trial the model cannot balance, or whose merit is not
+            # finite, is rejected like any other worse point.
+            try:
+                merit = float(problem.cost(x_t)) + mu * _l1_violation(
+                    problem.eq(x_t), problem.ineq(x_t))
+            except UnbalancedStateError:
+                return np.inf
+            return merit if np.isfinite(merit) else np.inf
 
         alpha = 1.0
         accepted = False
@@ -474,7 +480,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
                     x_trial, merit_trial = x_next, merit_next
                 else:
                     break
-        if not accepted:
+        if not accepted and np.isfinite(merit_trial):
             # Second-order correction: curved active constraints reject full
             # steps under an l1 merit with a large penalty (Maratos effect).
             # Restore the active rows at the trial point and retest.
@@ -503,14 +509,10 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
                     accepted = True
                     break
         if not accepted:
+            # x has not moved: the iterate's kkt and viol are still current.
             status = "line search stalled"
             lam_eq, lam_in = lam_eq_new, lam_in_new
             iterations += 1
-            f = float(problem.cost(x))
-            ce, ci = problem.eq(x), problem.ineq(x)
-            viol = _max_violation(ce, ci)
-            kkt = _kkt_residual(problem.cost_grad(x), problem.eq_jac(x),
-                                problem.ineq_jac(x), ce, ci, act_tol)
             converged = kkt <= settings.tol_kkt and viol <= settings.tol_con
             if converged:
                 status = "converged"
@@ -558,10 +560,13 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         x = x_trial
         lam_eq, lam_in = lam_eq_new, lam_in_new
         iterations += 1
+    else:
+        # Only the iteration limit moves x past the last cost evaluation.
+        f = float(problem.cost(x))
 
     if converged and status != "converged":
         status = "converged"
-    return SqpResult(x=x, cost=float(problem.cost(x)), kkt_residual=float(kkt),
+    return SqpResult(x=x, cost=f, kkt_residual=float(kkt),
                      constraint_violation=float(viol), lam_eq=lam_eq,
                      lam_in=lam_in, iterations=iterations, converged=converged,
                      status=status, merit_history=merit_history)

@@ -277,15 +277,18 @@ class RobotMassModel:
         return self.torso_mass + num_links * self.link_mass
 
 
-def robot_center_of_mass(mass_model: RobotMassModel, arms,
+def robot_center_of_mass(mass_model: RobotMassModel, points,
                          plane_height: float) -> np.ndarray:
-    """Configuration-dependent centre of mass of torso plus arm links."""
+    """Configuration-dependent centre of mass of torso plus arm links.
+
+    ``points`` holds one ``kinematics.forward_kinematics`` joint-point array
+    per arm, so callers that already ran the kinematics reuse it.
+    """
     weighted = mass_model.torso_mass * mass_model.torso_position
     num_links = 0
-    for arm in arms:
-        points = kin.forward_kinematics(arm)
+    for arm_points in points:
         for i in range(kin.NUM_LINKS):
-            mid = 0.5 * (points[i] + points[i + 1])
+            mid = 0.5 * (arm_points[i] + arm_points[i + 1])
             weighted = weighted + mass_model.link_mass * np.array(
                 [mid[0], mid[1], plane_height])
             num_links += 1

@@ -5,7 +5,7 @@ import pytest
 
 from contactplan import planner as pl
 from contactplan.errors import (InfeasibleStepError, PlanStepError,
-                                ReachabilityError)
+                                ReachabilityError, UnbalancedStateError)
 from contactplan.kinematics import end_effector
 from contactplan.planner import (PlanDecision, evaluate_nlp, gradient_check,
                                  initial_joint_angles, plan_path,
@@ -103,10 +103,10 @@ class TestConstraints:
         theta = initial_joint_angles(config)
         ctx = pl.build_context(config, theta)
         decision = PlanDecision.zeros()
-        chain = pl._zmp_chain(ctx, ctx.arms_at(), decision.gamma)
+        chain = pl._chain_values(ctx, decision.to_vector())
         problem = replace(
             pl.problem_for_waypoint(config, object_position(config, theta)),
-            zmp_target=chain["zmp"])
+            zmp_target=chain["zmp_result"].zmp)
         values = evaluate_nlp(problem, ctx, decision.to_vector())
         assert values["inequalities"][4] == pytest.approx(config.safe_radius,
                                                           abs=1e-9)
@@ -159,32 +159,47 @@ class TestGradientCheck:
         assert relative_error(corrupted, numeric) > 1e-2
 
 
+def count_passes(monkeypatch):
+    """Count the ZMP chain's value and derivative passes from now on."""
+    passes = {"values": 0, "derivatives": 0}
+    for name, key in (("_chain_values", "values"),
+                      ("_chain_derivatives", "derivatives")):
+        def counted(*args, real=getattr(pl, name), key=key):
+            passes[key] += 1
+            return real(*args)
+        monkeypatch.setattr(pl, name, counted)
+    return passes
+
+
 class TestStepNlp:
     FIELDS = ("cost", "cost_grad", "equalities", "equality_jac",
               "inequalities", "inequality_jac")
+    VALUE_FIELDS = ("cost", "equalities", "inequalities")
 
-    def test_one_evaluation_per_point(self, default_config, monkeypatch):
+    @pytest.fixture()
+    def setup(self, default_config):
         theta = initial_joint_angles(default_config)
         ctx = pl.build_context(default_config, theta)
         problem = pl.problem_for_waypoint(default_config,
                                           default_config.waypoints()[1])
+        return problem, ctx
+
+    @staticmethod
+    def nearby(x, offset):
+        x_next = x.copy()
+        x_next[0] += offset
+        return x_next
+
+    def test_one_evaluation_per_point(self, setup, monkeypatch):
+        problem, ctx = setup
         nlp = pl.build_step_nlp(problem, ctx)
-        chains = []
-        real = pl._zmp_chain
-
-        def counted(*args):
-            chains.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(pl, "_zmp_chain", counted)
+        passes = count_passes(monkeypatch)
         x = np.zeros(pl.DECISION_DIM)
         first = {name: getattr(nlp, name)(x) for name in self.FIELDS}
-        assert len(chains) == 1
-        x_next = x.copy()
-        x_next[0] = 1e-3
+        assert passes == {"values": 1, "derivatives": 1}
         for name in self.FIELDS:
-            getattr(nlp, name)(x_next)
-        assert len(chains) == 2
+            getattr(nlp, name)(self.nearby(x, 1e-3))
+        assert passes == {"values": 2, "derivatives": 2}
         expected = evaluate_nlp(problem, ctx, x)
         for name in self.FIELDS:
             np.testing.assert_array_equal(first[name], expected[name])
@@ -192,6 +207,87 @@ class TestStepNlp:
                 assert not first[name].flags.writeable
                 with pytest.raises(ValueError):
                     first[name][0] = 1.0
+
+    def test_value_fields_run_no_derivative_pass(self, setup, monkeypatch):
+        problem, ctx = setup
+        nlp = pl.build_step_nlp(problem, ctx)
+        passes = count_passes(monkeypatch)
+        x = self.nearby(np.zeros(pl.DECISION_DIM), 2e-3)
+        values = {name: getattr(nlp, name)(x) for name in self.VALUE_FIELDS}
+        assert passes == {"values": 1, "derivatives": 0}
+        expected = evaluate_nlp(problem, ctx, x)
+        for name in self.VALUE_FIELDS:
+            np.testing.assert_array_equal(values[name], expected[name])
+
+    def test_jacobians_after_a_later_trial_reuse_the_value_pass(self, setup,
+                                                                monkeypatch):
+        # The line search's expansion loop: values at x, then at x2, then
+        # the Jacobians at the accepted x.
+        problem, ctx = setup
+        nlp = pl.build_step_nlp(problem, ctx)
+        passes = count_passes(monkeypatch)
+        x = np.zeros(pl.DECISION_DIM)
+        x2 = self.nearby(x, 1e-3)
+        for point in (x, x2):
+            for name in self.VALUE_FIELDS:
+                getattr(nlp, name)(point)
+        jacobians = {name: getattr(nlp, name)(x)
+                     for name in ("cost_grad", "equality_jac", "inequality_jac")}
+        assert passes == {"values": 2, "derivatives": 1}
+        expected = evaluate_nlp(problem, ctx, x)
+        for name, value in jacobians.items():
+            np.testing.assert_array_equal(value, expected[name])
+
+    def test_memo_holds_at_most_two_points(self, setup):
+        problem, ctx = setup
+        nlp = pl.build_step_nlp(problem, ctx)
+        points = [self.nearby(np.zeros(pl.DECISION_DIM), k * 1e-3)
+                  for k in range(5)]
+        for count, x in enumerate(points, start=1):
+            nlp.cost(x)
+            nlp.cost_grad(x)
+            assert len(ctx.memo) == min(count, 2)
+        assert list(ctx.memo) == [x.tobytes() for x in points[-2:]]
+
+    def test_raising_evaluation_caches_nothing(self, setup, monkeypatch):
+        problem, ctx = setup
+        nlp = pl.build_step_nlp(problem, ctx)
+
+        def unbalanced(*args):
+            raise UnbalancedStateError("test")
+
+        monkeypatch.setattr(pl.st, "compute_zmp", unbalanced)
+        with pytest.raises(UnbalancedStateError):
+            nlp.cost(np.zeros(pl.DECISION_DIM))
+        assert ctx.memo == {}
+
+    def test_later_stages_reuse_the_last_chain(self, default_config, monkeypatch):
+        # Stages 2 and 3 start where stage 1 ended; their seed Hessian and
+        # first iterate, and the post-solve observables, hit the memo.
+        theta = initial_joint_angles(default_config)
+        ctx = pl.build_context(default_config, theta)
+        problem = pl.problem_for_waypoint(default_config,
+                                          default_config.waypoints()[1])
+        settings = default_config.solver
+        weights = []
+        stage_passes = []
+        passes = count_passes(monkeypatch)
+        real_solve = pl.solve_sqp
+
+        def solve(nlp, x0, settings, initial_hessian=None):
+            before = dict(passes)
+            result = real_solve(nlp, x0, settings, initial_hessian=initial_hessian)
+            # The slack entry of the cost gradient is the stage's weight.
+            weights.append(nlp.cost_grad(result.x)[-1])
+            stage_passes.append({k: passes[k] - before[k] for k in passes})
+            return result
+
+        monkeypatch.setattr(pl, "solve_sqp", solve)
+        decision = pl.solve_step(problem, ctx, settings)
+        assert weights == [1e2, 1e4, 1e6]
+        assert stage_passes[0]["values"] > 0
+        assert stage_passes[1:] == [{"values": 0, "derivatives": 0}] * 2
+        assert decision.converged
 
 
 class TestPlanWaypoint:
@@ -228,6 +324,29 @@ class TestPlanPath:
             np.testing.assert_allclose(step.theta_after,
                                        theta + step.decision.dtheta, atol=1e-12)
             theta = step.theta_after
+
+    def test_default_plan_work_counts(self, default_config, planned_steps,
+                                      monkeypatch):
+        # Pinned so that a caching regression fails loudly: 113 distinct
+        # solver points over 29 continuation stages plus 6 waypoints whose
+        # clamped decision is a new point (one value pass each); derivatives
+        # at each stage-1 start and each accepted iterate (9 + 52).  The FK
+        # count adds the start pose, context building and contact gaps.
+        passes = count_passes(monkeypatch)
+        fk_calls = []
+        real_fk = pl.kin.forward_kinematics
+
+        def counted_fk(arm):
+            fk_calls.append(arm)
+            return real_fk(arm)
+
+        monkeypatch.setattr(pl.kin, "forward_kinematics", counted_fk)
+        steps = plan_path(default_config)
+        for step, expected in zip(steps, planned_steps):
+            np.testing.assert_array_equal(step.decision.to_vector(),
+                                          expected.decision.to_vector())
+        assert (len(fk_calls), passes["values"], passes["derivatives"]) == \
+            (432, 119, 61)
 
     def test_zero_length_path(self):
         config = _from_dict(_merge(_DEFAULTS, {

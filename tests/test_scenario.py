@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ class TestLoadScenario:
     def test_zero_length_polygon_edge_rejected(self, tmp_path, polygon):
         with pytest.raises(ScenarioError, match="balance"):
             _load_override(tmp_path, "balance.sp_polygon", polygon)
+
+    @pytest.mark.parametrize("key, value", [
+        ("task.path_direction", [1e200, 1e200]),
+        ("balance.sp_polygon", [[-1e200, -1e200], [1e200, -1e200],
+                                [1e200, 1e200], [-1e200, 1e200]]),
+        ("balance.sp_polygon", [[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]]),
+    ], ids=["huge-direction", "huge-polygon", "one-point-polygon"])
+    def test_overflowing_input_rejected_without_warnings(self, tmp_path, key, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match=key.split(".")[0]):
+                _load_override(tmp_path, key, value)
 
 
 class TestScalarKeys:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from contactplan.errors import InfeasibleStepError
+from collections import Counter
+
+from contactplan.errors import InfeasibleStepError, UnbalancedStateError
 from contactplan.sqp import (NlpProblem, SolverSettings,
                              finite_difference_jacobian, solve_qp, solve_sqp)
 
@@ -116,6 +118,56 @@ class TestSolveSqp:
         result = solve_sqp(problem, np.array([-1.0, 1.0]), SolverSettings())
         assert result.converged
         assert result.constraint_violation <= 1e-8
+
+    @pytest.mark.parametrize("target, bound, expected", [
+        (3.0, None, 3.0),    # full step to 6 raises; backtracks to 3
+        (10.0, 4.0, 4.0),    # accepted step to 4; the expansion to 8 raises
+    ], ids=["backtrack", "expansion"])
+    def test_unbalanced_trial_is_rejected(self, target, bound, expected):
+        def cost(x):
+            if abs(x[0]) > 5.0:
+                raise UnbalancedStateError("trial beyond the balanced region")
+            return float((x[0] - target) ** 2)
+
+        problem = NlpProblem(dim=1, cost=cost,
+                             cost_grad=lambda x: np.array([2.0 * (x[0] - target)]))
+        if bound is not None:
+            problem.inequalities = lambda x: np.array([bound - x[0]])
+            problem.inequality_jac = lambda x: np.array([[-1.0]])
+        result = solve_sqp(problem, np.zeros(1), SolverSettings(),
+                           initial_hessian=np.eye(1))
+        assert result.converged
+        np.testing.assert_allclose(result.x, [expected], atol=1e-12)
+
+    def test_line_search_stall_reuses_the_iterate(self):
+        # A gradient of the wrong sign: no step along the QP direction
+        # lowers the merit, so the line search stalls at the start point.
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(x):
+                calls[name, x.tobytes()] += 1
+                return fn(x)
+            return call
+
+        problem = NlpProblem(
+            dim=1,
+            cost=counted("cost", lambda x: float(x[0] ** 2)),
+            cost_grad=counted("cost_grad", lambda x: np.array([-2.0 * x[0] - 2.0])),
+            inequalities=counted("inequalities", lambda x: np.array([10.0 - x[0]])),
+            inequality_jac=counted("inequality_jac", lambda x: np.array([[-1.0]])))
+        x0 = np.zeros(1)
+        result = solve_sqp(problem, x0, SolverSettings(), initial_hessian=np.eye(1))
+        assert result.status == "line search stalled"
+        assert not result.converged
+        assert result.x.tobytes() == x0.tobytes()
+        assert result.cost == 0.0
+        at_start = {name: n for (name, key), n in calls.items()
+                    if key == x0.tobytes()}
+        # inequalities: once at the top of the loop, once to size the
+        # multipliers before it.
+        assert at_start == {"cost": 1, "cost_grad": 1, "inequalities": 2,
+                            "inequality_jac": 1}
 
     def test_bad_start_rejected(self):
         with pytest.raises(ValueError):
