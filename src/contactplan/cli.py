@@ -62,13 +62,13 @@ def records_from_steps(steps, config: ScenarioConfig) -> list[StepRecord]:
     base_center = config.arm_bases.mean(axis=0)
     records = []
     for index, step in enumerate(steps):
-        arms = (config.arm(0, step.theta_after[:4]),
-                config.arm(1, step.theta_after[4:]))
+        points = config.joint_points(step.theta_after)
         grasps = [np.append(c, config.plane_height)
                   for c in config.grasp_points(step.object_position)]
         origin = np.append(step.object_position, config.plane_height)
         grasp_map = GraspMap.from_points(grasps[0], grasps[1], origin)
-        command = tq.combined_torques(arms, step.contacts, grasp_map,
+        command = tq.combined_torques(points, config.link_radius,
+                                      step.contacts, grasp_map,
                                       config.object_wrench,
                                       scale=config.support_force_scale)
         forces = tq.support_force_vectors(step.contacts,
@@ -211,12 +211,16 @@ def run(argv=None) -> int:
         return 1
 
     records = records_from_steps(steps, config)
-    if args.csv:
-        emit_csv(records, args.csv)
-        log.info("wrote %s", args.csv)
-    if args.svg:
-        for path in _emit_plot_files(records, config, args.svg):
-            log.info("wrote %s", path)
+    try:
+        if args.csv:
+            emit_csv(records, args.csv)
+            log.info("wrote %s", args.csv)
+        if args.svg:
+            for path in _emit_plot_files(records, config, args.svg):
+                log.info("wrote %s", path)
+    except OSError as exc:
+        log.error("cannot write output: %s", exc)
+        return 1
     return 0
 
 

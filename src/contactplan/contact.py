@@ -48,9 +48,10 @@ class ContactState:
         return replace(self, force_magnitude=float(force_magnitude))
 
 
-def evaluate_gaps(arms, candidates) -> list[ContactState]:
-    """Gap and normal for every candidate at the arms' current configuration.
+def evaluate_gaps(points, link_radius: float, candidates) -> list[ContactState]:
+    """Gap and normal for every candidate at the arms' joint points.
 
+    ``points`` holds one ``kinematics.forward_kinematics`` array per arm.
     ``contact_point`` is the point on the capsule surface closest to the edge
     point (equal to the edge point itself at zero gap).  Force magnitudes are
     left at zero.  The normal angle varies smoothly with the arm pose except
@@ -58,13 +59,13 @@ def evaluate_gaps(arms, candidates) -> list[ContactState]:
     """
     states = []
     for cand in candidates:
-        arm = arms[cand.arm_index]
-        seg = kin.link_segment(arm, cand.link_index)
-        res = kin.signed_gap(cand.edge_point, seg, arm.link_radius)
+        arm_points = points[cand.arm_index]
+        res = kin.signed_gap(cand.edge_point, arm_points[cand.link_index],
+                             arm_points[cand.link_index + 1], link_radius)
         toward_axis = res.closest_point - cand.edge_point
         dist = np.linalg.norm(toward_axis)
         if dist > 0.0:
-            surface = res.closest_point - arm.link_radius * toward_axis / dist
+            surface = res.closest_point - link_radius * toward_axis / dist
         else:
             surface = res.closest_point
         states.append(ContactState(candidate=cand, gap=res.gap,
@@ -74,7 +75,7 @@ def evaluate_gaps(arms, candidates) -> list[ContactState]:
     return states
 
 
-def select_active_candidates(arms, edge_points_per_arm,
+def select_active_candidates(points, link_radius: float, edge_points_per_arm,
                              link_index: int = 1) -> list[ContactCandidate]:
     """Pick one active candidate per arm: the edge with the smaller gap.
 
@@ -86,7 +87,7 @@ def select_active_candidates(arms, edge_points_per_arm,
         candidates = [ContactCandidate(arm_index=arm_index, edge_point=e,
                                        link_index=link_index)
                       for e in edges]
-        states = evaluate_gaps(arms, candidates)
+        states = evaluate_gaps(points, link_radius, candidates)
         best = min(range(len(states)),
                    key=lambda i: (states[i].gap, candidates[i].edge_point[0]))
         active.append(candidates[best])

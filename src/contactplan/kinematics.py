@@ -1,9 +1,13 @@
 """Planar serial-chain kinematics and capsule distance queries.
 
-The arms are 4-link revolute chains moving in a horizontal plane.  Links are
-modelled as capsules (segments with a radius), so a point-versus-segment
-distance gives a proper signed gap for the contact model.  Joint angles are
-stored un-normalised; only their sines/cosines are consumed downstream.
+The arms are 4-link revolute chains moving in a horizontal plane.  A pose is
+the array of joint points that ``forward_kinematics`` returns, base first
+and end effector last: links are consecutive rows, and point Jacobians are
+read from the same array, so one kinematics pass serves every query at a
+pose.  Links are modelled as capsules (segments with a radius), so a
+point-versus-segment distance gives a proper signed gap for the contact
+model.  Joint angles are stored un-normalised; only their sines/cosines are
+consumed downstream.
 """
 
 from dataclasses import dataclass, field
@@ -18,48 +22,6 @@ def _as_vec(x, n: int) -> np.ndarray:
     if v.shape != (n,):
         raise ValueError(f"expected shape ({n},), got {v.shape}")
     return v
-
-
-@dataclass(frozen=True)
-class PlanarArm:
-    """A planar 4-DOF serial arm with revolute joints.
-
-    Attributes:
-        base_position: (2,) base joint position in the work plane, metres.
-        link_lengths: (4,) positive link lengths, metres.
-        link_radius: capsule radius used for contact gaps, metres.
-        joint_angles: (4,) joint angles, radians (unbounded).
-    """
-
-    base_position: np.ndarray
-    link_lengths: np.ndarray
-    link_radius: float
-    joint_angles: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_position", _as_vec(self.base_position, 2))
-        object.__setattr__(self, "link_lengths", _as_vec(self.link_lengths, NUM_LINKS))
-        object.__setattr__(self, "joint_angles", _as_vec(self.joint_angles, NUM_LINKS))
-        if not np.all(self.link_lengths > 0.0):
-            raise ValueError("all link lengths must be positive")
-        if not self.link_radius > 0.0:
-            raise ValueError("link_radius must be positive")
-        if not np.all(np.isfinite(self.joint_angles)):
-            raise ValueError("joint angles must be finite")
-        if not np.all(np.isfinite(self.base_position)):
-            raise ValueError("base position must be finite")
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A 2-D line segment from ``a`` to ``b``."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_vec(self.a, 2))
-        object.__setattr__(self, "b", _as_vec(self.b, 2))
 
 
 @dataclass(frozen=True)
@@ -78,42 +40,25 @@ class GapResult:
     axis_param: float = field(default=0.0)
 
 
-def forward_kinematics(arm: PlanarArm) -> np.ndarray:
-    """Joint points of the chain as a (NUM_LINKS + 1, 2) array.
+def forward_kinematics(base, link_lengths, angles) -> np.ndarray:
+    """Joint points of one arm as a (NUM_LINKS + 1, 2) array.
 
+    ``base`` is the (2,) base joint position, ``link_lengths`` and
+    ``angles`` the (NUM_LINKS,) link lengths and relative joint angles.
     Row ``i`` is the proximal joint of link ``i``; the last row is the end
     effector (the distal end of the last link).
     """
     # Accumulated link by link, not vectorized: the planner's NLP sees these
     # exact roundings, and an ulp change can flip a marginal solve.
-    angles = np.cumsum(arm.joint_angles)
+    angles = np.cumsum(angles)
     points = np.empty((NUM_LINKS + 1, 2))
-    origin = arm.base_position
+    origin = base
     points[0] = origin
     for i in range(NUM_LINKS):
-        origin = origin + arm.link_lengths[i] * np.array(
+        origin = origin + link_lengths[i] * np.array(
             [np.cos(angles[i]), np.sin(angles[i])])
         points[i + 1] = origin
     return points
-
-
-def end_effector(arm: PlanarArm) -> np.ndarray:
-    """End-effector position only."""
-    return forward_kinematics(arm)[-1]
-
-
-def link_segment(arm: PlanarArm, link_index: int) -> Segment:
-    """Axis segment of one link at the current configuration."""
-    if not 0 <= link_index < NUM_LINKS:
-        raise ValueError(f"link_index must be in 0..{NUM_LINKS - 1}, got {link_index}")
-    points = forward_kinematics(arm)
-    return Segment(points[link_index], points[link_index + 1])
-
-
-def point_on_link(arm: PlanarArm, link_index: int, point_param: float) -> np.ndarray:
-    """Material point at fractional position ``point_param`` along a link."""
-    seg = link_segment(arm, link_index)
-    return seg.a + point_param * (seg.b - seg.a)
 
 
 def point_jacobian(points: np.ndarray, link_index: int,
@@ -141,20 +86,23 @@ def point_jacobian(points: np.ndarray, link_index: int,
     return jac
 
 
-def signed_gap(point, segment: Segment, link_radius: float) -> GapResult:
-    """Signed distance between a point and a link capsule.
+def signed_gap(point, a: np.ndarray, b: np.ndarray,
+               link_radius: float) -> GapResult:
+    """Signed distance between a point and the capsule around segment a-b.
 
-    Returns the gap (point-to-axis distance minus the radius), the closest
-    point on the axis, and the angle of the force the point would apply on
-    the link.  Negative gap means penetration.
+    ``a`` and ``b`` are (2,) arrays, typically two consecutive rows of a
+    ``forward_kinematics`` array.  Returns the gap (point-to-axis distance
+    minus the radius), the closest point on the axis, and the angle of the
+    force the point would apply on the link.  Negative gap means
+    penetration.
     """
     point = _as_vec(point, 2)
-    edge = segment.b - segment.a
+    edge = b - a
     length_sq = float(edge @ edge)
     if length_sq <= 0.0:
         raise ValueError("segment must have positive length")
-    t = float(np.clip((point - segment.a) @ edge / length_sq, 0.0, 1.0))
-    closest = segment.a + t * edge
+    t = float(np.clip((point - a) @ edge / length_sq, 0.0, 1.0))
+    closest = a + t * edge
     toward_axis = closest - point
     dist = float(np.linalg.norm(toward_axis))
     if dist > 0.0:

@@ -117,27 +117,33 @@ class PlanDecision:
 class StepContext:
     """Scenario state a single waypoint solve works against.
 
+    ``candidates`` are the active port edges at ``theta`` (per arm, the edge
+    with the smaller gap), chosen on construction and frozen for the solve.
     ``memo`` holds the ZMP chain of the last points evaluated against this
     context (see ``_chain``); the chain depends on the context and the
     decision vector only, so every continuation stage and the post-solve
     observables share it.
+
+    Raises:
+        ValueError: ``theta`` is not 8 finite joint angles.
     """
 
     config: ScenarioConfig
     theta: np.ndarray                      # (8,) current joint angles
-    candidates: tuple                      # one active ContactCandidate per arm
+    candidates: tuple = field(init=False)  # one active ContactCandidate per arm
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        if self.theta.shape != (NUM_JOINTS,):
+        theta = np.asarray(self.theta, dtype=float)
+        if theta.shape != (NUM_JOINTS,):
             raise ValueError(f"theta must have shape ({NUM_JOINTS},)")
-
-    def arms_at(self, dtheta=None) -> tuple:
-        theta = self.theta if dtheta is None else self.theta + dtheta
-        return (self.config.arm(0, theta[:kin.NUM_LINKS]),
-                self.config.arm(1, theta[kin.NUM_LINKS:]))
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("joint angles must be finite")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "candidates", tuple(ct.select_active_candidates(
+            self.config.joint_points(theta), self.config.link_radius,
+            self.config.port_edges, link_index=self.config.contact_link_index)))
 
 
 @dataclass(frozen=True)
@@ -151,16 +157,6 @@ class PlanStep:
     contacts: tuple
     zmp: st.ZmpResult
     fzmp: st.ZmpResult
-
-
-def build_context(config: ScenarioConfig, theta) -> StepContext:
-    """Select the active port edges at ``theta`` and freeze them for a solve."""
-    arms = (config.arm(0, np.asarray(theta)[:kin.NUM_LINKS]),
-            config.arm(1, np.asarray(theta)[kin.NUM_LINKS:]))
-    candidates = ct.select_active_candidates(
-        arms, config.port_edges, link_index=config.contact_link_index)
-    return StepContext(config=config, theta=np.asarray(theta, dtype=float),
-                       candidates=tuple(candidates))
 
 
 def problem_for_waypoint(config: ScenarioConfig, waypoint) -> PlanningProblem:
@@ -202,8 +198,8 @@ def _smooth_norm(v: np.ndarray) -> tuple[float, np.ndarray]:
 def _contact_gap(points: np.ndarray, link_radius: float, candidate) -> kin.GapResult:
     """Gap and normal angle of one candidate from its arm's joint points."""
     link = candidate.link_index
-    return kin.signed_gap(candidate.edge_point,
-                          kin.Segment(points[link], points[link + 1]), link_radius)
+    return kin.signed_gap(candidate.edge_point, points[link], points[link + 1],
+                          link_radius)
 
 
 def _gap_gradients(points: np.ndarray, candidate,
@@ -286,7 +282,7 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     config = ctx.config
     plane = config.plane_height
     dtheta, gamma, _ = _split(x)
-    points = [kin.forward_kinematics(arm) for arm in ctx.arms_at(dtheta)]
+    points = config.joint_points(ctx.theta + dtheta)
     ee0, ee1 = points[0][-1], points[1][-1]
 
     origin = 0.5 * (ee0 + ee1)
@@ -669,11 +665,11 @@ def plan_waypoint(ctx: StepContext, waypoint, settings: SolverSettings,
     decision = replace(decision, gamma=gamma, slack=float(slack))
 
     theta_after = ctx.theta + decision.dtheta
-    contacts = [state.with_force(float(g)) for state, g in zip(
-        ct.evaluate_gaps(ctx.arms_at(decision.dtheta), ctx.candidates),
-        decision.gamma)]
     # The solver's last point when the clamp changed nothing: a memo hit.
     chain = _chain(ctx, decision.to_vector())
+    contacts = [state.with_force(float(g)) for state, g in zip(
+        ct.evaluate_gaps(chain["points"], config.link_radius, ctx.candidates),
+        decision.gamma)]
     zmp = chain["zmp_result"]
     fzmp = st.compute_zmp(chain["state"], chain["object_wrenches"])
     ee0, ee1 = chain["end_effectors"]
@@ -731,16 +727,16 @@ def _settle_on_edge(config: ScenarioConfig, candidate: ct.ContactCandidate,
     on the grasp point and the link capsule touching the edge (gap zero).
     Returns None when no touching pose is found.
     """
-    arm_index = candidate.arm_index
+    base = config.arm_bases[candidate.arm_index]
 
     def residuals(q: np.ndarray) -> np.ndarray:
-        points = kin.forward_kinematics(config.arm(arm_index, q))
+        points = kin.forward_kinematics(base, config.link_lengths, q)
         ee = points[-1]
         gap = _contact_gap(points, config.link_radius, candidate).gap
         return np.array([ee[0] - grasp[0], ee[1] - grasp[1], gap])
 
     def residual_jac(q: np.ndarray) -> np.ndarray:
-        points = kin.forward_kinematics(config.arm(arm_index, q))
+        points = kin.forward_kinematics(base, config.link_lengths, q)
         jac = np.zeros((3, kin.NUM_LINKS))
         jac[:2] = kin.point_jacobian(points, kin.NUM_LINKS - 1, 1.0)
         jac[2], _ = _gap_gradients(
@@ -772,9 +768,9 @@ def initial_joint_angles(config: ScenarioConfig) -> np.ndarray:
     """
     grasps = config.grasp_points(config.initial_center)
     bent = [_two_segment_angles(config, i, grasps[i]) for i in range(2)]
-    arms = [config.arm(i, bent[i]) for i in range(2)]
     candidates = ct.select_active_candidates(
-        arms, config.port_edges, link_index=config.contact_link_index)
+        config.joint_points(np.concatenate(bent)), config.link_radius,
+        config.port_edges, link_index=config.contact_link_index)
     theta = np.zeros(NUM_JOINTS)
     for arm_index, candidate in enumerate(candidates):
         offset = arm_index * kin.NUM_LINKS
@@ -796,6 +792,7 @@ def plan_path(config: ScenarioConfig, settings: SolverSettings | None = None,
         ReachabilityError: a waypoint's grasp points exceed total arm reach.
         PlanStepError: a step failed; ``partial_steps`` holds the trace so
             far and ``waypoint_index`` names the step.
+        ValueError: ``theta0`` is not 8 finite joint angles.
     """
     settings = settings if settings is not None else config.solver
     config.check_reach()
@@ -803,7 +800,7 @@ def plan_path(config: ScenarioConfig, settings: SolverSettings | None = None,
         else initial_joint_angles(config)
     steps: list[PlanStep] = []
     for index, waypoint in enumerate(config.waypoints()):
-        ctx = build_context(config, theta)
+        ctx = StepContext(config, theta)
         try:
             step = plan_waypoint(ctx, waypoint, settings)
         except ContactPlanError as exc:

@@ -10,8 +10,6 @@ import os
 
 import numpy as np
 
-from . import kinematics as kin
-
 
 def _fmt(value: float) -> str:
     return f"{value:.4f}"
@@ -89,10 +87,6 @@ def _step_color(index: int, count: int) -> str:
     return f"rgb({round(255 * t)},40,{round(255 * (1 - t))})"
 
 
-def _arm_polyline(config, theta4, arm_index):
-    return [tuple(p) for p in kin.forward_kinematics(config.arm(arm_index, theta4))]
-
-
 def write_path_plot(records, config, path: str) -> None:
     """Workspace top view: arm configurations, bar, ports, waypoints."""
     margin = 0.15
@@ -118,10 +112,8 @@ def write_path_plot(records, config, path: str) -> None:
 
     for index, record in enumerate(records):
         color = _step_color(index, count)
-        for arm_index in range(2):
-            theta4 = record.theta[4 * arm_index:4 * arm_index + 4]
-            canvas.polyline(_arm_polyline(config, theta4, arm_index), color,
-                            width=2.0)
+        for arm_points in config.joint_points(record.theta):
+            canvas.polyline([tuple(p) for p in arm_points], color, width=2.0)
         half = config.bar_length / 2.0
         bar = [(record.object_position[0] - half, record.object_position[1]),
                (record.object_position[0] + half, record.object_position[1])]

@@ -26,9 +26,11 @@ Sections and keys (SI units throughout):
       grasp_offsets         two floats, m along the bar, default [-0.30, 0.30]
     balance:
       sp_polygon            convex CCW vertices, edges of positive length,
-                            default 0.40 x 0.32 rectangle
+                            coordinates in [-1e150, 1e150], default
+                            0.40 x 0.32 rectangle
       sp_center             [x, y] m, default [0.0, 0.0]
-      safe_radius           m, default 0.15
+      safe_radius           m, default 0.15; the safe circle must lie
+                            inside sp_polygon (checked once, at load)
       object_radius         m, default 0.10
     task:
       path_direction        [x, y], default [0.0, 1.0] (normalized on load;
@@ -60,10 +62,12 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 import yaml
 
+from . import kinematics as kin
 from .errors import ReachabilityError, ScenarioError
-from .kinematics import NUM_LINKS, PlanarArm, forward_kinematics
+from .kinematics import NUM_LINKS
 from .sqp import SolverSettings
-from .statics import RobotMassModel, RobotStaticsState, robot_center_of_mass
+from .statics import (RobotMassModel, RobotStaticsState, check_support_region,
+                      robot_center_of_mass)
 
 # Waypoints are materialized at load time for the reach check.
 MAX_WAYPOINTS = 10_000
@@ -169,11 +173,12 @@ class ScenarioConfig:
     def robot_mass(self) -> float:
         return self.mass_model.total_mass(2 * NUM_LINKS)
 
-    def arm(self, arm_index: int, joint_angles) -> PlanarArm:
-        return PlanarArm(base_position=self.arm_bases[arm_index],
-                         link_lengths=self.link_lengths,
-                         link_radius=self.link_radius,
-                         joint_angles=joint_angles)
+    def joint_points(self, theta) -> tuple:
+        """Both arms' ``forward_kinematics`` joint-point arrays (left then
+        right) at the 8 joint angles ``theta``."""
+        return tuple(kin.forward_kinematics(
+            self.arm_bases[i], self.link_lengths,
+            theta[i * NUM_LINKS:(i + 1) * NUM_LINKS]) for i in range(2))
 
     def grasp_points(self, object_center) -> np.ndarray:
         """World positions of the two grasp points for a bar centre."""
@@ -182,13 +187,11 @@ class ScenarioConfig:
                          center + [self.grasp_offsets[1], 0.0]])
 
     def statics_state(self, points) -> RobotStaticsState:
-        """Balance state for both arms, given their ``forward_kinematics``
-        joint-point arrays (left then right)."""
+        """Balance state for both arms, given their joint points
+        (``joint_points``).  The support region is checked at load."""
         com = robot_center_of_mass(self.mass_model, points, self.plane_height)
-        return RobotStaticsState(
-            total_mass=self.robot_mass, com=com, sp_center=self.sp_center,
-            sp_polygon=self.sp_polygon, safe_radius=self.safe_radius,
-            gravity=np.array([0.0, 0.0, -self.gravity]))
+        return RobotStaticsState(total_mass=self.robot_mass, com=com,
+                                 gravity=np.array([0.0, 0.0, -self.gravity]))
 
     def waypoints(self) -> np.ndarray:
         """Equally spaced waypoints from the initial centre, inclusive."""
@@ -363,6 +366,13 @@ def _from_dict(data: dict) -> ScenarioConfig:
         raise ScenarioError(
             f"task.path_direction must have a norm in [1e-150, 1e150], got {norm!r}")
 
+    sp_polygon = _vec(balance["sp_polygon"], (None, 2), "balance.sp_polygon")
+    # Beyond this bound the edge lengths and cross products of the balance
+    # check overflow, and it would report a misplaced safe circle instead.
+    if not np.all(np.abs(sp_polygon) <= 1e150):
+        raise ScenarioError(
+            "balance.sp_polygon coordinates must lie in [-1e150, 1e150]")
+
     # Types and finiteness here, ranges in SolverSettings.
     solver_raw = data["solver"]
     try:
@@ -389,7 +399,7 @@ def _from_dict(data: dict) -> ScenarioConfig:
         bar_length=bar_length,
         initial_center=_vec(obj["initial_center"], 2, "object.initial_center"),
         grasp_offsets=grasp_offsets,
-        sp_polygon=_vec(balance["sp_polygon"], (None, 2), "balance.sp_polygon"),
+        sp_polygon=sp_polygon,
         sp_center=_vec(balance["sp_center"], 2, "balance.sp_center"),
         safe_radius=_number(balance["safe_radius"], "balance.safe_radius"),
         object_radius=_number(balance["object_radius"], "balance.object_radius"),
@@ -413,10 +423,9 @@ def _from_dict(data: dict) -> ScenarioConfig:
 
 
 def _validate(config: ScenarioConfig) -> None:
-    # The statics state constructor checks the polygon and the safe circle.
     try:
-        config.statics_state([forward_kinematics(config.arm(i, np.zeros(NUM_LINKS)))
-                              for i in range(2)])
+        check_support_region(config.sp_polygon, config.sp_center,
+                             config.safe_radius)
     except ValueError as exc:
         raise ScenarioError(f"balance: {exc}") from exc
     try:

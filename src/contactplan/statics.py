@@ -6,6 +6,12 @@ components vanish.  The fictitious ZMP (FZMP) is the same quantity computed
 while ignoring the environment-support wrenches; it may leave the support
 polygon.  Ground height is z = 0.
 
+The balance state of a configuration is only its mass, centre of mass and
+gravity (``RobotStaticsState``).  The support region it is judged against,
+a convex CCW polygon holding the safe circle, is fixed per scenario and is
+checked once, when the scenario loads (``check_support_region``); the ZMP
+solve itself reports only the point and the ground reaction.
+
 Sign conventions: every ``AppliedWrench`` is a wrench acting *on the robot*
 at a world-frame position.  The object's load enters through the wrenches at
 the end effectors (the arms carry the object); support forces enter through
@@ -51,7 +57,21 @@ class AppliedWrench:
             object.__setattr__(self, name, v)
 
 
-def _polygon_is_convex_ccw(vertices: np.ndarray) -> bool:
+def check_support_region(vertices, center, radius: float) -> None:
+    """Check the balance geometry: a convex CCW support polygon that holds
+    the safe circle of ``radius`` around ``center``.
+
+    Scenario loading runs this once; the ZMP solves assume it.
+
+    Raises:
+        ValueError: fewer than 3 planar vertices, a reflex or clockwise
+            corner, or an edge line closer to the centre than the radius
+            (including a zero-length or overflowing edge, whose distance
+            is NaN).
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    if vertices.ndim != 2 or vertices.shape[0] < 3 or vertices.shape[1] != 2:
+        raise ValueError("sp_polygon needs at least 3 planar vertices")
     n = len(vertices)
     for i in range(n):
         a = vertices[i]
@@ -59,59 +79,30 @@ def _polygon_is_convex_ccw(vertices: np.ndarray) -> bool:
         c = vertices[(i + 2) % n]
         cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         if cross < -1e-12:
-            return False
-    return True
-
-
-def _circle_inside_polygon(center: np.ndarray, radius: float,
-                           vertices: np.ndarray) -> bool:
-    # Distance from the center to every edge line must cover the radius.
-    n = len(vertices)
+            raise ValueError("sp_polygon must be convex with CCW winding")
     for i in range(n):
         a = vertices[i]
-        b = vertices[(i + 1) % n]
-        edge = b - a
-        length = np.linalg.norm(edge)
-        # CCW polygon: inward distance is the left-perp projection.
-        inward = (edge[0] * (center[1] - a[1]) - edge[1] * (center[0] - a[0])) / length
-        # NaN-safe: a zero-length or overflowing edge gives NaN and fails.
+        edge = vertices[(i + 1) % n] - a
+        # CCW polygon: the inward distance is the left-perp projection.
+        inward = (edge[0] * (center[1] - a[1])
+                  - edge[1] * (center[0] - a[0])) / np.linalg.norm(edge)
+        # NaN-safe: a zero-length edge gives NaN and fails.
         if not inward >= radius - 1e-12:
-            return False
-    return True
-
-
-def point_in_convex_polygon(point, vertices, tol: float = 1e-9) -> bool:
-    """Closed containment test for a convex CCW polygon."""
-    point = np.asarray(point, dtype=float)
-    vertices = np.asarray(vertices, dtype=float)
-    n = len(vertices)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        cross = (b[0] - a[0]) * (point[1] - a[1]) - (b[1] - a[1]) * (point[0] - a[0])
-        if cross < -tol:
-            return False
-    return True
+            raise ValueError("safe circle must lie inside the support polygon")
 
 
 @dataclass(frozen=True)
 class RobotStaticsState:
-    """Mass, centre of mass, and support geometry of the robot.
+    """Mass and centre of mass of the robot at one configuration.
 
     Attributes:
         total_mass: robot mass, kg.
-        gravity: gravity vector, m/s^2 (default (0, 0, -9.81)).
         com: centre of mass, metres, world frame.
-        sp_center: desired ZMP position (centre of the support polygon).
-        sp_polygon: convex CCW support polygon vertices, metres.
-        safe_radius: radius of the safe circle around ``sp_center``, metres.
+        gravity: gravity vector, m/s^2 (default (0, 0, -9.81)).
     """
 
     total_mass: float
     com: np.ndarray
-    sp_center: np.ndarray
-    sp_polygon: np.ndarray
-    safe_radius: float
     gravity: np.ndarray = field(
         default_factory=lambda: np.array([0.0, 0.0, -GRAVITY_ACCEL]))
 
@@ -122,20 +113,6 @@ class RobotStaticsState:
         if com.shape != (3,):
             raise ValueError("com must be a 3-vector")
         object.__setattr__(self, "com", com)
-        center = np.asarray(self.sp_center, dtype=float)
-        if center.shape != (2,):
-            raise ValueError("sp_center must be a 2-vector")
-        object.__setattr__(self, "sp_center", center)
-        poly = np.asarray(self.sp_polygon, dtype=float)
-        if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
-            raise ValueError("sp_polygon needs at least 3 planar vertices")
-        if not _polygon_is_convex_ccw(poly):
-            raise ValueError("sp_polygon must be convex with CCW winding")
-        object.__setattr__(self, "sp_polygon", poly)
-        if not self.safe_radius > 0.0:
-            raise ValueError("safe_radius must be positive")
-        if not _circle_inside_polygon(center, self.safe_radius, poly):
-            raise ValueError("safe circle must lie inside the support polygon")
         g = np.asarray(self.gravity, dtype=float)
         if g.shape != (3,):
             raise ValueError("gravity must be a 3-vector")
@@ -148,8 +125,6 @@ class ZmpResult:
 
     zmp: np.ndarray
     ground_force: np.ndarray
-    inside_safe_circle: bool
-    inside_sp: bool
 
 
 def compute_zmp(state: RobotStaticsState,
@@ -180,16 +155,7 @@ def compute_zmp(state: RobotStaticsState,
     # cross((x, y, 0), f) has horizontal rows (y*fz, -x*fz); zeroing the
     # total horizontal moment gives the ZMP directly.
     zmp = np.array([moment_sum[1] / fz, -moment_sum[0] / fz])
-    inside_circle = inside_safe_circle(zmp, state)
-    inside_sp = point_in_convex_polygon(zmp, state.sp_polygon)
-    return ZmpResult(zmp=zmp, ground_force=ground_force,
-                     inside_safe_circle=inside_circle, inside_sp=inside_sp)
-
-
-def inside_safe_circle(point, state: RobotStaticsState) -> bool:
-    """Closed-disk membership: the boundary counts as inside."""
-    point = np.asarray(point, dtype=float)
-    return float(np.linalg.norm(point - state.sp_center)) <= state.safe_radius
+    return ZmpResult(zmp=zmp, ground_force=ground_force)
 
 
 def wrench_matrix(r_c) -> np.ndarray:

@@ -6,6 +6,8 @@ the stacked support Jacobian, so realizing the object wrench can never
 disturb the planned support forces.  Everything here is planar: only the x
 and y force components of each distributed contact wrench act on the 2x4
 arm Jacobians, while z components are reacted by the elevated work plane.
+Arm poses are the ``kinematics.forward_kinematics`` joint-point arrays, one
+per arm (left then right).
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ class TorqueCommand:
     realized_support_forces: tuple   # per active contact, 3-vector
 
 
-def object_wrench_torques(arms, grasp: GraspMap, h_o) -> np.ndarray:
+def object_wrench_torques(points, grasp: GraspMap, h_o) -> np.ndarray:
     """Joint torques that generate the object wrench through the hands.
 
     The object wrench is distributed to the contacts by the grasp-map
@@ -45,14 +47,14 @@ def object_wrench_torques(arms, grasp: GraspMap, h_o) -> np.ndarray:
     """
     h_c = distribute_object_wrench(grasp, h_o)
     torques = np.zeros(NUM_JOINTS)
-    for arm_index, arm in enumerate(arms):
+    for arm_index, arm_points in enumerate(points):
         force_xy = h_c[6 * arm_index:6 * arm_index + 2]
-        jac = kin.point_jacobian(kin.forward_kinematics(arm), kin.NUM_LINKS - 1, 1.0)
+        jac = kin.point_jacobian(arm_points, kin.NUM_LINKS - 1, 1.0)
         torques[4 * arm_index:4 * arm_index + 4] = jac.T @ force_xy
     return torques
 
 
-def _contact_jacobian(arms, contact) -> np.ndarray:
+def _contact_jacobian(points, link_radius: float, contact) -> np.ndarray:
     """Jacobian (2x4) at a contact's material point on its link.
 
     Raises:
@@ -60,16 +62,15 @@ def _contact_jacobian(arms, contact) -> np.ndarray:
             link's capsule surface.
     """
     cand = contact.candidate
-    arm = arms[cand.arm_index]
-    points = kin.forward_kinematics(arm)
-    seg = kin.Segment(points[cand.link_index], points[cand.link_index + 1])
-    res = kin.signed_gap(contact.contact_point, seg, arm.link_radius)
+    arm_points = points[cand.arm_index]
+    res = kin.signed_gap(contact.contact_point, arm_points[cand.link_index],
+                         arm_points[cand.link_index + 1], link_radius)
     # A point on the capsule surface sits at zero signed gap.
     if abs(res.gap) > 1e-6:
         raise ValueError(
             f"contact point {contact.contact_point} is not on link "
             f"{cand.link_index} of arm {cand.arm_index} (gap {res.gap:.3g})")
-    return kin.point_jacobian(points, cand.link_index, res.axis_param)
+    return kin.point_jacobian(arm_points, cand.link_index, res.axis_param)
 
 
 def support_force_vectors(contacts, scale: float = 1.0) -> list[np.ndarray]:
@@ -77,17 +78,18 @@ def support_force_vectors(contacts, scale: float = 1.0) -> list[np.ndarray]:
             for c in contacts]
 
 
-def support_torques(arms, contacts, scale: float = 1.0) -> np.ndarray:
+def support_torques(points, link_radius: float, contacts,
+                    scale: float = 1.0) -> np.ndarray:
     """Joint torques generating the planar support forces at the contacts."""
     torques = np.zeros(NUM_JOINTS)
     for contact, force in zip(contacts, support_force_vectors(contacts, scale)):
-        jac = _contact_jacobian(arms, contact)
+        jac = _contact_jacobian(points, link_radius, contact)
         arm_index = contact.candidate.arm_index
         torques[4 * arm_index:4 * arm_index + 4] += jac.T @ force[:2]
     return torques
 
 
-def stacked_support_jacobian(arms, contacts) -> np.ndarray:
+def stacked_support_jacobian(points, link_radius: float, contacts) -> np.ndarray:
     """Support Jacobian with one 2-row block per active contact (8 columns).
 
     Contacts whose force magnitude is below ``ACTIVE_FORCE_TOL`` do not
@@ -97,7 +99,7 @@ def stacked_support_jacobian(arms, contacts) -> np.ndarray:
     for contact in contacts:
         if contact.force_magnitude <= ACTIVE_FORCE_TOL:
             continue
-        jac = _contact_jacobian(arms, contact)
+        jac = _contact_jacobian(points, link_radius, contact)
         row = np.zeros((2, NUM_JOINTS))
         arm_index = contact.candidate.arm_index
         row[:, 4 * arm_index:4 * arm_index + 4] = jac
@@ -117,17 +119,17 @@ def nullspace_projector(j_support: np.ndarray) -> np.ndarray:
     return np.eye(NUM_JOINTS) - jt @ np.linalg.pinv(jt, rcond=PINV_RCOND)
 
 
-def combined_torques(arms, contacts, grasp: GraspMap, h_o,
-                     scale: float = 1.0) -> TorqueCommand:
+def combined_torques(points, link_radius: float, contacts, grasp: GraspMap,
+                     h_o, scale: float = 1.0) -> TorqueCommand:
     """Support torques plus the null-space projected object-wrench torques.
 
     When the transposed support Jacobian has full column rank, recovering
     forces from the combined torques by its pseudo-inverse returns exactly
     the planned support forces: the projection cannot leak into them.
     """
-    tau_support = support_torques(arms, contacts, scale)
-    tau_object = object_wrench_torques(arms, grasp, h_o)
-    j_support = stacked_support_jacobian(arms, contacts)
+    tau_support = support_torques(points, link_radius, contacts, scale)
+    tau_object = object_wrench_torques(points, grasp, h_o)
+    j_support = stacked_support_jacobian(points, link_radius, contacts)
     projector = nullspace_projector(j_support)
     tau_object_projected = projector @ tau_object
     tau = tau_support + tau_object_projected

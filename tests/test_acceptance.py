@@ -9,7 +9,7 @@ import numpy as np
 
 from contactplan import planner as pl
 from contactplan.cli import read_csv, run
-from contactplan.kinematics import forward_kinematics, point_jacobian, point_on_link
+from contactplan.kinematics import forward_kinematics, point_jacobian
 from contactplan.planner import PlanDecision, gradient_check
 from contactplan.sqp import SolverSettings, solve_sqp
 from contactplan.statics import AppliedWrench, RobotStaticsState, compute_zmp
@@ -78,12 +78,10 @@ def test_criterion_4_force_and_torque_grow_with_distance(step_records):
 
 
 def test_criterion_5_statics_matches_brute_force(rng):
-    sp = np.array([[-0.2, -0.16], [0.2, -0.16], [0.2, 0.16], [-0.2, 0.16]])
     for _ in range(100):
         state = RobotStaticsState(
             total_mass=float(rng.uniform(30, 80)),
-            com=rng.normal(scale=0.05, size=3) + np.array([0, 0, 0.8]),
-            sp_center=np.zeros(2), sp_polygon=sp, safe_radius=0.15)
+            com=rng.normal(scale=0.05, size=3) + np.array([0, 0, 0.8]))
         externals = [AppliedWrench(position=rng.normal(scale=0.4, size=3),
                                    force=rng.normal(scale=30.0, size=3))
                      for _ in range(int(rng.integers(1, 5)))]
@@ -105,22 +103,27 @@ def test_criterion_5_statics_matches_brute_force(rng):
 def test_criterion_6_derivatives_match_finite_differences(default_config, rng):
     # Kinematic Jacobians at random configurations.
     step = 1e-6
+
+    def left_arm(angles):
+        return forward_kinematics(default_config.arm_bases[0],
+                                  default_config.link_lengths, angles)
+
     for _ in range(100):
         theta = rng.normal(scale=1.2, size=4)
         link = int(rng.integers(0, 4))
         param = float(rng.uniform())
-        arm = default_config.arm(0, theta)
-        jac = point_jacobian(forward_kinematics(arm), link, param)
+        jac = point_jacobian(left_arm(theta), link, param)
         for j in range(4):
             bump = np.zeros(4)
             bump[j] = step
-            plus = point_on_link(default_config.arm(0, theta + bump), link, param)
-            minus = point_on_link(default_config.arm(0, theta - bump), link, param)
-            fd = (plus - minus) / (2 * step)
+            plus, minus = left_arm(theta + bump), left_arm(theta - bump)
+            fd = ((plus[link] + param * (plus[link + 1] - plus[link]))
+                  - (minus[link] + param * (minus[link + 1] - minus[link]))
+                  ) / (2 * step)
             assert np.abs(jac[:, j] - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
     # Cost and constraint Jacobians of the waypoint NLP at random decisions.
     theta0 = pl.initial_joint_angles(default_config)
-    ctx = pl.build_context(default_config, theta0)
+    ctx = pl.StepContext(default_config, theta0)
     problem = pl.problem_for_waypoint(default_config,
                                       default_config.waypoints()[1])
     worst = 0.0
@@ -141,9 +144,9 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
     for step, record in zip(planned_steps, step_records):
         if float(step.decision.gamma.max()) <= 1e-6:
             continue
-        arms = (default_config.arm(0, step.theta_after[:4]),
-                default_config.arm(1, step.theta_after[4:]))
-        j_support = stacked_support_jacobian(arms, step.contacts)
+        points = default_config.joint_points(step.theta_after)
+        j_support = stacked_support_jacobian(points, default_config.link_radius,
+                                             step.contacts)
         assert j_support.shape[0] > 0
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
         projector = nullspace_projector(j_support)
@@ -155,7 +158,7 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
                   for c in default_config.grasp_points(step.object_position)]
         origin = np.append(step.object_position, default_config.plane_height)
         command = combined_torques(
-            arms, step.contacts,
+            points, default_config.link_radius, step.contacts,
             GraspMap.from_points(grasps[0], grasps[1], origin),
             default_config.object_wrench,
             scale=default_config.support_force_scale)

@@ -161,6 +161,16 @@ class TestRun:
         assert run(["--tol", "1e-5", "--csv", str(csv_path)]) == 0
         assert len(read_csv(str(csv_path))) == 9
 
+    @pytest.mark.parametrize("flag, target", [
+        ("--csv", "missing/trace.csv"),
+        ("--svg", "existing-file"),
+    ], ids=["csv-missing-directory", "svg-names-a-file"])
+    def test_unwritable_output_exit_1(self, tmp_path, caplog, flag, target):
+        (tmp_path / "existing-file").write_text("")
+        assert run([flag, str(tmp_path / target)]) == 1
+        assert "cannot write" in caplog.text
+        assert str(tmp_path / target.split("/")[0]) in caplog.text
+
     def test_zmp_rows_inside_safe_circle(self, tmp_path, default_config):
         csv_path = tmp_path / "trace.csv"
         assert run(["--csv", str(csv_path)]) == 0

@@ -4,13 +4,16 @@ import pytest
 from contactplan.contact import (ContactCandidate, complementarity_residual,
                                  evaluate_gaps, select_active_candidates,
                                  support_force_vector)
-from contactplan.kinematics import PlanarArm, link_segment
+from contactplan.kinematics import forward_kinematics
+
+RADIUS = 0.04
 
 
-def make_arm(theta, base=(0.2, 0.0)):
-    return PlanarArm(base_position=np.array(base, dtype=float),
-                     link_lengths=np.array([0.3, 0.3, 0.3, 0.2]),
-                     link_radius=0.04, joint_angles=np.array(theta, dtype=float))
+def arm_points(theta, base=(0.2, 0.0)):
+    """Joint points of one arm."""
+    return forward_kinematics(np.array(base, dtype=float),
+                              np.array([0.3, 0.3, 0.3, 0.2]),
+                              np.array(theta, dtype=float))
 
 
 def candidate(edge, arm_index=0, link_index=1):
@@ -20,15 +23,15 @@ def candidate(edge, arm_index=0, link_index=1):
 
 class TestEvaluateGaps:
     def test_far_point_large_positive_gap(self):
-        arms = (make_arm([0.0] * 4), make_arm([0.0] * 4, base=(-0.2, 0.0)))
-        states = evaluate_gaps(arms, [candidate([0.5, 2.0])])
+        points = (arm_points([0.0] * 4), arm_points([0.0] * 4, base=(-0.2, 0.0)))
+        states = evaluate_gaps(points, RADIUS, [candidate([0.5, 2.0])])
         assert states[0].gap > 1.0
         assert states[0].force_magnitude == 0.0
 
     def test_point_on_surface_gives_zero_gap(self):
-        arms = (make_arm([0.0] * 4),)
+        points = (arm_points([0.0] * 4),)
         # Link 1 of the straight arm spans x in [0.5, 0.8] at y = 0.
-        states = evaluate_gaps(arms, [candidate([0.6, 0.04])])
+        states = evaluate_gaps(points, RADIUS, [candidate([0.6, 0.04])])
         assert states[0].gap == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(states[0].contact_point, [0.6, 0.04],
                                    atol=1e-12)
@@ -36,41 +39,42 @@ class TestEvaluateGaps:
     def test_matches_dense_sampling(self, rng):
         params = np.linspace(0.0, 1.0, 1_000_001)
         for _ in range(5):
-            arms = (make_arm(rng.normal(scale=1.0, size=4)),)
+            points = (arm_points(rng.normal(scale=1.0, size=4)),)
             edge = rng.uniform(-0.5, 1.0, size=2)
-            state = evaluate_gaps(arms, [candidate(edge)])[0]
-            seg = link_segment(arms[0], 1)
-            samples = seg.a[None, :] + params[:, None] * (seg.b - seg.a)[None, :]
+            state = evaluate_gaps(points, RADIUS, [candidate(edge)])[0]
+            a, b = points[0][1], points[0][2]
+            samples = a[None, :] + params[:, None] * (b - a)[None, :]
             dense = np.min(np.linalg.norm(samples - edge, axis=1)) - 0.04
             assert abs(state.gap - dense) <= 1e-6
 
     def test_normal_continuity_away_from_endpoints(self, rng):
         theta = np.array([0.4, -0.2, 0.3, 0.1])
         edge = np.array([0.45, 0.35])
-        base = evaluate_gaps((make_arm(theta),), [candidate(edge)])[0]
+        base = evaluate_gaps((arm_points(theta),), RADIUS, [candidate(edge)])[0]
         assert 0.05 < base.axis_param < 0.95  # interior closest point
         for _ in range(20):
             eps = rng.normal(scale=1e-5, size=4)
-            moved = evaluate_gaps((make_arm(theta + eps),), [candidate(edge)])[0]
+            moved = evaluate_gaps((arm_points(theta + eps),), RADIUS,
+                                  [candidate(edge)])[0]
             assert abs(moved.normal_angle - base.normal_angle) < 1e-2
 
 
 class TestSelection:
     def test_picks_smaller_gap(self):
-        arms = (make_arm([np.pi / 4, 0, 0, 0]),)
-        seg = link_segment(arms[0], 1)
-        near = seg.a + 0.4 * (seg.b - seg.a) + np.array([0.0, 0.05])
+        points = (arm_points([np.pi / 4, 0, 0, 0]),)
+        a, b = points[0][1], points[0][2]
+        near = a + 0.4 * (b - a) + np.array([0.0, 0.05])
         far = near + np.array([0.0, 0.5])
-        active = select_active_candidates(arms, [[far, near]])
+        active = select_active_candidates(points, RADIUS, [[far, near]])
         np.testing.assert_allclose(active[0].edge_point, near)
 
     def test_tie_breaks_toward_smaller_x(self):
-        arms = (make_arm([0.0] * 4),)
+        points = (arm_points([0.0] * 4),)
         # Equidistant points above and below the straight link: equal gaps,
         # so the smaller x-coordinate wins.
         a = np.array([0.6, 0.1])
         b = np.array([0.59, -0.1])
-        active = select_active_candidates(arms, [[a, b]])
+        active = select_active_candidates(points, RADIUS, [[a, b]])
         np.testing.assert_allclose(active[0].edge_point, b)
 
 

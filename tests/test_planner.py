@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from contactplan import planner as pl
+from contactplan import scenario
 from contactplan.errors import (InfeasibleStepError, PlanStepError,
                                 ReachabilityError, UnbalancedStateError)
-from contactplan.kinematics import end_effector
 from contactplan.planner import (PlanDecision, evaluate_nlp, gradient_check,
                                  initial_joint_angles, plan_path,
                                  plan_waypoint, relative_error)
-from contactplan.scenario import _DEFAULTS, _from_dict, _merge
+from contactplan.scenario import _DEFAULTS, _from_dict, _merge, default_scenario
 
 
 def light_config():
@@ -20,24 +20,24 @@ def light_config():
 
 
 def object_position(config, theta):
-    arms = (config.arm(0, theta[:4]), config.arm(1, theta[4:]))
-    return 0.5 * (end_effector(arms[0]) + end_effector(arms[1]))
+    points = config.joint_points(theta)
+    return 0.5 * (points[0][-1] + points[1][-1])
 
 
 class TestInitialPose:
     def test_hands_on_grasp_points(self, default_config):
         theta = initial_joint_angles(default_config)
         grasps = default_config.grasp_points(default_config.initial_center)
-        arms = (default_config.arm(0, theta[:4]),
-                default_config.arm(1, theta[4:]))
-        np.testing.assert_allclose(end_effector(arms[0]), grasps[0], atol=1e-8)
-        np.testing.assert_allclose(end_effector(arms[1]), grasps[1], atol=1e-8)
+        points = default_config.joint_points(theta)
+        np.testing.assert_allclose(points[0][-1], grasps[0], atol=1e-8)
+        np.testing.assert_allclose(points[1][-1], grasps[1], atol=1e-8)
 
     def test_contact_links_rest_on_ports(self, default_config):
         from contactplan.contact import evaluate_gaps
         theta = initial_joint_angles(default_config)
-        ctx = pl.build_context(default_config, theta)
-        states = evaluate_gaps(ctx.arms_at(), ctx.candidates)
+        ctx = pl.StepContext(default_config, theta)
+        states = evaluate_gaps(default_config.joint_points(theta),
+                               default_config.link_radius, ctx.candidates)
         for state in states:
             assert abs(state.gap) <= 1e-8
 
@@ -52,7 +52,7 @@ class TestCost:
     def test_zero_at_target(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         problem = pl.problem_for_waypoint(config, object_position(config, theta))
         cost = evaluate_nlp(problem, ctx, PlanDecision.zeros().to_vector())["cost"]
         assert cost == pytest.approx(0.0, abs=1e-12)
@@ -60,7 +60,7 @@ class TestCost:
     def test_position_error_term(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         target = object_position(config, theta) + np.array([0.1, 0.0])
         problem = pl.problem_for_waypoint(config, target)
         cost = evaluate_nlp(problem, ctx, PlanDecision.zeros().to_vector())["cost"]
@@ -69,7 +69,7 @@ class TestCost:
     def test_slack_term(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         problem = pl.problem_for_waypoint(config, object_position(config, theta))
         decision = PlanDecision(dtheta=np.zeros(8), gamma=np.zeros(2),
                                 slack=1e-4)
@@ -81,7 +81,7 @@ class TestConstraints:
     def test_feasible_rest_state(self):
         config = light_config()
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         problem = pl.problem_for_waypoint(config, object_position(config, theta))
         values = evaluate_nlp(problem, ctx, PlanDecision.zeros().to_vector())
         np.testing.assert_allclose(values["equalities"], 0.0, atol=1e-9)
@@ -90,7 +90,7 @@ class TestConstraints:
     def test_negative_gamma_flags_its_row(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         problem = pl.problem_for_waypoint(config, object_position(config, theta))
         decision = PlanDecision(dtheta=np.zeros(8),
                                 gamma=np.array([-1.0, 0.0]), slack=0.0)
@@ -101,7 +101,7 @@ class TestConstraints:
     def test_safe_circle_row_equals_radius_at_target(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         decision = PlanDecision.zeros()
         chain = pl._chain_values(ctx, decision.to_vector())
         problem = replace(
@@ -114,7 +114,7 @@ class TestConstraints:
     def test_inequality_row_count_and_order(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         problem = pl.problem_for_waypoint(config, object_position(config, theta))
         decision = PlanDecision(dtheta=np.zeros(8),
                                 gamma=np.array([2.0, 3.0]), slack=0.5)
@@ -131,7 +131,7 @@ class TestGradientCheck:
     def test_full_problem_matches_finite_differences(self, default_config, rng):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         problem = pl.problem_for_waypoint(config, config.waypoints()[1])
         worst = 0.0
         for _ in range(10):
@@ -145,7 +145,7 @@ class TestGradientCheck:
     def test_corrupted_jacobian_detected(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         problem = pl.problem_for_waypoint(config, config.waypoints()[1])
         decision = PlanDecision.zeros()
         x = decision.to_vector()
@@ -179,7 +179,7 @@ class TestStepNlp:
     @pytest.fixture()
     def setup(self, default_config):
         theta = initial_joint_angles(default_config)
-        ctx = pl.build_context(default_config, theta)
+        ctx = pl.StepContext(default_config, theta)
         problem = pl.problem_for_waypoint(default_config,
                                           default_config.waypoints()[1])
         return problem, ctx
@@ -265,7 +265,7 @@ class TestStepNlp:
         # Stages 2 and 3 start where stage 1 ended; their seed Hessian and
         # first iterate, and the post-solve observables, hit the memo.
         theta = initial_joint_angles(default_config)
-        ctx = pl.build_context(default_config, theta)
+        ctx = pl.StepContext(default_config, theta)
         problem = pl.problem_for_waypoint(default_config,
                                           default_config.waypoints()[1])
         settings = default_config.solver
@@ -294,7 +294,7 @@ class TestPlanWaypoint:
     def test_stationary_waypoint_keeps_configuration(self):
         config = light_config()
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         step = plan_waypoint(ctx, object_position(config, theta), config.solver)
         assert np.linalg.norm(step.decision.dtheta) <= 1e-4
         assert step.decision.converged
@@ -303,7 +303,7 @@ class TestPlanWaypoint:
         # A one-iteration budget cannot converge a real step.
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.build_context(config, theta)
+        ctx = pl.StepContext(config, theta)
         waypoint = config.initial_center + np.array([0.0, 0.1])
         solver = replace(config.solver, max_iterations=1)
         with pytest.raises(PlanStepError) as excinfo:
@@ -330,23 +330,36 @@ class TestPlanPath:
         # Pinned so that a caching regression fails loudly: 113 distinct
         # solver points over 29 continuation stages plus 6 waypoints whose
         # clamped decision is a new point (one value pass each); derivatives
-        # at each stage-1 start and each accepted iterate (9 + 52).  The FK
-        # count adds the start pose, context building and contact gaps.
+        # at each stage-1 start and each accepted iterate (9 + 52).  FK runs
+        # twice per value pass (238), 136 times in the start-up settle and
+        # twice per active-edge choice (20: start-up and 9 waypoints); the
+        # post-solve contacts read the chain.  The support region is checked
+        # when a scenario loads, never while planning.
         passes = count_passes(monkeypatch)
         fk_calls = []
+        region_checks = []
         real_fk = pl.kin.forward_kinematics
+        real_check = pl.st.check_support_region
 
-        def counted_fk(arm):
-            fk_calls.append(arm)
-            return real_fk(arm)
+        def counted_fk(*args):
+            fk_calls.append(args)
+            return real_fk(*args)
+
+        def counted_check(*args):
+            region_checks.append(args)
+            return real_check(*args)
 
         monkeypatch.setattr(pl.kin, "forward_kinematics", counted_fk)
+        for module in (pl.st, scenario):
+            monkeypatch.setattr(module, "check_support_region", counted_check)
         steps = plan_path(default_config)
         for step, expected in zip(steps, planned_steps):
             np.testing.assert_array_equal(step.decision.to_vector(),
                                           expected.decision.to_vector())
-        assert (len(fk_calls), passes["values"], passes["derivatives"]) == \
-            (432, 119, 61)
+        assert (len(fk_calls), passes["values"], passes["derivatives"],
+                len(region_checks)) == (394, 119, 61, 0)
+        default_scenario()
+        assert len(region_checks) == 1
 
     def test_zero_length_path(self):
         config = _from_dict(_merge(_DEFAULTS, {

@@ -114,6 +114,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="safe circle"):
             load_scenario(str(path))
 
+    def test_clockwise_polygon_rejected(self, tmp_path):
+        clockwise = [[-0.2, 0.16], [0.2, 0.16], [0.2, -0.16], [-0.2, -0.16]]
+        with pytest.raises(ScenarioError,
+                           match="balance: sp_polygon must be convex with CCW winding"):
+            _load_override(tmp_path, "balance.sp_polygon", clockwise)
+
     @pytest.mark.parametrize("polygon", [
         [[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]],
         [[-0.2, -0.16], [0.2, -0.16], [0.2, -0.16], [0.2, 0.16], [-0.2, 0.16]],
@@ -122,17 +128,27 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="balance"):
             _load_override(tmp_path, "balance.sp_polygon", polygon)
 
-    @pytest.mark.parametrize("key, value", [
-        ("task.path_direction", [1e200, 1e200]),
+    @pytest.mark.parametrize("key, value, match", [
+        ("task.path_direction", [1e200, 1e200], "task.path_direction"),
         ("balance.sp_polygon", [[-1e200, -1e200], [1e200, -1e200],
-                                [1e200, 1e200], [-1e200, 1e200]]),
-        ("balance.sp_polygon", [[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]]),
+                                [1e200, 1e200], [-1e200, 1e200]],
+         r"balance\.sp_polygon coordinates must lie in \[-1e150, 1e150\]"),
+        ("balance.sp_polygon", [[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]], "balance"),
     ], ids=["huge-direction", "huge-polygon", "one-point-polygon"])
-    def test_overflowing_input_rejected_without_warnings(self, tmp_path, key, value):
+    def test_overflowing_input_rejected_without_warnings(self, tmp_path, key, value,
+                                                         match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ScenarioError, match=key.split(".")[0]):
+            with pytest.raises(ScenarioError, match=match):
                 _load_override(tmp_path, key, value)
+
+    def test_polygon_at_the_coordinate_bound_loads(self, tmp_path):
+        # At the bound the balance check stays finite and still passes.
+        big = [[-1e150, -1e150], [1e150, -1e150], [1e150, 1e150], [-1e150, 1e150]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = _load_override(tmp_path, "balance.sp_polygon", big)
+        np.testing.assert_array_equal(config.sp_polygon, big)
 
 
 class TestScalarKeys:

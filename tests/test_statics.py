@@ -3,16 +3,14 @@ import pytest
 
 from contactplan.errors import DegenerateGraspError, UnbalancedStateError
 from contactplan.statics import (AppliedWrench, GraspMap, RobotStaticsState,
-                                 compute_zmp, distribute_object_wrench,
-                                 inside_safe_circle, wrench_matrix)
+                                 check_support_region, compute_zmp,
+                                 distribute_object_wrench, wrench_matrix)
 
 SP = np.array([[-0.2, -0.16], [0.2, -0.16], [0.2, 0.16], [-0.2, 0.16]])
 
 
-def make_state(com=(0.0, 0.0, 0.8), mass=54.0, safe_radius=0.15):
-    return RobotStaticsState(total_mass=mass, com=np.array(com, dtype=float),
-                             sp_center=np.zeros(2), sp_polygon=SP,
-                             safe_radius=safe_radius)
+def make_state(com=(0.0, 0.0, 0.8), mass=54.0):
+    return RobotStaticsState(total_mass=mass, com=np.array(com, dtype=float))
 
 
 def wrench(position, force, moment=(0.0, 0.0, 0.0)):
@@ -56,7 +54,6 @@ class TestComputeZmp:
         result = compute_zmp(state, [])
         np.testing.assert_allclose(result.zmp, [0.03, -0.05], atol=1e-12)
         assert result.ground_force[2] == pytest.approx(54.0 * 9.81)
-        assert result.inside_safe_circle and result.inside_sp
 
     def test_mirrored_externals_cancel_x(self):
         state = make_state(com=(0.0, 0.02, 0.8))
@@ -190,40 +187,22 @@ class TestDistributeObjectWrench:
         assert grasp.w_c.shape == (6, 12)
 
 
-class TestSupportPolygonFlag:
-    def test_zmp_result_reports_polygon_membership(self):
-        state = make_state(com=(0.0, 0.0, 0.8))
-        inside = compute_zmp(state, [])
-        assert inside.inside_sp
-        # Drag the ZMP outside the polygon but keep the reaction upward.
-        externals = [wrench([0.0, 1.2, 0.9], [0.0, 0.0, -200.0])]
-        outside = compute_zmp(state, externals)
-        assert outside.zmp[1] > 0.16
-        assert not outside.inside_sp
-
-
-class TestSafeCircle:
-    def test_center_inside(self):
-        assert inside_safe_circle([0.0, 0.0], make_state())
-
-    def test_boundary_counts_as_inside(self):
-        assert inside_safe_circle([0.15, 0.0], make_state())
-
-    def test_just_outside(self):
-        assert not inside_safe_circle([0.151, 0.0], make_state(safe_radius=0.15))
-
-
 class TestStateValidation:
     def test_circle_must_fit_in_polygon(self):
-        with pytest.raises(ValueError):
-            make_state(safe_radius=0.17)
+        check_support_region(SP, np.zeros(2), 0.16)
+        with pytest.raises(ValueError, match="safe circle"):
+            check_support_region(SP, np.zeros(2), 0.17)
+
+    def test_needs_three_planar_vertices(self):
+        with pytest.raises(ValueError, match="at least 3 planar vertices"):
+            check_support_region(SP[:2], np.zeros(2), 0.1)
 
     def test_polygon_must_be_convex_ccw(self):
         bad = np.array([[-0.2, -0.16], [0.2, -0.16], [-0.2, 0.16], [0.2, 0.16]])
-        with pytest.raises(ValueError):
-            RobotStaticsState(total_mass=54.0, com=np.zeros(3),
-                              sp_center=np.zeros(2), sp_polygon=bad,
-                              safe_radius=0.1)
+        with pytest.raises(ValueError, match="convex"):
+            check_support_region(bad, np.zeros(2), 0.1)
+        with pytest.raises(ValueError, match="convex"):
+            check_support_region(SP[::-1], np.zeros(2), 0.1)
 
     def test_mass_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -2,36 +2,34 @@ import numpy as np
 import pytest
 
 from contactplan.contact import ContactCandidate, ContactState, evaluate_gaps
-from contactplan.kinematics import PlanarArm, link_segment, point_on_link
+from contactplan.kinematics import forward_kinematics
 from contactplan.statics import GraspMap
 from contactplan.torque import (PINV_RCOND, combined_torques,
                                 nullspace_projector, object_wrench_torques,
                                 stacked_support_jacobian, support_torques)
 
-
-def make_arm(theta, base=(0.2, 0.0)):
-    return PlanarArm(base_position=np.array(base, dtype=float),
-                     link_lengths=np.array([0.3, 0.3, 0.3, 0.2]),
-                     link_radius=0.04, joint_angles=np.array(theta, dtype=float))
+RADIUS = 0.04
 
 
 def make_arms(theta8):
+    """Joint points of both arms (bases at x = -0.2 and 0.2)."""
     theta8 = np.asarray(theta8, dtype=float)
-    return (make_arm(theta8[:4], base=(-0.2, 0.0)),
-            make_arm(theta8[4:], base=(0.2, 0.0)))
+    lengths = np.array([0.3, 0.3, 0.3, 0.2])
+    return (forward_kinematics(np.array([-0.2, 0.0]), lengths, theta8[:4]),
+            forward_kinematics(np.array([0.2, 0.0]), lengths, theta8[4:]))
 
 
 def touching_contact(arms, arm_index, link_index=1, param=0.5, gamma=0.0):
     """A contact whose edge point sits exactly on the capsule surface."""
-    axis_point = point_on_link(arms[arm_index], link_index, param)
-    seg = link_segment(arms[arm_index], link_index)
-    direction = seg.b - seg.a
+    a, b = arms[arm_index][link_index], arms[arm_index][link_index + 1]
+    axis_point = a + param * (b - a)
+    direction = b - a
     normal = np.array([-direction[1], direction[0]])
     normal = normal / np.linalg.norm(normal)
-    edge = axis_point - arms[arm_index].link_radius * normal
+    edge = axis_point - RADIUS * normal
     cand = ContactCandidate(arm_index=arm_index, edge_point=edge,
                             link_index=link_index)
-    state = evaluate_gaps(arms, [cand])[0]
+    state = evaluate_gaps(arms, RADIUS, [cand])[0]
     return state.with_force(gamma)
 
 
@@ -74,9 +72,8 @@ class TestPseudoInverse:
 
 class TestObjectWrenchTorques:
     def bar_grasp(self, arms):
-        from contactplan.kinematics import end_effector
-        ee0 = np.append(end_effector(arms[0]), 0.9)
-        ee1 = np.append(end_effector(arms[1]), 0.9)
+        ee0 = np.append(arms[0][-1], 0.9)
+        ee1 = np.append(arms[1][-1], 0.9)
         return GraspMap.from_points(ee0, ee1, 0.5 * (ee0 + ee1))
 
     def test_zero_wrench_zero_torque(self):
@@ -97,15 +94,15 @@ class TestObjectWrenchTorques:
         np.testing.assert_allclose(tau[4:], [1.1, 0.8, 0.5, 0.2], atol=1e-9)
 
     def test_matches_hand_assembled_chain(self):
-        from contactplan.kinematics import forward_kinematics, point_jacobian
+        from contactplan.kinematics import point_jacobian
         arms = make_arms([2.0, 0.3, -0.4, 0.2, 1.1, -0.3, 0.4, -0.2])
         grasp = self.bar_grasp(arms)
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
         tau = object_wrench_torques(arms, grasp, h_o)
         h_c = np.linalg.pinv(grasp.w_c) @ h_o
         expected = np.concatenate([
-            point_jacobian(forward_kinematics(arms[0]), 3, 1.0).T @ h_c[0:2],
-            point_jacobian(forward_kinematics(arms[1]), 3, 1.0).T @ h_c[6:8]])
+            point_jacobian(arms[0], 3, 1.0).T @ h_c[0:2],
+            point_jacobian(arms[1], 3, 1.0).T @ h_c[6:8]])
         np.testing.assert_allclose(tau, expected, atol=1e-9)
 
 
@@ -114,12 +111,12 @@ class TestSupportTorques:
         arms = make_arms([0.5, 0.1, 0.2, -0.1, 1.0, -0.2, 0.3, 0.4])
         contacts = [touching_contact(arms, 0, gamma=0.0),
                     touching_contact(arms, 1, gamma=0.0)]
-        np.testing.assert_allclose(support_torques(arms, contacts), 0.0)
+        np.testing.assert_allclose(support_torques(arms, RADIUS, contacts), 0.0)
 
     def test_distal_joints_unloaded(self):
         arms = make_arms([0.5, 0.1, 0.2, -0.1, 1.0, -0.2, 0.3, 0.4])
         contacts = [touching_contact(arms, 1, link_index=1, gamma=20.0)]
-        tau = support_torques(arms, contacts)
+        tau = support_torques(arms, RADIUS, contacts)
         np.testing.assert_allclose(tau[:4], 0.0)
         np.testing.assert_allclose(tau[6:], 0.0)  # joints 3, 4 of that arm
         assert np.any(tau[4:6] != 0.0)
@@ -135,17 +132,18 @@ class TestSupportTorques:
             param = float(rng.uniform(0.1, 0.9))
             contact = touching_contact(arms, arm_index, param=param,
                                        gamma=float(rng.uniform(1, 50)))
-            tau = support_torques(arms, [contact])
+            tau = support_torques(arms, RADIUS, [contact])
             force = contact.force_magnitude * np.array(
                 [np.cos(contact.normal_angle), np.sin(contact.normal_angle)])
             expected = np.zeros(8)
             for j in range(8):
                 bump = np.zeros(8)
                 bump[j] = step
-                p_plus = point_on_link(make_arms(theta + bump)[arm_index], 1,
-                                       contact.axis_param)
-                p_minus = point_on_link(make_arms(theta - bump)[arm_index], 1,
-                                        contact.axis_param)
+                t = contact.axis_param
+                plus = make_arms(theta + bump)[arm_index]
+                minus = make_arms(theta - bump)[arm_index]
+                p_plus = plus[1] + t * (plus[2] - plus[1])
+                p_minus = minus[1] + t * (minus[2] - minus[1])
                 expected[j] = force @ (p_plus - p_minus) / (2 * step)
             np.testing.assert_allclose(tau, expected,
                                        atol=1e-5 * max(1.0, np.abs(tau).max()))
@@ -158,7 +156,7 @@ class TestSupportTorques:
                            contact_point=contact.contact_point + 0.2,
                            axis_param=contact.axis_param, force_magnitude=5.0)
         with pytest.raises(ValueError):
-            support_torques(arms, [bad])
+            support_torques(arms, RADIUS, [bad])
 
 
 class TestNullspaceProjector:
@@ -186,37 +184,36 @@ class TestCombinedTorques:
         arms = make_arms([2.2, 0.3, -0.5, 0.1, 0.9, -0.3, 0.5, -0.1])
         contacts = [touching_contact(arms, 0, param=0.4, gamma=gammas[0]),
                     touching_contact(arms, 1, param=0.6, gamma=gammas[1])]
-        from contactplan.kinematics import end_effector
-        ee0 = np.append(end_effector(arms[0]), 0.9)
-        ee1 = np.append(end_effector(arms[1]), 0.9)
+        ee0 = np.append(arms[0][-1], 0.9)
+        ee1 = np.append(arms[1][-1], 0.9)
         grasp = GraspMap.from_points(ee0, ee1, 0.5 * (ee0 + ee1))
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
         return arms, contacts, grasp, h_o
 
     def test_no_contacts_passes_object_torques_through(self):
         arms, _, grasp, h_o = self.setup_scene()
-        command = combined_torques(arms, [], grasp, h_o)
+        command = combined_torques(arms, RADIUS, [], grasp, h_o)
         np.testing.assert_allclose(command.torques,
                                    object_wrench_torques(arms, grasp, h_o))
         np.testing.assert_allclose(command.support_torques, 0.0)
 
     def test_zero_wrench_gives_support_torques(self):
         arms, contacts, grasp, _ = self.setup_scene()
-        command = combined_torques(arms, contacts, grasp, np.zeros(6))
+        command = combined_torques(arms, RADIUS, contacts, grasp, np.zeros(6))
         np.testing.assert_allclose(command.torques,
-                                   support_torques(arms, contacts))
+                                   support_torques(arms, RADIUS, contacts))
 
     def test_decomposition_identity(self):
         arms, contacts, grasp, h_o = self.setup_scene()
-        command = combined_torques(arms, contacts, grasp, h_o)
+        command = combined_torques(arms, RADIUS, contacts, grasp, h_o)
         np.testing.assert_allclose(
             command.torques,
             command.support_torques + command.object_torques_projected)
 
     def test_support_priority_recovery(self):
         arms, contacts, grasp, h_o = self.setup_scene()
-        command = combined_torques(arms, contacts, grasp, h_o)
-        j_support = stacked_support_jacobian(arms, contacts)
+        command = combined_torques(arms, RADIUS, contacts, grasp, h_o)
+        j_support = stacked_support_jacobian(arms, RADIUS, contacts)
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
         recovered = pseudo_inverse(j_support.T) @ command.torques
         planned = np.concatenate([
@@ -233,10 +230,10 @@ class TestCombinedTorques:
         arms, contacts, grasp, _ = self.setup_scene()
         h_a = rng.normal(scale=20.0, size=6)
         h_b = rng.normal(scale=20.0, size=6)
-        tau_a = combined_torques(arms, contacts, grasp, h_a).torques
-        tau_b = combined_torques(arms, contacts, grasp, h_b).torques
-        tau_sum = combined_torques(arms, contacts, grasp, h_a + h_b).torques
-        support = support_torques(arms, contacts)
+        tau_a = combined_torques(arms, RADIUS, contacts, grasp, h_a).torques
+        tau_b = combined_torques(arms, RADIUS, contacts, grasp, h_b).torques
+        tau_sum = combined_torques(arms, RADIUS, contacts, grasp, h_a + h_b).torques
+        support = support_torques(arms, RADIUS, contacts)
         np.testing.assert_allclose(tau_sum - support,
                                    (tau_a - support) + (tau_b - support),
                                    atol=1e-9)
