@@ -175,8 +175,9 @@ def problem_for_waypoint(config: ScenarioConfig, waypoint) -> PlanningProblem:
 # The ZMP chain: a value pass and a derivative pass
 # ---------------------------------------------------------------------------
 
-# Points a context's chain memo keeps: the line search's expansion loop
-# evaluates its rejected trial after the accepted one.
+# Points a memo keeps (a context's chain, the start-up settle's poses): the
+# line search's expansion loop evaluates its rejected trial after the
+# accepted one.
 _MEMO_POINTS = 2
 
 
@@ -394,21 +395,25 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
             "d_zmp_theta": d_zmp_theta, "d_zmp_gamma": d_zmp_gamma}
 
 
+def _remember(memo: dict, x: np.ndarray, compute):
+    """``memo``'s entry for ``x``, computed on a miss; the memo keeps the
+    last ``_MEMO_POINTS`` points, keyed on ``x.tobytes()``.  A ``compute``
+    that raises caches nothing."""
+    key = x.tobytes()
+    if key not in memo:
+        memo[key] = compute()
+        if len(memo) > _MEMO_POINTS:
+            del memo[next(iter(memo))]
+    return memo[key]
+
+
 def _chain(ctx: StepContext, x: np.ndarray, derivatives: bool = False) -> dict:
     """The ZMP chain at ``x``, read from the context's memo when it holds x.
 
     The value pass runs once per point; the derivative pass runs the first
-    time derivatives are asked for there.  The memo keeps the last
-    ``_MEMO_POINTS`` points, keyed on ``x.tobytes()``; a pass that raises
-    caches nothing.
+    time derivatives are asked for there.
     """
-    key = x.tobytes()
-    chain = ctx.memo.get(key)
-    if chain is None:
-        chain = _chain_values(ctx, x)
-        ctx.memo[key] = chain
-        if len(ctx.memo) > _MEMO_POINTS:
-            del ctx.memo[next(iter(ctx.memo))]
+    chain = _remember(ctx.memo, x, lambda: _chain_values(ctx, x))
     if derivatives and "d_zmp_theta" not in chain:
         chain.update(_chain_derivatives(ctx, chain))
     return chain
@@ -728,19 +733,25 @@ def _settle_on_edge(config: ScenarioConfig, candidate: ct.ContactCandidate,
     Returns None when no touching pose is found.
     """
     base = config.arm_bases[candidate.arm_index]
+    # The residuals and their Jacobian share one forward kinematics per pose.
+    memo = {}
+
+    def pose(q: np.ndarray) -> tuple:
+        def compute():
+            points = kin.forward_kinematics(base, config.link_lengths, q)
+            return points, _contact_gap(points, config.link_radius, candidate)
+        return _remember(memo, q, compute)
 
     def residuals(q: np.ndarray) -> np.ndarray:
-        points = kin.forward_kinematics(base, config.link_lengths, q)
+        points, res = pose(q)
         ee = points[-1]
-        gap = _contact_gap(points, config.link_radius, candidate).gap
-        return np.array([ee[0] - grasp[0], ee[1] - grasp[1], gap])
+        return np.array([ee[0] - grasp[0], ee[1] - grasp[1], res.gap])
 
     def residual_jac(q: np.ndarray) -> np.ndarray:
-        points = kin.forward_kinematics(base, config.link_lengths, q)
+        points, res = pose(q)
         jac = np.zeros((3, kin.NUM_LINKS))
         jac[:2] = kin.point_jacobian(points, kin.NUM_LINKS - 1, 1.0)
-        jac[2], _ = _gap_gradients(
-            points, candidate, _contact_gap(points, config.link_radius, candidate))
+        jac[2], _ = _gap_gradients(points, candidate, res)
         return jac
 
     nlp = NlpProblem(

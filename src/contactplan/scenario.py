@@ -57,7 +57,7 @@ relative scenario paths are resolved against when they do not exist locally.
 
 import math
 import os
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 
 import numpy as np
 import yaml
@@ -158,20 +158,20 @@ class ScenarioConfig:
     support_force_scale: float
     solver: SolverSettings
     gravity: float
+    # Derived once per config: every pass of the ZMP chain reads them.
+    mass_model: RobotMassModel = field(init=False, repr=False, compare=False)
+    robot_mass: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        model = RobotMassModel(torso_mass=self.torso_mass,
+                               torso_position=self.torso_position,
+                               link_mass=self.link_mass)
+        object.__setattr__(self, "mass_model", model)
+        object.__setattr__(self, "robot_mass", model.total_mass(2 * NUM_LINKS))
 
     @property
     def grasp_separation(self) -> float:
         return float(self.grasp_offsets[1] - self.grasp_offsets[0])
-
-    @property
-    def mass_model(self) -> RobotMassModel:
-        return RobotMassModel(torso_mass=self.torso_mass,
-                              torso_position=self.torso_position,
-                              link_mass=self.link_mass)
-
-    @property
-    def robot_mass(self) -> float:
-        return self.mass_model.total_mass(2 * NUM_LINKS)
 
     def joint_points(self, theta) -> tuple:
         """Both arms' ``forward_kinematics`` joint-point arrays (left then

@@ -10,6 +10,13 @@ only when even the elastic subproblem cannot close the violation.
 Problems are supplied as callables over a flat decision vector:
 cost/gradient, equality constraints (== 0), inequality constraints (>= 0),
 and their Jacobians.  All operations are deterministic for identical inputs.
+
+A run ends with one of these statuses: ``"converged"``; ``"iteration limit
+reached"``; ``"line search stalled"`` or ``"stalled at zero step"`` (x
+cannot move); or ``"stagnated"``: 20 accepted iterations in a row at an
+unchanged penalty left the merit unchanged to 1e-12 relative, which happens
+at degenerate complementarity corners (Fletcher & Leyffer 2004), where
+further iterations only spend line-search evaluations.
 """
 
 from dataclasses import dataclass, field
@@ -94,7 +101,12 @@ class QpSolution:
 
 @dataclass
 class SqpResult:
-    """Solution plus diagnostics of one SQP run."""
+    """Solution plus diagnostics of one SQP run.
+
+    ``status`` is one of the statuses in the module docstring; only
+    ``"converged"`` sets ``converged``.  On ``"stagnated"`` the fields
+    describe the last accepted iterate.
+    """
 
     x: np.ndarray
     cost: float
@@ -358,6 +370,14 @@ def _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol) -> float:
     return max(r_stat, r_comp) / scale
 
 
+# Accepted iterations in a row at an unchanged penalty and merit (to
+# _STAGNANT_RTOL relative) after which a run ends as "stagnated".  Converged
+# stages of the sweep never exceed a run of 1; a stage that later moved on
+# reached 15.
+_STAGNANT_ITERATIONS = 20
+_STAGNANT_RTOL = 1e-12
+
+
 def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
               initial_hessian=None) -> SqpResult:
     """Run the SQP loop from ``x0`` until the KKT test passes.
@@ -366,8 +386,8 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     Gauss-Newton matrix of the cost); without it the identity is rescaled
     after the first accepted step.  Deterministic for identical inputs.  A
     result with ``converged=False`` is returned when the iteration budget
-    runs out or the line search stalls; the caller decides whether that is
-    fatal.
+    runs out, the line search stalls or the merit stagnates; the caller
+    decides whether that is fatal.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.dim,):
@@ -391,6 +411,8 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     converged = False
     iterations = 0
     zero_steps = 0
+    stagnant = 0
+    last_mu = None
     kkt = np.inf
     viol = np.inf
 
@@ -404,6 +426,9 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         if kkt <= settings.tol_kkt and viol <= settings.tol_con:
             converged = True
             status = "converged"
+            break
+        if stagnant >= _STAGNANT_ITERATIONS:
+            status = "stagnated"
             break
 
         elastic_weight = 1e4
@@ -519,6 +544,12 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             break
 
         merit_history.append((mu, merit0, merit_trial))
+        if mu == last_mu and \
+                abs(merit0 - merit_trial) <= _STAGNANT_RTOL * abs(merit0):
+            stagnant += 1
+        else:
+            stagnant = 0
+        last_mu = mu
 
         grad_l_old = grad.copy()
         if lam_eq_new.size:

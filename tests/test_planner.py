@@ -327,19 +327,31 @@ class TestPlanPath:
 
     def test_default_plan_work_counts(self, default_config, planned_steps,
                                       monkeypatch):
-        # Pinned so that a caching regression fails loudly: 113 distinct
-        # solver points over 29 continuation stages plus 6 waypoints whose
-        # clamped decision is a new point (one value pass each); derivatives
-        # at each stage-1 start and each accepted iterate (9 + 52).  FK runs
-        # twice per value pass (238), 136 times in the start-up settle and
-        # twice per active-edge choice (20: start-up and 9 waypoints); the
-        # post-solve contacts read the chain.  The support region is checked
-        # when a scenario loads, never while planning.
+        # Pinned so that a caching regression fails loudly: 74 SQP
+        # iterations over 29 solves (2 start-up settles, 27 continuation
+        # stages), all converged, none stagnated; 113 distinct solver points
+        # over the 27 stages plus 6 waypoints whose clamped decision is a new
+        # point (one value pass each); derivatives at each stage-1 start and
+        # each accepted iterate (9 + 52).  FK runs
+        # twice per value pass (238), once per distinct pose in the start-up
+        # settle (60) and twice per active-edge choice (20: start-up and 9
+        # waypoints); the post-solve contacts read the chain.  The support
+        # region is checked, and the mass model built, when a scenario
+        # loads, never while planning.
         passes = count_passes(monkeypatch)
         fk_calls = []
         region_checks = []
+        mass_models = []
+        stages = []
+        real_solve = pl.solve_sqp
         real_fk = pl.kin.forward_kinematics
         real_check = pl.st.check_support_region
+        real_mass_init = pl.st.RobotMassModel.__post_init__
+
+        def solve(*args, **kwargs):
+            result = real_solve(*args, **kwargs)
+            stages.append((result.status, result.iterations))
+            return result
 
         def counted_fk(*args):
             fk_calls.append(args)
@@ -349,17 +361,26 @@ class TestPlanPath:
             region_checks.append(args)
             return real_check(*args)
 
+        def counted_mass_init(model):
+            mass_models.append(model)
+            real_mass_init(model)
+
+        monkeypatch.setattr(pl, "solve_sqp", solve)
         monkeypatch.setattr(pl.kin, "forward_kinematics", counted_fk)
         for module in (pl.st, scenario):
             monkeypatch.setattr(module, "check_support_region", counted_check)
+        monkeypatch.setattr(pl.st.RobotMassModel, "__post_init__",
+                            counted_mass_init)
         steps = plan_path(default_config)
         for step, expected in zip(steps, planned_steps):
             np.testing.assert_array_equal(step.decision.to_vector(),
                                           expected.decision.to_vector())
+        assert {status for status, _ in stages} == {"converged"}
+        assert (len(stages), sum(n for _, n in stages)) == (29, 74)
         assert (len(fk_calls), passes["values"], passes["derivatives"],
-                len(region_checks)) == (394, 119, 61, 0)
+                len(region_checks), len(mass_models)) == (318, 119, 61, 0, 0)
         default_scenario()
-        assert len(region_checks) == 1
+        assert (len(region_checks), len(mass_models)) == (1, 1)
 
     def test_zero_length_path(self):
         config = _from_dict(_merge(_DEFAULTS, {
@@ -420,6 +441,34 @@ class TestPlanPath:
         diagnostics = excinfo.value.diagnostics
         assert diagnostics["slack_weight"] == default_config.weight_slack
         assert len(diagnostics["stage_iterations"]) == 2
+
+    def test_degenerate_corner_stage_stagnates(self, monkeypatch):
+        # On the slant path the first stage of waypoints 1 and 2 stops
+        # moving a few iterations in; it ends "stagnated" instead of at the
+        # 200-iteration cap, and the later stages converge from its point.
+        config = _from_dict(_merge(_DEFAULTS, {"task": {
+            "path_direction": [0.3, 1.0], "path_length": 0.1,
+            "waypoint_count": 3}}))
+        stages = []
+        real = pl.solve_sqp
+
+        def solve(*args, **kwargs):
+            result = real(*args, **kwargs)
+            stages.append((result.status, result.iterations))
+            return result
+
+        monkeypatch.setattr(pl, "solve_sqp", solve)
+        steps = plan_path(config)
+        assert len(steps) == 3
+        # Two start-up settles, then three continuation stages per waypoint.
+        per_waypoint = [stages[i:i + 3] for i in range(2, len(stages), 3)]
+        assert len(per_waypoint) == 3
+        assert [status for status, _ in per_waypoint[0]] == ["converged"] * 3
+        for waypoint in per_waypoint[1:]:
+            (status, iterations), *later = waypoint
+            assert status == "stagnated"
+            assert iterations <= 30
+            assert [status for status, _ in later] == ["converged"] * 2
 
     def test_deterministic(self, default_config, planned_steps):
         again = plan_path(default_config)

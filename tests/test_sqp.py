@@ -169,6 +169,27 @@ class TestSolveSqp:
         assert at_start == {"cost": 1, "cost_grad": 1, "inequalities": 2,
                             "inequality_jac": 1}
 
+    def test_unchanged_merit_stagnates(self):
+        # A constant cost whose gradient promises descent: every accepted
+        # step leaves the merit at 1e6, so the run ends after the first
+        # iteration and 20 stagnant ones instead of at the 200 cap.
+        seen = []
+
+        def cost(x):
+            seen.append(x.copy())
+            return 1e6
+
+        problem = NlpProblem(dim=2, cost=cost,
+                             cost_grad=lambda x: np.array([1.0, 0.5]))
+        result = solve_sqp(problem, np.zeros(2), SolverSettings())
+        assert (result.status, result.iterations, result.converged) == \
+            ("stagnated", 21, False)
+        assert len(result.merit_history) == 21
+        # The result describes the last accepted iterate.
+        assert result.cost == 1e6
+        assert result.x.tobytes() == seen[-1].tobytes()
+        assert not np.array_equal(result.x, np.zeros(2))
+
     def test_bad_start_rejected(self):
         with pytest.raises(ValueError):
             solve_sqp(quadratic_problem([1.0]), np.array([np.nan]),

@@ -1,0 +1,89 @@
+"""Scenario sweep with recorded outcomes.
+
+Each case is the default experiment with a few keys changed, the outcome it
+is expected to reach and a budget in SQP iterations.  The outcome is either
+a whole plan or a ``PlanStepError`` at a given waypoint index; known
+failures stay in the sweep as expected typed failures.  The budget bounds
+the iterations of every SQP solve the plan makes (the start-up settle and
+each continuation stage), so it does not depend on the speed of the host.
+Budgets sit about 15 % above the measured totals.
+"""
+
+import pytest
+
+from contactplan import planner as pl
+from contactplan.errors import PlanStepError
+from contactplan.planner import plan_path
+from contactplan.scenario import _DEFAULTS, _from_dict, _merge
+
+GRAVITY = 9.81
+
+
+def wrench(pull: float, mass: float = 12.0) -> dict:
+    """Task override: the bar's weight plus a lateral pull, in newtons."""
+    return {"object_wrench": [0.0, pull, -mass * GRAVITY, 0.0, 0.0, 0.0]}
+
+
+def case(overrides, budget, fails_at=None, reason=None, id=None):
+    """A sweep case; ``fails_at`` is the failing waypoint index and
+    ``reason`` a fragment of the error message."""
+    return pytest.param(overrides, budget, fails_at, reason, id=id)
+
+
+CASES = [
+    # The benchmark's six sweep parameters at fixed mid-range values.
+    case({"object": {"mass": 14.0}, "task": wrench(10.0, mass=14.0)}, 95,
+         id="mass-14kg"),                                   # 82 iterations
+    case({"task": wrench(5.0)}, 85, id="pull-5N"),          # 73
+    case({"task": {"path_length": 0.35}}, 85, id="path-0.35m"),  # 74
+    case({"balance": {"safe_radius": 0.135}}, 85, id="radius-0.135m"),  # 75
+    case({"task": {"waypoint_count": 19}}, 155, id="waypoints-19"),  # 135
+    case({"weights": {"slack": 1e5}}, 85, id="slack-1e5"),  # 74
+    # The benchmark's stall workload.  Slant's first stage at waypoints 1
+    # and 2 stagnates (iterations per step 8, 27, 26; 430 in all before
+    # the stagnation stop); link2's stagnates at waypoint 1 (262 before).
+    case({"task": {"path_direction": [0.3, 1.0], "path_length": 0.1,
+                   "waypoint_count": 3}}, 95, id="slant"),  # 83
+    case({"contact": {"link_index": 2}, "task": {"waypoint_count": 3}}, 160,
+         fails_at=2, reason="solver did not converge", id="link2"),  # 139
+    # Isolated values: pull 18 N exhausts the active-set QP at waypoint 1
+    # (an InfeasibleStepError, whose message only solve_qp raises); the two
+    # others failed the same way in earlier versions.
+    case({"task": wrench(18.0)}, 36, fails_at=1,
+         reason="active-set QP iteration limit reached", id="pull-18N"),  # 31
+    case({"task": wrench(19.14)}, 90, id="pull-19.14N"),    # 79
+    case({"balance": {"safe_radius": 0.138}}, 90, id="radius-0.138m"),  # 78
+    # Diverging: waypoint 7's capped stages keep lowering the merit while
+    # the slack grows, so they do not stagnate.  About 5 s.
+    case({"task": {"path_length": 0.5}}, 455, fails_at=7,
+         reason="object deviation", id="path-0.5m"),         # 395 (557 before)
+    # The full slant path: stages stagnate at waypoints 1-5; waypoint 6 has
+    # a run of 15 unchanged merits and then moves on; at waypoint 8 the
+    # capped 1e4 stage moves the point to where the target stage converges.
+    # About 6 s.
+    case({"task": {"path_direction": [0.3, 1.0]}}, 970,
+         id="slant-full"),                                  # 843 (2061 before)
+]
+
+
+@pytest.mark.parametrize("overrides, budget, fails_at, reason", CASES)
+def test_sweep_case(overrides, budget, fails_at, reason, monkeypatch):
+    config = _from_dict(_merge(_DEFAULTS, overrides))
+    iterations = []
+    real = pl.solve_sqp
+
+    def solve(*args, **kwargs):
+        result = real(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(pl, "solve_sqp", solve)
+    if fails_at is None:
+        assert len(plan_path(config)) == config.waypoint_count
+    else:
+        with pytest.raises(PlanStepError) as excinfo:
+            plan_path(config)
+        assert excinfo.value.waypoint_index == fails_at
+        assert len(excinfo.value.partial_steps) == fails_at
+        assert reason in str(excinfo.value)
+    assert sum(iterations) <= budget
