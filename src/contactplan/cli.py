@@ -19,7 +19,7 @@ from .errors import ContactPlanError
 from .plots import emit_plots as _emit_plot_files
 from .scenario import (ScenarioConfig, _from_dict, _merge, default_scenario,
                        load_scenario)
-from .statics import GraspMap
+from .statics import bar_grasp
 
 log = logging.getLogger("contactplan")
 
@@ -63,12 +63,11 @@ def records_from_steps(steps, config: ScenarioConfig) -> list[StepRecord]:
     records = []
     for index, step in enumerate(steps):
         points = config.joint_points(step.theta_after)
-        grasps = [np.append(c, config.plane_height)
-                  for c in config.grasp_points(step.object_position)]
-        origin = np.append(step.object_position, config.plane_height)
-        grasp_map = GraspMap.from_points(grasps[0], grasps[1], origin)
+        # The planner's grasp: the hands as they are, about their midpoint.
+        _, grasp = bar_grasp((points[0][-1], points[1][-1]),
+                             config.plane_height)
         command = tq.combined_torques(points, config.link_radius,
-                                      step.contacts, grasp_map,
+                                      step.contacts, grasp,
                                       config.object_wrench,
                                       scale=config.support_force_scale)
         forces = tq.support_force_vectors(step.contacts,

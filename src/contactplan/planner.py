@@ -22,8 +22,8 @@ the closed-form moment balance); ``gradient_check`` validates them against
 central finite differences.
 
 The ZMP chain behind cost and constraints has a value pass
-(``_chain_values``: forward kinematics once per arm, loads, gaps, statics
-state, ZMP) and a derivative pass (``_chain_derivatives``: the Jacobians,
+(``_chain_values``: forward kinematics once per arm, loads, gaps, centre
+of mass, ZMP) and a derivative pass (``_chain_derivatives``: the Jacobians,
 from the value pass's joint points).  The solver's value callbacks read the
 value pass only; its Jacobian callbacks add the derivative pass at their
 point, which the SQP asks for at start points and accepted iterates.  Each
@@ -230,13 +230,12 @@ def _gap_gradients(points: np.ndarray, candidate,
     return d_gap, d_beta
 
 
-def _grasp_force_gradients(h_o: np.ndarray, grasp: st.GraspMap, j0, j1) -> np.ndarray:
+def _grasp_force_gradients(h_o: np.ndarray, w: np.ndarray, j0, j1) -> np.ndarray:
     """(2, 3, 8) joint gradients of the per-hand load forces.
 
-    The pseudo-inverse of the grasp map is differentiated through
+    The pseudo-inverse of the grasp matrix ``w`` is differentiated through
     W+ = W' (W W')^-1; ``j0``/``j1`` are the end-effector Jacobians.
     """
-    w = grasp.w_c
     s_mat = w @ w.T
     s_inv_h = np.linalg.solve(s_mat, h_o)
 
@@ -256,15 +255,13 @@ def _grasp_force_gradients(h_o: np.ndarray, grasp: st.GraspMap, j0, j1) -> np.nd
     return d_forces
 
 
-def _com_gradient(ctx: StepContext, points) -> np.ndarray:
+def _com_gradient(config: ScenarioConfig, points) -> np.ndarray:
     """(3, 8) joint gradient of the centre of mass (z fixed)."""
-    model = ctx.config.mass_model
-    total = ctx.config.robot_mass
     d_com = np.zeros((3, NUM_JOINTS))
     for arm_index, arm_points in enumerate(points):
         for link in range(kin.NUM_LINKS):
             jac = _embed(kin.point_jacobian(arm_points, link, 0.5), arm_index)
-            d_com[:2] += (model.link_mass / total) * jac
+            d_com[:2] += (config.link_mass / config.robot_mass) * jac
     return d_com
 
 
@@ -275,10 +272,11 @@ def _split(x: np.ndarray):
 def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     """Value pass of the ZMP chain at decision vector ``x``.
 
-    Forward kinematics runs once per arm; the end effectors, hand load
-    forces, contact gaps, wrench lists, statics state and ZMP all come from
-    those joint points.  The ZMP is ``statics.compute_zmp`` of the same
-    wrench list the derivative pass differentiates.
+    Forward kinematics runs once per arm; the end effectors, the grasp
+    matrix, the hand load forces, the contact gaps, the centre of mass and
+    the ZMP all come from those joint points.  ``load_points`` and ``loads``
+    (4, 3) hold the hands' rows, then the supports'; the ZMP is
+    ``statics.compute_zmp`` of all four, the FZMP of the hands' two.
     """
     config = ctx.config
     plane = config.plane_height
@@ -286,35 +284,29 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     points = config.joint_points(ctx.theta + dtheta)
     ee0, ee1 = points[0][-1], points[1][-1]
 
-    origin = 0.5 * (ee0 + ee1)
-    p0 = np.array([ee0[0], ee0[1], plane])
-    p1 = np.array([ee1[0], ee1[1], plane])
-    o3 = np.array([origin[0], origin[1], plane])
-    grasp = st.GraspMap(r_c1=o3 - p0, r_c2=o3 - p1)
+    hands, grasp = st.bar_grasp((ee0, ee1), plane)
     h_c = st.distribute_object_wrench(grasp, config.object_wrench)
-    forces = np.array([h_c[0:3], h_c[6:9]])
     gaps = [_contact_gap(points[cand.arm_index], config.link_radius, cand)
             for cand in ctx.candidates]
-
-    object_wrenches = [
-        st.AppliedWrench(position=np.array([ee[0], ee[1], plane]),
-                         force=forces[i])
-        for i, ee in enumerate((ee0, ee1))]
     # Built without the non-negativity guard of support_force_vector so that
     # intermediate iterates with small negative gamma stay differentiable.
-    support_wrenches = [
-        st.AppliedWrench(
-            position=np.array([cand.edge_point[0], cand.edge_point[1], plane]),
-            force=config.support_force_scale * float(g) * np.array(
-                [np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0]))
-        for cand, res, g in zip(ctx.candidates, gaps, gamma)]
+    load_points = np.array([
+        hands[0], hands[1],
+        *([cand.edge_point[0], cand.edge_point[1], plane]
+          for cand in ctx.candidates)])
+    loads = np.array([
+        h_c[0:3], h_c[6:9],
+        *(config.support_force_scale * float(g) * np.array(
+            [np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0])
+          for res, g in zip(gaps, gamma))])
 
-    state = config.statics_state(points)
-    zmp_result = st.compute_zmp(state, object_wrenches + support_wrenches)
+    com = st.robot_center_of_mass(config.torso_mass, config.torso_position,
+                                  config.link_mass, points, plane)
+    zmp_result = st.compute_zmp(config.robot_weight, com, load_points, loads)
     return {
         "points": points, "gamma": gamma.copy(), "end_effectors": (ee0, ee1),
         "grasp": grasp, "gaps": gaps, "phi": np.array([res.gap for res in gaps]),
-        "object_wrenches": object_wrenches, "state": state,
+        "load_points": load_points, "loads": loads, "com": com,
         "zmp_result": zmp_result,
     }
 
@@ -328,7 +320,6 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     forward kinematics.
     """
     config = ctx.config
-    plane = config.plane_height
     points = chain["points"]
     j0 = _embed(kin.point_jacobian(points[0], kin.NUM_LINKS - 1, 1.0), 0)
     j1 = _embed(kin.point_jacobian(points[1], kin.NUM_LINKS - 1, 1.0), 1)
@@ -338,8 +329,8 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     zmp_result = chain["zmp_result"]
     fz = float(zmp_result.ground_force[2])
 
-    d_com = _com_gradient(ctx, points)
-    weight_z = -config.robot_mass * config.gravity
+    d_com = _com_gradient(config, points)
+    weight_z = config.robot_weight[2]
 
     # Horizontal moment (x, y) and vertical force gradients.
     d_moment = np.zeros((2, NUM_JOINTS))
@@ -351,12 +342,11 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     d_moment[0] += weight_z * d_com[1]
     d_moment[1] += -weight_z * d_com[0]
 
-    ee_jacs = (j0, j1)
-    for i, wrench in enumerate(chain["object_wrenches"]):
-        pos, force = wrench.position, wrench.force
+    # The hands' rows of the loads come first, then the supports'.
+    load_points, loads = chain["load_points"], chain["loads"]
+    for pos, force, ee_jac, df in zip(load_points, loads, (j0, j1), d_forces):
         d_pos = np.zeros((3, NUM_JOINTS))
-        d_pos[:2] = ee_jacs[i]
-        df = d_forces[i]
+        d_pos[:2] = ee_jac
         # d cross(p, f) = cross(dp, f) + cross(p, df), horizontal rows.
         d_moment[0] += d_pos[1] * force[2] - pos[2] * df[1] + pos[1] * df[2] \
             - d_pos[2] * force[1]
@@ -370,7 +360,7 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     for i, (cand, res, (d_gap, d_beta), g) in enumerate(
             zip(ctx.candidates, chain["gaps"], gap_grads, chain["gamma"])):
         d_phi[i] = _embed(d_gap[None, :], cand.arm_index)[0]
-        pos = np.array([cand.edge_point[0], cand.edge_point[1], plane])
+        pos = load_points[2 + i]
         unit = np.array([np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0])
         d_unit = np.outer(np.array([-unit[1], unit[0], 0.0]), d_beta)
         df_theta = scale * float(g) * d_unit          # (3, 4) in arm columns
@@ -676,7 +666,8 @@ def plan_waypoint(ctx: StepContext, waypoint, settings: SolverSettings,
         ct.evaluate_gaps(chain["points"], config.link_radius, ctx.candidates),
         decision.gamma)]
     zmp = chain["zmp_result"]
-    fzmp = st.compute_zmp(chain["state"], chain["object_wrenches"])
+    fzmp = st.compute_zmp(config.robot_weight, chain["com"],
+                          chain["load_points"][:2], chain["loads"][:2])
     ee0, ee1 = chain["end_effectors"]
     object_position = 0.5 * (ee0 + ee1)
 

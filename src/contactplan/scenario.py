@@ -20,7 +20,8 @@ Sections and keys (SI units throughout):
       port_edges_left       two [x, y] points, default [[-0.275, 0.30], [-0.525, 0.30]]
       port_edges_right      two [x, y] points, default [[0.275, 0.30], [0.525, 0.30]]
     object:
-      mass                  kg, default 12.0
+      mass                  kg, default 12.0; kept in the schema but not read
+                            by the planner: the load is task.object_wrench
       bar_length            m, default 0.60
       initial_center        [x, y] m, default [0.0, 0.45]
       grasp_offsets         two floats, m along the bar, default [-0.30, 0.30]
@@ -66,8 +67,7 @@ from . import kinematics as kin
 from .errors import ReachabilityError, ScenarioError
 from .kinematics import NUM_LINKS
 from .sqp import SolverSettings
-from .statics import (RobotMassModel, RobotStaticsState, check_support_region,
-                      robot_center_of_mass)
+from .statics import check_support_region
 
 # Waypoints are materialized at load time for the reach check.
 MAX_WAYPOINTS = 10_000
@@ -159,15 +159,14 @@ class ScenarioConfig:
     solver: SolverSettings
     gravity: float
     # Derived once per config: every pass of the ZMP chain reads them.
-    mass_model: RobotMassModel = field(init=False, repr=False, compare=False)
     robot_mass: float = field(init=False, repr=False, compare=False)
+    robot_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        model = RobotMassModel(torso_mass=self.torso_mass,
-                               torso_position=self.torso_position,
-                               link_mass=self.link_mass)
-        object.__setattr__(self, "mass_model", model)
-        object.__setattr__(self, "robot_mass", model.total_mass(2 * NUM_LINKS))
+        mass = self.torso_mass + 2 * NUM_LINKS * self.link_mass
+        object.__setattr__(self, "robot_mass", mass)
+        object.__setattr__(self, "robot_weight",
+                           mass * np.array([0.0, 0.0, -self.gravity]))
 
     @property
     def grasp_separation(self) -> float:
@@ -185,13 +184,6 @@ class ScenarioConfig:
         center = np.asarray(object_center, dtype=float)
         return np.array([center + [self.grasp_offsets[0], 0.0],
                          center + [self.grasp_offsets[1], 0.0]])
-
-    def statics_state(self, points) -> RobotStaticsState:
-        """Balance state for both arms, given their joint points
-        (``joint_points``).  The support region is checked at load."""
-        com = robot_center_of_mass(self.mass_model, points, self.plane_height)
-        return RobotStaticsState(total_mass=self.robot_mass, com=com,
-                                 gravity=np.array([0.0, 0.0, -self.gravity]))
 
     def waypoints(self) -> np.ndarray:
         """Equally spaced waypoints from the initial centre, inclusive."""

@@ -1,32 +1,29 @@
 """Static force/moment balance, ZMP, and grasp wrench distribution.
 
-The ground reaction force balances gravity and all external wrenches; the
+The ground reaction force balances gravity and all external forces; the
 zero-moment point (ZMP) is the ground point at which the horizontal moment
 components vanish.  The fictitious ZMP (FZMP) is the same quantity computed
-while ignoring the environment-support wrenches; it may leave the support
+while ignoring the environment-support forces; it may leave the support
 polygon.  Ground height is z = 0.
 
-The balance state of a configuration is only its mass, centre of mass and
-gravity (``RobotStaticsState``).  The support region it is judged against,
-a convex CCW polygon holding the safe circle, is fixed per scenario and is
-checked once, when the scenario loads (``check_support_region``); the ZMP
-solve itself reports only the point and the ground reaction.
+The balance state of a configuration is only the robot's weight vector and
+centre of mass.  The support region it is judged against, a convex CCW
+polygon holding the safe circle, is fixed per scenario and is checked once,
+when the scenario loads (``check_support_region``); the ZMP solve itself
+reports only the point and the ground reaction.
 
-Sign conventions: every ``AppliedWrench`` is a wrench acting *on the robot*
-at a world-frame position.  The object's load enters through the wrenches at
-the end effectors (the arms carry the object); support forces enter through
-the wrenches at the port contact points.  Contact moments are kept as fields
-but are always zero here: contacts are frictionless points.
+Sign conventions: the external loads are two (k, 3) arrays, world-frame
+application points and the forces acting *on the robot* there.  The
+object's load enters through rows at the end effectors (the arms carry the
+object); support forces enter through rows at the port contact points.
+Contacts are frictionless points, so no external moments enter the balance.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kinematics as kin
 from .errors import DegenerateGraspError, UnbalancedStateError
-
-GRAVITY_ACCEL = 9.81
 
 
 def skew(v) -> np.ndarray:
@@ -37,24 +34,6 @@ def skew(v) -> np.ndarray:
         [v[2], 0.0, -v[0]],
         [-v[1], v[0], 0.0],
     ])
-
-
-@dataclass(frozen=True)
-class AppliedWrench:
-    """A force and moment acting on the robot at a world position."""
-
-    position: np.ndarray
-    force: np.ndarray
-    moment: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        for name in ("position", "force", "moment"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
 
 
 def check_support_region(vertices, center, radius: float) -> None:
@@ -92,34 +71,6 @@ def check_support_region(vertices, center, radius: float) -> None:
 
 
 @dataclass(frozen=True)
-class RobotStaticsState:
-    """Mass and centre of mass of the robot at one configuration.
-
-    Attributes:
-        total_mass: robot mass, kg.
-        com: centre of mass, metres, world frame.
-        gravity: gravity vector, m/s^2 (default (0, 0, -9.81)).
-    """
-
-    total_mass: float
-    com: np.ndarray
-    gravity: np.ndarray = field(
-        default_factory=lambda: np.array([0.0, 0.0, -GRAVITY_ACCEL]))
-
-    def __post_init__(self):
-        if not self.total_mass > 0.0:
-            raise ValueError("total_mass must be positive")
-        com = np.asarray(self.com, dtype=float)
-        if com.shape != (3,):
-            raise ValueError("com must be a 3-vector")
-        object.__setattr__(self, "com", com)
-        g = np.asarray(self.gravity, dtype=float)
-        if g.shape != (3,):
-            raise ValueError("gravity must be a 3-vector")
-        object.__setattr__(self, "gravity", g)
-
-
-@dataclass(frozen=True)
 class ZmpResult:
     """ZMP location plus the balancing ground reaction force."""
 
@@ -127,25 +78,27 @@ class ZmpResult:
     ground_force: np.ndarray
 
 
-def compute_zmp(state: RobotStaticsState,
-                externals: list[AppliedWrench]) -> ZmpResult:
+def compute_zmp(weight: np.ndarray, com: np.ndarray, positions: np.ndarray,
+                forces: np.ndarray) -> ZmpResult:
     """Solve the static force and horizontal moment balance for the ZMP.
 
-    The ground reaction force is whatever balances gravity plus all external
-    wrenches; its application point on the ground (z = 0) is placed so the
-    x and y components of the total moment about the origin vanish.  The two
+    ``weight`` is the robot's weight vector acting at ``com``; row i of
+    ``forces`` (k, 3) acts at row i of ``positions`` (k, 3).  The ground
+    reaction force is whatever balances gravity plus all external forces;
+    its application point on the ground (z = 0) is placed so the x and y
+    components of the total moment about the origin vanish.  The two
     horizontal moment equations are solved in closed form.
 
     Raises:
         UnbalancedStateError: if the required ground reaction does not point
             upward (the robot cannot be supported).
     """
-    weight = state.total_mass * state.gravity
     force_sum = weight.copy()
-    moment_sum = np.cross(state.com, weight)
-    for wrench in externals:
-        force_sum += wrench.force
-        moment_sum += np.cross(wrench.position, wrench.force) + wrench.moment
+    moment_sum = np.cross(com, weight)
+    # Row by row, in order: a reduction such as np.sum may reorder the adds.
+    for force, moment in zip(forces, np.cross(positions, forces)):
+        force_sum += force
+        moment_sum += moment
     ground_force = -force_sum
     fz = ground_force[2]
     if fz <= 0.0:
@@ -158,104 +111,71 @@ def compute_zmp(state: RobotStaticsState,
     return ZmpResult(zmp=zmp, ground_force=ground_force)
 
 
-def wrench_matrix(r_c) -> np.ndarray:
-    """Map a contact wrench to the object-origin wrench.
+def grasp_matrix(r_c1, r_c2) -> np.ndarray:
+    """The 6x12 grasp map of a two-contact grasp.
 
-    ``r_c`` is the vector from the contact point to the object origin.  The
-    6x6 block structure is [[I, 0], [-skew(r_c), I]].
+    ``r_c1`` and ``r_c2`` are the vectors from each contact point to the
+    object origin.  Each contact's 6x6 block, mapping its wrench to the
+    object-origin wrench, is [[I, 0], [-skew(r_c), I]].
+
+    Raises:
+        ValueError: an offset is not a finite 3-vector.
+        DegenerateGraspError: the two grasp points coincide.
     """
-    r_c = np.asarray(r_c, dtype=float)
-    if r_c.shape != (3,) or not np.all(np.isfinite(r_c)):
-        raise ValueError("r_c must be a finite 3-vector")
-    w = np.zeros((6, 6))
-    w[:3, :3] = np.eye(3)
-    w[3:, :3] = -skew(r_c)
-    w[3:, 3:] = np.eye(3)
+    offsets = [np.asarray(r, dtype=float) for r in (r_c1, r_c2)]
+    for r in offsets:
+        if r.shape != (3,) or not np.all(np.isfinite(r)):
+            raise ValueError("grasp offsets must be finite 3-vectors")
+    if np.linalg.norm(offsets[0] - offsets[1]) < 1e-12:
+        raise DegenerateGraspError("grasp points coincide")
+    w = np.zeros((6, 12))
+    for col, r in zip((0, 6), offsets):
+        w[:3, col:col + 3] = np.eye(3)
+        w[3:, col:col + 3] = -skew(r)
+        w[3:, col + 3:col + 6] = np.eye(3)
     return w
 
 
-@dataclass(frozen=True)
-class GraspMap:
-    """Two-contact grasp: offsets from each contact to the object origin."""
+def bar_grasp(end_effectors, plane_height: float) -> tuple[np.ndarray, np.ndarray]:
+    """A bar held by two planar end effectors, about their midpoint.
 
-    r_c1: np.ndarray
-    r_c2: np.ndarray
-    w_c: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        r1 = np.asarray(self.r_c1, dtype=float)
-        r2 = np.asarray(self.r_c2, dtype=float)
-        if r1.shape != (3,) or r2.shape != (3,):
-            raise ValueError("grasp offsets must be 3-vectors")
-        object.__setattr__(self, "r_c1", r1)
-        object.__setattr__(self, "r_c2", r2)
-        object.__setattr__(self, "w_c",
-                           np.hstack([wrench_matrix(r1), wrench_matrix(r2)]))
-
-    @staticmethod
-    def from_points(contact_1, contact_2, object_origin) -> "GraspMap":
-        """Build the map from world positions of the contacts and origin."""
-        origin = np.asarray(object_origin, dtype=float)
-        return GraspMap(r_c1=origin - np.asarray(contact_1, dtype=float),
-                        r_c2=origin - np.asarray(contact_2, dtype=float))
+    Returns the hands' (2, 3) points on the work plane and the grasp matrix
+    of the bar's origin at the midpoint between them.
+    """
+    ee0, ee1 = end_effectors
+    origin = 0.5 * (ee0 + ee1)
+    hands = np.array([[ee0[0], ee0[1], plane_height],
+                      [ee1[0], ee1[1], plane_height]])
+    o3 = np.array([origin[0], origin[1], plane_height])
+    return hands, grasp_matrix(o3 - hands[0], o3 - hands[1])
 
 
-def distribute_object_wrench(grasp: GraspMap, h_o) -> np.ndarray:
+def distribute_object_wrench(w: np.ndarray, h_o) -> np.ndarray:
     """Minimum-norm contact wrenches realizing an object wrench.
 
     Returns the stacked 12-vector (force, moment per contact) whose image
-    under the grasp map reproduces ``h_o``: the pseudo-inverse solution
-    W' (W W')^-1 h_o of the full-row-rank grasp map W.
-
-    Raises:
-        DegenerateGraspError: if the two grasp points coincide.
+    under the grasp matrix ``w`` (``grasp_matrix``) reproduces ``h_o``: the
+    pseudo-inverse solution W' (W W')^-1 h_o of the full-row-rank map W.
     """
-    h_o = np.asarray(h_o, dtype=float)
-    if h_o.shape != (6,):
-        raise ValueError("object wrench must be a 6-vector")
-    if np.linalg.norm(grasp.r_c1 - grasp.r_c2) < 1e-12:
-        raise DegenerateGraspError("grasp points coincide")
-    w = grasp.w_c
     return w.T @ np.linalg.solve(w @ w.T, h_o)
 
 
-@dataclass(frozen=True)
-class RobotMassModel:
-    """Lumped mass model: a torso point mass plus per-link point masses.
-
-    Link masses sit at link midpoints, so the centre of mass moves with the
-    arm configuration.
-    """
-
-    torso_mass: float
-    torso_position: np.ndarray
-    link_mass: float
-
-    def __post_init__(self):
-        if not self.torso_mass > 0.0 or not self.link_mass > 0.0:
-            raise ValueError("masses must be positive")
-        pos = np.asarray(self.torso_position, dtype=float)
-        if pos.shape != (3,):
-            raise ValueError("torso_position must be a 3-vector")
-        object.__setattr__(self, "torso_position", pos)
-
-    def total_mass(self, num_links: int) -> float:
-        return self.torso_mass + num_links * self.link_mass
-
-
-def robot_center_of_mass(mass_model: RobotMassModel, points,
+def robot_center_of_mass(torso_mass: float, torso_position: np.ndarray,
+                         link_mass: float, points,
                          plane_height: float) -> np.ndarray:
     """Configuration-dependent centre of mass of torso plus arm links.
 
+    The torso is a point mass; each link is a point mass at its midpoint on
+    the work plane, so the centre of mass moves with the arm configuration.
     ``points`` holds one ``kinematics.forward_kinematics`` joint-point array
     per arm, so callers that already ran the kinematics reuse it.
     """
-    weighted = mass_model.torso_mass * mass_model.torso_position
+    weighted = torso_mass * torso_position
     num_links = 0
     for arm_points in points:
-        for i in range(kin.NUM_LINKS):
+        for i in range(len(arm_points) - 1):
             mid = 0.5 * (arm_points[i] + arm_points[i + 1])
-            weighted = weighted + mass_model.link_mass * np.array(
+            weighted = weighted + link_mass * np.array(
                 [mid[0], mid[1], plane_height])
             num_links += 1
-    return weighted / mass_model.total_mass(num_links)
+    return weighted / (torso_mass + num_links * link_mass)

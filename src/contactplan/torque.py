@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kinematics as kin
 from .contact import support_force_vector
-from .statics import GraspMap, distribute_object_wrench
+from .statics import distribute_object_wrench
 
 NUM_JOINTS = 2 * kin.NUM_LINKS
 
@@ -38,12 +38,12 @@ class TorqueCommand:
     realized_support_forces: tuple   # per active contact, 3-vector
 
 
-def object_wrench_torques(points, grasp: GraspMap, h_o) -> np.ndarray:
+def object_wrench_torques(points, grasp: np.ndarray, h_o) -> np.ndarray:
     """Joint torques that generate the object wrench through the hands.
 
-    The object wrench is distributed to the contacts by the grasp-map
-    pseudo-inverse; each contact's planar force components load that arm's
-    end-effector Jacobian.
+    The object wrench is distributed to the contacts by the pseudo-inverse
+    of the grasp matrix (``statics.grasp_matrix``); each contact's planar
+    force components load that arm's end-effector Jacobian.
     """
     h_c = distribute_object_wrench(grasp, h_o)
     torques = np.zeros(NUM_JOINTS)
@@ -119,7 +119,7 @@ def nullspace_projector(j_support: np.ndarray) -> np.ndarray:
     return np.eye(NUM_JOINTS) - jt @ np.linalg.pinv(jt, rcond=PINV_RCOND)
 
 
-def combined_torques(points, link_radius: float, contacts, grasp: GraspMap,
+def combined_torques(points, link_radius: float, contacts, grasp: np.ndarray,
                      h_o, scale: float = 1.0) -> TorqueCommand:
     """Support torques plus the null-space projected object-wrench torques.
 

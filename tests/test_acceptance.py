@@ -12,12 +12,12 @@ from contactplan.cli import read_csv, run
 from contactplan.kinematics import forward_kinematics, point_jacobian
 from contactplan.planner import PlanDecision, gradient_check
 from contactplan.sqp import SolverSettings, solve_sqp
-from contactplan.statics import AppliedWrench, RobotStaticsState, compute_zmp
-from contactplan.torque import (PINV_RCOND, nullspace_projector,
-                                stacked_support_jacobian)
+from contactplan.statics import bar_grasp, compute_zmp
+from contactplan.torque import (PINV_RCOND, combined_torques,
+                                nullspace_projector, stacked_support_jacobian)
 
 from test_sqp import halfspace_qp, mpcc_grid_oracle, toy_mpcc
-from test_statics import horizontal_moment, zmp_oracle
+from test_statics import GRAVITY, horizontal_moment, zmp_oracle
 
 
 def _report(number: int, message: str) -> None:
@@ -79,22 +79,21 @@ def test_criterion_4_force_and_torque_grow_with_distance(step_records):
 
 def test_criterion_5_statics_matches_brute_force(rng):
     for _ in range(100):
-        state = RobotStaticsState(
-            total_mass=float(rng.uniform(30, 80)),
-            com=rng.normal(scale=0.05, size=3) + np.array([0, 0, 0.8]))
-        externals = [AppliedWrench(position=rng.normal(scale=0.4, size=3),
-                                   force=rng.normal(scale=30.0, size=3))
-                     for _ in range(int(rng.integers(1, 5)))]
-        externals.append(AppliedWrench(position=np.array([0.1, 0.2, 0.9]),
-                                       force=np.array([0.0, 0.0, -60.0])))
-        result = compute_zmp(state, externals)
-        expected, ground = zmp_oracle(state, externals)
+        weight = float(rng.uniform(30, 80)) * GRAVITY
+        com = rng.normal(scale=0.05, size=3) + np.array([0, 0, 0.8])
+        rows = [(rng.normal(scale=0.4, size=3), rng.normal(scale=30.0, size=3))
+                for _ in range(int(rng.integers(1, 5)))]
+        rows.append((np.array([0.1, 0.2, 0.9]), np.array([0.0, 0.0, -60.0])))
+        positions = np.array([p for p, _ in rows])
+        forces = np.array([f for _, f in rows])
+        result = compute_zmp(weight, com, positions, forces)
+        expected, ground = zmp_oracle(weight, com, positions, forces)
         assert np.abs(result.zmp - expected).max() <= 1e-9
-        force_residual = (result.ground_force + state.total_mass * state.gravity
-                          + sum((w.force for w in externals), np.zeros(3)))
+        force_residual = (result.ground_force + weight
+                          + sum(forces, np.zeros(3)))
         assert np.abs(force_residual).max() <= 1e-9
-        moment_residual = horizontal_moment(state, externals, result.zmp,
-                                            result.ground_force)
+        moment_residual = horizontal_moment(weight, com, positions, forces,
+                                            result.zmp, result.ground_force)
         assert np.abs(moment_residual).max() <= 1e-9
     _report(5, "ZMP matches the brute-force moment balance on 100 random "
                "wrench sets within 1e-9")
@@ -152,14 +151,10 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
         projector = nullspace_projector(j_support)
         assert np.abs(projector @ projector - projector).max() <= 1e-9
         assert np.abs(np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ projector).max() <= 1e-9
-        from contactplan.statics import GraspMap
-        from contactplan.torque import combined_torques
-        grasps = [np.append(c, default_config.plane_height)
-                  for c in default_config.grasp_points(step.object_position)]
-        origin = np.append(step.object_position, default_config.plane_height)
+        _, grasp = bar_grasp((points[0][-1], points[1][-1]),
+                             default_config.plane_height)
         command = combined_torques(
-            points, default_config.link_radius, step.contacts,
-            GraspMap.from_points(grasps[0], grasps[1], origin),
+            points, default_config.link_radius, step.contacts, grasp,
             default_config.object_wrench,
             scale=default_config.support_force_scale)
         recovered = np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ command.torques

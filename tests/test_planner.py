@@ -336,17 +336,14 @@ class TestPlanPath:
         # twice per value pass (238), once per distinct pose in the start-up
         # settle (60) and twice per active-edge choice (20: start-up and 9
         # waypoints); the post-solve contacts read the chain.  The support
-        # region is checked, and the mass model built, when a scenario
-        # loads, never while planning.
+        # region is checked when a scenario loads, never while planning.
         passes = count_passes(monkeypatch)
         fk_calls = []
         region_checks = []
-        mass_models = []
         stages = []
         real_solve = pl.solve_sqp
         real_fk = pl.kin.forward_kinematics
         real_check = pl.st.check_support_region
-        real_mass_init = pl.st.RobotMassModel.__post_init__
 
         def solve(*args, **kwargs):
             result = real_solve(*args, **kwargs)
@@ -361,16 +358,10 @@ class TestPlanPath:
             region_checks.append(args)
             return real_check(*args)
 
-        def counted_mass_init(model):
-            mass_models.append(model)
-            real_mass_init(model)
-
         monkeypatch.setattr(pl, "solve_sqp", solve)
         monkeypatch.setattr(pl.kin, "forward_kinematics", counted_fk)
         for module in (pl.st, scenario):
             monkeypatch.setattr(module, "check_support_region", counted_check)
-        monkeypatch.setattr(pl.st.RobotMassModel, "__post_init__",
-                            counted_mass_init)
         steps = plan_path(default_config)
         for step, expected in zip(steps, planned_steps):
             np.testing.assert_array_equal(step.decision.to_vector(),
@@ -378,9 +369,9 @@ class TestPlanPath:
         assert {status for status, _ in stages} == {"converged"}
         assert (len(stages), sum(n for _, n in stages)) == (29, 74)
         assert (len(fk_calls), passes["values"], passes["derivatives"],
-                len(region_checks), len(mass_models)) == (318, 119, 61, 0, 0)
+                len(region_checks)) == (318, 119, 61, 0)
         default_scenario()
-        assert (len(region_checks), len(mass_models)) == (1, 1)
+        assert len(region_checks) == 1
 
     def test_zero_length_path(self):
         config = _from_dict(_merge(_DEFAULTS, {

@@ -1,46 +1,49 @@
 import numpy as np
 import pytest
 
-from contactplan.errors import DegenerateGraspError, UnbalancedStateError
-from contactplan.statics import (AppliedWrench, GraspMap, RobotStaticsState,
-                                 check_support_region, compute_zmp,
-                                 distribute_object_wrench, wrench_matrix)
+from contactplan.errors import (DegenerateGraspError, ScenarioError,
+                                UnbalancedStateError)
+from contactplan.scenario import _DEFAULTS, _from_dict, _merge
+from contactplan.statics import (bar_grasp, check_support_region, compute_zmp,
+                                 distribute_object_wrench, grasp_matrix)
 
 SP = np.array([[-0.2, -0.16], [0.2, -0.16], [0.2, 0.16], [-0.2, 0.16]])
+GRAVITY = np.array([0.0, 0.0, -9.81])
 
 
-def make_state(com=(0.0, 0.0, 0.8), mass=54.0):
-    return RobotStaticsState(total_mass=mass, com=np.array(com, dtype=float))
+def balance(com=(0.0, 0.0, 0.8), mass=54.0):
+    """Weight vector and centre of mass of a robot."""
+    return mass * GRAVITY, np.array(com, dtype=float)
 
 
-def wrench(position, force, moment=(0.0, 0.0, 0.0)):
-    return AppliedWrench(position=np.array(position, dtype=float),
-                         force=np.array(force, dtype=float),
-                         moment=np.array(moment, dtype=float))
+def loads(*rows):
+    """(k, 3) position and force arrays from (position, force) pairs."""
+    positions = np.array([p for p, _ in rows], dtype=float).reshape(-1, 3)
+    forces = np.array([f for _, f in rows], dtype=float).reshape(-1, 3)
+    return positions, forces
 
 
-def horizontal_moment(state, externals, zmp, ground_force):
+def horizontal_moment(weight, com, positions, forces, zmp, ground_force):
     """Direct cross-product summation of every term in the balance."""
     total = np.cross(np.array([zmp[0], zmp[1], 0.0]), ground_force)
-    total = total + np.cross(state.com, state.total_mass * state.gravity)
-    for w in externals:
-        total = total + np.cross(w.position, w.force) + w.moment
+    total = total + np.cross(com, weight)
+    for position, force in zip(positions, forces):
+        total = total + np.cross(position, force)
     return total[:2]
 
 
-def zmp_oracle(state, externals):
+def zmp_oracle(weight, com, positions, forces):
     """Solve the horizontal moment balance by fitting its affine form.
 
     The total horizontal moment is affine in the assumed ZMP position, so
     three evaluations determine it; an independent path from the closed-form
     solution under test.
     """
-    weight = state.total_mass * state.gravity
-    force_sum = weight + sum((w.force for w in externals), np.zeros(3))
+    force_sum = weight + sum(forces, np.zeros(3))
     ground = -force_sum
 
     def moment_at(p):
-        return horizontal_moment(state, externals, p, ground)
+        return horizontal_moment(weight, com, positions, forces, p, ground)
 
     m0 = moment_at(np.zeros(2))
     a = np.column_stack([moment_at(np.array([1.0, 0.0])) - m0,
@@ -50,79 +53,83 @@ def zmp_oracle(state, externals):
 
 class TestComputeZmp:
     def test_zmp_under_com_without_externals(self):
-        state = make_state(com=(0.03, -0.05, 0.8))
-        result = compute_zmp(state, [])
+        weight, com = balance(com=(0.03, -0.05, 0.8))
+        result = compute_zmp(weight, com, *loads())
         np.testing.assert_allclose(result.zmp, [0.03, -0.05], atol=1e-12)
         assert result.ground_force[2] == pytest.approx(54.0 * 9.81)
 
     def test_mirrored_externals_cancel_x(self):
-        state = make_state(com=(0.0, 0.02, 0.8))
-        externals = [wrench([0.3, 0.4, 0.9], [5.0, -2.0, -30.0]),
-                     wrench([-0.3, 0.4, 0.9], [-5.0, -2.0, -30.0])]
-        result = compute_zmp(state, externals)
+        weight, com = balance(com=(0.0, 0.02, 0.8))
+        result = compute_zmp(weight, com, *loads(
+            ([0.3, 0.4, 0.9], [5.0, -2.0, -30.0]),
+            ([-0.3, 0.4, 0.9], [-5.0, -2.0, -30.0])))
         assert result.zmp[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(100):
-            state = make_state(com=rng.normal(scale=0.05, size=3) + [0, 0, 0.8],
-                               mass=float(rng.uniform(30, 80)))
-            externals = [wrench(rng.normal(scale=0.4, size=3),
-                                rng.normal(scale=30.0, size=3))
-                         for _ in range(int(rng.integers(1, 5)))]
+            weight, com = balance(
+                com=rng.normal(scale=0.05, size=3) + [0, 0, 0.8],
+                mass=float(rng.uniform(30, 80)))
+            rows = [(rng.normal(scale=0.4, size=3), rng.normal(scale=30.0, size=3))
+                    for _ in range(int(rng.integers(1, 5)))]
             # Keep the net vertical load downward.
-            externals.append(wrench([0.1, 0.2, 0.9], [0.0, 0.0, -50.0]))
-            result = compute_zmp(state, externals)
-            expected, ground = zmp_oracle(state, externals)
+            rows.append(([0.1, 0.2, 0.9], [0.0, 0.0, -50.0]))
+            positions, forces = loads(*rows)
+            result = compute_zmp(weight, com, positions, forces)
+            expected, ground = zmp_oracle(weight, com, positions, forces)
             np.testing.assert_allclose(result.zmp, expected, atol=1e-9)
             np.testing.assert_allclose(result.ground_force, ground, atol=1e-9)
             # Force and horizontal moment residuals of the full balance.
-            force_residual = (result.ground_force
-                              + state.total_mass * state.gravity
-                              + sum((w.force for w in externals), np.zeros(3)))
+            force_residual = (result.ground_force + weight
+                              + sum(forces, np.zeros(3)))
             np.testing.assert_allclose(force_residual, 0.0, atol=1e-9)
-            residual = horizontal_moment(state, externals, result.zmp,
-                                         result.ground_force)
+            residual = horizontal_moment(weight, com, positions, forces,
+                                         result.zmp, result.ground_force)
             np.testing.assert_allclose(residual, 0.0, atol=1e-9)
 
     def test_zero_magnitude_support_does_not_move_zmp(self):
-        state = make_state(com=(0.01, 0.03, 0.7))
-        externals = [wrench([0.2, 0.5, 0.9], [3.0, -8.0, -40.0])]
-        base = compute_zmp(state, externals)
-        with_zero = compute_zmp(state, externals + [
-            wrench([0.5, 0.3, 0.9], [0.0, 0.0, 0.0])])
+        weight, com = balance(com=(0.01, 0.03, 0.7))
+        load = ([0.2, 0.5, 0.9], [3.0, -8.0, -40.0])
+        base = compute_zmp(weight, com, *loads(load))
+        with_zero = compute_zmp(weight, com, *loads(
+            load, ([0.5, 0.3, 0.9], [0.0, 0.0, 0.0])))
         np.testing.assert_allclose(with_zero.zmp, base.zmp, atol=1e-15)
 
     def test_unbalanced_state_raises(self):
-        state = make_state()
-        lift = [wrench([0.0, 0.0, 1.0], [0.0, 0.0, 54.0 * 9.81 + 1.0])]
+        weight, com = balance()
         with pytest.raises(UnbalancedStateError):
-            compute_zmp(state, lift)
+            compute_zmp(weight, com, *loads(
+                ([0.0, 0.0, 1.0], [0.0, 0.0, 54.0 * 9.81 + 1.0])))
 
 
 class TestComputeFzmp:
-    """The FZMP is compute_zmp on the wrenches without the supports."""
+    """The FZMP is compute_zmp on the loads without the supports."""
 
     def test_equals_com_projection_without_loads(self):
-        state = make_state(com=(0.04, -0.02, 0.75))
-        result = compute_zmp(state, [])
+        weight, com = balance(com=(0.04, -0.02, 0.75))
+        result = compute_zmp(weight, com, *loads())
         np.testing.assert_allclose(result.zmp, [0.04, -0.02], atol=1e-12)
 
     def test_forward_load_moves_fzmp_ahead_of_supported_zmp(self):
-        state = make_state(com=(0.0, 0.0, 0.8))
-        load = [wrench([0.0, 0.6, 0.9], [0.0, 0.0, -120.0])]
-        rear_push = [wrench([0.0, 0.3, 0.9], [0.0, -40.0, 0.0])]
-        fzmp = compute_zmp(state, load)
-        zmp = compute_zmp(state, load + rear_push)
+        weight, com = balance(com=(0.0, 0.0, 0.8))
+        load = ([0.0, 0.6, 0.9], [0.0, 0.0, -120.0])
+        rear_push = ([0.0, 0.3, 0.9], [0.0, -40.0, 0.0])
+        fzmp = compute_zmp(weight, com, *loads(load))
+        zmp = compute_zmp(weight, com, *loads(load, rear_push))
         assert fzmp.zmp[1] > zmp.zmp[1]
 
 
 class TestWrenchMatrix:
+    """``grasp_matrix``: one [[I, 0], [-skew(r_c), I]] block per contact."""
+
     def test_zero_offset_gives_identity(self):
-        np.testing.assert_allclose(wrench_matrix(np.zeros(3)), np.eye(6))
+        w = grasp_matrix(np.zeros(3), [0.3, 0.0, 0.0])
+        np.testing.assert_allclose(w[:, :6], np.eye(6))
 
     def test_moment_matches_hand_cross_product(self):
-        w = wrench_matrix([0.3, 0.0, 0.0])
-        contact_wrench = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+        w = grasp_matrix([-0.3, 0.0, 0.0], [0.3, 0.0, 0.0])
+        contact_wrench = np.zeros(12)
+        contact_wrench[7] = 1.0        # unit +y force at the second contact
         result = w @ contact_wrench
         np.testing.assert_allclose(result[:3], [0.0, 1.0, 0.0])
         # moment = -r x f
@@ -130,18 +137,20 @@ class TestWrenchMatrix:
 
     def test_top_right_block_is_zero(self, rng):
         for _ in range(10):
-            w = wrench_matrix(rng.normal(size=3))
-            np.testing.assert_allclose(w[:3, 3:], 0.0)
+            w = grasp_matrix(rng.normal(size=3), rng.normal(size=3))
+            np.testing.assert_allclose(w[:3, 3:6], 0.0)
+            np.testing.assert_allclose(w[:3, 9:12], 0.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            wrench_matrix([np.nan, 0.0, 0.0])
+            grasp_matrix([np.nan, 0.0, 0.0], [0.3, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            grasp_matrix([0.3, 0.0, 0.0], [0.0, np.inf, 0.0])
 
 
 class TestDistributeObjectWrench:
     def grasp(self, r=0.3):
-        return GraspMap(r_c1=np.array([r, 0.0, 0.0]),
-                        r_c2=np.array([-r, 0.0, 0.0]))
+        return grasp_matrix([r, 0.0, 0.0], [-r, 0.0, 0.0])
 
     def test_zero_wrench_gives_zero(self):
         h_c = distribute_object_wrench(self.grasp(), np.zeros(6))
@@ -159,14 +168,14 @@ class TestDistributeObjectWrench:
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
         grasp = self.grasp()
         h_c = distribute_object_wrench(grasp, h_o)
-        np.testing.assert_allclose(grasp.w_c @ h_c, h_o, atol=1e-9)
+        np.testing.assert_allclose(grasp @ h_c, h_o, atol=1e-9)
 
     def test_minimum_norm_solution(self, rng):
-        grasp = GraspMap(r_c1=rng.normal(size=3), r_c2=rng.normal(size=3))
+        grasp = grasp_matrix(rng.normal(size=3), rng.normal(size=3))
         h_o = rng.normal(scale=20.0, size=6)
         h_c = distribute_object_wrench(grasp, h_o)
         # Any null-space perturbation must not shrink the norm.
-        _, _, vt = np.linalg.svd(grasp.w_c)
+        _, _, vt = np.linalg.svd(grasp)
         null_basis = vt[6:]
         for direction in null_basis:
             for eps in (1e-3, -1e-3):
@@ -174,17 +183,17 @@ class TestDistributeObjectWrench:
                 assert np.linalg.norm(alt) >= np.linalg.norm(h_c) - 1e-12
 
     def test_coincident_grasp_points_rejected(self):
-        grasp = GraspMap(r_c1=np.array([0.1, 0.2, 0.0]),
-                         r_c2=np.array([0.1, 0.2, 0.0]))
         with pytest.raises(DegenerateGraspError):
-            distribute_object_wrench(grasp, np.zeros(6))
+            grasp_matrix([0.1, 0.2, 0.0], [0.1, 0.2, 0.0])
 
     def test_grasp_map_from_points(self):
-        grasp = GraspMap.from_points([-0.3, 0.5, 0.9], [0.3, 0.5, 0.9],
-                                     [0.0, 0.5, 0.9])
-        np.testing.assert_allclose(grasp.r_c1, [0.3, 0.0, 0.0])
-        np.testing.assert_allclose(grasp.r_c2, [-0.3, 0.0, 0.0])
-        assert grasp.w_c.shape == (6, 12)
+        # bar_grasp: the hands on the plane, about their midpoint.
+        hands, grasp = bar_grasp((np.array([-0.3, 0.5]), np.array([0.3, 0.5])),
+                                 0.9)
+        np.testing.assert_allclose(hands, [[-0.3, 0.5, 0.9], [0.3, 0.5, 0.9]])
+        assert grasp.shape == (6, 12)
+        np.testing.assert_array_equal(
+            grasp, grasp_matrix([0.3, 0.0, 0.0], [-0.3, 0.0, 0.0]))
 
 
 class TestStateValidation:
@@ -205,5 +214,7 @@ class TestStateValidation:
             check_support_region(SP[::-1], np.zeros(2), 0.1)
 
     def test_mass_must_be_positive(self):
-        with pytest.raises(ValueError):
-            make_state(mass=0.0)
+        # Masses are checked when the scenario loads, like the region.
+        for key in ("torso_mass", "link_mass"):
+            with pytest.raises(ScenarioError, match=f"robot.{key} must be > 0"):
+                _from_dict(_merge(_DEFAULTS, {"robot": {key: 0.0}}))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from contactplan.cli import records_from_steps
 from contactplan.contact import ContactCandidate, ContactState, evaluate_gaps
 from contactplan.kinematics import forward_kinematics
-from contactplan.statics import GraspMap
+from contactplan.planner import plan_path
+from contactplan.scenario import _DEFAULTS, _from_dict, _merge
+from contactplan.statics import bar_grasp, grasp_matrix
 from contactplan.torque import (PINV_RCOND, combined_torques,
                                 nullspace_projector, object_wrench_torques,
                                 stacked_support_jacobian, support_torques)
@@ -71,14 +74,12 @@ class TestPseudoInverse:
             assert penrose_conditions(matrix, pseudo_inverse(matrix)) <= 1e-9
 
 class TestObjectWrenchTorques:
-    def bar_grasp(self, arms):
-        ee0 = np.append(arms[0][-1], 0.9)
-        ee1 = np.append(arms[1][-1], 0.9)
-        return GraspMap.from_points(ee0, ee1, 0.5 * (ee0 + ee1))
+    def hand_grasp(self, arms):
+        return bar_grasp((arms[0][-1], arms[1][-1]), 0.9)[1]
 
     def test_zero_wrench_zero_torque(self):
         arms = make_arms([0.4, 0.2, -0.3, 0.1, 2.7, -0.2, 0.3, -0.1])
-        grasp = self.bar_grasp(arms)
+        grasp = self.hand_grasp(arms)
         np.testing.assert_allclose(
             object_wrench_torques(arms, grasp, np.zeros(6)), 0.0)
 
@@ -86,7 +87,7 @@ class TestObjectWrenchTorques:
         # Straight right arm along +x; unit +y force at the end effector
         # loads every joint with its lever arm.
         arms = make_arms([np.pi / 2, 0, 0, 0, 0, 0, 0, 0])
-        grasp = self.bar_grasp(arms)
+        grasp = self.hand_grasp(arms)
         # Wrench that distributes to a pure +y force per hand is doubled.
         h_o = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 0.0])
         tau = object_wrench_torques(arms, grasp, h_o)
@@ -96,10 +97,10 @@ class TestObjectWrenchTorques:
     def test_matches_hand_assembled_chain(self):
         from contactplan.kinematics import point_jacobian
         arms = make_arms([2.0, 0.3, -0.4, 0.2, 1.1, -0.3, 0.4, -0.2])
-        grasp = self.bar_grasp(arms)
+        grasp = self.hand_grasp(arms)
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
         tau = object_wrench_torques(arms, grasp, h_o)
-        h_c = np.linalg.pinv(grasp.w_c) @ h_o
+        h_c = np.linalg.pinv(grasp) @ h_o
         expected = np.concatenate([
             point_jacobian(arms[0], 3, 1.0).T @ h_c[0:2],
             point_jacobian(arms[1], 3, 1.0).T @ h_c[6:8]])
@@ -184,9 +185,7 @@ class TestCombinedTorques:
         arms = make_arms([2.2, 0.3, -0.5, 0.1, 0.9, -0.3, 0.5, -0.1])
         contacts = [touching_contact(arms, 0, param=0.4, gamma=gammas[0]),
                     touching_contact(arms, 1, param=0.6, gamma=gammas[1])]
-        ee0 = np.append(arms[0][-1], 0.9)
-        ee1 = np.append(arms[1][-1], 0.9)
-        grasp = GraspMap.from_points(ee0, ee1, 0.5 * (ee0 + ee1))
+        _, grasp = bar_grasp((arms[0][-1], arms[1][-1]), 0.9)
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
         return arms, contacts, grasp, h_o
 
@@ -237,3 +236,26 @@ class TestCombinedTorques:
         np.testing.assert_allclose(tau_sum - support,
                                    (tau_a - support) + (tau_b - support),
                                    atol=1e-9)
+
+
+class TestRecordTorques:
+    def test_records_use_the_hands_grasp(self):
+        # With asymmetric grasp offsets the bar's nominal grasp points sit
+        # 0.05 m from the hands; the reported torques must load the hands
+        # the way the planner's balance does, about the hands' midpoint.
+        config = _from_dict(_merge(_DEFAULTS, {
+            "object": {"grasp_offsets": [-0.25, 0.35]}}))
+        steps = plan_path(config)
+        records = records_from_steps(steps, config)
+        assert len(records) == config.waypoint_count
+        for step, record in zip(steps, records):
+            points = config.joint_points(step.theta_after)
+            hands = [np.append(arm[-1], config.plane_height) for arm in points]
+            origin = 0.5 * (hands[0] + hands[1])
+            grasp = grasp_matrix(origin - hands[0], origin - hands[1])
+            command = combined_torques(points, config.link_radius,
+                                       step.contacts, grasp,
+                                       config.object_wrench,
+                                       scale=config.support_force_scale)
+            assert record.torque_norm == pytest.approx(
+                np.linalg.norm(command.torques), rel=1e-12, abs=0.0)
