@@ -68,10 +68,8 @@ def records_from_steps(steps, config: ScenarioConfig) -> list[StepRecord]:
                              config.plane_height)
         command = tq.combined_torques(points, config.link_radius,
                                       step.contacts, grasp,
-                                      config.object_wrench,
-                                      scale=config.support_force_scale)
-        forces = tq.support_force_vectors(step.contacts,
-                                          config.support_force_scale)
+                                      config.object_wrench)
+        forces = tq.support_force_vectors(step.contacts)
         records.append(StepRecord(
             step=index,
             object_position=step.object_position,

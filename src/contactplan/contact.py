@@ -4,7 +4,8 @@ Candidate contacts pair a port-edge point with one arm link (the second link
 by default).  A contact carries a gap, a force magnitude, and the normal
 angle of the force the edge applies on the link.  Forces are admissible only
 when gaps are closed, up to the configured slack: gap >= 0, force >= 0 and
-force . gap <= slack.
+force . gap <= slack.  ``candidate_gap`` is the one gap evaluation, shared
+with the planner; a support force is the full normal force of its magnitude.
 """
 
 from dataclasses import dataclass, replace
@@ -48,31 +49,39 @@ class ContactState:
         return replace(self, force_magnitude=float(force_magnitude))
 
 
-def evaluate_gaps(points, link_radius: float, candidates) -> list[ContactState]:
-    """Gap and normal for every candidate at the arms' joint points.
+def candidate_gap(arm_points, link_radius: float, candidate) -> kin.GapResult:
+    """``kinematics.signed_gap`` of a candidate's edge point against its link,
+    from its arm's ``kinematics.forward_kinematics`` joint points."""
+    link = candidate.link_index
+    return kin.signed_gap(candidate.edge_point, arm_points[link],
+                          arm_points[link + 1], link_radius)
 
-    ``points`` holds one ``kinematics.forward_kinematics`` array per arm.
+
+def contact_state(candidate, res: kin.GapResult, link_radius: float) -> ContactState:
+    """A candidate's state, at zero force, from its ``candidate_gap`` result.
+
     ``contact_point`` is the point on the capsule surface closest to the edge
-    point (equal to the edge point itself at zero gap).  Force magnitudes are
-    left at zero.  The normal angle varies smoothly with the arm pose except
-    when the closest point jumps between a link's interior and an endpoint.
+    point (the edge point itself at zero gap).  The normal angle varies
+    smoothly with the arm pose except when the closest point jumps between a
+    link's interior and an endpoint.
     """
-    states = []
-    for cand in candidates:
-        arm_points = points[cand.arm_index]
-        res = kin.signed_gap(cand.edge_point, arm_points[cand.link_index],
-                             arm_points[cand.link_index + 1], link_radius)
-        toward_axis = res.closest_point - cand.edge_point
-        dist = np.linalg.norm(toward_axis)
-        if dist > 0.0:
-            surface = res.closest_point - link_radius * toward_axis / dist
-        else:
-            surface = res.closest_point
-        states.append(ContactState(candidate=cand, gap=res.gap,
-                                   normal_angle=res.normal_angle,
-                                   contact_point=surface,
-                                   axis_param=res.axis_param))
-    return states
+    toward_axis = res.closest_point - candidate.edge_point
+    dist = np.linalg.norm(toward_axis)
+    if dist > 0.0:
+        surface = res.closest_point - link_radius * toward_axis / dist
+    else:
+        surface = res.closest_point
+    return ContactState(candidate=candidate, gap=res.gap,
+                        normal_angle=res.normal_angle, contact_point=surface,
+                        axis_param=res.axis_param)
+
+
+def evaluate_gaps(points, link_radius: float, candidates) -> list[ContactState]:
+    """``contact_state`` of every candidate at the arms' joint points (one
+    ``kinematics.forward_kinematics`` array per arm)."""
+    return [contact_state(
+        cand, candidate_gap(points[cand.arm_index], link_radius, cand), link_radius)
+        for cand in candidates]
 
 
 def select_active_candidates(points, link_radius: float, edge_points_per_arm,
@@ -87,9 +96,10 @@ def select_active_candidates(points, link_radius: float, edge_points_per_arm,
         candidates = [ContactCandidate(arm_index=arm_index, edge_point=e,
                                        link_index=link_index)
                       for e in edges]
-        states = evaluate_gaps(points, link_radius, candidates)
-        best = min(range(len(states)),
-                   key=lambda i: (states[i].gap, candidates[i].edge_point[0]))
+        gaps = [candidate_gap(points[arm_index], link_radius, cand).gap
+                for cand in candidates]
+        best = min(range(len(candidates)),
+                   key=lambda i: (gaps[i], candidates[i].edge_point[0]))
         active.append(candidates[best])
     return active
 
@@ -120,14 +130,10 @@ def complementarity_residual(phi, gamma, slack: float,
     return feasible, violation
 
 
-def support_force_vector(force_magnitude: float, normal_angle: float,
-                         scale: float = 1.0) -> np.ndarray:
-    """Planar support force as a 3-vector (zero z-component).
-
-    ``scale`` rescales the magnitude; the default of 1 makes the magnitude
-    the full normal force, which keeps the force balance consistent.
-    """
+def support_force_vector(force_magnitude: float, normal_angle: float) -> np.ndarray:
+    """Planar support force as a 3-vector (zero z-component): the magnitude
+    is the full normal force."""
     if force_magnitude < 0.0:
         raise ValueError("force magnitude must be non-negative")
-    return scale * force_magnitude * np.array(
+    return force_magnitude * np.array(
         [np.cos(normal_angle), np.sin(normal_angle), 0.0])

@@ -53,30 +53,6 @@ _NORM_EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class PlanningProblem:
-    """Weights and targets of one waypoint solve."""
-
-    weight_position: float
-    weight_displacement: float
-    weight_slack: float
-    safe_radius: float
-    object_radius: float
-    target_object_position: np.ndarray
-    zmp_target: np.ndarray
-    grasp_separation: float
-
-    def __post_init__(self):
-        for name in ("weight_position", "weight_displacement", "weight_slack",
-                     "safe_radius", "object_radius"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        object.__setattr__(self, "target_object_position",
-                           np.asarray(self.target_object_position, dtype=float))
-        object.__setattr__(self, "zmp_target",
-                           np.asarray(self.zmp_target, dtype=float))
-
-
-@dataclass(frozen=True)
 class PlanDecision:
     """NLP decision variables plus solver diagnostics."""
 
@@ -96,11 +72,6 @@ class PlanDecision:
             raise ValueError(f"dtheta must have shape ({NUM_JOINTS},)")
         if self.gamma.shape != (NUM_CONTACTS,):
             raise ValueError(f"gamma must have shape ({NUM_CONTACTS},)")
-
-    @staticmethod
-    def zeros() -> "PlanDecision":
-        return PlanDecision(dtheta=np.zeros(NUM_JOINTS),
-                            gamma=np.zeros(NUM_CONTACTS), slack=0.0)
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.dtheta, self.gamma, [self.slack]])
@@ -159,18 +130,6 @@ class PlanStep:
     fzmp: st.ZmpResult
 
 
-def problem_for_waypoint(config: ScenarioConfig, waypoint) -> PlanningProblem:
-    return PlanningProblem(
-        weight_position=config.weight_position,
-        weight_displacement=config.weight_displacement,
-        weight_slack=config.weight_slack,
-        safe_radius=config.safe_radius,
-        object_radius=config.object_radius,
-        target_object_position=waypoint,
-        zmp_target=config.sp_center,
-        grasp_separation=config.grasp_separation)
-
-
 # ---------------------------------------------------------------------------
 # The ZMP chain: a value pass and a derivative pass
 # ---------------------------------------------------------------------------
@@ -194,13 +153,6 @@ def _smooth_norm(v: np.ndarray) -> tuple[float, np.ndarray]:
     """sqrt(|v|^2 + eps^2) - eps and its gradient (zero at v = 0)."""
     root = float(np.sqrt(v @ v + _NORM_EPS * _NORM_EPS))
     return root - _NORM_EPS, v / root
-
-
-def _contact_gap(points: np.ndarray, link_radius: float, candidate) -> kin.GapResult:
-    """Gap and normal angle of one candidate from its arm's joint points."""
-    link = candidate.link_index
-    return kin.signed_gap(candidate.edge_point, points[link], points[link + 1],
-                          link_radius)
 
 
 def _gap_gradients(points: np.ndarray, candidate,
@@ -286,7 +238,7 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
 
     hands, grasp = st.bar_grasp((ee0, ee1), plane)
     h_c = st.distribute_object_wrench(grasp, config.object_wrench)
-    gaps = [_contact_gap(points[cand.arm_index], config.link_radius, cand)
+    gaps = [ct.candidate_gap(points[cand.arm_index], config.link_radius, cand)
             for cand in ctx.candidates]
     # Built without the non-negativity guard of support_force_vector so that
     # intermediate iterates with small negative gamma stay differentiable.
@@ -296,7 +248,7 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
           for cand in ctx.candidates)])
     loads = np.array([
         h_c[0:3], h_c[6:9],
-        *(config.support_force_scale * float(g) * np.array(
+        *(float(g) * np.array(
             [np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0])
           for res, g in zip(gaps, gamma))])
 
@@ -355,7 +307,6 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
         # ground_force = -(weight + sum f): d fz = -d sum f_z.
         d_fz += -df[2]
 
-    scale = config.support_force_scale
     d_phi = np.zeros((NUM_CONTACTS, NUM_JOINTS))
     for i, (cand, res, (d_gap, d_beta), g) in enumerate(
             zip(ctx.candidates, chain["gaps"], gap_grads, chain["gamma"])):
@@ -363,13 +314,13 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
         pos = load_points[2 + i]
         unit = np.array([np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0])
         d_unit = np.outer(np.array([-unit[1], unit[0], 0.0]), d_beta)
-        df_theta = scale * float(g) * d_unit          # (3, 4) in arm columns
+        df_theta = float(g) * d_unit                  # (3, 4) in arm columns
         df_theta = _embed(df_theta[:2], cand.arm_index)  # planar rows only
         # cross(p, f) horizontal rows with p constant, f planar (f_z = 0).
         d_moment[0] += -pos[2] * df_theta[1]
         d_moment[1] += pos[2] * df_theta[0]
-        d_moment_gamma[0, i] = -pos[2] * scale * unit[1]
-        d_moment_gamma[1, i] = pos[2] * scale * unit[0]
+        d_moment_gamma[0, i] = -pos[2] * unit[1]
+        d_moment_gamma[1, i] = pos[2] * unit[0]
 
     # zmp = (M_y / fz, -M_x / fz); invert to reuse the computed value.
     moment = np.array([-zmp_result.zmp[1] * fz, zmp_result.zmp[0] * fz])
@@ -420,52 +371,56 @@ def _read_only(values: dict) -> dict:
     return values
 
 
-def _nlp_values(problem: PlanningProblem, x: np.ndarray, chain: dict) -> dict:
+def _nlp_values(ctx: StepContext, waypoint, weight_slack: float,
+                x: np.ndarray, chain: dict) -> dict:
     """Cost, equalities and inequalities from a value pass."""
+    config = ctx.config
     dtheta, gamma, slack = _split(x)
     ee0, ee1 = chain["end_effectors"]
     p_obj = 0.5 * (ee0 + ee1)
-    err = problem.target_object_position - p_obj
-    cost = (problem.weight_position * float(err @ err)
-            + problem.weight_displacement * float(dtheta @ dtheta)
-            + problem.weight_slack * slack)
+    err = waypoint - p_obj
+    cost = (config.weight_position * float(err @ err)
+            + config.weight_displacement * float(dtheta @ dtheta)
+            + weight_slack * slack)
 
     phi = chain["phi"]
-    safe_dist, _ = _smooth_norm(chain["zmp_result"].zmp - problem.zmp_target)
-    dev_dist, _ = _smooth_norm(p_obj - problem.target_object_position)
+    safe_dist, _ = _smooth_norm(chain["zmp_result"].zmp - config.sp_center)
+    dev_dist, _ = _smooth_norm(p_obj - waypoint)
     rows = np.zeros(6 + NUM_CONTACTS)
     rows[0:2] = gamma
     rows[2] = slack
     rows[3] = slack - float(gamma @ phi)
-    rows[4] = problem.safe_radius - safe_dist
-    rows[5] = problem.object_radius - dev_dist
+    rows[4] = config.safe_radius - safe_dist
+    rows[5] = config.object_radius - dev_dist
     rows[6:] = phi
     return _read_only({
         "cost": cost,
-        "equalities": ee0 - ee1 + np.array([problem.grasp_separation, 0.0]),
+        "equalities": ee0 - ee1 + np.array([config.grasp_separation, 0.0]),
         "inequalities": rows})
 
 
-def _nlp_jacobians(problem: PlanningProblem, x: np.ndarray, chain: dict) -> dict:
+def _nlp_jacobians(ctx: StepContext, waypoint, weight_slack: float,
+                   x: np.ndarray, chain: dict) -> dict:
     """Cost gradient and constraint Jacobians from a chain with derivatives."""
+    config = ctx.config
     dtheta, gamma, _ = _split(x)
     ee0, ee1 = chain["end_effectors"]
     j0, j1 = chain["ee_jacobians"]
     p_obj = 0.5 * (ee0 + ee1)
     d_obj = 0.5 * (j0 + j1)
-    err = problem.target_object_position - p_obj
+    err = waypoint - p_obj
 
     cost_grad = np.zeros(DECISION_DIM)
-    cost_grad[:NUM_JOINTS] = (-2.0 * problem.weight_position * (err @ d_obj)
-                              + 2.0 * problem.weight_displacement * dtheta)
-    cost_grad[-1] = problem.weight_slack
+    cost_grad[:NUM_JOINTS] = (-2.0 * config.weight_position * (err @ d_obj)
+                              + 2.0 * config.weight_displacement * dtheta)
+    cost_grad[-1] = weight_slack
 
     equality_jac = np.zeros((2, DECISION_DIM))
     equality_jac[:, :NUM_JOINTS] = j0 - j1
 
     d_phi = chain["d_phi"]
-    _, safe_dir = _smooth_norm(chain["zmp_result"].zmp - problem.zmp_target)
-    _, dev_dir = _smooth_norm(p_obj - problem.target_object_position)
+    _, safe_dir = _smooth_norm(chain["zmp_result"].zmp - config.sp_center)
+    _, dev_dir = _smooth_norm(p_obj - waypoint)
     jac = np.zeros((6 + NUM_CONTACTS, DECISION_DIM))
     jac[0, NUM_JOINTS] = 1.0
     jac[1, NUM_JOINTS + 1] = 1.0
@@ -481,8 +436,9 @@ def _nlp_jacobians(problem: PlanningProblem, x: np.ndarray, chain: dict) -> dict
                        "inequality_jac": jac})
 
 
-def evaluate_nlp(problem: PlanningProblem, ctx: StepContext, x) -> dict:
-    """Cost, constraints and all their derivatives at one decision vector.
+def evaluate_nlp(ctx: StepContext, waypoint, x) -> dict:
+    """Cost, constraints and all their derivatives at one decision vector,
+    for the object target ``waypoint`` at the configured slack weight.
 
     The keys are the ``NlpProblem`` field names: ``cost``, ``cost_grad``,
     ``equalities`` (grasp closure), ``equality_jac``, ``inequalities`` and
@@ -494,14 +450,17 @@ def evaluate_nlp(problem: PlanningProblem, ctx: StepContext, x) -> dict:
     x = np.asarray(x, dtype=float)
     chain = _chain_values(ctx, x)
     chain.update(_chain_derivatives(ctx, chain))
-    return {**_nlp_values(problem, x, chain), **_nlp_jacobians(problem, x, chain)}
+    weight_slack = ctx.config.weight_slack
+    return {**_nlp_values(ctx, waypoint, weight_slack, x, chain),
+            **_nlp_jacobians(ctx, waypoint, weight_slack, x, chain)}
 
 
 _VALUE_FIELDS = ("cost", "equalities", "inequalities")
 
 
-def build_step_nlp(problem: PlanningProblem, ctx: StepContext) -> NlpProblem:
-    """The waypoint NLP over the context's chain memo.
+def build_step_nlp(ctx: StepContext, waypoint, weight_slack: float) -> NlpProblem:
+    """The NLP of the object target ``waypoint`` at slack weight
+    ``weight_slack``, over the context's chain memo.
 
     Value fields read only the value pass; Jacobian fields add the
     derivative pass at their point.  Each half of the assembly (values,
@@ -519,7 +478,8 @@ def build_step_nlp(problem: PlanningProblem, ctx: StepContext) -> NlpProblem:
             cached = last.get(derivatives)
             if cached is None or cached[0] != key:
                 cached = last[derivatives] = (
-                    key, assemble(problem, x, _chain(ctx, x, derivatives)))
+                    key, assemble(ctx, waypoint, weight_slack, x,
+                                  _chain(ctx, x, derivatives)))
             return cached[1][name]
         return read
 
@@ -527,16 +487,16 @@ def build_step_nlp(problem: PlanningProblem, ctx: StepContext) -> NlpProblem:
     return NlpProblem(dim=DECISION_DIM, **{name: field(name) for name in names})
 
 
-def gradient_check(problem: PlanningProblem, ctx: StepContext,
-                   decision: PlanDecision, fd_step: float = 1e-6) -> float:
+def gradient_check(ctx: StepContext, waypoint, decision: PlanDecision,
+                   fd_step: float = 1e-6) -> float:
     """Largest relative error of the analytic derivatives vs central FD."""
     x = decision.to_vector()
-    values = evaluate_nlp(problem, ctx, x)
+    values = evaluate_nlp(ctx, waypoint, x)
     analytic = np.vstack([values["cost_grad"][None, :], values["equality_jac"],
                           values["inequality_jac"]])
 
     def stacked(v: np.ndarray) -> np.ndarray:
-        values = evaluate_nlp(problem, ctx, v)
+        values = evaluate_nlp(ctx, waypoint, v)
         return np.concatenate([[values["cost"]], values["equalities"],
                                values["inequalities"]])
 
@@ -554,8 +514,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 # Waypoint and path planning
 # ---------------------------------------------------------------------------
 
-def _seed_hessian(problem: PlanningProblem, ctx: StepContext,
-                  x0: np.ndarray) -> np.ndarray:
+def _seed_hessian(ctx: StepContext, x0: np.ndarray) -> np.ndarray:
     """Gauss-Newton matrix of the cost at the start of a solve.
 
     The force and slack variables enter the cost linearly (or not at all);
@@ -566,15 +525,13 @@ def _seed_hessian(problem: PlanningProblem, ctx: StepContext,
     d_obj = 0.5 * (j0 + j1)
     hess = np.eye(DECISION_DIM) * 1e-2
     hess[:NUM_JOINTS, :NUM_JOINTS] = (
-        2.0 * problem.weight_position * d_obj.T @ d_obj
-        + 2.0 * problem.weight_displacement * np.eye(NUM_JOINTS))
+        2.0 * ctx.config.weight_position * d_obj.T @ d_obj
+        + 2.0 * ctx.config.weight_displacement * np.eye(NUM_JOINTS))
     return hess
 
 
-def solve_step(problem: PlanningProblem, ctx: StepContext,
-               settings: SolverSettings,
-               initial: PlanDecision | None = None) -> PlanDecision:
-    """Solve one waypoint NLP; zero initial values unless given.
+def solve_step(ctx: StepContext, waypoint) -> PlanDecision:
+    """Solve the NLP of one waypoint from zero initial values.
 
     The slack weight is driven to its configured value through a short
     continuation (1e2, 1e4, ..., target), each stage warm-starting the next.
@@ -588,21 +545,20 @@ def solve_step(problem: PlanningProblem, ctx: StepContext,
             stage's slack weight and the completed stages' iterations added
             to its diagnostics.
     """
-    initial = initial if initial is not None else PlanDecision.zeros()
-    x = initial.to_vector()
-    stages = [w for w in (1e2, 1e4) if w < problem.weight_slack]
-    stages.append(problem.weight_slack)
+    config = ctx.config
+    x = np.zeros(DECISION_DIM)
+    stages = [w for w in (1e2, 1e4) if w < config.weight_slack]
+    stages.append(config.weight_slack)
     stage_iterations = []
     result = None
     for weight in stages:
-        staged = replace(problem, weight_slack=weight)
-        nlp = build_step_nlp(staged, ctx)
+        nlp = build_step_nlp(ctx, waypoint, weight)
         try:
-            result = solve_sqp(nlp, x, settings,
-                               initial_hessian=_seed_hessian(staged, ctx, x))
+            result = solve_sqp(nlp, x, config.solver,
+                               initial_hessian=_seed_hessian(ctx, x))
         except ContactPlanError as exc:
             exc.diagnostics.update(
-                waypoint=problem.target_object_position.tolist(),
+                waypoint=np.asarray(waypoint, dtype=float).tolist(),
                 slack_weight=weight, stage_iterations=stage_iterations)
             raise
         stage_iterations.append(result.iterations)
@@ -612,22 +568,21 @@ def solve_step(problem: PlanningProblem, ctx: StepContext,
         iterations=sum(stage_iterations), converged=result.converged)
 
 
-def _check_step(problem: PlanningProblem, config: ScenarioConfig,
+def _check_step(config: ScenarioConfig, waypoint: np.ndarray,
                 decision: PlanDecision, contacts, zmp: st.ZmpResult,
                 object_position: np.ndarray) -> list[str]:
     tol = config.solver.tol_con
     failures = []
     if not decision.converged:
         failures.append("solver did not converge")
-    deviation = float(np.linalg.norm(
-        object_position - problem.target_object_position))
-    if deviation > problem.object_radius + tol:
+    deviation = float(np.linalg.norm(object_position - waypoint))
+    if deviation > config.object_radius + tol:
         failures.append(f"object deviation {deviation:.6f} m exceeds "
-                        f"{problem.object_radius} m")
-    zmp_dist = float(np.linalg.norm(zmp.zmp - problem.zmp_target))
-    if zmp_dist > problem.safe_radius + tol:
+                        f"{config.object_radius} m")
+    zmp_dist = float(np.linalg.norm(zmp.zmp - config.sp_center))
+    if zmp_dist > config.safe_radius + tol:
         failures.append(f"ZMP {zmp_dist:.6f} m from target exceeds safe "
-                        f"radius {problem.safe_radius} m")
+                        f"radius {config.safe_radius} m")
     phi = np.array([c.gap for c in contacts])
     feasible, violation = ct.complementarity_residual(
         phi, decision.gamma, decision.slack, tol_gap=1e-6, tol_force=tol,
@@ -640,8 +595,7 @@ def _check_step(problem: PlanningProblem, config: ScenarioConfig,
     return failures
 
 
-def plan_waypoint(ctx: StepContext, waypoint, settings: SolverSettings,
-                  initial: PlanDecision | None = None) -> PlanStep:
+def plan_waypoint(ctx: StepContext, waypoint) -> PlanStep:
     """Plan one waypoint from the context's configuration.
 
     Raises:
@@ -649,42 +603,42 @@ def plan_waypoint(ctx: StepContext, waypoint, settings: SolverSettings,
             with diagnostics attached.
     """
     config = ctx.config
-    problem = problem_for_waypoint(config, waypoint)
-    decision = solve_step(problem, ctx, settings, initial)
+    waypoint = np.asarray(waypoint, dtype=float)
+    decision = solve_step(ctx, waypoint)
 
     # Clamp solver noise on the bound-constrained variables: a magnitude
     # within tolerance of zero is an exactly-zero force or slack.
-    gamma = np.where((decision.gamma < 0.0) & (decision.gamma > -settings.tol_con),
+    tol = config.solver.tol_con
+    gamma = np.where((decision.gamma < 0.0) & (decision.gamma > -tol),
                      0.0, decision.gamma)
-    slack = 0.0 if -settings.tol_con < decision.slack < 0.0 else decision.slack
+    slack = 0.0 if -tol < decision.slack < 0.0 else decision.slack
     decision = replace(decision, gamma=gamma, slack=float(slack))
 
     theta_after = ctx.theta + decision.dtheta
     # The solver's last point when the clamp changed nothing: a memo hit.
     chain = _chain(ctx, decision.to_vector())
-    contacts = [state.with_force(float(g)) for state, g in zip(
-        ct.evaluate_gaps(chain["points"], config.link_radius, ctx.candidates),
-        decision.gamma)]
+    contacts = [ct.contact_state(cand, res, config.link_radius).with_force(float(g))
+                for cand, res, g in zip(ctx.candidates, chain["gaps"], decision.gamma)]
     zmp = chain["zmp_result"]
     fzmp = st.compute_zmp(config.robot_weight, chain["com"],
                           chain["load_points"][:2], chain["loads"][:2])
     ee0, ee1 = chain["end_effectors"]
     object_position = 0.5 * (ee0 + ee1)
 
-    failures = _check_step(problem, config, decision, contacts, zmp,
+    failures = _check_step(config, waypoint, decision, contacts, zmp,
                            object_position)
     if failures:
         raise PlanStepError(
             "waypoint rejected: " + "; ".join(failures),
             diagnostics={
-                "waypoint": np.asarray(waypoint, dtype=float).tolist(),
+                "waypoint": waypoint.tolist(),
                 "failures": failures,
                 "iterations": decision.iterations,
                 "kkt_residual": decision.kkt_residual,
                 "cost": decision.cost,
                 "slack": decision.slack,
             })
-    return PlanStep(waypoint=np.asarray(waypoint, dtype=float),
+    return PlanStep(waypoint=waypoint,
                     decision=decision, theta_after=theta_after,
                     object_position=object_position, contacts=tuple(contacts),
                     zmp=zmp, fzmp=fzmp)
@@ -730,7 +684,7 @@ def _settle_on_edge(config: ScenarioConfig, candidate: ct.ContactCandidate,
     def pose(q: np.ndarray) -> tuple:
         def compute():
             points = kin.forward_kinematics(base, config.link_lengths, q)
-            return points, _contact_gap(points, config.link_radius, candidate)
+            return points, ct.candidate_gap(points, config.link_radius, candidate)
         return _remember(memo, q, compute)
 
     def residuals(q: np.ndarray) -> np.ndarray:
@@ -783,8 +737,7 @@ def initial_joint_angles(config: ScenarioConfig) -> np.ndarray:
     return theta
 
 
-def plan_path(config: ScenarioConfig, settings: SolverSettings | None = None,
-              theta0=None) -> list[PlanStep]:
+def plan_path(config: ScenarioConfig, theta0=None) -> list[PlanStep]:
     """Plan the configured straight path, one step per waypoint.
 
     Each step is warm-started from the previous configuration with zero
@@ -796,7 +749,6 @@ def plan_path(config: ScenarioConfig, settings: SolverSettings | None = None,
             far and ``waypoint_index`` names the step.
         ValueError: ``theta0`` is not 8 finite joint angles.
     """
-    settings = settings if settings is not None else config.solver
     config.check_reach()
     theta = np.asarray(theta0, dtype=float) if theta0 is not None \
         else initial_joint_angles(config)
@@ -804,7 +756,7 @@ def plan_path(config: ScenarioConfig, settings: SolverSettings | None = None,
     for index, waypoint in enumerate(config.waypoints()):
         ctx = StepContext(config, theta)
         try:
-            step = plan_waypoint(ctx, waypoint, settings)
+            step = plan_waypoint(ctx, waypoint)
         except ContactPlanError as exc:
             raise PlanStepError(
                 f"step {index} failed: {exc}", waypoint_index=index,

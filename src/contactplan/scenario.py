@@ -46,11 +46,14 @@ Sections and keys (SI units throughout):
       slack                 default 1.0e6
     contact:
       link_index            which link touches the ports, default 1
-      support_force_scale   scale on the planar support force, default 1.0
     solver:
-      tol_kkt, tol_con, max_iterations, armijo_c1, backtrack_ratio,
-      penalty_growth, slack_max  (see SolverSettings defaults)
+      tol_kkt, tol_con, max_iterations, slack_max  (SolverSettings defaults)
     gravity:                m/s^2, default 9.81
+
+The former keys ``contact.support_force_scale``, ``solver.armijo_c1``,
+``solver.backtrack_ratio`` and ``solver.penalty_growth`` are rejected as
+unknown: only a support-force scale of 1 keeps the force balance consistent,
+and the other three are fixed constants of the SQP line search.
 
 The environment variable ``CONTACTPLAN_SCENARIO_DIR`` names a directory that
 relative scenario paths are resolved against when they do not exist locally.
@@ -112,15 +115,11 @@ _DEFAULTS = {
     },
     "contact": {
         "link_index": 1,
-        "support_force_scale": 1.0,
     },
     "solver": {
         "tol_kkt": 1e-6,
         "tol_con": 1e-6,
         "max_iterations": 200,
-        "armijo_c1": 1e-4,
-        "backtrack_ratio": 0.5,
-        "penalty_growth": 2.0,
         "slack_max": 1e-4,
     },
     "gravity": 9.81,
@@ -155,7 +154,6 @@ class ScenarioConfig:
     weight_displacement: float
     weight_slack: float
     contact_link_index: int
-    support_force_scale: float
     solver: SolverSettings
     gravity: float
     # Derived once per config: every pass of the ZMP chain reads them.
@@ -253,7 +251,6 @@ class ScenarioConfig:
             },
             "contact": {
                 "link_index": self.contact_link_index,
-                "support_force_scale": self.support_force_scale,
             },
             "solver": solver,
             "gravity": self.gravity,
@@ -405,8 +402,6 @@ def _from_dict(data: dict) -> ScenarioConfig:
         weight_slack=_number(weights["slack"], "weights.slack"),
         contact_link_index=_number(contact["link_index"], "contact.link_index", 0,
                                    NUM_LINKS - 1, closed=True, integer=True),
-        support_force_scale=_number(contact["support_force_scale"],
-                                    "contact.support_force_scale"),
         solver=solver,
         gravity=_number(data["gravity"], "gravity"),
     )

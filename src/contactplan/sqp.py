@@ -29,7 +29,7 @@ from .errors import InfeasibleStepError, UnbalancedStateError
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and line-search parameters for the SQP loop.
+    """Tolerances and iteration budget of the SQP loop.
 
     ``tol_kkt`` bounds the scaled stationarity/complementarity residual,
     ``tol_con`` the raw constraint violation (SI units).  ``slack_max`` is
@@ -39,9 +39,6 @@ class SolverSettings:
     tol_kkt: float = 1e-6
     tol_con: float = 1e-6
     max_iterations: int = 200
-    armijo_c1: float = 1e-4
-    backtrack_ratio: float = 0.5
-    penalty_growth: float = 2.0
     slack_max: float = 1e-4
 
     def __post_init__(self):
@@ -51,11 +48,6 @@ class SolverSettings:
                 raise ValueError(f"{name} must be > 0")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
-        for name in ("armijo_c1", "backtrack_ratio"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if not self.penalty_growth > 1.0:
-            raise ValueError("penalty_growth must be > 1")
 
 
 @dataclass
@@ -377,6 +369,13 @@ def _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol) -> float:
 _STAGNANT_ITERATIONS = 20
 _STAGNANT_RTOL = 1e-12
 
+# Line search and penalty update (Nocedal & Wright 2006, sections 3.1 and
+# 18.3): the Armijo sufficient-decrease constant, the backtracking factor,
+# and the factor on the largest multiplier that the penalty must exceed.
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_RATIO = 0.5
+_PENALTY_GROWTH = 2.0
+
 
 def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
               initial_hessian=None) -> SqpResult:
@@ -408,7 +407,6 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     lam_in = np.zeros(problem.ineq(x).shape[0])
     merit_history: list[tuple[float, float, float]] = []
     status = "iteration limit reached"
-    converged = False
     iterations = 0
     zero_steps = 0
     stagnant = 0
@@ -424,7 +422,6 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         viol = _max_violation(ce, ci)
         kkt = _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol)
         if kkt <= settings.tol_kkt and viol <= settings.tol_con:
-            converged = True
             status = "converged"
             break
         if stagnant >= _STAGNANT_ITERATIONS:
@@ -451,30 +448,25 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         lam_eq_new, lam_in_new = qp.lam_eq, qp.lam_in
         lam_mag = max(np.abs(lam_eq_new).max(initial=0.0),
                       np.abs(lam_in_new).max(initial=0.0))
-        mu = max(mu, settings.penalty_growth * lam_mag + 1.0)
+        mu = max(mu, _PENALTY_GROWTH * lam_mag + 1.0)
 
         merit0 = f + mu * _l1_violation(ce, ci)
         descent = float(grad @ d) - mu * _l1_violation(ce, ci)
         if descent > -1e-16:
-            # Not a descent direction for the merit: grow the penalty once;
-            # if the direction itself is negligible we are done moving.
+            # Not a descent direction for the merit: grow the penalty once.
             mu *= 10.0
             merit0 = f + mu * _l1_violation(ce, ci)
             descent = float(grad @ d) - mu * _l1_violation(ce, ci)
         # The acceptance threshold must never allow a merit increase.
         descent = min(descent, -1e-16)
+        # A negligible direction does not move x; x failed the convergence
+        # test above, so a third zero step in a row ends the run.
         if np.abs(d).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(x).max()):
             lam_eq, lam_in = lam_eq_new, lam_in_new
             iterations += 1
             zero_steps += 1
             if zero_steps >= 3:
-                # The QP keeps returning a zero step with the same
-                # multipliers; the final KKT evaluation decides convergence.
                 status = "stalled at zero step"
-                kkt = _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol)
-                converged = kkt <= settings.tol_kkt and viol <= settings.tol_con
-                if converged:
-                    status = "converged"
                 break
             continue
         zero_steps = 0
@@ -493,7 +485,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         accepted = False
         x_trial = x + d
         merit_trial = merit_of(x_trial)
-        if merit_trial <= merit0 + settings.armijo_c1 * alpha * descent:
+        if merit_trial <= merit0 + _ARMIJO_C1 * alpha * descent:
             accepted = True
             # Expand while the merit keeps strictly improving: recovers fast
             # progress when a stale Hessian approximation shrinks the step.
@@ -522,25 +514,22 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
                     a_act @ a_act.T, np.asarray(rhs), rcond=None)[0]
                 x_soc = x + d + correction
                 merit_soc = merit_of(x_soc)
-                if merit_soc <= merit0 + settings.armijo_c1 * descent:
+                if merit_soc <= merit0 + _ARMIJO_C1 * descent:
                     accepted = True
                     x_trial, merit_trial = x_soc, merit_soc
         if not accepted:
             while alpha >= 1e-12:
-                alpha *= settings.backtrack_ratio
+                alpha *= _BACKTRACK_RATIO
                 x_trial = x + alpha * d
                 merit_trial = merit_of(x_trial)
-                if merit_trial <= merit0 + settings.armijo_c1 * alpha * descent:
+                if merit_trial <= merit0 + _ARMIJO_C1 * alpha * descent:
                     accepted = True
                     break
         if not accepted:
-            # x has not moved: the iterate's kkt and viol are still current.
+            # x has not moved, and it failed the convergence test above.
             status = "line search stalled"
             lam_eq, lam_in = lam_eq_new, lam_in_new
             iterations += 1
-            converged = kkt <= settings.tol_kkt and viol <= settings.tol_con
-            if converged:
-                status = "converged"
             break
 
         merit_history.append((mu, merit0, merit_trial))
@@ -595,11 +584,10 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         # Only the iteration limit moves x past the last cost evaluation.
         f = float(problem.cost(x))
 
-    if converged and status != "converged":
-        status = "converged"
     return SqpResult(x=x, cost=f, kkt_residual=float(kkt),
                      constraint_violation=float(viol), lam_eq=lam_eq,
-                     lam_in=lam_in, iterations=iterations, converged=converged,
+                     lam_in=lam_in, iterations=iterations,
+                     converged=status == "converged",
                      status=status, merit_history=merit_history)
 
 

@@ -1,6 +1,7 @@
 """Prioritized joint torques: support forces first, object wrench second.
 
-The support-force torques are computed from the contact-point Jacobians; the
+The support-force torques are computed from the contact-point Jacobians at
+each contact's full normal force (``contact.support_force_vector``); the
 torques for the desired object wrench are projected into the null space of
 the stacked support Jacobian, so realizing the object wrench can never
 disturb the planned support forces.  Everything here is planar: only the x
@@ -73,16 +74,15 @@ def _contact_jacobian(points, link_radius: float, contact) -> np.ndarray:
     return kin.point_jacobian(arm_points, cand.link_index, res.axis_param)
 
 
-def support_force_vectors(contacts, scale: float = 1.0) -> list[np.ndarray]:
-    return [support_force_vector(c.force_magnitude, c.normal_angle, scale)
+def support_force_vectors(contacts) -> list[np.ndarray]:
+    return [support_force_vector(c.force_magnitude, c.normal_angle)
             for c in contacts]
 
 
-def support_torques(points, link_radius: float, contacts,
-                    scale: float = 1.0) -> np.ndarray:
+def support_torques(points, link_radius: float, contacts) -> np.ndarray:
     """Joint torques generating the planar support forces at the contacts."""
     torques = np.zeros(NUM_JOINTS)
-    for contact, force in zip(contacts, support_force_vectors(contacts, scale)):
+    for contact, force in zip(contacts, support_force_vectors(contacts)):
         jac = _contact_jacobian(points, link_radius, contact)
         arm_index = contact.candidate.arm_index
         torques[4 * arm_index:4 * arm_index + 4] += jac.T @ force[:2]
@@ -120,14 +120,14 @@ def nullspace_projector(j_support: np.ndarray) -> np.ndarray:
 
 
 def combined_torques(points, link_radius: float, contacts, grasp: np.ndarray,
-                     h_o, scale: float = 1.0) -> TorqueCommand:
+                     h_o) -> TorqueCommand:
     """Support torques plus the null-space projected object-wrench torques.
 
     When the transposed support Jacobian has full column rank, recovering
     forces from the combined torques by its pseudo-inverse returns exactly
     the planned support forces: the projection cannot leak into them.
     """
-    tau_support = support_torques(points, link_radius, contacts, scale)
+    tau_support = support_torques(points, link_radius, contacts)
     tau_object = object_wrench_torques(points, grasp, h_o)
     j_support = stacked_support_jacobian(points, link_radius, contacts)
     projector = nullspace_projector(j_support)

@@ -123,14 +123,13 @@ def test_criterion_6_derivatives_match_finite_differences(default_config, rng):
     # Cost and constraint Jacobians of the waypoint NLP at random decisions.
     theta0 = pl.initial_joint_angles(default_config)
     ctx = pl.StepContext(default_config, theta0)
-    problem = pl.problem_for_waypoint(default_config,
-                                      default_config.waypoints()[1])
+    waypoint = default_config.waypoints()[1]
     worst = 0.0
     for _ in range(100):
         decision = PlanDecision(dtheta=rng.normal(scale=0.02, size=8),
                                 gamma=rng.uniform(0.0, 40.0, size=2),
                                 slack=float(rng.uniform(0.0, 1e-4)))
-        worst = max(worst, gradient_check(problem, ctx, decision))
+        worst = max(worst, gradient_check(ctx, waypoint, decision))
     assert worst <= 1e-5
     _report(6, f"kinematics/cost/constraint derivatives match central FD "
                f"(worst relative error {worst:.2e})")
@@ -155,8 +154,7 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
                              default_config.plane_height)
         command = combined_torques(
             points, default_config.link_radius, step.contacts, grasp,
-            default_config.object_wrench,
-            scale=default_config.support_force_scale)
+            default_config.object_wrench)
         recovered = np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ command.torques
         planned = np.concatenate(
             [c.force_magnitude * np.array([np.cos(c.normal_angle),

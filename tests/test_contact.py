@@ -114,13 +114,8 @@ class TestSupportForceVector:
     def test_z_component_always_zero(self, rng):
         for _ in range(20):
             vec = support_force_vector(float(rng.uniform(0, 100)),
-                                       float(rng.uniform(-np.pi, np.pi)),
-                                       scale=float(rng.uniform(0.1, 2.0)))
+                                       float(rng.uniform(-np.pi, np.pi)))
             assert vec[2] == 0.0
-
-    def test_scale_factor(self):
-        np.testing.assert_allclose(support_force_vector(10.0, 0.0, scale=0.5),
-                                   [5.0, 0.0, 0.0])
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):

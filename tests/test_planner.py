@@ -53,27 +53,26 @@ class TestCost:
         config = default_config
         theta = initial_joint_angles(config)
         ctx = pl.StepContext(config, theta)
-        problem = pl.problem_for_waypoint(config, object_position(config, theta))
-        cost = evaluate_nlp(problem, ctx, PlanDecision.zeros().to_vector())["cost"]
+        waypoint = object_position(config, theta)
+        cost = evaluate_nlp(ctx, waypoint, np.zeros(pl.DECISION_DIM))["cost"]
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_position_error_term(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
         ctx = pl.StepContext(config, theta)
-        target = object_position(config, theta) + np.array([0.1, 0.0])
-        problem = pl.problem_for_waypoint(config, target)
-        cost = evaluate_nlp(problem, ctx, PlanDecision.zeros().to_vector())["cost"]
+        waypoint = object_position(config, theta) + np.array([0.1, 0.0])
+        cost = evaluate_nlp(ctx, waypoint, np.zeros(pl.DECISION_DIM))["cost"]
         assert cost == pytest.approx(10.0, abs=1e-9)  # 1e3 * 0.1^2
 
     def test_slack_term(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
         ctx = pl.StepContext(config, theta)
-        problem = pl.problem_for_waypoint(config, object_position(config, theta))
+        waypoint = object_position(config, theta)
         decision = PlanDecision(dtheta=np.zeros(8), gamma=np.zeros(2),
                                 slack=1e-4)
-        cost = evaluate_nlp(problem, ctx, decision.to_vector())["cost"]
+        cost = evaluate_nlp(ctx, waypoint, decision.to_vector())["cost"]
         assert cost == pytest.approx(100.0, abs=1e-9)  # 1e6 * 1e-4
 
 
@@ -82,8 +81,8 @@ class TestConstraints:
         config = light_config()
         theta = initial_joint_angles(config)
         ctx = pl.StepContext(config, theta)
-        problem = pl.problem_for_waypoint(config, object_position(config, theta))
-        values = evaluate_nlp(problem, ctx, PlanDecision.zeros().to_vector())
+        waypoint = object_position(config, theta)
+        values = evaluate_nlp(ctx, waypoint, np.zeros(pl.DECISION_DIM))
         np.testing.assert_allclose(values["equalities"], 0.0, atol=1e-9)
         assert np.all(values["inequalities"] >= -1e-9)
 
@@ -91,10 +90,10 @@ class TestConstraints:
         config = default_config
         theta = initial_joint_angles(config)
         ctx = pl.StepContext(config, theta)
-        problem = pl.problem_for_waypoint(config, object_position(config, theta))
+        waypoint = object_position(config, theta)
         decision = PlanDecision(dtheta=np.zeros(8),
                                 gamma=np.array([-1.0, 0.0]), slack=0.0)
-        values = evaluate_nlp(problem, ctx, decision.to_vector())
+        values = evaluate_nlp(ctx, waypoint, decision.to_vector())
         assert values["inequalities"][0] < 0.0
         assert values["inequalities"][1] >= 0.0
 
@@ -102,12 +101,11 @@ class TestConstraints:
         config = default_config
         theta = initial_joint_angles(config)
         ctx = pl.StepContext(config, theta)
-        decision = PlanDecision.zeros()
-        chain = pl._chain_values(ctx, decision.to_vector())
-        problem = replace(
-            pl.problem_for_waypoint(config, object_position(config, theta)),
-            zmp_target=chain["zmp_result"].zmp)
-        values = evaluate_nlp(problem, ctx, decision.to_vector())
+        x = np.zeros(pl.DECISION_DIM)
+        chain = pl._chain_values(ctx, x)
+        ctx = pl.StepContext(replace(config, sp_center=chain["zmp_result"].zmp),
+                             theta)
+        values = evaluate_nlp(ctx, object_position(config, theta), x)
         assert values["inequalities"][4] == pytest.approx(config.safe_radius,
                                                           abs=1e-9)
 
@@ -115,10 +113,10 @@ class TestConstraints:
         config = default_config
         theta = initial_joint_angles(config)
         ctx = pl.StepContext(config, theta)
-        problem = pl.problem_for_waypoint(config, object_position(config, theta))
+        waypoint = object_position(config, theta)
         decision = PlanDecision(dtheta=np.zeros(8),
                                 gamma=np.array([2.0, 3.0]), slack=0.5)
-        rows = evaluate_nlp(problem, ctx, decision.to_vector())["inequalities"]
+        rows = evaluate_nlp(ctx, waypoint, decision.to_vector())["inequalities"]
         assert rows.shape == (8,)
         assert rows[0] == pytest.approx(2.0)   # gamma_1
         assert rows[1] == pytest.approx(3.0)   # gamma_2
@@ -132,27 +130,26 @@ class TestGradientCheck:
         config = default_config
         theta = initial_joint_angles(config)
         ctx = pl.StepContext(config, theta)
-        problem = pl.problem_for_waypoint(config, config.waypoints()[1])
+        waypoint = config.waypoints()[1]
         worst = 0.0
         for _ in range(10):
             decision = PlanDecision(
                 dtheta=rng.normal(scale=0.02, size=8),
                 gamma=rng.uniform(0.0, 30.0, size=2),
                 slack=float(rng.uniform(0.0, 1e-4)))
-            worst = max(worst, gradient_check(problem, ctx, decision))
+            worst = max(worst, gradient_check(ctx, waypoint, decision))
         assert worst <= 1e-5
 
     def test_corrupted_jacobian_detected(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
         ctx = pl.StepContext(config, theta)
-        problem = pl.problem_for_waypoint(config, config.waypoints()[1])
-        decision = PlanDecision.zeros()
-        x = decision.to_vector()
-        analytic = evaluate_nlp(problem, ctx, x)["inequality_jac"]
+        waypoint = config.waypoints()[1]
+        x = np.zeros(pl.DECISION_DIM)
+        analytic = evaluate_nlp(ctx, waypoint, x)["inequality_jac"]
         from contactplan.sqp import finite_difference_jacobian
         numeric = finite_difference_jacobian(
-            lambda v: evaluate_nlp(problem, ctx, v)["inequalities"], x, 1e-6)
+            lambda v: evaluate_nlp(ctx, waypoint, v)["inequalities"], x, 1e-6)
         corrupted = analytic.copy()
         corrupted[4, 0] += 1.0
         assert relative_error(analytic, numeric) <= 1e-5
@@ -180,9 +177,7 @@ class TestStepNlp:
     def setup(self, default_config):
         theta = initial_joint_angles(default_config)
         ctx = pl.StepContext(default_config, theta)
-        problem = pl.problem_for_waypoint(default_config,
-                                          default_config.waypoints()[1])
-        return problem, ctx
+        return default_config.waypoints()[1], ctx
 
     @staticmethod
     def nearby(x, offset):
@@ -191,8 +186,8 @@ class TestStepNlp:
         return x_next
 
     def test_one_evaluation_per_point(self, setup, monkeypatch):
-        problem, ctx = setup
-        nlp = pl.build_step_nlp(problem, ctx)
+        waypoint, ctx = setup
+        nlp = pl.build_step_nlp(ctx, waypoint, ctx.config.weight_slack)
         passes = count_passes(monkeypatch)
         x = np.zeros(pl.DECISION_DIM)
         first = {name: getattr(nlp, name)(x) for name in self.FIELDS}
@@ -200,7 +195,7 @@ class TestStepNlp:
         for name in self.FIELDS:
             getattr(nlp, name)(self.nearby(x, 1e-3))
         assert passes == {"values": 2, "derivatives": 2}
-        expected = evaluate_nlp(problem, ctx, x)
+        expected = evaluate_nlp(ctx, waypoint, x)
         for name in self.FIELDS:
             np.testing.assert_array_equal(first[name], expected[name])
             if isinstance(first[name], np.ndarray):
@@ -209,13 +204,13 @@ class TestStepNlp:
                     first[name][0] = 1.0
 
     def test_value_fields_run_no_derivative_pass(self, setup, monkeypatch):
-        problem, ctx = setup
-        nlp = pl.build_step_nlp(problem, ctx)
+        waypoint, ctx = setup
+        nlp = pl.build_step_nlp(ctx, waypoint, ctx.config.weight_slack)
         passes = count_passes(monkeypatch)
         x = self.nearby(np.zeros(pl.DECISION_DIM), 2e-3)
         values = {name: getattr(nlp, name)(x) for name in self.VALUE_FIELDS}
         assert passes == {"values": 1, "derivatives": 0}
-        expected = evaluate_nlp(problem, ctx, x)
+        expected = evaluate_nlp(ctx, waypoint, x)
         for name in self.VALUE_FIELDS:
             np.testing.assert_array_equal(values[name], expected[name])
 
@@ -223,8 +218,8 @@ class TestStepNlp:
                                                                 monkeypatch):
         # The line search's expansion loop: values at x, then at x2, then
         # the Jacobians at the accepted x.
-        problem, ctx = setup
-        nlp = pl.build_step_nlp(problem, ctx)
+        waypoint, ctx = setup
+        nlp = pl.build_step_nlp(ctx, waypoint, ctx.config.weight_slack)
         passes = count_passes(monkeypatch)
         x = np.zeros(pl.DECISION_DIM)
         x2 = self.nearby(x, 1e-3)
@@ -234,13 +229,13 @@ class TestStepNlp:
         jacobians = {name: getattr(nlp, name)(x)
                      for name in ("cost_grad", "equality_jac", "inequality_jac")}
         assert passes == {"values": 2, "derivatives": 1}
-        expected = evaluate_nlp(problem, ctx, x)
+        expected = evaluate_nlp(ctx, waypoint, x)
         for name, value in jacobians.items():
             np.testing.assert_array_equal(value, expected[name])
 
     def test_memo_holds_at_most_two_points(self, setup):
-        problem, ctx = setup
-        nlp = pl.build_step_nlp(problem, ctx)
+        waypoint, ctx = setup
+        nlp = pl.build_step_nlp(ctx, waypoint, ctx.config.weight_slack)
         points = [self.nearby(np.zeros(pl.DECISION_DIM), k * 1e-3)
                   for k in range(5)]
         for count, x in enumerate(points, start=1):
@@ -250,8 +245,8 @@ class TestStepNlp:
         assert list(ctx.memo) == [x.tobytes() for x in points[-2:]]
 
     def test_raising_evaluation_caches_nothing(self, setup, monkeypatch):
-        problem, ctx = setup
-        nlp = pl.build_step_nlp(problem, ctx)
+        waypoint, ctx = setup
+        nlp = pl.build_step_nlp(ctx, waypoint, ctx.config.weight_slack)
 
         def unbalanced(*args):
             raise UnbalancedStateError("test")
@@ -266,9 +261,7 @@ class TestStepNlp:
         # first iterate, and the post-solve observables, hit the memo.
         theta = initial_joint_angles(default_config)
         ctx = pl.StepContext(default_config, theta)
-        problem = pl.problem_for_waypoint(default_config,
-                                          default_config.waypoints()[1])
-        settings = default_config.solver
+        waypoint = default_config.waypoints()[1]
         weights = []
         stage_passes = []
         passes = count_passes(monkeypatch)
@@ -283,7 +276,7 @@ class TestStepNlp:
             return result
 
         monkeypatch.setattr(pl, "solve_sqp", solve)
-        decision = pl.solve_step(problem, ctx, settings)
+        decision = pl.solve_step(ctx, waypoint)
         assert weights == [1e2, 1e4, 1e6]
         assert stage_passes[0]["values"] > 0
         assert stage_passes[1:] == [{"values": 0, "derivatives": 0}] * 2
@@ -295,19 +288,19 @@ class TestPlanWaypoint:
         config = light_config()
         theta = initial_joint_angles(config)
         ctx = pl.StepContext(config, theta)
-        step = plan_waypoint(ctx, object_position(config, theta), config.solver)
+        step = plan_waypoint(ctx, object_position(config, theta))
         assert np.linalg.norm(step.decision.dtheta) <= 1e-4
         assert step.decision.converged
 
     def test_rejected_step_carries_diagnostics(self, default_config):
         # A one-iteration budget cannot converge a real step.
-        config = default_config
-        theta = initial_joint_angles(config)
+        config = replace(default_config,
+                         solver=replace(default_config.solver, max_iterations=1))
+        theta = initial_joint_angles(default_config)
         ctx = pl.StepContext(config, theta)
         waypoint = config.initial_center + np.array([0.0, 0.1])
-        solver = replace(config.solver, max_iterations=1)
         with pytest.raises(PlanStepError) as excinfo:
-            plan_waypoint(ctx, waypoint, solver)
+            plan_waypoint(ctx, waypoint)
         assert excinfo.value.diagnostics["failures"]
 
 
@@ -467,13 +460,3 @@ class TestPlanPath:
             assert np.array_equal(a.theta_after, b.theta_after)
             assert np.array_equal(a.decision.gamma, b.decision.gamma)
             assert a.decision.slack == b.decision.slack
-
-    def test_support_force_scale_rescales_magnitudes(self, default_config,
-                                                     planned_steps):
-        # Halving the per-unit force doubles the magnitudes that realize the
-        # same balance.
-        config = replace(default_config, support_force_scale=0.5)
-        steps = plan_path(config)
-        reference = max(float(s.decision.gamma.max()) for s in planned_steps)
-        rescaled = max(float(s.decision.gamma.max()) for s in steps)
-        assert rescaled == pytest.approx(2.0 * reference, rel=0.05)

@@ -199,8 +199,6 @@ class TestSolveSqp:
 class TestSolverSettings:
     @pytest.mark.parametrize("field, value", [
         ("tol_kkt", float("nan")), ("tol_con", 0.0), ("max_iterations", 0),
-        ("armijo_c1", float("nan")), ("backtrack_ratio", 1.0),
-        ("penalty_growth", 1.0), ("penalty_growth", float("nan")),
         ("slack_max", 0.0), ("slack_max", float("nan")),
     ])
     def test_invalid_field_rejected_by_name(self, field, value):

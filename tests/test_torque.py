@@ -255,7 +255,6 @@ class TestRecordTorques:
             grasp = grasp_matrix(origin - hands[0], origin - hands[1])
             command = combined_torques(points, config.link_radius,
                                        step.contacts, grasp,
-                                       config.object_wrench,
-                                       scale=config.support_force_scale)
+                                       config.object_wrench)
             assert record.torque_norm == pytest.approx(
                 np.linalg.norm(command.torques), rel=1e-12, abs=0.0)
