@@ -76,14 +76,6 @@ def contact_state(candidate, res: kin.GapResult, link_radius: float) -> ContactS
                         axis_param=res.axis_param)
 
 
-def evaluate_gaps(points, link_radius: float, candidates) -> list[ContactState]:
-    """``contact_state`` of every candidate at the arms' joint points (one
-    ``kinematics.forward_kinematics`` array per arm)."""
-    return [contact_state(
-        cand, candidate_gap(points[cand.arm_index], link_radius, cand), link_radius)
-        for cand in candidates]
-
-
 def select_active_candidates(points, link_radius: float, edge_points_per_arm,
                              link_index: int = 1) -> list[ContactCandidate]:
     """Pick one active candidate per arm: the edge with the smaller gap.

@@ -48,17 +48,17 @@ def forward_kinematics(base, link_lengths, angles) -> np.ndarray:
     Row ``i`` is the proximal joint of link ``i``; the last row is the end
     effector (the distal end of the last link).
     """
-    # Accumulated link by link, not vectorized: the planner's NLP sees these
-    # exact roundings, and an ulp change can flip a marginal solve.
+    # Elementwise arithmetic on Python floats, one cos and one sin call per
+    # arm: the exactness rule in the planner's docstring.
     angles = np.cumsum(angles)
-    points = np.empty((NUM_LINKS + 1, 2))
-    origin = base
-    points[0] = origin
-    for i in range(NUM_LINKS):
-        origin = origin + link_lengths[i] * np.array(
-            [np.cos(angles[i]), np.sin(angles[i])])
-        points[i + 1] = origin
-    return points
+    x, y = float(base[0]), float(base[1])
+    points = [[x, y]]
+    for length, c, s in zip(np.asarray(link_lengths, dtype=float).tolist(),
+                            np.cos(angles).tolist(), np.sin(angles).tolist()):
+        x = x + length * c
+        y = y + length * s
+        points.append([x, y])
+    return np.array(points)
 
 
 def point_jacobian(points: np.ndarray, link_index: int,
@@ -76,14 +76,17 @@ def point_jacobian(points: np.ndarray, link_index: int,
         raise ValueError(f"link_index must be in 0..{NUM_LINKS - 1}, got {link_index}")
     if not 0.0 <= point_param <= 1.0:
         raise ValueError(f"point_param must be in [0, 1], got {point_param}")
-    a = points[link_index]
-    point = a + point_param * (points[link_index + 1] - a)
-    jac = np.zeros((2, NUM_LINKS))
+    rows = points.tolist()
+    ax, ay = rows[link_index]
+    bx, by = rows[link_index + 1]
+    px = ax + point_param * (bx - ax)
+    py = ay + point_param * (by - ay)
+    jac = [[0.0] * NUM_LINKS, [0.0] * NUM_LINKS]
     for j in range(link_index + 1):
-        lever = point - points[j]
-        jac[0, j] = -lever[1]
-        jac[1, j] = lever[0]
-    return jac
+        jx, jy = rows[j]
+        jac[0][j] = -(py - jy)
+        jac[1][j] = px - jx
+    return np.array(jac)
 
 
 def signed_gap(point, a: np.ndarray, b: np.ndarray,
@@ -101,8 +104,10 @@ def signed_gap(point, a: np.ndarray, b: np.ndarray,
     length_sq = float(edge @ edge)
     if length_sq <= 0.0:
         raise ValueError("segment must have positive length")
-    t = float(np.clip((point - a) @ edge / length_sq, 0.0, 1.0))
-    closest = a + t * edge
+    # min/max clamp as np.clip does, NaN passing through.
+    t = min(max(float((point - a) @ edge) / length_sq, 0.0), 1.0)
+    (ax, ay), (ex, ey) = a.tolist(), edge.tolist()
+    closest = np.array([ax + t * ex, ay + t * ey])
     toward_axis = closest - point
     dist = float(np.linalg.norm(toward_axis))
     if dist > 0.0:
@@ -110,7 +115,7 @@ def signed_gap(point, a: np.ndarray, b: np.ndarray,
     else:
         # Point exactly on the axis: fall back to the left perpendicular of
         # the segment direction so the result stays deterministic.
-        perp = np.array([-edge[1], edge[0]]) / np.sqrt(length_sq)
-        normal_angle = float(np.arctan2(perp[1], perp[0]))
+        root = np.sqrt(length_sq)
+        normal_angle = float(np.arctan2(ex / root, -ey / root))
     return GapResult(gap=dist - link_radius, closest_point=closest,
                      normal_angle=normal_angle, axis_param=t)

@@ -30,6 +30,18 @@ point, which the SQP asks for at start points and accepted iterates.  Each
 ``StepContext`` memoizes the chains of its last two points, shared by every
 continuation stage and the post-solve observables (the evaluate-once
 interface of IPOPT and CasADi).
+
+Exactness rule: the SQP is sensitive to the last bit of the chain (an ulp
+can flip a marginal solve), so the chain's small-array code (forward
+kinematics, point Jacobians, gaps, grasp map, centre of mass, ZMP and the
+derivative bookkeeping) does only its elementwise + - * / on Python floats,
+in the order the numpy form did them: CPython and numpy both round each of
+these once, without fused multiply-adds, so the bits stay the same.  Every
+other operation stays a numpy call: ``@``, ``np.linalg.solve`` and ``norm``
+(BLAS may fuse or reorder, so a 2-vector ``u @ v`` is not always
+``u0*v0 + u1*v1``), ``np.cos``/``np.sin``/``np.arctan2`` (``math`` may round
+differently) and reductions such as ``np.cumsum``.  ``tests/test_exactness.py``
+holds the numpy forms and compares them bit for bit.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -156,8 +168,8 @@ def _smooth_norm(v: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _gap_gradients(points: np.ndarray, candidate,
-                   res: kin.GapResult) -> tuple[np.ndarray, np.ndarray]:
-    """Joint gradients (4,) of a candidate's gap and normal angle.
+                   res: kin.GapResult) -> tuple[list, list]:
+    """Joint gradients (4 floats each) of a candidate's gap and normal angle.
 
     The closest-point parameter along the link both moves the material point
     and slides along the axis; the sliding term vanishes from the gap
@@ -169,16 +181,22 @@ def _gap_gradients(points: np.ndarray, candidate,
     a = points[link]
     jac_a = kin.point_jacobian(points, link, 0.0)
     jac_b = kin.point_jacobian(points, link, 1.0)
-    axis = points[link + 1] - a
     t = res.axis_param
-    d_closest = (1.0 - t) * jac_a + t * jac_b
+    # d_closest = (1 - t) jac_a + t jac_b (+ outer(axis, dt) inside the link).
+    d_closest = [[(1.0 - t) * pa + t * pb for pa, pb in zip(row_a, row_b)]
+                 for row_a, row_b in zip(jac_a.tolist(), jac_b.tolist())]
     if 0.0 < t < 1.0:
-        dt = (-(axis @ jac_a) + (edge - a) @ (jac_b - jac_a)) / float(axis @ axis)
-        d_closest = d_closest + np.outer(axis, dt)
+        axis = points[link + 1] - a
+        dt = ((-(axis @ jac_a) + (edge - a) @ (jac_b - jac_a))
+              / float(axis @ axis)).tolist()
+        d_closest = [[value + component * d for value, d in zip(row, dt)]
+                     for row, component in zip(d_closest, axis.tolist())]
     v = res.closest_point - edge
     dist = max(float(np.linalg.norm(v)), 1e-12)
-    d_gap = (v / dist) @ d_closest
-    d_beta = (v[0] * d_closest[1] - v[1] * d_closest[0]) / (dist * dist)
+    d_gap = ((v / dist) @ np.array(d_closest)).tolist()
+    vx, vy = v.tolist()
+    d_beta = [(vx * dy - vy * dx) / (dist * dist)
+              for dx, dy in zip(*d_closest)]
     return d_gap, d_beta
 
 
@@ -207,13 +225,20 @@ def _grasp_force_gradients(h_o: np.ndarray, w: np.ndarray, j0, j1) -> np.ndarray
     return d_forces
 
 
-def _com_gradient(config: ScenarioConfig, points) -> np.ndarray:
-    """(3, 8) joint gradient of the centre of mass (z fixed)."""
-    d_com = np.zeros((3, NUM_JOINTS))
+def _com_gradient(config: ScenarioConfig, points) -> list:
+    """Joint gradients (8 floats each) of the centre of mass's x and y; its
+    z is fixed."""
+    scale = config.link_mass / config.robot_mass
+    d_com = [[0.0] * NUM_JOINTS, [0.0] * NUM_JOINTS]
     for arm_index, arm_points in enumerate(points):
+        offset = arm_index * kin.NUM_LINKS
         for link in range(kin.NUM_LINKS):
-            jac = _embed(kin.point_jacobian(arm_points, link, 0.5), arm_index)
-            d_com[:2] += (config.link_mass / config.robot_mass) * jac
+            jac = kin.point_jacobian(arm_points, link, 0.5).tolist()
+            # The other arm's columns would add scale * 0.0, which leaves a
+            # sum that starts at 0.0 unchanged.
+            for row, jac_row in zip(d_com, jac):
+                for j, value in enumerate(jac_row, offset):
+                    row[j] += scale * value
     return d_com
 
 
@@ -227,8 +252,9 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     Forward kinematics runs once per arm; the end effectors, the grasp
     matrix, the hand load forces, the contact gaps, the centre of mass and
     the ZMP all come from those joint points.  ``load_points`` and ``loads``
-    (4, 3) hold the hands' rows, then the supports'; the ZMP is
-    ``statics.compute_zmp`` of all four, the FZMP of the hands' two.
+    are four [x, y, z] lists, the hands' rows, then the supports'; the ZMP
+    is ``statics.compute_zmp`` of all four, the FZMP of the hands' two.
+    ``normals`` holds each support's (cos, sin) of its normal angle.
     """
     config = ctx.config
     plane = config.plane_height
@@ -237,20 +263,17 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     ee0, ee1 = points[0][-1], points[1][-1]
 
     hands, grasp = st.bar_grasp((ee0, ee1), plane)
-    h_c = st.distribute_object_wrench(grasp, config.object_wrench)
+    h_c = st.distribute_object_wrench(grasp, config.object_wrench).tolist()
     gaps = [ct.candidate_gap(points[cand.arm_index], config.link_radius, cand)
             for cand in ctx.candidates]
+    angles = [res.normal_angle for res in gaps]
+    normals = list(zip(np.cos(angles).tolist(), np.sin(angles).tolist()))
+    load_points = [*hands.tolist(),
+                   *([*cand.edge_point.tolist(), plane] for cand in ctx.candidates)]
     # Built without the non-negativity guard of support_force_vector so that
     # intermediate iterates with small negative gamma stay differentiable.
-    load_points = np.array([
-        hands[0], hands[1],
-        *([cand.edge_point[0], cand.edge_point[1], plane]
-          for cand in ctx.candidates)])
-    loads = np.array([
-        h_c[0:3], h_c[6:9],
-        *(float(g) * np.array(
-            [np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0])
-          for res, g in zip(gaps, gamma))])
+    loads = [h_c[0:3], h_c[6:9],
+             *([g * c, g * s, g * 0.0] for g, (c, s) in zip(gamma.tolist(), normals))]
 
     com = st.robot_center_of_mass(config.torso_mass, config.torso_position,
                                   config.link_mass, points, plane)
@@ -258,8 +281,8 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     return {
         "points": points, "gamma": gamma.copy(), "end_effectors": (ee0, ee1),
         "grasp": grasp, "gaps": gaps, "phi": np.array([res.gap for res in gaps]),
-        "load_points": load_points, "loads": loads, "com": com,
-        "zmp_result": zmp_result,
+        "normals": normals, "load_points": load_points, "loads": loads,
+        "com": com, "zmp_result": zmp_result,
     }
 
 
@@ -275,62 +298,61 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     points = chain["points"]
     j0 = _embed(kin.point_jacobian(points[0], kin.NUM_LINKS - 1, 1.0), 0)
     j1 = _embed(kin.point_jacobian(points[1], kin.NUM_LINKS - 1, 1.0), 1)
-    d_forces = _grasp_force_gradients(config.object_wrench, chain["grasp"], j0, j1)
+    d_forces = _grasp_force_gradients(config.object_wrench, chain["grasp"],
+                                      j0, j1).tolist()
     gap_grads = [_gap_gradients(points[cand.arm_index], cand, res)
                  for cand, res in zip(ctx.candidates, chain["gaps"])]
-    zmp_result = chain["zmp_result"]
-    fz = float(zmp_result.ground_force[2])
+    fz = float(chain["zmp_result"].ground_force[2])
+    weight_z = float(config.robot_weight[2])
+    d_com_x, d_com_y = _com_gradient(config, points)
 
-    d_com = _com_gradient(config, points)
-    weight_z = config.robot_weight[2]
-
-    # Horizontal moment (x, y) and vertical force gradients.
-    d_moment = np.zeros((2, NUM_JOINTS))
-    d_fz = np.zeros(NUM_JOINTS)
-    d_moment_gamma = np.zeros((2, NUM_CONTACTS))
-
-    # CoM term: cross(com, (0, 0, weight_z)) has horizontal part
-    # (com_y * weight_z, -com_x * weight_z).
-    d_moment[0] += weight_z * d_com[1]
-    d_moment[1] += -weight_z * d_com[0]
+    # Horizontal moment (x, y) and vertical force gradients, one entry per
+    # joint.  CoM term: cross(com, (0, 0, weight_z)) has horizontal part
+    # (com_y * weight_z, -com_x * weight_z); adding it to 0.0 turns a -0.0
+    # into 0.0, so no sum below can be -0.0.
+    d_mx = [0.0 + weight_z * d for d in d_com_y]
+    d_my = [0.0 + -weight_z * d for d in d_com_x]
+    d_fz = [0.0] * NUM_JOINTS
 
     # The hands' rows of the loads come first, then the supports'.
     load_points, loads = chain["load_points"], chain["loads"]
-    for pos, force, ee_jac, df in zip(load_points, loads, (j0, j1), d_forces):
-        d_pos = np.zeros((3, NUM_JOINTS))
-        d_pos[:2] = ee_jac
-        # d cross(p, f) = cross(dp, f) + cross(p, df), horizontal rows.
-        d_moment[0] += d_pos[1] * force[2] - pos[2] * df[1] + pos[1] * df[2] \
-            - d_pos[2] * force[1]
-        d_moment[1] += d_pos[2] * force[0] + pos[2] * df[0] - d_pos[0] * force[2] \
-            - pos[0] * df[2]
-        # ground_force = -(weight + sum f): d fz = -d sum f_z.
-        d_fz += -df[2]
+    for (px, py, pz), (fx, fy, f_z), ee_jac, (dfx, dfy, dfz) in zip(
+            load_points[:2], loads[:2], (j0, j1), d_forces):
+        jx, jy = ee_jac.tolist()
+        # d cross(p, f) = cross(dp, f) + cross(p, df), horizontal rows, with
+        # the terms of dp_z = 0.0 (the hands stay on the plane) written out.
+        for j in range(NUM_JOINTS):
+            d_mx[j] += jy[j] * f_z - pz * dfy[j] + py * dfz[j] - 0.0 * fy
+            d_my[j] += 0.0 * fx + pz * dfx[j] - jx[j] * f_z - px * dfz[j]
+            # ground_force = -(weight + sum f): d fz = -d sum f_z.
+            d_fz[j] += -dfz[j]
 
     d_phi = np.zeros((NUM_CONTACTS, NUM_JOINTS))
-    for i, (cand, res, (d_gap, d_beta), g) in enumerate(
-            zip(ctx.candidates, chain["gaps"], gap_grads, chain["gamma"])):
-        d_phi[i] = _embed(d_gap[None, :], cand.arm_index)[0]
-        pos = load_points[2 + i]
-        unit = np.array([np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0])
-        d_unit = np.outer(np.array([-unit[1], unit[0], 0.0]), d_beta)
-        df_theta = float(g) * d_unit                  # (3, 4) in arm columns
-        df_theta = _embed(df_theta[:2], cand.arm_index)  # planar rows only
-        # cross(p, f) horizontal rows with p constant, f planar (f_z = 0).
-        d_moment[0] += -pos[2] * df_theta[1]
-        d_moment[1] += pos[2] * df_theta[0]
-        d_moment_gamma[0, i] = -pos[2] * unit[1]
-        d_moment_gamma[1, i] = pos[2] * unit[0]
+    d_mx_gamma, d_my_gamma = [], []
+    for i, (cand, (d_gap, d_beta), g, (c, s), (_, _, pz)) in enumerate(zip(
+            ctx.candidates, gap_grads, chain["gamma"].tolist(),
+            chain["normals"], load_points[2:])):
+        offset = cand.arm_index * kin.NUM_LINKS
+        d_phi[i, offset:offset + kin.NUM_LINKS] = d_gap
+        # The support force g (cos beta, sin beta, 0) turns with beta:
+        # cross(p, df) horizontal rows with p constant and df planar.  The
+        # other arm's columns would add +-0.0, which changes no sum that is
+        # not -0.0.
+        for j, d in enumerate(d_beta, offset):
+            d_mx[j] += -pz * (g * (c * d))
+            d_my[j] += pz * (g * (-s * d))
+        d_mx_gamma.append(-pz * s)
+        d_my_gamma.append(pz * c)
 
     # zmp = (M_y / fz, -M_x / fz); invert to reuse the computed value.
-    moment = np.array([-zmp_result.zmp[1] * fz, zmp_result.zmp[0] * fz])
-
-    d_zmp_theta = np.zeros((2, NUM_JOINTS))
-    d_zmp_theta[0] = (d_moment[1] * fz - moment[1] * d_fz) / (fz * fz)
-    d_zmp_theta[1] = (-d_moment[0] * fz + moment[0] * d_fz) / (fz * fz)
-    d_zmp_gamma = np.zeros((2, NUM_CONTACTS))
-    d_zmp_gamma[0] = d_moment_gamma[1] / fz
-    d_zmp_gamma[1] = -d_moment_gamma[0] / fz
+    zx, zy = chain["zmp_result"].zmp.tolist()
+    moment_x, moment_y = -zy * fz, zx * fz
+    fz_sq = fz * fz
+    d_zmp_theta = np.array([
+        [(my * fz - moment_y * dz) / fz_sq for my, dz in zip(d_my, d_fz)],
+        [(-mx * fz + moment_x * dz) / fz_sq for mx, dz in zip(d_mx, d_fz)]])
+    d_zmp_gamma = np.array([[my / fz for my in d_my_gamma],
+                            [-mx / fz for mx in d_mx_gamma]])
 
     return {"ee_jacobians": (j0, j1), "d_phi": d_phi,
             "d_zmp_theta": d_zmp_theta, "d_zmp_gamma": d_zmp_gamma}

@@ -85,10 +85,14 @@ class NlpProblem:
 
 @dataclass
 class QpSolution:
+    """A QP's minimizer and multipliers; ``iterations`` counts the passes
+    of the active-set loop (0 when there are no inequality rows)."""
+
     x: np.ndarray
     lam_eq: np.ndarray
     lam_in: np.ndarray
     elastic: float
+    iterations: int = 0
 
 
 @dataclass
@@ -97,7 +101,8 @@ class SqpResult:
 
     ``status`` is one of the statuses in the module docstring; only
     ``"converged"`` sets ``converged``.  On ``"stagnated"`` the fields
-    describe the last accepted iterate.
+    describe the last accepted iterate.  ``qp_iterations`` sums the
+    active-set iterations of every QP the run solved.
     """
 
     x: np.ndarray
@@ -109,6 +114,7 @@ class SqpResult:
     iterations: int
     converged: bool
     status: str
+    qp_iterations: int = 0
     merit_history: list = field(default_factory=list)
 
 
@@ -224,7 +230,7 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
 
     max_qp_iters = 50 * (n_rows + nz)
     lam_work = np.zeros(0)
-    for _ in range(max_qp_iters):
+    for iterations in range(1, max_qp_iters + 1):
         rows = np.vstack([eq_rows, in_rows[working]]) if (m_eq or working) \
             else np.zeros((0, nz))
         q = hz @ z + gz
@@ -264,7 +270,7 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
         if row < m_in:
             lam_in_out[row] = max(lam_work[idx], 0.0) * sigma
     solution = QpSolution(x=z[:n], lam_eq=lam_eq_out, lam_in=lam_in_out,
-                          elastic=float(z[n]))
+                          elastic=float(z[n]), iterations=iterations)
 
     # Polish: once the elastic is inactive, re-solve on the identified active
     # set in the original variables.  This strips the elastic weight out of
@@ -294,7 +300,8 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
         for idx, row in enumerate(active):
             lam_in_out[row] = max(float(lam_p_in[idx]), 0.0) * sigma
         return QpSolution(x=x_p, lam_eq=(lam_p[:m_eq] * sigma if m_eq else np.zeros(0)),
-                          lam_in=lam_in_out, elastic=solution.elastic)
+                          lam_in=lam_in_out, elastic=solution.elastic,
+                          iterations=iterations)
     return solution
 
 
@@ -408,6 +415,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     merit_history: list[tuple[float, float, float]] = []
     status = "iteration limit reached"
     iterations = 0
+    qp_iterations = 0
     zero_steps = 0
     stagnant = 0
     last_mu = None
@@ -433,6 +441,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         for _ in range(4):
             qp = solve_qp(hess, grad, a_eq, -ce, a_in, -ci,
                           elastic_weight=elastic_weight)
+            qp_iterations += qp.iterations
             if qp.elastic <= 1e-8 * (1.0 + viol) or elastic_weight > 1e12:
                 break
             elastic_weight *= 100.0
@@ -587,8 +596,8 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     return SqpResult(x=x, cost=f, kkt_residual=float(kkt),
                      constraint_violation=float(viol), lam_eq=lam_eq,
                      lam_in=lam_in, iterations=iterations,
-                     converged=status == "converged",
-                     status=status, merit_history=merit_history)
+                     converged=status == "converged", status=status,
+                     qp_iterations=qp_iterations, merit_history=merit_history)
 
 
 def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x,

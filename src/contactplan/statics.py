@@ -83,32 +83,57 @@ def compute_zmp(weight: np.ndarray, com: np.ndarray, positions: np.ndarray,
     """Solve the static force and horizontal moment balance for the ZMP.
 
     ``weight`` is the robot's weight vector acting at ``com``; row i of
-    ``forces`` (k, 3) acts at row i of ``positions`` (k, 3).  The ground
-    reaction force is whatever balances gravity plus all external forces;
-    its application point on the ground (z = 0) is placed so the x and y
-    components of the total moment about the origin vanish.  The two
-    horizontal moment equations are solved in closed form.
+    ``forces`` acts at row i of ``positions``, both (k, 3) arrays or lists
+    of [x, y, z] rows.  The ground reaction force is whatever balances
+    gravity plus all external forces; its application point on the ground
+    (z = 0) is placed so the x and y components of the total moment about
+    the origin vanish.  The two horizontal moment equations are solved in
+    closed form.
 
     Raises:
         UnbalancedStateError: if the required ground reaction does not point
             upward (the robot cannot be supported).
     """
-    force_sum = weight.copy()
-    moment_sum = np.cross(com, weight)
-    # Row by row, in order: a reduction such as np.sum may reorder the adds.
-    for force, moment in zip(forces, np.cross(positions, forces)):
-        force_sum += force
-        moment_sum += moment
-    ground_force = -force_sum
-    fz = ground_force[2]
+    sx, sy, sz = np.asarray(weight, dtype=float).tolist()
+    cx, cy, cz = np.asarray(com, dtype=float).tolist()
+    # cross(com, weight), then each row's cross(position, force), summed
+    # row by row in order; only the horizontal moment rows are needed.
+    mx = cy * sz - cz * sy
+    my = cz * sx - cx * sz
+    for (px, py, pz), (gx, gy, gz) in zip(positions, forces):
+        sx += gx
+        sy += gy
+        sz += gz
+        mx += py * gz - pz * gy
+        my += pz * gx - px * gz
+    fz = -sz
+    ground_force = np.array([-sx, -sy, fz])
     if fz <= 0.0:
         raise UnbalancedStateError(
             f"ground reaction z-component {fz:.6g} N is not positive; "
             "the robot cannot be supported")
     # cross((x, y, 0), f) has horizontal rows (y*fz, -x*fz); zeroing the
     # total horizontal moment gives the ZMP directly.
-    zmp = np.array([moment_sum[1] / fz, -moment_sum[0] / fz])
+    zmp = np.array([my / fz, -mx / fz])
     return ZmpResult(zmp=zmp, ground_force=ground_force)
+
+
+def _grasp_template() -> np.ndarray:
+    """The grasp map's fixed entries: each contact's identity blocks and
+    the diagonal of its -skew(r_c) block, which is -0.0."""
+    w = np.zeros((6, 12))
+    for col in (0, 6):
+        w[:3, col:col + 3] = np.eye(3)
+        w[3:, col + 3:col + 6] = np.eye(3)
+        w[(3, 4, 5), (col, col + 1, col + 2)] = -0.0
+    return w
+
+
+_GRASP_TEMPLATE = _grasp_template()
+# Flat indices of each contact's off-diagonal -skew(r_c) entries, in the
+# order ``grasp_matrix`` lists them.
+_SKEW_INDEX = [row * 12 + col + offset for offset in (0, 6)
+               for row, col in ((3, 1), (3, 2), (4, 0), (4, 2), (5, 0), (5, 1))]
 
 
 def grasp_matrix(r_c1, r_c2) -> np.ndarray:
@@ -128,11 +153,11 @@ def grasp_matrix(r_c1, r_c2) -> np.ndarray:
             raise ValueError("grasp offsets must be finite 3-vectors")
     if np.linalg.norm(offsets[0] - offsets[1]) < 1e-12:
         raise DegenerateGraspError("grasp points coincide")
-    w = np.zeros((6, 12))
-    for col, r in zip((0, 6), offsets):
-        w[:3, col:col + 3] = np.eye(3)
-        w[3:, col:col + 3] = -skew(r)
-        w[3:, col + 3:col + 6] = np.eye(3)
+    entries = []
+    for x, y, z in (offsets[0].tolist(), offsets[1].tolist()):
+        entries += [z, -y, -z, x, y, -x]
+    w = _GRASP_TEMPLATE.copy()
+    w.flat[_SKEW_INDEX] = entries
     return w
 
 
@@ -142,12 +167,11 @@ def bar_grasp(end_effectors, plane_height: float) -> tuple[np.ndarray, np.ndarra
     Returns the hands' (2, 3) points on the work plane and the grasp matrix
     of the bar's origin at the midpoint between them.
     """
-    ee0, ee1 = end_effectors
-    origin = 0.5 * (ee0 + ee1)
-    hands = np.array([[ee0[0], ee0[1], plane_height],
-                      [ee1[0], ee1[1], plane_height]])
-    o3 = np.array([origin[0], origin[1], plane_height])
-    return hands, grasp_matrix(o3 - hands[0], o3 - hands[1])
+    (x0, y0), (x1, y1) = (ee.tolist() for ee in end_effectors)
+    ox, oy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    dz = plane_height - plane_height
+    return (np.array([[x0, y0, plane_height], [x1, y1, plane_height]]),
+            grasp_matrix([ox - x0, oy - y0, dz], [ox - x1, oy - y1, dz]))
 
 
 def distribute_object_wrench(w: np.ndarray, h_o) -> np.ndarray:
@@ -170,12 +194,14 @@ def robot_center_of_mass(torso_mass: float, torso_position: np.ndarray,
     ``points`` holds one ``kinematics.forward_kinematics`` joint-point array
     per arm, so callers that already ran the kinematics reuse it.
     """
-    weighted = torso_mass * torso_position
+    x, y, z = (torso_mass * v for v in torso_position.tolist())
     num_links = 0
     for arm_points in points:
-        for i in range(len(arm_points) - 1):
-            mid = 0.5 * (arm_points[i] + arm_points[i + 1])
-            weighted = weighted + link_mass * np.array(
-                [mid[0], mid[1], plane_height])
+        rows = arm_points.tolist()
+        for (ax, ay), (bx, by) in zip(rows, rows[1:]):
+            x = x + link_mass * (0.5 * (ax + bx))
+            y = y + link_mass * (0.5 * (ay + by))
+            z = z + link_mass * plane_height
             num_links += 1
-    return weighted / (torso_mass + num_links * link_mass)
+    total = torso_mass + num_links * link_mass
+    return np.array([x / total, y / total, z / total])

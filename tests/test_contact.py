@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from contactplan.contact import (ContactCandidate, complementarity_residual,
-                                 evaluate_gaps, select_active_candidates,
-                                 support_force_vector)
+from contactplan.contact import (ContactCandidate, candidate_gap,
+                                 complementarity_residual, contact_state,
+                                 select_active_candidates, support_force_vector)
 from contactplan.kinematics import forward_kinematics
 
 RADIUS = 0.04
@@ -21,28 +21,30 @@ def candidate(edge, arm_index=0, link_index=1):
                             link_index=link_index)
 
 
+def evaluate(arm, cand):
+    """A candidate's zero-force state against one arm's joint points."""
+    return contact_state(cand, candidate_gap(arm, RADIUS, cand), RADIUS)
+
+
 class TestEvaluateGaps:
     def test_far_point_large_positive_gap(self):
-        points = (arm_points([0.0] * 4), arm_points([0.0] * 4, base=(-0.2, 0.0)))
-        states = evaluate_gaps(points, RADIUS, [candidate([0.5, 2.0])])
-        assert states[0].gap > 1.0
-        assert states[0].force_magnitude == 0.0
+        state = evaluate(arm_points([0.0] * 4), candidate([0.5, 2.0]))
+        assert state.gap > 1.0
+        assert state.force_magnitude == 0.0
 
     def test_point_on_surface_gives_zero_gap(self):
-        points = (arm_points([0.0] * 4),)
         # Link 1 of the straight arm spans x in [0.5, 0.8] at y = 0.
-        states = evaluate_gaps(points, RADIUS, [candidate([0.6, 0.04])])
-        assert states[0].gap == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(states[0].contact_point, [0.6, 0.04],
-                                   atol=1e-12)
+        state = evaluate(arm_points([0.0] * 4), candidate([0.6, 0.04]))
+        assert state.gap == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(state.contact_point, [0.6, 0.04], atol=1e-12)
 
     def test_matches_dense_sampling(self, rng):
         params = np.linspace(0.0, 1.0, 1_000_001)
         for _ in range(5):
-            points = (arm_points(rng.normal(scale=1.0, size=4)),)
+            points = arm_points(rng.normal(scale=1.0, size=4))
             edge = rng.uniform(-0.5, 1.0, size=2)
-            state = evaluate_gaps(points, RADIUS, [candidate(edge)])[0]
-            a, b = points[0][1], points[0][2]
+            state = evaluate(points, candidate(edge))
+            a, b = points[1], points[2]
             samples = a[None, :] + params[:, None] * (b - a)[None, :]
             dense = np.min(np.linalg.norm(samples - edge, axis=1)) - 0.04
             assert abs(state.gap - dense) <= 1e-6
@@ -50,12 +52,11 @@ class TestEvaluateGaps:
     def test_normal_continuity_away_from_endpoints(self, rng):
         theta = np.array([0.4, -0.2, 0.3, 0.1])
         edge = np.array([0.45, 0.35])
-        base = evaluate_gaps((arm_points(theta),), RADIUS, [candidate(edge)])[0]
+        base = evaluate(arm_points(theta), candidate(edge))
         assert 0.05 < base.axis_param < 0.95  # interior closest point
         for _ in range(20):
             eps = rng.normal(scale=1e-5, size=4)
-            moved = evaluate_gaps((arm_points(theta + eps),), RADIUS,
-                                  [candidate(edge)])[0]
+            moved = evaluate(arm_points(theta + eps), candidate(edge))
             assert abs(moved.normal_angle - base.normal_angle) < 1e-2
 
 

@@ -1,0 +1,354 @@
+"""Bit-for-bit checks of the ZMP chain's Python-float arithmetic.
+
+The chain's small-array functions do their elementwise + - * / on Python
+floats.  Each test below compares one of them with the numpy form it
+replaced, on seeded inputs, and requires the same bytes (so the signs of
+zeros too).  The references call the same numpy routines for everything
+that is not elementwise (trigonometry, ``@``, norms, solves), so the
+comparisons cover elementwise IEEE arithmetic only and hold on any host.
+"""
+
+import numpy as np
+import pytest
+
+from contactplan import planner as pl
+from contactplan.kinematics import (NUM_LINKS, forward_kinematics,
+                                    point_jacobian, signed_gap)
+from contactplan.statics import (bar_grasp, compute_zmp, grasp_matrix,
+                                 robot_center_of_mass, skew)
+
+DRAWS = 200
+
+
+def assert_bitwise(new, old):
+    new = np.asarray(new, dtype=float)
+    old = np.asarray(old, dtype=float)
+    assert new.shape == old.shape
+    np.testing.assert_array_equal(new, old)
+    assert new.tobytes() == old.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The numpy forms the chain used before
+# ---------------------------------------------------------------------------
+
+def numpy_zmp(weight, com, positions, forces):
+    force_sum = weight.copy()
+    moment_sum = np.cross(com, weight)
+    for force, moment in zip(forces, np.cross(positions, forces)):
+        force_sum += force
+        moment_sum += moment
+    ground_force = -force_sum
+    fz = ground_force[2]
+    return np.array([moment_sum[1] / fz, -moment_sum[0] / fz]), ground_force
+
+
+def numpy_fk(base, lengths, angles):
+    angles = np.cumsum(angles)
+    cos, sin = np.cos(angles), np.sin(angles)
+    points = np.empty((NUM_LINKS + 1, 2))
+    origin = base
+    points[0] = origin
+    for i in range(NUM_LINKS):
+        origin = origin + lengths[i] * np.array([cos[i], sin[i]])
+        points[i + 1] = origin
+    return points
+
+
+def numpy_com(torso_mass, torso_position, link_mass, points, plane_height):
+    weighted = torso_mass * torso_position
+    num_links = 0
+    for arm_points in points:
+        for i in range(len(arm_points) - 1):
+            mid = 0.5 * (arm_points[i] + arm_points[i + 1])
+            weighted = weighted + link_mass * np.array(
+                [mid[0], mid[1], plane_height])
+            num_links += 1
+    return weighted / (torso_mass + num_links * link_mass)
+
+
+def numpy_point_jacobian(points, link_index, point_param):
+    a = points[link_index]
+    point = a + point_param * (points[link_index + 1] - a)
+    jac = np.zeros((2, NUM_LINKS))
+    for j in range(link_index + 1):
+        lever = point - points[j]
+        jac[0, j] = -lever[1]
+        jac[1, j] = lever[0]
+    return jac
+
+
+def numpy_grasp_matrix(r_c1, r_c2):
+    w = np.zeros((6, 12))
+    for col, r in zip((0, 6), (r_c1, r_c2)):
+        w[:3, col:col + 3] = np.eye(3)
+        w[3:, col:col + 3] = -skew(r)
+        w[3:, col + 3:col + 6] = np.eye(3)
+    return w
+
+
+def numpy_bar_grasp(ee0, ee1, plane_height):
+    origin = 0.5 * (ee0 + ee1)
+    hands = np.array([[ee0[0], ee0[1], plane_height],
+                      [ee1[0], ee1[1], plane_height]])
+    o3 = np.array([origin[0], origin[1], plane_height])
+    return hands, numpy_grasp_matrix(o3 - hands[0], o3 - hands[1])
+
+
+def numpy_signed_gap(point, a, b, link_radius):
+    edge = b - a
+    length_sq = float(edge @ edge)
+    t = float(np.clip((point - a) @ edge / length_sq, 0.0, 1.0))
+    closest = a + t * edge
+    toward_axis = closest - point
+    dist = float(np.linalg.norm(toward_axis))
+    normal_angle = float(np.arctan2(toward_axis[1], toward_axis[0]))
+    return dist - link_radius, closest, normal_angle, t
+
+
+def numpy_embed(jac, arm_index):
+    out = np.zeros((jac.shape[0], pl.NUM_JOINTS))
+    out[:, arm_index * NUM_LINKS:(arm_index + 1) * NUM_LINKS] = jac
+    return out
+
+
+def numpy_com_gradient(config, points):
+    d_com = np.zeros((3, pl.NUM_JOINTS))
+    for arm_index, arm_points in enumerate(points):
+        for link in range(NUM_LINKS):
+            jac = numpy_embed(numpy_point_jacobian(arm_points, link, 0.5),
+                              arm_index)
+            d_com[:2] += (config.link_mass / config.robot_mass) * jac
+    return d_com
+
+
+def numpy_gap_gradients(points, candidate, res):
+    link = candidate.link_index
+    edge = candidate.edge_point
+    a = points[link]
+    jac_a = numpy_point_jacobian(points, link, 0.0)
+    jac_b = numpy_point_jacobian(points, link, 1.0)
+    axis = points[link + 1] - a
+    t = res.axis_param
+    d_closest = (1.0 - t) * jac_a + t * jac_b
+    if 0.0 < t < 1.0:
+        dt = (-(axis @ jac_a) + (edge - a) @ (jac_b - jac_a)) / float(axis @ axis)
+        d_closest = d_closest + np.outer(axis, dt)
+    v = res.closest_point - edge
+    dist = max(float(np.linalg.norm(v)), 1e-12)
+    d_gap = (v / dist) @ d_closest
+    d_beta = (v[0] * d_closest[1] - v[1] * d_closest[0]) / (dist * dist)
+    return d_gap, d_beta
+
+
+def numpy_zmp_gradients(ctx, chain, d_forces, gap_grads, j0, j1):
+    """The derivative pass's moment bookkeeping: the ZMP's joint and force
+    gradients from the hand-force and gap gradients."""
+    config = ctx.config
+    zmp, ground_force = chain["zmp_result"].zmp, chain["zmp_result"].ground_force
+    fz = float(ground_force[2])
+    d_com = numpy_com_gradient(config, chain["points"])
+    weight_z = config.robot_weight[2]
+    d_moment = np.zeros((2, pl.NUM_JOINTS))
+    d_fz = np.zeros(pl.NUM_JOINTS)
+    d_moment_gamma = np.zeros((2, pl.NUM_CONTACTS))
+    d_moment[0] += weight_z * d_com[1]
+    d_moment[1] += -weight_z * d_com[0]
+    load_points = np.array(chain["load_points"])
+    loads = np.array(chain["loads"])
+    for pos, force, ee_jac, df in zip(load_points, loads, (j0, j1), d_forces):
+        d_pos = np.zeros((3, pl.NUM_JOINTS))
+        d_pos[:2] = ee_jac
+        d_moment[0] += d_pos[1] * force[2] - pos[2] * df[1] + pos[1] * df[2] \
+            - d_pos[2] * force[1]
+        d_moment[1] += d_pos[2] * force[0] + pos[2] * df[0] - d_pos[0] * force[2] \
+            - pos[0] * df[2]
+        d_fz += -df[2]
+    for i, (cand, res, (d_gap, d_beta), g) in enumerate(
+            zip(ctx.candidates, chain["gaps"], gap_grads, chain["gamma"])):
+        pos = load_points[2 + i]
+        unit = np.array([np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0])
+        d_unit = np.outer(np.array([-unit[1], unit[0], 0.0]), d_beta)
+        df_theta = numpy_embed((float(g) * d_unit)[:2], cand.arm_index)
+        d_moment[0] += -pos[2] * df_theta[1]
+        d_moment[1] += pos[2] * df_theta[0]
+        d_moment_gamma[0, i] = -pos[2] * unit[1]
+        d_moment_gamma[1, i] = pos[2] * unit[0]
+    moment = np.array([-zmp[1] * fz, zmp[0] * fz])
+    d_zmp_theta = np.zeros((2, pl.NUM_JOINTS))
+    d_zmp_theta[0] = (d_moment[1] * fz - moment[1] * d_fz) / (fz * fz)
+    d_zmp_theta[1] = (-d_moment[0] * fz + moment[0] * d_fz) / (fz * fz)
+    d_zmp_gamma = np.zeros((2, pl.NUM_CONTACTS))
+    d_zmp_gamma[0] = d_moment_gamma[1] / fz
+    d_zmp_gamma[1] = -d_moment_gamma[0] / fz
+    return d_zmp_theta, d_zmp_gamma
+
+
+# ---------------------------------------------------------------------------
+# Seeded inputs
+# ---------------------------------------------------------------------------
+
+def random_arm(rng):
+    base = rng.uniform(-0.5, 0.5, size=2)
+    lengths = rng.uniform(0.05, 0.4, size=NUM_LINKS)
+    angles = rng.normal(scale=2.0, size=NUM_LINKS)
+    return base, lengths, angles
+
+
+@pytest.fixture(scope="module")
+def chain_points(default_config):
+    """A context at the start-up pose and decision vectors around it."""
+    ctx = pl.StepContext(default_config, pl.initial_joint_angles(default_config))
+    rng = np.random.default_rng(7)
+    xs = []
+    for _ in range(50):
+        x = np.zeros(pl.DECISION_DIM)
+        x[:pl.NUM_JOINTS] = rng.normal(scale=0.05, size=pl.NUM_JOINTS)
+        x[pl.NUM_JOINTS:-1] = rng.uniform(-1.0, 30.0, size=pl.NUM_CONTACTS)
+        x[-1] = rng.uniform(0.0, 1e-3)
+        xs.append(x)
+    return ctx, xs
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+def test_compute_zmp_matches_cross_products(rng):
+    for k in range(DRAWS):
+        weight = np.array([*rng.normal(size=2), -rng.uniform(100.0, 900.0)])
+        com = rng.normal(size=3)
+        positions = rng.normal(size=(k % 5, 3))
+        forces = rng.normal(scale=20.0, size=(k % 5, 3))
+        result = compute_zmp(weight, com, positions, forces)
+        zmp, ground_force = numpy_zmp(weight, com, positions, forces)
+        assert_bitwise(result.zmp, zmp)
+        assert_bitwise(result.ground_force, ground_force)
+
+
+def test_forward_kinematics_matches_link_by_link_accumulation(rng):
+    for _ in range(DRAWS):
+        base, lengths, angles = random_arm(rng)
+        assert_bitwise(forward_kinematics(base, lengths, angles),
+                       numpy_fk(base, lengths, angles))
+
+
+def test_center_of_mass_matches_array_sum(rng):
+    for _ in range(DRAWS):
+        points = [forward_kinematics(*random_arm(rng)) for _ in range(2)]
+        args = (rng.uniform(10.0, 60.0), rng.normal(size=3),
+                rng.uniform(0.5, 3.0), points, rng.uniform(0.5, 1.5))
+        assert_bitwise(robot_center_of_mass(*args), numpy_com(*args))
+
+
+def test_point_jacobian_matches_lever_arms(rng):
+    for _ in range(DRAWS):
+        points = forward_kinematics(*random_arm(rng))
+        for link in range(NUM_LINKS):
+            for param in (0.0, 0.5, 1.0, rng.uniform()):
+                assert_bitwise(point_jacobian(points, link, param),
+                               numpy_point_jacobian(points, link, param))
+
+
+def test_grasp_matrix_matches_identity_and_skew_blocks(rng):
+    for _ in range(DRAWS):
+        r_c1, r_c2 = rng.normal(size=3), rng.normal(size=3)
+        assert_bitwise(grasp_matrix(r_c1, r_c2), numpy_grasp_matrix(r_c1, r_c2))
+        ee0, ee1 = rng.normal(size=2), rng.normal(size=2)
+        plane = rng.uniform(0.5, 1.5)
+        for new, old in zip(bar_grasp((ee0, ee1), plane),
+                            numpy_bar_grasp(ee0, ee1, plane)):
+            assert_bitwise(new, old)
+
+
+def test_signed_gap_matches_array_form(rng):
+    for _ in range(DRAWS):
+        a, b, point = (rng.normal(size=2) for _ in range(3))
+        res = signed_gap(point, a, b, 0.04)
+        gap, closest, normal_angle, t = numpy_signed_gap(point, a, b, 0.04)
+        assert_bitwise([res.gap, res.normal_angle, res.axis_param],
+                       [gap, normal_angle, t])
+        assert_bitwise(res.closest_point, closest)
+
+
+def test_com_gradient_matches_embedded_jacobian_sum(chain_points):
+    ctx, xs = chain_points
+    for x in xs:
+        points = ctx.config.joint_points(ctx.theta + x[:pl.NUM_JOINTS])
+        d_com = numpy_com_gradient(ctx.config, points)
+        assert_bitwise(pl._com_gradient(ctx.config, points), d_com[:2])
+        assert_bitwise(d_com[2], np.zeros(pl.NUM_JOINTS))
+
+
+def test_gap_gradients_match_array_form(chain_points):
+    ctx, xs = chain_points
+    for x in xs:
+        chain = pl._chain_values(ctx, x)
+        for cand, res in zip(ctx.candidates, chain["gaps"]):
+            points = chain["points"][cand.arm_index]
+            for new, old in zip(pl._gap_gradients(points, cand, res),
+                                numpy_gap_gradients(points, cand, res)):
+                assert_bitwise(new, old)
+
+
+def test_zmp_gradients_match_array_bookkeeping(chain_points):
+    ctx, xs = chain_points
+    config = ctx.config
+    for x in xs:
+        chain = pl._chain_values(ctx, x)
+        derivatives = pl._chain_derivatives(ctx, chain)
+        points = chain["points"]
+        j0 = numpy_embed(numpy_point_jacobian(points[0], NUM_LINKS - 1, 1.0), 0)
+        j1 = numpy_embed(numpy_point_jacobian(points[1], NUM_LINKS - 1, 1.0), 1)
+        assert_bitwise(derivatives["ee_jacobians"][0], j0)
+        assert_bitwise(derivatives["ee_jacobians"][1], j1)
+        d_forces = pl._grasp_force_gradients(config.object_wrench,
+                                             chain["grasp"], j0, j1)
+        gap_grads = [numpy_gap_gradients(points[cand.arm_index], cand, res)
+                     for cand, res in zip(ctx.candidates, chain["gaps"])]
+        d_phi = np.vstack([numpy_embed(d_gap[None, :], cand.arm_index)
+                           for cand, (d_gap, _) in zip(ctx.candidates, gap_grads)])
+        assert_bitwise(derivatives["d_phi"], d_phi)
+        d_zmp_theta, d_zmp_gamma = numpy_zmp_gradients(ctx, chain, d_forces,
+                                                       gap_grads, j0, j1)
+        assert_bitwise(derivatives["d_zmp_theta"], d_zmp_theta)
+        assert_bitwise(derivatives["d_zmp_gamma"], d_zmp_gamma)
+
+
+def test_value_pass_matches_array_form(chain_points):
+    ctx, xs = chain_points
+    config = ctx.config
+    for x in xs:
+        chain = pl._chain_values(ctx, x)
+        points = [numpy_fk(config.arm_bases[i], config.link_lengths,
+                           ctx.theta[i * NUM_LINKS:(i + 1) * NUM_LINKS]
+                           + x[i * NUM_LINKS:(i + 1) * NUM_LINKS])
+                  for i in range(2)]
+        for new, old in zip(chain["points"], points):
+            assert_bitwise(new, old)
+        hands, grasp = numpy_bar_grasp(points[0][-1], points[1][-1],
+                                       config.plane_height)
+        assert_bitwise(chain["grasp"], grasp)
+        h_c = grasp.T @ np.linalg.solve(grasp @ grasp.T, config.object_wrench)
+        gaps = [numpy_signed_gap(
+            cand.edge_point, points[cand.arm_index][cand.link_index],
+            points[cand.arm_index][cand.link_index + 1], config.link_radius)
+            for cand in ctx.candidates]
+        assert_bitwise(chain["phi"], [gap for gap, *_ in gaps])
+        angles = np.array([angle for _, _, angle, _ in gaps])
+        load_points = np.array([
+            hands[0], hands[1],
+            *([cand.edge_point[0], cand.edge_point[1], config.plane_height]
+              for cand in ctx.candidates)])
+        loads = np.array([
+            h_c[0:3], h_c[6:9],
+            *(float(g) * np.array([c, s, 0.0]) for g, c, s in zip(
+                x[pl.NUM_JOINTS:-1], np.cos(angles), np.sin(angles)))])
+        assert_bitwise(chain["load_points"], load_points)
+        assert_bitwise(chain["loads"], loads)
+        com = numpy_com(config.torso_mass, config.torso_position,
+                        config.link_mass, points, config.plane_height)
+        assert_bitwise(chain["com"], com)
+        zmp, ground_force = numpy_zmp(config.robot_weight, com, load_points, loads)
+        assert_bitwise(chain["zmp_result"].zmp, zmp)
+        assert_bitwise(chain["zmp_result"].ground_force, ground_force)

@@ -33,13 +33,13 @@ class TestInitialPose:
         np.testing.assert_allclose(points[1][-1], grasps[1], atol=1e-8)
 
     def test_contact_links_rest_on_ports(self, default_config):
-        from contactplan.contact import evaluate_gaps
         theta = initial_joint_angles(default_config)
         ctx = pl.StepContext(default_config, theta)
-        states = evaluate_gaps(default_config.joint_points(theta),
-                               default_config.link_radius, ctx.candidates)
-        for state in states:
-            assert abs(state.gap) <= 1e-8
+        points = default_config.joint_points(theta)
+        for cand in ctx.candidates:
+            res = pl.ct.candidate_gap(points[cand.arm_index],
+                                      default_config.link_radius, cand)
+            assert abs(res.gap) <= 1e-8
 
     def test_unreachable_initial_center(self, default_config):
         config = replace(default_config,
@@ -325,7 +325,8 @@ class TestPlanPath:
         # stages), all converged, none stagnated; 113 distinct solver points
         # over the 27 stages plus 6 waypoints whose clamped decision is a new
         # point (one value pass each); derivatives at each stage-1 start and
-        # each accepted iterate (9 + 52).  FK runs
+        # each accepted iterate (9 + 52); 329 QP active-set iterations (the
+        # settles' QPs have no inequality rows and take none).  FK runs
         # twice per value pass (238), once per distinct pose in the start-up
         # settle (60) and twice per active-edge choice (20: start-up and 9
         # waypoints); the post-solve contacts read the chain.  The support
@@ -340,7 +341,8 @@ class TestPlanPath:
 
         def solve(*args, **kwargs):
             result = real_solve(*args, **kwargs)
-            stages.append((result.status, result.iterations))
+            stages.append((result.status, result.iterations,
+                           result.qp_iterations))
             return result
 
         def counted_fk(*args):
@@ -359,8 +361,9 @@ class TestPlanPath:
         for step, expected in zip(steps, planned_steps):
             np.testing.assert_array_equal(step.decision.to_vector(),
                                           expected.decision.to_vector())
-        assert {status for status, _ in stages} == {"converged"}
-        assert (len(stages), sum(n for _, n in stages)) == (29, 74)
+        assert {status for status, _, _ in stages} == {"converged"}
+        assert (len(stages), sum(n for _, n, _ in stages),
+                sum(n for _, _, n in stages)) == (29, 74, 329)
         assert (len(fk_calls), passes["values"], passes["derivatives"],
                 len(region_checks)) == (318, 119, 61, 0)
         default_scenario()

@@ -3,6 +3,7 @@ import pytest
 
 from collections import Counter
 
+from contactplan import sqp
 from contactplan.errors import InfeasibleStepError, UnbalancedStateError
 from contactplan.sqp import (NlpProblem, SolverSettings,
                              finite_difference_jacobian, solve_qp, solve_sqp)
@@ -95,6 +96,20 @@ class TestSolveSqp:
             result = solve_sqp(problem, start, SolverSettings())
             for mu, before, after in result.merit_history:
                 assert after <= before + 1e-9 * (1.0 + abs(before))
+
+    def test_qp_iterations_sum_every_qp(self, monkeypatch):
+        counts = []
+
+        def counted(*args, **kwargs):
+            solution = solve_qp(*args, **kwargs)
+            counts.append(solution.iterations)
+            return solution
+
+        monkeypatch.setattr(sqp, "solve_qp", counted)
+        result = solve_sqp(toy_mpcc(), np.array([0.5, 0.1, 0.1]),
+                           SolverSettings())
+        assert len(counts) >= result.iterations > 0
+        assert result.qp_iterations == sum(counts) > 0
 
     def test_deterministic(self):
         a = solve_sqp(toy_mpcc(), np.array([0.5, 0.1, 0.1]), SolverSettings())
@@ -230,6 +245,16 @@ class TestSolveQp:
         sol = solve_qp(np.eye(1), np.zeros(1), None, None,
                        np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
         assert sol.elastic >= 0.9  # genuinely infeasible by 1
+
+    def test_active_set_iterations_counted(self):
+        # Each pass of the working-set loop counts; without inequality rows
+        # there is no such loop.
+        sol = solve_qp(np.eye(2), np.zeros(2), None, None,
+                       np.array([[1.0, 1.0]]), np.array([1.0]))
+        assert sol.iterations == 2
+        sol = solve_qp(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
+                       np.array([2.0]), None, None)
+        assert sol.iterations == 0
 
     def test_inconsistent_equalities_raise(self):
         with pytest.raises(InfeasibleStepError):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from contactplan.cli import records_from_steps
-from contactplan.contact import ContactCandidate, ContactState, evaluate_gaps
+from contactplan.contact import (ContactCandidate, ContactState, candidate_gap,
+                                 contact_state)
 from contactplan.kinematics import forward_kinematics
 from contactplan.planner import plan_path
 from contactplan.scenario import _DEFAULTS, _from_dict, _merge
@@ -32,7 +33,8 @@ def touching_contact(arms, arm_index, link_index=1, param=0.5, gamma=0.0):
     edge = axis_point - RADIUS * normal
     cand = ContactCandidate(arm_index=arm_index, edge_point=edge,
                             link_index=link_index)
-    state = evaluate_gaps(arms, RADIUS, [cand])[0]
+    state = contact_state(cand, candidate_gap(arms[arm_index], RADIUS, cand),
+                          RADIUS)
     return state.with_force(gamma)
 
 
