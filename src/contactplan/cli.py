@@ -17,9 +17,7 @@ from . import planner as pl
 from . import torque as tq
 from .errors import ContactPlanError
 from .plots import emit_plots as _emit_plot_files
-from .scenario import (ScenarioConfig, _from_dict, _merge, default_scenario,
-                       load_scenario)
-from .statics import bar_grasp
+from .scenario import _DEFAULTS, ScenarioConfig, _from_dict, _merge, load_scenario
 
 log = logging.getLogger("contactplan")
 
@@ -58,17 +56,13 @@ class StepRecord:
 
 
 def records_from_steps(steps, config: ScenarioConfig) -> list[StepRecord]:
-    """Per-step observables including the prioritized joint torques."""
+    """Per-step observables including the prioritized joint torques, from
+    each step's joint points and hand loads."""
     base_center = config.arm_bases.mean(axis=0)
     records = []
     for index, step in enumerate(steps):
-        points = config.joint_points(step.theta_after)
-        # The planner's grasp: the hands as they are, about their midpoint.
-        _, grasp = bar_grasp((points[0][-1], points[1][-1]),
-                             config.plane_height)
-        command = tq.combined_torques(points, config.link_radius,
-                                      step.contacts, grasp,
-                                      config.object_wrench)
+        command = tq.combined_torques(step.joint_points, config.link_radius,
+                                      step.contacts, step.hand_loads)
         forces = tq.support_force_vectors(step.contacts)
         records.append(StepRecord(
             step=index,
@@ -170,24 +164,22 @@ def run(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s",
                         level=logging.INFO if args.verbose else logging.WARNING)
 
+    # Flags override scenario-file values and pass through the same checks.
+    overrides = {}
+    if args.waypoints is not None:
+        overrides["task"] = {"waypoint_count": args.waypoints}
+    solver = {}
+    if args.max_iters is not None:
+        solver["max_iterations"] = args.max_iters
+    if args.tol is not None:
+        solver.update(tol_kkt=args.tol, tol_con=args.tol)
+    if solver:
+        overrides["solver"] = solver
     try:
         if args.scenario == "default":
-            config = default_scenario()
+            config = _from_dict(_merge(_DEFAULTS, overrides))
         else:
-            config = load_scenario(args.scenario)
-        overrides = {}
-        if args.waypoints is not None:
-            overrides["task"] = {"waypoint_count": args.waypoints}
-        solver = {}
-        if args.max_iters is not None:
-            solver["max_iterations"] = args.max_iters
-        if args.tol is not None:
-            solver.update(tol_kkt=args.tol, tol_con=args.tol)
-        if solver:
-            overrides["solver"] = solver
-        if overrides:
-            # Flags pass through the same checks as scenario-file values.
-            config = _from_dict(_merge(config.to_dict(), overrides))
+            config = load_scenario(args.scenario, overrides)
     except (ContactPlanError, ValueError) as exc:
         log.error("scenario error: %s", exc)
         return 1

@@ -14,10 +14,6 @@ class UnbalancedStateError(ContactPlanError):
     """The robot cannot be statically supported (ground reaction not upward)."""
 
 
-class DegenerateGraspError(ContactPlanError):
-    """The two grasp points coincide; the object wrench cannot be distributed."""
-
-
 class InfeasibleStepError(ContactPlanError):
     """A QP subproblem stayed infeasible even after elastic relaxation."""
 

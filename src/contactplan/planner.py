@@ -131,7 +131,12 @@ class StepContext:
 
 @dataclass(frozen=True)
 class PlanStep:
-    """Accepted result of one waypoint: new configuration and observables."""
+    """Accepted result of one waypoint: new configuration and observables.
+
+    ``joint_points`` are both arms' joint points at ``theta_after`` and
+    ``hand_loads`` the (2, 3) forces the object puts on the hands there,
+    both from the ZMP chain at the accepted point.
+    """
 
     waypoint: np.ndarray
     decision: PlanDecision
@@ -140,6 +145,8 @@ class PlanStep:
     contacts: tuple
     zmp: st.ZmpResult
     fzmp: st.ZmpResult
+    joint_points: tuple
+    hand_loads: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +269,7 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     points = config.joint_points(ctx.theta + dtheta)
     ee0, ee1 = points[0][-1], points[1][-1]
 
-    hands, grasp = st.bar_grasp((ee0, ee1), plane)
-    h_c = st.distribute_object_wrench(grasp, config.object_wrench).tolist()
+    hands, grasp, h_c = st.bar_grasp((ee0, ee1), plane, config.object_wrench)
     gaps = [ct.candidate_gap(points[cand.arm_index], config.link_radius, cand)
             for cand in ctx.candidates]
     angles = [res.normal_angle for res in gaps]
@@ -272,7 +278,7 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
                    *([*cand.edge_point.tolist(), plane] for cand in ctx.candidates)]
     # Built without the non-negativity guard of support_force_vector so that
     # intermediate iterates with small negative gamma stay differentiable.
-    loads = [h_c[0:3], h_c[6:9],
+    loads = [h_c[0:3].tolist(), h_c[6:9].tolist(),
              *([g * c, g * s, g * 0.0] for g, (c, s) in zip(gamma.tolist(), normals))]
 
     com = st.robot_center_of_mass(config.torso_mass, config.torso_position,
@@ -663,7 +669,8 @@ def plan_waypoint(ctx: StepContext, waypoint) -> PlanStep:
     return PlanStep(waypoint=waypoint,
                     decision=decision, theta_after=theta_after,
                     object_position=object_position, contacts=tuple(contacts),
-                    zmp=zmp, fzmp=fzmp)
+                    zmp=zmp, fzmp=fzmp, joint_points=chain["points"],
+                    hand_loads=np.array(chain["loads"][:2]))
 
 
 def _two_segment_angles(config: ScenarioConfig, arm_index: int,

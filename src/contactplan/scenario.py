@@ -207,55 +207,6 @@ class ScenarioConfig:
                         f"arm {arm_index} ({dist:.3f} m > {reach:.3f} m)",
                         waypoint_index=index)
 
-    def to_dict(self) -> dict:
-        """Plain nested dict in the scenario-file schema (round-trips)."""
-        solver = {f.name: getattr(self.solver, f.name)
-                  for f in dataclass_fields(SolverSettings)}
-        return {
-            "robot": {
-                "torso_mass": self.torso_mass,
-                "torso_position": self.torso_position.tolist(),
-                "link_mass": self.link_mass,
-                "arm_base_left": self.arm_bases[0].tolist(),
-                "arm_base_right": self.arm_bases[1].tolist(),
-                "link_lengths": self.link_lengths.tolist(),
-                "link_radius": self.link_radius,
-            },
-            "glovebox": {
-                "plane_height": self.plane_height,
-                "port_edges_left": self.port_edges[0].tolist(),
-                "port_edges_right": self.port_edges[1].tolist(),
-            },
-            "object": {
-                "mass": self.object_mass,
-                "bar_length": self.bar_length,
-                "initial_center": self.initial_center.tolist(),
-                "grasp_offsets": self.grasp_offsets.tolist(),
-            },
-            "balance": {
-                "sp_polygon": self.sp_polygon.tolist(),
-                "sp_center": self.sp_center.tolist(),
-                "safe_radius": self.safe_radius,
-                "object_radius": self.object_radius,
-            },
-            "task": {
-                "path_direction": self.path_direction.tolist(),
-                "path_length": self.path_length,
-                "waypoint_count": self.waypoint_count,
-                "object_wrench": self.object_wrench.tolist(),
-            },
-            "weights": {
-                "position": self.weight_position,
-                "displacement": self.weight_displacement,
-                "slack": self.weight_slack,
-            },
-            "contact": {
-                "link_index": self.contact_link_index,
-            },
-            "solver": solver,
-            "gravity": self.gravity,
-        }
-
 
 def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     merged = {}
@@ -426,11 +377,13 @@ def default_scenario() -> ScenarioConfig:
     return _from_dict(_merge(_DEFAULTS, {}))
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     """Load and validate a scenario file.
 
     An empty file yields the full default scenario.  Relative paths that do
     not exist are retried against ``$CONTACTPLAN_SCENARIO_DIR``.
+    ``overrides``, a mapping in the file's schema, replaces the file's
+    values before the one validation (the command line's flags).
     """
     resolved = path
     if not os.path.exists(resolved) and not os.path.isabs(resolved):
@@ -450,10 +403,4 @@ def load_scenario(path: str) -> ScenarioConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ScenarioError(f"scenario file {path} must contain a mapping")
-    return _from_dict(_merge(_DEFAULTS, raw))
-
-
-def save_scenario(config: ScenarioConfig, path: str) -> None:
-    """Serialize a config so that loading it back gives an identical config."""
-    with open(path, "w", encoding="utf-8") as handle:
-        yaml.safe_dump(config.to_dict(), handle, sort_keys=False)
+    return _from_dict(_merge(_merge(_DEFAULTS, raw), overrides or {}))

@@ -147,6 +147,15 @@ def _solve_eqp(hess, grad_at_z, rows):
     return sol[:n], sol[n:]
 
 
+def _equality_start(rows, rhs):
+    """Least-squares solution of rows @ x = rhs, or None when it misses an
+    equation by more than 1e-8 relative (the rows are inconsistent)."""
+    x0 = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+    if np.abs(rows @ x0 - rhs).max(initial=0.0) > 1e-8 * (1.0 + np.abs(rhs).max()):
+        return None
+    return x0
+
+
 def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
              elastic_weight: float = 1e4) -> QpSolution:
     """Solve min 0.5 x'Hx + g'x s.t. a_eq x = b_eq, a_in x >= b_in.
@@ -190,8 +199,8 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
             x = np.linalg.lstsq(hess, -grad, rcond=None)[0]
             return QpSolution(x=x, lam_eq=np.zeros(0), lam_in=np.zeros(0),
                               elastic=0.0)
-        x0 = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
-        if np.abs(a_eq @ x0 - b_eq).max(initial=0.0) > 1e-8 * (1.0 + np.abs(b_eq).max()):
+        x0 = _equality_start(a_eq, b_eq)
+        if x0 is None:
             raise InfeasibleStepError("inconsistent equality constraints in QP")
         p, lam = _solve_eqp(hess, hess @ x0 + grad, a_eq)
         return QpSolution(x=x0 + p, lam_eq=lam * sigma, lam_in=np.zeros(0),
@@ -213,8 +222,8 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
     # Feasible start: least-squares equality solution, elastic covering the
     # worst inequality violation.
     if m_eq:
-        x0 = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
-        if np.abs(a_eq @ x0 - b_eq).max(initial=0.0) > 1e-8 * (1.0 + np.abs(b_eq).max()):
+        x0 = _equality_start(a_eq, b_eq)
+        if x0 is None:
             raise InfeasibleStepError("inconsistent equality constraints in QP")
     else:
         x0 = np.zeros(n)
@@ -281,8 +290,8 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
             else np.zeros((0, n))
         rhs = np.concatenate([b_eq, b_in[active]])
         if rows.shape[0]:
-            x0 = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-            if np.abs(rows @ x0 - rhs).max(initial=0.0) > 1e-8 * (1.0 + np.abs(rhs).max()):
+            x0 = _equality_start(rows, rhs)
+            if x0 is None:
                 return solution
             p, lam_p = _solve_eqp(hess, hess @ x0 + grad, rows)
             x_p = x0 + p

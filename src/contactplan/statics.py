@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGraspError, UnbalancedStateError
+from .errors import UnbalancedStateError
 
 
 def skew(v) -> np.ndarray:
@@ -131,57 +131,36 @@ def _grasp_template() -> np.ndarray:
 
 _GRASP_TEMPLATE = _grasp_template()
 # Flat indices of each contact's off-diagonal -skew(r_c) entries, in the
-# order ``grasp_matrix`` lists them.
+# order ``bar_grasp`` lists them.
 _SKEW_INDEX = [row * 12 + col + offset for offset in (0, 6)
                for row, col in ((3, 1), (3, 2), (4, 0), (4, 2), (5, 0), (5, 1))]
 
 
-def grasp_matrix(r_c1, r_c2) -> np.ndarray:
-    """The 6x12 grasp map of a two-contact grasp.
+def bar_grasp(end_effectors, plane_height: float,
+              h_o) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A bar held by two planar end effectors, about their midpoint, and
+    the hands' share of the object wrench ``h_o``.
 
-    ``r_c1`` and ``r_c2`` are the vectors from each contact point to the
-    object origin.  Each contact's 6x6 block, mapping its wrench to the
-    object-origin wrench, is [[I, 0], [-skew(r_c), I]].
-
-    Raises:
-        ValueError: an offset is not a finite 3-vector.
-        DegenerateGraspError: the two grasp points coincide.
-    """
-    offsets = [np.asarray(r, dtype=float) for r in (r_c1, r_c2)]
-    for r in offsets:
-        if r.shape != (3,) or not np.all(np.isfinite(r)):
-            raise ValueError("grasp offsets must be finite 3-vectors")
-    if np.linalg.norm(offsets[0] - offsets[1]) < 1e-12:
-        raise DegenerateGraspError("grasp points coincide")
-    entries = []
-    for x, y, z in (offsets[0].tolist(), offsets[1].tolist()):
-        entries += [z, -y, -z, x, y, -x]
-    w = _GRASP_TEMPLATE.copy()
-    w.flat[_SKEW_INDEX] = entries
-    return w
-
-
-def bar_grasp(end_effectors, plane_height: float) -> tuple[np.ndarray, np.ndarray]:
-    """A bar held by two planar end effectors, about their midpoint.
-
-    Returns the hands' (2, 3) points on the work plane and the grasp matrix
-    of the bar's origin at the midpoint between them.
+    Returns the hands' (2, 3) points on the work plane, the 6x12 grasp map
+    W of the bar's origin at the midpoint between them, and the minimum-norm
+    contact wrenches W' (W W')^-1 h_o: a 12-vector, force then moment per
+    hand, whose image under W is ``h_o``.  Each contact's 6x6 block of W,
+    mapping its wrench to the object-origin wrench, is [[I, 0],
+    [-skew(r_c), I]] with r_c the vector from the hand to the origin.
+    Columns 0-5 of W form a block-triangular matrix with identity diagonal
+    blocks, so W has full row rank and W W' is invertible for any hand
+    positions, coincident ones included.
     """
     (x0, y0), (x1, y1) = (ee.tolist() for ee in end_effectors)
     ox, oy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     dz = plane_height - plane_height
-    return (np.array([[x0, y0, plane_height], [x1, y1, plane_height]]),
-            grasp_matrix([ox - x0, oy - y0, dz], [ox - x1, oy - y1, dz]))
-
-
-def distribute_object_wrench(w: np.ndarray, h_o) -> np.ndarray:
-    """Minimum-norm contact wrenches realizing an object wrench.
-
-    Returns the stacked 12-vector (force, moment per contact) whose image
-    under the grasp matrix ``w`` (``grasp_matrix``) reproduces ``h_o``: the
-    pseudo-inverse solution W' (W W')^-1 h_o of the full-row-rank map W.
-    """
-    return w.T @ np.linalg.solve(w @ w.T, h_o)
+    entries = []
+    for x, y, z in ((ox - x0, oy - y0, dz), (ox - x1, oy - y1, dz)):
+        entries += [z, -y, -z, x, y, -x]
+    w = _GRASP_TEMPLATE.copy()
+    w.flat[_SKEW_INDEX] = entries
+    return (np.array([[x0, y0, plane_height], [x1, y1, plane_height]]), w,
+            w.T @ np.linalg.solve(w @ w.T, h_o))
 
 
 def robot_center_of_mass(torso_mass: float, torso_position: np.ndarray,

@@ -2,13 +2,14 @@
 
 The support-force torques are computed from the contact-point Jacobians at
 each contact's full normal force (``contact.support_force_vector``); the
-torques for the desired object wrench are projected into the null space of
-the stacked support Jacobian, so realizing the object wrench can never
-disturb the planned support forces.  Everything here is planar: only the x
-and y force components of each distributed contact wrench act on the 2x4
-arm Jacobians, while z components are reacted by the elevated work plane.
-Arm poses are the ``kinematics.forward_kinematics`` joint-point arrays, one
-per arm (left then right).
+torques for the object's load on the hands are projected into the null
+space of the stacked support Jacobian, so realizing the object wrench can
+never disturb the planned support forces.  Everything here is planar: only
+the x and y components of each hand's load act on the 2x4 arm Jacobians,
+while z components are reacted by the elevated work plane.  Arm poses are
+the ``kinematics.forward_kinematics`` joint-point arrays, one per arm (left
+then right); hand loads are the (2, 3) forces the object wrench puts on the
+hands, as the planner distributes it (``statics.bar_grasp``).
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import kinematics as kin
 from .contact import support_force_vector
-from .statics import distribute_object_wrench
 
 NUM_JOINTS = 2 * kin.NUM_LINKS
 
@@ -36,22 +36,18 @@ class TorqueCommand:
     torques: np.ndarray              # tau = support + projected object part
     support_torques: np.ndarray
     object_torques_projected: np.ndarray
-    realized_support_forces: tuple   # per active contact, 3-vector
 
 
-def object_wrench_torques(points, grasp: np.ndarray, h_o) -> np.ndarray:
+def object_wrench_torques(points, hand_loads) -> np.ndarray:
     """Joint torques that generate the object wrench through the hands.
 
-    The object wrench is distributed to the contacts by the pseudo-inverse
-    of the grasp matrix (``statics.grasp_matrix``); each contact's planar
-    force components load that arm's end-effector Jacobian.
+    Each hand's planar load components load that arm's end-effector
+    Jacobian.
     """
-    h_c = distribute_object_wrench(grasp, h_o)
     torques = np.zeros(NUM_JOINTS)
-    for arm_index, arm_points in enumerate(points):
-        force_xy = h_c[6 * arm_index:6 * arm_index + 2]
+    for arm_index, (arm_points, load) in enumerate(zip(points, hand_loads)):
         jac = kin.point_jacobian(arm_points, kin.NUM_LINKS - 1, 1.0)
-        torques[4 * arm_index:4 * arm_index + 4] = jac.T @ force_xy
+        torques[4 * arm_index:4 * arm_index + 4] = jac.T @ load[:2]
     return torques
 
 
@@ -119,8 +115,8 @@ def nullspace_projector(j_support: np.ndarray) -> np.ndarray:
     return np.eye(NUM_JOINTS) - jt @ np.linalg.pinv(jt, rcond=PINV_RCOND)
 
 
-def combined_torques(points, link_radius: float, contacts, grasp: np.ndarray,
-                     h_o) -> TorqueCommand:
+def combined_torques(points, link_radius: float, contacts,
+                     hand_loads) -> TorqueCommand:
     """Support torques plus the null-space projected object-wrench torques.
 
     When the transposed support Jacobian has full column rank, recovering
@@ -128,18 +124,10 @@ def combined_torques(points, link_radius: float, contacts, grasp: np.ndarray,
     the planned support forces: the projection cannot leak into them.
     """
     tau_support = support_torques(points, link_radius, contacts)
-    tau_object = object_wrench_torques(points, grasp, h_o)
+    tau_object = object_wrench_torques(points, hand_loads)
     j_support = stacked_support_jacobian(points, link_radius, contacts)
     projector = nullspace_projector(j_support)
     tau_object_projected = projector @ tau_object
-    tau = tau_support + tau_object_projected
-
-    realized = []
-    if j_support.shape[0]:
-        recovered = np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ tau
-        for i in range(j_support.shape[0] // 2):
-            realized.append(np.array([recovered[2 * i], recovered[2 * i + 1],
-                                      0.0]))
-    return TorqueCommand(torques=tau, support_torques=tau_support,
-                         object_torques_projected=tau_object_projected,
-                         realized_support_forces=tuple(realized))
+    return TorqueCommand(torques=tau_support + tau_object_projected,
+                         support_torques=tau_support,
+                         object_torques_projected=tau_object_projected)

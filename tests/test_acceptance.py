@@ -12,7 +12,7 @@ from contactplan.cli import read_csv, run
 from contactplan.kinematics import forward_kinematics, point_jacobian
 from contactplan.planner import PlanDecision, gradient_check
 from contactplan.sqp import SolverSettings, solve_sqp
-from contactplan.statics import bar_grasp, compute_zmp
+from contactplan.statics import compute_zmp
 from contactplan.torque import (PINV_RCOND, combined_torques,
                                 nullspace_projector, stacked_support_jacobian)
 
@@ -150,11 +150,8 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
         projector = nullspace_projector(j_support)
         assert np.abs(projector @ projector - projector).max() <= 1e-9
         assert np.abs(np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ projector).max() <= 1e-9
-        _, grasp = bar_grasp((points[0][-1], points[1][-1]),
-                             default_config.plane_height)
         command = combined_torques(
-            points, default_config.link_radius, step.contacts, grasp,
-            default_config.object_wrench)
+            points, default_config.link_radius, step.contacts, step.hand_loads)
         recovered = np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ command.torques
         planned = np.concatenate(
             [c.force_magnitude * np.array([np.cos(c.normal_angle),

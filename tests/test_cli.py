@@ -4,8 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+from contactplan import cli
 from contactplan.cli import CSV_HEADER, StepRecord, emit_csv, read_csv, run
 from contactplan.plots import emit_plots
+from contactplan.scenario import load_scenario
+
+from test_scenario import assert_same_config
 
 
 def synthetic_records(count=3, gamma=(0.0, 0.0)):
@@ -129,6 +133,18 @@ class TestRun:
         assert len(rows) == 1
         np.testing.assert_allclose(rows[0].object_position, rows[0].waypoint,
                                    atol=1e-6)
+
+    def test_flags_leave_file_values_unchanged(self, tmp_path, monkeypatch):
+        # A flag that repeats the file's waypoint count plans the file's
+        # own scenario: the path direction is normalized once, not twice.
+        scenario = tmp_path / "slant.yaml"
+        scenario.write_text("task:\n  path_direction: [0.3, 1.0]\n"
+                            "  waypoint_count: 9\n")
+        planned = []
+        monkeypatch.setattr(cli.pl, "plan_path",
+                            lambda config: planned.append(config) or [])
+        assert run(["--scenario", str(scenario), "--waypoints", "9"]) == 0
+        assert_same_config(planned[0], load_scenario(str(scenario)))
 
     def test_bad_flags_exit_2(self, capsys):
         assert run(["--no-such-flag"]) == 2

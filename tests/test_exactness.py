@@ -14,8 +14,8 @@ import pytest
 from contactplan import planner as pl
 from contactplan.kinematics import (NUM_LINKS, forward_kinematics,
                                     point_jacobian, signed_gap)
-from contactplan.statics import (bar_grasp, compute_zmp, grasp_matrix,
-                                 robot_center_of_mass, skew)
+from contactplan.statics import (bar_grasp, compute_zmp, robot_center_of_mass,
+                                 skew)
 
 DRAWS = 200
 
@@ -87,12 +87,13 @@ def numpy_grasp_matrix(r_c1, r_c2):
     return w
 
 
-def numpy_bar_grasp(ee0, ee1, plane_height):
+def numpy_bar_grasp(ee0, ee1, plane_height, h_o):
     origin = 0.5 * (ee0 + ee1)
     hands = np.array([[ee0[0], ee0[1], plane_height],
                       [ee1[0], ee1[1], plane_height]])
     o3 = np.array([origin[0], origin[1], plane_height])
-    return hands, numpy_grasp_matrix(o3 - hands[0], o3 - hands[1])
+    w = numpy_grasp_matrix(o3 - hands[0], o3 - hands[1])
+    return hands, w, w.T @ np.linalg.solve(w @ w.T, h_o)
 
 
 def numpy_signed_gap(point, a, b, link_radius):
@@ -252,12 +253,11 @@ def test_point_jacobian_matches_lever_arms(rng):
 
 def test_grasp_matrix_matches_identity_and_skew_blocks(rng):
     for _ in range(DRAWS):
-        r_c1, r_c2 = rng.normal(size=3), rng.normal(size=3)
-        assert_bitwise(grasp_matrix(r_c1, r_c2), numpy_grasp_matrix(r_c1, r_c2))
         ee0, ee1 = rng.normal(size=2), rng.normal(size=2)
         plane = rng.uniform(0.5, 1.5)
-        for new, old in zip(bar_grasp((ee0, ee1), plane),
-                            numpy_bar_grasp(ee0, ee1, plane)):
+        h_o = rng.normal(scale=20.0, size=6)
+        for new, old in zip(bar_grasp((ee0, ee1), plane, h_o),
+                            numpy_bar_grasp(ee0, ee1, plane, h_o)):
             assert_bitwise(new, old)
 
 
@@ -326,10 +326,10 @@ def test_value_pass_matches_array_form(chain_points):
                   for i in range(2)]
         for new, old in zip(chain["points"], points):
             assert_bitwise(new, old)
-        hands, grasp = numpy_bar_grasp(points[0][-1], points[1][-1],
-                                       config.plane_height)
+        hands, grasp, h_c = numpy_bar_grasp(points[0][-1], points[1][-1],
+                                            config.plane_height,
+                                            config.object_wrench)
         assert_bitwise(chain["grasp"], grasp)
-        h_c = grasp.T @ np.linalg.solve(grasp @ grasp.T, config.object_wrench)
         gaps = [numpy_signed_gap(
             cand.edge_point, points[cand.arm_index][cand.link_index],
             points[cand.arm_index][cand.link_index + 1], config.link_radius)

@@ -125,20 +125,36 @@ class TestConstraints:
         assert rows[3] == pytest.approx(0.5, abs=1e-6)
 
 
+def worst_gradient_error(config, rng) -> float:
+    """Largest ``gradient_check`` error over 10 random decisions at the
+    start pose, against the second waypoint."""
+    ctx = pl.StepContext(config, initial_joint_angles(config))
+    waypoint = config.waypoints()[1]
+    worst = 0.0
+    for _ in range(10):
+        decision = PlanDecision(
+            dtheta=rng.normal(scale=0.02, size=8),
+            gamma=rng.uniform(0.0, 30.0, size=2),
+            slack=float(rng.uniform(0.0, 1e-4)))
+        worst = max(worst, gradient_check(ctx, waypoint, decision))
+    return worst
+
+
 class TestGradientCheck:
     def test_full_problem_matches_finite_differences(self, default_config, rng):
-        config = default_config
-        theta = initial_joint_angles(config)
-        ctx = pl.StepContext(config, theta)
-        waypoint = config.waypoints()[1]
-        worst = 0.0
-        for _ in range(10):
-            decision = PlanDecision(
-                dtheta=rng.normal(scale=0.02, size=8),
-                gamma=rng.uniform(0.0, 30.0, size=2),
-                slack=float(rng.uniform(0.0, 1e-4)))
-            worst = max(worst, gradient_check(ctx, waypoint, decision))
-        assert worst <= 1e-5
+        assert worst_gradient_error(default_config, rng) <= 1e-5
+
+    def test_object_moment_matches_finite_differences(self, rng):
+        # A zero object moment leaves the hand forces' joint derivative at
+        # rounding noise; a moment makes it carry weight.
+        config = _from_dict(_merge(_DEFAULTS, {"task": {
+            "object_wrench": [0.0, 10.0, -117.72, 1.5, -2.0, 3.0]}}))
+        ctx = pl.StepContext(config, initial_joint_angles(config))
+        chain = pl._chain(ctx, np.zeros(pl.DECISION_DIM), derivatives=True)
+        d_forces = pl._grasp_force_gradients(
+            config.object_wrench, chain["grasp"], *chain["ee_jacobians"])
+        assert np.abs(d_forces).max() > 0.1
+        assert worst_gradient_error(config, rng) <= 1e-5
 
     def test_corrupted_jacobian_detected(self, default_config):
         config = default_config

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from contactplan.errors import (DegenerateGraspError, ScenarioError,
-                                UnbalancedStateError)
+from contactplan.errors import ScenarioError, UnbalancedStateError
 from contactplan.scenario import _DEFAULTS, _from_dict, _merge
-from contactplan.statics import (bar_grasp, check_support_region, compute_zmp,
-                                 distribute_object_wrench, grasp_matrix)
+from contactplan.statics import bar_grasp, check_support_region, compute_zmp
 
 SP = np.array([[-0.2, -0.16], [0.2, -0.16], [0.2, 0.16], [-0.2, 0.16]])
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -119,15 +117,37 @@ class TestComputeFzmp:
         assert fzmp.zmp[1] > zmp.zmp[1]
 
 
+def reference_grasp_map(hands):
+    """The 6x12 map [[I, 0, I, 0], [-S1, I, -S2, I]] of two hands, rows of
+    [x, y, z], about their midpoint; S_i x = r_i x x with r_i the vector
+    from hand i to the midpoint."""
+    hands = np.asarray(hands, dtype=float)
+    origin = hands.mean(axis=0)
+    w = np.zeros((6, 12))
+    for col, hand in zip((0, 6), hands):
+        w[:3, col:col + 3] = np.eye(3)
+        w[3:, col:col + 3] = -np.cross(origin - hand, np.eye(3)).T
+        w[3:, col + 3:col + 6] = np.eye(3)
+    return w
+
+
+def grasp(hand0, hand1, h_o=np.zeros(6)):
+    """``bar_grasp`` of two planar hand positions on a 0.9 m plane."""
+    return bar_grasp((np.asarray(hand0, dtype=float),
+                      np.asarray(hand1, dtype=float)), 0.9, h_o)
+
+
 class TestWrenchMatrix:
-    """``grasp_matrix``: one [[I, 0], [-skew(r_c), I]] block per contact."""
+    """``bar_grasp``'s map: one [[I, 0], [-skew(r_c), I]] block per hand."""
 
     def test_zero_offset_gives_identity(self):
-        w = grasp_matrix(np.zeros(3), [0.3, 0.0, 0.0])
-        np.testing.assert_allclose(w[:, :6], np.eye(6))
+        # Coincident hands sit at the origin: both blocks are the identity.
+        _, w, _ = grasp([0.1, 0.2], [0.1, 0.2])
+        np.testing.assert_array_equal(w[:, :6], np.eye(6))
+        np.testing.assert_array_equal(w[:, 6:], np.eye(6))
 
     def test_moment_matches_hand_cross_product(self):
-        w = grasp_matrix([-0.3, 0.0, 0.0], [0.3, 0.0, 0.0])
+        _, w, _ = grasp([0.3, 0.0], [-0.3, 0.0])
         contact_wrench = np.zeros(12)
         contact_wrench[7] = 1.0        # unit +y force at the second contact
         result = w @ contact_wrench
@@ -137,28 +157,24 @@ class TestWrenchMatrix:
 
     def test_top_right_block_is_zero(self, rng):
         for _ in range(10):
-            w = grasp_matrix(rng.normal(size=3), rng.normal(size=3))
+            _, w, _ = grasp(rng.normal(size=2), rng.normal(size=2))
             np.testing.assert_allclose(w[:3, 3:6], 0.0)
             np.testing.assert_allclose(w[:3, 9:12], 0.0)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            grasp_matrix([np.nan, 0.0, 0.0], [0.3, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            grasp_matrix([0.3, 0.0, 0.0], [0.0, np.inf, 0.0])
-
 
 class TestDistributeObjectWrench:
-    def grasp(self, r=0.3):
-        return grasp_matrix([r, 0.0, 0.0], [-r, 0.0, 0.0])
+    """``bar_grasp``'s hand wrenches: the pseudo-inverse of the map."""
+
+    def hand_wrenches(self, h_o, r=0.3):
+        return grasp([-r, 0.0], [r, 0.0], h_o)[2]
 
     def test_zero_wrench_gives_zero(self):
-        h_c = distribute_object_wrench(self.grasp(), np.zeros(6))
+        h_c = self.hand_wrenches(np.zeros(6))
         np.testing.assert_allclose(h_c, 0.0)
 
     def test_symmetric_grasp_halves_vertical_force(self):
         h_o = np.array([0.0, 0.0, -100.0, 0.0, 0.0, 0.0])
-        h_c = distribute_object_wrench(self.grasp(), h_o)
+        h_c = self.hand_wrenches(h_o)
         np.testing.assert_allclose(h_c[0:3], [0.0, 0.0, -50.0], atol=1e-12)
         np.testing.assert_allclose(h_c[6:9], [0.0, 0.0, -50.0], atol=1e-12)
         np.testing.assert_allclose(h_c[3:6], 0.0, atol=1e-12)
@@ -166,34 +182,47 @@ class TestDistributeObjectWrench:
 
     def test_reconstructs_task_wrench(self):
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
-        grasp = self.grasp()
-        h_c = distribute_object_wrench(grasp, h_o)
-        np.testing.assert_allclose(grasp @ h_c, h_o, atol=1e-9)
+        _, w, h_c = grasp([-0.3, 0.0], [0.3, 0.0], h_o)
+        np.testing.assert_allclose(w @ h_c, h_o, atol=1e-9)
 
     def test_minimum_norm_solution(self, rng):
-        grasp = grasp_matrix(rng.normal(size=3), rng.normal(size=3))
         h_o = rng.normal(scale=20.0, size=6)
-        h_c = distribute_object_wrench(grasp, h_o)
+        _, w, h_c = grasp(rng.normal(size=2), rng.normal(size=2), h_o)
         # Any null-space perturbation must not shrink the norm.
-        _, _, vt = np.linalg.svd(grasp)
+        _, _, vt = np.linalg.svd(w)
         null_basis = vt[6:]
         for direction in null_basis:
             for eps in (1e-3, -1e-3):
                 alt = h_c + eps * direction
                 assert np.linalg.norm(alt) >= np.linalg.norm(h_c) - 1e-12
 
-    def test_coincident_grasp_points_rejected(self):
-        with pytest.raises(DegenerateGraspError):
-            grasp_matrix([0.1, 0.2, 0.0], [0.1, 0.2, 0.0])
+    def test_matches_pseudo_inverse_with_moments(self, rng):
+        # Every scenario the planner runs has a zero object moment; the
+        # split must also hold for wrenches with moments.
+        for _ in range(50):
+            hand0, hand1 = rng.normal(scale=0.5, size=(2, 2))
+            h_o = rng.normal(scale=20.0, size=6)
+            hands, w, h_c = grasp(hand0, hand1, h_o)
+            reference = reference_grasp_map(hands)
+            np.testing.assert_allclose(w, reference, rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(h_c, np.linalg.pinv(reference) @ h_o,
+                                       rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(w @ h_c, h_o, rtol=1e-10, atol=1e-10)
+
+    def test_coincident_hands_share_the_wrench(self):
+        # The map keeps full row rank with the hands together: each takes
+        # half of the wrench.
+        h_o = np.array([1.0, 10.0, -117.72, 1.5, -2.0, 3.0])
+        _, w, h_c = grasp([0.1, 0.5], [0.1, 0.5], h_o)
+        np.testing.assert_allclose(h_c, np.concatenate([h_o, h_o]) / 2.0,
+                                   atol=1e-12)
 
     def test_grasp_map_from_points(self):
         # bar_grasp: the hands on the plane, about their midpoint.
-        hands, grasp = bar_grasp((np.array([-0.3, 0.5]), np.array([0.3, 0.5])),
-                                 0.9)
+        hands, w, _ = grasp([-0.3, 0.5], [0.3, 0.5])
         np.testing.assert_allclose(hands, [[-0.3, 0.5, 0.9], [0.3, 0.5, 0.9]])
-        assert grasp.shape == (6, 12)
-        np.testing.assert_array_equal(
-            grasp, grasp_matrix([0.3, 0.0, 0.0], [-0.3, 0.0, 0.0]))
+        assert w.shape == (6, 12)
+        np.testing.assert_array_equal(w, reference_grasp_map(hands))
 
 
 class TestStateValidation:

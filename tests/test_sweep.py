@@ -60,7 +60,10 @@ CASES = [
     # The full slant path: stages stagnate at waypoints 1-5; waypoint 6 has
     # a run of 15 unchanged merits and then moves on; at waypoint 8 the
     # capped 1e4 stage moves the point to where the target stage converges.
-    # About 6 s.
+    # A knife edge in the last bit: renormalizing the already-unit path
+    # direction, rounding-level changes to the grasp derivative, or
+    # deleting any one solver safeguard turns it into a PlanStepError at
+    # step 8.  About 6 s.
     case({"task": {"path_direction": [0.3, 1.0]}}, 970,
          id="slant-full"),                                  # 843 (2061 before)
 ]

@@ -7,10 +7,12 @@ from contactplan.contact import (ContactCandidate, ContactState, candidate_gap,
 from contactplan.kinematics import forward_kinematics
 from contactplan.planner import plan_path
 from contactplan.scenario import _DEFAULTS, _from_dict, _merge
-from contactplan.statics import bar_grasp, grasp_matrix
+from contactplan.statics import bar_grasp
 from contactplan.torque import (PINV_RCOND, combined_torques,
                                 nullspace_projector, object_wrench_torques,
                                 stacked_support_jacobian, support_torques)
+
+from test_statics import reference_grasp_map
 
 RADIUS = 0.04
 
@@ -75,33 +77,35 @@ class TestPseudoInverse:
             matrix = rng.normal(size=shape)
             assert penrose_conditions(matrix, pseudo_inverse(matrix)) <= 1e-9
 
-class TestObjectWrenchTorques:
-    def hand_grasp(self, arms):
-        return bar_grasp((arms[0][-1], arms[1][-1]), 0.9)[1]
+def hand_loads(arms, h_o):
+    """The (2, 3) hand forces of the object wrench ``h_o``, as the planner
+    splits it between the hands."""
+    _, _, h_c = bar_grasp((arms[0][-1], arms[1][-1]), 0.9, h_o)
+    return np.array([h_c[0:3], h_c[6:9]])
 
+
+class TestObjectWrenchTorques:
     def test_zero_wrench_zero_torque(self):
         arms = make_arms([0.4, 0.2, -0.3, 0.1, 2.7, -0.2, 0.3, -0.1])
-        grasp = self.hand_grasp(arms)
         np.testing.assert_allclose(
-            object_wrench_torques(arms, grasp, np.zeros(6)), 0.0)
+            object_wrench_torques(arms, hand_loads(arms, np.zeros(6))), 0.0)
 
     def test_single_joint_lever_arm(self):
         # Straight right arm along +x; unit +y force at the end effector
         # loads every joint with its lever arm.
         arms = make_arms([np.pi / 2, 0, 0, 0, 0, 0, 0, 0])
-        grasp = self.hand_grasp(arms)
         # Wrench that distributes to a pure +y force per hand is doubled.
         h_o = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 0.0])
-        tau = object_wrench_torques(arms, grasp, h_o)
+        tau = object_wrench_torques(arms, hand_loads(arms, h_o))
         # Right arm columns: lever arms 1.1, 0.8, 0.5, 0.2 about each joint.
         np.testing.assert_allclose(tau[4:], [1.1, 0.8, 0.5, 0.2], atol=1e-9)
 
     def test_matches_hand_assembled_chain(self):
         from contactplan.kinematics import point_jacobian
         arms = make_arms([2.0, 0.3, -0.4, 0.2, 1.1, -0.3, 0.4, -0.2])
-        grasp = self.hand_grasp(arms)
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
-        tau = object_wrench_torques(arms, grasp, h_o)
+        tau = object_wrench_torques(arms, hand_loads(arms, h_o))
+        _, grasp, _ = bar_grasp((arms[0][-1], arms[1][-1]), 0.9, h_o)
         h_c = np.linalg.pinv(grasp) @ h_o
         expected = np.concatenate([
             point_jacobian(arms[0], 3, 1.0).T @ h_c[0:2],
@@ -187,33 +191,32 @@ class TestCombinedTorques:
         arms = make_arms([2.2, 0.3, -0.5, 0.1, 0.9, -0.3, 0.5, -0.1])
         contacts = [touching_contact(arms, 0, param=0.4, gamma=gammas[0]),
                     touching_contact(arms, 1, param=0.6, gamma=gammas[1])]
-        _, grasp = bar_grasp((arms[0][-1], arms[1][-1]), 0.9)
-        h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
-        return arms, contacts, grasp, h_o
+        loads = hand_loads(arms, np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0]))
+        return arms, contacts, loads
 
     def test_no_contacts_passes_object_torques_through(self):
-        arms, _, grasp, h_o = self.setup_scene()
-        command = combined_torques(arms, RADIUS, [], grasp, h_o)
+        arms, _, loads = self.setup_scene()
+        command = combined_torques(arms, RADIUS, [], loads)
         np.testing.assert_allclose(command.torques,
-                                   object_wrench_torques(arms, grasp, h_o))
+                                   object_wrench_torques(arms, loads))
         np.testing.assert_allclose(command.support_torques, 0.0)
 
     def test_zero_wrench_gives_support_torques(self):
-        arms, contacts, grasp, _ = self.setup_scene()
-        command = combined_torques(arms, RADIUS, contacts, grasp, np.zeros(6))
+        arms, contacts, _ = self.setup_scene()
+        command = combined_torques(arms, RADIUS, contacts, np.zeros((2, 3)))
         np.testing.assert_allclose(command.torques,
                                    support_torques(arms, RADIUS, contacts))
 
     def test_decomposition_identity(self):
-        arms, contacts, grasp, h_o = self.setup_scene()
-        command = combined_torques(arms, RADIUS, contacts, grasp, h_o)
+        arms, contacts, loads = self.setup_scene()
+        command = combined_torques(arms, RADIUS, contacts, loads)
         np.testing.assert_allclose(
             command.torques,
             command.support_torques + command.object_torques_projected)
 
     def test_support_priority_recovery(self):
-        arms, contacts, grasp, h_o = self.setup_scene()
-        command = combined_torques(arms, RADIUS, contacts, grasp, h_o)
+        arms, contacts, loads = self.setup_scene()
+        command = combined_torques(arms, RADIUS, contacts, loads)
         j_support = stacked_support_jacobian(arms, RADIUS, contacts)
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
         recovered = pseudo_inverse(j_support.T) @ command.torques
@@ -222,18 +225,17 @@ class TestCombinedTorques:
                                           np.sin(c.normal_angle)])
             for c in contacts])
         np.testing.assert_allclose(recovered, planned, atol=1e-8)
-        for realized, contact in zip(command.realized_support_forces, contacts):
-            expected = contact.force_magnitude * np.array(
-                [np.cos(contact.normal_angle), np.sin(contact.normal_angle), 0.0])
-            np.testing.assert_allclose(realized, expected, atol=1e-8)
 
     def test_linear_in_object_wrench(self, rng):
-        arms, contacts, grasp, _ = self.setup_scene()
+        arms, contacts, _ = self.setup_scene()
         h_a = rng.normal(scale=20.0, size=6)
         h_b = rng.normal(scale=20.0, size=6)
-        tau_a = combined_torques(arms, RADIUS, contacts, grasp, h_a).torques
-        tau_b = combined_torques(arms, RADIUS, contacts, grasp, h_b).torques
-        tau_sum = combined_torques(arms, RADIUS, contacts, grasp, h_a + h_b).torques
+
+        def torques(h_o):
+            return combined_torques(arms, RADIUS, contacts,
+                                    hand_loads(arms, h_o)).torques
+
+        tau_a, tau_b, tau_sum = torques(h_a), torques(h_b), torques(h_a + h_b)
         support = support_torques(arms, RADIUS, contacts)
         np.testing.assert_allclose(tau_sum - support,
                                    (tau_a - support) + (tau_b - support),
@@ -251,12 +253,15 @@ class TestRecordTorques:
         records = records_from_steps(steps, config)
         assert len(records) == config.waypoint_count
         for step, record in zip(steps, records):
+            # The step's joint points are the forward kinematics of its
+            # joint angles, bit for bit.
             points = config.joint_points(step.theta_after)
+            for planned, recomputed in zip(step.joint_points, points):
+                np.testing.assert_array_equal(planned, recomputed)
             hands = [np.append(arm[-1], config.plane_height) for arm in points]
-            origin = 0.5 * (hands[0] + hands[1])
-            grasp = grasp_matrix(origin - hands[0], origin - hands[1])
+            w = reference_grasp_map(hands)
+            h_c = w.T @ np.linalg.solve(w @ w.T, config.object_wrench)
             command = combined_torques(points, config.link_radius,
-                                       step.contacts, grasp,
-                                       config.object_wrench)
+                                       step.contacts, [h_c[0:3], h_c[6:9]])
             assert record.torque_norm == pytest.approx(
                 np.linalg.norm(command.torques), rel=1e-12, abs=0.0)
