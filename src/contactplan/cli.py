@@ -161,8 +161,10 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s",
-                        level=logging.INFO if args.verbose else logging.WARNING)
+    # basicConfig sets up the root handler once per process; the level is
+    # this run's, so it is set on the package logger every time.
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
 
     # Flags override scenario-file values and pass through the same checks.
     overrides = {}

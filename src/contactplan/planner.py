@@ -211,42 +211,53 @@ def _grasp_force_gradients(h_o: np.ndarray, w: np.ndarray, j0, j1) -> np.ndarray
     """(2, 3, 8) joint gradients of the per-hand load forces.
 
     The pseudo-inverse of the grasp matrix ``w`` is differentiated through
-    W+ = W' (W W')^-1; ``j0``/``j1`` are the end-effector Jacobians.
+    W+ = W' (W W')^-1; ``j0``/``j1`` are the end-effector Jacobians.  The
+    eight joints' derivatives dW are one (8, 6, 12) stack, so each product
+    and solve below is one stacked numpy call that makes, per joint, the
+    same BLAS/LAPACK call as the 2-D form (one gemm, gemv or one-column
+    gesv): the results are bit-identical to a loop over the joints.
     """
     s_mat = w @ w.T
     s_inv_h = np.linalg.solve(s_mat, h_o)
 
     dr0 = np.zeros((3, NUM_JOINTS))
     dr0[:2] = 0.5 * (j1 - j0)
-    dr1 = -dr0
+    dw = np.zeros((NUM_JOINTS, 6, 12))
+    zero = np.zeros(NUM_JOINTS)
+    for col, (x, y, z) in ((0, dr0), (6, -dr0)):
+        # Each joint's -skew(r), r its column: the skew-symmetric matrix of
+        # r, then negated entry by entry, as the per-joint form did, so the
+        # signs of its zeros match too.
+        skew = np.array([[zero, -z, y], [z, zero, -x], [-y, x, zero]])
+        dw[:, 3:, col:col + 3] = -skew.transpose(2, 0, 1)
+    dw_t = dw.transpose(0, 2, 1)
 
-    d_forces = np.zeros((2, 3, NUM_JOINTS))
-    for j in range(NUM_JOINTS):
-        dw = np.zeros((6, 12))
-        dw[3:, 0:3] = -st.skew(dr0[:, j])
-        dw[3:, 6:9] = -st.skew(dr1[:, j])
-        ds = dw @ w.T + w @ dw.T
-        dh = dw.T @ s_inv_h + w.T @ np.linalg.solve(s_mat, -(ds @ s_inv_h))
-        d_forces[0, :, j] = dh[0:3]
-        d_forces[1, :, j] = dh[6:9]
-    return d_forces
+    ds = dw @ w.T + w @ dw_t
+    rhs = -(ds @ s_inv_h)
+    solved = np.linalg.solve(np.broadcast_to(s_mat, ds.shape), rhs[..., None])
+    dh = dw_t @ s_inv_h + (w.T @ solved)[..., 0]
+    return np.stack([dh[:, 0:3].T, dh[:, 6:9].T])
 
 
 def _com_gradient(config: ScenarioConfig, points) -> list:
     """Joint gradients (8 floats each) of the centre of mass's x and y; its
     z is fixed."""
     scale = config.link_mass / config.robot_mass
-    d_com = [[0.0] * NUM_JOINTS, [0.0] * NUM_JOINTS]
+    d_com_x, d_com_y = [0.0] * NUM_JOINTS, [0.0] * NUM_JOINTS
     for arm_index, arm_points in enumerate(points):
-        offset = arm_index * kin.NUM_LINKS
-        for link in range(kin.NUM_LINKS):
-            jac = kin.point_jacobian(arm_points, link, 0.5).tolist()
-            # The other arm's columns would add scale * 0.0, which leaves a
-            # sum that starts at 0.0 unchanged.
-            for row, jac_row in zip(d_com, jac):
-                for j, value in enumerate(jac_row, offset):
-                    row[j] += scale * value
-    return d_com
+        rows = arm_points.tolist()
+        for link, ((ax, ay), (bx, by)) in enumerate(zip(rows, rows[1:])):
+            # The link midpoint's Jacobian entries, computed as
+            # kinematics.point_jacobian(points, link, 0.5) computes them.
+            # Its zero columns (distal joints, the other arm) would add
+            # scale * 0.0, which leaves a sum that starts at 0.0 unchanged.
+            px = ax + 0.5 * (bx - ax)
+            py = ay + 0.5 * (by - ay)
+            for j, (jx, jy) in enumerate(rows[:link + 1],
+                                         arm_index * kin.NUM_LINKS):
+                d_com_x[j] += scale * -(py - jy)
+                d_com_y[j] += scale * (px - jx)
+    return [d_com_x, d_com_y]
 
 
 def _split(x: np.ndarray):

@@ -361,7 +361,7 @@ def _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol) -> float:
     """Scaled stationarity + complementarity residual with certificate
     multipliers.
 
-    The raw residual is divided by max(1, |lambda|_inf / 100) so that the
+    The raw residual is divided by max(1, |lambda|_inf / 1000) so that the
     convergence test stays meaningful when cost weights push multipliers to
     1e6, while still rejecting genuinely non-stationary points.
     """
@@ -430,12 +430,16 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     last_mu = None
     kkt = np.inf
     viol = np.inf
+    # The Jacobians at x: asked for at the start point, then carried over
+    # from the accepted trial, where the BFGS update already asked for them.
+    grad = None
 
     for _ in range(settings.max_iterations):
         f = float(problem.cost(x))
-        grad = np.asarray(problem.cost_grad(x), dtype=float)
         ce, ci = problem.eq(x), problem.ineq(x)
-        a_eq, a_in = problem.eq_jac(x), problem.ineq_jac(x)
+        if grad is None:
+            grad = np.asarray(problem.cost_grad(x), dtype=float)
+            a_eq, a_in = problem.eq_jac(x), problem.ineq_jac(x)
         viol = _max_violation(ce, ci)
         kkt = _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol)
         if kkt <= settings.tol_kkt and viol <= settings.tol_con:
@@ -596,6 +600,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
                 hess = 0.5 * (hess + hess.T)
 
         x = x_trial
+        grad, a_eq, a_in = grad_new, a_eq_new, a_in_new
         lam_eq, lam_in = lam_eq_new, lam_in_new
         iterations += 1
     else:

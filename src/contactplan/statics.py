@@ -26,16 +26,6 @@ import numpy as np
 from .errors import UnbalancedStateError
 
 
-def skew(v) -> np.ndarray:
-    """Skew-symmetric matrix such that skew(v) @ u == cross(v, u)."""
-    v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-
-
 def check_support_region(vertices, center, radius: float) -> None:
     """Check the balance geometry: a convex CCW support polygon that holds
     the safe circle of ``radius`` around ``center``.

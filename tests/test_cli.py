@@ -202,3 +202,21 @@ class TestRun:
         assert result.returncode == 0
         assert result.stdout == ""  # data streams stay machine-clean
         assert (tmp_path / "m.csv").exists()
+
+    def test_verbose_applies_to_each_run_in_a_process(self):
+        # Quiet, verbose, quiet: only the middle run logs its progress, and
+        # only to stderr.
+        script = (
+            "import sys\n"
+            "from contactplan.cli import run\n"
+            "for flags in ([], ['--verbose'], []):\n"
+            "    assert run(['--waypoints', '1', *flags]) == 0\n"
+            "    print('--', file=sys.stderr, flush=True)\n")
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ""
+        quiet, verbose, quiet_again, _ = result.stderr.split("--\n")
+        assert quiet == quiet_again == ""
+        assert "INFO planning 1 waypoints" in verbose
+        assert "INFO step 0:" in verbose

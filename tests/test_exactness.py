@@ -6,6 +6,10 @@ replaced, on seeded inputs, and requires the same bytes (so the signs of
 zeros too).  The references call the same numpy routines for everything
 that is not elementwise (trigonometry, ``@``, norms, solves), so the
 comparisons cover elementwise IEEE arithmetic only and hold on any host.
+The grasp-map derivative is compared with its per-joint loop instead: its
+stacked ``matmul`` and ``solve`` calls must make the loop's BLAS/LAPACK
+call for each joint, and running this file on each supported numpy
+version checks that they do.
 """
 
 import numpy as np
@@ -14,8 +18,7 @@ import pytest
 from contactplan import planner as pl
 from contactplan.kinematics import (NUM_LINKS, forward_kinematics,
                                     point_jacobian, signed_gap)
-from contactplan.statics import (bar_grasp, compute_zmp, robot_center_of_mass,
-                                 skew)
+from contactplan.statics import bar_grasp, compute_zmp, robot_center_of_mass
 
 DRAWS = 200
 
@@ -31,6 +34,16 @@ def assert_bitwise(new, old):
 # ---------------------------------------------------------------------------
 # The numpy forms the chain used before
 # ---------------------------------------------------------------------------
+
+def skew(v):
+    """Skew-symmetric matrix such that skew(v) @ u == cross(v, u)."""
+    v = np.asarray(v, dtype=float)
+    return np.array([
+        [0.0, -v[2], v[1]],
+        [v[2], 0.0, -v[0]],
+        [-v[1], v[0], 0.0],
+    ])
+
 
 def numpy_zmp(weight, com, positions, forces):
     force_sum = weight.copy()
@@ -121,6 +134,41 @@ def numpy_com_gradient(config, points):
                               arm_index)
             d_com[:2] += (config.link_mass / config.robot_mass) * jac
     return d_com
+
+
+def point_jacobian_com_gradient(config, points):
+    """The centre of mass gradient as a sum of embedded link-midpoint
+    Jacobians from ``point_jacobian``, accumulated on Python floats."""
+    scale = config.link_mass / config.robot_mass
+    d_com = [[0.0] * pl.NUM_JOINTS, [0.0] * pl.NUM_JOINTS]
+    for arm_index, arm_points in enumerate(points):
+        offset = arm_index * NUM_LINKS
+        for link in range(NUM_LINKS):
+            jac = point_jacobian(arm_points, link, 0.5).tolist()
+            for row, jac_row in zip(d_com, jac):
+                for j, value in enumerate(jac_row, offset):
+                    row[j] += scale * value
+    return d_com
+
+
+def loop_grasp_force_gradients(h_o, w, j0, j1):
+    """The hand-force gradients one joint column at a time: 2-D products
+    and one-right-hand-side solves."""
+    s_mat = w @ w.T
+    s_inv_h = np.linalg.solve(s_mat, h_o)
+    dr0 = np.zeros((3, pl.NUM_JOINTS))
+    dr0[:2] = 0.5 * (j1 - j0)
+    dr1 = -dr0
+    d_forces = np.zeros((2, 3, pl.NUM_JOINTS))
+    for j in range(pl.NUM_JOINTS):
+        dw = np.zeros((6, 12))
+        dw[3:, 0:3] = -skew(dr0[:, j])
+        dw[3:, 6:9] = -skew(dr1[:, j])
+        ds = dw @ w.T + w @ dw.T
+        dh = dw.T @ s_inv_h + w.T @ np.linalg.solve(s_mat, -(ds @ s_inv_h))
+        d_forces[0, :, j] = dh[0:3]
+        d_forces[1, :, j] = dh[6:9]
+    return d_forces
 
 
 def numpy_gap_gradients(points, candidate, res):
@@ -271,13 +319,42 @@ def test_signed_gap_matches_array_form(rng):
         assert_bitwise(res.closest_point, closest)
 
 
-def test_com_gradient_matches_embedded_jacobian_sum(chain_points):
+def test_com_gradient_matches_embedded_jacobian_sum(chain_points, rng):
     ctx, xs = chain_points
-    for x in xs:
-        points = ctx.config.joint_points(ctx.theta + x[:pl.NUM_JOINTS])
+    poses = [ctx.config.joint_points(ctx.theta + x[:pl.NUM_JOINTS]) for x in xs]
+    poses += [[forward_kinematics(*random_arm(rng)) for _ in range(2)]
+              for _ in range(DRAWS)]
+    for points in poses:
         d_com = numpy_com_gradient(ctx.config, points)
-        assert_bitwise(pl._com_gradient(ctx.config, points), d_com[:2])
+        new = pl._com_gradient(ctx.config, points)
+        assert_bitwise(new, d_com[:2])
+        assert_bitwise(new, point_jacobian_com_gradient(ctx.config, points))
         assert_bitwise(d_com[2], np.zeros(pl.NUM_JOINTS))
+
+
+def test_grasp_force_gradients_match_per_joint_loop(chain_points, rng):
+    ctx, xs = chain_points
+    config = ctx.config
+    moments = np.array([0.0, 10.0, -117.72, 1.5, -2.0, 3.0])
+    inputs = []
+    for x in xs:
+        chain = pl._chain_values(ctx, x)
+        j0, j1 = (numpy_embed(numpy_point_jacobian(points, NUM_LINKS - 1, 1.0), i)
+                  for i, points in enumerate(chain["points"]))
+        inputs += [(h_o, chain["grasp"], j0, j1)
+                   for h_o in (config.object_wrench, moments)]
+    for k in range(DRAWS):
+        h_o = rng.normal(scale=20.0, size=6)
+        _, w, _ = bar_grasp(rng.normal(size=(2, 2)), rng.uniform(0.5, 1.5), h_o)
+        j0, j1 = rng.normal(size=(2, 2, pl.NUM_JOINTS))
+        if k % 2:
+            # Each hand moves with its own arm's joints only.
+            j0[:, NUM_LINKS:] = 0.0
+            j1[:, :NUM_LINKS] = 0.0
+        inputs.append((h_o, w, j0, j1))
+    for args in inputs:
+        assert_bitwise(pl._grasp_force_gradients(*args),
+                       loop_grasp_force_gradients(*args))
 
 
 def test_gap_gradients_match_array_form(chain_points):
@@ -302,8 +379,8 @@ def test_zmp_gradients_match_array_bookkeeping(chain_points):
         j1 = numpy_embed(numpy_point_jacobian(points[1], NUM_LINKS - 1, 1.0), 1)
         assert_bitwise(derivatives["ee_jacobians"][0], j0)
         assert_bitwise(derivatives["ee_jacobians"][1], j1)
-        d_forces = pl._grasp_force_gradients(config.object_wrench,
-                                             chain["grasp"], j0, j1)
+        d_forces = loop_grasp_force_gradients(config.object_wrench,
+                                              chain["grasp"], j0, j1)
         gap_grads = [numpy_gap_gradients(points[cand.arm_index], cand, res)
                      for cand, res in zip(ctx.candidates, chain["gaps"])]
         d_phi = np.vstack([numpy_embed(d_gap[None, :], cand.arm_index)

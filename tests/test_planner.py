@@ -41,6 +41,23 @@ class TestInitialPose:
                                       default_config.link_radius, cand)
             assert abs(res.gap) <= 1e-8
 
+    def test_settle_asks_one_jacobian_per_pose(self, default_config,
+                                               monkeypatch):
+        # The settle's SQP asks for the Jacobian at its start pose and at
+        # each accepted pose; each accepted pose's Jacobian, asked for by
+        # the BFGS update, is carried into the next iteration.
+        poses = []
+        real = pl._gap_gradients
+
+        def counted(points, candidate, res):
+            poses.append(points.tobytes())
+            return real(points, candidate, res)
+
+        monkeypatch.setattr(pl, "_gap_gradients", counted)
+        initial_joint_angles(default_config)
+        assert poses
+        assert len(poses) == len(set(poses))
+
     def test_unreachable_initial_center(self, default_config):
         config = replace(default_config,
                          initial_center=np.array([0.0, 2.5]))
