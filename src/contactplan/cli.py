@@ -15,9 +15,10 @@ import numpy as np
 
 from . import planner as pl
 from . import torque as tq
+from .contact import support_force_vector
 from .errors import ContactPlanError
 from .plots import emit_plots as _emit_plot_files
-from .scenario import _DEFAULTS, ScenarioConfig, _from_dict, _merge, load_scenario
+from .scenario import ScenarioConfig, default_scenario, load_scenario
 
 log = logging.getLogger("contactplan")
 
@@ -61,16 +62,19 @@ def records_from_steps(steps, config: ScenarioConfig) -> list[StepRecord]:
     base_center = config.arm_bases.mean(axis=0)
     records = []
     for index, step in enumerate(steps):
-        command = tq.combined_torques(step.joint_points, config.link_radius,
-                                      step.contacts, step.hand_loads)
-        forces = tq.support_force_vectors(step.contacts)
+        gamma = step.decision.gamma
+        command = tq.combined_torques(step.joint_points,
+                                      config.contact_link_index, step.contacts,
+                                      gamma, step.hand_loads)
+        forces = [support_force_vector(g, c.normal_angle)
+                  for g, c in zip(gamma, step.contacts)]
         records.append(StepRecord(
             step=index,
             object_position=step.object_position,
             waypoint=step.waypoint,
             zmp=step.zmp.zmp,
             fzmp=step.fzmp.zmp,
-            gamma=np.array([c.force_magnitude for c in step.contacts]),
+            gamma=gamma.copy(),
             beta=np.array([c.normal_angle for c in step.contacts]),
             gap=np.array([c.gap for c in step.contacts]),
             support_force_norm=float(np.linalg.norm(np.concatenate(forces))),
@@ -102,15 +106,30 @@ def emit_csv(records, path: str) -> None:
 
 
 def read_csv(path: str) -> list[StepRecord]:
-    """Parse a trace written by ``emit_csv`` (round-trips exactly)."""
+    """Parse a trace written by ``emit_csv`` (round-trips exactly).
+
+    Raises:
+        ValueError: naming the line, for a wrong header, field count or
+            number, or a ``step`` or ``iters`` that is not an integer.
+    """
+    width = len(CSV_HEADER.split(","))
     records = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        if ",".join(header) != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path}")
+        header = next(reader, None)
+        if header is None or ",".join(header) != CSV_HEADER:
+            raise ValueError(f"{path}, line 1: expected the header {CSV_HEADER}")
         for row in reader:
-            values = [float(v) for v in row]
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != width:
+                raise ValueError(f"{where}: {len(row)} fields, expected {width}")
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not (values[0].is_integer() and values[17].is_integer()):
+                raise ValueError(f"{where}: step {row[0]} and iters {row[17]} "
+                                 f"must be integers")
             records.append(StepRecord(
                 step=int(values[0]),
                 object_position=np.array(values[1:3]),
@@ -179,7 +198,7 @@ def run(argv=None) -> int:
         overrides["solver"] = solver
     try:
         if args.scenario == "default":
-            config = _from_dict(_merge(_DEFAULTS, overrides))
+            config = default_scenario(overrides)
         else:
             config = load_scenario(args.scenario, overrides)
     except (ContactPlanError, ValueError) as exc:

@@ -5,7 +5,7 @@ Each waypoint is planned by one NLP over the decision vector
     x = [dtheta (8), gamma (2), s (1)]
 
 where dtheta are joint displacements for both arms (left then right), gamma
-are the support-force magnitudes of the two active contact candidates, and s
+are the support-force magnitudes at the two active port edges, and s
 is the complementarity relaxation slack.  The cost weighs object-position
 error, joint displacement, and the slack; the constraints keep the grasp
 closed, the forces admissible (gamma, s >= 0, gamma . phi <= s, phi >= 0),
@@ -100,8 +100,9 @@ class PlanDecision:
 class StepContext:
     """Scenario state a single waypoint solve works against.
 
-    ``candidates`` are the active port edges at ``theta`` (per arm, the edge
-    with the smaller gap), chosen on construction and frozen for the solve.
+    ``edges`` are the active port edges at ``theta``, a (2, 2) array with
+    one row per arm (the arm's edge with the smaller gap to its contact
+    link), chosen on construction and frozen for the solve.
     ``memo`` holds the ZMP chain of the last points evaluated against this
     context (see ``_chain``); the chain depends on the context and the
     decision vector only, so every continuation stage and the post-solve
@@ -113,7 +114,7 @@ class StepContext:
 
     config: ScenarioConfig
     theta: np.ndarray                      # (8,) current joint angles
-    candidates: tuple = field(init=False)  # one active ContactCandidate per arm
+    edges: np.ndarray = field(init=False)  # (2, 2) active edge point per arm
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
 
@@ -124,18 +125,20 @@ class StepContext:
         if not np.all(np.isfinite(theta)):
             raise ValueError("joint angles must be finite")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "candidates", tuple(ct.select_active_candidates(
-            self.config.joint_points(theta), self.config.link_radius,
-            self.config.port_edges, link_index=self.config.contact_link_index)))
+        object.__setattr__(self, "edges", ct.active_edges(
+            self.config.joint_points(theta), self.config.contact_link_index,
+            self.config.link_radius, self.config.port_edges))
 
 
 @dataclass(frozen=True)
 class PlanStep:
     """Accepted result of one waypoint: new configuration and observables.
 
-    ``joint_points`` are both arms' joint points at ``theta_after`` and
-    ``hand_loads`` the (2, 3) forces the object puts on the hands there,
-    both from the ZMP chain at the accepted point.
+    ``contacts`` are the two arms' ``kinematics.GapResult`` of their active
+    edges against the contact link, ``joint_points`` both arms' joint points
+    at ``theta_after`` and ``hand_loads`` the (2, 3) forces the object puts
+    on the hands there, all from the ZMP chain at the accepted point.  The
+    support forces' magnitudes are ``decision.gamma``.
     """
 
     waypoint: np.ndarray
@@ -174,17 +177,16 @@ def _smooth_norm(v: np.ndarray) -> tuple[float, np.ndarray]:
     return root - _NORM_EPS, v / root
 
 
-def _gap_gradients(points: np.ndarray, candidate,
+def _gap_gradients(points: np.ndarray, link: int, edge: np.ndarray,
                    res: kin.GapResult) -> tuple[list, list]:
-    """Joint gradients (4 floats each) of a candidate's gap and normal angle.
+    """Joint gradients (4 floats each) of an edge's gap to link ``link`` of
+    one arm and of its normal angle, from its ``contact.edge_gap`` result.
 
     The closest-point parameter along the link both moves the material point
     and slides along the axis; the sliding term vanishes from the gap
     gradient (the axis direction is orthogonal to the separation) but not
     from the normal-angle gradient.
     """
-    link = candidate.link_index
-    edge = candidate.edge_point
     a = points[link]
     jac_a = kin.point_jacobian(points, link, 0.0)
     jac_b = kin.point_jacobian(points, link, 1.0)
@@ -281,12 +283,13 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     ee0, ee1 = points[0][-1], points[1][-1]
 
     hands, grasp, h_c = st.bar_grasp((ee0, ee1), plane, config.object_wrench)
-    gaps = [ct.candidate_gap(points[cand.arm_index], config.link_radius, cand)
-            for cand in ctx.candidates]
+    gaps = [ct.edge_gap(arm_points, config.contact_link_index,
+                        config.link_radius, edge)
+            for arm_points, edge in zip(points, ctx.edges)]
     angles = [res.normal_angle for res in gaps]
     normals = list(zip(np.cos(angles).tolist(), np.sin(angles).tolist()))
     load_points = [*hands.tolist(),
-                   *([*cand.edge_point.tolist(), plane] for cand in ctx.candidates)]
+                   *([*edge.tolist(), plane] for edge in ctx.edges)]
     # Built without the non-negativity guard of support_force_vector so that
     # intermediate iterates with small negative gamma stay differentiable.
     loads = [h_c[0:3].tolist(), h_c[6:9].tolist(),
@@ -317,8 +320,8 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     j1 = _embed(kin.point_jacobian(points[1], kin.NUM_LINKS - 1, 1.0), 1)
     d_forces = _grasp_force_gradients(config.object_wrench, chain["grasp"],
                                       j0, j1).tolist()
-    gap_grads = [_gap_gradients(points[cand.arm_index], cand, res)
-                 for cand, res in zip(ctx.candidates, chain["gaps"])]
+    gap_grads = [_gap_gradients(arm_points, config.contact_link_index, edge, res)
+                 for arm_points, edge, res in zip(points, ctx.edges, chain["gaps"])]
     fz = float(chain["zmp_result"].ground_force[2])
     weight_z = float(config.robot_weight[2])
     d_com_x, d_com_y = _com_gradient(config, points)
@@ -346,10 +349,10 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
 
     d_phi = np.zeros((NUM_CONTACTS, NUM_JOINTS))
     d_mx_gamma, d_my_gamma = [], []
-    for i, (cand, (d_gap, d_beta), g, (c, s), (_, _, pz)) in enumerate(zip(
-            ctx.candidates, gap_grads, chain["gamma"].tolist(),
-            chain["normals"], load_points[2:])):
-        offset = cand.arm_index * kin.NUM_LINKS
+    for i, ((d_gap, d_beta), g, (c, s), (_, _, pz)) in enumerate(zip(
+            gap_grads, chain["gamma"].tolist(), chain["normals"],
+            load_points[2:])):
+        offset = i * kin.NUM_LINKS
         d_phi[i, offset:offset + kin.NUM_LINKS] = d_gap
         # The support force g (cos beta, sin beta, 0) turns with beta:
         # cross(p, df) horizontal rows with p constant and df planar.  The
@@ -608,7 +611,7 @@ def solve_step(ctx: StepContext, waypoint) -> PlanDecision:
 
 
 def _check_step(config: ScenarioConfig, waypoint: np.ndarray,
-                decision: PlanDecision, contacts, zmp: st.ZmpResult,
+                decision: PlanDecision, phi: np.ndarray, zmp: st.ZmpResult,
                 object_position: np.ndarray) -> list[str]:
     tol = config.solver.tol_con
     failures = []
@@ -622,10 +625,8 @@ def _check_step(config: ScenarioConfig, waypoint: np.ndarray,
     if zmp_dist > config.safe_radius + tol:
         failures.append(f"ZMP {zmp_dist:.6f} m from target exceeds safe "
                         f"radius {config.safe_radius} m")
-    phi = np.array([c.gap for c in contacts])
     feasible, violation = ct.complementarity_residual(
-        phi, decision.gamma, decision.slack, tol_gap=1e-6, tol_force=tol,
-        tol_comp=tol)
+        phi, decision.gamma, decision.slack, tol_gap=1e-6, tol=tol)
     if not feasible:
         failures.append(f"complementarity violated by {violation:.3g}")
     if decision.slack > config.solver.slack_max + tol:
@@ -656,15 +657,13 @@ def plan_waypoint(ctx: StepContext, waypoint) -> PlanStep:
     theta_after = ctx.theta + decision.dtheta
     # The solver's last point when the clamp changed nothing: a memo hit.
     chain = _chain(ctx, decision.to_vector())
-    contacts = [ct.contact_state(cand, res, config.link_radius).with_force(float(g))
-                for cand, res, g in zip(ctx.candidates, chain["gaps"], decision.gamma)]
     zmp = chain["zmp_result"]
     fzmp = st.compute_zmp(config.robot_weight, chain["com"],
                           chain["load_points"][:2], chain["loads"][:2])
     ee0, ee1 = chain["end_effectors"]
     object_position = 0.5 * (ee0 + ee1)
 
-    failures = _check_step(config, waypoint, decision, contacts, zmp,
+    failures = _check_step(config, waypoint, decision, chain["phi"], zmp,
                            object_position)
     if failures:
         raise PlanStepError(
@@ -679,7 +678,8 @@ def plan_waypoint(ctx: StepContext, waypoint) -> PlanStep:
             })
     return PlanStep(waypoint=waypoint,
                     decision=decision, theta_after=theta_after,
-                    object_position=object_position, contacts=tuple(contacts),
+                    object_position=object_position,
+                    contacts=tuple(chain["gaps"]),
                     zmp=zmp, fzmp=fzmp, joint_points=chain["points"],
                     hand_loads=np.array(chain["loads"][:2]))
 
@@ -709,22 +709,23 @@ def _two_segment_angles(config: ScenarioConfig, arm_index: int,
     return angles
 
 
-def _settle_on_edge(config: ScenarioConfig, candidate: ct.ContactCandidate,
+def _settle_on_edge(config: ScenarioConfig, arm_index: int, edge: np.ndarray,
                     grasp: np.ndarray, start: np.ndarray) -> np.ndarray | None:
-    """Refine one arm's pose so its contact link rests on the candidate edge.
+    """Refine one arm's pose so its contact link rests on the edge point.
 
     Minimizes the distance to the starting pose subject to the hand staying
     on the grasp point and the link capsule touching the edge (gap zero).
     Returns None when no touching pose is found.
     """
-    base = config.arm_bases[candidate.arm_index]
+    base = config.arm_bases[arm_index]
+    link = config.contact_link_index
     # The residuals and their Jacobian share one forward kinematics per pose.
     memo = {}
 
     def pose(q: np.ndarray) -> tuple:
         def compute():
             points = kin.forward_kinematics(base, config.link_lengths, q)
-            return points, ct.candidate_gap(points, config.link_radius, candidate)
+            return points, ct.edge_gap(points, link, config.link_radius, edge)
         return _remember(memo, q, compute)
 
     def residuals(q: np.ndarray) -> np.ndarray:
@@ -736,7 +737,7 @@ def _settle_on_edge(config: ScenarioConfig, candidate: ct.ContactCandidate,
         points, res = pose(q)
         jac = np.zeros((3, kin.NUM_LINKS))
         jac[:2] = kin.point_jacobian(points, kin.NUM_LINKS - 1, 1.0)
-        jac[2], _ = _gap_gradients(points, candidate, res)
+        jac[2], _ = _gap_gradients(points, link, edge, res)
         return jac
 
     nlp = NlpProblem(
@@ -764,13 +765,13 @@ def initial_joint_angles(config: ScenarioConfig) -> np.ndarray:
     """
     grasps = config.grasp_points(config.initial_center)
     bent = [_two_segment_angles(config, i, grasps[i]) for i in range(2)]
-    candidates = ct.select_active_candidates(
-        config.joint_points(np.concatenate(bent)), config.link_radius,
-        config.port_edges, link_index=config.contact_link_index)
+    edges = ct.active_edges(
+        config.joint_points(np.concatenate(bent)), config.contact_link_index,
+        config.link_radius, config.port_edges)
     theta = np.zeros(NUM_JOINTS)
-    for arm_index, candidate in enumerate(candidates):
+    for arm_index, edge in enumerate(edges):
         offset = arm_index * kin.NUM_LINKS
-        settled = _settle_on_edge(config, candidate, grasps[arm_index],
+        settled = _settle_on_edge(config, arm_index, edge, grasps[arm_index],
                                   bent[arm_index])
         theta[offset:offset + kin.NUM_LINKS] = \
             bent[arm_index] if settled is None else settled

@@ -372,9 +372,10 @@ def _validate(config: ScenarioConfig) -> None:
         raise ScenarioError(str(exc)) from exc
 
 
-def default_scenario() -> ScenarioConfig:
-    """The built-in experiment with all default constants."""
-    return _from_dict(_merge(_DEFAULTS, {}))
+def default_scenario(overrides: dict | None = None) -> ScenarioConfig:
+    """The built-in experiment with all default constants; ``overrides``
+    replace defaults before the one validation, as in ``load_scenario``."""
+    return _from_dict(_merge(_DEFAULTS, overrides or {}))
 
 
 def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:

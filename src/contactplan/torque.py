@@ -8,7 +8,10 @@ never disturb the planned support forces.  Everything here is planar: only
 the x and y components of each hand's load act on the 2x4 arm Jacobians,
 while z components are reacted by the elevated work plane.  Arm poses are
 the ``kinematics.forward_kinematics`` joint-point arrays, one per arm (left
-then right); hand loads are the (2, 3) forces the object wrench puts on the
+then right).  Contacts are the planner's ``kinematics.GapResult`` per arm,
+on link ``link_index``: each acts at the material point its ``axis_param``
+names, with the normal angle it stores, and ``gamma`` holds their force
+magnitudes.  Hand loads are the (2, 3) forces the object wrench puts on the
 hands, as the planner distributes it (``statics.bar_grasp``).
 """
 
@@ -51,54 +54,29 @@ def object_wrench_torques(points, hand_loads) -> np.ndarray:
     return torques
 
 
-def _contact_jacobian(points, link_radius: float, contact) -> np.ndarray:
-    """Jacobian (2x4) at a contact's material point on its link.
-
-    Raises:
-        ValueError: the stored contact point does not lie on the referenced
-            link's capsule surface.
-    """
-    cand = contact.candidate
-    arm_points = points[cand.arm_index]
-    res = kin.signed_gap(contact.contact_point, arm_points[cand.link_index],
-                         arm_points[cand.link_index + 1], link_radius)
-    # A point on the capsule surface sits at zero signed gap.
-    if abs(res.gap) > 1e-6:
-        raise ValueError(
-            f"contact point {contact.contact_point} is not on link "
-            f"{cand.link_index} of arm {cand.arm_index} (gap {res.gap:.3g})")
-    return kin.point_jacobian(arm_points, cand.link_index, res.axis_param)
-
-
-def support_force_vectors(contacts) -> list[np.ndarray]:
-    return [support_force_vector(c.force_magnitude, c.normal_angle)
-            for c in contacts]
-
-
-def support_torques(points, link_radius: float, contacts) -> np.ndarray:
+def support_torques(points, link_index: int, contacts, gamma) -> np.ndarray:
     """Joint torques generating the planar support forces at the contacts."""
     torques = np.zeros(NUM_JOINTS)
-    for contact, force in zip(contacts, support_force_vectors(contacts)):
-        jac = _contact_jacobian(points, link_radius, contact)
-        arm_index = contact.candidate.arm_index
-        torques[4 * arm_index:4 * arm_index + 4] += jac.T @ force[:2]
+    for arm_index, (contact, force) in enumerate(zip(contacts, gamma)):
+        jac = kin.point_jacobian(points[arm_index], link_index, contact.axis_param)
+        vector = support_force_vector(force, contact.normal_angle)
+        torques[4 * arm_index:4 * arm_index + 4] += jac.T @ vector[:2]
     return torques
 
 
-def stacked_support_jacobian(points, link_radius: float, contacts) -> np.ndarray:
+def stacked_support_jacobian(points, link_index: int, contacts, gamma) -> np.ndarray:
     """Support Jacobian with one 2-row block per active contact (8 columns).
 
     Contacts whose force magnitude is below ``ACTIVE_FORCE_TOL`` do not
     constrain the torque null space.
     """
     blocks = []
-    for contact in contacts:
-        if contact.force_magnitude <= ACTIVE_FORCE_TOL:
+    for arm_index, (contact, force) in enumerate(zip(contacts, gamma)):
+        if force <= ACTIVE_FORCE_TOL:
             continue
-        jac = _contact_jacobian(points, link_radius, contact)
         row = np.zeros((2, NUM_JOINTS))
-        arm_index = contact.candidate.arm_index
-        row[:, 4 * arm_index:4 * arm_index + 4] = jac
+        row[:, 4 * arm_index:4 * arm_index + 4] = kin.point_jacobian(
+            points[arm_index], link_index, contact.axis_param)
         blocks.append(row)
     if not blocks:
         return np.zeros((0, NUM_JOINTS))
@@ -115,7 +93,7 @@ def nullspace_projector(j_support: np.ndarray) -> np.ndarray:
     return np.eye(NUM_JOINTS) - jt @ np.linalg.pinv(jt, rcond=PINV_RCOND)
 
 
-def combined_torques(points, link_radius: float, contacts,
+def combined_torques(points, link_index: int, contacts, gamma,
                      hand_loads) -> TorqueCommand:
     """Support torques plus the null-space projected object-wrench torques.
 
@@ -123,9 +101,9 @@ def combined_torques(points, link_radius: float, contacts,
     forces from the combined torques by its pseudo-inverse returns exactly
     the planned support forces: the projection cannot leak into them.
     """
-    tau_support = support_torques(points, link_radius, contacts)
+    tau_support = support_torques(points, link_index, contacts, gamma)
     tau_object = object_wrench_torques(points, hand_loads)
-    j_support = stacked_support_jacobian(points, link_radius, contacts)
+    j_support = stacked_support_jacobian(points, link_index, contacts, gamma)
     projector = nullspace_projector(j_support)
     tau_object_projected = projector @ tau_object
     return TorqueCommand(torques=tau_support + tau_object_projected,

@@ -143,20 +143,20 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
         if float(step.decision.gamma.max()) <= 1e-6:
             continue
         points = default_config.joint_points(step.theta_after)
-        j_support = stacked_support_jacobian(points, default_config.link_radius,
-                                             step.contacts)
+        link = default_config.contact_link_index
+        gamma = step.decision.gamma
+        j_support = stacked_support_jacobian(points, link, step.contacts, gamma)
         assert j_support.shape[0] > 0
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
         projector = nullspace_projector(j_support)
         assert np.abs(projector @ projector - projector).max() <= 1e-9
         assert np.abs(np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ projector).max() <= 1e-9
-        command = combined_torques(
-            points, default_config.link_radius, step.contacts, step.hand_loads)
+        command = combined_torques(points, link, step.contacts, gamma,
+                                   step.hand_loads)
         recovered = np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ command.torques
         planned = np.concatenate(
-            [c.force_magnitude * np.array([np.cos(c.normal_angle),
-                                           np.sin(c.normal_angle)])
-             for c in step.contacts if c.force_magnitude > 1e-6])
+            [g * np.array([np.cos(c.normal_angle), np.sin(c.normal_angle)])
+             for g, c in zip(gamma, step.contacts) if g > 1e-6])
         assert np.abs(recovered - planned).max() <= 1e-8
         checked += 1
     assert checked >= 2

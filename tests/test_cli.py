@@ -70,6 +70,39 @@ class TestEmitCsv:
             emit_csv([], str(tmp_path / "x.csv"))
 
 
+class TestReadCsv:
+    """A malformed trace is a ValueError that names the line."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        return str(path)
+
+    def valid_rows(self, tmp_path):
+        path = tmp_path / "valid.csv"
+        emit_csv(synthetic_records(2), str(path))
+        return path.read_text().splitlines()
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(ValueError, match="line 1"):
+            read_csv(self.write(tmp_path, ""))
+
+    def test_short_row(self, tmp_path):
+        header, first, second = self.valid_rows(tmp_path)
+        short = ",".join(second.split(",")[:-3])
+        with pytest.raises(ValueError, match="line 3"):
+            read_csv(self.write(tmp_path, "\n".join([header, first, short]) + "\n"))
+
+    @pytest.mark.parametrize("column", ["step", "iters"])
+    def test_fractional_integer_column(self, tmp_path, column):
+        header, first, second = self.valid_rows(tmp_path)
+        fields = second.split(",")
+        fields[header.split(",").index(column)] = "1.5"
+        text = "\n".join([header, first, ",".join(fields)]) + "\n"
+        with pytest.raises(ValueError, match=f"line 3.*{column} 1.5"):
+            read_csv(self.write(tmp_path, text))
+
+
 class TestEmitPlots:
     def test_three_files(self, tmp_path, step_records, default_config):
         paths = emit_plots(step_records, default_config, str(tmp_path))

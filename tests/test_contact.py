@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from contactplan.contact import (ContactCandidate, candidate_gap,
-                                 complementarity_residual, contact_state,
-                                 select_active_candidates, support_force_vector)
+from contactplan.contact import (active_edges, complementarity_residual,
+                                 edge_gap, support_force_vector)
 from contactplan.kinematics import forward_kinematics
 
 RADIUS = 0.04
@@ -16,34 +15,29 @@ def arm_points(theta, base=(0.2, 0.0)):
                               np.array(theta, dtype=float))
 
 
-def candidate(edge, arm_index=0, link_index=1):
-    return ContactCandidate(arm_index=arm_index, edge_point=np.array(edge),
-                            link_index=link_index)
-
-
-def evaluate(arm, cand):
-    """A candidate's zero-force state against one arm's joint points."""
-    return contact_state(cand, candidate_gap(arm, RADIUS, cand), RADIUS)
+def evaluate(arm, edge, link_index=1):
+    """An edge point's gap result against one arm's contact link."""
+    return edge_gap(arm, link_index, RADIUS, np.array(edge, dtype=float))
 
 
 class TestEvaluateGaps:
     def test_far_point_large_positive_gap(self):
-        state = evaluate(arm_points([0.0] * 4), candidate([0.5, 2.0]))
+        state = evaluate(arm_points([0.0] * 4), [0.5, 2.0])
         assert state.gap > 1.0
-        assert state.force_magnitude == 0.0
 
     def test_point_on_surface_gives_zero_gap(self):
         # Link 1 of the straight arm spans x in [0.5, 0.8] at y = 0.
-        state = evaluate(arm_points([0.0] * 4), candidate([0.6, 0.04]))
+        state = evaluate(arm_points([0.0] * 4), [0.6, 0.04])
         assert state.gap == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(state.contact_point, [0.6, 0.04], atol=1e-12)
+        # The closest point on the link axis sits one radius below the edge.
+        np.testing.assert_allclose(state.closest_point, [0.6, 0.0], atol=1e-12)
 
     def test_matches_dense_sampling(self, rng):
         params = np.linspace(0.0, 1.0, 1_000_001)
         for _ in range(5):
             points = arm_points(rng.normal(scale=1.0, size=4))
             edge = rng.uniform(-0.5, 1.0, size=2)
-            state = evaluate(points, candidate(edge))
+            state = evaluate(points, edge)
             a, b = points[1], points[2]
             samples = a[None, :] + params[:, None] * (b - a)[None, :]
             dense = np.min(np.linalg.norm(samples - edge, axis=1)) - 0.04
@@ -52,11 +46,11 @@ class TestEvaluateGaps:
     def test_normal_continuity_away_from_endpoints(self, rng):
         theta = np.array([0.4, -0.2, 0.3, 0.1])
         edge = np.array([0.45, 0.35])
-        base = evaluate(arm_points(theta), candidate(edge))
+        base = evaluate(arm_points(theta), edge)
         assert 0.05 < base.axis_param < 0.95  # interior closest point
         for _ in range(20):
             eps = rng.normal(scale=1e-5, size=4)
-            moved = evaluate(arm_points(theta + eps), candidate(edge))
+            moved = evaluate(arm_points(theta + eps), edge)
             assert abs(moved.normal_angle - base.normal_angle) < 1e-2
 
 
@@ -66,8 +60,9 @@ class TestSelection:
         a, b = points[0][1], points[0][2]
         near = a + 0.4 * (b - a) + np.array([0.0, 0.05])
         far = near + np.array([0.0, 0.5])
-        active = select_active_candidates(points, RADIUS, [[far, near]])
-        np.testing.assert_allclose(active[0].edge_point, near)
+        active = active_edges(points, 1, RADIUS, [[far, near]])
+        assert active.shape == (1, 2)
+        np.testing.assert_allclose(active[0], near)
 
     def test_tie_breaks_toward_smaller_x(self):
         points = (arm_points([0.0] * 4),)
@@ -75,26 +70,32 @@ class TestSelection:
         # so the smaller x-coordinate wins.
         a = np.array([0.6, 0.1])
         b = np.array([0.59, -0.1])
-        active = select_active_candidates(points, RADIUS, [[a, b]])
-        np.testing.assert_allclose(active[0].edge_point, b)
+        active = active_edges(points, 1, RADIUS, [[a, b]])
+        np.testing.assert_allclose(active[0], b)
+
+
+def residual(phi, gamma, slack):
+    """``complementarity_residual`` with a gap tolerance of 1e-6 and a
+    force, slack and product tolerance of 1e-9."""
+    return complementarity_residual(phi, gamma, slack, tol_gap=1e-6, tol=1e-9)
 
 
 class TestComplementarityResidual:
     def test_positive_gaps_no_force(self):
-        feasible, violation = complementarity_residual([0.1, 0.2], [0.0, 0.0], 0.0)
+        feasible, violation = residual([0.1, 0.2], [0.0, 0.0], 0.0)
         assert feasible and violation == 0.0
 
     def test_force_at_closed_gap(self):
-        feasible, violation = complementarity_residual([0.0, 0.1], [5.0, 0.0], 0.0)
+        feasible, violation = residual([0.0, 0.1], [5.0, 0.0], 0.0)
         assert feasible and violation == 0.0
 
     def test_product_exceeding_slack(self):
-        feasible, violation = complementarity_residual([0.1], [2.0], 0.1)
+        feasible, violation = residual([0.1], [2.0], 0.1)
         assert not feasible
         assert violation == pytest.approx(0.1)
 
     def test_penetration_detected(self):
-        feasible, violation = complementarity_residual([-0.01], [0.0], 0.0)
+        feasible, violation = residual([-0.01], [0.0], 0.0)
         assert not feasible
         assert violation == pytest.approx(0.01)
 

@@ -171,9 +171,7 @@ def loop_grasp_force_gradients(h_o, w, j0, j1):
     return d_forces
 
 
-def numpy_gap_gradients(points, candidate, res):
-    link = candidate.link_index
-    edge = candidate.edge_point
+def numpy_gap_gradients(points, link, edge, res):
     a = points[link]
     jac_a = numpy_point_jacobian(points, link, 0.0)
     jac_b = numpy_point_jacobian(points, link, 1.0)
@@ -213,12 +211,12 @@ def numpy_zmp_gradients(ctx, chain, d_forces, gap_grads, j0, j1):
         d_moment[1] += d_pos[2] * force[0] + pos[2] * df[0] - d_pos[0] * force[2] \
             - pos[0] * df[2]
         d_fz += -df[2]
-    for i, (cand, res, (d_gap, d_beta), g) in enumerate(
-            zip(ctx.candidates, chain["gaps"], gap_grads, chain["gamma"])):
+    for i, (res, (d_gap, d_beta), g) in enumerate(
+            zip(chain["gaps"], gap_grads, chain["gamma"])):
         pos = load_points[2 + i]
         unit = np.array([np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0])
         d_unit = np.outer(np.array([-unit[1], unit[0], 0.0]), d_beta)
-        df_theta = numpy_embed((float(g) * d_unit)[:2], cand.arm_index)
+        df_theta = numpy_embed((float(g) * d_unit)[:2], i)
         d_moment[0] += -pos[2] * df_theta[1]
         d_moment[1] += pos[2] * df_theta[0]
         d_moment_gamma[0, i] = -pos[2] * unit[1]
@@ -359,12 +357,12 @@ def test_grasp_force_gradients_match_per_joint_loop(chain_points, rng):
 
 def test_gap_gradients_match_array_form(chain_points):
     ctx, xs = chain_points
+    link = ctx.config.contact_link_index
     for x in xs:
         chain = pl._chain_values(ctx, x)
-        for cand, res in zip(ctx.candidates, chain["gaps"]):
-            points = chain["points"][cand.arm_index]
-            for new, old in zip(pl._gap_gradients(points, cand, res),
-                                numpy_gap_gradients(points, cand, res)):
+        for points, edge, res in zip(chain["points"], ctx.edges, chain["gaps"]):
+            for new, old in zip(pl._gap_gradients(points, link, edge, res),
+                                numpy_gap_gradients(points, link, edge, res)):
                 assert_bitwise(new, old)
 
 
@@ -381,10 +379,12 @@ def test_zmp_gradients_match_array_bookkeeping(chain_points):
         assert_bitwise(derivatives["ee_jacobians"][1], j1)
         d_forces = loop_grasp_force_gradients(config.object_wrench,
                                               chain["grasp"], j0, j1)
-        gap_grads = [numpy_gap_gradients(points[cand.arm_index], cand, res)
-                     for cand, res in zip(ctx.candidates, chain["gaps"])]
-        d_phi = np.vstack([numpy_embed(d_gap[None, :], cand.arm_index)
-                           for cand, (d_gap, _) in zip(ctx.candidates, gap_grads)])
+        gap_grads = [numpy_gap_gradients(arm_points, config.contact_link_index,
+                                         edge, res)
+                     for arm_points, edge, res in zip(points, ctx.edges,
+                                                      chain["gaps"])]
+        d_phi = np.vstack([numpy_embed(d_gap[None, :], i)
+                           for i, (d_gap, _) in enumerate(gap_grads)])
         assert_bitwise(derivatives["d_phi"], d_phi)
         d_zmp_theta, d_zmp_gamma = numpy_zmp_gradients(ctx, chain, d_forces,
                                                        gap_grads, j0, j1)
@@ -407,16 +407,15 @@ def test_value_pass_matches_array_form(chain_points):
                                             config.plane_height,
                                             config.object_wrench)
         assert_bitwise(chain["grasp"], grasp)
-        gaps = [numpy_signed_gap(
-            cand.edge_point, points[cand.arm_index][cand.link_index],
-            points[cand.arm_index][cand.link_index + 1], config.link_radius)
-            for cand in ctx.candidates]
+        link = config.contact_link_index
+        gaps = [numpy_signed_gap(edge, arm_points[link], arm_points[link + 1],
+                                 config.link_radius)
+                for arm_points, edge in zip(points, ctx.edges)]
         assert_bitwise(chain["phi"], [gap for gap, *_ in gaps])
         angles = np.array([angle for _, _, angle, _ in gaps])
         load_points = np.array([
             hands[0], hands[1],
-            *([cand.edge_point[0], cand.edge_point[1], config.plane_height]
-              for cand in ctx.candidates)])
+            *([edge[0], edge[1], config.plane_height] for edge in ctx.edges)])
         loads = np.array([
             h_c[0:3], h_c[6:9],
             *(float(g) * np.array([c, s, 0.0]) for g, c, s in zip(

@@ -36,9 +36,10 @@ class TestInitialPose:
         theta = initial_joint_angles(default_config)
         ctx = pl.StepContext(default_config, theta)
         points = default_config.joint_points(theta)
-        for cand in ctx.candidates:
-            res = pl.ct.candidate_gap(points[cand.arm_index],
-                                      default_config.link_radius, cand)
+        assert ctx.edges.shape == (2, 2)
+        for arm_points, edge in zip(points, ctx.edges):
+            res = pl.ct.edge_gap(arm_points, default_config.contact_link_index,
+                                 default_config.link_radius, edge)
             assert abs(res.gap) <= 1e-8
 
     def test_settle_asks_one_jacobian_per_pose(self, default_config,
@@ -49,9 +50,9 @@ class TestInitialPose:
         poses = []
         real = pl._gap_gradients
 
-        def counted(points, candidate, res):
+        def counted(points, link, edge, res):
             poses.append(points.tobytes())
-            return real(points, candidate, res)
+            return real(points, link, edge, res)
 
         monkeypatch.setattr(pl, "_gap_gradients", counted)
         initial_joint_angles(default_config)

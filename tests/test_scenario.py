@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -228,6 +228,14 @@ def test_default_scenario_is_validated():
     config = default_scenario()
     assert config.waypoint_count >= 1
     assert config.solver.tol_kkt > 0
+
+
+def test_default_scenario_overrides():
+    config = default_scenario({"task": {"waypoint_count": 4}})
+    assert config.waypoint_count == 4
+    assert_same_config(config, replace(default_scenario(), waypoint_count=4))
+    with pytest.raises(ScenarioError, match="task.waypoint_count"):
+        default_scenario({"task": {"waypoint_count": 0}})
 
 
 # Leaf keys of the schema as (section, key); section None for top-level keys.

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from contactplan.cli import records_from_steps
-from contactplan.contact import (ContactCandidate, ContactState, candidate_gap,
-                                 contact_state)
+from contactplan.contact import edge_gap
 from contactplan.kinematics import forward_kinematics
 from contactplan.planner import plan_path
-from contactplan.scenario import _DEFAULTS, _from_dict, _merge
+from contactplan.scenario import default_scenario
 from contactplan.statics import bar_grasp
 from contactplan.torque import (PINV_RCOND, combined_torques,
                                 nullspace_projector, object_wrench_torques,
@@ -15,6 +14,7 @@ from contactplan.torque import (PINV_RCOND, combined_torques,
 from test_statics import reference_grasp_map
 
 RADIUS = 0.04
+LINK = 1  # the contact link of every arm below
 
 
 def make_arms(theta8):
@@ -25,19 +25,20 @@ def make_arms(theta8):
             forward_kinematics(np.array([0.2, 0.0]), lengths, theta8[4:]))
 
 
-def touching_contact(arms, arm_index, link_index=1, param=0.5, gamma=0.0):
-    """A contact whose edge point sits exactly on the capsule surface."""
-    a, b = arms[arm_index][link_index], arms[arm_index][link_index + 1]
+def touching_contact(arms, arm_index, param=0.5):
+    """The contact of an edge point that sits exactly on the capsule surface
+    of the arm's contact link, at ``param`` along it."""
+    a, b = arms[arm_index][LINK], arms[arm_index][LINK + 1]
     axis_point = a + param * (b - a)
     direction = b - a
     normal = np.array([-direction[1], direction[0]])
     normal = normal / np.linalg.norm(normal)
     edge = axis_point - RADIUS * normal
-    cand = ContactCandidate(arm_index=arm_index, edge_point=edge,
-                            link_index=link_index)
-    state = contact_state(cand, candidate_gap(arms[arm_index], RADIUS, cand),
-                          RADIUS)
-    return state.with_force(gamma)
+    return edge_gap(arms[arm_index], LINK, RADIUS, edge)
+
+
+def both_contacts(arms, params=(0.5, 0.5)):
+    return [touching_contact(arms, i, param) for i, param in enumerate(params)]
 
 
 def penrose_conditions(matrix, pinv):
@@ -116,14 +117,12 @@ class TestObjectWrenchTorques:
 class TestSupportTorques:
     def test_zero_forces_zero_torques(self):
         arms = make_arms([0.5, 0.1, 0.2, -0.1, 1.0, -0.2, 0.3, 0.4])
-        contacts = [touching_contact(arms, 0, gamma=0.0),
-                    touching_contact(arms, 1, gamma=0.0)]
-        np.testing.assert_allclose(support_torques(arms, RADIUS, contacts), 0.0)
+        np.testing.assert_allclose(
+            support_torques(arms, LINK, both_contacts(arms), [0.0, 0.0]), 0.0)
 
     def test_distal_joints_unloaded(self):
         arms = make_arms([0.5, 0.1, 0.2, -0.1, 1.0, -0.2, 0.3, 0.4])
-        contacts = [touching_contact(arms, 1, link_index=1, gamma=20.0)]
-        tau = support_torques(arms, RADIUS, contacts)
+        tau = support_torques(arms, LINK, both_contacts(arms), [0.0, 20.0])
         np.testing.assert_allclose(tau[:4], 0.0)
         np.testing.assert_allclose(tau[6:], 0.0)  # joints 3, 4 of that arm
         assert np.any(tau[4:6] != 0.0)
@@ -137,10 +136,12 @@ class TestSupportTorques:
             arms = make_arms(theta)
             arm_index = int(rng.integers(0, 2))
             param = float(rng.uniform(0.1, 0.9))
-            contact = touching_contact(arms, arm_index, param=param,
-                                       gamma=float(rng.uniform(1, 50)))
-            tau = support_torques(arms, RADIUS, [contact])
-            force = contact.force_magnitude * np.array(
+            contacts = both_contacts(arms, (param, param))
+            contact = contacts[arm_index]
+            gamma = np.zeros(2)
+            gamma[arm_index] = rng.uniform(1, 50)
+            tau = support_torques(arms, LINK, contacts, gamma)
+            force = gamma[arm_index] * np.array(
                 [np.cos(contact.normal_angle), np.sin(contact.normal_angle)])
             expected = np.zeros(8)
             for j in range(8):
@@ -154,16 +155,6 @@ class TestSupportTorques:
                 expected[j] = force @ (p_plus - p_minus) / (2 * step)
             np.testing.assert_allclose(tau, expected,
                                        atol=1e-5 * max(1.0, np.abs(tau).max()))
-
-    def test_point_off_link_rejected(self):
-        arms = make_arms([0.0] * 8)
-        contact = touching_contact(arms, 0, gamma=5.0)
-        bad = ContactState(candidate=contact.candidate, gap=contact.gap,
-                           normal_angle=contact.normal_angle,
-                           contact_point=contact.contact_point + 0.2,
-                           axis_param=contact.axis_param, force_magnitude=5.0)
-        with pytest.raises(ValueError):
-            support_torques(arms, RADIUS, [bad])
 
 
 class TestNullspaceProjector:
@@ -189,54 +180,52 @@ class TestNullspaceProjector:
 class TestCombinedTorques:
     def setup_scene(self, gammas=(25.0, 30.0)):
         arms = make_arms([2.2, 0.3, -0.5, 0.1, 0.9, -0.3, 0.5, -0.1])
-        contacts = [touching_contact(arms, 0, param=0.4, gamma=gammas[0]),
-                    touching_contact(arms, 1, param=0.6, gamma=gammas[1])]
+        contacts = both_contacts(arms, (0.4, 0.6))
         loads = hand_loads(arms, np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0]))
-        return arms, contacts, loads
+        return arms, contacts, np.array(gammas), loads
 
     def test_no_contacts_passes_object_torques_through(self):
-        arms, _, loads = self.setup_scene()
-        command = combined_torques(arms, RADIUS, [], loads)
+        arms, _, _, loads = self.setup_scene()
+        command = combined_torques(arms, LINK, [], [], loads)
         np.testing.assert_allclose(command.torques,
                                    object_wrench_torques(arms, loads))
         np.testing.assert_allclose(command.support_torques, 0.0)
 
     def test_zero_wrench_gives_support_torques(self):
-        arms, contacts, _ = self.setup_scene()
-        command = combined_torques(arms, RADIUS, contacts, np.zeros((2, 3)))
+        arms, contacts, gamma, _ = self.setup_scene()
+        command = combined_torques(arms, LINK, contacts, gamma, np.zeros((2, 3)))
         np.testing.assert_allclose(command.torques,
-                                   support_torques(arms, RADIUS, contacts))
+                                   support_torques(arms, LINK, contacts, gamma))
 
     def test_decomposition_identity(self):
-        arms, contacts, loads = self.setup_scene()
-        command = combined_torques(arms, RADIUS, contacts, loads)
+        arms, contacts, gamma, loads = self.setup_scene()
+        command = combined_torques(arms, LINK, contacts, gamma, loads)
         np.testing.assert_allclose(
             command.torques,
             command.support_torques + command.object_torques_projected)
 
     def test_support_priority_recovery(self):
-        arms, contacts, loads = self.setup_scene()
-        command = combined_torques(arms, RADIUS, contacts, loads)
-        j_support = stacked_support_jacobian(arms, RADIUS, contacts)
+        arms, contacts, gamma, loads = self.setup_scene()
+        command = combined_torques(arms, LINK, contacts, gamma, loads)
+        j_support = stacked_support_jacobian(arms, LINK, contacts, gamma)
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
         recovered = pseudo_inverse(j_support.T) @ command.torques
         planned = np.concatenate([
-            c.force_magnitude * np.array([np.cos(c.normal_angle),
-                                          np.sin(c.normal_angle)])
-            for c in contacts])
+            g * np.array([np.cos(c.normal_angle), np.sin(c.normal_angle)])
+            for g, c in zip(gamma, contacts)])
         np.testing.assert_allclose(recovered, planned, atol=1e-8)
 
     def test_linear_in_object_wrench(self, rng):
-        arms, contacts, _ = self.setup_scene()
+        arms, contacts, gamma, _ = self.setup_scene()
         h_a = rng.normal(scale=20.0, size=6)
         h_b = rng.normal(scale=20.0, size=6)
 
         def torques(h_o):
-            return combined_torques(arms, RADIUS, contacts,
+            return combined_torques(arms, LINK, contacts, gamma,
                                     hand_loads(arms, h_o)).torques
 
         tau_a, tau_b, tau_sum = torques(h_a), torques(h_b), torques(h_a + h_b)
-        support = support_torques(arms, RADIUS, contacts)
+        support = support_torques(arms, LINK, contacts, gamma)
         np.testing.assert_allclose(tau_sum - support,
                                    (tau_a - support) + (tau_b - support),
                                    atol=1e-9)
@@ -247,8 +236,7 @@ class TestRecordTorques:
         # With asymmetric grasp offsets the bar's nominal grasp points sit
         # 0.05 m from the hands; the reported torques must load the hands
         # the way the planner's balance does, about the hands' midpoint.
-        config = _from_dict(_merge(_DEFAULTS, {
-            "object": {"grasp_offsets": [-0.25, 0.35]}}))
+        config = default_scenario({"object": {"grasp_offsets": [-0.25, 0.35]}})
         steps = plan_path(config)
         records = records_from_steps(steps, config)
         assert len(records) == config.waypoint_count
@@ -261,7 +249,8 @@ class TestRecordTorques:
             hands = [np.append(arm[-1], config.plane_height) for arm in points]
             w = reference_grasp_map(hands)
             h_c = w.T @ np.linalg.solve(w @ w.T, config.object_wrench)
-            command = combined_torques(points, config.link_radius,
-                                       step.contacts, [h_c[0:3], h_c[6:9]])
+            command = combined_torques(points, config.contact_link_index,
+                                       step.contacts, step.decision.gamma,
+                                       [h_c[0:3], h_c[6:9]])
             assert record.torque_norm == pytest.approx(
                 np.linalg.norm(command.torques), rel=1e-12, abs=0.0)
