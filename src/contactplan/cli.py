@@ -45,7 +45,8 @@ class StepRecord:
     cost: float
     slack: float
     distance: float
-    theta: np.ndarray | None = field(default=None, compare=False)
+    # The plan step's joint points, for the path plot; none from a CSV.
+    joint_points: tuple | None = field(default=None, compare=False)
 
     def csv_row(self) -> list:
         return [self.step,
@@ -83,7 +84,7 @@ def records_from_steps(steps, config: ScenarioConfig) -> list[StepRecord]:
             cost=step.decision.cost,
             slack=step.decision.slack,
             distance=float(np.linalg.norm(step.object_position - base_center)),
-            theta=step.theta_after,
+            joint_points=step.joint_points,
         ))
     return records
 

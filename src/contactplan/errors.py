@@ -18,14 +18,6 @@ class InfeasibleStepError(ContactPlanError):
     """A QP subproblem stayed infeasible even after elastic relaxation."""
 
 
-class ReachabilityError(ContactPlanError):
-    """A waypoint lies outside the arms' reachable workspace."""
-
-    def __init__(self, message: str, waypoint_index: int | None = None):
-        super().__init__(message)
-        self.waypoint_index = waypoint_index
-
-
 class PlanStepError(ContactPlanError):
     """A planning step failed; carries diagnostics and the partial trace."""
 

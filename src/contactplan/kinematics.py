@@ -10,7 +10,7 @@ model.  Joint angles are stored un-normalised; only their sines/cosines are
 consumed downstream.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class GapResult:
     gap: float
     closest_point: np.ndarray
     normal_angle: float
-    axis_param: float = field(default=0.0)
+    axis_param: float
 
 
 def forward_kinematics(base, link_lengths, angles) -> np.ndarray:

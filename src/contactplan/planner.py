@@ -51,7 +51,7 @@ import numpy as np
 from . import contact as ct
 from . import kinematics as kin
 from . import statics as st
-from .errors import ContactPlanError, PlanStepError, ReachabilityError
+from .errors import ContactPlanError, PlanStepError
 from .scenario import ScenarioConfig
 from .sqp import NlpProblem, SolverSettings, finite_difference_jacobian, solve_sqp
 
@@ -529,9 +529,9 @@ def build_step_nlp(ctx: StepContext, waypoint, weight_slack: float) -> NlpProble
     return NlpProblem(dim=DECISION_DIM, **{name: field(name) for name in names})
 
 
-def gradient_check(ctx: StepContext, waypoint, decision: PlanDecision,
-                   fd_step: float = 1e-6) -> float:
-    """Largest relative error of the analytic derivatives vs central FD."""
+def gradient_check(ctx: StepContext, waypoint, decision: PlanDecision) -> float:
+    """Largest relative error of the analytic derivatives vs central FD
+    (``finite_difference_jacobian``'s step of 1e-6)."""
     x = decision.to_vector()
     values = evaluate_nlp(ctx, waypoint, x)
     analytic = np.vstack([values["cost_grad"][None, :], values["equality_jac"],
@@ -542,7 +542,7 @@ def gradient_check(ctx: StepContext, waypoint, decision: PlanDecision,
         return np.concatenate([[values["cost"]], values["equalities"],
                                values["inequalities"]])
 
-    numeric = finite_difference_jacobian(stacked, x, step=fd_step)
+    numeric = finite_difference_jacobian(stacked, x)
     return relative_error(analytic, numeric)
 
 
@@ -687,16 +687,11 @@ def plan_waypoint(ctx: StepContext, waypoint) -> PlanStep:
 def _two_segment_angles(config: ScenarioConfig, arm_index: int,
                         grasp: np.ndarray) -> np.ndarray:
     """Elbow-out bent-arm pose: links pair into shoulder and forearm
-    segments."""
+    segments, which ``ScenarioConfig`` has checked can reach ``grasp``."""
     base = config.arm_bases[arm_index]
     target = grasp - base
     dist = float(np.linalg.norm(target))
-    upper = float(config.link_lengths[0] + config.link_lengths[1])
-    fore = float(config.link_lengths[2] + config.link_lengths[3])
-    if dist > upper + fore or dist < abs(upper - fore):
-        raise ReachabilityError(
-            f"initial grasp point {grasp} unreachable from base {base} "
-            f"(distance {dist:.3f} m)")
+    upper, fore = config.segment_lengths
     cos_elbow = (dist * dist - upper * upper - fore * fore) / (2 * upper * fore)
     cos_elbow = min(max(cos_elbow, -1.0), 1.0)
     sign = 1.0 if base[0] >= 0.0 else -1.0
@@ -758,10 +753,9 @@ def initial_joint_angles(config: ScenarioConfig) -> np.ndarray:
     then is settled so the contact link rests against the nearer port edge
     (the natural entry state for arms inserted through the ports, and the
     posture from which support forces can build up symmetrically).  If no
-    touching pose exists the bent pose is kept.
-
-    Raises:
-        ReachabilityError: a grasp point outside the arm's workspace.
+    touching pose exists the bent pose is kept.  Every ``ScenarioConfig``
+    has a bent pose: its construction rejects start grasp points out of
+    reach or inside the shoulder-forearm dead zone.
     """
     grasps = config.grasp_points(config.initial_center)
     bent = [_two_segment_angles(config, i, grasps[i]) for i in range(2)]
@@ -783,14 +777,14 @@ def plan_path(config: ScenarioConfig, theta0=None) -> list[PlanStep]:
 
     Each step is warm-started from the previous configuration with zero
     initial decision values.  The first failing step aborts the plan.
+    Reach, balance geometry and the vertical load were checked when the
+    config was constructed; planning does not check them again.
 
     Raises:
-        ReachabilityError: a waypoint's grasp points exceed total arm reach.
         PlanStepError: a step failed; ``partial_steps`` holds the trace so
             far and ``waypoint_index`` names the step.
         ValueError: ``theta0`` is not 8 finite joint angles.
     """
-    config.check_reach()
     theta = np.asarray(theta0, dtype=float) if theta0 is not None \
         else initial_joint_angles(config)
     steps: list[PlanStep] = []

@@ -18,10 +18,10 @@ def _fmt(value: float) -> str:
 class _Canvas:
     """Minimal SVG builder mapping world coordinates to pixels (y up)."""
 
-    def __init__(self, width, height, world_box, margin=50.0):
+    def __init__(self, width, height, world_box):
         self.width = width
         self.height = height
-        self.margin = margin
+        margin = 50.0  # pixels around the plotted area
         x0, y0, x1, y1 = world_box
         span_x = max(x1 - x0, 1e-9)
         span_y = max(y1 - y0, 1e-9)
@@ -42,21 +42,20 @@ class _Canvas:
         return (self.off_x + (x - self.x0) * self.scale,
                 self.off_y + (self.y1 - y) * self.scale)
 
-    def polyline(self, points, color, width=1.5, dash=None, close=False):
+    def polyline(self, points, color, width=1.5, close=False):
         px = " ".join(f"{_fmt(u)},{_fmt(v)}" for u, v in
                       (self.to_px(x, y) for x, y in points))
         tag = "polygon" if close else "polyline"
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<{tag} points="{px}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"{dash_attr}/>')
+            f'stroke-width="{width}"/>')
 
-    def circle(self, center, radius_world, color, fill="none", width=1.5):
+    def circle(self, center, radius_world, color):
         u, v = self.to_px(*center)
         self.parts.append(
             f'<circle cx="{_fmt(u)}" cy="{_fmt(v)}" '
-            f'r="{_fmt(radius_world * self.scale)}" fill="{fill}" '
-            f'stroke="{color}" stroke-width="{width}"/>')
+            f'r="{_fmt(radius_world * self.scale)}" fill="none" '
+            f'stroke="{color}" stroke-width="1.5"/>')
 
     def dot(self, point, color, r=3.0):
         u, v = self.to_px(*point)
@@ -112,7 +111,7 @@ def write_path_plot(records, config, path: str) -> None:
 
     for index, record in enumerate(records):
         color = _step_color(index, count)
-        for arm_points in config.joint_points(record.theta):
+        for arm_points in record.joint_points:
             canvas.polyline([tuple(p) for p in arm_points], color, width=2.0)
         half = config.bar_length / 2.0
         bar = [(record.object_position[0] - half, record.object_position[1]),

@@ -31,7 +31,7 @@ Sections and keys (SI units throughout):
                             0.40 x 0.32 rectangle
       sp_center             [x, y] m, default [0.0, 0.0]
       safe_radius           m, default 0.15; the safe circle must lie
-                            inside sp_polygon (checked once, at load)
+                            inside sp_polygon
       object_radius         m, default 0.10
     task:
       path_direction        [x, y], default [0.0, 1.0] (normalized on load;
@@ -55,6 +55,16 @@ The former keys ``contact.support_force_scale``, ``solver.armijo_c1``,
 unknown: only a support-force scale of 1 keeps the force balance consistent,
 and the other three are fixed constants of the SQP line search.
 
+A ``ScenarioConfig`` is plannable by construction: building one (by loading
+or by ``dataclasses.replace``) raises a ``ScenarioError`` naming the key when
+the support polygon does not hold the safe circle (``balance``), a waypoint's
+grasp point lies beyond shoulder (links 1-2) plus forearm (links 3-4) reach
+(``task``), a start grasp point lies closer to its arm base than |shoulder -
+forearm| (``object.initial_center``), or ``robot_weight[2] +
+object_wrench[2] >= 0`` lifts the robot (``task.object_wrench``; support
+forces are horizontal, so the ground reaction's z is the same in every pose).
+Planning never checks reach or balance again.
+
 The environment variable ``CONTACTPLAN_SCENARIO_DIR`` names a directory that
 relative scenario paths are resolved against when they do not exist locally.
 """
@@ -67,12 +77,12 @@ import numpy as np
 import yaml
 
 from . import kinematics as kin
-from .errors import ReachabilityError, ScenarioError
+from .errors import ScenarioError
 from .kinematics import NUM_LINKS
 from .sqp import SolverSettings
 from .statics import check_support_region
 
-# Waypoints are materialized at load time for the reach check.
+# Waypoints are materialized at construction for the reach check.
 MAX_WAYPOINTS = 10_000
 
 _DEFAULTS = {
@@ -156,15 +166,47 @@ class ScenarioConfig:
     contact_link_index: int
     solver: SolverSettings
     gravity: float
-    # Derived once per config: every pass of the ZMP chain reads them.
+    # Derived once per config: every pass of the ZMP chain reads the weight,
+    # and the start pose the (shoulder, forearm) link-pair sums.
     robot_mass: float = field(init=False, repr=False, compare=False)
     robot_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    segment_lengths: tuple = field(init=False, repr=False, compare=False)
 
+    # Extreme inputs overflow to inf or NaN; the NaN-safe "not x <= bound"
+    # checks reject them, so numpy's warnings would only repeat the error.
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         mass = self.torso_mass + 2 * NUM_LINKS * self.link_mass
         object.__setattr__(self, "robot_mass", mass)
         object.__setattr__(self, "robot_weight",
                            mass * np.array([0.0, 0.0, -self.gravity]))
+        lengths = self.link_lengths
+        shoulder = float(lengths[0] + lengths[1])
+        forearm = float(lengths[2] + lengths[3])
+        object.__setattr__(self, "segment_lengths", (shoulder, forearm))
+        try:
+            check_support_region(self.sp_polygon, self.sp_center,
+                                 self.safe_radius)
+        except ValueError as exc:
+            raise ScenarioError(f"balance: {exc}") from exc
+        reach, dead_zone = shoulder + forearm, abs(shoulder - forearm)
+        for index, waypoint in enumerate(self.waypoints()):
+            for arm_index, grasp in enumerate(self.grasp_points(waypoint)):
+                dist = float(np.linalg.norm(grasp - self.arm_bases[arm_index]))
+                if not dist <= reach:
+                    raise ScenarioError(
+                        f"task: waypoint {index} at {waypoint} is out of reach "
+                        f"for arm {arm_index} ({dist:.3f} m > {reach:.3f} m)")
+                # Waypoint 0 is the start: initial_center itself.
+                if index == 0 and not dist >= dead_zone:
+                    raise ScenarioError(
+                        f"object.initial_center: the start grasp point of arm "
+                        f"{arm_index} is {dist:.3f} m from its base, inside "
+                        f"|shoulder - forearm| = {dead_zone:.3f} m")
+        if not self.robot_weight[2] + self.object_wrench[2] < 0.0:
+            raise ScenarioError(
+                f"task.object_wrench: z-component {self.object_wrench[2]:.6g} N "
+                f"lifts the robot, whose weight is {self.robot_weight[2]:.6g} N")
 
     @property
     def grasp_separation(self) -> float:
@@ -190,22 +232,6 @@ class ScenarioConfig:
         steps = np.arange(self.waypoint_count) / (self.waypoint_count - 1)
         return self.initial_center + np.outer(steps * self.path_length,
                                               self.path_direction)
-
-    def check_reach(self) -> None:
-        """Both grasp points must lie within total arm reach at every waypoint.
-
-        Raises:
-            ReachabilityError: naming the first waypoint out of reach.
-        """
-        reach = float(np.sum(self.link_lengths))
-        for index, waypoint in enumerate(self.waypoints()):
-            for arm_index, grasp in enumerate(self.grasp_points(waypoint)):
-                dist = float(np.linalg.norm(grasp - self.arm_bases[arm_index]))
-                if dist > reach:
-                    raise ReachabilityError(
-                        f"waypoint {index} at {waypoint} is out of reach for "
-                        f"arm {arm_index} ({dist:.3f} m > {reach:.3f} m)",
-                        waypoint_index=index)
 
 
 def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
@@ -323,7 +349,7 @@ def _from_dict(data: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ScenarioError(f"solver.{exc}") from exc
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         torso_mass=_number(robot["torso_mass"], "robot.torso_mass"),
         torso_position=_vec(robot["torso_position"], 3, "robot.torso_position"),
         link_mass=_number(robot["link_mass"], "robot.link_mass"),
@@ -356,20 +382,6 @@ def _from_dict(data: dict) -> ScenarioConfig:
         solver=solver,
         gravity=_number(data["gravity"], "gravity"),
     )
-    _validate(config)
-    return config
-
-
-def _validate(config: ScenarioConfig) -> None:
-    try:
-        check_support_region(config.sp_polygon, config.sp_center,
-                             config.safe_radius)
-    except ValueError as exc:
-        raise ScenarioError(f"balance: {exc}") from exc
-    try:
-        config.check_reach()
-    except ReachabilityError as exc:
-        raise ScenarioError(str(exc)) from exc
 
 
 def default_scenario(overrides: dict | None = None) -> ScenarioConfig:

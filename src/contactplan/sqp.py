@@ -156,6 +156,18 @@ def _equality_start(rows, rhs):
     return x0
 
 
+def _equality_qp(hess, grad, rows, rhs):
+    """min 0.5 x'Hx + g'x s.t. rows @ x = rhs; returns (x, multipliers), or
+    None when the rows are inconsistent."""
+    if not rows.shape[0]:
+        return np.linalg.lstsq(hess, -grad, rcond=None)[0], np.zeros(0)
+    x0 = _equality_start(rows, rhs)
+    if x0 is None:
+        return None
+    p, lam = _solve_eqp(hess, hess @ x0 + grad, rows)
+    return x0 + p, lam
+
+
 def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
              elastic_weight: float = 1e4) -> QpSolution:
     """Solve min 0.5 x'Hx + g'x s.t. a_eq x = b_eq, a_in x >= b_in.
@@ -195,15 +207,11 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
         hess = hess + (floor - eigenvalues[0]) * np.eye(n)
 
     if m_in == 0:
-        if m_eq == 0:
-            x = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            return QpSolution(x=x, lam_eq=np.zeros(0), lam_in=np.zeros(0),
-                              elastic=0.0)
-        x0 = _equality_start(a_eq, b_eq)
-        if x0 is None:
+        solved = _equality_qp(hess, grad, a_eq, b_eq)
+        if solved is None:
             raise InfeasibleStepError("inconsistent equality constraints in QP")
-        p, lam = _solve_eqp(hess, hess @ x0 + grad, a_eq)
-        return QpSolution(x=x0 + p, lam_eq=lam * sigma, lam_in=np.zeros(0),
+        x, lam = solved
+        return QpSolution(x=x, lam_eq=lam * sigma, lam_in=np.zeros(0),
                           elastic=0.0)
 
     # Elastic formulation over z = (x, t).
@@ -286,18 +294,11 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
     # the KKT system, which otherwise leaves its noise in the multipliers.
     if solution.elastic <= 1e-9 * (1.0 + np.abs(b_in).max(initial=0.0)):
         active = sorted(r for r in working if r < m_in)
-        rows = np.vstack([a_eq, a_in[active]]) if (m_eq or active) \
-            else np.zeros((0, n))
-        rhs = np.concatenate([b_eq, b_in[active]])
-        if rows.shape[0]:
-            x0 = _equality_start(rows, rhs)
-            if x0 is None:
-                return solution
-            p, lam_p = _solve_eqp(hess, hess @ x0 + grad, rows)
-            x_p = x0 + p
-        else:
-            x_p = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            lam_p = np.zeros(0)
+        polished = _equality_qp(hess, grad, np.vstack([a_eq, a_in[active]]),
+                                np.concatenate([b_eq, b_in[active]]))
+        if polished is None:
+            return solution
+        x_p, lam_p = polished
         inactive = [i for i in range(m_in) if i not in active]
         feas_tol = 1e-9 * (1.0 + np.abs(b_in).max(initial=0.0) + np.abs(x_p).max())
         if inactive and np.min(a_in[inactive] @ x_p - b_in[inactive]) < -feas_tol:

@@ -30,7 +30,6 @@ def synthetic_records(count=3, gamma=(0.0, 0.0)):
             cost=1.25 * i,
             slack=1e-7,
             distance=0.45 + 0.05 * i,
-            theta=np.zeros(8),
         ))
     return records
 
@@ -190,6 +189,16 @@ class TestRun:
         bad = tmp_path / "bad.yaml"
         bad.write_text("balance:\n  safe_radius: -2.0\n")
         assert run(["--scenario", str(bad)]) == 1
+
+    def test_dead_zone_scenario_is_a_scenario_error(self, tmp_path, caplog):
+        # A start grasp point inside the shoulder-forearm dead zone is
+        # rejected at load, before planning starts.
+        bad = tmp_path / "dead-zone.yaml"
+        bad.write_text("object:\n  initial_center: [0.1, 0.05]\n")
+        assert run(["--scenario", str(bad)]) == 1
+        assert "scenario error" in caplog.text
+        assert "object.initial_center" in caplog.text
+        assert "planning failed" not in caplog.text
 
     def test_failing_plan_exit_nonzero(self, tmp_path):
         assert run(["--max-iters", "1"]) == 1

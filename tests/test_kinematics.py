@@ -5,7 +5,7 @@ import pytest
 from contactplan.errors import ScenarioError
 from contactplan.kinematics import forward_kinematics, point_jacobian, signed_gap
 from contactplan.planner import StepContext, plan_path
-from contactplan.scenario import _DEFAULTS, _from_dict, _merge
+from contactplan.scenario import default_scenario
 
 LENGTHS = [0.3, 0.3, 0.25, 0.15]
 
@@ -79,7 +79,7 @@ class TestForwardKinematics:
         for key, value in (("link_lengths", [0.3, 0.0, 0.25, 0.15]),
                            ("link_radius", 0.0)):
             with pytest.raises(ScenarioError, match=f"robot.{key}"):
-                _from_dict(_merge(_DEFAULTS, {"robot": {key: value}}))
+                default_scenario({"robot": {key: value}})
 
 
 class TestPointJacobian:

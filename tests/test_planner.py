@@ -6,17 +6,16 @@ import pytest
 from contactplan import planner as pl
 from contactplan import scenario
 from contactplan.errors import (InfeasibleStepError, PlanStepError,
-                                ReachabilityError, UnbalancedStateError)
+                                ScenarioError, UnbalancedStateError)
 from contactplan.planner import (PlanDecision, evaluate_nlp, gradient_check,
                                  initial_joint_angles, plan_path,
                                  plan_waypoint, relative_error)
-from contactplan.scenario import _DEFAULTS, _from_dict, _merge, default_scenario
+from contactplan.scenario import default_scenario
 
 
 def light_config():
     """Variant with no load wrench: the start state is feasible at rest."""
-    return _from_dict(_merge(_DEFAULTS, {
-        "task": {"object_wrench": [0.0] * 6}}))
+    return default_scenario({"task": {"object_wrench": [0.0] * 6}})
 
 
 def object_position(config, theta):
@@ -60,10 +59,9 @@ class TestInitialPose:
         assert len(poses) == len(set(poses))
 
     def test_unreachable_initial_center(self, default_config):
-        config = replace(default_config,
-                         initial_center=np.array([0.0, 2.5]))
-        with pytest.raises(ReachabilityError):
-            initial_joint_angles(config)
+        # The config cannot be built, so no start pose is ever asked for.
+        with pytest.raises(ScenarioError, match="waypoint 0 "):
+            replace(default_config, initial_center=np.array([0.0, 2.5]))
 
 
 class TestCost:
@@ -121,7 +119,10 @@ class TestConstraints:
         ctx = pl.StepContext(config, theta)
         x = np.zeros(pl.DECISION_DIM)
         chain = pl._chain_values(ctx, x)
-        ctx = pl.StepContext(replace(config, sp_center=chain["zmp_result"].zmp),
+        # The polygon widens with the moved centre so the safe circle still
+        # fits, as every config requires.
+        ctx = pl.StepContext(replace(config, sp_center=chain["zmp_result"].zmp,
+                                     sp_polygon=4.0 * config.sp_polygon),
                              theta)
         values = evaluate_nlp(ctx, object_position(config, theta), x)
         assert values["inequalities"][4] == pytest.approx(config.safe_radius,
@@ -165,8 +166,8 @@ class TestGradientCheck:
     def test_object_moment_matches_finite_differences(self, rng):
         # A zero object moment leaves the hand forces' joint derivative at
         # rounding noise; a moment makes it carry weight.
-        config = _from_dict(_merge(_DEFAULTS, {"task": {
-            "object_wrench": [0.0, 10.0, -117.72, 1.5, -2.0, 3.0]}}))
+        config = default_scenario({"task": {
+            "object_wrench": [0.0, 10.0, -117.72, 1.5, -2.0, 3.0]}})
         ctx = pl.StepContext(config, initial_joint_angles(config))
         chain = pl._chain(ctx, np.zeros(pl.DECISION_DIM), derivatives=True)
         d_forces = pl._grasp_force_gradients(
@@ -404,18 +405,16 @@ class TestPlanPath:
         assert len(region_checks) == 1
 
     def test_zero_length_path(self):
-        config = _from_dict(_merge(_DEFAULTS, {
-            "task": {"waypoint_count": 1, "object_wrench": [0.0] * 6}}))
+        config = default_scenario({
+            "task": {"waypoint_count": 1, "object_wrench": [0.0] * 6}})
         steps = plan_path(config)
         assert len(steps) == 1
         assert np.linalg.norm(steps[0].decision.dtheta) <= 1e-4
 
     def test_unreachable_waypoint_names_index(self, default_config):
-        config = replace(default_config, path_length=1.2)
-        with pytest.raises(ReachabilityError) as excinfo:
-            plan_path(config)
-        assert excinfo.value.waypoint_index is not None
-        assert excinfo.value.waypoint_index > 0
+        # Waypoint 5 (y = 1.2 m) is the first past the 1.1 m reach.
+        with pytest.raises(ScenarioError, match="waypoint 5 "):
+            replace(default_config, path_length=1.2)
 
     def test_failure_keeps_partial_trace(self, default_config):
         solver = replace(default_config.solver, max_iterations=1)
@@ -467,9 +466,9 @@ class TestPlanPath:
         # On the slant path the first stage of waypoints 1 and 2 stops
         # moving a few iterations in; it ends "stagnated" instead of at the
         # 200-iteration cap, and the later stages converge from its point.
-        config = _from_dict(_merge(_DEFAULTS, {"task": {
+        config = default_scenario({"task": {
             "path_direction": [0.3, 1.0], "path_length": 0.1,
-            "waypoint_count": 3}}))
+            "waypoint_count": 3}})
         stages = []
         real = pl.solve_sqp
 

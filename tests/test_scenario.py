@@ -9,8 +9,8 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from contactplan.errors import ScenarioError
-from contactplan.scenario import (_DEFAULTS, ScenarioConfig, _from_dict, _merge,
-                                  default_scenario, load_scenario)
+from contactplan.scenario import (_DEFAULTS, ScenarioConfig, default_scenario,
+                                  load_scenario)
 
 # Every key whose default is a single number, as "section.key" (or "key").
 SCALAR_KEYS = [f"{section}.{key}"
@@ -144,6 +144,17 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="safe circle"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("key, value", [
+        ("object.initial_center", [0.1, 0.05]),
+        ("task.object_wrench", [0.0, 10.0, 600.0, 0.0, 0.0, 0.0]),
+    ], ids=["dead-zone", "lifting-wrench"])
+    def test_unplannable_start_names_the_key(self, tmp_path, key, value):
+        # Each value passes its own key's checks; the first puts the left
+        # grasp 0.05 m from its base, inside |0.6 - 0.5| m, and the second
+        # outweighs the robot's 529.74 N.
+        with pytest.raises(ScenarioError, match=re.escape(key)):
+            _load_override(tmp_path, key, value)
+
     def test_clockwise_polygon_rejected(self, tmp_path):
         clockwise = [[-0.2, 0.16], [0.2, 0.16], [0.2, -0.16], [-0.2, -0.16]]
         with pytest.raises(ScenarioError,
@@ -230,6 +241,19 @@ def test_default_scenario_is_validated():
     assert config.solver.tol_kkt > 0
 
 
+@pytest.mark.parametrize("changes, match", [
+    ({"path_length": 1.2}, "task: waypoint 5 "),
+    ({"sp_center": np.array([0.1, 0.0])}, "balance: safe circle"),
+    ({"initial_center": np.array([0.1, 0.05])}, "object.initial_center"),
+    ({"object_wrench": np.array([0.0, 10.0, 600.0, 0.0, 0.0, 0.0])},
+     "task.object_wrench"),
+], ids=["reach", "balance", "dead-zone", "lifting-wrench"])
+def test_replace_runs_the_checks(changes, match):
+    # A config made with dataclasses.replace is checked like a loaded one.
+    with pytest.raises(ScenarioError, match=match):
+        replace(default_scenario(), **changes)
+
+
 def test_default_scenario_overrides():
     config = default_scenario({"task": {"waypoint_count": 4}})
     assert config.waypoint_count == 4
@@ -245,7 +269,8 @@ LEAF_KEYS = [(section, key)
     + [(None, key) for key, value in _DEFAULTS.items() if not isinstance(value, dict)]
 # The keys the property's invariants read get half of the draws.
 INVARIANT_KEYS = [("task", "path_direction"), ("balance", "sp_polygon"),
-                  ("balance", "sp_center"), ("balance", "safe_radius")]
+                  ("balance", "sp_center"), ("balance", "safe_radius"),
+                  ("object", "initial_center"), ("task", "object_wrench")]
 
 # Around the limits of float64 and of its squares (1e-154 .. 1e154).
 _EXTREME_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-200, -1e-160, 1e-160,
@@ -279,6 +304,8 @@ def _override(key):
 @example([(("task", "path_direction"), [1e308, 1e308])])
 @example([(("task", "path_direction"), [1e-160, 1e-160])])
 @example([(("object", "mass"), 10**400), (("task", "waypoint_count"), 10**400)])
+@example([(("object", "initial_center"), [0.1, 0.05])])
+@example([(("task", "object_wrench"), [0.0, 10.0, 600.0, 0.0, 0.0, 0.0])])
 @given(st.lists((st.sampled_from(LEAF_KEYS) | st.sampled_from(INVARIANT_KEYS))
                 .flatmap(_override), min_size=1, max_size=2))
 def test_any_override_loads_valid_or_raises_scenario_error(overrides):
@@ -289,7 +316,7 @@ def test_any_override_loads_valid_or_raises_scenario_error(overrides):
         else:
             raw.setdefault(section, {})[key] = value
     try:
-        config = _from_dict(_merge(_DEFAULTS, raw))
+        config = default_scenario(raw)
     except ScenarioError:
         return
     assert abs(math.hypot(*config.path_direction) - 1.0) <= 1e-12
@@ -301,3 +328,11 @@ def test_any_override_loads_valid_or_raises_scenario_error(overrides):
         assert 0.0 < length < math.inf
         inward = (edge[0] * (center[1] - a[1]) - edge[1] * (center[0] - a[0])) / length
         assert inward >= radius - 1e-12
+    # Both start grasp points have a bent pose, and the load cannot lift
+    # the robot.
+    lengths = config.link_lengths
+    dead_zone = abs((lengths[0] + lengths[1]) - (lengths[2] + lengths[3]))
+    for base, grasp in zip(config.arm_bases,
+                           config.grasp_points(config.initial_center)):
+        assert np.linalg.norm(grasp - base) >= dead_zone
+    assert config.robot_weight[2] + config.object_wrench[2] < 0.0

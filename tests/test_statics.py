@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contactplan.errors import ScenarioError, UnbalancedStateError
-from contactplan.scenario import _DEFAULTS, _from_dict, _merge
+from contactplan.scenario import default_scenario
 from contactplan.statics import bar_grasp, check_support_region, compute_zmp
 
 SP = np.array([[-0.2, -0.16], [0.2, -0.16], [0.2, 0.16], [-0.2, 0.16]])
@@ -246,4 +246,4 @@ class TestStateValidation:
         # Masses are checked when the scenario loads, like the region.
         for key in ("torso_mass", "link_mass"):
             with pytest.raises(ScenarioError, match=f"robot.{key} must be > 0"):
-                _from_dict(_merge(_DEFAULTS, {"robot": {key: 0.0}}))
+                default_scenario({"robot": {key: 0.0}})

@@ -14,7 +14,7 @@ import pytest
 from contactplan import planner as pl
 from contactplan.errors import PlanStepError
 from contactplan.planner import plan_path
-from contactplan.scenario import _DEFAULTS, _from_dict, _merge
+from contactplan.scenario import default_scenario
 
 GRAVITY = 9.81
 
@@ -71,7 +71,7 @@ CASES = [
 
 @pytest.mark.parametrize("overrides, budget, fails_at, reason", CASES)
 def test_sweep_case(overrides, budget, fails_at, reason, monkeypatch):
-    config = _from_dict(_merge(_DEFAULTS, overrides))
+    config = default_scenario(overrides)
     iterations = []
     real = pl.solve_sqp
 
