@@ -23,13 +23,17 @@ central finite differences.
 
 The ZMP chain behind cost and constraints has a value pass
 (``_chain_values``: forward kinematics once per arm, loads, gaps, centre
-of mass, ZMP) and a derivative pass (``_chain_derivatives``: the Jacobians,
-from the value pass's joint points).  The solver's value callbacks read the
-value pass only; its Jacobian callbacks add the derivative pass at their
-point, which the SQP asks for at start points and accepted iterates.  Each
-``StepContext`` memoizes the chains of its last two points, shared by every
-continuation stage and the post-solve observables (the evaluate-once
-interface of IPOPT and CasADi).
+of mass, ZMP, then the cost without its slack term, the equalities and the
+inequalities) and a derivative pass (``_chain_derivatives``: the Jacobians,
+from the value pass's joint points, then the cost gradient and the
+constraint Jacobians).  A ``StepContext`` is built for one waypoint, and
+its memo holds the chains of its last two points, NLP rows included: the
+one cache of the waypoint's NLP (the evaluate-once interface of IPOPT and
+CasADi).  Each continuation stage reads it and adds only its slack term,
+so every stage and the post-solve observables share one chain per point.
+The solver's value callbacks read the value pass only; its Jacobian
+callbacks add the derivative pass at their point, which the SQP asks for at
+start points and accepted iterates.
 
 Exactness rule: the SQP is sensitive to the last bit of the chain (an ulp
 can flip a marginal solve), so the chain's small-array code (forward
@@ -98,22 +102,24 @@ class PlanDecision:
 
 @dataclass(frozen=True)
 class StepContext:
-    """Scenario state a single waypoint solve works against.
+    """Scenario state the solve of one waypoint works against.
 
     ``edges`` are the active port edges at ``theta``, a (2, 2) array with
     one row per arm (the arm's edge with the smaller gap to its contact
     link), chosen on construction and frozen for the solve.
-    ``memo`` holds the ZMP chain of the last points evaluated against this
-    context (see ``_chain``); the chain depends on the context and the
-    decision vector only, so every continuation stage and the post-solve
-    observables share it.
+    ``memo`` holds the ZMP chain, with the NLP rows, of the last points
+    evaluated against this context (see ``_chain``); the chain depends on
+    the context and the decision vector only, so every continuation stage
+    and the post-solve observables share it.
 
     Raises:
-        ValueError: ``theta`` is not 8 finite joint angles.
+        ValueError: ``theta`` is not 8 finite joint angles, or ``waypoint``
+            is not 2 finite numbers.
     """
 
     config: ScenarioConfig
     theta: np.ndarray                      # (8,) current joint angles
+    waypoint: np.ndarray                   # (2,) object target
     edges: np.ndarray = field(init=False)  # (2, 2) active edge point per arm
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
@@ -124,7 +130,11 @@ class StepContext:
             raise ValueError(f"theta must have shape ({NUM_JOINTS},)")
         if not np.all(np.isfinite(theta)):
             raise ValueError("joint angles must be finite")
+        waypoint = np.asarray(self.waypoint, dtype=float)
+        if waypoint.shape != (2,) or not np.all(np.isfinite(waypoint)):
+            raise ValueError("waypoint must be 2 finite numbers")
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "waypoint", waypoint)
         object.__setattr__(self, "edges", ct.active_edges(
             self.config.joint_points(theta), self.config.contact_link_index,
             self.config.link_radius, self.config.port_edges))
@@ -262,8 +272,9 @@ def _com_gradient(config: ScenarioConfig, points) -> list:
     return [d_com_x, d_com_y]
 
 
-def _split(x: np.ndarray):
-    return x[:NUM_JOINTS], x[NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS], float(x[-1])
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
@@ -275,10 +286,14 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     are four [x, y, z] lists, the hands' rows, then the supports'; the ZMP
     is ``statics.compute_zmp`` of all four, the FZMP of the hands' two.
     ``normals`` holds each support's (cos, sin) of its normal angle.
+
+    The NLP rows follow: ``cost`` without its slack term, ``equalities``
+    (grasp closure) and ``inequalities``: gamma (2), s, s - gamma.phi, safe
+    circle, object deviation, phi (2).  Their arrays are read-only.
     """
     config = ctx.config
     plane = config.plane_height
-    dtheta, gamma, _ = _split(x)
+    dtheta, gamma, slack = x[:NUM_JOINTS], x[NUM_JOINTS:-1], float(x[-1])
     points = config.joint_points(ctx.theta + dtheta)
     ee0, ee1 = points[0][-1], points[1][-1]
 
@@ -298,11 +313,30 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     com = st.robot_center_of_mass(config.torso_mass, config.torso_position,
                                   config.link_mass, points, plane)
     zmp_result = st.compute_zmp(config.robot_weight, com, load_points, loads)
+
+    p_obj = 0.5 * (ee0 + ee1)
+    err = ctx.waypoint - p_obj
+    phi = np.array([res.gap for res in gaps])
+    safe_dist, safe_dir = _smooth_norm(zmp_result.zmp - config.sp_center)
+    dev_dist, dev_dir = _smooth_norm(p_obj - ctx.waypoint)
+    rows = np.zeros(6 + NUM_CONTACTS)
+    rows[0:2] = gamma
+    rows[2] = slack
+    rows[3] = slack - float(gamma @ phi)
+    rows[4] = config.safe_radius - safe_dist
+    rows[5] = config.object_radius - dev_dist
+    rows[6:] = phi
     return {
-        "points": points, "gamma": gamma.copy(), "end_effectors": (ee0, ee1),
-        "grasp": grasp, "gaps": gaps, "phi": np.array([res.gap for res in gaps]),
+        "points": points, "dtheta": dtheta.copy(), "gamma": gamma.copy(),
+        "object_position": p_obj, "grasp": grasp, "gaps": gaps, "phi": phi,
         "normals": normals, "load_points": load_points, "loads": loads,
         "com": com, "zmp_result": zmp_result,
+        "safe_dir": safe_dir, "dev_dir": dev_dir,
+        "cost": (config.weight_position * float(err @ err)
+                 + config.weight_displacement * float(dtheta @ dtheta)),
+        "equalities": _read_only(
+            ee0 - ee1 + np.array([config.grasp_separation, 0.0])),
+        "inequalities": _read_only(rows),
     }
 
 
@@ -310,9 +344,10 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     """Derivative pass: joint and force gradients of a value pass's results.
 
     Returns the end-effector Jacobians (2, 8) each, the gap gradients
-    ``d_phi`` (2, 8) and the ZMP gradients w.r.t. joints (2, 8) and forces
-    (2, 2).  Works from the value pass's joint points and never reruns
-    forward kinematics.
+    ``d_phi`` (2, 8), the ZMP gradients w.r.t. joints (2, 8) and forces
+    (2, 2), and the NLP's ``cost_grad`` (its slack entry 0),
+    ``equality_jac`` and ``inequality_jac``, the last two read-only.  Works
+    from the value pass's joint points and never reruns forward kinematics.
     """
     config = ctx.config
     points = chain["points"]
@@ -374,8 +409,30 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     d_zmp_gamma = np.array([[my / fz for my in d_my_gamma],
                             [-mx / fz for mx in d_mx_gamma]])
 
+    d_obj = 0.5 * (j0 + j1)
+    err = ctx.waypoint - chain["object_position"]
+    cost_grad = np.zeros(DECISION_DIM)
+    cost_grad[:NUM_JOINTS] = (-2.0 * config.weight_position * (err @ d_obj)
+                              + 2.0 * config.weight_displacement * chain["dtheta"])
+    equality_jac = np.zeros((2, DECISION_DIM))
+    equality_jac[:, :NUM_JOINTS] = j0 - j1
+
+    safe_dir = chain["safe_dir"]
+    jac = np.zeros((6 + NUM_CONTACTS, DECISION_DIM))
+    jac[0, NUM_JOINTS] = 1.0
+    jac[1, NUM_JOINTS + 1] = 1.0
+    jac[2, -1] = 1.0
+    jac[3, :NUM_JOINTS] = -(chain["gamma"] @ d_phi)
+    jac[3, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -chain["phi"]
+    jac[3, -1] = 1.0
+    jac[4, :NUM_JOINTS] = -(safe_dir @ d_zmp_theta)
+    jac[4, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -(safe_dir @ d_zmp_gamma)
+    jac[5, :NUM_JOINTS] = -(chain["dev_dir"] @ d_obj)
+    jac[6:6 + NUM_CONTACTS, :NUM_JOINTS] = d_phi
     return {"ee_jacobians": (j0, j1), "d_phi": d_phi,
-            "d_zmp_theta": d_zmp_theta, "d_zmp_gamma": d_zmp_gamma}
+            "d_zmp_theta": d_zmp_theta, "d_zmp_gamma": d_zmp_gamma,
+            "cost_grad": cost_grad, "equality_jac": _read_only(equality_jac),
+            "inequality_jac": _read_only(jac)}
 
 
 def _remember(memo: dict, x: np.ndarray, compute):
@@ -396,6 +453,7 @@ def _chain(ctx: StepContext, x: np.ndarray, derivatives: bool = False) -> dict:
     The value pass runs once per point; the derivative pass runs the first
     time derivatives are asked for there.
     """
+    x = np.asarray(x, dtype=float)
     chain = _remember(ctx.memo, x, lambda: _chain_values(ctx, x))
     if derivatives and "d_zmp_theta" not in chain:
         chain.update(_chain_derivatives(ctx, chain))
@@ -406,139 +464,51 @@ def _chain(ctx: StepContext, x: np.ndarray, derivatives: bool = False) -> dict:
 # Cost, constraints, and their Jacobians over the decision vector
 # ---------------------------------------------------------------------------
 
-def _read_only(values: dict) -> dict:
-    for value in values.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return values
+def build_step_nlp(ctx: StepContext, weight_slack: float) -> NlpProblem:
+    """The NLP of the context's waypoint at slack weight ``weight_slack``.
 
-
-def _nlp_values(ctx: StepContext, waypoint, weight_slack: float,
-                x: np.ndarray, chain: dict) -> dict:
-    """Cost, equalities and inequalities from a value pass."""
-    config = ctx.config
-    dtheta, gamma, slack = _split(x)
-    ee0, ee1 = chain["end_effectors"]
-    p_obj = 0.5 * (ee0 + ee1)
-    err = waypoint - p_obj
-    cost = (config.weight_position * float(err @ err)
-            + config.weight_displacement * float(dtheta @ dtheta)
-            + weight_slack * slack)
-
-    phi = chain["phi"]
-    safe_dist, _ = _smooth_norm(chain["zmp_result"].zmp - config.sp_center)
-    dev_dist, _ = _smooth_norm(p_obj - waypoint)
-    rows = np.zeros(6 + NUM_CONTACTS)
-    rows[0:2] = gamma
-    rows[2] = slack
-    rows[3] = slack - float(gamma @ phi)
-    rows[4] = config.safe_radius - safe_dist
-    rows[5] = config.object_radius - dev_dist
-    rows[6:] = phi
-    return _read_only({
-        "cost": cost,
-        "equalities": ee0 - ee1 + np.array([config.grasp_separation, 0.0]),
-        "inequalities": rows})
-
-
-def _nlp_jacobians(ctx: StepContext, waypoint, weight_slack: float,
-                   x: np.ndarray, chain: dict) -> dict:
-    """Cost gradient and constraint Jacobians from a chain with derivatives."""
-    config = ctx.config
-    dtheta, gamma, _ = _split(x)
-    ee0, ee1 = chain["end_effectors"]
-    j0, j1 = chain["ee_jacobians"]
-    p_obj = 0.5 * (ee0 + ee1)
-    d_obj = 0.5 * (j0 + j1)
-    err = waypoint - p_obj
-
-    cost_grad = np.zeros(DECISION_DIM)
-    cost_grad[:NUM_JOINTS] = (-2.0 * config.weight_position * (err @ d_obj)
-                              + 2.0 * config.weight_displacement * dtheta)
-    cost_grad[-1] = weight_slack
-
-    equality_jac = np.zeros((2, DECISION_DIM))
-    equality_jac[:, :NUM_JOINTS] = j0 - j1
-
-    d_phi = chain["d_phi"]
-    _, safe_dir = _smooth_norm(chain["zmp_result"].zmp - config.sp_center)
-    _, dev_dir = _smooth_norm(p_obj - waypoint)
-    jac = np.zeros((6 + NUM_CONTACTS, DECISION_DIM))
-    jac[0, NUM_JOINTS] = 1.0
-    jac[1, NUM_JOINTS + 1] = 1.0
-    jac[2, -1] = 1.0
-    jac[3, :NUM_JOINTS] = -(gamma @ d_phi)
-    jac[3, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -chain["phi"]
-    jac[3, -1] = 1.0
-    jac[4, :NUM_JOINTS] = -(safe_dir @ chain["d_zmp_theta"])
-    jac[4, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -(safe_dir @ chain["d_zmp_gamma"])
-    jac[5, :NUM_JOINTS] = -(dev_dir @ d_obj)
-    jac[6:6 + NUM_CONTACTS, :NUM_JOINTS] = d_phi
-    return _read_only({"cost_grad": cost_grad, "equality_jac": equality_jac,
-                       "inequality_jac": jac})
-
-
-def evaluate_nlp(ctx: StepContext, waypoint, x) -> dict:
-    """Cost, constraints and all their derivatives at one decision vector,
-    for the object target ``waypoint`` at the configured slack weight.
-
-    The keys are the ``NlpProblem`` field names: ``cost``, ``cost_grad``,
-    ``equalities`` (grasp closure), ``equality_jac``, ``inequalities`` and
-    ``inequality_jac``.  Inequality rows: gamma (2), s, s - gamma.phi, safe
-    circle, object deviation, phi (2).  One value pass and one derivative
-    pass of the ZMP chain, outside the context's memo; the arrays are
-    read-only.
+    Each field reads the context's chain memo: value fields the value pass
+    only, Jacobian fields the derivative pass too.  The stage adds its slack
+    term, ``weight_slack * s`` to the cost and ``weight_slack`` as the cost
+    gradient's last entry, and caches nothing of its own.
     """
-    x = np.asarray(x, dtype=float)
-    chain = _chain_values(ctx, x)
-    chain.update(_chain_derivatives(ctx, chain))
-    weight_slack = ctx.config.weight_slack
-    return {**_nlp_values(ctx, waypoint, weight_slack, x, chain),
-            **_nlp_jacobians(ctx, waypoint, weight_slack, x, chain)}
+    def cost(x):
+        return _chain(ctx, x)["cost"] + weight_slack * float(x[-1])
+
+    def cost_grad(x):
+        grad = _chain(ctx, x, derivatives=True)["cost_grad"].copy()
+        grad[-1] = weight_slack
+        return _read_only(grad)
+
+    def read(name, derivatives=False):
+        return lambda x: _chain(ctx, x, derivatives)[name]
+
+    return NlpProblem(
+        dim=DECISION_DIM, cost=cost, cost_grad=cost_grad,
+        equalities=read("equalities"), equality_jac=read("equality_jac", True),
+        inequalities=read("inequalities"),
+        inequality_jac=read("inequality_jac", True))
 
 
-_VALUE_FIELDS = ("cost", "equalities", "inequalities")
+def evaluate_nlp(ctx: StepContext, x) -> dict:
+    """The six ``NlpProblem`` fields at one decision vector, keyed by their
+    names, at the configured slack weight; read through the context's
+    memo, and read-only where they are arrays."""
+    nlp = build_step_nlp(ctx, ctx.config.weight_slack)
+    return {f.name: getattr(nlp, f.name)(x) for f in fields(NlpProblem)
+            if f.name != "dim"}
 
 
-def build_step_nlp(ctx: StepContext, waypoint, weight_slack: float) -> NlpProblem:
-    """The NLP of the object target ``waypoint`` at slack weight
-    ``weight_slack``, over the context's chain memo.
-
-    Value fields read only the value pass; Jacobian fields add the
-    derivative pass at their point.  Each half of the assembly (values,
-    Jacobians) is cached for the last point it was asked for.
-    """
-    last = {}
-
-    def field(name):
-        derivatives = name not in _VALUE_FIELDS
-        assemble = _nlp_jacobians if derivatives else _nlp_values
-
-        def read(x):
-            x = np.asarray(x, dtype=float)
-            key = x.tobytes()
-            cached = last.get(derivatives)
-            if cached is None or cached[0] != key:
-                cached = last[derivatives] = (
-                    key, assemble(ctx, waypoint, weight_slack, x,
-                                  _chain(ctx, x, derivatives)))
-            return cached[1][name]
-        return read
-
-    names = [f.name for f in fields(NlpProblem) if f.name != "dim"]
-    return NlpProblem(dim=DECISION_DIM, **{name: field(name) for name in names})
-
-
-def gradient_check(ctx: StepContext, waypoint, decision: PlanDecision) -> float:
+def gradient_check(ctx: StepContext, decision: PlanDecision) -> float:
     """Largest relative error of the analytic derivatives vs central FD
     (``finite_difference_jacobian``'s step of 1e-6)."""
     x = decision.to_vector()
-    values = evaluate_nlp(ctx, waypoint, x)
+    values = evaluate_nlp(ctx, x)
     analytic = np.vstack([values["cost_grad"][None, :], values["equality_jac"],
                           values["inequality_jac"]])
 
     def stacked(v: np.ndarray) -> np.ndarray:
-        values = evaluate_nlp(ctx, waypoint, v)
+        values = evaluate_nlp(ctx, v)
         return np.concatenate([[values["cost"]], values["equalities"],
                                values["inequalities"]])
 
@@ -572,8 +542,8 @@ def _seed_hessian(ctx: StepContext, x0: np.ndarray) -> np.ndarray:
     return hess
 
 
-def solve_step(ctx: StepContext, waypoint) -> PlanDecision:
-    """Solve the NLP of one waypoint from zero initial values.
+def solve_step(ctx: StepContext) -> PlanDecision:
+    """Solve the NLP of the context's waypoint from zero initial values.
 
     The slack weight is driven to its configured value through a short
     continuation (1e2, 1e4, ..., target), each stage warm-starting the next.
@@ -594,13 +564,13 @@ def solve_step(ctx: StepContext, waypoint) -> PlanDecision:
     stage_iterations = []
     result = None
     for weight in stages:
-        nlp = build_step_nlp(ctx, waypoint, weight)
+        nlp = build_step_nlp(ctx, weight)
         try:
             result = solve_sqp(nlp, x, config.solver,
                                initial_hessian=_seed_hessian(ctx, x))
         except ContactPlanError as exc:
             exc.diagnostics.update(
-                waypoint=np.asarray(waypoint, dtype=float).tolist(),
+                waypoint=ctx.waypoint.tolist(),
                 slack_weight=weight, stage_iterations=stage_iterations)
             raise
         stage_iterations.append(result.iterations)
@@ -610,23 +580,24 @@ def solve_step(ctx: StepContext, waypoint) -> PlanDecision:
         iterations=sum(stage_iterations), converged=result.converged)
 
 
-def _check_step(config: ScenarioConfig, waypoint: np.ndarray,
-                decision: PlanDecision, phi: np.ndarray, zmp: st.ZmpResult,
-                object_position: np.ndarray) -> list[str]:
+def _check_step(ctx: StepContext, decision: PlanDecision,
+                chain: dict) -> list[str]:
+    """The acceptance bounds a decision and its chain violate, as messages."""
+    config = ctx.config
     tol = config.solver.tol_con
     failures = []
     if not decision.converged:
         failures.append("solver did not converge")
-    deviation = float(np.linalg.norm(object_position - waypoint))
+    deviation = float(np.linalg.norm(chain["object_position"] - ctx.waypoint))
     if deviation > config.object_radius + tol:
         failures.append(f"object deviation {deviation:.6f} m exceeds "
                         f"{config.object_radius} m")
-    zmp_dist = float(np.linalg.norm(zmp.zmp - config.sp_center))
+    zmp_dist = float(np.linalg.norm(chain["zmp_result"].zmp - config.sp_center))
     if zmp_dist > config.safe_radius + tol:
         failures.append(f"ZMP {zmp_dist:.6f} m from target exceeds safe "
                         f"radius {config.safe_radius} m")
     feasible, violation = ct.complementarity_residual(
-        phi, decision.gamma, decision.slack, tol_gap=1e-6, tol=tol)
+        chain["phi"], decision.gamma, decision.slack, tol_gap=1e-6, tol=tol)
     if not feasible:
         failures.append(f"complementarity violated by {violation:.3g}")
     if decision.slack > config.solver.slack_max + tol:
@@ -635,16 +606,15 @@ def _check_step(config: ScenarioConfig, waypoint: np.ndarray,
     return failures
 
 
-def plan_waypoint(ctx: StepContext, waypoint) -> PlanStep:
-    """Plan one waypoint from the context's configuration.
+def plan_waypoint(ctx: StepContext) -> PlanStep:
+    """Plan the context's waypoint from its configuration.
 
     Raises:
         PlanStepError: solver non-convergence or a violated acceptance bound,
             with diagnostics attached.
     """
     config = ctx.config
-    waypoint = np.asarray(waypoint, dtype=float)
-    decision = solve_step(ctx, waypoint)
+    decision = solve_step(ctx)
 
     # Clamp solver noise on the bound-constrained variables: a magnitude
     # within tolerance of zero is an exactly-zero force or slack.
@@ -654,33 +624,27 @@ def plan_waypoint(ctx: StepContext, waypoint) -> PlanStep:
     slack = 0.0 if -tol < decision.slack < 0.0 else decision.slack
     decision = replace(decision, gamma=gamma, slack=float(slack))
 
-    theta_after = ctx.theta + decision.dtheta
     # The solver's last point when the clamp changed nothing: a memo hit.
     chain = _chain(ctx, decision.to_vector())
-    zmp = chain["zmp_result"]
     fzmp = st.compute_zmp(config.robot_weight, chain["com"],
                           chain["load_points"][:2], chain["loads"][:2])
-    ee0, ee1 = chain["end_effectors"]
-    object_position = 0.5 * (ee0 + ee1)
-
-    failures = _check_step(config, waypoint, decision, chain["phi"], zmp,
-                           object_position)
+    failures = _check_step(ctx, decision, chain)
     if failures:
         raise PlanStepError(
             "waypoint rejected: " + "; ".join(failures),
             diagnostics={
-                "waypoint": waypoint.tolist(),
+                "waypoint": ctx.waypoint.tolist(),
                 "failures": failures,
                 "iterations": decision.iterations,
                 "kkt_residual": decision.kkt_residual,
                 "cost": decision.cost,
                 "slack": decision.slack,
             })
-    return PlanStep(waypoint=waypoint,
-                    decision=decision, theta_after=theta_after,
-                    object_position=object_position,
-                    contacts=tuple(chain["gaps"]),
-                    zmp=zmp, fzmp=fzmp, joint_points=chain["points"],
+    return PlanStep(waypoint=ctx.waypoint, decision=decision,
+                    theta_after=ctx.theta + decision.dtheta,
+                    object_position=chain["object_position"],
+                    contacts=tuple(chain["gaps"]), zmp=chain["zmp_result"],
+                    fzmp=fzmp, joint_points=chain["points"],
                     hand_loads=np.array(chain["loads"][:2]))
 
 
@@ -789,9 +753,8 @@ def plan_path(config: ScenarioConfig, theta0=None) -> list[PlanStep]:
         else initial_joint_angles(config)
     steps: list[PlanStep] = []
     for index, waypoint in enumerate(config.waypoints()):
-        ctx = StepContext(config, theta)
         try:
-            step = plan_waypoint(ctx, waypoint)
+            step = plan_waypoint(StepContext(config, theta, waypoint))
         except ContactPlanError as exc:
             raise PlanStepError(
                 f"step {index} failed: {exc}", waypoint_index=index,

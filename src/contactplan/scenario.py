@@ -57,7 +57,9 @@ and the other three are fixed constants of the SQP line search.
 
 A ``ScenarioConfig`` is plannable by construction: building one (by loading
 or by ``dataclasses.replace``) raises a ``ScenarioError`` naming the key when
-the support polygon does not hold the safe circle (``balance``), a waypoint's
+the robot's weight, mass times gravity, overflows (the key of the larger
+factor: ``gravity``, ``robot.torso_mass`` or ``robot.link_mass``), the
+support polygon does not hold the safe circle (``balance``), a waypoint's
 grasp point lies beyond shoulder (links 1-2) plus forearm (links 3-4) reach
 (``task``), a start grasp point lies closer to its arm base than |shoulder -
 forearm| (``object.initial_center``), or ``robot_weight[2] +
@@ -180,6 +182,15 @@ class ScenarioConfig:
         object.__setattr__(self, "robot_mass", mass)
         object.__setattr__(self, "robot_weight",
                            mass * np.array([0.0, 0.0, -self.gravity]))
+        if not np.all(np.isfinite(self.robot_weight)):
+            # Blame the larger factor of mass * gravity, and of the mass
+            # the larger term.
+            links = 2 * NUM_LINKS * self.link_mass
+            key = ("gravity" if self.gravity > mass else "robot.torso_mass"
+                   if self.torso_mass >= links else "robot.link_mass")
+            raise ScenarioError(
+                f"{key}: the robot weight, {mass:.6g} kg times "
+                f"{self.gravity:.6g} m/s^2, is not finite")
         lengths = self.link_lengths
         shoulder = float(lengths[0] + lengths[1])
         forearm = float(lengths[2] + lengths[3])

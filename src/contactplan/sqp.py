@@ -100,9 +100,11 @@ class SqpResult:
     """Solution plus diagnostics of one SQP run.
 
     ``status`` is one of the statuses in the module docstring; only
-    ``"converged"`` sets ``converged``.  On ``"stagnated"`` the fields
-    describe the last accepted iterate.  ``qp_iterations`` sums the
-    active-set iterations of every QP the run solved.
+    ``"converged"`` sets ``converged``.  Whatever the status, ``cost``,
+    ``kkt_residual`` and ``constraint_violation`` are evaluated at ``x``,
+    the last accepted iterate (at the iteration limit too: a last step that
+    lands on a KKT point reports ``"converged"``).  ``qp_iterations`` sums
+    the active-set iterations of every QP the run solved.
     """
 
     x: np.ndarray
@@ -429,13 +431,13 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     zero_steps = 0
     stagnant = 0
     last_mu = None
-    kkt = np.inf
-    viol = np.inf
     # The Jacobians at x: asked for at the start point, then carried over
     # from the accepted trial, where the BFGS update already asked for them.
     grad = None
 
-    for _ in range(settings.max_iterations):
+    # One pass more than the budget: the last only evaluates the final x,
+    # so the result describes the point it returns.
+    for _ in range(settings.max_iterations + 1):
         f = float(problem.cost(x))
         ce, ci = problem.eq(x), problem.ineq(x)
         if grad is None:
@@ -448,6 +450,8 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             break
         if stagnant >= _STAGNANT_ITERATIONS:
             status = "stagnated"
+            break
+        if iterations == settings.max_iterations:
             break
 
         elastic_weight = 1e4
@@ -604,9 +608,6 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         grad, a_eq, a_in = grad_new, a_eq_new, a_in_new
         lam_eq, lam_in = lam_eq_new, lam_in_new
         iterations += 1
-    else:
-        # Only the iteration limit moves x past the last cost evaluation.
-        f = float(problem.cost(x))
 
     return SqpResult(x=x, cost=f, kkt_residual=float(kkt),
                      constraint_violation=float(viol), lam_eq=lam_eq,

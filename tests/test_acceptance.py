@@ -122,14 +122,13 @@ def test_criterion_6_derivatives_match_finite_differences(default_config, rng):
             assert np.abs(jac[:, j] - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
     # Cost and constraint Jacobians of the waypoint NLP at random decisions.
     theta0 = pl.initial_joint_angles(default_config)
-    ctx = pl.StepContext(default_config, theta0)
-    waypoint = default_config.waypoints()[1]
+    ctx = pl.StepContext(default_config, theta0, default_config.waypoints()[1])
     worst = 0.0
     for _ in range(100):
         decision = PlanDecision(dtheta=rng.normal(scale=0.02, size=8),
                                 gamma=rng.uniform(0.0, 40.0, size=2),
                                 slack=float(rng.uniform(0.0, 1e-4)))
-        worst = max(worst, gradient_check(ctx, waypoint, decision))
+        worst = max(worst, gradient_check(ctx, decision))
     assert worst <= 1e-5
     _report(6, f"kinematics/cost/constraint derivatives match central FD "
                f"(worst relative error {worst:.2e})")

@@ -245,7 +245,8 @@ def random_arm(rng):
 @pytest.fixture(scope="module")
 def chain_points(default_config):
     """A context at the start-up pose and decision vectors around it."""
-    ctx = pl.StepContext(default_config, pl.initial_joint_angles(default_config))
+    ctx = pl.StepContext(default_config, pl.initial_joint_angles(default_config),
+                         default_config.waypoints()[1])
     rng = np.random.default_rng(7)
     xs = []
     for _ in range(50):

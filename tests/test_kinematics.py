@@ -72,7 +72,7 @@ class TestForwardKinematics:
             with pytest.raises(ValueError, match="finite"):
                 plan_path(default_config, theta0=theta)
             with pytest.raises(ValueError, match="finite"):
-                StepContext(default_config, theta)
+                StepContext(default_config, theta, default_config.initial_center)
 
     def test_bad_geometry_rejected(self):
         # Link geometry enters from the scenario and is checked at load.

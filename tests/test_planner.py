@@ -33,7 +33,7 @@ class TestInitialPose:
 
     def test_contact_links_rest_on_ports(self, default_config):
         theta = initial_joint_angles(default_config)
-        ctx = pl.StepContext(default_config, theta)
+        ctx = pl.StepContext(default_config, theta, default_config.initial_center)
         points = default_config.joint_points(theta)
         assert ctx.edges.shape == (2, 2)
         for arm_points, edge in zip(points, ctx.edges):
@@ -68,27 +68,25 @@ class TestCost:
     def test_zero_at_target(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.StepContext(config, theta)
-        waypoint = object_position(config, theta)
-        cost = evaluate_nlp(ctx, waypoint, np.zeros(pl.DECISION_DIM))["cost"]
+        ctx = pl.StepContext(config, theta, object_position(config, theta))
+        cost = evaluate_nlp(ctx, np.zeros(pl.DECISION_DIM))["cost"]
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_position_error_term(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.StepContext(config, theta)
         waypoint = object_position(config, theta) + np.array([0.1, 0.0])
-        cost = evaluate_nlp(ctx, waypoint, np.zeros(pl.DECISION_DIM))["cost"]
+        ctx = pl.StepContext(config, theta, waypoint)
+        cost = evaluate_nlp(ctx, np.zeros(pl.DECISION_DIM))["cost"]
         assert cost == pytest.approx(10.0, abs=1e-9)  # 1e3 * 0.1^2
 
     def test_slack_term(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.StepContext(config, theta)
-        waypoint = object_position(config, theta)
+        ctx = pl.StepContext(config, theta, object_position(config, theta))
         decision = PlanDecision(dtheta=np.zeros(8), gamma=np.zeros(2),
                                 slack=1e-4)
-        cost = evaluate_nlp(ctx, waypoint, decision.to_vector())["cost"]
+        cost = evaluate_nlp(ctx, decision.to_vector())["cost"]
         assert cost == pytest.approx(100.0, abs=1e-9)  # 1e6 * 1e-4
 
 
@@ -96,46 +94,44 @@ class TestConstraints:
     def test_feasible_rest_state(self):
         config = light_config()
         theta = initial_joint_angles(config)
-        ctx = pl.StepContext(config, theta)
-        waypoint = object_position(config, theta)
-        values = evaluate_nlp(ctx, waypoint, np.zeros(pl.DECISION_DIM))
+        ctx = pl.StepContext(config, theta, object_position(config, theta))
+        values = evaluate_nlp(ctx, np.zeros(pl.DECISION_DIM))
         np.testing.assert_allclose(values["equalities"], 0.0, atol=1e-9)
         assert np.all(values["inequalities"] >= -1e-9)
 
     def test_negative_gamma_flags_its_row(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.StepContext(config, theta)
-        waypoint = object_position(config, theta)
+        ctx = pl.StepContext(config, theta, object_position(config, theta))
         decision = PlanDecision(dtheta=np.zeros(8),
                                 gamma=np.array([-1.0, 0.0]), slack=0.0)
-        values = evaluate_nlp(ctx, waypoint, decision.to_vector())
+        values = evaluate_nlp(ctx, decision.to_vector())
         assert values["inequalities"][0] < 0.0
         assert values["inequalities"][1] >= 0.0
 
     def test_safe_circle_row_equals_radius_at_target(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.StepContext(config, theta)
+        waypoint = object_position(config, theta)
+        ctx = pl.StepContext(config, theta, waypoint)
         x = np.zeros(pl.DECISION_DIM)
         chain = pl._chain_values(ctx, x)
         # The polygon widens with the moved centre so the safe circle still
         # fits, as every config requires.
         ctx = pl.StepContext(replace(config, sp_center=chain["zmp_result"].zmp,
                                      sp_polygon=4.0 * config.sp_polygon),
-                             theta)
-        values = evaluate_nlp(ctx, object_position(config, theta), x)
+                             theta, waypoint)
+        values = evaluate_nlp(ctx, x)
         assert values["inequalities"][4] == pytest.approx(config.safe_radius,
                                                           abs=1e-9)
 
     def test_inequality_row_count_and_order(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.StepContext(config, theta)
-        waypoint = object_position(config, theta)
+        ctx = pl.StepContext(config, theta, object_position(config, theta))
         decision = PlanDecision(dtheta=np.zeros(8),
                                 gamma=np.array([2.0, 3.0]), slack=0.5)
-        rows = evaluate_nlp(ctx, waypoint, decision.to_vector())["inequalities"]
+        rows = evaluate_nlp(ctx, decision.to_vector())["inequalities"]
         assert rows.shape == (8,)
         assert rows[0] == pytest.approx(2.0)   # gamma_1
         assert rows[1] == pytest.approx(3.0)   # gamma_2
@@ -147,15 +143,15 @@ class TestConstraints:
 def worst_gradient_error(config, rng) -> float:
     """Largest ``gradient_check`` error over 10 random decisions at the
     start pose, against the second waypoint."""
-    ctx = pl.StepContext(config, initial_joint_angles(config))
-    waypoint = config.waypoints()[1]
+    ctx = pl.StepContext(config, initial_joint_angles(config),
+                         config.waypoints()[1])
     worst = 0.0
     for _ in range(10):
         decision = PlanDecision(
             dtheta=rng.normal(scale=0.02, size=8),
             gamma=rng.uniform(0.0, 30.0, size=2),
             slack=float(rng.uniform(0.0, 1e-4)))
-        worst = max(worst, gradient_check(ctx, waypoint, decision))
+        worst = max(worst, gradient_check(ctx, decision))
     return worst
 
 
@@ -168,7 +164,8 @@ class TestGradientCheck:
         # rounding noise; a moment makes it carry weight.
         config = default_scenario({"task": {
             "object_wrench": [0.0, 10.0, -117.72, 1.5, -2.0, 3.0]}})
-        ctx = pl.StepContext(config, initial_joint_angles(config))
+        ctx = pl.StepContext(config, initial_joint_angles(config),
+                             config.initial_center)
         chain = pl._chain(ctx, np.zeros(pl.DECISION_DIM), derivatives=True)
         d_forces = pl._grasp_force_gradients(
             config.object_wrench, chain["grasp"], *chain["ee_jacobians"])
@@ -178,13 +175,12 @@ class TestGradientCheck:
     def test_corrupted_jacobian_detected(self, default_config):
         config = default_config
         theta = initial_joint_angles(config)
-        ctx = pl.StepContext(config, theta)
-        waypoint = config.waypoints()[1]
+        ctx = pl.StepContext(config, theta, config.waypoints()[1])
         x = np.zeros(pl.DECISION_DIM)
-        analytic = evaluate_nlp(ctx, waypoint, x)["inequality_jac"]
+        analytic = evaluate_nlp(ctx, x)["inequality_jac"]
         from contactplan.sqp import finite_difference_jacobian
         numeric = finite_difference_jacobian(
-            lambda v: evaluate_nlp(ctx, waypoint, v)["inequalities"], x, 1e-6)
+            lambda v: evaluate_nlp(ctx, v)["inequalities"], x, 1e-6)
         corrupted = analytic.copy()
         corrupted[4, 0] += 1.0
         assert relative_error(analytic, numeric) <= 1e-5
@@ -209,10 +205,9 @@ class TestStepNlp:
     VALUE_FIELDS = ("cost", "equalities", "inequalities")
 
     @pytest.fixture()
-    def setup(self, default_config):
+    def ctx(self, default_config):
         theta = initial_joint_angles(default_config)
-        ctx = pl.StepContext(default_config, theta)
-        return default_config.waypoints()[1], ctx
+        return pl.StepContext(default_config, theta, default_config.waypoints()[1])
 
     @staticmethod
     def nearby(x, offset):
@@ -220,9 +215,13 @@ class TestStepNlp:
         x_next[0] += offset
         return x_next
 
-    def test_one_evaluation_per_point(self, setup, monkeypatch):
-        waypoint, ctx = setup
-        nlp = pl.build_step_nlp(ctx, waypoint, ctx.config.weight_slack)
+    @staticmethod
+    def fresh(ctx):
+        """A new context for the same waypoint, with an empty memo."""
+        return pl.StepContext(ctx.config, ctx.theta, ctx.waypoint)
+
+    def test_one_evaluation_per_point(self, ctx, monkeypatch):
+        nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
         passes = count_passes(monkeypatch)
         x = np.zeros(pl.DECISION_DIM)
         first = {name: getattr(nlp, name)(x) for name in self.FIELDS}
@@ -230,7 +229,7 @@ class TestStepNlp:
         for name in self.FIELDS:
             getattr(nlp, name)(self.nearby(x, 1e-3))
         assert passes == {"values": 2, "derivatives": 2}
-        expected = evaluate_nlp(ctx, waypoint, x)
+        expected = evaluate_nlp(self.fresh(ctx), x)
         for name in self.FIELDS:
             np.testing.assert_array_equal(first[name], expected[name])
             if isinstance(first[name], np.ndarray):
@@ -238,23 +237,21 @@ class TestStepNlp:
                 with pytest.raises(ValueError):
                     first[name][0] = 1.0
 
-    def test_value_fields_run_no_derivative_pass(self, setup, monkeypatch):
-        waypoint, ctx = setup
-        nlp = pl.build_step_nlp(ctx, waypoint, ctx.config.weight_slack)
+    def test_value_fields_run_no_derivative_pass(self, ctx, monkeypatch):
+        nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
         passes = count_passes(monkeypatch)
         x = self.nearby(np.zeros(pl.DECISION_DIM), 2e-3)
         values = {name: getattr(nlp, name)(x) for name in self.VALUE_FIELDS}
         assert passes == {"values": 1, "derivatives": 0}
-        expected = evaluate_nlp(ctx, waypoint, x)
+        expected = evaluate_nlp(self.fresh(ctx), x)
         for name in self.VALUE_FIELDS:
             np.testing.assert_array_equal(values[name], expected[name])
 
-    def test_jacobians_after_a_later_trial_reuse_the_value_pass(self, setup,
+    def test_jacobians_after_a_later_trial_reuse_the_value_pass(self, ctx,
                                                                 monkeypatch):
         # The line search's expansion loop: values at x, then at x2, then
         # the Jacobians at the accepted x.
-        waypoint, ctx = setup
-        nlp = pl.build_step_nlp(ctx, waypoint, ctx.config.weight_slack)
+        nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
         passes = count_passes(monkeypatch)
         x = np.zeros(pl.DECISION_DIM)
         x2 = self.nearby(x, 1e-3)
@@ -264,13 +261,38 @@ class TestStepNlp:
         jacobians = {name: getattr(nlp, name)(x)
                      for name in ("cost_grad", "equality_jac", "inequality_jac")}
         assert passes == {"values": 2, "derivatives": 1}
-        expected = evaluate_nlp(ctx, waypoint, x)
+        expected = evaluate_nlp(self.fresh(ctx), x)
         for name, value in jacobians.items():
             np.testing.assert_array_equal(value, expected[name])
 
-    def test_memo_holds_at_most_two_points(self, setup):
-        waypoint, ctx = setup
-        nlp = pl.build_step_nlp(ctx, waypoint, ctx.config.weight_slack)
+    def test_stages_share_one_memo_entry(self, ctx):
+        # The constraint rows do not depend on the slack weight: every
+        # continuation stage hands the solver the memo's own arrays.
+        x = self.nearby(np.zeros(pl.DECISION_DIM), 1e-3)
+        first, last = (pl.build_step_nlp(ctx, weight) for weight in (1e2, 1e6))
+        for name in ("inequalities", "equalities", "inequality_jac"):
+            assert getattr(first, name)(x) is getattr(last, name)(x)
+        assert len(ctx.memo) == 1
+
+    @pytest.mark.parametrize("weight", [1e2, 1e4, 1e6])
+    def test_stage_cost_is_one_expression(self, ctx, weight, rng):
+        # The memo stores the cost without its slack term, and the stage
+        # adds it last: the sum rounds as the whole expression does.
+        config = ctx.config
+        x = np.concatenate([rng.normal(scale=0.02, size=pl.NUM_JOINTS),
+                            rng.uniform(0.0, 30.0, size=pl.NUM_CONTACTS),
+                            [rng.uniform(0.0, 1e-4)]])
+        dtheta = x[:pl.NUM_JOINTS]
+        err = ctx.waypoint - object_position(config, ctx.theta + dtheta)
+        expected = (config.weight_position * float(err @ err)
+                    + config.weight_displacement * float(dtheta @ dtheta)
+                    + weight * float(x[-1]))
+        nlp = pl.build_step_nlp(ctx, weight)
+        assert nlp.cost(x) == expected
+        assert nlp.cost_grad(x)[-1] == weight
+
+    def test_memo_holds_at_most_two_points(self, ctx):
+        nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
         points = [self.nearby(np.zeros(pl.DECISION_DIM), k * 1e-3)
                   for k in range(5)]
         for count, x in enumerate(points, start=1):
@@ -279,9 +301,8 @@ class TestStepNlp:
             assert len(ctx.memo) == min(count, 2)
         assert list(ctx.memo) == [x.tobytes() for x in points[-2:]]
 
-    def test_raising_evaluation_caches_nothing(self, setup, monkeypatch):
-        waypoint, ctx = setup
-        nlp = pl.build_step_nlp(ctx, waypoint, ctx.config.weight_slack)
+    def test_raising_evaluation_caches_nothing(self, ctx, monkeypatch):
+        nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
 
         def unbalanced(*args):
             raise UnbalancedStateError("test")
@@ -295,8 +316,7 @@ class TestStepNlp:
         # Stages 2 and 3 start where stage 1 ended; their seed Hessian and
         # first iterate, and the post-solve observables, hit the memo.
         theta = initial_joint_angles(default_config)
-        ctx = pl.StepContext(default_config, theta)
-        waypoint = default_config.waypoints()[1]
+        ctx = pl.StepContext(default_config, theta, default_config.waypoints()[1])
         weights = []
         stage_passes = []
         passes = count_passes(monkeypatch)
@@ -311,19 +331,28 @@ class TestStepNlp:
             return result
 
         monkeypatch.setattr(pl, "solve_sqp", solve)
-        decision = pl.solve_step(ctx, waypoint)
+        decision = pl.solve_step(ctx)
         assert weights == [1e2, 1e4, 1e6]
         assert stage_passes[0]["values"] > 0
         assert stage_passes[1:] == [{"values": 0, "derivatives": 0}] * 2
         assert decision.converged
 
 
+@pytest.mark.parametrize("waypoint", [
+    [0.0, np.nan], [np.inf, 0.45], [0.45], [0.0, 0.45, 0.0], [[0.0, 0.45]]],
+    ids=["nan", "inf", "one", "three", "nested"])
+def test_context_rejects_a_bad_waypoint(default_config, waypoint):
+    with pytest.raises(ValueError, match="waypoint must be 2 finite numbers"):
+        pl.StepContext(default_config, initial_joint_angles(default_config),
+                       waypoint)
+
+
 class TestPlanWaypoint:
     def test_stationary_waypoint_keeps_configuration(self):
         config = light_config()
         theta = initial_joint_angles(config)
-        ctx = pl.StepContext(config, theta)
-        step = plan_waypoint(ctx, object_position(config, theta))
+        ctx = pl.StepContext(config, theta, object_position(config, theta))
+        step = plan_waypoint(ctx)
         assert np.linalg.norm(step.decision.dtheta) <= 1e-4
         assert step.decision.converged
 
@@ -332,10 +361,10 @@ class TestPlanWaypoint:
         config = replace(default_config,
                          solver=replace(default_config.solver, max_iterations=1))
         theta = initial_joint_angles(default_config)
-        ctx = pl.StepContext(config, theta)
         waypoint = config.initial_center + np.array([0.0, 0.1])
+        ctx = pl.StepContext(config, theta, waypoint)
         with pytest.raises(PlanStepError) as excinfo:
-            plan_waypoint(ctx, waypoint)
+            plan_waypoint(ctx)
         assert excinfo.value.diagnostics["failures"]
 
 

@@ -147,11 +147,16 @@ class TestLoadScenario:
     @pytest.mark.parametrize("key, value", [
         ("object.initial_center", [0.1, 0.05]),
         ("task.object_wrench", [0.0, 10.0, 600.0, 0.0, 0.0, 0.0]),
-    ], ids=["dead-zone", "lifting-wrench"])
+        ("robot.torso_mass", 1e308),
+        ("robot.link_mass", 1e308),
+        ("gravity", 1e308),
+    ], ids=["dead-zone", "lifting-wrench", "huge-torso", "huge-links",
+            "huge-gravity"])
     def test_unplannable_start_names_the_key(self, tmp_path, key, value):
         # Each value passes its own key's checks; the first puts the left
-        # grasp 0.05 m from its base, inside |0.6 - 0.5| m, and the second
-        # outweighs the robot's 529.74 N.
+        # grasp 0.05 m from its base, inside |0.6 - 0.5| m, the second
+        # outweighs the robot's 529.74 N, and the last three make the
+        # robot's weight overflow.
         with pytest.raises(ScenarioError, match=re.escape(key)):
             _load_override(tmp_path, key, value)
 
@@ -247,7 +252,11 @@ def test_default_scenario_is_validated():
     ({"initial_center": np.array([0.1, 0.05])}, "object.initial_center"),
     ({"object_wrench": np.array([0.0, 10.0, 600.0, 0.0, 0.0, 0.0])},
      "task.object_wrench"),
-], ids=["reach", "balance", "dead-zone", "lifting-wrench"])
+    ({"torso_mass": 1e308}, "robot.torso_mass: the robot weight"),
+    ({"link_mass": 1e308}, "robot.link_mass: the robot weight"),
+    ({"gravity": 1e308}, "gravity: the robot weight"),
+], ids=["reach", "balance", "dead-zone", "lifting-wrench", "huge-torso",
+        "huge-links", "huge-gravity"])
 def test_replace_runs_the_checks(changes, match):
     # A config made with dataclasses.replace is checked like a loaded one.
     with pytest.raises(ScenarioError, match=match):
@@ -306,6 +315,9 @@ def _override(key):
 @example([(("object", "mass"), 10**400), (("task", "waypoint_count"), 10**400)])
 @example([(("object", "initial_center"), [0.1, 0.05])])
 @example([(("task", "object_wrench"), [0.0, 10.0, 600.0, 0.0, 0.0, 0.0])])
+@example([(("robot", "torso_mass"), 1e308)])
+@example([(("robot", "link_mass"), 1e308)])
+@example([((None, "gravity"), 1e308)])
 @given(st.lists((st.sampled_from(LEAF_KEYS) | st.sampled_from(INVARIANT_KEYS))
                 .flatmap(_override), min_size=1, max_size=2))
 def test_any_override_loads_valid_or_raises_scenario_error(overrides):
@@ -328,11 +340,12 @@ def test_any_override_loads_valid_or_raises_scenario_error(overrides):
         assert 0.0 < length < math.inf
         inward = (edge[0] * (center[1] - a[1]) - edge[1] * (center[0] - a[0])) / length
         assert inward >= radius - 1e-12
-    # Both start grasp points have a bent pose, and the load cannot lift
-    # the robot.
+    # Both start grasp points have a bent pose, the robot's weight is
+    # finite, and the load cannot lift the robot.
     lengths = config.link_lengths
     dead_zone = abs((lengths[0] + lengths[1]) - (lengths[2] + lengths[3]))
     for base, grasp in zip(config.arm_bases,
                            config.grasp_points(config.initial_center)):
         assert np.linalg.norm(grasp - base) >= dead_zone
+    assert np.all(np.isfinite(config.robot_weight))
     assert config.robot_weight[2] + config.object_wrench[2] < 0.0

@@ -205,6 +205,31 @@ class TestSolveSqp:
         assert result.x.tobytes() == seen[-1].tobytes()
         assert not np.array_equal(result.x, np.zeros(2))
 
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3])
+    def test_iteration_limit_result_describes_its_x(self, max_iterations):
+        # min |x|^2 s.t. x0^2 + x1 = 2 from (3, -1).  The cost, violation and
+        # KKT residual are those of the returned x, not of the iterate
+        # before the last step (after one step: 6.0 there, 2.13 at x).
+        def eq(x):
+            return np.array([x[0] ** 2 + x[1] - 2.0])
+
+        def eq_jac(x):
+            return np.array([[2.0 * x[0], 1.0]])
+
+        problem = NlpProblem(dim=2, cost=lambda x: float(x @ x),
+                             cost_grad=lambda x: 2.0 * x,
+                             equalities=eq, equality_jac=eq_jac)
+        settings = SolverSettings(max_iterations=max_iterations)
+        result = solve_sqp(problem, np.array([3.0, -1.0]), settings)
+        x = result.x
+        assert result.status == "iteration limit reached"
+        assert result.iterations == max_iterations
+        assert result.cost == float(x @ x)
+        assert result.constraint_violation == abs(eq(x)[0])
+        act_tol = 10.0 * settings.tol_con
+        assert result.kkt_residual == sqp._kkt_residual(
+            2.0 * x, eq_jac(x), np.zeros((0, 2)), eq(x), np.zeros(0), act_tol)
+
     def test_bad_start_rejected(self):
         with pytest.raises(ValueError):
             solve_sqp(quadratic_problem([1.0]), np.array([np.nan]),
