@@ -3,26 +3,66 @@
 Each arm's support contact pairs one port-edge point with that arm's contact
 link (``ScenarioConfig.contact_link_index``).  The active edges are a (2, 2)
 array, one row per arm (``active_edges``), and a contact is the
-``kinematics.GapResult`` of ``edge_gap``: its gap, the normal angle of the
-force the edge applies on the link, and the closest point's parameter along
-the link.  Force magnitudes are decision variables and live beside the
+``GapResult`` of ``edge_gap``, the signed distance from the edge point to
+the link's capsule (a segment with a radius): its gap, the normal angle of
+the force the edge applies on the link, and the closest point's parameter
+along the link.  Force magnitudes are decision variables and live beside the
 contacts, never in them.  Forces are admissible only when gaps are closed, up
 to the configured slack: gap >= 0, force >= 0 and force . gap <= slack.  A
 support force is the full normal force of its magnitude.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from . import kinematics as kin
+
+@dataclass(frozen=True)
+class GapResult:
+    """Signed distance from a capsule surface to a point.
+
+    ``gap`` is negative when the point penetrates the capsule.
+    ``normal_angle`` is the direction of the force the point applies on the
+    link: from the point toward the closest point on the link axis.
+    ``axis_param`` is the closest point's parameter along the segment.
+    """
+
+    gap: float
+    closest_point: np.ndarray
+    normal_angle: float
+    axis_param: float
 
 
 def edge_gap(arm_points, link_index: int, link_radius: float,
-             edge) -> kin.GapResult:
-    """``kinematics.signed_gap`` of an edge point against link ``link_index``
-    of an arm, from its ``kinematics.forward_kinematics`` joint points: the
-    one gap evaluation, shared by the NLP, the settle and the edge choice."""
-    return kin.signed_gap(edge, arm_points[link_index],
-                          arm_points[link_index + 1], link_radius)
+             edge) -> GapResult:
+    """Signed distance between an edge point and the capsule of radius
+    ``link_radius`` around link ``link_index`` of an arm, from its
+    ``kinematics.forward_kinematics`` joint points: the one gap evaluation,
+    shared by the NLP, the settle and the edge choice.
+
+    Raises:
+        ValueError: the link's end points coincide.
+    """
+    a = arm_points[link_index]
+    axis = arm_points[link_index + 1] - a
+    length_sq = float(axis @ axis)
+    if length_sq <= 0.0:
+        raise ValueError("segment must have positive length")
+    # min/max clamp as np.clip does, NaN passing through.
+    t = min(max(float((edge - a) @ axis) / length_sq, 0.0), 1.0)
+    (ax, ay), (ex, ey) = a.tolist(), axis.tolist()
+    closest = np.array([ax + t * ex, ay + t * ey])
+    toward_axis = closest - edge
+    dist = float(np.linalg.norm(toward_axis))
+    if dist > 0.0:
+        normal_angle = float(np.arctan2(toward_axis[1], toward_axis[0]))
+    else:
+        # Edge exactly on the axis: fall back to the left perpendicular of
+        # the link direction so the result stays deterministic.
+        root = np.sqrt(length_sq)
+        normal_angle = float(np.arctan2(ex / root, -ey / root))
+    return GapResult(gap=dist - link_radius, closest_point=closest,
+                     normal_angle=normal_angle, axis_param=t)
 
 
 def active_edges(points, link_index: int, link_radius: float,

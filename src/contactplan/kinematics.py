@@ -1,43 +1,17 @@
-"""Planar serial-chain kinematics and capsule distance queries.
+"""Planar serial-chain kinematics: joint points and point Jacobians.
 
 The arms are 4-link revolute chains moving in a horizontal plane.  A pose is
 the array of joint points that ``forward_kinematics`` returns, base first
 and end effector last: links are consecutive rows, and point Jacobians are
 read from the same array, so one kinematics pass serves every query at a
-pose.  Links are modelled as capsules (segments with a radius), so a
-point-versus-segment distance gives a proper signed gap for the contact
-model.  Joint angles are stored un-normalised; only their sines/cosines are
+pose (the contact model's capsule gaps, ``contact.edge_gap``, included).
+Joint angles are stored un-normalised; only their sines/cosines are
 consumed downstream.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 NUM_LINKS = 4
-
-
-def _as_vec(x, n: int) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"expected shape ({n},), got {v.shape}")
-    return v
-
-
-@dataclass(frozen=True)
-class GapResult:
-    """Signed distance from a capsule surface to a point.
-
-    ``gap`` is negative when the point penetrates the capsule.
-    ``normal_angle`` is the direction of the force the point applies on the
-    link: from the point toward the closest point on the link axis.
-    ``axis_param`` is the closest point's parameter along the segment.
-    """
-
-    gap: float
-    closest_point: np.ndarray
-    normal_angle: float
-    axis_param: float
 
 
 def forward_kinematics(base, link_lengths, angles) -> np.ndarray:
@@ -87,35 +61,3 @@ def point_jacobian(points: np.ndarray, link_index: int,
         jac[0][j] = -(py - jy)
         jac[1][j] = px - jx
     return np.array(jac)
-
-
-def signed_gap(point, a: np.ndarray, b: np.ndarray,
-               link_radius: float) -> GapResult:
-    """Signed distance between a point and the capsule around segment a-b.
-
-    ``a`` and ``b`` are (2,) arrays, typically two consecutive rows of a
-    ``forward_kinematics`` array.  Returns the gap (point-to-axis distance
-    minus the radius), the closest point on the axis, and the angle of the
-    force the point would apply on the link.  Negative gap means
-    penetration.
-    """
-    point = _as_vec(point, 2)
-    edge = b - a
-    length_sq = float(edge @ edge)
-    if length_sq <= 0.0:
-        raise ValueError("segment must have positive length")
-    # min/max clamp as np.clip does, NaN passing through.
-    t = min(max(float((point - a) @ edge) / length_sq, 0.0), 1.0)
-    (ax, ay), (ex, ey) = a.tolist(), edge.tolist()
-    closest = np.array([ax + t * ex, ay + t * ey])
-    toward_axis = closest - point
-    dist = float(np.linalg.norm(toward_axis))
-    if dist > 0.0:
-        normal_angle = float(np.arctan2(toward_axis[1], toward_axis[0]))
-    else:
-        # Point exactly on the axis: fall back to the left perpendicular of
-        # the segment direction so the result stays deterministic.
-        root = np.sqrt(length_sq)
-        normal_angle = float(np.arctan2(ex / root, -ey / root))
-    return GapResult(gap=dist - link_radius, closest_point=closest,
-                     normal_angle=normal_angle, axis_param=t)

@@ -144,7 +144,7 @@ class StepContext:
 class PlanStep:
     """Accepted result of one waypoint: new configuration and observables.
 
-    ``contacts`` are the two arms' ``kinematics.GapResult`` of their active
+    ``contacts`` are the two arms' ``contact.GapResult`` of their active
     edges against the contact link, ``joint_points`` both arms' joint points
     at ``theta_after`` and ``hand_loads`` the (2, 3) forces the object puts
     on the hands there, all from the ZMP chain at the accepted point.  The
@@ -188,7 +188,7 @@ def _smooth_norm(v: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _gap_gradients(points: np.ndarray, link: int, edge: np.ndarray,
-                   res: kin.GapResult) -> tuple[list, list]:
+                   res: ct.GapResult) -> tuple[list, list]:
     """Joint gradients (4 floats each) of an edge's gap to link ``link`` of
     one arm and of its normal angle, from its ``contact.edge_gap`` result.
 

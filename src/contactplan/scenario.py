@@ -13,7 +13,10 @@ Sections and keys (SI units throughout):
       link_mass             kg per link (8 links), default 1.75
       arm_base_left         [x, y] m, default [-0.20, 0.0]
       arm_base_right        [x, y] m, default [0.20, 0.0]
-      link_lengths          4 floats, m, default [0.30, 0.30, 0.30, 0.20]
+      link_lengths          4 floats, m, default [0.30, 0.30, 0.30, 0.20]; each
+                            >= 1e-150 m and >= 1e-9 (largest |base coordinate|
+                            + reach), the joint coordinates' bound, so no link
+                            vanishes in their rounding (end points coincide)
       link_radius           m, default 0.04
     glovebox:
       plane_height          m, default 0.90
@@ -58,13 +61,14 @@ and the other three are fixed constants of the SQP line search.
 A ``ScenarioConfig`` is plannable by construction: building one (by loading
 or by ``dataclasses.replace``) raises a ``ScenarioError`` naming the key when
 the robot's weight, mass times gravity, overflows (the key of the larger
-factor: ``gravity``, ``robot.torso_mass`` or ``robot.link_mass``), the
-support polygon does not hold the safe circle (``balance``), a waypoint's
-grasp point lies beyond shoulder (links 1-2) plus forearm (links 3-4) reach
-(``task``), a start grasp point lies closer to its arm base than |shoulder -
-forearm| (``object.initial_center``), or ``robot_weight[2] +
-object_wrench[2] >= 0`` lifts the robot (``task.object_wrench``; support
-forces are horizontal, so the ground reaction's z is the same in every pose).
+factor: ``gravity``, ``robot.torso_mass`` or ``robot.link_mass``), a link is
+below its least length (``robot.link_lengths``, see above), the support
+polygon does not hold the safe circle (``balance``), a waypoint's grasp point
+lies beyond shoulder (links 1-2) plus forearm (links 3-4) reach (``task``), a
+start grasp point lies closer to its arm base than |shoulder - forearm|
+(``object.initial_center``), or ``robot_weight[2] + object_wrench[2] >= 0``
+lifts the robot (``task.object_wrench``; support forces are horizontal, so
+the ground reaction's z is the same in every pose).
 Planning never checks reach or balance again.
 
 The environment variable ``CONTACTPLAN_SCENARIO_DIR`` names a directory that
@@ -195,12 +199,17 @@ class ScenarioConfig:
         shoulder = float(lengths[0] + lengths[1])
         forearm = float(lengths[2] + lengths[3])
         object.__setattr__(self, "segment_lengths", (shoulder, forearm))
+        reach, dead_zone = shoulder + forearm, abs(shoulder - forearm)
+        # The floor keeps a link's squared length from underflowing.
+        shortest = max(1e-9 * (float(np.abs(self.arm_bases).max()) + reach), 1e-150)
+        if not lengths.min() >= shortest:
+            raise ScenarioError(f"robot.link_lengths: a link of {lengths.min():.6g} m "
+                                f"is below the least length, {shortest:.3g} m")
         try:
             check_support_region(self.sp_polygon, self.sp_center,
                                  self.safe_radius)
         except ValueError as exc:
             raise ScenarioError(f"balance: {exc}") from exc
-        reach, dead_zone = shoulder + forearm, abs(shoulder - forearm)
         for index, waypoint in enumerate(self.waypoints()):
             for arm_index, grasp in enumerate(self.grasp_points(waypoint)):
                 dist = float(np.linalg.norm(grasp - self.arm_bases[arm_index]))
@@ -331,10 +340,6 @@ def _from_dict(data: dict) -> ScenarioConfig:
     if not grasp_offsets[1] > grasp_offsets[0]:
         raise ScenarioError("object.grasp_offsets must be increasing")
 
-    link_lengths = _vec(robot["link_lengths"], NUM_LINKS, "robot.link_lengths")
-    if not np.all(link_lengths > 0.0):
-        raise ScenarioError("robot.link_lengths must be > 0")
-
     direction = _vec(task["path_direction"], 2, "task.path_direction")
     norm = float(np.linalg.norm(direction))
     # Beyond this range the squares in the norm overflow or underflow, and
@@ -366,7 +371,7 @@ def _from_dict(data: dict) -> ScenarioConfig:
         link_mass=_number(robot["link_mass"], "robot.link_mass"),
         arm_bases=np.array([_vec(robot["arm_base_left"], 2, "robot.arm_base_left"),
                             _vec(robot["arm_base_right"], 2, "robot.arm_base_right")]),
-        link_lengths=link_lengths,
+        link_lengths=_vec(robot["link_lengths"], NUM_LINKS, "robot.link_lengths"),
         link_radius=_number(robot["link_radius"], "robot.link_radius"),
         plane_height=_number(glovebox["plane_height"], "glovebox.plane_height"),
         port_edges=np.array([_vec(glovebox[f"port_edges_{side}"], (2, 2),

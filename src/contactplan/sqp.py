@@ -406,6 +406,11 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     result with ``converged=False`` is returned when the iteration budget
     runs out, the line search stalls or the merit stagnates; the caller
     decides whether that is fatal.
+
+    Raises:
+        InfeasibleStepError: a QP stays infeasible, or the cost, the rows,
+            the gradient, a Jacobian or the Hessian approximation at an
+            iterate is not finite (checked before any LAPACK call).
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.dim,):
@@ -443,6 +448,13 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         if grad is None:
             grad = np.asarray(problem.cost_grad(x), dtype=float)
             a_eq, a_in = problem.eq_jac(x), problem.ineq_jac(x)
+        # LAPACK fails untyped, or loops, on inf and NaN: check its inputs.
+        for name, value in (("cost", f), ("equality rows", ce),
+                            ("inequality rows", ci), ("cost gradient", grad),
+                            ("equality Jacobian", a_eq),
+                            ("inequality Jacobian", a_in), ("Hessian", hess)):
+            if not np.all(np.isfinite(value)):
+                raise InfeasibleStepError(f"non-finite {name} at an SQP iterate")
         viol = _max_violation(ce, ci)
         kkt = _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol)
         if kkt <= settings.tol_kkt and viol <= settings.tol_con:

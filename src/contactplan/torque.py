@@ -8,7 +8,7 @@ never disturb the planned support forces.  Everything here is planar: only
 the x and y components of each hand's load act on the 2x4 arm Jacobians,
 while z components are reacted by the elevated work plane.  Arm poses are
 the ``kinematics.forward_kinematics`` joint-point arrays, one per arm (left
-then right).  Contacts are the planner's ``kinematics.GapResult`` per arm,
+then right).  Contacts are the planner's ``contact.GapResult`` per arm,
 on link ``link_index``: each acts at the material point its ``axis_param``
 names, with the normal angle it stores, and ``gamma`` holds their force
 magnitudes.  Hand loads are the (2, 3) forces the object wrench puts on the

@@ -3,13 +3,15 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from contactplan import cli
 from contactplan.cli import CSV_HEADER, StepRecord, emit_csv, read_csv, run
 from contactplan.plots import emit_plots
 from contactplan.scenario import load_scenario
 
-from test_scenario import assert_same_config
+from test_planner import NON_FINITE
+from test_scenario import SHORT_LINKS, assert_same_config
 
 
 def synthetic_records(count=3, gamma=(0.0, 0.0)):
@@ -199,6 +201,23 @@ class TestRun:
         assert "scenario error" in caplog.text
         assert "object.initial_center" in caplog.text
         assert "planning failed" not in caplog.text
+
+    @pytest.mark.parametrize("overrides, message", [
+        *(pytest.param(o, "planning failed: step 0 failed: non-finite", id=name)
+          for name, (o, _) in NON_FINITE.items()),
+        *(pytest.param(o, "scenario error: robot.link_lengths", id=name)
+          for name, o in SHORT_LINKS.items())])
+    def test_overflowing_or_degenerate_scenario_exit_1(self, tmp_path, capsys,
+                                                       caplog, overrides,
+                                                       message):
+        # Each once ended in a traceback; numpy's overflow warnings are
+        # errors under pytest, so they are silenced here.
+        scenario = tmp_path / "extreme.yaml"
+        scenario.write_text(yaml.safe_dump(overrides))
+        with np.errstate(all="ignore"):
+            assert run(["--scenario", str(scenario)]) == 1
+        assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_failing_plan_exit_nonzero(self, tmp_path):
         assert run(["--max-iters", "1"]) == 1

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from contactplan import planner as pl
-from contactplan.kinematics import (NUM_LINKS, forward_kinematics,
-                                    point_jacobian, signed_gap)
+from contactplan.contact import edge_gap
+from contactplan.kinematics import NUM_LINKS, forward_kinematics, point_jacobian
 from contactplan.statics import bar_grasp, compute_zmp, robot_center_of_mass
 
 DRAWS = 200
@@ -311,7 +311,7 @@ def test_grasp_matrix_matches_identity_and_skew_blocks(rng):
 def test_signed_gap_matches_array_form(rng):
     for _ in range(DRAWS):
         a, b, point = (rng.normal(size=2) for _ in range(3))
-        res = signed_gap(point, a, b, 0.04)
+        res = edge_gap(np.array([a, b]), 0, 0.04, point)
         gap, closest, normal_angle, t = numpy_signed_gap(point, a, b, 0.04)
         assert_bitwise([res.gap, res.normal_angle, res.axis_param],
                        [gap, normal_angle, t])

@@ -2,15 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contactplan import planner as pl
 from contactplan import scenario
-from contactplan.errors import (InfeasibleStepError, PlanStepError,
-                                ScenarioError, UnbalancedStateError)
+from contactplan.errors import (ContactPlanError, InfeasibleStepError,
+                                PlanStepError, ScenarioError,
+                                UnbalancedStateError)
 from contactplan.planner import (PlanDecision, evaluate_nlp, gradient_check,
                                  initial_joint_angles, plan_path,
                                  plan_waypoint, relative_error)
-from contactplan.scenario import default_scenario
+from contactplan.scenario import _DEFAULTS, default_scenario
+
+from test_scenario import SHORT_LINKS
 
 
 def light_config():
@@ -525,3 +529,97 @@ class TestPlanPath:
             assert np.array_equal(a.theta_after, b.theta_after)
             assert np.array_equal(a.decision.gamma, b.decision.gamma)
             assert a.decision.slack == b.decision.slack
+
+
+# Loads whose NLP data overflow at the first iterate of step 0, with the
+# piece the solver names: a huge vertical load overflows the ZMP row's
+# Jacobian, a far torso the ZMP row itself, and a huge cost weight the
+# gradient (and the Gauss-Newton seed Hessian).
+NON_FINITE = {
+    "wrench-z-1e155": ({"task": {"object_wrench": [0, 10, -1e155, 0, 0, 0]}},
+                       "inequality Jacobian"),
+    "wrench-z-1e308": ({"task": {"object_wrench": [0, 10, -1e308, 0, 0, 0]}},
+                       "inequality Jacobian"),
+    "torso-x-1e308": ({"robot": {"torso_position": [1e308, 0.0, 0.5]}},
+                      "inequality rows"),
+    "weight-position-1e308": ({"weights": {"position": 1e308}}, "cost gradient"),
+    "weight-displacement-1e308": ({"weights": {"displacement": 1e308}},
+                                  "cost gradient"),
+}
+for overrides, _ in NON_FINITE.values():
+    overrides.setdefault("task", {})["waypoint_count"] = 2
+
+
+@pytest.mark.parametrize("overrides, name", NON_FINITE.values(),
+                         ids=list(NON_FINITE))
+def test_non_finite_nlp_data_is_a_typed_failure(overrides, name):
+    config = default_scenario(overrides)
+    with np.errstate(all="ignore"), pytest.raises(PlanStepError) as excinfo:
+        plan_path(config)
+    assert excinfo.value.waypoint_index == 0
+    assert f"non-finite {name} at an SQP iterate" in str(excinfo.value)
+    assert isinstance(excinfo.value.__cause__, InfeasibleStepError)
+
+
+# Keys a plan reads, drawn as their default with one entry replaced by a
+# value of any magnitude, the extremes of float64 included.
+PLAN_KEYS = [("task", "object_wrench"), ("task", "path_direction"),
+             ("task", "path_length"), ("robot", "torso_position"),
+             ("robot", "torso_mass"), ("robot", "link_mass"),
+             ("robot", "link_lengths"), ("robot", "link_radius"),
+             ("robot", "arm_base_left"), ("glovebox", "plane_height"),
+             ("glovebox", "port_edges_right"), ("object", "initial_center"),
+             ("balance", "safe_radius"), ("balance", "object_radius"),
+             ("weights", "position"), ("weights", "displacement"),
+             ("weights", "slack"), ("contact", "link_index"), (None, "gravity")]
+_MAGNITUDES = st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 1e-9, 1e-3, 0.5,
+                               3.0, 1e3, 1e9, 1e150, 1e155, 1e160, 1e300,
+                               1e308, 1.7976931348623157e308])
+
+
+@st.composite
+def _plan_override(draw):
+    section, key = draw(st.sampled_from(PLAN_KEYS))
+    value = np.array(_DEFAULTS[key] if section is None else _DEFAULTS[section][key])
+    if value.dtype.kind == "i":
+        value = np.array(draw(st.integers(-1, 4)))
+    else:
+        flat = value.reshape(-1)
+        flat[draw(st.integers(0, flat.size - 1))] = \
+            draw(st.sampled_from([1.0, -1.0])) * draw(_MAGNITUDES)
+    return section, key, value.tolist()
+
+
+def _with_examples(test):
+    """``test`` with the overrides above as explicit two-waypoint examples."""
+    for overrides in [o for o, _ in NON_FINITE.values()] + list(SHORT_LINKS.values()):
+        test = example([(section, key, value) for section, values in overrides.items()
+                        for key, value in values.items()], 2)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@_with_examples
+@given(st.lists(_plan_override(), min_size=1, max_size=2),
+       st.integers(1, 2))
+def test_any_loaded_config_plans_or_fails_typed(triples, waypoint_count):
+    # Every config that loads plans, or fails with a ContactPlanError: one
+    # or two waypoints along 5 cm, so the examples take about a second.
+    # numpy's overflow warnings are errors under pytest and are silenced;
+    # the exception a plan ends in must come from the program either way.
+    raw = {"task": {"path_length": 0.05}}
+    for section, key, value in triples:
+        if section is None:
+            raw[key] = value
+        else:
+            raw.setdefault(section, {})[key] = value
+    raw["task"]["waypoint_count"] = waypoint_count
+    with np.errstate(all="ignore"):
+        try:
+            config = default_scenario(raw)
+        except ScenarioError:
+            return
+        try:
+            plan_path(config)
+        except ContactPlanError:
+            pass

@@ -255,12 +255,37 @@ def test_default_scenario_is_validated():
     ({"torso_mass": 1e308}, "robot.torso_mass: the robot weight"),
     ({"link_mass": 1e308}, "robot.link_mass: the robot weight"),
     ({"gravity": 1e308}, "gravity: the robot weight"),
+    ({"link_lengths": np.array([0.3, 1e-200, 0.3, 0.2])}, "robot.link_lengths"),
 ], ids=["reach", "balance", "dead-zone", "lifting-wrench", "huge-torso",
-        "huge-links", "huge-gravity"])
+        "huge-links", "huge-gravity", "short-link"])
 def test_replace_runs_the_checks(changes, match):
     # A config made with dataclasses.replace is checked like a loaded one.
     with pytest.raises(ScenarioError, match=match):
         replace(default_scenario(), **changes)
+
+
+def short_link(length):
+    """Overrides: link 2 ``length`` m long, two waypoints 5 cm apart."""
+    return {"robot": {"link_lengths": [0.3, length, 0.3, 0.2]},
+            "task": {"path_length": 0.05, "waypoint_count": 2}}
+
+
+# A link this short adds nothing to a joint point of order 0.1 m, so the
+# contact link's two end points coincide; these loaded, and failed planning
+# with an untyped error, before the least link length was checked.
+SHORT_LINKS = {f"link-{length:g}": short_link(length) for length in (1e-200, 1e-160)}
+
+
+@pytest.mark.parametrize("length, loads", [
+    (2e-9, True), (5e-10, False), (1e-160, False), (1e-200, False)])
+def test_least_link_length(length, loads):
+    # The bases' largest coordinate is 0.2 m and the reach 0.8 m + length,
+    # so the least length is 1e-9 * (1.0 m + length).
+    if loads:
+        assert default_scenario(short_link(length)).link_lengths[1] == length
+    else:
+        with pytest.raises(ScenarioError, match="robot.link_lengths"):
+            default_scenario(short_link(length))
 
 
 def test_default_scenario_overrides():

@@ -235,6 +235,49 @@ class TestSolveSqp:
             solve_sqp(quadratic_problem([1.0]), np.array([np.nan]),
                       SolverSettings())
 
+    @staticmethod
+    def constrained_problem():
+        """min |x|^2 s.t. x0 + x1 == 1 and x0 >= 0.2."""
+        return NlpProblem(
+            dim=2, cost=lambda x: float(x @ x), cost_grad=lambda x: 2.0 * x,
+            equalities=lambda x: np.array([x[0] + x[1] - 1.0]),
+            equality_jac=lambda x: np.array([[1.0, 1.0]]),
+            inequalities=lambda x: np.array([x[0] - 0.2]),
+            inequality_jac=lambda x: np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("field, name", [
+        ("cost", "cost"), ("equalities", "equality rows"),
+        ("inequalities", "inequality rows"), ("cost_grad", "cost gradient"),
+        ("equality_jac", "equality Jacobian"),
+        ("inequality_jac", "inequality Jacobian"), (None, "Hessian")])
+    def test_non_finite_data_raises_before_lapack(self, field, name,
+                                                   monkeypatch):
+        problem = self.constrained_problem()
+        hessian = np.eye(2)
+        if field is None:
+            hessian[0, 0] = np.inf
+        else:
+            real = getattr(problem, field)
+            setattr(problem, field, lambda x: real(x) + np.inf)
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on non-finite data")
+
+        for routine in ("lstsq", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, routine, lapack)
+        with pytest.raises(InfeasibleStepError, match=f"non-finite {name} "):
+            solve_sqp(problem, np.zeros(2), SolverSettings(),
+                      initial_hessian=hessian)
+
+    def test_non_finite_gradient_at_a_later_iterate_raises(self):
+        # The gradient turns to inf once x leaves the start: the check runs
+        # at every iterate, not only at x0.
+        problem = self.constrained_problem()
+        problem.cost_grad = lambda x: 2.0 * x + (np.inf if x.any() else 0.0)
+        with np.errstate(all="ignore"), pytest.raises(
+                InfeasibleStepError, match="non-finite cost gradient"):
+            solve_sqp(problem, np.zeros(2), SolverSettings())
+
 
 class TestSolverSettings:
     @pytest.mark.parametrize("field, value", [
