@@ -111,8 +111,6 @@ class SqpResult:
     cost: float
     kkt_residual: float
     constraint_violation: float
-    lam_eq: np.ndarray
-    lam_in: np.ndarray
     iterations: int
     converged: bool
     status: str
@@ -427,8 +425,6 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         scaled_once = False
     mu = 1.0
     act_tol = max(10.0 * settings.tol_con, 1e-10)
-    lam_eq = np.zeros(problem.eq(x).shape[0])
-    lam_in = np.zeros(problem.ineq(x).shape[0])
     merit_history: list[tuple[float, float, float]] = []
     status = "iteration limit reached"
     iterations = 0
@@ -484,9 +480,9 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
                 f"violation {viol:.3g} after elastic relaxation)")
 
         d = qp.x
-        lam_eq_new, lam_in_new = qp.lam_eq, qp.lam_in
-        lam_mag = max(np.abs(lam_eq_new).max(initial=0.0),
-                      np.abs(lam_in_new).max(initial=0.0))
+        lam_eq, lam_in = qp.lam_eq, qp.lam_in
+        lam_mag = max(np.abs(lam_eq).max(initial=0.0),
+                      np.abs(lam_in).max(initial=0.0))
         mu = max(mu, _PENALTY_GROWTH * lam_mag + 1.0)
 
         merit0 = f + mu * _l1_violation(ce, ci)
@@ -501,7 +497,6 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         # A negligible direction does not move x; x failed the convergence
         # test above, so a third zero step in a row ends the run.
         if np.abs(d).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(x).max()):
-            lam_eq, lam_in = lam_eq_new, lam_in_new
             iterations += 1
             zero_steps += 1
             if zero_steps >= 3:
@@ -544,7 +539,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             rhs = list(-problem.eq(x + d))
             ci_trial = problem.ineq(x + d)
             for i in range(ci.size):
-                if lam_in_new[i] > 1e-8 * (1.0 + lam_mag) and ci_trial[i] < 0.0:
+                if lam_in[i] > 1e-8 * (1.0 + lam_mag) and ci_trial[i] < 0.0:
                     rows.append(a_in[i])
                     rhs.append(-ci_trial[i])
             if rows:
@@ -567,7 +562,6 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         if not accepted:
             # x has not moved, and it failed the convergence test above.
             status = "line search stalled"
-            lam_eq, lam_in = lam_eq_new, lam_in_new
             iterations += 1
             break
 
@@ -580,17 +574,17 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         last_mu = mu
 
         grad_l_old = grad.copy()
-        if lam_eq_new.size:
-            grad_l_old -= a_eq.T @ lam_eq_new
-        if lam_in_new.size:
-            grad_l_old -= a_in.T @ lam_in_new
+        if lam_eq.size:
+            grad_l_old -= a_eq.T @ lam_eq
+        if lam_in.size:
+            grad_l_old -= a_in.T @ lam_in
         grad_new = np.asarray(problem.cost_grad(x_trial), dtype=float)
         grad_l_new = grad_new.copy()
         a_eq_new, a_in_new = problem.eq_jac(x_trial), problem.ineq_jac(x_trial)
-        if lam_eq_new.size:
-            grad_l_new -= a_eq_new.T @ lam_eq_new
-        if lam_in_new.size:
-            grad_l_new -= a_in_new.T @ lam_in_new
+        if lam_eq.size:
+            grad_l_new -= a_eq_new.T @ lam_eq
+        if lam_in.size:
+            grad_l_new -= a_in_new.T @ lam_in
 
         step = x_trial - x
         y = grad_l_new - grad_l_old
@@ -618,12 +612,10 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
 
         x = x_trial
         grad, a_eq, a_in = grad_new, a_eq_new, a_in_new
-        lam_eq, lam_in = lam_eq_new, lam_in_new
         iterations += 1
 
     return SqpResult(x=x, cost=f, kkt_residual=float(kkt),
-                     constraint_violation=float(viol), lam_eq=lam_eq,
-                     lam_in=lam_in, iterations=iterations,
+                     constraint_violation=float(viol), iterations=iterations,
                      converged=status == "converged", status=status,
                      qp_iterations=qp_iterations, merit_history=merit_history)
 

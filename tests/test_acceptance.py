@@ -13,11 +13,11 @@ from contactplan.kinematics import forward_kinematics, point_jacobian
 from contactplan.planner import PlanDecision, gradient_check
 from contactplan.sqp import SolverSettings, solve_sqp
 from contactplan.statics import compute_zmp
-from contactplan.torque import (PINV_RCOND, combined_torques,
-                                nullspace_projector, stacked_support_jacobian)
+from contactplan.torque import ACTIVE_FORCE_TOL, PINV_RCOND, combined_torques
 
 from test_sqp import halfspace_qp, mpcc_grid_oracle, toy_mpcc
 from test_statics import GRAVITY, horizontal_moment, zmp_oracle
+from test_torque import arm_block
 
 
 def _report(number: int, message: str) -> None:
@@ -139,23 +139,26 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
                                                       step_records):
     checked = 0
     for step, record in zip(planned_steps, step_records):
-        if float(step.decision.gamma.max()) <= 1e-6:
+        if float(step.decision.gamma.max()) <= ACTIVE_FORCE_TOL:
             continue
         points = default_config.joint_points(step.theta_after)
         link = default_config.contact_link_index
         gamma = step.decision.gamma
-        j_support = stacked_support_jacobian(points, link, step.contacts, gamma)
-        assert j_support.shape[0] > 0
+        # The support Jacobian over all eight joints: one 2-row block per
+        # arm whose force exceeds ACTIVE_FORCE_TOL.
+        j_support = np.vstack([
+            arm_block(i, point_jacobian(arm, link, c.axis_param))
+            for i, (arm, c) in enumerate(zip(points, step.contacts))
+            if gamma[i] > ACTIVE_FORCE_TOL])
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
-        projector = nullspace_projector(j_support)
-        assert np.abs(projector @ projector - projector).max() <= 1e-9
-        assert np.abs(np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ projector).max() <= 1e-9
         command = combined_torques(points, link, step.contacts, gamma,
                                    step.hand_loads)
-        recovered = np.linalg.pinv(j_support.T, rcond=PINV_RCOND) @ command.torques
+        pinv = np.linalg.pinv(j_support.T, rcond=PINV_RCOND)
+        assert np.abs(pinv @ command.object_torques_projected).max() <= 1e-9
+        recovered = pinv @ command.torques
         planned = np.concatenate(
             [g * np.array([np.cos(c.normal_angle), np.sin(c.normal_angle)])
-             for g, c in zip(gamma, step.contacts) if g > 1e-6])
+             for g, c in zip(gamma, step.contacts) if g > ACTIVE_FORCE_TOL])
         assert np.abs(recovered - planned).max() <= 1e-8
         checked += 1
     assert checked >= 2

@@ -179,9 +179,9 @@ class TestSolveSqp:
         assert result.cost == 0.0
         at_start = {name: n for (name, key), n in calls.items()
                     if key == x0.tobytes()}
-        # inequalities: once at the top of the loop, once to size the
-        # multipliers before it.
-        assert at_start == {"cost": 1, "cost_grad": 1, "inequalities": 2,
+        # Each once, at the top of the loop: the line search only evaluates
+        # trial points.
+        assert at_start == {"cost": 1, "cost_grad": 1, "inequalities": 1,
                             "inequality_jac": 1}
 
     def test_unchanged_merit_stagnates(self):

@@ -1,15 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from contactplan.cli import records_from_steps
 from contactplan.contact import edge_gap
-from contactplan.kinematics import forward_kinematics
+from contactplan.kinematics import forward_kinematics, point_jacobian
 from contactplan.planner import plan_path
 from contactplan.scenario import default_scenario
 from contactplan.statics import bar_grasp
-from contactplan.torque import (PINV_RCOND, combined_torques,
-                                nullspace_projector, object_wrench_torques,
-                                stacked_support_jacobian, support_torques)
+from contactplan.torque import ACTIVE_FORCE_TOL, PINV_RCOND, combined_torques
 
 from test_statics import reference_grasp_map
 
@@ -52,12 +52,13 @@ def penrose_conditions(matrix, pinv):
 
 
 def pseudo_inverse(matrix):
-    return np.linalg.pinv(matrix, rcond=PINV_RCOND)
+    return np.linalg.lstsq(matrix, np.eye(matrix.shape[0]), rcond=PINV_RCOND)[0]
 
 
 class TestPseudoInverse:
-    """The pseudo-inverse the torque module takes: np.linalg.pinv with a
-    cutoff of PINV_RCOND times the largest singular value."""
+    """The pseudo-inverse the torque module takes: the minimum-norm
+    least-squares solve np.linalg.lstsq with a cutoff of PINV_RCOND times
+    the largest singular value."""
 
     def test_identity(self):
         np.testing.assert_allclose(pseudo_inverse(np.eye(3)), np.eye(3),
@@ -78,6 +79,7 @@ class TestPseudoInverse:
             matrix = rng.normal(size=shape)
             assert penrose_conditions(matrix, pseudo_inverse(matrix)) <= 1e-9
 
+
 def hand_loads(arms, h_o):
     """The (2, 3) hand forces of the object wrench ``h_o``, as the planner
     splits it between the hands."""
@@ -85,11 +87,53 @@ def hand_loads(arms, h_o):
     return np.array([h_c[0:3], h_c[6:9]])
 
 
+def arm_block(arm_index, jac):
+    """A 2x4 arm Jacobian placed in that arm's columns of a 2x8 row block."""
+    block = np.zeros((2, 8))
+    block[:, 4 * arm_index:4 * arm_index + 4] = jac
+    return block
+
+
+def stacked_torques(arms, link, contacts, gamma, loads):
+    """The prioritized torques as one formula over all eight joints:
+    tau_s = J_s' f_s, tau_o = J_h' h and (I - J' J'^+) tau_o, where J
+    stacks the support rows of the contacts whose force exceeds
+    ACTIVE_FORCE_TOL; returns the three."""
+    support = [arm_block(i, point_jacobian(arm, link, c.axis_param))
+               for i, (arm, c) in enumerate(zip(arms, contacts))]
+    hands = [arm_block(i, point_jacobian(arm, 3, 1.0))
+             for i, arm in enumerate(arms)]
+    forces = np.concatenate([
+        g * np.array([np.cos(c.normal_angle), np.sin(c.normal_angle)])
+        for g, c in zip(gamma, contacts)])
+    tau_support = np.vstack(support).T @ forces
+    tau_object = np.vstack(hands).T @ np.concatenate([load[:2] for load in loads])
+    projected = tau_object
+    active = [rows for rows, g in zip(support, gamma) if g > ACTIVE_FORCE_TOL]
+    if active:
+        jt = np.vstack(active).T
+        projected = (np.eye(8) - jt @ np.linalg.pinv(jt, rcond=PINV_RCOND)) @ tau_object
+    return tau_support, tau_object, projected
+
+
+def object_part(arms, loads):
+    """The unprojected object torques: combined_torques with no support
+    force, so that nothing is projected."""
+    contacts = both_contacts(arms)
+    return combined_torques(arms, LINK, contacts, np.zeros(2), loads).torques
+
+
+def support_part(arms, contacts, gamma):
+    """The support torques of combined_torques, with no load on the hands."""
+    return combined_torques(arms, LINK, contacts, gamma,
+                            np.zeros((2, 3))).support_torques
+
+
 class TestObjectWrenchTorques:
     def test_zero_wrench_zero_torque(self):
         arms = make_arms([0.4, 0.2, -0.3, 0.1, 2.7, -0.2, 0.3, -0.1])
         np.testing.assert_allclose(
-            object_wrench_torques(arms, hand_loads(arms, np.zeros(6))), 0.0)
+            object_part(arms, hand_loads(arms, np.zeros(6))), 0.0)
 
     def test_single_joint_lever_arm(self):
         # Straight right arm along +x; unit +y force at the end effector
@@ -97,15 +141,14 @@ class TestObjectWrenchTorques:
         arms = make_arms([np.pi / 2, 0, 0, 0, 0, 0, 0, 0])
         # Wrench that distributes to a pure +y force per hand is doubled.
         h_o = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 0.0])
-        tau = object_wrench_torques(arms, hand_loads(arms, h_o))
+        tau = object_part(arms, hand_loads(arms, h_o))
         # Right arm columns: lever arms 1.1, 0.8, 0.5, 0.2 about each joint.
         np.testing.assert_allclose(tau[4:], [1.1, 0.8, 0.5, 0.2], atol=1e-9)
 
     def test_matches_hand_assembled_chain(self):
-        from contactplan.kinematics import point_jacobian
         arms = make_arms([2.0, 0.3, -0.4, 0.2, 1.1, -0.3, 0.4, -0.2])
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
-        tau = object_wrench_torques(arms, hand_loads(arms, h_o))
+        tau = object_part(arms, hand_loads(arms, h_o))
         _, grasp, _ = bar_grasp((arms[0][-1], arms[1][-1]), 0.9, h_o)
         h_c = np.linalg.pinv(grasp) @ h_o
         expected = np.concatenate([
@@ -118,11 +161,11 @@ class TestSupportTorques:
     def test_zero_forces_zero_torques(self):
         arms = make_arms([0.5, 0.1, 0.2, -0.1, 1.0, -0.2, 0.3, 0.4])
         np.testing.assert_allclose(
-            support_torques(arms, LINK, both_contacts(arms), [0.0, 0.0]), 0.0)
+            support_part(arms, both_contacts(arms), [0.0, 0.0]), 0.0)
 
     def test_distal_joints_unloaded(self):
         arms = make_arms([0.5, 0.1, 0.2, -0.1, 1.0, -0.2, 0.3, 0.4])
-        tau = support_torques(arms, LINK, both_contacts(arms), [0.0, 20.0])
+        tau = support_part(arms, both_contacts(arms), [0.0, 20.0])
         np.testing.assert_allclose(tau[:4], 0.0)
         np.testing.assert_allclose(tau[6:], 0.0)  # joints 3, 4 of that arm
         assert np.any(tau[4:6] != 0.0)
@@ -140,7 +183,7 @@ class TestSupportTorques:
             contact = contacts[arm_index]
             gamma = np.zeros(2)
             gamma[arm_index] = rng.uniform(1, 50)
-            tau = support_torques(arms, LINK, contacts, gamma)
+            tau = support_part(arms, contacts, gamma)
             force = gamma[arm_index] * np.array(
                 [np.cos(contact.normal_angle), np.sin(contact.normal_angle)])
             expected = np.zeros(8)
@@ -157,26 +200,6 @@ class TestSupportTorques:
                                        atol=1e-5 * max(1.0, np.abs(tau).max()))
 
 
-class TestNullspaceProjector:
-    def test_no_support_gives_identity(self):
-        np.testing.assert_allclose(nullspace_projector(np.zeros((0, 8))),
-                                   np.eye(8))
-
-    def test_idempotent_and_symmetric(self, rng):
-        for _ in range(20):
-            jac = rng.normal(size=(int(rng.integers(1, 5)), 8))
-            proj = nullspace_projector(jac)
-            np.testing.assert_allclose(proj @ proj, proj, atol=1e-9)
-            np.testing.assert_allclose(proj, proj.T, atol=1e-9)
-
-    def test_annihilates_support_rows(self, rng):
-        for _ in range(20):
-            jac = rng.normal(size=(2, 8))
-            proj = nullspace_projector(jac)
-            np.testing.assert_allclose(pseudo_inverse(jac.T) @ proj, 0.0,
-                                       atol=1e-9)
-
-
 class TestCombinedTorques:
     def setup_scene(self, gammas=(25.0, 30.0)):
         arms = make_arms([2.2, 0.3, -0.5, 0.1, 0.9, -0.3, 0.5, -0.1])
@@ -184,18 +207,20 @@ class TestCombinedTorques:
         loads = hand_loads(arms, np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0]))
         return arms, contacts, np.array(gammas), loads
 
-    def test_no_contacts_passes_object_torques_through(self):
-        arms, _, _, loads = self.setup_scene()
-        command = combined_torques(arms, LINK, [], [], loads)
-        np.testing.assert_allclose(command.torques,
-                                   object_wrench_torques(arms, loads))
+    def test_zero_forces_pass_object_torques_through(self):
+        arms, contacts, _, loads = self.setup_scene()
+        command = combined_torques(arms, LINK, contacts, np.zeros(2), loads)
+        expected = np.concatenate([point_jacobian(arm, 3, 1.0).T @ load[:2]
+                                   for arm, load in zip(arms, loads)])
+        np.testing.assert_array_equal(command.torques, expected)
+        np.testing.assert_array_equal(command.object_torques_projected, expected)
         np.testing.assert_allclose(command.support_torques, 0.0)
 
     def test_zero_wrench_gives_support_torques(self):
         arms, contacts, gamma, _ = self.setup_scene()
         command = combined_torques(arms, LINK, contacts, gamma, np.zeros((2, 3)))
-        np.testing.assert_allclose(command.torques,
-                                   support_torques(arms, LINK, contacts, gamma))
+        np.testing.assert_allclose(command.torques, command.support_torques)
+        np.testing.assert_allclose(command.object_torques_projected, 0.0)
 
     def test_decomposition_identity(self):
         arms, contacts, gamma, loads = self.setup_scene()
@@ -207,7 +232,8 @@ class TestCombinedTorques:
     def test_support_priority_recovery(self):
         arms, contacts, gamma, loads = self.setup_scene()
         command = combined_torques(arms, LINK, contacts, gamma, loads)
-        j_support = stacked_support_jacobian(arms, LINK, contacts, gamma)
+        j_support = np.vstack([arm_block(i, point_jacobian(arm, LINK, c.axis_param))
+                               for i, (arm, c) in enumerate(zip(arms, contacts))])
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
         recovered = pseudo_inverse(j_support.T) @ command.torques
         planned = np.concatenate([
@@ -225,10 +251,36 @@ class TestCombinedTorques:
                                     hand_loads(arms, h_o)).torques
 
         tau_a, tau_b, tau_sum = torques(h_a), torques(h_b), torques(h_a + h_b)
-        support = support_torques(arms, LINK, contacts, gamma)
+        support = support_part(arms, contacts, gamma)
         np.testing.assert_allclose(tau_sum - support,
                                    (tau_a - support) + (tau_b - support),
                                    atol=1e-9)
+
+    def test_per_arm_matches_stacked_formula(self, rng):
+        # The projection split by arm equals the 8-joint one, including a
+        # contact at ACTIVE_FORCE_TOL (not projected against) and one at
+        # axis_param 0, whose Jacobian has rank 1.  The projection cancels
+        # the support directions of the object torques, so errors are
+        # relative to the torques that enter it.
+        for trial in range(20):
+            arms = make_arms(rng.normal(scale=0.8, size=8))
+            contacts = both_contacts(arms, rng.uniform(0.05, 0.95, size=2))
+            gamma = rng.uniform(1.0, 50.0, size=2)
+            if trial == 0:
+                gamma[1] = ACTIVE_FORCE_TOL
+            if trial == 1:
+                contacts[0] = replace(contacts[0], axis_param=0.0)
+                assert np.linalg.matrix_rank(
+                    point_jacobian(arms[0], LINK, 0.0)) == 1
+            loads = hand_loads(arms, rng.normal(scale=20.0, size=6))
+            command = combined_torques(arms, LINK, contacts, gamma, loads)
+            support, unprojected, projected = stacked_torques(
+                arms, LINK, contacts, gamma, loads)
+            scale = max(np.abs(support).max(), np.abs(unprojected).max())
+            for actual, expected in ((command.support_torques, support),
+                                     (command.object_torques_projected, projected),
+                                     (command.torques, support + projected)):
+                assert np.abs(actual - expected).max() <= 1e-12 * scale
 
 
 class TestRecordTorques:
