@@ -111,7 +111,8 @@ def write_path_plot(records, config, path: str) -> None:
 
     for index, record in enumerate(records):
         color = _step_color(index, count)
-        for arm_points in record.joint_points:
+        # A record read back from a CSV has no joint points: no arms.
+        for arm_points in record.joint_points or ():
             canvas.polyline([tuple(p) for p in arm_points], color, width=2.0)
         half = config.bar_length / 2.0
         bar = [(record.object_position[0] - half, record.object_position[1]),

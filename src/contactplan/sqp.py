@@ -52,7 +52,12 @@ class SolverSettings:
 
 @dataclass
 class NlpProblem:
-    """A dense NLP: minimize cost(x) s.t. equalities(x) == 0, inequalities(x) >= 0."""
+    """A dense NLP: minimize cost(x) s.t. equalities(x) == 0, inequalities(x) >= 0.
+
+    ``cost`` returns a float; the other callables return float arrays:
+    ``cost_grad`` of shape (dim,), the rows of shape (m,) and their
+    Jacobians of shape (m, dim).  An omitted constraint set is empty.
+    """
 
     dim: int
     cost: Callable[[np.ndarray], float]
@@ -62,25 +67,13 @@ class NlpProblem:
     inequalities: Optional[Callable[[np.ndarray], np.ndarray]] = None
     inequality_jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def eq(self, x: np.ndarray) -> np.ndarray:
-        if self.equalities is None:
-            return np.zeros(0)
-        return np.atleast_1d(np.asarray(self.equalities(x), dtype=float))
-
-    def eq_jac(self, x: np.ndarray) -> np.ndarray:
-        if self.equality_jac is None:
-            return np.zeros((0, self.dim))
-        return np.atleast_2d(np.asarray(self.equality_jac(x), dtype=float))
-
-    def ineq(self, x: np.ndarray) -> np.ndarray:
-        if self.inequalities is None:
-            return np.zeros(0)
-        return np.atleast_1d(np.asarray(self.inequalities(x), dtype=float))
-
-    def ineq_jac(self, x: np.ndarray) -> np.ndarray:
-        if self.inequality_jac is None:
-            return np.zeros((0, self.dim))
-        return np.atleast_2d(np.asarray(self.inequality_jac(x), dtype=float))
+    def __post_init__(self):
+        for rows, jac in (("equalities", "equality_jac"),
+                          ("inequalities", "inequality_jac")):
+            if getattr(self, rows) is None:
+                setattr(self, rows, lambda x: np.zeros(0))
+            if getattr(self, jac) is None:
+                setattr(self, jac, lambda x: np.zeros((0, self.dim)))
 
 
 @dataclass
@@ -137,9 +130,8 @@ def _solve_eqp(hess, grad_at_z, rows):
     k = rows.shape[0]
     kkt = np.zeros((n + k, n + k))
     kkt[:n, :n] = hess
-    if k:
-        kkt[:n, n:] = -rows.T
-        kkt[n:, :n] = rows
+    kkt[:n, n:] = -rows.T
+    kkt[n:, :n] = rows
     rhs = np.concatenate([-grad_at_z, np.zeros(k)])
     sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     residual = rhs - kkt @ sol
@@ -151,7 +143,8 @@ def _equality_start(rows, rhs):
     """Least-squares solution of rows @ x = rhs, or None when it misses an
     equation by more than 1e-8 relative (the rows are inconsistent)."""
     x0 = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-    if np.abs(rows @ x0 - rhs).max(initial=0.0) > 1e-8 * (1.0 + np.abs(rhs).max()):
+    tol = 1e-8 * (1.0 + np.abs(rhs).max(initial=0.0))
+    if np.abs(rows @ x0 - rhs).max(initial=0.0) > tol:
         return None
     return x0
 
@@ -172,24 +165,20 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
              elastic_weight: float = 1e4) -> QpSolution:
     """Solve min 0.5 x'Hx + g'x s.t. a_eq x = b_eq, a_in x >= b_in.
 
-    H must be symmetric positive definite.  Infeasible inequality systems are
-    absorbed by an elastic variable t >= 0 relaxing every inequality row by t
-    at cost ``elastic_weight * t``; the returned ``elastic`` is its optimum
-    (zero whenever the original QP is feasible and the weight dominates the
-    multipliers).  ``elastic_weight`` is interpreted in the units of the
-    normalized objective, i.e. relative to max(1, |grad|, |hess|).
+    The inputs are float arrays; a constraint set without rows has a (0, n)
+    matrix and a (0,) bound.  H must be symmetric positive definite.
+    Infeasible inequality systems are absorbed by an elastic variable t >= 0
+    relaxing every inequality row by t at cost ``elastic_weight * t``; the
+    returned ``elastic`` is its optimum (zero whenever the original QP is
+    feasible and the weight dominates the multipliers).  ``elastic_weight``
+    is interpreted in the units of the normalized objective, i.e. relative
+    to max(1, |grad|, |hess|).
 
     Raises:
         InfeasibleStepError: inconsistent equality rows, or no progress in
             the active-set iteration.
     """
-    hess = np.asarray(hess, dtype=float)
-    grad = np.asarray(grad, dtype=float)
     n = grad.shape[0]
-    a_eq = np.zeros((0, n)) if a_eq is None else np.atleast_2d(a_eq)
-    b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(b_eq)
-    a_in = np.zeros((0, n)) if a_in is None else np.atleast_2d(a_in)
-    b_in = np.zeros(0) if b_in is None else np.atleast_1d(b_in)
     m_eq, m_in = a_eq.shape[0], a_in.shape[0]
 
     # Normalize the objective so all KKT data stays O(1): the minimizer is
@@ -220,7 +209,7 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
     hz[:n, :n] = hess
     hz[n, n] = max(1e-8 * elastic_weight, 1e-4)
     gz = np.concatenate([grad, [elastic_weight]])
-    eq_rows = np.hstack([a_eq, np.zeros((m_eq, 1))]) if m_eq else np.zeros((0, nz))
+    eq_rows = np.hstack([a_eq, np.zeros((m_eq, 1))])
     in_rows = np.vstack([
         np.hstack([a_in, np.ones((m_in, 1))]),
         np.concatenate([np.zeros(n), [1.0]])[None, :],
@@ -229,12 +218,9 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
 
     # Feasible start: least-squares equality solution, elastic covering the
     # worst inequality violation.
-    if m_eq:
-        x0 = _equality_start(a_eq, b_eq)
-        if x0 is None:
-            raise InfeasibleStepError("inconsistent equality constraints in QP")
-    else:
-        x0 = np.zeros(n)
+    x0 = _equality_start(a_eq, b_eq)
+    if x0 is None:
+        raise InfeasibleStepError("inconsistent equality constraints in QP")
     t0 = max(0.0, float(np.max(b_in - a_in @ x0, initial=0.0)))
     z = np.concatenate([x0, [t0]])
 
@@ -248,8 +234,7 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
     max_qp_iters = 50 * (n_rows + nz)
     lam_work = np.zeros(0)
     for iterations in range(1, max_qp_iters + 1):
-        rows = np.vstack([eq_rows, in_rows[working]]) if (m_eq or working) \
-            else np.zeros((0, nz))
+        rows = np.vstack([eq_rows, in_rows[working]])
         q = hz @ z + gz
         p, lam = _solve_eqp(hz, q, rows)
         lam_work = lam[m_eq:]
@@ -281,12 +266,11 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
     else:
         raise InfeasibleStepError("active-set QP iteration limit reached")
 
-    lam_eq_out = lam[:m_eq] * sigma if m_eq else np.zeros(0)
     lam_in_out = np.zeros(m_in)
     for idx, row in enumerate(working):
         if row < m_in:
             lam_in_out[row] = max(lam_work[idx], 0.0) * sigma
-    solution = QpSolution(x=z[:n], lam_eq=lam_eq_out, lam_in=lam_in_out,
+    solution = QpSolution(x=z[:n], lam_eq=lam[:m_eq] * sigma, lam_in=lam_in_out,
                           elastic=float(z[n]), iterations=iterations)
 
     # Polish: once the elastic is inactive, re-solve on the identified active
@@ -309,7 +293,7 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
         lam_in_out = np.zeros(m_in)
         for idx, row in enumerate(active):
             lam_in_out[row] = max(float(lam_p_in[idx]), 0.0) * sigma
-        return QpSolution(x=x_p, lam_eq=(lam_p[:m_eq] * sigma if m_eq else np.zeros(0)),
+        return QpSolution(x=x_p, lam_eq=lam_p[:m_eq] * sigma,
                           lam_in=lam_in_out, elastic=solution.elastic,
                           iterations=iterations)
     return solution
@@ -324,12 +308,8 @@ def _l1_violation(ce: np.ndarray, ci: np.ndarray) -> float:
 
 
 def _max_violation(ce: np.ndarray, ci: np.ndarray) -> float:
-    v = 0.0
-    if ce.size:
-        v = float(np.abs(ce).max())
-    if ci.size:
-        v = max(v, float(np.maximum(0.0, -ci).max()))
-    return v
+    return max(float(np.abs(ce).max(initial=0.0)),
+               float(np.maximum(0.0, -ci).max(initial=0.0)))
 
 
 def _certificate_multipliers(grad, a_eq, a_in, ci, act_tol):
@@ -343,9 +323,7 @@ def _certificate_multipliers(grad, a_eq, a_in, ci, act_tol):
     m_eq = a_eq.shape[0]
     active = [i for i in range(a_in.shape[0]) if ci[i] <= act_tol]
     for _ in range(len(active) + 1):
-        rows = np.vstack([a_eq, a_in[active]]) if (m_eq or active) else None
-        if rows is None:
-            return np.zeros(0), np.zeros(a_in.shape[0])
+        rows = np.vstack([a_eq, a_in[active]])
         lam = np.linalg.lstsq(rows.T, grad, rcond=None)[0]
         lam_act = lam[m_eq:]
         if lam_act.size == 0 or lam_act.min() >= 0.0:
@@ -367,13 +345,9 @@ def _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol) -> float:
     1e6, while still rejecting genuinely non-stationary points.
     """
     lam_eq, lam_in = _certificate_multipliers(grad, a_eq, a_in, ci, act_tol)
-    r = grad.copy()
-    if lam_eq.size:
-        r -= a_eq.T @ lam_eq
-    if lam_in.size:
-        r -= a_in.T @ lam_in
+    r = grad - a_eq.T @ lam_eq - a_in.T @ lam_in
     r_stat = float(np.abs(r).max(initial=0.0))
-    r_comp = float(np.abs(lam_in * ci).max(initial=0.0)) if lam_in.size else 0.0
+    r_comp = float(np.abs(lam_in * ci).max(initial=0.0))
     lam_mag = max(np.abs(lam_eq).max(initial=0.0), np.abs(lam_in).max(initial=0.0))
     scale = max(1.0, lam_mag / 1000.0)
     return max(r_stat, r_comp) / scale
@@ -440,10 +414,10 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     # so the result describes the point it returns.
     for _ in range(settings.max_iterations + 1):
         f = float(problem.cost(x))
-        ce, ci = problem.eq(x), problem.ineq(x)
+        ce, ci = problem.equalities(x), problem.inequalities(x)
         if grad is None:
-            grad = np.asarray(problem.cost_grad(x), dtype=float)
-            a_eq, a_in = problem.eq_jac(x), problem.ineq_jac(x)
+            grad = problem.cost_grad(x)
+            a_eq, a_in = problem.equality_jac(x), problem.inequality_jac(x)
         # LAPACK fails untyped, or loops, on inf and NaN: check its inputs.
         for name, value in (("cost", f), ("equality rows", ce),
                             ("inequality rows", ci), ("cost gradient", grad),
@@ -510,7 +484,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             # finite, is rejected like any other worse point.
             try:
                 merit = float(problem.cost(x_t)) + mu * _l1_violation(
-                    problem.eq(x_t), problem.ineq(x_t))
+                    problem.equalities(x_t), problem.inequalities(x_t))
             except UnbalancedStateError:
                 return np.inf
             return merit if np.isfinite(merit) else np.inf
@@ -536,8 +510,8 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             # steps under an l1 merit with a large penalty (Maratos effect).
             # Restore the active rows at the trial point and retest.
             rows = [a_eq[i] for i in range(ce.size)]
-            rhs = list(-problem.eq(x + d))
-            ci_trial = problem.ineq(x + d)
+            rhs = list(-problem.equalities(x + d))
+            ci_trial = problem.inequalities(x + d)
             for i in range(ci.size):
                 if lam_in[i] > 1e-8 * (1.0 + lam_mag) and ci_trial[i] < 0.0:
                     rows.append(a_in[i])
@@ -573,18 +547,11 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             stagnant = 0
         last_mu = mu
 
-        grad_l_old = grad.copy()
-        if lam_eq.size:
-            grad_l_old -= a_eq.T @ lam_eq
-        if lam_in.size:
-            grad_l_old -= a_in.T @ lam_in
-        grad_new = np.asarray(problem.cost_grad(x_trial), dtype=float)
-        grad_l_new = grad_new.copy()
-        a_eq_new, a_in_new = problem.eq_jac(x_trial), problem.ineq_jac(x_trial)
-        if lam_eq.size:
-            grad_l_new -= a_eq_new.T @ lam_eq
-        if lam_in.size:
-            grad_l_new -= a_in_new.T @ lam_in
+        grad_l_old = grad - a_eq.T @ lam_eq - a_in.T @ lam_in
+        grad_new = problem.cost_grad(x_trial)
+        a_eq_new = problem.equality_jac(x_trial)
+        a_in_new = problem.inequality_jac(x_trial)
+        grad_l_new = grad_new - a_eq_new.T @ lam_eq - a_in_new.T @ lam_in
 
         step = x_trial - x
         y = grad_l_new - grad_l_old

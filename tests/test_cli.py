@@ -1,5 +1,7 @@
 import subprocess
 import sys
+from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from contactplan.cli import CSV_HEADER, StepRecord, emit_csv, read_csv, run
 from contactplan.plots import emit_plots
 from contactplan.scenario import load_scenario
 
+from test_golden import GOLDEN
 from test_planner import NON_FINITE
 from test_scenario import SHORT_LINKS, assert_same_config
 
@@ -128,6 +131,15 @@ class TestEmitPlots:
         for name in ("path.svg", "zmp.svg", "forces.svg"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_records_read_from_csv(self, tmp_path, default_config):
+        # A CSV carries no joint points: the path plot draws no arms.
+        records = read_csv(str(GOLDEN))
+        paths = emit_plots(records, default_config, str(tmp_path))
+        trees = {Path(path).name: ElementTree.parse(path) for path in paths}
+        # Three wall segments and one bar per record.
+        lines = trees["path.svg"].findall("{http://www.w3.org/2000/svg}polyline")
+        assert len(lines) == 3 + len(records)
 
     def test_empty_records_rejected(self, tmp_path, default_config):
         with pytest.raises(ValueError):

@@ -279,6 +279,17 @@ class TestSolveSqp:
             solve_sqp(problem, np.zeros(2), SolverSettings())
 
 
+class TestNlpProblem:
+    def test_omitted_constraint_sets_are_empty(self):
+        problem = quadratic_problem([0.3, -1.2, 2.0])
+        x = np.zeros(3)
+        for rows, jac in (("equalities", "equality_jac"),
+                          ("inequalities", "inequality_jac")):
+            values, jacobian = getattr(problem, rows)(x), getattr(problem, jac)(x)
+            assert (values.shape, values.dtype) == ((0,), np.float64)
+            assert (jacobian.shape, jacobian.dtype) == ((0, 3), np.float64)
+
+
 class TestSolverSettings:
     @pytest.mark.parametrize("field, value", [
         ("tol_kkt", float("nan")), ("tol_con", 0.0), ("max_iterations", 0),
@@ -291,7 +302,7 @@ class TestSolverSettings:
 
 class TestSolveQp:
     def test_inequality_activates(self):
-        sol = solve_qp(np.eye(2), np.zeros(2), None, None,
+        sol = solve_qp(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0),
                        np.array([[1.0, 1.0]]), np.array([1.0]))
         np.testing.assert_allclose(sol.x, [0.5, 0.5], atol=1e-9)
         # stationarity: H x = lam * a with H = I at (0.5, 0.5)
@@ -299,36 +310,36 @@ class TestSolveQp:
         assert sol.elastic == pytest.approx(0.0, abs=1e-9)
 
     def test_inactive_constraint_ignored(self):
-        sol = solve_qp(np.eye(2), np.array([2.0, 0.0]), None, None,
-                       np.array([[1.0, 0.0]]), np.array([-10.0]))
+        sol = solve_qp(np.eye(2), np.array([2.0, 0.0]), np.zeros((0, 2)),
+                       np.zeros(0), np.array([[1.0, 0.0]]), np.array([-10.0]))
         np.testing.assert_allclose(sol.x, [-2.0, 0.0], atol=1e-9)
         assert sol.lam_in[0] == 0.0
 
     def test_equalities_only(self):
         sol = solve_qp(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
-                       np.array([2.0]), None, None)
+                       np.array([2.0]), np.zeros((0, 2)), np.zeros(0))
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-10)
 
     def test_contradictory_rows_absorbed_by_elastic(self):
-        sol = solve_qp(np.eye(1), np.zeros(1), None, None,
+        sol = solve_qp(np.eye(1), np.zeros(1), np.zeros((0, 1)), np.zeros(0),
                        np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
         assert sol.elastic >= 0.9  # genuinely infeasible by 1
 
     def test_active_set_iterations_counted(self):
         # Each pass of the working-set loop counts; without inequality rows
         # there is no such loop.
-        sol = solve_qp(np.eye(2), np.zeros(2), None, None,
+        sol = solve_qp(np.eye(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0),
                        np.array([[1.0, 1.0]]), np.array([1.0]))
         assert sol.iterations == 2
         sol = solve_qp(np.eye(2), np.zeros(2), np.array([[1.0, 1.0]]),
-                       np.array([2.0]), None, None)
+                       np.array([2.0]), np.zeros((0, 2)), np.zeros(0))
         assert sol.iterations == 0
 
     def test_inconsistent_equalities_raise(self):
         with pytest.raises(InfeasibleStepError):
             solve_qp(np.eye(1), np.zeros(1),
                      np.array([[1.0], [1.0]]), np.array([0.0, 1.0]),
-                     None, None)
+                     np.zeros((0, 1)), np.zeros(0))
 
 
 class TestFiniteDifference:
