@@ -15,7 +15,6 @@ import numpy as np
 
 from . import planner as pl
 from . import torque as tq
-from .contact import support_force_vector
 from .errors import ContactPlanError
 from .plots import emit_plots as _emit_plot_files
 from .scenario import ScenarioConfig, default_scenario, load_scenario
@@ -59,16 +58,14 @@ class StepRecord:
 
 def records_from_steps(steps, config: ScenarioConfig) -> list[StepRecord]:
     """Per-step observables including the prioritized joint torques, from
-    each step's joint points and hand loads."""
+    each step's joint points and loads."""
     base_center = config.arm_bases.mean(axis=0)
     records = []
     for index, step in enumerate(steps):
         gamma = step.decision.gamma
         command = tq.combined_torques(step.joint_points,
                                       config.contact_link_index, step.contacts,
-                                      gamma, step.hand_loads)
-        forces = [support_force_vector(g, c.normal_angle)
-                  for g, c in zip(gamma, step.contacts)]
+                                      gamma, step.loads)
         records.append(StepRecord(
             step=index,
             object_position=step.object_position,
@@ -78,7 +75,7 @@ def records_from_steps(steps, config: ScenarioConfig) -> list[StepRecord]:
             gamma=gamma.copy(),
             beta=np.array([c.normal_angle for c in step.contacts]),
             gap=np.array([c.gap for c in step.contacts]),
-            support_force_norm=float(np.linalg.norm(np.concatenate(forces))),
+            support_force_norm=float(np.linalg.norm(step.loads[2:])),
             torque_norm=float(np.linalg.norm(command.torques)),
             iterations=step.decision.iterations,
             cost=step.decision.cost,
@@ -215,10 +212,8 @@ def run(argv=None) -> int:
                      step.decision.slack)
     except ContactPlanError as exc:
         log.error("planning failed: %s", exc)
-        diagnostics = getattr(exc, "diagnostics", None)
-        if diagnostics:
-            for key, value in diagnostics.items():
-                print(f"  {key}: {value}", file=sys.stderr)
+        for key, value in exc.diagnostics.items():
+            print(f"  {key}: {value}", file=sys.stderr)
         return 1
 
     records = records_from_steps(steps, config)

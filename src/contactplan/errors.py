@@ -15,7 +15,9 @@ class UnbalancedStateError(ContactPlanError):
 
 
 class InfeasibleStepError(ContactPlanError):
-    """A QP subproblem stayed infeasible even after elastic relaxation."""
+    """The SQP cannot go on: a non-finite iterate, inconsistent equality
+    rows (raised in two places), the active-set iteration limit, or a QP
+    subproblem that stays infeasible after elastic relaxation."""
 
 
 class PlanStepError(ContactPlanError):

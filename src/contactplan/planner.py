@@ -146,9 +146,10 @@ class PlanStep:
 
     ``contacts`` are the two arms' ``contact.GapResult`` of their active
     edges against the contact link, ``joint_points`` both arms' joint points
-    at ``theta_after`` and ``hand_loads`` the (2, 3) forces the object puts
-    on the hands there, all from the ZMP chain at the accepted point.  The
-    support forces' magnitudes are ``decision.gamma``.
+    at ``theta_after`` and ``loads`` the chain's (4, 3) load rows there: the
+    forces the object puts on the two hands, then the two support forces
+    gamma (cos beta, sin beta, 0).  All come from the ZMP chain at the
+    accepted point.
     """
 
     waypoint: np.ndarray
@@ -159,7 +160,7 @@ class PlanStep:
     zmp: st.ZmpResult
     fzmp: st.ZmpResult
     joint_points: tuple
-    hand_loads: np.ndarray
+    loads: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +306,8 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     normals = list(zip(np.cos(angles).tolist(), np.sin(angles).tolist()))
     load_points = [*hands.tolist(),
                    *([*edge.tolist(), plane] for edge in ctx.edges)]
-    # Built without the non-negativity guard of support_force_vector so that
-    # intermediate iterates with small negative gamma stay differentiable.
+    # A support force is the full normal force of its magnitude; a negative
+    # magnitude at an intermediate iterate stays differentiable.
     loads = [h_c[0:3].tolist(), h_c[6:9].tolist(),
              *([g * c, g * s, g * 0.0] for g, (c, s) in zip(gamma.tolist(), normals))]
 
@@ -582,23 +583,23 @@ def solve_step(ctx: StepContext) -> PlanDecision:
 
 def _check_step(ctx: StepContext, decision: PlanDecision,
                 chain: dict) -> list[str]:
-    """The acceptance bounds a decision and its chain violate, as messages."""
+    """The acceptance bounds a decision and its chain violate, as messages:
+    the chain's inequality rows at ``tol_con``, convergence and the slack cap."""
     config = ctx.config
     tol = config.solver.tol_con
+    rows = chain["inequalities"]
     failures = []
     if not decision.converged:
         failures.append("solver did not converge")
-    deviation = float(np.linalg.norm(chain["object_position"] - ctx.waypoint))
-    if deviation > config.object_radius + tol:
-        failures.append(f"object deviation {deviation:.6f} m exceeds "
-                        f"{config.object_radius} m")
-    zmp_dist = float(np.linalg.norm(chain["zmp_result"].zmp - config.sp_center))
-    if zmp_dist > config.safe_radius + tol:
-        failures.append(f"ZMP {zmp_dist:.6f} m from target exceeds safe "
-                        f"radius {config.safe_radius} m")
-    feasible, violation = ct.complementarity_residual(
-        chain["phi"], decision.gamma, decision.slack, tol_gap=1e-6, tol=tol)
-    if not feasible:
+    if rows[5] < -tol:
+        failures.append(f"object deviation {config.object_radius - rows[5]:.6f}"
+                        f" m exceeds {config.object_radius} m")
+    if rows[4] < -tol:
+        failures.append(f"ZMP {config.safe_radius - rows[4]:.6f} m from target "
+                        f"exceeds safe radius {config.safe_radius} m")
+    # gamma (2), s, s - gamma.phi and phi (2): the complementarity rows.
+    violation = -float(min(rows[:4].min(), rows[6:].min()))
+    if violation > tol:
         failures.append(f"complementarity violated by {violation:.3g}")
     if decision.slack > config.solver.slack_max + tol:
         failures.append(f"slack {decision.slack:.3g} exceeds "
@@ -645,7 +646,7 @@ def plan_waypoint(ctx: StepContext) -> PlanStep:
                     object_position=chain["object_position"],
                     contacts=tuple(chain["gaps"]), zmp=chain["zmp_result"],
                     fzmp=fzmp, joint_points=chain["points"],
-                    hand_loads=np.array(chain["loads"][:2]))
+                    loads=np.array(chain["loads"]))
 
 
 def _two_segment_angles(config: ScenarioConfig, arm_index: int,

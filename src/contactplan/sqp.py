@@ -152,8 +152,6 @@ def _equality_start(rows, rhs):
 def _equality_qp(hess, grad, rows, rhs):
     """min 0.5 x'Hx + g'x s.t. rows @ x = rhs; returns (x, multipliers), or
     None when the rows are inconsistent."""
-    if not rows.shape[0]:
-        return np.linalg.lstsq(hess, -grad, rcond=None)[0], np.zeros(0)
     x0 = _equality_start(rows, rhs)
     if x0 is None:
         return None

@@ -152,7 +152,7 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
             if gamma[i] > ACTIVE_FORCE_TOL])
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
         command = combined_torques(points, link, step.contacts, gamma,
-                                   step.hand_loads)
+                                   step.loads)
         pinv = np.linalg.pinv(j_support.T, rcond=PINV_RCOND)
         assert np.abs(pinv @ command.object_torques_projected).max() <= 1e-9
         recovered = pinv @ command.torques

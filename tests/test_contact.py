@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from contactplan.contact import (active_edges, complementarity_residual,
-                                 edge_gap, support_force_vector)
+from contactplan.contact import active_edges, edge_gap
 from contactplan.kinematics import forward_kinematics
 
 RADIUS = 0.04
@@ -73,52 +72,3 @@ class TestSelection:
         active = active_edges(points, 1, RADIUS, [[a, b]])
         np.testing.assert_allclose(active[0], b)
 
-
-def residual(phi, gamma, slack):
-    """``complementarity_residual`` with a gap tolerance of 1e-6 and a
-    force, slack and product tolerance of 1e-9."""
-    return complementarity_residual(phi, gamma, slack, tol_gap=1e-6, tol=1e-9)
-
-
-class TestComplementarityResidual:
-    def test_positive_gaps_no_force(self):
-        feasible, violation = residual([0.1, 0.2], [0.0, 0.0], 0.0)
-        assert feasible and violation == 0.0
-
-    def test_force_at_closed_gap(self):
-        feasible, violation = residual([0.0, 0.1], [5.0, 0.0], 0.0)
-        assert feasible and violation == 0.0
-
-    def test_product_exceeding_slack(self):
-        feasible, violation = residual([0.1], [2.0], 0.1)
-        assert not feasible
-        assert violation == pytest.approx(0.1)
-
-    def test_penetration_detected(self):
-        feasible, violation = residual([-0.01], [0.0], 0.0)
-        assert not feasible
-        assert violation == pytest.approx(0.01)
-
-
-class TestSupportForceVector:
-    def test_along_x(self):
-        np.testing.assert_allclose(support_force_vector(10.0, 0.0),
-                                   [10.0, 0.0, 0.0], atol=1e-12)
-
-    def test_along_y(self):
-        np.testing.assert_allclose(support_force_vector(10.0, np.pi / 2),
-                                   [0.0, 10.0, 0.0], atol=1e-12)
-
-    def test_zero_magnitude(self):
-        np.testing.assert_allclose(support_force_vector(0.0, 1.234),
-                                   [0.0, 0.0, 0.0])
-
-    def test_z_component_always_zero(self, rng):
-        for _ in range(20):
-            vec = support_force_vector(float(rng.uniform(0, 100)),
-                                       float(rng.uniform(-np.pi, np.pi)))
-            assert vec[2] == 0.0
-
-    def test_negative_magnitude_rejected(self):
-        with pytest.raises(ValueError):
-            support_force_vector(-1.0, 0.0)

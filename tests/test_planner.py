@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -372,6 +373,59 @@ class TestPlanWaypoint:
         assert excinfo.value.diagnostics["failures"]
 
 
+class TestCheckStep:
+    """``_check_step`` on the default plan's first accepted step, with one
+    thing changed: a decision field, or the waypoint (moved 0.5 m in x).
+    The ZMP rests on the safe circle's rim there, so the negative force
+    moves it out too."""
+
+    ZMP = r"ZMP \d\.\d{6} m from target exceeds safe radius 0\.15 m"
+
+    @staticmethod
+    def first_step(config, planned_steps, shift=0.0):
+        ctx = pl.StepContext(config, initial_joint_angles(config),
+                             config.waypoints()[0] + [shift, 0.0])
+        return ctx, planned_steps[0].decision
+
+    @pytest.mark.parametrize("change, shift, expected", [
+        ({"converged": False}, 0.0, ["solver did not converge"]),
+        ({}, 0.5, [r"object deviation 0\.500000 m exceeds 0\.1 m"]),
+        ({"gamma": np.array([200.0, 200.0])}, 0.0, [ZMP]),
+        ({"gamma": np.array([-1.0, 0.0])}, 0.0,
+         [ZMP, "complementarity violated by 1"]),
+        ({"slack": 1e-3}, 0.0, [r"slack 0\.001 exceeds 0\.0001"]),
+    ], ids=["converged", "deviation", "zmp", "complementarity", "slack"])
+    def test_messages(self, default_config, planned_steps, change, shift,
+                      expected):
+        ctx, decision = self.first_step(default_config, planned_steps)
+        assert pl._check_step(ctx, decision,
+                              pl._chain(ctx, decision.to_vector())) == []
+        ctx, _ = self.first_step(default_config, planned_steps, shift)
+        decision = replace(decision, **change)
+        failures = pl._check_step(ctx, decision,
+                                  pl._chain(ctx, decision.to_vector()))
+        assert len(failures) == len(expected)
+        for failure, pattern in zip(failures, expected):
+            assert re.fullmatch(pattern, failure), failure
+
+    @pytest.mark.parametrize("row", [0, 1, 2, 3, 6, 7],
+                             ids=["gamma_1", "gamma_2", "s", "s-gamma.phi",
+                                  "phi_1", "phi_2"])
+    def test_complementarity_rows_at_tol_con(self, default_config,
+                                             planned_steps, row):
+        # Every complementarity row, the gaps included, is checked at
+        # tol_con (1e-6 by default): a shortfall of 0.5e-6 passes, 2e-6
+        # fails with the row's shortfall as the violation.
+        ctx, decision = self.first_step(default_config, planned_steps)
+        chain = dict(pl._chain(ctx, decision.to_vector()))
+        for shortfall, expected in ((0.5e-6, []),
+                                    (2e-6, ["complementarity violated by 2e-06"])):
+            rows = chain["inequalities"].copy()
+            rows[row] = -shortfall
+            chain["inequalities"] = rows
+            assert pl._check_step(ctx, decision, chain) == expected
+
+
 class TestPlanPath:
     def test_default_run_properties(self, default_config, planned_steps):
         config = default_config
@@ -436,6 +490,20 @@ class TestPlanPath:
                 len(region_checks)) == (318, 119, 61, 0)
         default_scenario()
         assert len(region_checks) == 1
+
+    def test_loads_are_the_support_forces(self, planned_steps, step_records):
+        # The chain's support rows are gamma (cos beta, sin beta, 0), and the
+        # record's fs_norm is their norm, |gamma|.
+        for step, record in zip(planned_steps, step_records):
+            gamma = step.decision.gamma
+            assert step.loads.shape == (4, 3)
+            for row, g, res in zip(step.loads[2:], gamma, step.contacts):
+                beta = res.normal_angle
+                np.testing.assert_allclose(
+                    row, g * np.array([np.cos(beta), np.sin(beta), 0.0]),
+                    rtol=1e-15, atol=0.0)
+            assert record.support_force_norm == pytest.approx(
+                np.linalg.norm(gamma), rel=1e-12, abs=0.0)
 
     def test_zero_length_path(self):
         config = default_scenario({

@@ -80,11 +80,19 @@ class TestPseudoInverse:
             assert penrose_conditions(matrix, pseudo_inverse(matrix)) <= 1e-9
 
 
-def hand_loads(arms, h_o):
-    """The (2, 3) hand forces of the object wrench ``h_o``, as the planner
-    splits it between the hands."""
+def support_rows(contacts, gamma):
+    """Each contact's support force gamma (cos beta, sin beta, 0) at its
+    normal angle beta."""
+    return [g * np.array([np.cos(c.normal_angle), np.sin(c.normal_angle), 0.0])
+            for g, c in zip(gamma, contacts)]
+
+
+def chain_loads(arms, contacts, gamma, h_o):
+    """The (4, 3) load rows of the planner's chain: the hand forces of the
+    object wrench ``h_o``, as the planner splits it between the hands, then
+    the two support forces."""
     _, _, h_c = bar_grasp((arms[0][-1], arms[1][-1]), 0.9, h_o)
-    return np.array([h_c[0:3], h_c[6:9]])
+    return np.array([h_c[0:3], h_c[6:9], *support_rows(contacts, gamma)])
 
 
 def arm_block(arm_index, jac):
@@ -107,7 +115,8 @@ def stacked_torques(arms, link, contacts, gamma, loads):
         g * np.array([np.cos(c.normal_angle), np.sin(c.normal_angle)])
         for g, c in zip(gamma, contacts)])
     tau_support = np.vstack(support).T @ forces
-    tau_object = np.vstack(hands).T @ np.concatenate([load[:2] for load in loads])
+    tau_object = np.vstack(hands).T @ np.concatenate(
+        [load[:2] for load in loads[:2]])
     projected = tau_object
     active = [rows for rows, g in zip(support, gamma) if g > ACTIVE_FORCE_TOL]
     if active:
@@ -116,24 +125,27 @@ def stacked_torques(arms, link, contacts, gamma, loads):
     return tau_support, tau_object, projected
 
 
-def object_part(arms, loads):
-    """The unprojected object torques: combined_torques with no support
-    force, so that nothing is projected."""
+def object_part(arms, h_o):
+    """The unprojected object torques of the object wrench ``h_o``:
+    combined_torques with no support force, so that nothing is projected."""
     contacts = both_contacts(arms)
-    return combined_torques(arms, LINK, contacts, np.zeros(2), loads).torques
+    gamma = np.zeros(2)
+    return combined_torques(arms, LINK, contacts, gamma,
+                            chain_loads(arms, contacts, gamma, h_o)).torques
 
 
 def support_part(arms, contacts, gamma):
     """The support torques of combined_torques, with no load on the hands."""
     return combined_torques(arms, LINK, contacts, gamma,
-                            np.zeros((2, 3))).support_torques
+                            chain_loads(arms, contacts, gamma,
+                                        np.zeros(6))).support_torques
 
 
 class TestObjectWrenchTorques:
     def test_zero_wrench_zero_torque(self):
         arms = make_arms([0.4, 0.2, -0.3, 0.1, 2.7, -0.2, 0.3, -0.1])
         np.testing.assert_allclose(
-            object_part(arms, hand_loads(arms, np.zeros(6))), 0.0)
+            object_part(arms, np.zeros(6)), 0.0)
 
     def test_single_joint_lever_arm(self):
         # Straight right arm along +x; unit +y force at the end effector
@@ -141,14 +153,14 @@ class TestObjectWrenchTorques:
         arms = make_arms([np.pi / 2, 0, 0, 0, 0, 0, 0, 0])
         # Wrench that distributes to a pure +y force per hand is doubled.
         h_o = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 0.0])
-        tau = object_part(arms, hand_loads(arms, h_o))
+        tau = object_part(arms, h_o)
         # Right arm columns: lever arms 1.1, 0.8, 0.5, 0.2 about each joint.
         np.testing.assert_allclose(tau[4:], [1.1, 0.8, 0.5, 0.2], atol=1e-9)
 
     def test_matches_hand_assembled_chain(self):
         arms = make_arms([2.0, 0.3, -0.4, 0.2, 1.1, -0.3, 0.4, -0.2])
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
-        tau = object_part(arms, hand_loads(arms, h_o))
+        tau = object_part(arms, h_o)
         _, grasp, _ = bar_grasp((arms[0][-1], arms[1][-1]), 0.9, h_o)
         h_c = np.linalg.pinv(grasp) @ h_o
         expected = np.concatenate([
@@ -201,24 +213,26 @@ class TestSupportTorques:
 
 
 class TestCombinedTorques:
-    def setup_scene(self, gammas=(25.0, 30.0)):
+    H_O = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
+
+    def setup_scene(self, gammas=(25.0, 30.0), h_o=H_O):
         arms = make_arms([2.2, 0.3, -0.5, 0.1, 0.9, -0.3, 0.5, -0.1])
         contacts = both_contacts(arms, (0.4, 0.6))
-        loads = hand_loads(arms, np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0]))
-        return arms, contacts, np.array(gammas), loads
+        gamma = np.array(gammas)
+        return arms, contacts, gamma, chain_loads(arms, contacts, gamma, h_o)
 
     def test_zero_forces_pass_object_torques_through(self):
-        arms, contacts, _, loads = self.setup_scene()
-        command = combined_torques(arms, LINK, contacts, np.zeros(2), loads)
+        arms, contacts, gamma, loads = self.setup_scene(gammas=(0.0, 0.0))
+        command = combined_torques(arms, LINK, contacts, gamma, loads)
         expected = np.concatenate([point_jacobian(arm, 3, 1.0).T @ load[:2]
-                                   for arm, load in zip(arms, loads)])
+                                   for arm, load in zip(arms, loads[:2])])
         np.testing.assert_array_equal(command.torques, expected)
         np.testing.assert_array_equal(command.object_torques_projected, expected)
         np.testing.assert_allclose(command.support_torques, 0.0)
 
     def test_zero_wrench_gives_support_torques(self):
-        arms, contacts, gamma, _ = self.setup_scene()
-        command = combined_torques(arms, LINK, contacts, gamma, np.zeros((2, 3)))
+        arms, contacts, gamma, loads = self.setup_scene(h_o=np.zeros(6))
+        command = combined_torques(arms, LINK, contacts, gamma, loads)
         np.testing.assert_allclose(command.torques, command.support_torques)
         np.testing.assert_allclose(command.object_torques_projected, 0.0)
 
@@ -248,7 +262,7 @@ class TestCombinedTorques:
 
         def torques(h_o):
             return combined_torques(arms, LINK, contacts, gamma,
-                                    hand_loads(arms, h_o)).torques
+                                    chain_loads(arms, contacts, gamma, h_o)).torques
 
         tau_a, tau_b, tau_sum = torques(h_a), torques(h_b), torques(h_a + h_b)
         support = support_part(arms, contacts, gamma)
@@ -272,7 +286,8 @@ class TestCombinedTorques:
                 contacts[0] = replace(contacts[0], axis_param=0.0)
                 assert np.linalg.matrix_rank(
                     point_jacobian(arms[0], LINK, 0.0)) == 1
-            loads = hand_loads(arms, rng.normal(scale=20.0, size=6))
+            loads = chain_loads(arms, contacts, gamma,
+                                rng.normal(scale=20.0, size=6))
             command = combined_torques(arms, LINK, contacts, gamma, loads)
             support, unprojected, projected = stacked_torques(
                 arms, LINK, contacts, gamma, loads)
@@ -301,8 +316,10 @@ class TestRecordTorques:
             hands = [np.append(arm[-1], config.plane_height) for arm in points]
             w = reference_grasp_map(hands)
             h_c = w.T @ np.linalg.solve(w @ w.T, config.object_wrench)
+            loads = [h_c[0:3], h_c[6:9],
+                     *support_rows(step.contacts, step.decision.gamma)]
             command = combined_torques(points, config.contact_link_index,
                                        step.contacts, step.decision.gamma,
-                                       [h_c[0:3], h_c[6:9]])
+                                       loads)
             assert record.torque_norm == pytest.approx(
                 np.linalg.norm(command.torques), rel=1e-12, abs=0.0)
