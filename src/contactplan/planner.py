@@ -22,18 +22,26 @@ the closed-form moment balance); ``gradient_check`` validates them against
 central finite differences.
 
 The ZMP chain behind cost and constraints has a value pass
-(``_chain_values``: forward kinematics once per arm, loads, gaps, centre
-of mass, ZMP, then the cost without its slack term, the equalities and the
-inequalities) and a derivative pass (``_chain_derivatives``: the Jacobians,
-from the value pass's joint points, then the cost gradient and the
-constraint Jacobians).  A ``StepContext`` is built for one waypoint, and
-its memo holds the chains of its last two points, NLP rows included: the
-one cache of the waypoint's NLP (the evaluate-once interface of IPOPT and
-CasADi).  Each continuation stage reads it and adds only its slack term,
-so every stage and the post-solve observables share one chain per point.
-The solver's value callbacks read the value pass only; its Jacobian
-callbacks add the derivative pass at their point, which the SQP asks for at
-start points and accepted iterates.
+(``_chain_values``) and a derivative pass (``_chain_derivatives``), each
+split into two halves.  The joint half depends on dtheta alone: forward
+kinematics once per arm, the grasp map and hand loads, the gaps, the
+centre of mass, the object deviation, the cost without its slack term and
+the equalities (``_joint_values``), then the Jacobians from those joint
+points, the cost gradient, the equality Jacobian and the hands' sums of
+the ZMP's moment gradients (``_joint_derivatives``).  The force half is
+computed per point: the support loads gamma (cos beta, sin beta, 0), the
+ZMP, the inequalities, and the supports' terms added to a copy of the
+hands' sums for the inequality Jacobian.  A ``StepContext`` is built for
+one waypoint.  Its memo holds the chains of its last two points, NLP rows
+included: the one cache of the waypoint's NLP (the evaluate-once interface
+of IPOPT and CasADi).  Each continuation stage reads it and adds only its
+slack term, so every stage and the post-solve observables share one chain
+per point.  Its joint memo holds the joint halves of its last 64 joint
+displacements, so a line search that backtracks along one joint direction
+while only gamma and s move, and a post-solve point whose forces were
+clamped, rerun only the force half.  The solver's value callbacks read the
+value pass only; its Jacobian callbacks add the derivative pass at their
+point, which the SQP asks for at start points and accepted iterates.
 
 Exactness rule: the SQP is sensitive to the last bit of the chain (an ulp
 can flip a marginal solve), so the chain's small-array code (forward
@@ -110,7 +118,9 @@ class StepContext:
     ``memo`` holds the ZMP chain, with the NLP rows, of the last points
     evaluated against this context (see ``_chain``); the chain depends on
     the context and the decision vector only, so every continuation stage
-    and the post-solve observables share it.
+    and the post-solve observables share it.  ``joints`` holds the chain's
+    joint half at the last joint displacements evaluated, which points
+    that differ only in gamma and s share.
 
     Raises:
         ValueError: ``theta`` is not 8 finite joint angles, or ``waypoint``
@@ -123,6 +133,8 @@ class StepContext:
     edges: np.ndarray = field(init=False)  # (2, 2) active edge point per arm
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
+    joints: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -164,13 +176,19 @@ class PlanStep:
 
 
 # ---------------------------------------------------------------------------
-# The ZMP chain: a value pass and a derivative pass
+# The ZMP chain: a joint half and a force half, each with a value pass and a
+# derivative pass
 # ---------------------------------------------------------------------------
 
 # Points a memo keeps (a context's chain, the start-up settle's poses): the
 # line search's expansion loop evaluates its rejected trial after the
 # accepted one.
 _MEMO_POINTS = 2
+
+# Joint displacements whose joint halves a context keeps: a stage that
+# stagnates backtracks along one joint direction (up to 42 trials) at
+# consecutive iterations, while only gamma and s move.
+_JOINT_POINTS = 64
 
 
 def _embed(jac: np.ndarray, arm_index: int) -> np.ndarray:
@@ -278,23 +296,19 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
-    """Value pass of the ZMP chain at decision vector ``x``.
+def _joint_values(ctx: StepContext, dtheta: np.ndarray) -> dict:
+    """Value pass of the joint half at joint displacement ``dtheta``.
 
     Forward kinematics runs once per arm; the end effectors, the grasp
-    matrix, the hand load forces, the contact gaps, the centre of mass and
-    the ZMP all come from those joint points.  ``load_points`` and ``loads``
-    are four [x, y, z] lists, the hands' rows, then the supports'; the ZMP
-    is ``statics.compute_zmp`` of all four, the FZMP of the hands' two.
-    ``normals`` holds each support's (cos, sin) of its normal angle.
-
-    The NLP rows follow: ``cost`` without its slack term, ``equalities``
-    (grasp closure) and ``inequalities``: gamma (2), s, s - gamma.phi, safe
-    circle, object deviation, phi (2).  Their arrays are read-only.
+    matrix, the hand load forces, the contact gaps, the centre of mass, the
+    object position and its deviation all come from those joint points.
+    ``load_points`` are four [x, y, z] lists, the hands' rows, then the
+    supports'; ``hand_loads`` the hands' two force rows.  ``normals`` holds
+    each support's (cos, sin) of its normal angle.  ``cost`` is the cost
+    without its slack term, and ``equalities`` (grasp closure) is read-only.
     """
     config = ctx.config
     plane = config.plane_height
-    dtheta, gamma, slack = x[:NUM_JOINTS], x[NUM_JOINTS:-1], float(x[-1])
     points = config.joint_points(ctx.theta + dtheta)
     ee0, ee1 = points[0][-1], points[1][-1]
 
@@ -303,62 +317,44 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
                         config.link_radius, edge)
             for arm_points, edge in zip(points, ctx.edges)]
     angles = [res.normal_angle for res in gaps]
-    normals = list(zip(np.cos(angles).tolist(), np.sin(angles).tolist()))
-    load_points = [*hands.tolist(),
-                   *([*edge.tolist(), plane] for edge in ctx.edges)]
-    # A support force is the full normal force of its magnitude; a negative
-    # magnitude at an intermediate iterate stays differentiable.
-    loads = [h_c[0:3].tolist(), h_c[6:9].tolist(),
-             *([g * c, g * s, g * 0.0] for g, (c, s) in zip(gamma.tolist(), normals))]
-
     com = st.robot_center_of_mass(config.torso_mass, config.torso_position,
                                   config.link_mass, points, plane)
-    zmp_result = st.compute_zmp(config.robot_weight, com, load_points, loads)
-
     p_obj = 0.5 * (ee0 + ee1)
     err = ctx.waypoint - p_obj
-    phi = np.array([res.gap for res in gaps])
-    safe_dist, safe_dir = _smooth_norm(zmp_result.zmp - config.sp_center)
     dev_dist, dev_dir = _smooth_norm(p_obj - ctx.waypoint)
-    rows = np.zeros(6 + NUM_CONTACTS)
-    rows[0:2] = gamma
-    rows[2] = slack
-    rows[3] = slack - float(gamma @ phi)
-    rows[4] = config.safe_radius - safe_dist
-    rows[5] = config.object_radius - dev_dist
-    rows[6:] = phi
     return {
-        "points": points, "dtheta": dtheta.copy(), "gamma": gamma.copy(),
-        "object_position": p_obj, "grasp": grasp, "gaps": gaps, "phi": phi,
-        "normals": normals, "load_points": load_points, "loads": loads,
-        "com": com, "zmp_result": zmp_result,
-        "safe_dir": safe_dir, "dev_dir": dev_dir,
+        "points": points, "dtheta": dtheta.copy(), "object_position": p_obj,
+        "grasp": grasp, "gaps": gaps, "phi": np.array([res.gap for res in gaps]),
+        "normals": list(zip(np.cos(angles).tolist(), np.sin(angles).tolist())),
+        "load_points": [*hands.tolist(),
+                        *([*edge.tolist(), plane] for edge in ctx.edges)],
+        "hand_loads": [h_c[0:3].tolist(), h_c[6:9].tolist()],
+        "com": com, "dev_dist": dev_dist, "dev_dir": dev_dir,
         "cost": (config.weight_position * float(err @ err)
                  + config.weight_displacement * float(dtheta @ dtheta)),
         "equalities": _read_only(
             ee0 - ee1 + np.array([config.grasp_separation, 0.0])),
-        "inequalities": _read_only(rows),
     }
 
 
-def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
-    """Derivative pass: joint and force gradients of a value pass's results.
+def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
+    """Derivative pass of the joint half, from its value pass's joint points.
 
     Returns the end-effector Jacobians (2, 8) each, the gap gradients
-    ``d_phi`` (2, 8), the ZMP gradients w.r.t. joints (2, 8) and forces
-    (2, 2), and the NLP's ``cost_grad`` (its slack entry 0),
-    ``equality_jac`` and ``inequality_jac``, the last two read-only.  Works
-    from the value pass's joint points and never reruns forward kinematics.
+    ``d_phi`` (2, 8) and the normal angles' ``d_beta`` (4 floats per arm),
+    the object position's ``d_obj`` (2, 8), the sums ``d_mx``, ``d_my`` and
+    ``d_fz`` of the centre of mass's and the hands' terms of the horizontal
+    moment and vertical force gradients (8 floats each), the cost gradient
+    (its slack entry 0) and the read-only ``equality_jac``.
     """
     config = ctx.config
-    points = chain["points"]
+    points = joint["points"]
     j0 = _embed(kin.point_jacobian(points[0], kin.NUM_LINKS - 1, 1.0), 0)
     j1 = _embed(kin.point_jacobian(points[1], kin.NUM_LINKS - 1, 1.0), 1)
-    d_forces = _grasp_force_gradients(config.object_wrench, chain["grasp"],
+    d_forces = _grasp_force_gradients(config.object_wrench, joint["grasp"],
                                       j0, j1).tolist()
     gap_grads = [_gap_gradients(arm_points, config.contact_link_index, edge, res)
-                 for arm_points, edge, res in zip(points, ctx.edges, chain["gaps"])]
-    fz = float(chain["zmp_result"].ground_force[2])
+                 for arm_points, edge, res in zip(points, ctx.edges, joint["gaps"])]
     weight_z = float(config.robot_weight[2])
     d_com_x, d_com_y = _com_gradient(config, points)
 
@@ -369,11 +365,8 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     d_mx = [0.0 + weight_z * d for d in d_com_y]
     d_my = [0.0 + -weight_z * d for d in d_com_x]
     d_fz = [0.0] * NUM_JOINTS
-
-    # The hands' rows of the loads come first, then the supports'.
-    load_points, loads = chain["load_points"], chain["loads"]
     for (px, py, pz), (fx, fy, f_z), ee_jac, (dfx, dfy, dfz) in zip(
-            load_points[:2], loads[:2], (j0, j1), d_forces):
+            joint["load_points"][:2], joint["hand_loads"], (j0, j1), d_forces):
         jx, jy = ee_jac.tolist()
         # d cross(p, f) = cross(dp, f) + cross(p, df), horizontal rows, with
         # the terms of dp_z = 0.0 (the hands stay on the plane) written out.
@@ -384,17 +377,86 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
             d_fz[j] += -dfz[j]
 
     d_phi = np.zeros((NUM_CONTACTS, NUM_JOINTS))
+    for i, (d_gap, _) in enumerate(gap_grads):
+        d_phi[i, i * kin.NUM_LINKS:(i + 1) * kin.NUM_LINKS] = d_gap
+
+    d_obj = 0.5 * (j0 + j1)
+    err = ctx.waypoint - joint["object_position"]
+    cost_grad = np.zeros(DECISION_DIM)
+    cost_grad[:NUM_JOINTS] = (-2.0 * config.weight_position * (err @ d_obj)
+                              + 2.0 * config.weight_displacement * joint["dtheta"])
+    equality_jac = np.zeros((2, DECISION_DIM))
+    equality_jac[:, :NUM_JOINTS] = j0 - j1
+    return {"ee_jacobians": (j0, j1), "d_phi": d_phi,
+            "d_beta": [d_beta for _, d_beta in gap_grads], "d_obj": d_obj,
+            "d_mx": d_mx, "d_my": d_my, "d_fz": d_fz, "cost_grad": cost_grad,
+            "equality_jac": _read_only(equality_jac)}
+
+
+def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
+    """Value pass of the ZMP chain at decision vector ``x``.
+
+    The joint half's values at x's joint displacement (see
+    ``_joint_values``), from the context's joint memo, plus the force half:
+    ``loads``, the hands' rows, then the supports', and the ZMP,
+    ``statics.compute_zmp`` of all four rows.  ``joint`` is the joint half
+    itself, which the derivative pass fills.
+
+    The NLP rows follow: ``cost`` without its slack term, ``equalities``
+    (grasp closure) and ``inequalities``: gamma (2), s, s - gamma.phi, safe
+    circle, object deviation, phi (2).  Their arrays are read-only.
+    """
+    config = ctx.config
+    dtheta, gamma, slack = x[:NUM_JOINTS], x[NUM_JOINTS:-1], float(x[-1])
+    joint = _remember(ctx.joints, dtheta, lambda: _joint_values(ctx, dtheta),
+                      _JOINT_POINTS)
+    phi = joint["phi"]
+    # A support force is the full normal force of its magnitude; a negative
+    # magnitude at an intermediate iterate stays differentiable.
+    loads = [*joint["hand_loads"],
+             *([g * c, g * s, g * 0.0]
+               for g, (c, s) in zip(gamma.tolist(), joint["normals"]))]
+    zmp_result = st.compute_zmp(config.robot_weight, joint["com"],
+                                joint["load_points"], loads)
+
+    safe_dist, safe_dir = _smooth_norm(zmp_result.zmp - config.sp_center)
+    rows = np.zeros(6 + NUM_CONTACTS)
+    rows[0:2] = gamma
+    rows[2] = slack
+    rows[3] = slack - float(gamma @ phi)
+    rows[4] = config.safe_radius - safe_dist
+    rows[5] = config.object_radius - joint["dev_dist"]
+    rows[6:] = phi
+    return {**joint, "joint": joint, "gamma": gamma.copy(), "loads": loads,
+            "zmp_result": zmp_result, "safe_dir": safe_dir,
+            "inequalities": _read_only(rows)}
+
+
+def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
+    """Derivative pass: joint and force gradients of a value pass's results.
+
+    Returns the end-effector Jacobians (2, 8) each, the gap gradients
+    ``d_phi`` (2, 8), the ZMP gradients w.r.t. joints (2, 8) and forces
+    (2, 2), and the NLP's ``cost_grad`` (its slack entry 0),
+    ``equality_jac`` and ``inequality_jac``, the last two read-only.  The
+    joint half's derivative pass runs the first time a point at its joint
+    displacement asks for derivatives; the force half adds the supports'
+    terms to a copy of its moment sums.  Never reruns forward kinematics.
+    """
+    joint = chain["joint"]
+    if "d_phi" not in joint:
+        joint.update(_joint_derivatives(ctx, joint))
+    fz = float(chain["zmp_result"].ground_force[2])
+    d_mx, d_my, d_fz = joint["d_mx"].copy(), joint["d_my"].copy(), joint["d_fz"]
     d_mx_gamma, d_my_gamma = [], []
-    for i, ((d_gap, d_beta), g, (c, s), (_, _, pz)) in enumerate(zip(
-            gap_grads, chain["gamma"].tolist(), chain["normals"],
-            load_points[2:])):
-        offset = i * kin.NUM_LINKS
-        d_phi[i, offset:offset + kin.NUM_LINKS] = d_gap
+    for i, (d_beta, g, (c, s), (_, _, pz)) in enumerate(zip(
+            joint["d_beta"], chain["gamma"].tolist(), joint["normals"],
+            joint["load_points"][2:])):
         # The support force g (cos beta, sin beta, 0) turns with beta:
         # cross(p, df) horizontal rows with p constant and df planar.  The
         # other arm's columns would add +-0.0, which changes no sum that is
         # not -0.0.
-        for j, d in enumerate(d_beta, offset):
+        for j, d in enumerate(d_beta, i * kin.NUM_LINKS):
             d_mx[j] += -pz * (g * (c * d))
             d_my[j] += pz * (g * (-s * d))
         d_mx_gamma.append(-pz * s)
@@ -410,40 +472,33 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     d_zmp_gamma = np.array([[my / fz for my in d_my_gamma],
                             [-mx / fz for mx in d_mx_gamma]])
 
-    d_obj = 0.5 * (j0 + j1)
-    err = ctx.waypoint - chain["object_position"]
-    cost_grad = np.zeros(DECISION_DIM)
-    cost_grad[:NUM_JOINTS] = (-2.0 * config.weight_position * (err @ d_obj)
-                              + 2.0 * config.weight_displacement * chain["dtheta"])
-    equality_jac = np.zeros((2, DECISION_DIM))
-    equality_jac[:, :NUM_JOINTS] = j0 - j1
-
-    safe_dir = chain["safe_dir"]
+    d_phi, safe_dir = joint["d_phi"], chain["safe_dir"]
     jac = np.zeros((6 + NUM_CONTACTS, DECISION_DIM))
     jac[0, NUM_JOINTS] = 1.0
     jac[1, NUM_JOINTS + 1] = 1.0
     jac[2, -1] = 1.0
     jac[3, :NUM_JOINTS] = -(chain["gamma"] @ d_phi)
-    jac[3, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -chain["phi"]
+    jac[3, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -joint["phi"]
     jac[3, -1] = 1.0
     jac[4, :NUM_JOINTS] = -(safe_dir @ d_zmp_theta)
     jac[4, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -(safe_dir @ d_zmp_gamma)
-    jac[5, :NUM_JOINTS] = -(chain["dev_dir"] @ d_obj)
+    jac[5, :NUM_JOINTS] = -(joint["dev_dir"] @ joint["d_obj"])
     jac[6:6 + NUM_CONTACTS, :NUM_JOINTS] = d_phi
-    return {"ee_jacobians": (j0, j1), "d_phi": d_phi,
+    return {"ee_jacobians": joint["ee_jacobians"], "d_phi": d_phi,
             "d_zmp_theta": d_zmp_theta, "d_zmp_gamma": d_zmp_gamma,
-            "cost_grad": cost_grad, "equality_jac": _read_only(equality_jac),
+            "cost_grad": joint["cost_grad"],
+            "equality_jac": joint["equality_jac"],
             "inequality_jac": _read_only(jac)}
 
 
-def _remember(memo: dict, x: np.ndarray, compute):
+def _remember(memo: dict, x: np.ndarray, compute, size: int = _MEMO_POINTS):
     """``memo``'s entry for ``x``, computed on a miss; the memo keeps the
-    last ``_MEMO_POINTS`` points, keyed on ``x.tobytes()``.  A ``compute``
-    that raises caches nothing."""
+    last ``size`` points, keyed on ``x.tobytes()``.  A ``compute`` that
+    raises caches nothing."""
     key = x.tobytes()
     if key not in memo:
         memo[key] = compute()
-        if len(memo) > _MEMO_POINTS:
+        if len(memo) > size:
             del memo[next(iter(memo))]
     return memo[key]
 
@@ -626,6 +681,7 @@ def plan_waypoint(ctx: StepContext) -> PlanStep:
     decision = replace(decision, gamma=gamma, slack=float(slack))
 
     # The solver's last point when the clamp changed nothing: a memo hit.
+    # The clamp keeps dtheta, so otherwise only the force half runs.
     chain = _chain(ctx, decision.to_vector())
     fzmp = st.compute_zmp(config.robot_weight, chain["com"],
                           chain["load_points"][:2], chain["loads"][:2])

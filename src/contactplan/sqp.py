@@ -424,10 +424,13 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             if not np.all(np.isfinite(value)):
                 raise InfeasibleStepError(f"non-finite {name} at an SQP iterate")
         viol = _max_violation(ce, ci)
-        kkt = _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol)
-        if kkt <= settings.tol_kkt and viol <= settings.tol_con:
-            status = "converged"
-            break
+        # The certificate can only decide convergence at a feasible x.
+        kkt = None
+        if viol <= settings.tol_con:
+            kkt = _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol)
+            if kkt <= settings.tol_kkt:
+                status = "converged"
+                break
         if stagnant >= _STAGNANT_ITERATIONS:
             status = "stagnated"
             break
@@ -457,13 +460,14 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
                       np.abs(lam_in).max(initial=0.0))
         mu = max(mu, _PENALTY_GROWTH * lam_mag + 1.0)
 
-        merit0 = f + mu * _l1_violation(ce, ci)
-        descent = float(grad @ d) - mu * _l1_violation(ce, ci)
+        l1 = _l1_violation(ce, ci)
+        merit0 = f + mu * l1
+        descent = float(grad @ d) - mu * l1
         if descent > -1e-16:
             # Not a descent direction for the merit: grow the penalty once.
             mu *= 10.0
-            merit0 = f + mu * _l1_violation(ce, ci)
-            descent = float(grad @ d) - mu * _l1_violation(ce, ci)
+            merit0 = f + mu * l1
+            descent = float(grad @ d) - mu * l1
         # The acceptance threshold must never allow a merit increase.
         descent = min(descent, -1e-16)
         # A negligible direction does not move x; x failed the convergence
@@ -560,10 +564,11 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             scaled_once = True
         s_bs = float(step @ hess @ step)
         if s_bs > 1e-16:
+            bs = hess @ step
             # Powell damping keeps the approximation positive definite.
             if sy < 0.2 * s_bs:
                 theta = 0.8 * s_bs / (s_bs - sy)
-                r = theta * y + (1.0 - theta) * (hess @ step)
+                r = theta * y + (1.0 - theta) * bs
             else:
                 r = y
             sr = float(step @ r)
@@ -571,7 +576,6 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             # (tiny steps against 1e6-scale multiplier gradients otherwise
             # blow the approximation up and poison the QP conditioning).
             if sr > 1e-16 and float(r @ r) / sr <= 1e9:
-                bs = hess @ step
                 hess = hess - np.outer(bs, bs) / s_bs + np.outer(r, r) / sr
                 hess = 0.5 * (hess + hess.T)
 
@@ -579,6 +583,9 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         grad, a_eq, a_in = grad_new, a_eq_new, a_in_new
         iterations += 1
 
+    if kkt is None:
+        # Every exit follows the evaluation of x at the top of the loop.
+        kkt = _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol)
     return SqpResult(x=x, cost=f, kkt_residual=float(kkt),
                      constraint_violation=float(viol), iterations=iterations,
                      converged=status == "converged", status=status,

@@ -270,6 +270,33 @@ class TestStepNlp:
         for name, value in jacobians.items():
             np.testing.assert_array_equal(value, expected[name])
 
+    def test_joint_half_hit_equals_a_miss(self, ctx, monkeypatch):
+        # x2 shares x's joint displacement, with other gamma and s: the line
+        # search backtracking along one joint direction.  Its fields read
+        # x's joint half and equal a fresh evaluation byte for byte.
+        nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
+        x = self.nearby(np.zeros(pl.DECISION_DIM), 1e-3)
+        x[pl.NUM_JOINTS:] = [3.0, 4.0, 1e-5]
+        x2 = x.copy()
+        x2[pl.NUM_JOINTS:] = [5.0, 2.5, 2e-5]
+        for name in self.FIELDS:
+            getattr(nlp, name)(x)
+        calls = []
+        for name in ("forward_kinematics", "point_jacobian"):
+            def counted(*args, real=getattr(pl.kin, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(pl.kin, name, counted)
+        hit = {name: getattr(nlp, name)(x2)
+               for name in self.VALUE_FIELDS + ("cost_grad", "equality_jac",
+                                                "inequality_jac")}
+        assert calls == []
+        monkeypatch.undo()
+        expected = evaluate_nlp(self.fresh(ctx), x2)
+        for name in self.FIELDS:
+            assert np.asarray(hit[name]).tobytes() == \
+                np.asarray(expected[name]).tobytes(), name
+
     def test_stages_share_one_memo_entry(self, ctx):
         # The constraint rows do not depend on the slack weight: every
         # continuation stage hands the solver the memo's own arrays.
@@ -449,10 +476,12 @@ class TestPlanPath:
         # point (one value pass each); derivatives at each stage-1 start and
         # each accepted iterate (9 + 52); 329 QP active-set iterations (the
         # settles' QPs have no inequality rows and take none).  FK runs
-        # twice per value pass (238), once per distinct pose in the start-up
-        # settle (60) and twice per active-edge choice (20: start-up and 9
-        # waypoints); the post-solve contacts read the chain.  The support
-        # region is checked when a scenario loads, never while planning.
+        # twice per joint half (226: the 6 clamped decisions keep their
+        # solver point's joint displacement, so 113 of the 119 value passes
+        # compute one), once per distinct pose in the start-up settle (60)
+        # and twice per active-edge choice (20: start-up and 9 waypoints);
+        # the post-solve contacts read the chain.  The support region is
+        # checked when a scenario loads, never while planning.
         passes = count_passes(monkeypatch)
         fk_calls = []
         region_checks = []
@@ -487,7 +516,7 @@ class TestPlanPath:
         assert (len(stages), sum(n for _, n, _ in stages),
                 sum(n for _, _, n in stages)) == (29, 74, 329)
         assert (len(fk_calls), passes["values"], passes["derivatives"],
-                len(region_checks)) == (318, 119, 61, 0)
+                len(region_checks)) == (306, 119, 61, 0)
         default_scenario()
         assert len(region_checks) == 1
 

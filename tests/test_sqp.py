@@ -279,6 +279,86 @@ class TestSolveSqp:
             solve_sqp(problem, np.zeros(2), SolverSettings())
 
 
+def curved_equality_problem():
+    """min |x|^2 s.t. x0^2 + x1 = 2: infeasible at (3, -1)."""
+    return NlpProblem(dim=2, cost=lambda x: float(x @ x),
+                      cost_grad=lambda x: 2.0 * x,
+                      equalities=lambda x: np.array([x[0] ** 2 + x[1] - 2.0]),
+                      equality_jac=lambda x: np.array([[2.0 * x[0], 1.0]]))
+
+
+def constant_row_problem(cost, cost_grad, dim):
+    """``cost`` s.t. a row that stays at -1 while its Jacobian promises that
+    a unit step in x0 closes it: no iterate is ever feasible."""
+    return NlpProblem(dim=dim, cost=cost, cost_grad=cost_grad,
+                      inequalities=lambda x: np.array([-1.0]),
+                      inequality_jac=lambda x: np.eye(1, dim))
+
+
+# Each exit status from a start that violates a row; all but the converged
+# run end at an x that still does.
+EXIT_CASES = {
+    "converged": (curved_equality_problem(), [3.0, -1.0], {}, None),
+    "iteration limit reached": (curved_equality_problem(), [3.0, -1.0],
+                                {"max_iterations": 2}, None),
+    # A constant cost: accepted steps leave the merit unchanged.
+    "stagnated": (constant_row_problem(
+        lambda x: 1e6, lambda x: np.array([1.0, 0.5]), 2), [0.0, 0.0], {},
+        None),
+    # A gradient of the wrong sign: no trial lowers the merit.
+    "line search stalled": (constant_row_problem(
+        lambda x: float(x[0] ** 2), lambda x: np.array([-2.0 * x[0] - 2.0]),
+        1), [0.0], {}, np.eye(1)),
+}
+
+
+class TestLazyCertificate:
+    """The KKT certificate runs only at iterates within ``tol_con``, where it
+    can decide convergence, and once more at exit when the loop did not."""
+
+    @staticmethod
+    def recorded(monkeypatch) -> list:
+        """The violation at each ``_kkt_residual`` call from now on."""
+        violations = []
+        real = sqp._kkt_residual
+
+        def counted(grad, a_eq, a_in, ce, ci, act_tol):
+            violations.append(sqp._max_violation(ce, ci))
+            return real(grad, a_eq, a_in, ce, ci, act_tol)
+
+        monkeypatch.setattr(sqp, "_kkt_residual", counted)
+        return violations
+
+    def test_no_certificate_at_an_infeasible_iterate(self, monkeypatch):
+        violations = self.recorded(monkeypatch)
+        settings = SolverSettings()
+        result = solve_sqp(curved_equality_problem(), np.array([3.0, -1.0]),
+                           settings)
+        assert result.converged
+        assert violations and max(violations) <= settings.tol_con
+        # The iterates before the last few violated the constraint.
+        assert len(violations) < result.iterations + 1
+
+    @pytest.mark.parametrize("status", EXIT_CASES)
+    def test_result_certificate_describes_its_x(self, status, monkeypatch):
+        problem, x0, overrides, hessian = EXIT_CASES[status]
+        settings = SolverSettings(**overrides)
+        violations = self.recorded(monkeypatch)
+        result = solve_sqp(problem, np.array(x0), settings,
+                           initial_hessian=hessian)
+        monkeypatch.undo()
+        assert result.status == status
+        assert all(v <= settings.tol_con for v in violations[:-1])
+        assert violations[-1] == result.constraint_violation
+        assert (result.constraint_violation <= settings.tol_con) == \
+            result.converged
+        x = result.x
+        assert result.kkt_residual == sqp._kkt_residual(
+            problem.cost_grad(x), problem.equality_jac(x),
+            problem.inequality_jac(x), problem.equalities(x),
+            problem.inequalities(x), max(10.0 * settings.tol_con, 1e-10))
+
+
 class TestNlpProblem:
     def test_omitted_constraint_sets_are_empty(self):
         problem = quadratic_problem([0.3, -1.2, 2.0])
