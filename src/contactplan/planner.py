@@ -21,27 +21,25 @@ edges.  Every constraint Jacobian is analytic (the ZMP row differentiates
 the closed-form moment balance); ``gradient_check`` validates them against
 central finite differences.
 
-The ZMP chain behind cost and constraints has a value pass
-(``_chain_values``) and a derivative pass (``_chain_derivatives``), each
-split into two halves.  The joint half depends on dtheta alone: forward
-kinematics once per arm, the grasp map and hand loads, the gaps, the
-centre of mass, the object deviation, the cost without its slack term and
-the equalities (``_joint_values``), then the Jacobians from those joint
-points, the cost gradient, the equality Jacobian and the hands' sums of
-the ZMP's moment gradients (``_joint_derivatives``).  The force half is
-computed per point: the support loads gamma (cos beta, sin beta, 0), the
-ZMP, the inequalities, and the supports' terms added to a copy of the
-hands' sums for the inequality Jacobian.  A ``StepContext`` is built for
-one waypoint.  Its memo holds the chains of its last two points, NLP rows
-included: the one cache of the waypoint's NLP (the evaluate-once interface
-of IPOPT and CasADi).  Each continuation stage reads it and adds only its
-slack term, so every stage and the post-solve observables share one chain
-per point.  Its joint memo holds the joint halves of its last 64 joint
-displacements, so a line search that backtracks along one joint direction
-while only gamma and s move, and a post-solve point whose forces were
-clamped, rerun only the force half.  The solver's value callbacks read the
-value pass only; its Jacobian callbacks add the derivative pass at their
-point, which the SQP asks for at start points and accepted iterates.
+The ZMP chain behind cost and constraints has two halves, each with a
+value pass and a derivative pass.  The joint half (``_joint``) depends on
+dtheta alone: forward kinematics once per arm, the grasp map and hand
+loads, the gaps, the centre of mass, the object deviation, the cost
+without its slack term and the equalities (``_joint_values``), then the
+Jacobians from those joint points, the cost gradient, the equality
+Jacobian and the hands' sums of the ZMP's moment gradients
+(``_joint_derivatives``).  The force half (``_forces``) adds gamma and s:
+the support loads, the ZMP and the inequalities (``_force_values``), then
+the supports' terms added to a copy of the hands' sums for the inequality
+Jacobian (``_force_derivatives``).  A ``StepContext``'s memo is the one
+cache of its waypoint's NLP (the evaluate-once interface of IPOPT and
+CasADi): an entry for each of its last 64 joint displacements, with the
+joint half and the force half of the last gamma and s there.  Every
+continuation stage and the post-solve observables read it, and a line
+search that backtracks along one joint direction while only gamma and s
+move reruns only the force half.  Each NLP field reads only the half it
+depends on; Jacobians add the derivative pass, which the SQP asks for at
+start points and accepted iterates.
 
 Exactness rule: the SQP is sensitive to the last bit of the chain (an ulp
 can flip a marginal solve), so the chain's small-array code (forward
@@ -115,12 +113,12 @@ class StepContext:
     ``edges`` are the active port edges at ``theta``, a (2, 2) array with
     one row per arm (the arm's edge with the smaller gap to its contact
     link), chosen on construction and frozen for the solve.
-    ``memo`` holds the ZMP chain, with the NLP rows, of the last points
-    evaluated against this context (see ``_chain``); the chain depends on
-    the context and the decision vector only, so every continuation stage
-    and the post-solve observables share it.  ``joints`` holds the chain's
-    joint half at the last joint displacements evaluated, which points
-    that differ only in gamma and s share.
+    ``memo`` holds the ZMP chain, with the NLP rows, at the last joint
+    displacements evaluated against this context: each one's joint half
+    and the force half of its last gamma and s (see ``_joint`` and
+    ``_forces``).  The chain depends on the context and the decision
+    vector only, so every continuation stage and the post-solve
+    observables share it.
 
     Raises:
         ValueError: ``theta`` is not 8 finite joint angles, or ``waypoint``
@@ -133,8 +131,6 @@ class StepContext:
     edges: np.ndarray = field(init=False)  # (2, 2) active edge point per arm
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
-    joints: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -180,14 +176,9 @@ class PlanStep:
 # derivative pass
 # ---------------------------------------------------------------------------
 
-# Points a memo keeps (a context's chain, the start-up settle's poses): the
-# line search's expansion loop evaluates its rejected trial after the
-# accepted one.
-_MEMO_POINTS = 2
-
-# Joint displacements whose joint halves a context keeps: a stage that
-# stagnates backtracks along one joint direction (up to 42 trials) at
-# consecutive iterations, while only gamma and s move.
+# Joint displacements (or poses) a memo keeps: a stage that stagnates
+# backtracks along one joint direction (up to 42 trials) at consecutive
+# iterations, while only gamma and s move.
 _JOINT_POINTS = 64
 
 
@@ -393,23 +384,16 @@ def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
             "equality_jac": _read_only(equality_jac)}
 
 
-def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
-    """Value pass of the ZMP chain at decision vector ``x``.
+def _force_values(ctx: StepContext, joint: dict, x: np.ndarray) -> dict:
+    """Value pass of the force half at decision vector ``x``, from the
+    joint half ``joint`` at x's joint displacement.
 
-    The joint half's values at x's joint displacement (see
-    ``_joint_values``), from the context's joint memo, plus the force half:
-    ``loads``, the hands' rows, then the supports', and the ZMP,
-    ``statics.compute_zmp`` of all four rows.  ``joint`` is the joint half
-    itself, which the derivative pass fills.
-
-    The NLP rows follow: ``cost`` without its slack term, ``equalities``
-    (grasp closure) and ``inequalities``: gamma (2), s, s - gamma.phi, safe
-    circle, object deviation, phi (2).  Their arrays are read-only.
+    ``loads`` are the hands' rows, then the supports', and ``zmp_result``
+    is ``statics.compute_zmp`` of all four.  ``inequalities`` (read-only):
+    gamma (2), s, s - gamma.phi, safe circle, object deviation, phi (2).
     """
     config = ctx.config
-    dtheta, gamma, slack = x[:NUM_JOINTS], x[NUM_JOINTS:-1], float(x[-1])
-    joint = _remember(ctx.joints, dtheta, lambda: _joint_values(ctx, dtheta),
-                      _JOINT_POINTS)
+    gamma, slack = x[NUM_JOINTS:-1], float(x[-1])
     phi = joint["phi"]
     # A support force is the full normal force of its magnitude; a negative
     # magnitude at an intermediate iterate stays differentiable.
@@ -427,30 +411,23 @@ def _chain_values(ctx: StepContext, x: np.ndarray) -> dict:
     rows[4] = config.safe_radius - safe_dist
     rows[5] = config.object_radius - joint["dev_dist"]
     rows[6:] = phi
-    return {**joint, "joint": joint, "gamma": gamma.copy(), "loads": loads,
-            "zmp_result": zmp_result, "safe_dir": safe_dir,
-            "inequalities": _read_only(rows)}
+    return {"gamma": gamma.copy(), "loads": loads, "zmp_result": zmp_result,
+            "safe_dir": safe_dir, "inequalities": _read_only(rows)}
 
 
-def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
-    """Derivative pass: joint and force gradients of a value pass's results.
+def _force_derivatives(ctx: StepContext, joint: dict, forces: dict) -> dict:
+    """Derivative pass of the force half, from its value pass ``forces``
+    and the derivative pass of its joint half ``joint``.
 
-    Returns the end-effector Jacobians (2, 8) each, the gap gradients
-    ``d_phi`` (2, 8), the ZMP gradients w.r.t. joints (2, 8) and forces
-    (2, 2), and the NLP's ``cost_grad`` (its slack entry 0),
-    ``equality_jac`` and ``inequality_jac``, the last two read-only.  The
-    joint half's derivative pass runs the first time a point at its joint
-    displacement asks for derivatives; the force half adds the supports'
-    terms to a copy of its moment sums.  Never reruns forward kinematics.
+    Returns the ZMP gradients w.r.t. joints (2, 8) and forces (2, 2) and
+    the read-only ``inequality_jac``.  The supports' terms are added to a
+    copy of the joint half's moment sums; forward kinematics never reruns.
     """
-    joint = chain["joint"]
-    if "d_phi" not in joint:
-        joint.update(_joint_derivatives(ctx, joint))
-    fz = float(chain["zmp_result"].ground_force[2])
+    fz = float(forces["zmp_result"].ground_force[2])
     d_mx, d_my, d_fz = joint["d_mx"].copy(), joint["d_my"].copy(), joint["d_fz"]
     d_mx_gamma, d_my_gamma = [], []
     for i, (d_beta, g, (c, s), (_, _, pz)) in enumerate(zip(
-            joint["d_beta"], chain["gamma"].tolist(), joint["normals"],
+            joint["d_beta"], forces["gamma"].tolist(), joint["normals"],
             joint["load_points"][2:])):
         # The support force g (cos beta, sin beta, 0) turns with beta:
         # cross(p, df) horizontal rows with p constant and df planar.  The
@@ -463,7 +440,7 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
         d_my_gamma.append(pz * c)
 
     # zmp = (M_y / fz, -M_x / fz); invert to reuse the computed value.
-    zx, zy = chain["zmp_result"].zmp.tolist()
+    zx, zy = forces["zmp_result"].zmp.tolist()
     moment_x, moment_y = -zy * fz, zx * fz
     fz_sq = fz * fz
     d_zmp_theta = np.array([
@@ -472,48 +449,60 @@ def _chain_derivatives(ctx: StepContext, chain: dict) -> dict:
     d_zmp_gamma = np.array([[my / fz for my in d_my_gamma],
                             [-mx / fz for mx in d_mx_gamma]])
 
-    d_phi, safe_dir = joint["d_phi"], chain["safe_dir"]
+    d_phi, safe_dir = joint["d_phi"], forces["safe_dir"]
     jac = np.zeros((6 + NUM_CONTACTS, DECISION_DIM))
     jac[0, NUM_JOINTS] = 1.0
     jac[1, NUM_JOINTS + 1] = 1.0
     jac[2, -1] = 1.0
-    jac[3, :NUM_JOINTS] = -(chain["gamma"] @ d_phi)
+    jac[3, :NUM_JOINTS] = -(forces["gamma"] @ d_phi)
     jac[3, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -joint["phi"]
     jac[3, -1] = 1.0
     jac[4, :NUM_JOINTS] = -(safe_dir @ d_zmp_theta)
     jac[4, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -(safe_dir @ d_zmp_gamma)
     jac[5, :NUM_JOINTS] = -(joint["dev_dir"] @ joint["d_obj"])
     jac[6:6 + NUM_CONTACTS, :NUM_JOINTS] = d_phi
-    return {"ee_jacobians": joint["ee_jacobians"], "d_phi": d_phi,
-            "d_zmp_theta": d_zmp_theta, "d_zmp_gamma": d_zmp_gamma,
-            "cost_grad": joint["cost_grad"],
-            "equality_jac": joint["equality_jac"],
+    return {"d_zmp_theta": d_zmp_theta, "d_zmp_gamma": d_zmp_gamma,
             "inequality_jac": _read_only(jac)}
 
 
-def _remember(memo: dict, x: np.ndarray, compute, size: int = _MEMO_POINTS):
+def _remember(memo: dict, x: np.ndarray, compute):
     """``memo``'s entry for ``x``, computed on a miss; the memo keeps the
-    last ``size`` points, keyed on ``x.tobytes()``.  A ``compute`` that
-    raises caches nothing."""
+    last ``_JOINT_POINTS`` points, keyed on ``x.tobytes()``, and drops the
+    oldest first.  A ``compute`` that raises caches nothing."""
     key = x.tobytes()
     if key not in memo:
         memo[key] = compute()
-        if len(memo) > size:
+        if len(memo) > _JOINT_POINTS:
             del memo[next(iter(memo))]
     return memo[key]
 
 
-def _chain(ctx: StepContext, x: np.ndarray, derivatives: bool = False) -> dict:
-    """The ZMP chain at ``x``, read from the context's memo when it holds x.
+def _joint(ctx: StepContext, dtheta, derivatives: bool = False) -> dict:
+    """The joint half at ``dtheta``, the context's memo entry for it: the
+    value pass runs once per joint displacement, the derivative pass the
+    first time derivatives are asked for there."""
+    dtheta = np.asarray(dtheta, dtype=float)
+    joint = _remember(ctx.memo, dtheta, lambda: _joint_values(ctx, dtheta))
+    if derivatives and "d_phi" not in joint:
+        joint.update(_joint_derivatives(ctx, joint))
+    return joint
 
-    The value pass runs once per point; the derivative pass runs the first
-    time derivatives are asked for there.
-    """
+
+def _forces(ctx: StepContext, x, derivatives: bool = False) -> dict:
+    """The force half at ``x``, which the memo entry of x's joint
+    displacement keeps for the last gamma and s evaluated there: the value
+    pass runs when x's differ, the derivative pass (after the joint half's)
+    the first time derivatives are asked for at them."""
     x = np.asarray(x, dtype=float)
-    chain = _remember(ctx.memo, x, lambda: _chain_values(ctx, x))
-    if derivatives and "d_zmp_theta" not in chain:
-        chain.update(_chain_derivatives(ctx, chain))
-    return chain
+    joint = _joint(ctx, x[:NUM_JOINTS], derivatives)
+    key = x[NUM_JOINTS:].tobytes()
+    if joint.get("forces_at") != key:
+        joint["forces"] = _force_values(ctx, joint, x)
+        joint["forces_at"] = key
+    forces = joint["forces"]
+    if derivatives and "inequality_jac" not in forces:
+        forces.update(_force_derivatives(ctx, joint, forces))
+    return forces
 
 
 # ---------------------------------------------------------------------------
@@ -523,27 +512,27 @@ def _chain(ctx: StepContext, x: np.ndarray, derivatives: bool = False) -> dict:
 def build_step_nlp(ctx: StepContext, weight_slack: float) -> NlpProblem:
     """The NLP of the context's waypoint at slack weight ``weight_slack``.
 
-    Each field reads the context's chain memo: value fields the value pass
-    only, Jacobian fields the derivative pass too.  The stage adds its slack
+    Each field reads the context's memo, and only the half of the chain it
+    depends on: the cost and the equalities the joint half, the
+    inequalities the force half.  Value fields read the value pass only,
+    Jacobian fields the derivative pass too.  The stage adds its slack
     term, ``weight_slack * s`` to the cost and ``weight_slack`` as the cost
     gradient's last entry, and caches nothing of its own.
     """
     def cost(x):
-        return _chain(ctx, x)["cost"] + weight_slack * float(x[-1])
+        return _joint(ctx, x[:NUM_JOINTS])["cost"] + weight_slack * float(x[-1])
 
     def cost_grad(x):
-        grad = _chain(ctx, x, derivatives=True)["cost_grad"].copy()
+        grad = _joint(ctx, x[:NUM_JOINTS], derivatives=True)["cost_grad"].copy()
         grad[-1] = weight_slack
         return _read_only(grad)
 
-    def read(name, derivatives=False):
-        return lambda x: _chain(ctx, x, derivatives)[name]
-
     return NlpProblem(
         dim=DECISION_DIM, cost=cost, cost_grad=cost_grad,
-        equalities=read("equalities"), equality_jac=read("equality_jac", True),
-        inequalities=read("inequalities"),
-        inequality_jac=read("inequality_jac", True))
+        equalities=lambda x: _joint(ctx, x[:NUM_JOINTS])["equalities"],
+        equality_jac=lambda x: _joint(ctx, x[:NUM_JOINTS], True)["equality_jac"],
+        inequalities=lambda x: _forces(ctx, x)["inequalities"],
+        inequality_jac=lambda x: _forces(ctx, x, True)["inequality_jac"])
 
 
 def evaluate_nlp(ctx: StepContext, x) -> dict:
@@ -589,7 +578,7 @@ def _seed_hessian(ctx: StepContext, x0: np.ndarray) -> np.ndarray:
     their blocks get a small positive scale so the first QP steps stay
     constraint-limited rather than curvature-limited.
     """
-    j0, j1 = _chain(ctx, x0, derivatives=True)["ee_jacobians"]
+    j0, j1 = _joint(ctx, x0[:NUM_JOINTS], derivatives=True)["ee_jacobians"]
     d_obj = 0.5 * (j0 + j1)
     hess = np.eye(DECISION_DIM) * 1e-2
     hess[:NUM_JOINTS, :NUM_JOINTS] = (
@@ -602,7 +591,9 @@ def solve_step(ctx: StepContext) -> PlanDecision:
     """Solve the NLP of the context's waypoint from zero initial values.
 
     The slack weight is driven to its configured value through a short
-    continuation (1e2, 1e4, ..., target), each stage warm-starting the next.
+    continuation (0.1 and 10 times the position weight if below the
+    target, then the target), each stage warm-starting the next; scaling
+    all three cost weights together keeps the plan.
     A mild first stage lets force appear at a still-open gap, after which
     the bilinear complementarity coupling steers the gap shut; solving at
     the full weight from a cold start routinely stalls instead.  The
@@ -615,7 +606,8 @@ def solve_step(ctx: StepContext) -> PlanDecision:
     """
     config = ctx.config
     x = np.zeros(DECISION_DIM)
-    stages = [w for w in (1e2, 1e4) if w < config.weight_slack]
+    position = config.weight_position
+    stages = [w for w in (position / 10, position * 10) if w < config.weight_slack]
     stages.append(config.weight_slack)
     stage_iterations = []
     result = None
@@ -637,12 +629,11 @@ def solve_step(ctx: StepContext) -> PlanDecision:
 
 
 def _check_step(ctx: StepContext, decision: PlanDecision,
-                chain: dict) -> list[str]:
-    """The acceptance bounds a decision and its chain violate, as messages:
-    the chain's inequality rows at ``tol_con``, convergence and the slack cap."""
+                rows: np.ndarray) -> list[str]:
+    """The acceptance bounds a decision and its inequality rows violate, as
+    messages: the rows at ``tol_con``, convergence and the slack cap."""
     config = ctx.config
     tol = config.solver.tol_con
-    rows = chain["inequalities"]
     failures = []
     if not decision.converged:
         failures.append("solver did not converge")
@@ -682,10 +673,11 @@ def plan_waypoint(ctx: StepContext) -> PlanStep:
 
     # The solver's last point when the clamp changed nothing: a memo hit.
     # The clamp keeps dtheta, so otherwise only the force half runs.
-    chain = _chain(ctx, decision.to_vector())
-    fzmp = st.compute_zmp(config.robot_weight, chain["com"],
-                          chain["load_points"][:2], chain["loads"][:2])
-    failures = _check_step(ctx, decision, chain)
+    joint = _joint(ctx, decision.dtheta)
+    forces = _forces(ctx, decision.to_vector())
+    fzmp = st.compute_zmp(config.robot_weight, joint["com"],
+                          joint["load_points"][:2], joint["hand_loads"])
+    failures = _check_step(ctx, decision, forces["inequalities"])
     if failures:
         raise PlanStepError(
             "waypoint rejected: " + "; ".join(failures),
@@ -699,10 +691,10 @@ def plan_waypoint(ctx: StepContext) -> PlanStep:
             })
     return PlanStep(waypoint=ctx.waypoint, decision=decision,
                     theta_after=ctx.theta + decision.dtheta,
-                    object_position=chain["object_position"],
-                    contacts=tuple(chain["gaps"]), zmp=chain["zmp_result"],
-                    fzmp=fzmp, joint_points=chain["points"],
-                    loads=np.array(chain["loads"]))
+                    object_position=joint["object_position"],
+                    contacts=tuple(joint["gaps"]), zmp=forces["zmp_result"],
+                    fzmp=fzmp, joint_points=joint["points"],
+                    loads=np.array(forces["loads"]))
 
 
 def _two_segment_angles(config: ScenarioConfig, arm_index: int,

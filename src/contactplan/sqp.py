@@ -13,10 +13,12 @@ and their Jacobians.  All operations are deterministic for identical inputs.
 
 A run ends with one of these statuses: ``"converged"``; ``"iteration limit
 reached"``; ``"line search stalled"`` or ``"stalled at zero step"`` (x
-cannot move); or ``"stagnated"``: 20 accepted iterations in a row at an
-unchanged penalty left the merit unchanged to 1e-12 relative, which happens
-at degenerate complementarity corners (Fletcher & Leyffer 2004), where
-further iterations only spend line-search evaluations.
+cannot move: no trial lowers the merit, or the QP's direction is
+negligible, which the next QP at the same x would repeat); or
+``"stagnated"``: 20 accepted iterations in a row at an unchanged penalty
+left the merit unchanged to 1e-12 relative, which happens at degenerate
+complementarity corners (Fletcher & Leyffer 2004), where further
+iterations only spend line-search evaluations.
 """
 
 from dataclasses import dataclass, field
@@ -401,7 +403,6 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     status = "iteration limit reached"
     iterations = 0
     qp_iterations = 0
-    zero_steps = 0
     stagnant = 0
     last_mu = None
     # The Jacobians at x: asked for at the start point, then carried over
@@ -470,16 +471,13 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             descent = float(grad @ d) - mu * l1
         # The acceptance threshold must never allow a merit increase.
         descent = min(descent, -1e-16)
-        # A negligible direction does not move x; x failed the convergence
-        # test above, so a third zero step in a row ends the run.
+        # A negligible direction does not move x, which failed the
+        # convergence test above.  The next QP would read the same x,
+        # gradient, Jacobians and Hessian, and return the same direction.
         if np.abs(d).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(x).max()):
+            status = "stalled at zero step"
             iterations += 1
-            zero_steps += 1
-            if zero_steps >= 3:
-                status = "stalled at zero step"
-                break
-            continue
-        zero_steps = 0
+            break
 
         def merit_of(x_t: np.ndarray) -> float:
             # A trial the model cannot balance, or whose merit is not

@@ -188,21 +188,21 @@ def numpy_gap_gradients(points, link, edge, res):
     return d_gap, d_beta
 
 
-def numpy_zmp_gradients(ctx, chain, d_forces, gap_grads, j0, j1):
-    """The derivative pass's moment bookkeeping: the ZMP's joint and force
+def numpy_zmp_gradients(ctx, joint, forces, d_forces, gap_grads, j0, j1):
+    """The derivative passes' moment bookkeeping: the ZMP's joint and force
     gradients from the hand-force and gap gradients."""
     config = ctx.config
-    zmp, ground_force = chain["zmp_result"].zmp, chain["zmp_result"].ground_force
+    zmp, ground_force = forces["zmp_result"].zmp, forces["zmp_result"].ground_force
     fz = float(ground_force[2])
-    d_com = numpy_com_gradient(config, chain["points"])
+    d_com = numpy_com_gradient(config, joint["points"])
     weight_z = config.robot_weight[2]
     d_moment = np.zeros((2, pl.NUM_JOINTS))
     d_fz = np.zeros(pl.NUM_JOINTS)
     d_moment_gamma = np.zeros((2, pl.NUM_CONTACTS))
     d_moment[0] += weight_z * d_com[1]
     d_moment[1] += -weight_z * d_com[0]
-    load_points = np.array(chain["load_points"])
-    loads = np.array(chain["loads"])
+    load_points = np.array(joint["load_points"])
+    loads = np.array(forces["loads"])
     for pos, force, ee_jac, df in zip(load_points, loads, (j0, j1), d_forces):
         d_pos = np.zeros((3, pl.NUM_JOINTS))
         d_pos[:2] = ee_jac
@@ -212,7 +212,7 @@ def numpy_zmp_gradients(ctx, chain, d_forces, gap_grads, j0, j1):
             - pos[0] * df[2]
         d_fz += -df[2]
     for i, (res, (d_gap, d_beta), g) in enumerate(
-            zip(chain["gaps"], gap_grads, chain["gamma"])):
+            zip(joint["gaps"], gap_grads, forces["gamma"])):
         pos = load_points[2 + i]
         unit = np.array([np.cos(res.normal_angle), np.sin(res.normal_angle), 0.0])
         d_unit = np.outer(np.array([-unit[1], unit[0], 0.0]), d_beta)
@@ -337,10 +337,10 @@ def test_grasp_force_gradients_match_per_joint_loop(chain_points, rng):
     moments = np.array([0.0, 10.0, -117.72, 1.5, -2.0, 3.0])
     inputs = []
     for x in xs:
-        chain = pl._chain_values(ctx, x)
+        joint = pl._joint(ctx, x[:pl.NUM_JOINTS])
         j0, j1 = (numpy_embed(numpy_point_jacobian(points, NUM_LINKS - 1, 1.0), i)
-                  for i, points in enumerate(chain["points"]))
-        inputs += [(h_o, chain["grasp"], j0, j1)
+                  for i, points in enumerate(joint["points"]))
+        inputs += [(h_o, joint["grasp"], j0, j1)
                    for h_o in (config.object_wrench, moments)]
     for k in range(DRAWS):
         h_o = rng.normal(scale=20.0, size=6)
@@ -360,8 +360,8 @@ def test_gap_gradients_match_array_form(chain_points):
     ctx, xs = chain_points
     link = ctx.config.contact_link_index
     for x in xs:
-        chain = pl._chain_values(ctx, x)
-        for points, edge, res in zip(chain["points"], ctx.edges, chain["gaps"]):
+        joint = pl._joint(ctx, x[:pl.NUM_JOINTS])
+        for points, edge, res in zip(joint["points"], ctx.edges, joint["gaps"]):
             for new, old in zip(pl._gap_gradients(points, link, edge, res),
                                 numpy_gap_gradients(points, link, edge, res)):
                 assert_bitwise(new, old)
@@ -371,48 +371,48 @@ def test_zmp_gradients_match_array_bookkeeping(chain_points):
     ctx, xs = chain_points
     config = ctx.config
     for x in xs:
-        chain = pl._chain_values(ctx, x)
-        derivatives = pl._chain_derivatives(ctx, chain)
-        points = chain["points"]
+        forces = pl._forces(ctx, x, derivatives=True)
+        joint = pl._joint(ctx, x[:pl.NUM_JOINTS])
+        points = joint["points"]
         j0 = numpy_embed(numpy_point_jacobian(points[0], NUM_LINKS - 1, 1.0), 0)
         j1 = numpy_embed(numpy_point_jacobian(points[1], NUM_LINKS - 1, 1.0), 1)
-        assert_bitwise(derivatives["ee_jacobians"][0], j0)
-        assert_bitwise(derivatives["ee_jacobians"][1], j1)
+        assert_bitwise(joint["ee_jacobians"][0], j0)
+        assert_bitwise(joint["ee_jacobians"][1], j1)
         d_forces = loop_grasp_force_gradients(config.object_wrench,
-                                              chain["grasp"], j0, j1)
+                                              joint["grasp"], j0, j1)
         gap_grads = [numpy_gap_gradients(arm_points, config.contact_link_index,
                                          edge, res)
                      for arm_points, edge, res in zip(points, ctx.edges,
-                                                      chain["gaps"])]
+                                                      joint["gaps"])]
         d_phi = np.vstack([numpy_embed(d_gap[None, :], i)
                            for i, (d_gap, _) in enumerate(gap_grads)])
-        assert_bitwise(derivatives["d_phi"], d_phi)
-        d_zmp_theta, d_zmp_gamma = numpy_zmp_gradients(ctx, chain, d_forces,
-                                                       gap_grads, j0, j1)
-        assert_bitwise(derivatives["d_zmp_theta"], d_zmp_theta)
-        assert_bitwise(derivatives["d_zmp_gamma"], d_zmp_gamma)
+        assert_bitwise(joint["d_phi"], d_phi)
+        d_zmp_theta, d_zmp_gamma = numpy_zmp_gradients(
+            ctx, joint, forces, d_forces, gap_grads, j0, j1)
+        assert_bitwise(forces["d_zmp_theta"], d_zmp_theta)
+        assert_bitwise(forces["d_zmp_gamma"], d_zmp_gamma)
 
 
 def test_value_pass_matches_array_form(chain_points):
     ctx, xs = chain_points
     config = ctx.config
     for x in xs:
-        chain = pl._chain_values(ctx, x)
+        joint, forces = pl._joint(ctx, x[:pl.NUM_JOINTS]), pl._forces(ctx, x)
         points = [numpy_fk(config.arm_bases[i], config.link_lengths,
                            ctx.theta[i * NUM_LINKS:(i + 1) * NUM_LINKS]
                            + x[i * NUM_LINKS:(i + 1) * NUM_LINKS])
                   for i in range(2)]
-        for new, old in zip(chain["points"], points):
+        for new, old in zip(joint["points"], points):
             assert_bitwise(new, old)
         hands, grasp, h_c = numpy_bar_grasp(points[0][-1], points[1][-1],
                                             config.plane_height,
                                             config.object_wrench)
-        assert_bitwise(chain["grasp"], grasp)
+        assert_bitwise(joint["grasp"], grasp)
         link = config.contact_link_index
         gaps = [numpy_signed_gap(edge, arm_points[link], arm_points[link + 1],
                                  config.link_radius)
                 for arm_points, edge in zip(points, ctx.edges)]
-        assert_bitwise(chain["phi"], [gap for gap, *_ in gaps])
+        assert_bitwise(joint["phi"], [gap for gap, *_ in gaps])
         angles = np.array([angle for _, _, angle, _ in gaps])
         load_points = np.array([
             hands[0], hands[1],
@@ -421,11 +421,11 @@ def test_value_pass_matches_array_form(chain_points):
             h_c[0:3], h_c[6:9],
             *(float(g) * np.array([c, s, 0.0]) for g, c, s in zip(
                 x[pl.NUM_JOINTS:-1], np.cos(angles), np.sin(angles)))])
-        assert_bitwise(chain["load_points"], load_points)
-        assert_bitwise(chain["loads"], loads)
+        assert_bitwise(joint["load_points"], load_points)
+        assert_bitwise(forces["loads"], loads)
         com = numpy_com(config.torso_mass, config.torso_position,
                         config.link_mass, points, config.plane_height)
-        assert_bitwise(chain["com"], com)
+        assert_bitwise(joint["com"], com)
         zmp, ground_force = numpy_zmp(config.robot_weight, com, load_points, loads)
-        assert_bitwise(chain["zmp_result"].zmp, zmp)
-        assert_bitwise(chain["zmp_result"].ground_force, ground_force)
+        assert_bitwise(forces["zmp_result"].zmp, zmp)
+        assert_bitwise(forces["zmp_result"].ground_force, ground_force)

@@ -120,10 +120,10 @@ class TestConstraints:
         waypoint = object_position(config, theta)
         ctx = pl.StepContext(config, theta, waypoint)
         x = np.zeros(pl.DECISION_DIM)
-        chain = pl._chain_values(ctx, x)
+        forces = pl._forces(ctx, x)
         # The polygon widens with the moved centre so the safe circle still
         # fits, as every config requires.
-        ctx = pl.StepContext(replace(config, sp_center=chain["zmp_result"].zmp,
+        ctx = pl.StepContext(replace(config, sp_center=forces["zmp_result"].zmp,
                                      sp_polygon=4.0 * config.sp_polygon),
                              theta, waypoint)
         values = evaluate_nlp(ctx, x)
@@ -171,9 +171,9 @@ class TestGradientCheck:
             "object_wrench": [0.0, 10.0, -117.72, 1.5, -2.0, 3.0]}})
         ctx = pl.StepContext(config, initial_joint_angles(config),
                              config.initial_center)
-        chain = pl._chain(ctx, np.zeros(pl.DECISION_DIM), derivatives=True)
+        joint = pl._joint(ctx, np.zeros(pl.NUM_JOINTS), derivatives=True)
         d_forces = pl._grasp_force_gradients(
-            config.object_wrench, chain["grasp"], *chain["ee_jacobians"])
+            config.object_wrench, joint["grasp"], *joint["ee_jacobians"])
         assert np.abs(d_forces).max() > 0.1
         assert worst_gradient_error(config, rng) <= 1e-5
 
@@ -192,16 +192,26 @@ class TestGradientCheck:
         assert relative_error(corrupted, numeric) > 1e-2
 
 
+PASSES = ("_joint_values", "_joint_derivatives", "_force_values",
+          "_force_derivatives")
+
+
 def count_passes(monkeypatch):
-    """Count the ZMP chain's value and derivative passes from now on."""
-    passes = {"values": 0, "derivatives": 0}
-    for name, key in (("_chain_values", "values"),
-                      ("_chain_derivatives", "derivatives")):
-        def counted(*args, real=getattr(pl, name), key=key):
-            passes[key] += 1
+    """Count the ZMP chain's value and derivative passes, of its joint and
+    force halves, from now on; keyed by ``PASSES``' names."""
+    passes = dict.fromkeys(PASSES, 0)
+    for name in PASSES:
+        def counted(*args, real=getattr(pl, name), name=name):
+            passes[name] += 1
             return real(*args)
         monkeypatch.setattr(pl, name, counted)
     return passes
+
+
+def passes_of(joint_values, joint_derivatives, force_values, force_derivatives):
+    """A ``count_passes`` dict, in ``PASSES``' order."""
+    return dict(zip(PASSES, (joint_values, joint_derivatives, force_values,
+                             force_derivatives)))
 
 
 class TestStepNlp:
@@ -230,10 +240,10 @@ class TestStepNlp:
         passes = count_passes(monkeypatch)
         x = np.zeros(pl.DECISION_DIM)
         first = {name: getattr(nlp, name)(x) for name in self.FIELDS}
-        assert passes == {"values": 1, "derivatives": 1}
+        assert passes == passes_of(1, 1, 1, 1)
         for name in self.FIELDS:
             getattr(nlp, name)(self.nearby(x, 1e-3))
-        assert passes == {"values": 2, "derivatives": 2}
+        assert passes == passes_of(2, 2, 2, 2)
         expected = evaluate_nlp(self.fresh(ctx), x)
         for name in self.FIELDS:
             np.testing.assert_array_equal(first[name], expected[name])
@@ -247,7 +257,7 @@ class TestStepNlp:
         passes = count_passes(monkeypatch)
         x = self.nearby(np.zeros(pl.DECISION_DIM), 2e-3)
         values = {name: getattr(nlp, name)(x) for name in self.VALUE_FIELDS}
-        assert passes == {"values": 1, "derivatives": 0}
+        assert passes == passes_of(1, 0, 1, 0)
         expected = evaluate_nlp(self.fresh(ctx), x)
         for name in self.VALUE_FIELDS:
             np.testing.assert_array_equal(values[name], expected[name])
@@ -265,7 +275,7 @@ class TestStepNlp:
                 getattr(nlp, name)(point)
         jacobians = {name: getattr(nlp, name)(x)
                      for name in ("cost_grad", "equality_jac", "inequality_jac")}
-        assert passes == {"values": 2, "derivatives": 1}
+        assert passes == passes_of(2, 1, 2, 1)
         expected = evaluate_nlp(self.fresh(ctx), x)
         for name, value in jacobians.items():
             np.testing.assert_array_equal(value, expected[name])
@@ -323,26 +333,39 @@ class TestStepNlp:
         assert nlp.cost(x) == expected
         assert nlp.cost_grad(x)[-1] == weight
 
-    def test_memo_holds_at_most_two_points(self, ctx):
+    def test_memo_holds_at_most_64_joint_displacements(self, ctx):
+        # One entry per joint displacement, first in first out: a hit does
+        # not move its entry, and a 65th joint displacement evicts the
+        # oldest.
         nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
-        points = [self.nearby(np.zeros(pl.DECISION_DIM), k * 1e-3)
-                  for k in range(5)]
-        for count, x in enumerate(points, start=1):
+        points = [self.nearby(np.zeros(pl.DECISION_DIM), k * 1e-4)
+                  for k in range(66)]
+        keys = [x[:pl.NUM_JOINTS].tobytes() for x in points]
+        for count, x in enumerate(points[:65], start=1):
             nlp.cost(x)
-            nlp.cost_grad(x)
-            assert len(ctx.memo) == min(count, 2)
-        assert list(ctx.memo) == [x.tobytes() for x in points[-2:]]
+            nlp.inequalities(x)
+            assert len(ctx.memo) == min(count, 64)
+        assert list(ctx.memo) == keys[1:65]
+        nlp.cost(points[1])
+        nlp.cost(points[65])
+        assert list(ctx.memo) == keys[2:66]
 
     def test_raising_evaluation_caches_nothing(self, ctx, monkeypatch):
+        # The ZMP is the force half's: the inequalities raise and cache no
+        # force half, while the cost reads the joint half only.
         nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
+        x = np.zeros(pl.DECISION_DIM)
+        expected = evaluate_nlp(self.fresh(ctx), x)["cost"]
 
         def unbalanced(*args):
             raise UnbalancedStateError("test")
 
         monkeypatch.setattr(pl.st, "compute_zmp", unbalanced)
         with pytest.raises(UnbalancedStateError):
-            nlp.cost(np.zeros(pl.DECISION_DIM))
-        assert ctx.memo == {}
+            nlp.inequalities(x)
+        assert nlp.cost(x) == expected
+        assert list(ctx.memo) == [x[:pl.NUM_JOINTS].tobytes()]
+        assert "forces" not in ctx.memo[x[:pl.NUM_JOINTS].tobytes()]
 
     def test_later_stages_reuse_the_last_chain(self, default_config, monkeypatch):
         # Stages 2 and 3 start where stage 1 ended; their seed Hessian and
@@ -365,8 +388,8 @@ class TestStepNlp:
         monkeypatch.setattr(pl, "solve_sqp", solve)
         decision = pl.solve_step(ctx)
         assert weights == [1e2, 1e4, 1e6]
-        assert stage_passes[0]["values"] > 0
-        assert stage_passes[1:] == [{"values": 0, "derivatives": 0}] * 2
+        assert stage_passes[0]["_force_values"] > 0
+        assert stage_passes[1:] == [passes_of(0, 0, 0, 0)] * 2
         assert decision.converged
 
 
@@ -425,12 +448,12 @@ class TestCheckStep:
     def test_messages(self, default_config, planned_steps, change, shift,
                       expected):
         ctx, decision = self.first_step(default_config, planned_steps)
-        assert pl._check_step(ctx, decision,
-                              pl._chain(ctx, decision.to_vector())) == []
+        rows = pl._forces(ctx, decision.to_vector())["inequalities"]
+        assert pl._check_step(ctx, decision, rows) == []
         ctx, _ = self.first_step(default_config, planned_steps, shift)
         decision = replace(decision, **change)
-        failures = pl._check_step(ctx, decision,
-                                  pl._chain(ctx, decision.to_vector()))
+        rows = pl._forces(ctx, decision.to_vector())["inequalities"]
+        failures = pl._check_step(ctx, decision, rows)
         assert len(failures) == len(expected)
         for failure, pattern in zip(failures, expected):
             assert re.fullmatch(pattern, failure), failure
@@ -444,13 +467,12 @@ class TestCheckStep:
         # tol_con (1e-6 by default): a shortfall of 0.5e-6 passes, 2e-6
         # fails with the row's shortfall as the violation.
         ctx, decision = self.first_step(default_config, planned_steps)
-        chain = dict(pl._chain(ctx, decision.to_vector()))
+        accepted = pl._forces(ctx, decision.to_vector())["inequalities"]
         for shortfall, expected in ((0.5e-6, []),
                                     (2e-6, ["complementarity violated by 2e-06"])):
-            rows = chain["inequalities"].copy()
+            rows = accepted.copy()
             rows[row] = -shortfall
-            chain["inequalities"] = rows
-            assert pl._check_step(ctx, decision, chain) == expected
+            assert pl._check_step(ctx, decision, rows) == expected
 
 
 class TestPlanPath:
@@ -472,13 +494,13 @@ class TestPlanPath:
         # Pinned so that a caching regression fails loudly: 74 SQP
         # iterations over 29 solves (2 start-up settles, 27 continuation
         # stages), all converged, none stagnated; 113 distinct solver points
-        # over the 27 stages plus 6 waypoints whose clamped decision is a new
-        # point (one value pass each); derivatives at each stage-1 start and
-        # each accepted iterate (9 + 52); 329 QP active-set iterations (the
-        # settles' QPs have no inequality rows and take none).  FK runs
-        # twice per joint half (226: the 6 clamped decisions keep their
-        # solver point's joint displacement, so 113 of the 119 value passes
-        # compute one), once per distinct pose in the start-up settle (60)
+        # over the 27 stages, one joint and one force value pass each, plus
+        # 6 waypoints whose clamped decision is a new point at its solver
+        # point's joint displacement (a force value pass only); derivatives
+        # of both halves at each stage-1 start and each accepted iterate
+        # (9 + 52); 329 QP active-set iterations (the settles' QPs have no
+        # inequality rows and take none).  FK runs twice per joint value
+        # pass (226), once per distinct pose in the start-up settle (60)
         # and twice per active-edge choice (20: start-up and 9 waypoints);
         # the post-solve contacts read the chain.  The support region is
         # checked when a scenario loads, never while planning.
@@ -515,8 +537,8 @@ class TestPlanPath:
         assert {status for status, _, _ in stages} == {"converged"}
         assert (len(stages), sum(n for _, n, _ in stages),
                 sum(n for _, _, n in stages)) == (29, 74, 329)
-        assert (len(fk_calls), passes["values"], passes["derivatives"],
-                len(region_checks)) == (306, 119, 61, 0)
+        assert passes == passes_of(113, 61, 119, 61)
+        assert (len(fk_calls), len(region_checks)) == (306, 0)
         default_scenario()
         assert len(region_checks) == 1
 
@@ -533,6 +555,26 @@ class TestPlanPath:
                     rtol=1e-15, atol=0.0)
             assert record.support_force_norm == pytest.approx(
                 np.linalg.norm(gamma), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1e-2, 1e2, 1e4])
+    def test_scaled_weights_keep_the_plan(self, default_config, planned_steps,
+                                          k):
+        # Scaling all three cost weights by k leaves the minimizer where it
+        # is, and the continuation stages scale with the position weight.
+        # The support force gamma is not compared: where the safe-circle row
+        # is inactive and both gaps are closed, a range of gamma is optimal.
+        config = replace(default_config,
+                         weight_position=k * default_config.weight_position,
+                         weight_displacement=k * default_config.weight_displacement,
+                         weight_slack=k * default_config.weight_slack)
+        steps = plan_path(config)
+        assert len(steps) == len(planned_steps)
+        for step, expected in zip(steps, planned_steps):
+            np.testing.assert_allclose(step.theta_after, expected.theta_after,
+                                       rtol=0.0, atol=1e-6)
+            np.testing.assert_allclose(step.object_position,
+                                       expected.object_position,
+                                       rtol=0.0, atol=1e-6)
 
     def test_zero_length_path(self):
         config = default_scenario({

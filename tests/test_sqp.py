@@ -309,7 +309,34 @@ EXIT_CASES = {
     "line search stalled": (constant_row_problem(
         lambda x: float(x[0] ** 2), lambda x: np.array([-2.0 * x[0] - 2.0]),
         1), [0.0], {}, np.eye(1)),
+    # A row fixed at -5e-4 that no step moves: the elastic variable absorbs
+    # it, within the infeasibility test's margin, and the QP's direction at
+    # the cost's minimum is zero.
+    "stalled at zero step": (NlpProblem(
+        dim=1, cost=lambda x: float(x[0] ** 2),
+        cost_grad=lambda x: np.array([2.0 * x[0]]),
+        inequalities=lambda x: np.array([-5e-4]),
+        inequality_jac=lambda x: np.zeros((1, 1))), [0.0], {}, np.eye(1)),
 }
+
+
+def test_zero_step_ends_the_run_at_once(monkeypatch):
+    # The next iteration would solve the same QP (same x, gradient,
+    # Jacobians and Hessian; the QP reads no penalty) and get the same
+    # zero direction: one iteration of 4 elastic tries, not 3 of them.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_qp(*args, **kwargs)
+
+    monkeypatch.setattr(sqp, "solve_qp", counted)
+    problem, x0, _, hessian = EXIT_CASES["stalled at zero step"]
+    result = solve_sqp(problem, np.array(x0), SolverSettings(),
+                       initial_hessian=hessian)
+    assert (result.status, result.iterations, len(calls)) == \
+        ("stalled at zero step", 1, 4)
+    assert result.x.tobytes() == np.array(x0).tobytes()
 
 
 class TestLazyCertificate:

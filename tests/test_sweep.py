@@ -79,7 +79,7 @@ CASES = [
     # deleting any one solver safeguard turns it into a PlanStepError at
     # step 8.  About 6 s.
     case({"task": {"path_direction": [0.3, 1.0]}}, 970,
-         id="slant-full"),                                  # 843 (2061 before)
+         id="slant-full"),                                  # 841 (2061 before)
 ]
 
 
