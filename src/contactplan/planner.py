@@ -333,10 +333,10 @@ def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
 
     Returns the end-effector Jacobians (2, 8) each, the gap gradients
     ``d_phi`` (2, 8) and the normal angles' ``d_beta`` (4 floats per arm),
-    the object position's ``d_obj`` (2, 8), the sums ``d_mx``, ``d_my`` and
-    ``d_fz`` of the centre of mass's and the hands' terms of the horizontal
-    moment and vertical force gradients (8 floats each), the cost gradient
-    (its slack entry 0) and the read-only ``equality_jac``.
+    the object position's ``d_obj`` (2, 8), the sums ``d_mx`` and ``d_my``
+    of the centre of mass's and the hands' terms of the horizontal moment
+    gradients (8 floats each), the cost gradient (its slack entry 0) and
+    the read-only ``equality_jac``.
     """
     config = ctx.config
     points = joint["points"]
@@ -349,13 +349,11 @@ def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
     weight_z = float(config.robot_weight[2])
     d_com_x, d_com_y = _com_gradient(config, points)
 
-    # Horizontal moment (x, y) and vertical force gradients, one entry per
-    # joint.  CoM term: cross(com, (0, 0, weight_z)) has horizontal part
-    # (com_y * weight_z, -com_x * weight_z); adding it to 0.0 turns a -0.0
-    # into 0.0, so no sum below can be -0.0.
+    # Moment gradients (x, y), one entry per joint.  CoM term: cross(com,
+    # (0, 0, weight_z)) is (com_y * weight_z, -com_x * weight_z, 0); adding it
+    # to 0.0 turns a -0.0 into 0.0, so no sum below can be -0.0.
     d_mx = [0.0 + weight_z * d for d in d_com_y]
     d_my = [0.0 + -weight_z * d for d in d_com_x]
-    d_fz = [0.0] * NUM_JOINTS
     for (px, py, pz), (fx, fy, f_z), ee_jac, (dfx, dfy, dfz) in zip(
             joint["load_points"][:2], joint["hand_loads"], (j0, j1), d_forces):
         jx, jy = ee_jac.tolist()
@@ -364,8 +362,6 @@ def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
         for j in range(NUM_JOINTS):
             d_mx[j] += jy[j] * f_z - pz * dfy[j] + py * dfz[j] - 0.0 * fy
             d_my[j] += 0.0 * fx + pz * dfx[j] - jx[j] * f_z - px * dfz[j]
-            # ground_force = -(weight + sum f): d fz = -d sum f_z.
-            d_fz[j] += -dfz[j]
 
     d_phi = np.zeros((NUM_CONTACTS, NUM_JOINTS))
     for i, (d_gap, _) in enumerate(gap_grads):
@@ -380,7 +376,7 @@ def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
     equality_jac[:, :NUM_JOINTS] = j0 - j1
     return {"ee_jacobians": (j0, j1), "d_phi": d_phi,
             "d_beta": [d_beta for _, d_beta in gap_grads], "d_obj": d_obj,
-            "d_mx": d_mx, "d_my": d_my, "d_fz": d_fz, "cost_grad": cost_grad,
+            "d_mx": d_mx, "d_my": d_my, "cost_grad": cost_grad,
             "equality_jac": _read_only(equality_jac)}
 
 
@@ -424,7 +420,7 @@ def _force_derivatives(ctx: StepContext, joint: dict, forces: dict) -> dict:
     copy of the joint half's moment sums; forward kinematics never reruns.
     """
     fz = float(forces["zmp_result"].ground_force[2])
-    d_mx, d_my, d_fz = joint["d_mx"].copy(), joint["d_my"].copy(), joint["d_fz"]
+    d_mx, d_my = joint["d_mx"].copy(), joint["d_my"].copy()
     d_mx_gamma, d_my_gamma = [], []
     for i, (d_beta, g, (c, s), (_, _, pz)) in enumerate(zip(
             joint["d_beta"], forces["gamma"].tolist(), joint["normals"],
@@ -439,13 +435,12 @@ def _force_derivatives(ctx: StepContext, joint: dict, forces: dict) -> dict:
         d_mx_gamma.append(-pz * s)
         d_my_gamma.append(pz * c)
 
-    # zmp = (M_y / fz, -M_x / fz); invert to reuse the computed value.
-    zx, zy = forces["zmp_result"].zmp.tolist()
-    moment_x, moment_y = -zy * fz, zx * fz
+    # zmp = (M_y / fz, -M_x / fz), and fz = -(weight_z + wrench_z) is the
+    # same in every pose, so only the moments vary.  Kept in the quotient
+    # rule's form: my / fz rounds differently and moves every plan.
     fz_sq = fz * fz
-    d_zmp_theta = np.array([
-        [(my * fz - moment_y * dz) / fz_sq for my, dz in zip(d_my, d_fz)],
-        [(-mx * fz + moment_x * dz) / fz_sq for mx, dz in zip(d_mx, d_fz)]])
+    d_zmp_theta = np.array([[my * fz / fz_sq for my in d_my],
+                            [-mx * fz / fz_sq for mx in d_mx]])
     d_zmp_gamma = np.array([[my / fz for my in d_my_gamma],
                             [-mx / fz for mx in d_mx_gamma]])
 

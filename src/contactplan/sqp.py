@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InfeasibleStepError, UnbalancedStateError
+from .errors import InfeasibleStepError
 
 
 @dataclass(frozen=True)
@@ -377,7 +377,8 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     after the first accepted step.  Deterministic for identical inputs.  A
     result with ``converged=False`` is returned when the iteration budget
     runs out, the line search stalls or the merit stagnates; the caller
-    decides whether that is fatal.
+    decides whether that is fatal.  An exception the problem's callables
+    raise, at an iterate or a line-search trial, propagates.
 
     Raises:
         InfeasibleStepError: a QP stays infeasible, or the cost, the rows,
@@ -480,13 +481,10 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             break
 
         def merit_of(x_t: np.ndarray) -> float:
-            # A trial the model cannot balance, or whose merit is not
-            # finite, is rejected like any other worse point.
-            try:
-                merit = float(problem.cost(x_t)) + mu * _l1_violation(
-                    problem.equalities(x_t), problem.inequalities(x_t))
-            except UnbalancedStateError:
-                return np.inf
+            # A trial whose merit is not finite is rejected like any other
+            # worse point; an exception from the problem propagates.
+            merit = float(problem.cost(x_t)) + mu * _l1_violation(
+                problem.equalities(x_t), problem.inequalities(x_t))
             return merit if np.isfinite(merit) else np.inf
 
         alpha = 1.0
@@ -575,7 +573,6 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             # blow the approximation up and poison the QP conditioning).
             if sr > 1e-16 and float(r @ r) / sr <= 1e9:
                 hess = hess - np.outer(bs, bs) / s_bs + np.outer(r, r) / sr
-                hess = 0.5 * (hess + hess.T)
 
         x = x_trial
         grad, a_eq, a_in = grad_new, a_eq_new, a_in_new

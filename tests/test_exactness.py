@@ -192,12 +192,10 @@ def numpy_zmp_gradients(ctx, joint, forces, d_forces, gap_grads, j0, j1):
     """The derivative passes' moment bookkeeping: the ZMP's joint and force
     gradients from the hand-force and gap gradients."""
     config = ctx.config
-    zmp, ground_force = forces["zmp_result"].zmp, forces["zmp_result"].ground_force
-    fz = float(ground_force[2])
+    fz = float(forces["zmp_result"].ground_force[2])
     d_com = numpy_com_gradient(config, joint["points"])
     weight_z = config.robot_weight[2]
     d_moment = np.zeros((2, pl.NUM_JOINTS))
-    d_fz = np.zeros(pl.NUM_JOINTS)
     d_moment_gamma = np.zeros((2, pl.NUM_CONTACTS))
     d_moment[0] += weight_z * d_com[1]
     d_moment[1] += -weight_z * d_com[0]
@@ -210,7 +208,6 @@ def numpy_zmp_gradients(ctx, joint, forces, d_forces, gap_grads, j0, j1):
             - d_pos[2] * force[1]
         d_moment[1] += d_pos[2] * force[0] + pos[2] * df[0] - d_pos[0] * force[2] \
             - pos[0] * df[2]
-        d_fz += -df[2]
     for i, (res, (d_gap, d_beta), g) in enumerate(
             zip(joint["gaps"], gap_grads, forces["gamma"])):
         pos = load_points[2 + i]
@@ -221,10 +218,11 @@ def numpy_zmp_gradients(ctx, joint, forces, d_forces, gap_grads, j0, j1):
         d_moment[1] += pos[2] * df_theta[0]
         d_moment_gamma[0, i] = -pos[2] * unit[1]
         d_moment_gamma[1, i] = pos[2] * unit[0]
-    moment = np.array([-zmp[1] * fz, zmp[0] * fz])
+    # fz is the same in every pose: the quotient rule keeps only its
+    # moment term.
     d_zmp_theta = np.zeros((2, pl.NUM_JOINTS))
-    d_zmp_theta[0] = (d_moment[1] * fz - moment[1] * d_fz) / (fz * fz)
-    d_zmp_theta[1] = (-d_moment[0] * fz + moment[0] * d_fz) / (fz * fz)
+    d_zmp_theta[0] = d_moment[1] * fz / (fz * fz)
+    d_zmp_theta[1] = -d_moment[0] * fz / (fz * fz)
     d_zmp_gamma = np.zeros((2, pl.NUM_CONTACTS))
     d_zmp_gamma[0] = d_moment_gamma[1] / fz
     d_zmp_gamma[1] = -d_moment_gamma[0] / fz

@@ -145,6 +145,33 @@ class TestConstraints:
         assert rows[3] == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"contact": {"link_index": 2}},
+    {"task": {"object_wrench": [3.0, -7.0, -90.0, 1.5, -2.0, 0.7]}},
+    {"object": {"grasp_offsets": [-0.35, 0.2]}},
+], ids=["default", "link2", "wrench", "grasp-offsets"])
+def test_vertical_support_is_fixed_by_the_load(overrides):
+    # The hands carry exactly the object wrench and the supports push
+    # horizontally, so the ground reaction's z is the load check's
+    # -(weight_z + wrench_z) in every pose: the ZMP chain differentiates
+    # the moments only, never fz.
+    config = default_scenario(overrides)
+    ctx = pl.StepContext(config, initial_joint_angles(config),
+                         config.waypoints()[1])
+    expected = -(config.robot_weight[2] + config.object_wrench[2])
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = np.zeros(pl.DECISION_DIM)
+        x[:pl.NUM_JOINTS] = rng.normal(scale=0.05, size=pl.NUM_JOINTS)
+        x[pl.NUM_JOINTS:-1] = rng.uniform(-1.0, 30.0, size=pl.NUM_CONTACTS)
+        x[-1] = rng.uniform(0.0, 1e-3)
+        forces = pl._forces(ctx, x)
+        assert forces["zmp_result"].ground_force[2] == pytest.approx(
+            expected, rel=1e-12, abs=0.0)
+        assert [row[2] for row in forces["loads"][2:]] == [0.0, 0.0]
+
+
 def worst_gradient_error(config, rng) -> float:
     """Largest ``gradient_check`` error over 10 random decisions at the
     start pose, against the second waypoint."""

@@ -134,14 +134,13 @@ class TestSolveSqp:
         assert result.converged
         assert result.constraint_violation <= 1e-8
 
-    @pytest.mark.parametrize("target, bound, expected", [
-        (3.0, None, 3.0),    # full step to 6 raises; backtracks to 3
-        (10.0, 4.0, 4.0),    # accepted step to 4; the expansion to 8 raises
-    ], ids=["backtrack", "expansion"])
-    def test_unbalanced_trial_is_rejected(self, target, bound, expected):
+    @staticmethod
+    def bounded_region_problem(target, bound, outside):
+        """(x - target)^2 for |x| <= 5, ``outside(x)`` beyond, and the
+        inequality x <= bound unless ``bound`` is None."""
         def cost(x):
             if abs(x[0]) > 5.0:
-                raise UnbalancedStateError("trial beyond the balanced region")
+                return outside(x)
             return float((x[0] - target) ** 2)
 
         problem = NlpProblem(dim=1, cost=cost,
@@ -149,10 +148,31 @@ class TestSolveSqp:
         if bound is not None:
             problem.inequalities = lambda x: np.array([bound - x[0]])
             problem.inequality_jac = lambda x: np.array([[-1.0]])
+        return problem
+
+    @pytest.mark.parametrize("target, bound, expected", [
+        (3.0, None, 3.0),    # the full step to 6 is infinite; backtracks to 3
+        (10.0, 4.0, 4.0),    # accepted step to 4; the expansion to 8 is infinite
+    ], ids=["backtrack", "expansion"])
+    def test_unbalanced_trial_is_rejected(self, target, bound, expected):
+        # A trial beyond the balanced region has an infinite merit, which
+        # the line search rejects like any other worse point.
+        problem = self.bounded_region_problem(target, bound, lambda x: np.inf)
         result = solve_sqp(problem, np.zeros(1), SolverSettings(),
                            initial_hessian=np.eye(1))
         assert result.converged
         np.testing.assert_allclose(result.x, [expected], atol=1e-12)
+
+    def test_trial_exception_propagates(self):
+        # The solver catches no model error: the full step to 10 leaves the
+        # region, and its exception reaches the caller.
+        def outside(x):
+            raise UnbalancedStateError("trial beyond the balanced region")
+
+        problem = self.bounded_region_problem(10.0, None, outside)
+        with pytest.raises(UnbalancedStateError, match="balanced region"):
+            solve_sqp(problem, np.zeros(1), SolverSettings(),
+                      initial_hessian=np.eye(1))
 
     def test_line_search_stall_reuses_the_iterate(self):
         # A gradient of the wrong sign: no step along the QP direction
