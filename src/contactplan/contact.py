@@ -52,7 +52,8 @@ def edge_gap(arm_points, link_index: int, link_radius: float,
     (ax, ay), (ex, ey) = a.tolist(), axis.tolist()
     closest = np.array([ax + t * ex, ay + t * ey])
     toward_axis = closest - edge
-    dist = float(np.linalg.norm(toward_axis))
+    # np.linalg.norm's own computation for a 1-D float vector.
+    dist = float(np.sqrt(toward_axis.dot(toward_axis)))
     if dist > 0.0:
         normal_angle = float(np.arctan2(toward_axis[1], toward_axis[0]))
     else:

@@ -23,23 +23,25 @@ central finite differences.
 
 The ZMP chain behind cost and constraints has two halves, each with a
 value pass and a derivative pass.  The joint half (``_joint``) depends on
-dtheta alone: forward kinematics once per arm, the grasp map and hand
-loads, the gaps, the centre of mass, the object deviation, the cost
-without its slack term and the equalities (``_joint_values``), then the
-Jacobians from those joint points, the cost gradient, the equality
-Jacobian and the hands' sums of the ZMP's moment gradients
+the pose theta + dtheta alone: forward kinematics once per arm, the grasp
+map and hand loads, the gaps, the centre of mass, the object deviation,
+the cost's position term and the equalities (``_joint_values``), then the
+Jacobians from those joint points, the position term's gradient, the
+equality Jacobian and the hands' sums of the ZMP's moment gradients
 (``_joint_derivatives``).  The force half (``_forces``) adds gamma and s:
 the support loads, the ZMP and the inequalities (``_force_values``), then
 the supports' terms added to a copy of the hands' sums for the inequality
 Jacobian (``_force_derivatives``).  A ``StepContext``'s memo is the one
 cache of its waypoint's NLP (the evaluate-once interface of IPOPT and
-CasADi): an entry for each of its last 64 joint displacements, with the
-joint half and the force half of the last gamma and s there.  Every
-continuation stage and the post-solve observables read it, and a line
-search that backtracks along one joint direction while only gamma and s
-move reruns only the force half.  Each NLP field reads only the half it
-depends on; Jacobians add the derivative pass, which the SQP asks for at
-start points and accepted iterates.
+CasADi): an entry for each of its last 64 poses, with the joint half and
+the force half of the last gamma and s there.  Every continuation stage
+and the post-solve observables read it.  A line search that backtracks
+along one joint direction while only gamma and s move reruns only the
+force half, and so does a trial whose step is below an ulp of theta: its
+dtheta differs, its pose does not.  The cost and its gradient add their
+dtheta terms at the call.  Each NLP field reads only the half it depends
+on; Jacobians add the derivative pass, which the SQP asks for at start
+points and accepted iterates.
 
 Exactness rule: the SQP is sensitive to the last bit of the chain (an ulp
 can flip a marginal solve), so the chain's small-array code (forward
@@ -50,8 +52,10 @@ these once, without fused multiply-adds, so the bits stay the same.  Every
 other operation stays a numpy call: ``@``, ``np.linalg.solve`` and ``norm``
 (BLAS may fuse or reorder, so a 2-vector ``u @ v`` is not always
 ``u0*v0 + u1*v1``), ``np.cos``/``np.sin``/``np.arctan2`` (``math`` may round
-differently) and reductions such as ``np.cumsum``.  ``tests/test_exactness.py``
-holds the numpy forms and compares them bit for bit.
+differently) and reductions such as ``np.cumsum``; a numpy call may be
+swapped only for the form numpy itself runs (``np.sqrt(v.dot(v))`` for a
+1-D ``norm``).  ``tests/test_exactness.py`` holds the numpy forms and
+compares them bit for bit.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -113,12 +117,13 @@ class StepContext:
     ``edges`` are the active port edges at ``theta``, a (2, 2) array with
     one row per arm (the arm's edge with the smaller gap to its contact
     link), chosen on construction and frozen for the solve.
-    ``memo`` holds the ZMP chain, with the NLP rows, at the last joint
-    displacements evaluated against this context: each one's joint half
-    and the force half of its last gamma and s (see ``_joint`` and
-    ``_forces``).  The chain depends on the context and the decision
-    vector only, so every continuation stage and the post-solve
-    observables share it.
+    ``memo`` holds the ZMP chain, with the NLP rows, at the last poses
+    theta + dtheta evaluated against this context, keyed on the pose's
+    bytes: each one's joint half and the force half of its last gamma and
+    s (see ``_joint`` and ``_forces``).  The chain depends on the context,
+    the pose, gamma and s only, so every continuation stage, the
+    post-solve observables and joint displacements that round to one pose
+    share it.
 
     Raises:
         ValueError: ``theta`` is not 8 finite joint angles, or ``waypoint``
@@ -176,10 +181,10 @@ class PlanStep:
 # derivative pass
 # ---------------------------------------------------------------------------
 
-# Joint displacements (or poses) a memo keeps: a stage that stagnates
-# backtracks along one joint direction (up to 42 trials) at consecutive
-# iterations, while only gamma and s move.
-_JOINT_POINTS = 64
+# Poses a memo keeps: a stage that stagnates backtracks along one joint
+# direction (up to 42 trials) at consecutive iterations, while only gamma
+# and s move.
+_POSES = 64
 
 
 def _embed(jac: np.ndarray, arm_index: int) -> np.ndarray:
@@ -287,20 +292,21 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _joint_values(ctx: StepContext, dtheta: np.ndarray) -> dict:
-    """Value pass of the joint half at joint displacement ``dtheta``.
+def _joint_values(ctx: StepContext, pose: np.ndarray) -> dict:
+    """Value pass of the joint half at joint angles ``pose`` (theta + dtheta).
 
     Forward kinematics runs once per arm; the end effectors, the grasp
     matrix, the hand load forces, the contact gaps, the centre of mass, the
     object position and its deviation all come from those joint points.
     ``load_points`` are four [x, y, z] lists, the hands' rows, then the
     supports'; ``hand_loads`` the hands' two force rows.  ``normals`` holds
-    each support's (cos, sin) of its normal angle.  ``cost`` is the cost
-    without its slack term, and ``equalities`` (grasp closure) is read-only.
+    each support's (cos, sin) of its normal angle.  ``position_cost`` is
+    the cost's object-position term, and ``equalities`` (grasp closure) is
+    read-only.
     """
     config = ctx.config
     plane = config.plane_height
-    points = config.joint_points(ctx.theta + dtheta)
+    points = config.joint_points(pose)
     ee0, ee1 = points[0][-1], points[1][-1]
 
     hands, grasp, h_c = st.bar_grasp((ee0, ee1), plane, config.object_wrench)
@@ -314,15 +320,14 @@ def _joint_values(ctx: StepContext, dtheta: np.ndarray) -> dict:
     err = ctx.waypoint - p_obj
     dev_dist, dev_dir = _smooth_norm(p_obj - ctx.waypoint)
     return {
-        "points": points, "dtheta": dtheta.copy(), "object_position": p_obj,
+        "points": points, "object_position": p_obj,
         "grasp": grasp, "gaps": gaps, "phi": np.array([res.gap for res in gaps]),
         "normals": list(zip(np.cos(angles).tolist(), np.sin(angles).tolist())),
         "load_points": [*hands.tolist(),
                         *([*edge.tolist(), plane] for edge in ctx.edges)],
         "hand_loads": [h_c[0:3].tolist(), h_c[6:9].tolist()],
         "com": com, "dev_dist": dev_dist, "dev_dir": dev_dir,
-        "cost": (config.weight_position * float(err @ err)
-                 + config.weight_displacement * float(dtheta @ dtheta)),
+        "position_cost": config.weight_position * float(err @ err),
         "equalities": _read_only(
             ee0 - ee1 + np.array([config.grasp_separation, 0.0])),
     }
@@ -335,8 +340,8 @@ def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
     ``d_phi`` (2, 8) and the normal angles' ``d_beta`` (4 floats per arm),
     the object position's ``d_obj`` (2, 8), the sums ``d_mx`` and ``d_my``
     of the centre of mass's and the hands' terms of the horizontal moment
-    gradients (8 floats each), the cost gradient (its slack entry 0) and
-    the read-only ``equality_jac``.
+    gradients (8 floats each), the position cost's joint gradient
+    ``position_grad`` (8,) and the read-only ``equality_jac``.
     """
     config = ctx.config
     points = joint["points"]
@@ -369,20 +374,18 @@ def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
 
     d_obj = 0.5 * (j0 + j1)
     err = ctx.waypoint - joint["object_position"]
-    cost_grad = np.zeros(DECISION_DIM)
-    cost_grad[:NUM_JOINTS] = (-2.0 * config.weight_position * (err @ d_obj)
-                              + 2.0 * config.weight_displacement * joint["dtheta"])
     equality_jac = np.zeros((2, DECISION_DIM))
     equality_jac[:, :NUM_JOINTS] = j0 - j1
     return {"ee_jacobians": (j0, j1), "d_phi": d_phi,
             "d_beta": [d_beta for _, d_beta in gap_grads], "d_obj": d_obj,
-            "d_mx": d_mx, "d_my": d_my, "cost_grad": cost_grad,
+            "d_mx": d_mx, "d_my": d_my,
+            "position_grad": -2.0 * config.weight_position * (err @ d_obj),
             "equality_jac": _read_only(equality_jac)}
 
 
 def _force_values(ctx: StepContext, joint: dict, x: np.ndarray) -> dict:
     """Value pass of the force half at decision vector ``x``, from the
-    joint half ``joint`` at x's joint displacement.
+    joint half ``joint`` at x's pose.
 
     ``loads`` are the hands' rows, then the supports', and ``zmp_result``
     is ``statics.compute_zmp`` of all four.  ``inequalities`` (read-only):
@@ -462,32 +465,34 @@ def _force_derivatives(ctx: StepContext, joint: dict, forces: dict) -> dict:
 
 def _remember(memo: dict, x: np.ndarray, compute):
     """``memo``'s entry for ``x``, computed on a miss; the memo keeps the
-    last ``_JOINT_POINTS`` points, keyed on ``x.tobytes()``, and drops the
-    oldest first.  A ``compute`` that raises caches nothing."""
+    last ``_POSES`` points, keyed on ``x.tobytes()``, and drops the oldest
+    first.  A ``compute`` that raises caches nothing."""
     key = x.tobytes()
     if key not in memo:
         memo[key] = compute()
-        if len(memo) > _JOINT_POINTS:
+        if len(memo) > _POSES:
             del memo[next(iter(memo))]
     return memo[key]
 
 
 def _joint(ctx: StepContext, dtheta, derivatives: bool = False) -> dict:
-    """The joint half at ``dtheta``, the context's memo entry for it: the
-    value pass runs once per joint displacement, the derivative pass the
-    first time derivatives are asked for there."""
-    dtheta = np.asarray(dtheta, dtype=float)
-    joint = _remember(ctx.memo, dtheta, lambda: _joint_values(ctx, dtheta))
+    """The joint half at ``dtheta``, the context's memo entry for the pose
+    theta + dtheta: the value pass runs once per pose, the derivative pass
+    the first time derivatives are asked for there.  Joint displacements
+    that round to the same pose share the entry; the entry holds no dtheta
+    term, which the NLP's cost and gradient add at the call."""
+    pose = ctx.theta + np.asarray(dtheta, dtype=float)
+    joint = _remember(ctx.memo, pose, lambda: _joint_values(ctx, pose))
     if derivatives and "d_phi" not in joint:
         joint.update(_joint_derivatives(ctx, joint))
     return joint
 
 
 def _forces(ctx: StepContext, x, derivatives: bool = False) -> dict:
-    """The force half at ``x``, which the memo entry of x's joint
-    displacement keeps for the last gamma and s evaluated there: the value
-    pass runs when x's differ, the derivative pass (after the joint half's)
-    the first time derivatives are asked for at them."""
+    """The force half at ``x``, which the memo entry of x's pose keeps for
+    the last gamma and s evaluated there: the value pass runs when x's
+    differ, the derivative pass (after the joint half's) the first time
+    derivatives are asked for at them."""
     x = np.asarray(x, dtype=float)
     joint = _joint(ctx, x[:NUM_JOINTS], derivatives)
     key = x[NUM_JOINTS:].tobytes()
@@ -510,15 +515,27 @@ def build_step_nlp(ctx: StepContext, weight_slack: float) -> NlpProblem:
     Each field reads the context's memo, and only the half of the chain it
     depends on: the cost and the equalities the joint half, the
     inequalities the force half.  Value fields read the value pass only,
-    Jacobian fields the derivative pass too.  The stage adds its slack
-    term, ``weight_slack * s`` to the cost and ``weight_slack`` as the cost
-    gradient's last entry, and caches nothing of its own.
+    Jacobian fields the derivative pass too.  The cost adds the
+    displacement term ``weight_displacement * |dtheta|^2`` to the memo's
+    position term, then the stage's slack term ``weight_slack * s``; the
+    gradient adds ``2 weight_displacement dtheta`` to the memo's position
+    gradient and has ``weight_slack`` as its last entry.  Each sum runs in
+    the order of the whole expression, and the stage caches nothing of its
+    own.
     """
+    weight_displacement = ctx.config.weight_displacement
+
     def cost(x):
-        return _joint(ctx, x[:NUM_JOINTS])["cost"] + weight_slack * float(x[-1])
+        dtheta = x[:NUM_JOINTS]
+        return (_joint(ctx, dtheta)["position_cost"]
+                + weight_displacement * float(dtheta @ dtheta)
+                + weight_slack * float(x[-1]))
 
     def cost_grad(x):
-        grad = _joint(ctx, x[:NUM_JOINTS], derivatives=True)["cost_grad"].copy()
+        dtheta = x[:NUM_JOINTS]
+        grad = np.zeros(DECISION_DIM)
+        grad[:NUM_JOINTS] = (_joint(ctx, dtheta, True)["position_grad"]
+                             + 2.0 * weight_displacement * dtheta)
         grad[-1] = weight_slack
         return _read_only(grad)
 

@@ -21,6 +21,7 @@ complementarity corners (Fletcher & Leyffer 2004), where further
 iterations only spend line-search evaluations.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -247,15 +248,15 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
             drop = int(np.argmin(lam_work))
             working.pop(drop)
             continue
-        # Step length limited by the nearest blocking inactive constraint.
+        # Step length limited by the nearest blocking inactive constraint;
+        # on a tie the lower row blocks.  The stacked products make each
+        # row's own (1, n) @ (n, 1) dot, as row @ p would.
         alpha = 1.0
         blocking = -1
         step_scale = 1.0 + float(np.abs(p).max())
-        for i in range(n_rows):
-            if i in working:
-                continue
-            denom = float(in_rows[i] @ p)
-            if denom < -_QP_TOL * step_scale:
+        denoms = (in_rows[:, None, :] @ p[:, None]).ravel().tolist()
+        for i, denom in enumerate(denoms):
+            if denom < -_QP_TOL * step_scale and i not in working:
                 bound = float(in_rhs[i] - in_rows[i] @ z) / denom
                 if bound < alpha - 1e-15:
                     alpha = max(bound, 0.0)
@@ -304,7 +305,7 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
 # ---------------------------------------------------------------------------
 
 def _l1_violation(ce: np.ndarray, ci: np.ndarray) -> float:
-    return float(np.sum(np.abs(ce)) + np.sum(np.maximum(0.0, -ci)))
+    return float(np.abs(ce).sum() + np.maximum(0.0, -ci).sum())
 
 
 def _max_violation(ce: np.ndarray, ci: np.ndarray) -> float:
@@ -423,7 +424,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
                             ("inequality rows", ci), ("cost gradient", grad),
                             ("equality Jacobian", a_eq),
                             ("inequality Jacobian", a_in), ("Hessian", hess)):
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value).all():
                 raise InfeasibleStepError(f"non-finite {name} at an SQP iterate")
         viol = _max_violation(ce, ci)
         # The certificate can only decide convergence at a feasible x.
@@ -485,7 +486,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             # worse point; an exception from the problem propagates.
             merit = float(problem.cost(x_t)) + mu * _l1_violation(
                 problem.equalities(x_t), problem.inequalities(x_t))
-            return merit if np.isfinite(merit) else np.inf
+            return merit if math.isfinite(merit) else math.inf
 
         alpha = 1.0
         accepted = False

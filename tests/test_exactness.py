@@ -9,7 +9,10 @@ comparisons cover elementwise IEEE arithmetic only and hold on any host.
 The grasp-map derivative is compared with its per-joint loop instead: its
 stacked ``matmul`` and ``solve`` calls must make the loop's BLAS/LAPACK
 call for each joint, and running this file on each supported numpy
-version checks that they do.
+version checks that they do.  The same holds for the numpy forms the
+solver's trial path and the gap use in place of the usual calls (a stacked
+product for row-by-row dots, ``sqrt(v.dot(v))`` for ``norm``, ``a.sum()``
+for ``np.sum``): each pair must run the same kernel on the same data.
 """
 
 import numpy as np
@@ -427,3 +430,31 @@ def test_value_pass_matches_array_form(chain_points):
         zmp, ground_force = numpy_zmp(config.robot_weight, com, load_points, loads)
         assert_bitwise(forces["zmp_result"].zmp, zmp)
         assert_bitwise(forces["zmp_result"].ground_force, ground_force)
+
+
+def test_stacked_row_products_match_row_by_row(rng):
+    # solve_qp's ratio test: the elastic QP's inequality rows are (m + 1,
+    # n + 1), 9 by 12 in the planner's subproblems.
+    for k in range(DRAWS):
+        rows = rng.normal(size=(1 + k % 12, 2 + k % 13))
+        rows[:, -1] = 1.0
+        p = rng.normal(scale=10.0 ** rng.integers(-12, 3), size=rows.shape[1])
+        stacked = (rows[:, None, :] @ p[:, None]).ravel()
+        assert_bitwise(stacked, [row @ p for row in rows])
+
+
+def test_sqrt_of_dot_matches_norm(rng):
+    # contact.edge_gap's distance between 2-vectors, and longer vectors.
+    for k in range(DRAWS):
+        v = rng.normal(scale=10.0 ** rng.integers(-9, 3), size=2 + k % 11)
+        assert_bitwise(np.sqrt(v.dot(v)), np.linalg.norm(v))
+        assert_bitwise(np.sqrt(v[:2].dot(v[:2])), np.linalg.norm(v[:2]))
+
+
+def test_array_sum_matches_np_sum(rng):
+    # The SQP's l1 violation sums |equality rows| (2) and the violated
+    # parts of the inequality rows (8).
+    for k in range(DRAWS):
+        a = rng.normal(scale=10.0 ** rng.integers(-12, 4), size=k % 16)
+        for part in (np.abs(a), np.maximum(0.0, -a)):
+            assert_bitwise(part.sum(), np.sum(part))

@@ -235,6 +235,20 @@ def count_passes(monkeypatch):
     return passes
 
 
+def count_fk(monkeypatch) -> list:
+    """Record the arguments of every ``forward_kinematics`` call from now
+    on."""
+    calls = []
+    real = pl.kin.forward_kinematics
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pl.kin, "forward_kinematics", counted)
+    return calls
+
+
 def passes_of(joint_values, joint_derivatives, force_values, force_derivatives):
     """A ``count_passes`` dict, in ``PASSES``' order."""
     return dict(zip(PASSES, (joint_values, joint_derivatives, force_values,
@@ -360,14 +374,42 @@ class TestStepNlp:
         assert nlp.cost(x) == expected
         assert nlp.cost_grad(x)[-1] == weight
 
-    def test_memo_holds_at_most_64_joint_displacements(self, ctx):
-        # One entry per joint displacement, first in first out: a hit does
-        # not move its entry, and a 65th joint displacement evicts the
-        # oldest.
+    def test_pose_hit_equals_a_miss(self, ctx, monkeypatch):
+        # x2's joint displacement differs from x's by less than half an ulp
+        # of theta, so both reach the same pose: a line-search trial whose
+        # step is far below one ulp of theta.  x2 reads x's memo entry, adds
+        # its own dtheta terms to the cost and its gradient, and equals a
+        # fresh evaluation byte for byte.
+        nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
+        x = self.nearby(np.zeros(pl.DECISION_DIM), 1e-3)
+        x[pl.NUM_JOINTS:] = [3.0, 4.0, 1e-5]
+        x2 = x.copy()
+        x2[0] += 0.25 * np.spacing(ctx.theta[0] + x[0])
+        assert x2[0] != x[0]
+        assert (ctx.theta + x2[:pl.NUM_JOINTS]).tobytes() == \
+            (ctx.theta + x[:pl.NUM_JOINTS]).tobytes()
+        first = {name: getattr(nlp, name)(x) for name in self.FIELDS}
+        passes = count_passes(monkeypatch)
+        fk_calls = count_fk(monkeypatch)
+        hit = {name: getattr(nlp, name)(x2) for name in self.FIELDS}
+        assert passes == passes_of(0, 0, 0, 0)
+        assert fk_calls == []
+        assert len(ctx.memo) == 1
+        monkeypatch.undo()
+        expected = evaluate_nlp(self.fresh(ctx), x2)
+        for name in self.FIELDS:
+            assert np.asarray(hit[name]).tobytes() == \
+                np.asarray(expected[name]).tobytes(), name
+        # The displacement term is x2's own: here it moves the gradient.
+        assert hit["cost_grad"][0] != first["cost_grad"][0]
+
+    def test_memo_holds_at_most_64_poses(self, ctx):
+        # One entry per pose theta + dtheta, first in first out: a hit does
+        # not move its entry, and a 65th pose evicts the oldest.
         nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
         points = [self.nearby(np.zeros(pl.DECISION_DIM), k * 1e-4)
                   for k in range(66)]
-        keys = [x[:pl.NUM_JOINTS].tobytes() for x in points]
+        keys = [(ctx.theta + x[:pl.NUM_JOINTS]).tobytes() for x in points]
         for count, x in enumerate(points[:65], start=1):
             nlp.cost(x)
             nlp.inequalities(x)
@@ -391,8 +433,9 @@ class TestStepNlp:
         with pytest.raises(UnbalancedStateError):
             nlp.inequalities(x)
         assert nlp.cost(x) == expected
-        assert list(ctx.memo) == [x[:pl.NUM_JOINTS].tobytes()]
-        assert "forces" not in ctx.memo[x[:pl.NUM_JOINTS].tobytes()]
+        pose = (ctx.theta + x[:pl.NUM_JOINTS]).tobytes()
+        assert list(ctx.memo) == [pose]
+        assert "forces" not in ctx.memo[pose]
 
     def test_later_stages_reuse_the_last_chain(self, default_config, monkeypatch):
         # Stages 2 and 3 start where stage 1 ended; their seed Hessian and
@@ -532,11 +575,10 @@ class TestPlanPath:
         # the post-solve contacts read the chain.  The support region is
         # checked when a scenario loads, never while planning.
         passes = count_passes(monkeypatch)
-        fk_calls = []
+        fk_calls = count_fk(monkeypatch)
         region_checks = []
         stages = []
         real_solve = pl.solve_sqp
-        real_fk = pl.kin.forward_kinematics
         real_check = pl.st.check_support_region
 
         def solve(*args, **kwargs):
@@ -545,16 +587,11 @@ class TestPlanPath:
                            result.qp_iterations))
             return result
 
-        def counted_fk(*args):
-            fk_calls.append(args)
-            return real_fk(*args)
-
         def counted_check(*args):
             region_checks.append(args)
             return real_check(*args)
 
         monkeypatch.setattr(pl, "solve_sqp", solve)
-        monkeypatch.setattr(pl.kin, "forward_kinematics", counted_fk)
         for module in (pl.st, scenario):
             monkeypatch.setattr(module, "check_support_region", counted_check)
         steps = plan_path(default_config)
@@ -568,6 +605,23 @@ class TestPlanPath:
         assert (len(fk_calls), len(region_checks)) == (306, 0)
         default_scenario()
         assert len(region_checks) == 1
+
+    def test_slant_plan_work_counts(self, monkeypatch):
+        # Pinned like the default plan's counts.  The slant path's first
+        # stages stagnate at waypoints 1 and 2, and their line searches
+        # halve steps far below one ulp of theta: most of the 1,033 force
+        # value passes are at a pose the memo already holds, so the joint
+        # half runs 169 times and its derivative pass 31 times.  FK runs
+        # twice per joint value pass (338), 60 times in the start-up settle
+        # and twice per active-edge choice (8).
+        config = default_scenario({"task": {
+            "path_direction": [0.3, 1.0], "path_length": 0.1,
+            "waypoint_count": 3}})
+        passes = count_passes(monkeypatch)
+        fk_calls = count_fk(monkeypatch)
+        assert len(plan_path(config)) == 3
+        assert passes == passes_of(169, 31, 1033, 64)
+        assert len(fk_calls) == 406
 
     def test_loads_are_the_support_forces(self, planned_steps, step_records):
         # The chain's support rows are gamma (cos beta, sin beta, 0), and the

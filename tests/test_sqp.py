@@ -462,6 +462,21 @@ class TestSolveQp:
                        np.array([2.0]), np.zeros((0, 2)), np.zeros(0))
         assert sol.iterations == 0
 
+    @pytest.mark.parametrize("bound, enters", [
+        (-1.0, 0), (-(1.0 - 1e-15), 0), (-(1.0 - 1e-6), 1)],
+        ids=["tie", "within-1e-15", "earlier"])
+    def test_ratio_test_keeps_the_first_blocking_row(self, bound, enters):
+        # From x = 0 the step toward the minimizer (2, 0) meets two rows
+        # x0 <= 1 and x0 <= -bound.  The row that enters the working set
+        # holds the only multiplier: on a tie the lower index, and a later
+        # row replaces it only when it blocks more than 1e-15 earlier.
+        sol = solve_qp(np.eye(2), np.array([-2.0, 0.0]), np.zeros((0, 2)),
+                       np.zeros(0), np.array([[-1.0, 0.0], [-1.0, 0.0]]),
+                       np.array([-1.0, bound]))
+        assert sol.x[0] == (1.0, -bound)[enters]
+        assert sol.lam_in[enters] > 0.9
+        assert sol.lam_in[1 - enters] == 0.0
+
     def test_inconsistent_equalities_raise(self):
         with pytest.raises(InfeasibleStepError):
             solve_qp(np.eye(1), np.zeros(1),
