@@ -17,31 +17,32 @@ end-effector difference to the bar's span (orientation locked to the x-axis)
 and the object position is the midpoint of the end effectors.  The load
 wrench is distributed to the hands through the grasp map pseudo-inverse and
 enters the balance at the end effectors; support forces enter at the port
-edges.  Every constraint Jacobian is analytic (the ZMP row differentiates
-the closed-form moment balance); ``gradient_check`` validates them against
-central finite differences.
+edges.  ``statics`` and ``contact`` own the grasp's and the gaps' values and
+derivatives, which the chain composes.  Every constraint Jacobian is
+analytic (the ZMP row differentiates the closed-form moment balance);
+``gradient_check`` validates them against central finite differences.
 
-The ZMP chain behind cost and constraints has two halves, each with a
-value pass and a derivative pass.  The joint half (``_joint``) depends on
-the pose theta + dtheta alone: forward kinematics once per arm, the grasp
-map and hand loads, the gaps, the centre of mass, the object deviation,
-the cost's position term and the equalities (``_joint_values``), then the
-Jacobians from those joint points, the position term's gradient, the
-equality Jacobian and the hands' sums of the ZMP's moment gradients
-(``_joint_derivatives``).  The force half (``_forces``) adds gamma and s:
-the support loads, the ZMP and the inequalities (``_force_values``), then
-the supports' terms added to a copy of the hands' sums for the inequality
-Jacobian (``_force_derivatives``).  A ``StepContext``'s memo is the one
-cache of its waypoint's NLP (the evaluate-once interface of IPOPT and
-CasADi): an entry for each of its last 64 poses, with the joint half and
-the force half of the last gamma and s there.  Every continuation stage
-and the post-solve observables read it.  A line search that backtracks
-along one joint direction while only gamma and s move reruns only the
-force half, and so does a trial whose step is below an ulp of theta: its
-dtheta differs, its pose does not.  The cost and its gradient add their
-dtheta terms at the call.  Each NLP field reads only the half it depends
-on; Jacobians add the derivative pass, which the SQP asks for at start
-points and accepted iterates.
+The ZMP chain behind cost and constraints has two halves, each with a value
+pass and a derivative pass.  The joint half (``_joint``) depends on the pose
+theta + dtheta alone: forward kinematics once per arm, the grasp (hand loads
+and object position), the gaps, the centre of mass, the object's error and
+deviation, the cost's position term and the equalities (``_joint_values``),
+then the Jacobians from those points and values, the position term's
+gradient, the equality Jacobian and the hands' sums of the ZMP's moment
+gradients (``_joint_derivatives``).  The force half (``_forces``) adds gamma
+and s: the support loads, the ZMP and the inequalities (``_force_values``),
+then the supports' terms added to a copy of the hands' sums for the
+inequality Jacobian (``_force_derivatives``).  A ``StepContext``'s memo is
+the one cache of its waypoint's NLP (the evaluate-once interface of IPOPT
+and CasADi): an entry for each of its last 64 poses, with the joint half and
+the force half of the last gamma and s there.  Every continuation stage and
+the post-solve observables read it.  A line search that backtracks along one
+joint direction while only gamma and s move reruns only the force half, and
+so does a trial whose step is below an ulp of theta: its dtheta differs, its
+pose does not.  The cost and its gradient add their dtheta terms at the
+call.  Each NLP field reads only the half it depends on; Jacobians add the
+derivative pass, which the SQP asks for at start points and accepted
+iterates.
 
 Exactness rule: the SQP is sensitive to the last bit of the chain (an ulp
 can flip a marginal solve), so the chain's small-array code (forward
@@ -187,83 +188,10 @@ class PlanStep:
 _POSES = 64
 
 
-def _embed(jac: np.ndarray, arm_index: int) -> np.ndarray:
-    """Lift a per-arm 2x4 Jacobian into the 8 joint columns."""
-    out = np.zeros((jac.shape[0], NUM_JOINTS))
-    cols = slice(0, kin.NUM_LINKS) if arm_index == 0 else \
-        slice(kin.NUM_LINKS, NUM_JOINTS)
-    out[:, cols] = jac
-    return out
-
-
 def _smooth_norm(v: np.ndarray) -> tuple[float, np.ndarray]:
     """sqrt(|v|^2 + eps^2) - eps and its gradient (zero at v = 0)."""
     root = float(np.sqrt(v @ v + _NORM_EPS * _NORM_EPS))
     return root - _NORM_EPS, v / root
-
-
-def _gap_gradients(points: np.ndarray, link: int, edge: np.ndarray,
-                   res: ct.GapResult) -> tuple[list, list]:
-    """Joint gradients (4 floats each) of an edge's gap to link ``link`` of
-    one arm and of its normal angle, from its ``contact.edge_gap`` result.
-
-    The closest-point parameter along the link both moves the material point
-    and slides along the axis; the sliding term vanishes from the gap
-    gradient (the axis direction is orthogonal to the separation) but not
-    from the normal-angle gradient.
-    """
-    a = points[link]
-    jac_a = kin.point_jacobian(points, link, 0.0)
-    jac_b = kin.point_jacobian(points, link, 1.0)
-    t = res.axis_param
-    # d_closest = (1 - t) jac_a + t jac_b (+ outer(axis, dt) inside the link).
-    d_closest = [[(1.0 - t) * pa + t * pb for pa, pb in zip(row_a, row_b)]
-                 for row_a, row_b in zip(jac_a.tolist(), jac_b.tolist())]
-    if 0.0 < t < 1.0:
-        axis = points[link + 1] - a
-        dt = ((-(axis @ jac_a) + (edge - a) @ (jac_b - jac_a))
-              / float(axis @ axis)).tolist()
-        d_closest = [[value + component * d for value, d in zip(row, dt)]
-                     for row, component in zip(d_closest, axis.tolist())]
-    v = res.closest_point - edge
-    dist = max(float(np.linalg.norm(v)), 1e-12)
-    d_gap = ((v / dist) @ np.array(d_closest)).tolist()
-    vx, vy = v.tolist()
-    d_beta = [(vx * dy - vy * dx) / (dist * dist)
-              for dx, dy in zip(*d_closest)]
-    return d_gap, d_beta
-
-
-def _grasp_force_gradients(h_o: np.ndarray, w: np.ndarray, j0, j1) -> np.ndarray:
-    """(2, 3, 8) joint gradients of the per-hand load forces.
-
-    The pseudo-inverse of the grasp matrix ``w`` is differentiated through
-    W+ = W' (W W')^-1; ``j0``/``j1`` are the end-effector Jacobians.  The
-    eight joints' derivatives dW are one (8, 6, 12) stack, so each product
-    and solve below is one stacked numpy call that makes, per joint, the
-    same BLAS/LAPACK call as the 2-D form (one gemm, gemv or one-column
-    gesv): the results are bit-identical to a loop over the joints.
-    """
-    s_mat = w @ w.T
-    s_inv_h = np.linalg.solve(s_mat, h_o)
-
-    dr0 = np.zeros((3, NUM_JOINTS))
-    dr0[:2] = 0.5 * (j1 - j0)
-    dw = np.zeros((NUM_JOINTS, 6, 12))
-    zero = np.zeros(NUM_JOINTS)
-    for col, (x, y, z) in ((0, dr0), (6, -dr0)):
-        # Each joint's -skew(r), r its column: the skew-symmetric matrix of
-        # r, then negated entry by entry, as the per-joint form did, so the
-        # signs of its zeros match too.
-        skew = np.array([[zero, -z, y], [z, zero, -x], [-y, x, zero]])
-        dw[:, 3:, col:col + 3] = -skew.transpose(2, 0, 1)
-    dw_t = dw.transpose(0, 2, 1)
-
-    ds = dw @ w.T + w @ dw_t
-    rhs = -(ds @ s_inv_h)
-    solved = np.linalg.solve(np.broadcast_to(s_mat, ds.shape), rhs[..., None])
-    dh = dw_t @ s_inv_h + (w.T @ solved)[..., 0]
-    return np.stack([dh[:, 0:3].T, dh[:, 6:9].T])
 
 
 def _com_gradient(config: ScenarioConfig, points) -> list:
@@ -296,8 +224,9 @@ def _joint_values(ctx: StepContext, pose: np.ndarray) -> dict:
     """Value pass of the joint half at joint angles ``pose`` (theta + dtheta).
 
     Forward kinematics runs once per arm; the end effectors, the grasp
-    matrix, the hand load forces, the contact gaps, the centre of mass, the
-    object position and its deviation all come from those joint points.
+    (hand load forces and object position), the contact gaps, the centre of
+    mass, the object's waypoint ``error`` and its deviation all come from
+    those joint points.
     ``load_points`` are four [x, y, z] lists, the hands' rows, then the
     supports'; ``hand_loads`` the hands' two force rows.  ``normals`` holds
     each support's (cos, sin) of its normal angle.  ``position_cost`` is
@@ -309,23 +238,24 @@ def _joint_values(ctx: StepContext, pose: np.ndarray) -> dict:
     points = config.joint_points(pose)
     ee0, ee1 = points[0][-1], points[1][-1]
 
-    hands, grasp, h_c = st.bar_grasp((ee0, ee1), plane, config.object_wrench)
+    grasp = st.bar_grasp((ee0, ee1), config.object_wrench)
     gaps = [ct.edge_gap(arm_points, config.contact_link_index,
                         config.link_radius, edge)
             for arm_points, edge in zip(points, ctx.edges)]
     angles = [res.normal_angle for res in gaps]
     com = st.robot_center_of_mass(config.torso_mass, config.torso_position,
                                   config.link_mass, points, plane)
-    p_obj = 0.5 * (ee0 + ee1)
+    p_obj = grasp.origin
     err = ctx.waypoint - p_obj
     dev_dist, dev_dir = _smooth_norm(p_obj - ctx.waypoint)
     return {
-        "points": points, "object_position": p_obj,
+        "points": points, "object_position": p_obj, "error": err,
         "grasp": grasp, "gaps": gaps, "phi": np.array([res.gap for res in gaps]),
         "normals": list(zip(np.cos(angles).tolist(), np.sin(angles).tolist())),
-        "load_points": [*hands.tolist(),
-                        *([*edge.tolist(), plane] for edge in ctx.edges)],
-        "hand_loads": [h_c[0:3].tolist(), h_c[6:9].tolist()],
+        "load_points": [[*point.tolist(), plane]
+                        for point in (ee0, ee1, *ctx.edges)],
+        "hand_loads": [grasp.wrenches[0:3].tolist(),
+                       grasp.wrenches[6:9].tolist()],
         "com": com, "dev_dist": dev_dist, "dev_dir": dev_dir,
         "position_cost": config.weight_position * float(err @ err),
         "equalities": _read_only(
@@ -336,21 +266,23 @@ def _joint_values(ctx: StepContext, pose: np.ndarray) -> dict:
 def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
     """Derivative pass of the joint half, from its value pass's joint points.
 
-    Returns the end-effector Jacobians (2, 8) each, the gap gradients
-    ``d_phi`` (2, 8) and the normal angles' ``d_beta`` (4 floats per arm),
-    the object position's ``d_obj`` (2, 8), the sums ``d_mx`` and ``d_my``
-    of the centre of mass's and the hands' terms of the horizontal moment
-    gradients (8 floats each), the position cost's joint gradient
-    ``position_grad`` (8,) and the read-only ``equality_jac``.
+    Returns the gap gradients ``d_phi`` (2, 8) and the normal angles'
+    ``d_beta`` (4 floats per arm), the object position's ``d_obj`` (2, 8),
+    the sums ``d_mx`` and ``d_my`` of the centre of mass's and the hands'
+    terms of the horizontal moment gradients (8 floats each), the position
+    cost's joint gradient ``position_grad`` (8,) and the read-only
+    ``equality_jac``.
     """
     config = ctx.config
     points = joint["points"]
-    j0 = _embed(kin.point_jacobian(points[0], kin.NUM_LINKS - 1, 1.0), 0)
-    j1 = _embed(kin.point_jacobian(points[1], kin.NUM_LINKS - 1, 1.0), 1)
-    d_forces = _grasp_force_gradients(config.object_wrench, joint["grasp"],
-                                      j0, j1).tolist()
-    gap_grads = [_gap_gradients(arm_points, config.contact_link_index, edge, res)
-                 for arm_points, edge, res in zip(points, ctx.edges, joint["gaps"])]
+    # Each end effector's Jacobian in the 8 joint columns.
+    zero = np.zeros((2, kin.NUM_LINKS))
+    j0 = np.hstack([kin.point_jacobian(points[0], kin.NUM_LINKS - 1, 1.0), zero])
+    j1 = np.hstack([zero, kin.point_jacobian(points[1], kin.NUM_LINKS - 1, 1.0)])
+    d_forces = st.bar_grasp_gradients(joint["grasp"], j0, j1).tolist()
+    (d_gap0, d_beta0), (d_gap1, d_beta1) = (
+        ct.edge_gap_gradients(arm_points, config.contact_link_index, edge, res)
+        for arm_points, edge, res in zip(points, ctx.edges, joint["gaps"]))
     weight_z = float(config.robot_weight[2])
     d_com_x, d_com_y = _com_gradient(config, points)
 
@@ -368,18 +300,13 @@ def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
             d_mx[j] += jy[j] * f_z - pz * dfy[j] + py * dfz[j] - 0.0 * fy
             d_my[j] += 0.0 * fx + pz * dfx[j] - jx[j] * f_z - px * dfz[j]
 
-    d_phi = np.zeros((NUM_CONTACTS, NUM_JOINTS))
-    for i, (d_gap, _) in enumerate(gap_grads):
-        d_phi[i, i * kin.NUM_LINKS:(i + 1) * kin.NUM_LINKS] = d_gap
-
+    d_phi = np.array([d_gap0 + [0.0] * kin.NUM_LINKS,
+                      [0.0] * kin.NUM_LINKS + d_gap1])
     d_obj = 0.5 * (j0 + j1)
-    err = ctx.waypoint - joint["object_position"]
-    equality_jac = np.zeros((2, DECISION_DIM))
-    equality_jac[:, :NUM_JOINTS] = j0 - j1
-    return {"ee_jacobians": (j0, j1), "d_phi": d_phi,
-            "d_beta": [d_beta for _, d_beta in gap_grads], "d_obj": d_obj,
+    equality_jac = np.hstack([j0 - j1, np.zeros((2, DECISION_DIM - NUM_JOINTS))])
+    return {"d_phi": d_phi, "d_beta": [d_beta0, d_beta1], "d_obj": d_obj,
             "d_mx": d_mx, "d_my": d_my,
-            "position_grad": -2.0 * config.weight_position * (err @ d_obj),
+            "position_grad": -2.0 * config.weight_position * (joint["error"] @ d_obj),
             "equality_jac": _read_only(equality_jac)}
 
 
@@ -403,13 +330,9 @@ def _force_values(ctx: StepContext, joint: dict, x: np.ndarray) -> dict:
                                 joint["load_points"], loads)
 
     safe_dist, safe_dir = _smooth_norm(zmp_result.zmp - config.sp_center)
-    rows = np.zeros(6 + NUM_CONTACTS)
-    rows[0:2] = gamma
-    rows[2] = slack
-    rows[3] = slack - float(gamma @ phi)
-    rows[4] = config.safe_radius - safe_dist
-    rows[5] = config.object_radius - joint["dev_dist"]
-    rows[6:] = phi
+    rows = np.array([*gamma.tolist(), slack, slack - float(gamma @ phi),
+                     config.safe_radius - safe_dist,
+                     config.object_radius - joint["dev_dist"], *phi.tolist()])
     return {"gamma": gamma.copy(), "loads": loads, "zmp_result": zmp_result,
             "safe_dir": safe_dir, "inequalities": _read_only(rows)}
 
@@ -449,9 +372,7 @@ def _force_derivatives(ctx: StepContext, joint: dict, forces: dict) -> dict:
 
     d_phi, safe_dir = joint["d_phi"], forces["safe_dir"]
     jac = np.zeros((6 + NUM_CONTACTS, DECISION_DIM))
-    jac[0, NUM_JOINTS] = 1.0
-    jac[1, NUM_JOINTS + 1] = 1.0
-    jac[2, -1] = 1.0
+    jac[0:3, NUM_JOINTS:] = np.eye(3)
     jac[3, :NUM_JOINTS] = -(forces["gamma"] @ d_phi)
     jac[3, NUM_JOINTS:NUM_JOINTS + NUM_CONTACTS] = -joint["phi"]
     jac[3, -1] = 1.0
@@ -590,8 +511,7 @@ def _seed_hessian(ctx: StepContext, x0: np.ndarray) -> np.ndarray:
     their blocks get a small positive scale so the first QP steps stay
     constraint-limited rather than curvature-limited.
     """
-    j0, j1 = _joint(ctx, x0[:NUM_JOINTS], derivatives=True)["ee_jacobians"]
-    d_obj = 0.5 * (j0 + j1)
+    d_obj = _joint(ctx, x0[:NUM_JOINTS], derivatives=True)["d_obj"]
     hess = np.eye(DECISION_DIM) * 1e-2
     hess[:NUM_JOINTS, :NUM_JOINTS] = (
         2.0 * ctx.config.weight_position * d_obj.T @ d_obj
@@ -755,10 +675,8 @@ def _settle_on_edge(config: ScenarioConfig, arm_index: int, edge: np.ndarray,
 
     def residual_jac(q: np.ndarray) -> np.ndarray:
         points, res = pose(q)
-        jac = np.zeros((3, kin.NUM_LINKS))
-        jac[:2] = kin.point_jacobian(points, kin.NUM_LINKS - 1, 1.0)
-        jac[2], _ = _gap_gradients(points, link, edge, res)
-        return jac
+        return np.vstack([kin.point_jacobian(points, kin.NUM_LINKS - 1, 1.0),
+                          ct.edge_gap_gradients(points, link, edge, res)[0]])
 
     nlp = NlpProblem(
         dim=kin.NUM_LINKS,

@@ -2,8 +2,9 @@
 
 A scenario is a nested key/value YAML file; every omitted key falls back to
 the built-in default experiment (a 54 kg dual-arm robot sliding a 12 kg bar
-40 cm forward through two glovebox ports).  Unknown keys are hard errors so
-typos cannot silently change an experiment.
+40 cm forward through two glovebox ports).  Unknown keys, and a key given
+twice in one mapping, are hard errors so typos cannot silently change an
+experiment.
 
 Sections and keys (SI units throughout):
 
@@ -406,6 +407,19 @@ def default_scenario(overrides: dict | None = None) -> ScenarioConfig:
     return _from_dict(_merge(_DEFAULTS, overrides or {}))
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """YAML's safe loader, except that a key repeated in one mapping, a
+    section included, is a ``ScenarioError`` naming the key and the line of
+    the repeat (plain YAML keeps the last value)."""
+
+    def construct_mapping(self, node, deep=False):
+        for index, (key, _) in enumerate(node.value):
+            if key.value in [seen.value for seen, _ in node.value[:index]]:
+                raise ScenarioError(f"duplicate key: {key.value} at line "
+                                    f"{key.start_mark.line + 1}")
+        return super().construct_mapping(node, deep)
+
+
 def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
     """Load and validate a scenario file.
 
@@ -423,7 +437,7 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
                 resolved = candidate
     try:
         with open(resolved, "r", encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -108,49 +108,79 @@ def compute_zmp(weight: np.ndarray, com: np.ndarray, positions: np.ndarray,
     return ZmpResult(zmp=zmp, ground_force=ground_force)
 
 
-def _grasp_template() -> np.ndarray:
-    """The grasp map's fixed entries: each contact's identity blocks and
-    the diagonal of its -skew(r_c) block, which is -0.0."""
-    w = np.zeros((6, 12))
-    for col in (0, 6):
-        w[:3, col:col + 3] = np.eye(3)
-        w[3:, col + 3:col + 6] = np.eye(3)
-        w[(3, 4, 5), (col, col + 1, col + 2)] = -0.0
-    return w
-
-
-_GRASP_TEMPLATE = _grasp_template()
-# Flat indices of each contact's off-diagonal -skew(r_c) entries, in the
-# order ``bar_grasp`` lists them.
+# Flat indices of each contact's -skew(r_c) block in the 6x12 grasp map:
+# its diagonal, then its off-diagonal entries in ``_skew_entries`` order.
+_SKEW_DIAGONAL = [row * 12 + row - 3 + offset for offset in (0, 6)
+                  for row in (3, 4, 5)]
 _SKEW_INDEX = [row * 12 + col + offset for offset in (0, 6)
                for row, col in ((3, 1), (3, 2), (4, 0), (4, 2), (5, 0), (5, 1))]
+# The grasp map's fixed entries: each contact's identity blocks, and the
+# diagonal of its -skew(r_c) block, which is -0.0.
+_GRASP_TEMPLATE = np.hstack([np.eye(6), np.eye(6)])
+_GRASP_TEMPLATE.flat[_SKEW_DIAGONAL] = -0.0
 
 
-def bar_grasp(end_effectors, plane_height: float,
-              h_o) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A bar held by two planar end effectors, about their midpoint, and
-    the hands' share of the object wrench ``h_o``.
+def _skew_entries(r0, r1) -> list:
+    """-skew(r)'s off-diagonal entries for r = r0, r1, each (x, y, z)."""
+    return [e for x, y, z in (r0, r1) for e in (z, -y, -z, x, y, -x)]
 
-    Returns the hands' (2, 3) points on the work plane, the 6x12 grasp map
-    W of the bar's origin at the midpoint between them, and the minimum-norm
-    contact wrenches W' (W W')^-1 h_o: a 12-vector, force then moment per
-    hand, whose image under W is ``h_o``.  Each contact's 6x6 block of W,
-    mapping its wrench to the object-origin wrench, is [[I, 0],
-    [-skew(r_c), I]] with r_c the vector from the hand to the origin.
-    Columns 0-5 of W form a block-triangular matrix with identity diagonal
-    blocks, so W has full row rank and W W' is invertible for any hand
-    positions, coincident ones included.
+
+@dataclass(frozen=True)
+class BarGrasp:
+    """``bar_grasp``'s result: the bar's origin (2,) between the hands, the
+    6x12 grasp map W, W W', (W W')^-1 h_o and the hands' wrenches."""
+
+    origin: np.ndarray
+    grasp_map: np.ndarray
+    gram: np.ndarray
+    gram_solve: np.ndarray
+    wrenches: np.ndarray
+
+
+def bar_grasp(end_effectors, h_o) -> BarGrasp:
+    """The grasp of a bar held by two planar end effectors about its
+    origin, their midpoint, and the hands' share of the object wrench
+    ``h_o``: the minimum-norm wrenches W' (W W')^-1 h_o, a 12-vector, force
+    then moment per hand, whose image under W is ``h_o``.
+
+    Each contact's 6x6 block of W is [[I, 0], [-skew(r_c), I]], r_c the
+    vector from the hand to the origin (the hands and the origin share the
+    work plane, so its z is 0).  Columns 0-5 of W are block-triangular with
+    identity diagonal blocks, so W W' is invertible for any hand positions,
+    coincident ones included.
     """
     (x0, y0), (x1, y1) = (ee.tolist() for ee in end_effectors)
     ox, oy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    dz = plane_height - plane_height
-    entries = []
-    for x, y, z in ((ox - x0, oy - y0, dz), (ox - x1, oy - y1, dz)):
-        entries += [z, -y, -z, x, y, -x]
     w = _GRASP_TEMPLATE.copy()
-    w.flat[_SKEW_INDEX] = entries
-    return (np.array([[x0, y0, plane_height], [x1, y1, plane_height]]), w,
-            w.T @ np.linalg.solve(w @ w.T, h_o))
+    w.flat[_SKEW_INDEX] = _skew_entries((ox - x0, oy - y0, 0.0),
+                                        (ox - x1, oy - y1, 0.0))
+    gram = w @ w.T
+    gram_solve = np.linalg.solve(gram, h_o)
+    return BarGrasp(np.array([ox, oy]), w, gram, gram_solve, w.T @ gram_solve)
+
+
+def bar_grasp_gradients(grasp: BarGrasp, d_ee0, d_ee1) -> np.ndarray:
+    """(2, 3, n) gradients of the hands' forces in ``grasp``, from the end
+    effectors' (2, n) Jacobians, through the value's W W' and its solve.
+
+    dW is laid out as ``bar_grasp`` lays out W.  The n variables' dW are one
+    (n, 6, 12) stack, and each stacked numpy call below makes, per
+    variable, the BLAS/LAPACK call of the 2-D form (one gemm, gemv or
+    one-column gesv), so the results are bit-identical to a loop.
+    """
+    n = d_ee0.shape[1]
+    dr0 = np.vstack([0.5 * (d_ee1 - d_ee0), np.zeros(n)])
+    dw = np.zeros((n, 6, 12))
+    flat = dw.reshape(n, 72)
+    flat[:, _SKEW_DIAGONAL] = -0.0
+    flat[:, _SKEW_INDEX] = np.array(_skew_entries(dr0, -dr0)).T
+    dw_t = dw.transpose(0, 2, 1)
+    w, gram_solve = grasp.grasp_map, grasp.gram_solve
+    ds = dw @ w.T + w @ dw_t
+    solved = np.linalg.solve(np.broadcast_to(grasp.gram, ds.shape),
+                             -(ds @ gram_solve)[..., None])
+    dh = dw_t @ gram_solve + (w.T @ solved)[..., 0]
+    return np.stack([dh[:, 0:3].T, dh[:, 6:9].T])
 
 
 def robot_center_of_mass(torso_mass: float, torso_position: np.ndarray,

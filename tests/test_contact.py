@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactplan.contact import active_edges, edge_gap
+from contactplan.contact import active_edges, edge_gap, edge_gap_gradients
 from contactplan.kinematics import forward_kinematics
 
 RADIUS = 0.04
@@ -29,7 +29,8 @@ class TestEvaluateGaps:
         state = evaluate(arm_points([0.0] * 4), [0.6, 0.04])
         assert state.gap == pytest.approx(0.0, abs=1e-12)
         # The closest point on the link axis sits one radius below the edge.
-        np.testing.assert_allclose(state.closest_point, [0.6, 0.0], atol=1e-12)
+        np.testing.assert_allclose(state.separation, [0.0, -0.04], atol=1e-12)
+        assert state.distance == pytest.approx(0.04, abs=1e-12)
 
     def test_matches_dense_sampling(self, rng):
         params = np.linspace(0.0, 1.0, 1_000_001)
@@ -51,6 +52,24 @@ class TestEvaluateGaps:
             eps = rng.normal(scale=1e-5, size=4)
             moved = evaluate(arm_points(theta + eps), edge)
             assert abs(moved.normal_angle - base.normal_angle) < 1e-2
+
+    def test_gradients_match_finite_differences(self, rng):
+        # Interior and end-point closest points alike.
+        for _ in range(20):
+            theta = rng.normal(scale=1.0, size=4)
+            edge = rng.uniform(-0.5, 1.0, size=2)
+
+            def values(q):
+                res = evaluate(arm_points(q), edge)
+                return np.array([res.gap, res.normal_angle])
+
+            step = 1e-7
+            numeric = np.array([
+                (values(theta + step * e) - values(theta - step * e)) / (2 * step)
+                for e in np.eye(4)]).T
+            points = arm_points(theta)
+            analytic = edge_gap_gradients(points, 1, edge, evaluate(points, edge))
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-5)
 
 
 class TestSelection:

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 from contactplan import planner as pl
-from contactplan.contact import edge_gap
+from contactplan.contact import edge_gap, edge_gap_gradients
 from contactplan.kinematics import NUM_LINKS, forward_kinematics, point_jacobian
-from contactplan.statics import bar_grasp, compute_zmp, robot_center_of_mass
+from contactplan.statics import (bar_grasp, bar_grasp_gradients, compute_zmp,
+                                 robot_center_of_mass)
 
 DRAWS = 200
 
@@ -174,17 +175,17 @@ def loop_grasp_force_gradients(h_o, w, j0, j1):
     return d_forces
 
 
-def numpy_gap_gradients(points, link, edge, res):
+def numpy_gap_gradients(points, link, edge):
     a = points[link]
     jac_a = numpy_point_jacobian(points, link, 0.0)
     jac_b = numpy_point_jacobian(points, link, 1.0)
     axis = points[link + 1] - a
-    t = res.axis_param
+    _, closest, _, t = numpy_signed_gap(edge, a, points[link + 1], 0.0)
     d_closest = (1.0 - t) * jac_a + t * jac_b
     if 0.0 < t < 1.0:
         dt = (-(axis @ jac_a) + (edge - a) @ (jac_b - jac_a)) / float(axis @ axis)
         d_closest = d_closest + np.outer(axis, dt)
-    v = res.closest_point - edge
+    v = closest - edge
     dist = max(float(np.linalg.norm(v)), 1e-12)
     d_gap = (v / dist) @ d_closest
     d_beta = (v[0] * d_closest[1] - v[1] * d_closest[0]) / (dist * dist)
@@ -304,9 +305,13 @@ def test_grasp_matrix_matches_identity_and_skew_blocks(rng):
         ee0, ee1 = rng.normal(size=2), rng.normal(size=2)
         plane = rng.uniform(0.5, 1.5)
         h_o = rng.normal(scale=20.0, size=6)
-        for new, old in zip(bar_grasp((ee0, ee1), plane, h_o),
-                            numpy_bar_grasp(ee0, ee1, plane, h_o)):
-            assert_bitwise(new, old)
+        grasp = bar_grasp((ee0, ee1), h_o)
+        _, w, h_c = numpy_bar_grasp(ee0, ee1, plane, h_o)
+        assert_bitwise(grasp.origin, 0.5 * (ee0 + ee1))
+        assert_bitwise(grasp.grasp_map, w)
+        assert_bitwise(grasp.gram, w @ w.T)
+        assert_bitwise(grasp.gram_solve, np.linalg.solve(w @ w.T, h_o))
+        assert_bitwise(grasp.wrenches, h_c)
 
 
 def test_signed_gap_matches_array_form(rng):
@@ -316,7 +321,8 @@ def test_signed_gap_matches_array_form(rng):
         gap, closest, normal_angle, t = numpy_signed_gap(point, a, b, 0.04)
         assert_bitwise([res.gap, res.normal_angle, res.axis_param],
                        [gap, normal_angle, t])
-        assert_bitwise(res.closest_point, closest)
+        assert_bitwise(res.separation, closest - point)
+        assert_bitwise(res.distance, np.linalg.norm(closest - point))
 
 
 def test_com_gradient_matches_embedded_jacobian_sum(chain_points, rng):
@@ -338,23 +344,24 @@ def test_grasp_force_gradients_match_per_joint_loop(chain_points, rng):
     moments = np.array([0.0, 10.0, -117.72, 1.5, -2.0, 3.0])
     inputs = []
     for x in xs:
-        joint = pl._joint(ctx, x[:pl.NUM_JOINTS])
-        j0, j1 = (numpy_embed(numpy_point_jacobian(points, NUM_LINKS - 1, 1.0), i)
-                  for i, points in enumerate(joint["points"]))
-        inputs += [(h_o, joint["grasp"], j0, j1)
+        points = pl._joint(ctx, x[:pl.NUM_JOINTS])["points"]
+        ees = (points[0][-1], points[1][-1])
+        j0, j1 = (numpy_embed(numpy_point_jacobian(arm, NUM_LINKS - 1, 1.0), i)
+                  for i, arm in enumerate(points))
+        inputs += [(bar_grasp(ees, h_o), h_o, j0, j1)
                    for h_o in (config.object_wrench, moments)]
     for k in range(DRAWS):
         h_o = rng.normal(scale=20.0, size=6)
-        _, w, _ = bar_grasp(rng.normal(size=(2, 2)), rng.uniform(0.5, 1.5), h_o)
+        grasp = bar_grasp(rng.normal(size=(2, 2)), h_o)
         j0, j1 = rng.normal(size=(2, 2, pl.NUM_JOINTS))
         if k % 2:
             # Each hand moves with its own arm's joints only.
             j0[:, NUM_LINKS:] = 0.0
             j1[:, :NUM_LINKS] = 0.0
-        inputs.append((h_o, w, j0, j1))
-    for args in inputs:
-        assert_bitwise(pl._grasp_force_gradients(*args),
-                       loop_grasp_force_gradients(*args))
+        inputs.append((grasp, h_o, j0, j1))
+    for grasp, h_o, j0, j1 in inputs:
+        assert_bitwise(bar_grasp_gradients(grasp, j0, j1),
+                       loop_grasp_force_gradients(h_o, grasp.grasp_map, j0, j1))
 
 
 def test_gap_gradients_match_array_form(chain_points):
@@ -363,8 +370,8 @@ def test_gap_gradients_match_array_form(chain_points):
     for x in xs:
         joint = pl._joint(ctx, x[:pl.NUM_JOINTS])
         for points, edge, res in zip(joint["points"], ctx.edges, joint["gaps"]):
-            for new, old in zip(pl._gap_gradients(points, link, edge, res),
-                                numpy_gap_gradients(points, link, edge, res)):
+            for new, old in zip(edge_gap_gradients(points, link, edge, res),
+                                numpy_gap_gradients(points, link, edge)):
                 assert_bitwise(new, old)
 
 
@@ -377,14 +384,13 @@ def test_zmp_gradients_match_array_bookkeeping(chain_points):
         points = joint["points"]
         j0 = numpy_embed(numpy_point_jacobian(points[0], NUM_LINKS - 1, 1.0), 0)
         j1 = numpy_embed(numpy_point_jacobian(points[1], NUM_LINKS - 1, 1.0), 1)
-        assert_bitwise(joint["ee_jacobians"][0], j0)
-        assert_bitwise(joint["ee_jacobians"][1], j1)
+        assert_bitwise(joint["d_obj"], 0.5 * (j0 + j1))
+        assert_bitwise(joint["equality_jac"][:, :pl.NUM_JOINTS], j0 - j1)
         d_forces = loop_grasp_force_gradients(config.object_wrench,
-                                              joint["grasp"], j0, j1)
+                                              joint["grasp"].grasp_map, j0, j1)
         gap_grads = [numpy_gap_gradients(arm_points, config.contact_link_index,
-                                         edge, res)
-                     for arm_points, edge, res in zip(points, ctx.edges,
-                                                      joint["gaps"])]
+                                         edge)
+                     for arm_points, edge in zip(points, ctx.edges)]
         d_phi = np.vstack([numpy_embed(d_gap[None, :], i)
                            for i, (d_gap, _) in enumerate(gap_grads)])
         assert_bitwise(joint["d_phi"], d_phi)
@@ -408,7 +414,9 @@ def test_value_pass_matches_array_form(chain_points):
         hands, grasp, h_c = numpy_bar_grasp(points[0][-1], points[1][-1],
                                             config.plane_height,
                                             config.object_wrench)
-        assert_bitwise(joint["grasp"], grasp)
+        assert_bitwise(joint["grasp"].grasp_map, grasp)
+        assert_bitwise(joint["object_position"],
+                       0.5 * (points[0][-1] + points[1][-1]))
         link = config.contact_link_index
         gaps = [numpy_signed_gap(edge, arm_points[link], arm_points[link + 1],
                                  config.link_radius)

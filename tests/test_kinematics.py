@@ -147,7 +147,8 @@ class TestSignedGap:
     def test_perpendicular_distance(self):
         res = signed_gap([0.5, 0.10], [0.0, 0.0], [1.0, 0.0], 0.04)
         assert res.gap == pytest.approx(0.06)
-        np.testing.assert_allclose(res.closest_point, [0.5, 0.0], atol=1e-12)
+        # The closest point on the axis is (0.5, 0).
+        np.testing.assert_allclose(res.separation, [0.0, -0.10], atol=1e-12)
         # Force on the link points from the point toward the axis.
         assert res.normal_angle == pytest.approx(-np.pi / 2)
 

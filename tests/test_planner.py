@@ -52,13 +52,13 @@ class TestInitialPose:
         # each accepted pose; each accepted pose's Jacobian, asked for by
         # the BFGS update, is carried into the next iteration.
         poses = []
-        real = pl._gap_gradients
+        real = pl.ct.edge_gap_gradients
 
         def counted(points, link, edge, res):
             poses.append(points.tobytes())
             return real(points, link, edge, res)
 
-        monkeypatch.setattr(pl, "_gap_gradients", counted)
+        monkeypatch.setattr(pl.ct, "edge_gap_gradients", counted)
         initial_joint_angles(default_config)
         assert poses
         assert len(poses) == len(set(poses))
@@ -198,9 +198,11 @@ class TestGradientCheck:
             "object_wrench": [0.0, 10.0, -117.72, 1.5, -2.0, 3.0]}})
         ctx = pl.StepContext(config, initial_joint_angles(config),
                              config.initial_center)
-        joint = pl._joint(ctx, np.zeros(pl.NUM_JOINTS), derivatives=True)
-        d_forces = pl._grasp_force_gradients(
-            config.object_wrench, joint["grasp"], *joint["ee_jacobians"])
+        joint = pl._joint(ctx, np.zeros(pl.NUM_JOINTS))
+        zero = np.zeros((2, 4))
+        j0, j1 = (pl.kin.point_jacobian(arm, 3, 1.0) for arm in joint["points"])
+        d_forces = pl.st.bar_grasp_gradients(
+            joint["grasp"], np.hstack([j0, zero]), np.hstack([zero, j1]))
         assert np.abs(d_forces).max() > 0.1
         assert worst_gradient_error(config, rng) <= 1e-5
 
@@ -292,6 +294,22 @@ class TestStepNlp:
                 assert not first[name].flags.writeable
                 with pytest.raises(ValueError):
                     first[name][0] = 1.0
+
+    def test_grasp_gram_solved_once_per_pose(self, ctx, monkeypatch):
+        # The value pass solves W W' for the hands' wrenches; the derivative
+        # pass reuses that solve and makes only the stacked dW solve.
+        shapes = []
+        real = np.linalg.solve
+
+        def counted(a, b):
+            shapes.append(a.shape)
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        pl._joint(ctx, np.zeros(pl.NUM_JOINTS))
+        assert shapes == [(6, 6)]
+        pl._joint(ctx, np.zeros(pl.NUM_JOINTS), derivatives=True)
+        assert shapes == [(6, 6), (pl.NUM_JOINTS, 6, 6)]
 
     def test_value_fields_run_no_derivative_pass(self, ctx, monkeypatch):
         nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)

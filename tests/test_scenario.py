@@ -115,6 +115,29 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=re.escape(f"unknown key: {key}")):
             _load_override(tmp_path, key, value)
 
+    @pytest.mark.parametrize("text, match", [
+        ("task: {path_length: 0.3, path_length: 0.5}\n",
+         "duplicate key: path_length at line 1"),
+        ("task:\n  path_length: 0.3\nrobot:\n  torso_mass: 40.0\n"
+         "task:\n  waypoint_count: 5\n", "duplicate key: task at line 5"),
+        ("balance:\n  sp_polygon: [{x: 1, x: 2}]\n",
+         "duplicate key: x at line 2"),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, text, match):
+        # YAML itself keeps the last of two equal keys: the first case would
+        # plan a 0.5 m path.
+        path = tmp_path / "twice.yaml"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match=re.escape(match)):
+            load_scenario(str(path))
+
+    def test_repeated_anchor_loads(self, tmp_path):
+        # An alias repeats a node, not a key.
+        path = tmp_path / "alias.yaml"
+        path.write_text("weights:\n  position: &w 500.0\n  displacement: *w\n")
+        config = load_scenario(str(path))
+        assert config.weight_position == config.weight_displacement == 500.0
+
     def test_parse_error_reported(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("robot: [unclosed\n")

@@ -3,7 +3,8 @@ import pytest
 
 from contactplan.errors import ScenarioError, UnbalancedStateError
 from contactplan.scenario import default_scenario
-from contactplan.statics import bar_grasp, check_support_region, compute_zmp
+from contactplan.statics import (bar_grasp, bar_grasp_gradients,
+                                 check_support_region, compute_zmp)
 
 SP = np.array([[-0.2, -0.16], [0.2, -0.16], [0.2, 0.16], [-0.2, 0.16]])
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -132,9 +133,12 @@ def reference_grasp_map(hands):
 
 
 def grasp(hand0, hand1, h_o=np.zeros(6)):
-    """``bar_grasp`` of two planar hand positions on a 0.9 m plane."""
-    return bar_grasp((np.asarray(hand0, dtype=float),
-                      np.asarray(hand1, dtype=float)), 0.9, h_o)
+    """The hands on a 0.9 m plane, and ``bar_grasp``'s grasp map and hand
+    wrenches for two planar hand positions."""
+    result = bar_grasp((np.asarray(hand0, dtype=float),
+                        np.asarray(hand1, dtype=float)), h_o)
+    hands = np.array([[*hand0, 0.9], [*hand1, 0.9]], dtype=float)
+    return hands, result.grasp_map, result.wrenches
 
 
 class TestWrenchMatrix:
@@ -220,9 +224,31 @@ class TestDistributeObjectWrench:
     def test_grasp_map_from_points(self):
         # bar_grasp: the hands on the plane, about their midpoint.
         hands, w, _ = grasp([-0.3, 0.5], [0.3, 0.5])
-        np.testing.assert_allclose(hands, [[-0.3, 0.5, 0.9], [0.3, 0.5, 0.9]])
+        result = bar_grasp((np.array([-0.3, 0.5]), np.array([0.3, 0.5])), np.zeros(6))
+        np.testing.assert_array_equal(result.origin, [0.0, 0.5])
         assert w.shape == (6, 12)
         np.testing.assert_array_equal(w, reference_grasp_map(hands))
+
+    def test_gradients_match_finite_differences(self, rng):
+        # The hands' forces in the four hand coordinates (x0, y0, x1, y1),
+        # for wrenches with moments.
+        d_ee0, d_ee1 = np.eye(4)[:2], np.eye(4)[2:]
+        for _ in range(20):
+            ees = rng.normal(scale=0.5, size=4)
+            h_o = rng.normal(scale=20.0, size=6)
+
+            def forces(v):
+                h_c = bar_grasp(v.reshape(2, 2), h_o).wrenches
+                return np.concatenate([h_c[0:3], h_c[6:9]])
+
+            step = 1e-6
+            numeric = np.array([
+                (forces(ees + step * e) - forces(ees - step * e)) / (2 * step)
+                for e in np.eye(4)]).T
+            analytic = bar_grasp_gradients(bar_grasp(ees.reshape(2, 2), h_o),
+                                           d_ee0, d_ee1)
+            np.testing.assert_allclose(analytic.reshape(6, 4), numeric,
+                                       rtol=1e-6, atol=1e-6)
 
 
 class TestStateValidation:

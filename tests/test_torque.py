@@ -91,7 +91,7 @@ def chain_loads(arms, contacts, gamma, h_o):
     """The (4, 3) load rows of the planner's chain: the hand forces of the
     object wrench ``h_o``, as the planner splits it between the hands, then
     the two support forces."""
-    _, _, h_c = bar_grasp((arms[0][-1], arms[1][-1]), 0.9, h_o)
+    h_c = bar_grasp((arms[0][-1], arms[1][-1]), h_o).wrenches
     return np.array([h_c[0:3], h_c[6:9], *support_rows(contacts, gamma)])
 
 
@@ -161,7 +161,7 @@ class TestObjectWrenchTorques:
         arms = make_arms([2.0, 0.3, -0.4, 0.2, 1.1, -0.3, 0.4, -0.2])
         h_o = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
         tau = object_part(arms, h_o)
-        _, grasp, _ = bar_grasp((arms[0][-1], arms[1][-1]), 0.9, h_o)
+        grasp = bar_grasp((arms[0][-1], arms[1][-1]), h_o).grasp_map
         h_c = np.linalg.pinv(grasp) @ h_o
         expected = np.concatenate([
             point_jacobian(arms[0], 3, 1.0).T @ h_c[0:2],
