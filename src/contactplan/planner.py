@@ -720,8 +720,9 @@ def plan_path(config: ScenarioConfig, theta0=None) -> list[PlanStep]:
 
     Each step is warm-started from the previous configuration with zero
     initial decision values.  The first failing step aborts the plan.
-    Reach, balance geometry and the vertical load were checked when the
-    config was constructed; planning does not check them again.
+    Every scenario key, reach, balance geometry and the vertical load were
+    checked when the config was constructed, by loading and by
+    ``dataclasses.replace`` alike; planning does not check them again.
 
     Raises:
         PlanStepError: a step failed; ``partial_steps`` holds the trace so

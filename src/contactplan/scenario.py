@@ -28,7 +28,8 @@ Sections and keys (SI units throughout):
                             by the planner: the load is task.object_wrench
       bar_length            m, default 0.60
       initial_center        [x, y] m, default [0.0, 0.45]
-      grasp_offsets         two floats, m along the bar, default [-0.30, 0.30]
+      grasp_offsets         two increasing floats, m along the bar; default
+                            (null) the bar's ends, [-0.30, 0.30]
     balance:
       sp_polygon            convex CCW vertices, edges of positive length,
                             coordinates in [-1e150, 1e150], default
@@ -38,8 +39,9 @@ Sections and keys (SI units throughout):
                             inside sp_polygon
       object_radius         m, default 0.10
     task:
-      path_direction        [x, y], default [0.0, 1.0] (normalized on load;
-                            its norm must lie in [1e-150, 1e150])
+      path_direction        [x, y], default [0.0, 1.0] (normalized on load,
+                            not by replace; its norm must lie in
+                            [1e-150, 1e150])
       path_length           m, default 0.40
       waypoint_count        int in [1, 10000], default 9
       object_wrench         6 floats, default [0, 10, -117.72, 0, 0, 0]
@@ -59,9 +61,15 @@ The former keys ``contact.support_force_scale``, ``solver.armijo_c1``,
 unknown: only a support-force scale of 1 keeps the force balance consistent,
 and the other three are fixed constants of the SQP line search.
 
-A ``ScenarioConfig`` is plannable by construction: building one (by loading
-or by ``dataclasses.replace``) raises a ``ScenarioError`` naming the key when
-the robot's weight, mass times gravity, overflows (the key of the larger
+Every key is checked when a ``ScenarioConfig`` is built, by loading, by
+``default_scenario(overrides)`` and by ``dataclasses.replace`` alike, and a
+value is rejected with the same ``ScenarioError`` naming the key whichever
+way it arrives.  Each key's own check (type, finiteness, shape, range,
+integer-ness) runs first; each key is written once, in ``_KEYS``, with its
+default and its check.  Only loading scales ``task.path_direction`` to unit
+length, so a copy made by ``replace`` keeps the loaded direction bit for bit.
+A ``ScenarioConfig`` is then plannable by construction: building one raises
+a ``ScenarioError`` naming the key when the robot's weight, mass times gravity, overflows (the key of the larger
 factor: ``gravity``, ``robot.torso_mass`` or ``robot.link_mass``), a link is
 below its least length (``robot.link_lengths``, see above), the support
 polygon does not hold the safe circle (``balance``), a waypoint's grasp point
@@ -78,7 +86,8 @@ relative scenario paths are resolved against when they do not exist locally.
 
 import math
 import os
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import astuple, dataclass, field, fields as dataclass_fields
+from functools import partial
 
 import numpy as np
 import yaml
@@ -92,60 +101,168 @@ from .statics import check_support_region
 # Waypoints are materialized at construction for the reach check.
 MAX_WAYPOINTS = 10_000
 
-_DEFAULTS = {
-    "robot": {
-        "torso_mass": 40.0,
-        "torso_position": [0.0, 0.0, 0.5],
-        "link_mass": 1.75,
-        "arm_base_left": [-0.20, 0.0],
-        "arm_base_right": [0.20, 0.0],
-        "link_lengths": [0.30, 0.30, 0.30, 0.20],
-        "link_radius": 0.04,
-    },
-    "glovebox": {
-        "plane_height": 0.90,
-        "port_edges_left": [[-0.275, 0.30], [-0.525, 0.30]],
-        "port_edges_right": [[0.275, 0.30], [0.525, 0.30]],
-    },
-    "object": {
-        "mass": 12.0,
-        "bar_length": 0.60,
-        "initial_center": [0.0, 0.45],
-        "grasp_offsets": None,  # defaults to +/- bar_length / 2
-    },
-    "balance": {
-        "sp_polygon": [[-0.20, -0.16], [0.20, -0.16], [0.20, 0.16], [-0.20, 0.16]],
-        "sp_center": [0.0, 0.0],
-        "safe_radius": 0.15,
-        "object_radius": 0.10,
-    },
-    "task": {
-        "path_direction": [0.0, 1.0],
-        "path_length": 0.40,
-        "waypoint_count": 9,
-        "object_wrench": [0.0, 10.0, -117.72, 0.0, 0.0, 0.0],
-    },
-    "weights": {
-        "position": 1.0e3,
-        "displacement": 1.0e2,
-        "slack": 1.0e6,
-    },
-    "contact": {
-        "link_index": 1,
-    },
-    "solver": {
-        "tol_kkt": 1e-6,
-        "tol_con": 1e-6,
-        "max_iterations": 200,
-        "slack_max": 1e-4,
-    },
-    "gravity": 9.81,
-}
+
+def _vec(raw, key: str, shape: tuple) -> np.ndarray:
+    """A finite float array of ``shape``; None in ``shape`` matches any
+    length."""
+    try:
+        v = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{key} must be numbers of shape {shape}") from exc
+    if v.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, v.shape)):
+        raise ScenarioError(f"{key} must have shape {shape}, got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ScenarioError(f"{key} must be finite")
+    return v
+
+
+def _vector(*shape):
+    return partial(_vec, shape=shape)
+
+
+def _number(raw, key: str, lower: float = 0.0, upper: float = math.inf, *,
+            closed: bool = False, integer: bool = False):
+    """A finite scalar in (lower, upper), or in [lower, upper] when ``closed``.
+
+    Booleans, None, non-numeric strings and non-finite values are rejected,
+    and so is anything but an int for an ``integer`` key.  Numeric strings
+    are accepted for float keys: PyYAML reads ``2.0e6`` (no exponent sign)
+    as a string.  Every error names the key.
+    """
+    kind = "an integer" if integer else "a finite number"
+    if isinstance(raw, bool) or (integer and not isinstance(raw, int)):
+        raise ScenarioError(f"{key} must be {kind}, got {raw!r}")
+    try:
+        value = raw if integer else float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{key} must be {kind}, got {raw!r}") from exc
+    # Python ints are exact and finite; math.isfinite cannot take huge ones.
+    if not integer and not math.isfinite(value):
+        raise ScenarioError(f"{key} must be finite, got {raw!r}")
+    if lower <= value <= upper if closed else lower < value < upper:
+        return value
+    if upper == math.inf:
+        bound = f"{'>=' if closed else '>'} {lower:g}"
+    else:
+        bound = f"in {'[' if closed else '('}{lower:g}, {upper:g}{']' if closed else ')'}"
+    raise ScenarioError(f"{key} must be {bound}, got {raw!r}")
+
+
+def _offsets(raw, key: str) -> np.ndarray:
+    offsets = _vec(raw, key, (2,))
+    if not offsets[1] > offsets[0]:
+        raise ScenarioError(f"{key} must be increasing")
+    return offsets
+
+
+@np.errstate(over="ignore")
+def _direction(raw, key: str) -> np.ndarray:
+    direction = _vec(raw, key, (2,))
+    norm = float(np.linalg.norm(direction))
+    # Beyond this range the squares in the norm overflow or underflow, and
+    # direction / norm is zero, NaN or off unit length.
+    if not 1e-150 <= norm <= 1e150:
+        raise ScenarioError(f"{key} must have a norm in [1e-150, 1e150], got {norm!r}")
+    return direction
+
+
+def _polygon(raw, key: str) -> np.ndarray:
+    polygon = _vec(raw, key, (None, 2))
+    # Beyond this bound the edge lengths and cross products of the balance
+    # check overflow, and it would report a misplaced safe circle instead.
+    if not np.all(np.abs(polygon) <= 1e150):
+        raise ScenarioError(f"{key} coordinates must lie in [-1e150, 1e150]")
+    return polygon
+
+
+# Each scenario key once: its YAML name ("section.key", or "key" at the top
+# level), the ScenarioConfig field it fills, its default and its check, a
+# callable (raw value, key) -> value that raises a ScenarioError naming the
+# key.  Keys that share a field fill it in this order: the left and right
+# rows of a stack, or SolverSettings' fields.
+_KEYS = (
+    ("robot.torso_mass", "torso_mass", 40.0, _number),
+    ("robot.torso_position", "torso_position", [0.0, 0.0, 0.5], _vector(3)),
+    ("robot.link_mass", "link_mass", 1.75, _number),
+    ("robot.arm_base_left", "arm_bases", [-0.20, 0.0], _vector(2)),
+    ("robot.arm_base_right", "arm_bases", [0.20, 0.0], _vector(2)),
+    ("robot.link_lengths", "link_lengths", [0.30, 0.30, 0.30, 0.20],
+     _vector(NUM_LINKS)),
+    ("robot.link_radius", "link_radius", 0.04, _number),
+    ("glovebox.plane_height", "plane_height", 0.90, _number),
+    ("glovebox.port_edges_left", "port_edges", [[-0.275, 0.30], [-0.525, 0.30]],
+     _vector(2, 2)),
+    ("glovebox.port_edges_right", "port_edges", [[0.275, 0.30], [0.525, 0.30]],
+     _vector(2, 2)),
+    ("object.mass", "object_mass", 12.0, _number),
+    ("object.bar_length", "bar_length", 0.60, _number),
+    ("object.initial_center", "initial_center", [0.0, 0.45], _vector(2)),
+    # None: the bar's ends, -/+ bar_length / 2.
+    ("object.grasp_offsets", "grasp_offsets", None, _offsets),
+    ("balance.sp_polygon", "sp_polygon",
+     [[-0.20, -0.16], [0.20, -0.16], [0.20, 0.16], [-0.20, 0.16]], _polygon),
+    ("balance.sp_center", "sp_center", [0.0, 0.0], _vector(2)),
+    ("balance.safe_radius", "safe_radius", 0.15, _number),
+    ("balance.object_radius", "object_radius", 0.10, _number),
+    ("task.path_direction", "path_direction", [0.0, 1.0], _direction),
+    ("task.path_length", "path_length", 0.40, partial(_number, closed=True)),
+    ("task.waypoint_count", "waypoint_count", 9,
+     partial(_number, lower=1, upper=MAX_WAYPOINTS, closed=True, integer=True)),
+    ("task.object_wrench", "object_wrench", [0.0, 10.0, -117.72, 0.0, 0.0, 0.0],
+     _vector(6)),
+    ("weights.position", "weight_position", 1.0e3, _number),
+    ("weights.displacement", "weight_displacement", 1.0e2, _number),
+    ("weights.slack", "weight_slack", 1.0e6, _number),
+    ("contact.link_index", "contact_link_index", 1,
+     partial(_number, lower=0, upper=NUM_LINKS - 1, closed=True, integer=True)),
+    # Types and finiteness here, defaults and ranges in SolverSettings.
+    *((f"solver.{f.name}", "solver", f.default,
+       partial(_number, lower=-math.inf, integer=f.name == "max_iterations"))
+      for f in dataclass_fields(SolverSettings)),
+    ("gravity", "gravity", 9.81, _number),
+)
+
+# The YAML schema, section -> key -> default, and each field's keys with
+# their checks, both in the order of _KEYS.
+_DEFAULTS: dict = {}
+_FIELD_KEYS: dict = {}
+for _key, _field, _default, _check in _KEYS:
+    _section, _, _leaf = _key.rpartition(".")
+    (_DEFAULTS.setdefault(_section, {}) if _section else _DEFAULTS)[_leaf] = _default
+    _FIELD_KEYS.setdefault(_field, []).append((_key, _check))
+
+
+def _check_field(name: str, raw, keys: list):
+    """Field ``name``'s value from ``raw``, each of its ``keys`` checked."""
+    if len(keys) == 1:
+        key, check = keys[0]
+        return check(raw, key)
+    parts = astuple(raw) if isinstance(raw, SolverSettings) else raw
+    try:
+        count = len(parts)
+    except TypeError:
+        count = None
+    if count != len(keys):
+        raise ScenarioError(f"{name} must hold {len(keys)} values: "
+                            + ", ".join(key for key, _ in keys))
+    values = [check(part, key) for part, (key, check) in zip(parts, keys)]
+    if name != "solver":
+        return np.array(values)
+    try:
+        return SolverSettings(*values)
+    except ValueError as exc:
+        raise ScenarioError(f"solver.{exc}") from exc
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated, immutable description of one experiment."""
+    """Validated, immutable description of one experiment.
+
+    Each field takes its key's value as a scenario file gives it, and
+    construction checks it: ``arm_bases`` and ``port_edges`` take the left
+    and the right key's value, ``solver`` a ``SolverSettings`` or its four
+    values, and a ``grasp_offsets`` of None is the bar's ends.
+    """
 
     torso_mass: float
     torso_position: np.ndarray
@@ -158,12 +275,12 @@ class ScenarioConfig:
     object_mass: float
     bar_length: float
     initial_center: np.ndarray     # (2,)
-    grasp_offsets: np.ndarray      # (2,) along the bar x-axis
+    grasp_offsets: np.ndarray      # (2,) along the bar x-axis; None: the ends
     sp_polygon: np.ndarray
     sp_center: np.ndarray
     safe_radius: float
     object_radius: float
-    path_direction: np.ndarray     # (2,), unit
+    path_direction: np.ndarray     # (2,), unit when loaded
     path_length: float
     waypoint_count: int
     object_wrench: np.ndarray      # (6,)
@@ -183,6 +300,13 @@ class ScenarioConfig:
     # checks reject them, so numpy's warnings would only repeat the error.
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
+        # Each key's own check first, in the order of _KEYS, so a
+        # grasp_offsets of None reads a checked bar_length.
+        for name, keys in _FIELD_KEYS.items():
+            raw = getattr(self, name)
+            if name == "grasp_offsets" and raw is None:
+                raw = [-self.bar_length / 2.0, self.bar_length / 2.0]
+            object.__setattr__(self, name, _check_field(name, raw, keys))
         mass = self.torso_mass + 2 * NUM_LINKS * self.link_mass
         object.__setattr__(self, "robot_mass", mass)
         object.__setattr__(self, "robot_weight",
@@ -277,128 +401,22 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     return merged
 
 
-def _vec(raw, shape, key: str) -> np.ndarray:
-    """A finite float array of ``shape``: an int is a vector length, and
-    None in a tuple matches any length."""
-    shape = (shape,) if isinstance(shape, int) else shape
-    try:
-        v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{key} must be numbers of shape {shape}") from exc
-    if v.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, v.shape)):
-        raise ScenarioError(f"{key} must have shape {shape}, got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ScenarioError(f"{key} must be finite")
-    return v
-
-
-def _number(raw, key: str, lower: float = 0.0, upper: float = math.inf, *,
-            closed: bool = False, integer: bool = False):
-    """A finite scalar in (lower, upper), or in [lower, upper] when ``closed``.
-
-    Booleans, None, non-numeric strings and non-finite values are rejected,
-    and so is anything but an int for an ``integer`` key.  Numeric strings
-    are accepted for float keys: PyYAML reads ``2.0e6`` (no exponent sign)
-    as a string.  Every error names the key.
-    """
-    kind = "an integer" if integer else "a finite number"
-    if isinstance(raw, bool) or (integer and not isinstance(raw, int)):
-        raise ScenarioError(f"{key} must be {kind}, got {raw!r}")
-    try:
-        value = raw if integer else float(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{key} must be {kind}, got {raw!r}") from exc
-    # Python ints are exact and finite; math.isfinite cannot take huge ones.
-    if not integer and not math.isfinite(value):
-        raise ScenarioError(f"{key} must be finite, got {raw!r}")
-    if lower <= value <= upper if closed else lower < value < upper:
-        return value
-    if upper == math.inf:
-        bound = f"{'>=' if closed else '>'} {lower:g}"
-    else:
-        bound = f"in {'[' if closed else '('}{lower:g}, {upper:g}{']' if closed else ')'}"
-    raise ScenarioError(f"{key} must be {bound}, got {raw!r}")
-
-
-# Extreme inputs overflow to inf or NaN in the norms and cross products of
-# validation; the NaN-safe "not x >= bound" checks reject them, so numpy's
-# warnings would only repeat the ScenarioError.
-@np.errstate(over="ignore", invalid="ignore")
 def _from_dict(data: dict) -> ScenarioConfig:
-    robot = data["robot"]
-    glovebox = data["glovebox"]
-    obj = data["object"]
-    balance = data["balance"]
-    task = data["task"]
-    weights = data["weights"]
-    contact = data["contact"]
-
-    bar_length = _number(obj["bar_length"], "object.bar_length")
-    grasp_offsets = obj["grasp_offsets"]
-    if grasp_offsets is None:
-        grasp_offsets = [-bar_length / 2.0, bar_length / 2.0]
-    grasp_offsets = _vec(grasp_offsets, 2, "object.grasp_offsets")
-    if not grasp_offsets[1] > grasp_offsets[0]:
-        raise ScenarioError("object.grasp_offsets must be increasing")
-
-    direction = _vec(task["path_direction"], 2, "task.path_direction")
-    norm = float(np.linalg.norm(direction))
-    # Beyond this range the squares in the norm overflow or underflow, and
-    # direction / norm is zero, NaN or off unit length.
-    if not 1e-150 <= norm <= 1e150:
-        raise ScenarioError(
-            f"task.path_direction must have a norm in [1e-150, 1e150], got {norm!r}")
-
-    sp_polygon = _vec(balance["sp_polygon"], (None, 2), "balance.sp_polygon")
-    # Beyond this bound the edge lengths and cross products of the balance
-    # check overflow, and it would report a misplaced safe circle instead.
-    if not np.all(np.abs(sp_polygon) <= 1e150):
-        raise ScenarioError(
-            "balance.sp_polygon coordinates must lie in [-1e150, 1e150]")
-
-    # Types and finiteness here, ranges in SolverSettings.
-    solver_raw = data["solver"]
-    try:
-        solver = SolverSettings(**{
-            f.name: _number(solver_raw[f.name], f"solver.{f.name}", -math.inf,
-                            integer=f.name == "max_iterations")
-            for f in dataclass_fields(SolverSettings)})
-    except ValueError as exc:
-        raise ScenarioError(f"solver.{exc}") from exc
-
-    return ScenarioConfig(
-        torso_mass=_number(robot["torso_mass"], "robot.torso_mass"),
-        torso_position=_vec(robot["torso_position"], 3, "robot.torso_position"),
-        link_mass=_number(robot["link_mass"], "robot.link_mass"),
-        arm_bases=np.array([_vec(robot["arm_base_left"], 2, "robot.arm_base_left"),
-                            _vec(robot["arm_base_right"], 2, "robot.arm_base_right")]),
-        link_lengths=_vec(robot["link_lengths"], NUM_LINKS, "robot.link_lengths"),
-        link_radius=_number(robot["link_radius"], "robot.link_radius"),
-        plane_height=_number(glovebox["plane_height"], "glovebox.plane_height"),
-        port_edges=np.array([_vec(glovebox[f"port_edges_{side}"], (2, 2),
-                                  f"glovebox.port_edges_{side}")
-                             for side in ("left", "right")]),
-        object_mass=_number(obj["mass"], "object.mass"),
-        bar_length=bar_length,
-        initial_center=_vec(obj["initial_center"], 2, "object.initial_center"),
-        grasp_offsets=grasp_offsets,
-        sp_polygon=sp_polygon,
-        sp_center=_vec(balance["sp_center"], 2, "balance.sp_center"),
-        safe_radius=_number(balance["safe_radius"], "balance.safe_radius"),
-        object_radius=_number(balance["object_radius"], "balance.object_radius"),
-        path_direction=direction / norm,
-        path_length=_number(task["path_length"], "task.path_length", closed=True),
-        waypoint_count=_number(task["waypoint_count"], "task.waypoint_count", 1,
-                               MAX_WAYPOINTS, closed=True, integer=True),
-        object_wrench=_vec(task["object_wrench"], 6, "task.object_wrench"),
-        weight_position=_number(weights["position"], "weights.position"),
-        weight_displacement=_number(weights["displacement"], "weights.displacement"),
-        weight_slack=_number(weights["slack"], "weights.slack"),
-        contact_link_index=_number(contact["link_index"], "contact.link_index", 0,
-                                   NUM_LINKS - 1, closed=True, integer=True),
-        solver=solver,
-        gravity=_number(data["gravity"], "gravity"),
-    )
+    """The config of a merged scenario mapping.  Only loading scales the path
+    direction to unit length, after the direction's check; the config then
+    checks every key, the unit direction included."""
+    values = {}
+    for key, name, _, check in _KEYS:
+        section, _, leaf = key.rpartition(".")
+        raw = (data[section] if section else data)[leaf]
+        if name == "path_direction":
+            direction = check(raw, key)
+            raw = direction / float(np.linalg.norm(direction))
+        if len(_FIELD_KEYS[name]) == 1:
+            values[name] = raw
+        else:
+            values.setdefault(name, []).append(raw)
+    return ScenarioConfig(**values)
 
 
 def default_scenario(overrides: dict | None = None) -> ScenarioConfig:

@@ -35,8 +35,8 @@ def check_support_region(vertices, center, radius: float) -> None:
     Raises:
         ValueError: fewer than 3 planar vertices, a reflex or clockwise
             corner, or an edge line closer to the centre than the radius
-            (including a zero-length or overflowing edge, whose distance
-            is NaN).
+            (including an edge whose length is zero or underflows to zero,
+            whose distance is NaN, and an overflowing edge).
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[0] < 3 or vertices.shape[1] != 2:
@@ -52,10 +52,12 @@ def check_support_region(vertices, center, radius: float) -> None:
     for i in range(n):
         a = vertices[i]
         edge = vertices[(i + 1) % n] - a
-        # CCW polygon: the inward distance is the left-perp projection.
+        length = np.linalg.norm(edge)
+        # CCW polygon: the inward distance is the left-perp projection.  An
+        # edge whose length is zero, or underflows to zero, has none: NaN,
+        # which fails the NaN-safe test below.
         inward = (edge[0] * (center[1] - a[1])
-                  - edge[1] * (center[0] - a[0])) / np.linalg.norm(edge)
-        # NaN-safe: a zero-length edge gives NaN and fails.
+                  - edge[1] * (center[0] - a[0])) / length if length > 0.0 else np.nan
         if not inward >= radius - 1e-12:
             raise ValueError("safe circle must lie inside the support polygon")
 

@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -9,14 +9,42 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from contactplan.errors import ScenarioError
-from contactplan.scenario import (_DEFAULTS, ScenarioConfig, default_scenario,
-                                  load_scenario)
+from contactplan.scenario import (_DEFAULTS, _KEYS, ScenarioConfig,
+                                  default_scenario, load_scenario)
+from test_sweep import CASES, perturbed
 
 # Every key whose default is a single number, as "section.key" (or "key").
 SCALAR_KEYS = [f"{section}.{key}"
                for section, values in _DEFAULTS.items() if isinstance(values, dict)
                for key, value in values.items() if isinstance(value, (int, float))] \
     + [key for key, value in _DEFAULTS.items() if isinstance(value, (int, float))]
+
+MALFORMED = [float("nan"), float("inf"), True, None, "x"]
+MALFORMED_IDS = ["nan", "inf", "true", "null", "text"]
+
+# Values of the right type out of their key's range, or of the wrong shape.
+OUT_OF_RANGE = [
+    ("task.path_length", -0.1),
+    ("task.waypoint_count", 0),
+    ("task.waypoint_count", 2.0),
+    ("contact.link_index", 4),
+    ("object.mass", 0.0),
+    ("solver.max_iterations", 1.5),
+    ("solver.max_iterations", 0),
+    ("solver.slack_max", -1),
+    ("balance.sp_polygon", "abc"),
+    pytest.param("balance.sp_polygon",
+                 [[float("nan"), 0.0], [1.0, 0.0], [0.0, 1.0]],
+                 id="balance.sp_polygon-nan"),
+    ("task.path_direction", [0.0, 0.0]),
+    ("task.path_direction", [1e308, 1e308]),
+    ("task.path_direction", [1e-160, 1e-160]),
+    ("task.waypoint_count", 10_001),
+    pytest.param("task.waypoint_count", 10**400, id="task.waypoint_count-huge-int"),
+    pytest.param("object.mass", 10**400, id="object.mass-huge-int"),
+    pytest.param("robot.link_lengths", [10**400, 0.3, 0.3, 0.2],
+                 id="robot.link_lengths-huge-int"),
+]
 
 
 def assert_same_config(config, expected):
@@ -36,6 +64,27 @@ def _load_override(tmp_path, key, value):
     path.write_text(yaml.safe_dump({section: {name: value}} if section
                                    else {name: value}))
     return load_scenario(str(path))
+
+
+def _replace_key(key, value):
+    """``default_scenario()`` with ``key`` set to ``value`` by
+    ``dataclasses.replace``: the key's field, or its entry in a field of
+    several keys (a stack's rows or the solver's settings, in key order)."""
+    config = default_scenario()
+    name = next(name for k, name, _, _ in _KEYS if k == key)
+    keys = [k for k, other, _, _ in _KEYS if other == name]
+    if len(keys) > 1:
+        parts = list(astuple(config.solver) if name == "solver"
+                     else getattr(config, name))
+        parts[keys.index(key)] = value
+        value = parts
+    return replace(config, **{name: value})
+
+
+def _error(make) -> str:
+    with pytest.raises(ScenarioError) as excinfo:
+        make()
+    return str(excinfo.value)
 
 
 class TestDefaults:
@@ -192,7 +241,10 @@ class TestLoadScenario:
     @pytest.mark.parametrize("polygon", [
         [[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]],
         [[-0.2, -0.16], [0.2, -0.16], [0.2, -0.16], [0.2, 0.16], [-0.2, 0.16]],
-    ], ids=["one-point", "repeated-vertex"])
+        # The second edge's length underflows to 0: this loaded, with
+        # numpy's divide-by-zero warning, as its inward distance was +inf.
+        [[1.0, -1.0], [1.0, 0.0], [1.0, 5e-324], [-1.0, 1.0], [-1.0, -1.0]],
+    ], ids=["one-point", "repeated-vertex", "underflowing-edge"])
     def test_zero_length_polygon_edge_rejected(self, tmp_path, polygon):
         with pytest.raises(ScenarioError, match="balance"):
             _load_override(tmp_path, "balance.sp_polygon", polygon)
@@ -225,35 +277,13 @@ class TestScalarKeys:
         assert len(SCALAR_KEYS) == 19
         assert "gravity" in SCALAR_KEYS and "solver.slack_max" in SCALAR_KEYS
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, None, "x"],
-                             ids=["nan", "inf", "true", "null", "text"])
+    @pytest.mark.parametrize("value", MALFORMED, ids=MALFORMED_IDS)
     @pytest.mark.parametrize("key", SCALAR_KEYS)
     def test_malformed_value_names_the_key(self, tmp_path, key, value):
         with pytest.raises(ScenarioError, match=re.escape(key)):
             _load_override(tmp_path, key, value)
 
-    @pytest.mark.parametrize("key, value", [
-        ("task.path_length", -0.1),
-        ("task.waypoint_count", 0),
-        ("task.waypoint_count", 2.0),
-        ("contact.link_index", 4),
-        ("object.mass", 0.0),
-        ("solver.max_iterations", 1.5),
-        ("solver.max_iterations", 0),
-        ("solver.slack_max", -1),
-        ("balance.sp_polygon", "abc"),
-        pytest.param("balance.sp_polygon",
-                     [[float("nan"), 0.0], [1.0, 0.0], [0.0, 1.0]],
-                     id="balance.sp_polygon-nan"),
-        ("task.path_direction", [0.0, 0.0]),
-        ("task.path_direction", [1e308, 1e308]),
-        ("task.path_direction", [1e-160, 1e-160]),
-        ("task.waypoint_count", 10_001),
-        pytest.param("task.waypoint_count", 10**400, id="task.waypoint_count-huge-int"),
-        pytest.param("object.mass", 10**400, id="object.mass-huge-int"),
-        pytest.param("robot.link_lengths", [10**400, 0.3, 0.3, 0.2],
-                     id="robot.link_lengths-huge-int"),
-    ])
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
     def test_out_of_range_value_names_the_key(self, tmp_path, key, value):
         with pytest.raises(ScenarioError, match=re.escape(key)):
             _load_override(tmp_path, key, value)
@@ -261,6 +291,73 @@ class TestScalarKeys:
     def test_integer_valued_float_keys_accept_ints(self, tmp_path):
         config = _load_override(tmp_path, "object.mass", 8)
         assert config.object_mass == 8.0 and isinstance(config.object_mass, float)
+
+
+class TestReplaceMatchesLoading:
+    """``dataclasses.replace`` rejects a value exactly when a file that
+    gives it does, with the same message."""
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+    def test_out_of_range_value(self, tmp_path, key, value):
+        assert _error(lambda: _replace_key(key, value)) \
+            == _error(lambda: _load_override(tmp_path, key, value))
+
+    @pytest.mark.parametrize("value", MALFORMED, ids=MALFORMED_IDS)
+    @pytest.mark.parametrize("key", SCALAR_KEYS)
+    def test_malformed_value(self, tmp_path, key, value):
+        assert _error(lambda: _replace_key(key, value)) \
+            == _error(lambda: _load_override(tmp_path, key, value))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("contact.link_index", 7, "contact.link_index must be in [0, 3], got 7"),
+        ("task.waypoint_count", 0, "task.waypoint_count must be in [1, 10000], got 0"),
+        ("task.waypoint_count", 2.5, "task.waypoint_count must be an integer, got 2.5"),
+        ("robot.link_radius", -0.04, "robot.link_radius must be > 0, got -0.04"),
+        ("balance.safe_radius", -1.0, "balance.safe_radius must be > 0, got -1.0"),
+        ("gravity", -9.81, "gravity must be > 0, got -9.81"),
+    ])
+    def test_value_that_once_reached_planning(self, tmp_path, key, value, message):
+        # Through replace these planned into an IndexError (link 7), an empty
+        # plan (no waypoints), a typed failure seconds later (a negative
+        # radius, a fractional count), or a lifting load blamed on
+        # task.object_wrench (negative gravity).
+        assert _error(lambda: _replace_key(key, value)) == message
+        assert _error(lambda: _load_override(tmp_path, key, value)) == message
+
+    def test_grasp_offsets_none_takes_the_bar_ends(self, tmp_path):
+        config = replace(default_scenario(), bar_length=0.5, grasp_offsets=None)
+        assert_same_config(config, _load_override(tmp_path, "object.bar_length", 0.5))
+        np.testing.assert_array_equal(config.grasp_offsets, [-0.25, 0.25])
+
+    @pytest.mark.parametrize("value, message", [
+        (np.zeros((3, 2)), "arm_bases must hold 2 values: robot.arm_base_left, "
+                           "robot.arm_base_right"),
+        (5.0, "arm_bases must hold 2 values"),
+        (np.zeros(2), "robot.arm_base_left must have shape (2,), got ()"),
+    ], ids=["three-rows", "scalar", "one-row"])
+    def test_stack_takes_one_row_per_key(self, value, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            replace(default_scenario(), arm_bases=value)
+
+    def test_copy_is_bit_identical(self, default_config):
+        assert_same_config(replace(default_config), default_config)
+
+    @pytest.mark.parametrize("overrides, budget, fails_at, reason", CASES)
+    def test_sweep_copies_are_bit_identical(self, overrides, budget, fails_at,
+                                            reason):
+        # Normalizing the unit path direction a second time would move it
+        # and re-draw slant-full.
+        config = default_scenario(overrides)
+        for copy in [config] + [perturbed(config, seed) for seed in range(10)]:
+            assert_same_config(replace(copy), copy)
+
+    def test_path_direction_is_normalized_once(self, tmp_path):
+        # Normalizing [0.3, 1] a second time moves it by an ulp.
+        once = np.array([0.3, 1.0]) / float(np.linalg.norm([0.3, 1.0]))
+        assert (once / float(np.linalg.norm(once))).tobytes() != once.tobytes()
+        config = _load_override(tmp_path, "task.path_direction", [0.3, 1.0])
+        assert config.path_direction.tobytes() == once.tobytes()
+        assert replace(config).path_direction.tobytes() == once.tobytes()
 
 
 def test_default_scenario_is_validated():
@@ -379,6 +476,9 @@ def test_any_override_loads_valid_or_raises_scenario_error(overrides):
         config = default_scenario(raw)
     except ScenarioError:
         return
+    # A copy runs the checks again and changes nothing, the unit direction
+    # included: only loading normalizes it.
+    assert_same_config(replace(config), config)
     assert abs(math.hypot(*config.path_direction) - 1.0) <= 1e-12
     center, radius = config.sp_center, config.safe_radius
     polygon = config.sp_polygon
