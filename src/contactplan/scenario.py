@@ -39,9 +39,9 @@ Sections and keys (SI units throughout):
                             inside sp_polygon
       object_radius         m, default 0.10
     task:
-      path_direction        [x, y], default [0.0, 1.0] (normalized on load,
-                            not by replace; its norm must lie in
-                            [1e-150, 1e150])
+      path_direction        [x, y], default [0.0, 1.0]; the path runs along
+                            its unit vector, and its norm must lie in
+                            [1e-150, 1e150]
       path_length           m, default 0.40
       waypoint_count        int in [1, 10000], default 9
       object_wrench         6 floats, default [0, 10, -117.72, 0, 0, 0]
@@ -66,15 +66,18 @@ Every key is checked when a ``ScenarioConfig`` is built, by loading, by
 value is rejected with the same ``ScenarioError`` naming the key whichever
 way it arrives.  Each key's own check (type, finiteness, shape, range,
 integer-ness) runs first; each key is written once, in ``_KEYS``, with its
-default and its check.  Only loading scales ``task.path_direction`` to unit
-length, so a copy made by ``replace`` keeps the loaded direction bit for bit.
+default and its check.  No value is transformed on the way: a config holds
+``task.path_direction`` as given, and its waypoints use the direction's unit
+vector, so one vector plans one path however the config was built.
+
 A ``ScenarioConfig`` is then plannable by construction: building one raises
-a ``ScenarioError`` naming the key when the robot's weight, mass times gravity, overflows (the key of the larger
-factor: ``gravity``, ``robot.torso_mass`` or ``robot.link_mass``), a link is
-below its least length (``robot.link_lengths``, see above), the support
-polygon does not hold the safe circle (``balance``), a waypoint's grasp point
-lies beyond shoulder (links 1-2) plus forearm (links 3-4) reach (``task``), a
-start grasp point lies closer to its arm base than |shoulder - forearm|
+a ``ScenarioError`` naming the key when the robot's weight, mass times
+gravity, overflows (the key of the larger factor: ``gravity``,
+``robot.torso_mass`` or ``robot.link_mass``), a link is below its least
+length (``robot.link_lengths``, see above), the support polygon does not
+hold the safe circle (``balance``), a waypoint's grasp point lies beyond
+shoulder (links 1-2) plus forearm (links 3-4) reach (``task``), a start
+grasp point lies closer to its arm base than |shoulder - forearm|
 (``object.initial_center``), or ``robot_weight[2] + object_wrench[2] >= 0``
 lifts the robot (``task.object_wrench``; support forces are horizontal, so
 the ground reaction's z is the same in every pose).
@@ -280,7 +283,7 @@ class ScenarioConfig:
     sp_center: np.ndarray
     safe_radius: float
     object_radius: float
-    path_direction: np.ndarray     # (2,), unit when loaded
+    path_direction: np.ndarray     # (2,) as given; waypoints() normalize it
     path_length: float
     waypoint_count: int
     object_wrench: np.ndarray      # (6,)
@@ -371,12 +374,13 @@ class ScenarioConfig:
                          center + [self.grasp_offsets[1], 0.0]])
 
     def waypoints(self) -> np.ndarray:
-        """Equally spaced waypoints from the initial centre, inclusive."""
+        """Equally spaced waypoints from the initial centre, inclusive, along
+        the unit vector of ``path_direction``."""
         if self.waypoint_count == 1:
             return self.initial_center[None, :].copy()
+        unit = self.path_direction / float(np.linalg.norm(self.path_direction))
         steps = np.arange(self.waypoint_count) / (self.waypoint_count - 1)
-        return self.initial_center + np.outer(steps * self.path_length,
-                                              self.path_direction)
+        return self.initial_center + np.outer(steps * self.path_length, unit)
 
 
 def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
@@ -402,16 +406,12 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
 
 
 def _from_dict(data: dict) -> ScenarioConfig:
-    """The config of a merged scenario mapping.  Only loading scales the path
-    direction to unit length, after the direction's check; the config then
-    checks every key, the unit direction included."""
+    """The config of a merged scenario mapping: each key's value as given,
+    for the config to check."""
     values = {}
-    for key, name, _, check in _KEYS:
+    for key, name, _, _ in _KEYS:
         section, _, leaf = key.rpartition(".")
         raw = (data[section] if section else data)[leaf]
-        if name == "path_direction":
-            direction = check(raw, key)
-            raw = direction / float(np.linalg.norm(direction))
         if len(_FIELD_KEYS[name]) == 1:
             values[name] = raw
         else:

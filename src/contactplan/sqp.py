@@ -22,6 +22,7 @@ iterations only spend line-search evaluations.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -45,10 +46,18 @@ class SolverSettings:
     slack_max: float = 1e-4
 
     def __post_init__(self):
-        # Written as "not x > bound" so that NaN fails every check.
+        # Written as "not x > bound" so that NaN fails every check.  A bool
+        # is an int to Python, so the type checks name it first.
         for name in ("tol_kkt", "tol_con", "slack_max"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not value > 0.0:
                 raise ValueError(f"{name} must be > 0")
+        if isinstance(self.max_iterations, bool) \
+                or not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError("max_iterations must be an integer, "
+                             f"got {self.max_iterations!r}")
         if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -441,12 +450,11 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             break
 
         elastic_weight = 1e4
-        qp = None
         for _ in range(4):
             qp = solve_qp(hess, grad, a_eq, -ce, a_in, -ci,
                           elastic_weight=elastic_weight)
             qp_iterations += qp.iterations
-            if qp.elastic <= 1e-8 * (1.0 + viol) or elastic_weight > 1e12:
+            if qp.elastic <= 1e-8 * (1.0 + viol):
                 break
             elastic_weight *= 100.0
         # A small positive elastic value only means the linearization cannot

@@ -182,7 +182,7 @@ class TestRun:
 
     def test_flags_leave_file_values_unchanged(self, tmp_path, monkeypatch):
         # A flag that repeats the file's waypoint count plans the file's
-        # own scenario: the path direction is normalized once, not twice.
+        # own scenario, the slanted path direction bit for bit.
         scenario = tmp_path / "slant.yaml"
         scenario.write_text("task:\n  path_direction: [0.3, 1.0]\n"
                             "  waypoint_count: 9\n")

@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 from dataclasses import astuple, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -352,12 +353,53 @@ class TestReplaceMatchesLoading:
             assert_same_config(replace(copy), copy)
 
     def test_path_direction_is_normalized_once(self, tmp_path):
-        # Normalizing [0.3, 1] a second time moves it by an ulp.
-        once = np.array([0.3, 1.0]) / float(np.linalg.norm([0.3, 1.0]))
-        assert (once / float(np.linalg.norm(once))).tobytes() != once.tobytes()
+        # The config keeps the vector as given; its waypoints, and its
+        # copy's, run along the vector over its norm.  Normalizing [0.3, 1]
+        # a second time moves it by an ulp, and moves the waypoints.
+        direction = np.array([0.3, 1.0])
+        once = direction / float(np.linalg.norm(direction))
+        twice = once / float(np.linalg.norm(once))
         config = _load_override(tmp_path, "task.path_direction", [0.3, 1.0])
-        assert config.path_direction.tobytes() == once.tobytes()
-        assert replace(config).path_direction.tobytes() == once.tobytes()
+        assert config.path_direction.tobytes() == direction.tobytes()
+        steps = np.arange(9) / 8 * config.path_length
+        expected = config.initial_center + np.outer(steps, once)
+        assert (config.initial_center + np.outer(steps, twice)).tobytes() \
+            != expected.tobytes()
+        assert config.waypoints().tobytes() == expected.tobytes()
+        assert replace(config).waypoints().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("direction", [
+        [0.0, 1.5], [0.0, 2.0], [0.3, 1.0], [-1e-150, 2e-150], [3e149, 4e149],
+    ], ids=["0,1.5", "0,2", "0.3,1", "tiny", "huge"])
+    def test_path_direction_plans_one_path(self, tmp_path, direction):
+        # The constructor, default_scenario overrides, loading and replace
+        # give the same waypoints for one vector, a path_length long.
+        default = default_scenario()
+        init = {f.name: getattr(default, f.name)
+                for f in fields(ScenarioConfig) if f.init}
+        configs = [
+            ScenarioConfig(**{**init, "path_direction": np.array(direction)}),
+            default_scenario({"task": {"path_direction": direction}}),
+            _load_override(tmp_path, "task.path_direction", direction),
+            replace(default, path_direction=np.array(direction)),
+        ]
+        expected = configs[2].waypoints()
+        for config in configs:
+            assert config.waypoints().tobytes() == expected.tobytes()
+        assert np.hypot(*(expected[-1] - expected[0])) == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("direction", [[0.0, 2.0], [0.0, 0.5]],
+                             ids=["0,2", "0,0.5"])
+    def test_path_direction_rejected_alike(self, tmp_path, direction):
+        # A path too long for the arms, whatever the direction's norm.
+        path = tmp_path / "long.yaml"
+        path.write_text(yaml.safe_dump(
+            {"task": {"path_direction": direction, "path_length": 1.2}}))
+        message = _error(lambda: load_scenario(str(path)))
+        assert message.startswith("task: waypoint 5 ")
+        assert _error(lambda: replace(default_scenario(), path_length=1.2,
+                                      path_direction=np.array(direction))) \
+            == message
 
 
 def test_default_scenario_is_validated():
@@ -476,10 +518,14 @@ def test_any_override_loads_valid_or_raises_scenario_error(overrides):
         config = default_scenario(raw)
     except ScenarioError:
         return
-    # A copy runs the checks again and changes nothing, the unit direction
-    # included: only loading normalizes it.
+    # A copy runs the checks again and changes nothing, and the waypoints
+    # step along a unit vector: those of a unit path from the origin.
     assert_same_config(replace(config), config)
-    assert abs(math.hypot(*config.path_direction) - 1.0) <= 1e-12
+    unit_path = SimpleNamespace(initial_center=np.zeros(2), path_length=1.0,
+                                waypoint_count=2,
+                                path_direction=config.path_direction)
+    step = ScenarioConfig.waypoints(unit_path)[1]
+    assert abs(math.hypot(*step) - 1.0) <= 1e-12
     center, radius = config.sp_center, config.safe_radius
     polygon = config.sp_polygon
     for a, b in zip(polygon, np.roll(polygon, -1, axis=0)):

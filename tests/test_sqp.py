@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -425,6 +427,27 @@ class TestSolverSettings:
     def test_invalid_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverSettings(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tol_kkt", True, "tol_kkt must be a number, got True"),
+        ("tol_con", True, "tol_con must be a number, got True"),
+        ("slack_max", False, "slack_max must be a number, got False"),
+        ("tol_kkt", "1e-6", "tol_kkt must be a number, got '1e-6'"),
+        ("max_iterations", True, "max_iterations must be an integer, got True"),
+        ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
+        ("max_iterations", 200.0, "max_iterations must be an integer, got 200.0"),
+    ])
+    def test_wrong_type_rejected_by_name(self, field, value, message):
+        # To Python True is an int above 0, and 2.5 would reach range() in
+        # solve_sqp as an untyped TypeError.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SolverSettings(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        settings = SolverSettings(tol_kkt=np.float64(1e-6),
+                                  max_iterations=np.int64(5))
+        result = solve_sqp(quadratic_problem([0.3, -1.2]), np.zeros(2), settings)
+        assert result.converged
 
 
 class TestSolveQp:
