@@ -8,6 +8,7 @@ Logging goes to stderr only, keeping the data streams machine-clean.
 import argparse
 import csv
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -108,9 +109,11 @@ def read_csv(path: str) -> list[StepRecord]:
 
     Raises:
         ValueError: naming the line, for a wrong header, field count or
-            number, or a ``step`` or ``iters`` that is not an integer.
+            number, a number that is not finite, or a ``step`` or ``iters``
+            that is not an integer.
     """
-    width = len(CSV_HEADER.split(","))
+    names = CSV_HEADER.split(",")
+    width = len(names)
     records = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -125,6 +128,9 @@ def read_csv(path: str) -> list[StepRecord]:
                 values = [float(v) for v in row]
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
+            for name, value, text in zip(names, values, row):
+                if not math.isfinite(value):
+                    raise ValueError(f"{where}: {name} {text} is not finite")
             if not (values[0].is_integer() and values[17].is_integer()):
                 raise ValueError(f"{where}: step {row[0]} and iters {row[17]} "
                                  f"must be integers")

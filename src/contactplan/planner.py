@@ -22,27 +22,30 @@ derivatives, which the chain composes.  Every constraint Jacobian is
 analytic (the ZMP row differentiates the closed-form moment balance);
 ``gradient_check`` validates them against central finite differences.
 
-The ZMP chain behind cost and constraints has two halves, each with a value
-pass and a derivative pass.  The joint half (``_joint``) depends on the pose
-theta + dtheta alone: forward kinematics once per arm, the grasp (hand loads
-and object position), the gaps, the centre of mass, the object's error and
-deviation, the cost's position term and the equalities (``_joint_values``),
-then the Jacobians from those points and values, the position term's
-gradient, the equality Jacobian and the hands' sums of the ZMP's moment
-gradients (``_joint_derivatives``).  The force half (``_forces``) adds gamma
-and s: the support loads, the ZMP and the inequalities (``_force_values``),
-then the supports' terms added to a copy of the hands' sums for the
-inequality Jacobian (``_force_derivatives``).  A ``StepContext``'s memo is
-the one cache of its waypoint's NLP (the evaluate-once interface of IPOPT
-and CasADi): an entry for each of its last 64 poses, with the joint half and
-the force half of the last gamma and s there.  Every continuation stage and
-the post-solve observables read it.  A line search that backtracks along one
-joint direction while only gamma and s move reruns only the force half, and
-so does a trial whose step is below an ulp of theta: its dtheta differs, its
-pose does not.  The cost and its gradient add their dtheta terms at the
-call.  Each NLP field reads only the half it depends on; Jacobians add the
-derivative pass, which the SQP asks for at start points and accepted
-iterates.
+The ZMP chain behind cost and constraints has two halves.  The joint half
+(``_joint``) depends on the pose theta + dtheta alone and has three tiers:
+the kinematic tier, forward kinematics once per arm, the bar's origin (the
+object position), its error, the cost's position term and the equalities
+(``_kinematic_values``); the value pass, the grasp (hand loads), the gaps,
+the centre of mass and the object's deviation (``_joint_values``); and the
+derivative pass, the Jacobians from those points and values, the position
+term's gradient, the equality Jacobian and the hands' sums of the ZMP's
+moment gradients (``_joint_derivatives``).  The force half (``_forces``)
+adds gamma and s, with a value pass, the support loads, the ZMP and the
+inequalities (``_force_values``), and a derivative pass, the supports'
+terms added to a copy of the hands' sums for the inequality Jacobian
+(``_force_derivatives``).  A ``StepContext``'s memo is the one cache of its
+waypoint's NLP (the evaluate-once interface of IPOPT and CasADi): an entry
+for each of its last 64 poses, with the joint half's tiers and the force
+half of the last gamma and s there, each run the first time it is asked
+for.  Every continuation stage and the post-solve observables read it.  A
+line search that backtracks along one joint direction while only gamma and
+s move reruns only the force half, and so does a trial whose step is below
+an ulp of theta: its dtheta differs, its pose does not.  A trial the SQP
+rejects on its cost and equalities alone runs only the kinematic tier.  The
+cost and its gradient add their dtheta terms at the call.  Each NLP field
+reads only what it depends on; Jacobians add the derivative passes, which
+the SQP asks for at start points and accepted iterates.
 
 Exactness rule: the SQP is sensitive to the last bit of the chain (an ulp
 can flip a marginal solve), so the chain's small-array code (forward
@@ -67,7 +70,7 @@ from . import contact as ct
 from . import kinematics as kin
 from . import statics as st
 from .errors import ContactPlanError, PlanStepError
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _read_only
 from .sqp import NlpProblem, SolverSettings, finite_difference_jacobian, solve_sqp
 
 NUM_JOINTS = 2 * kin.NUM_LINKS
@@ -120,8 +123,10 @@ class StepContext:
     link), chosen on construction and frozen for the solve.
     ``memo`` holds the ZMP chain, with the NLP rows, at the last poses
     theta + dtheta evaluated against this context, keyed on the pose's
-    bytes: each one's joint half and the force half of its last gamma and
-    s (see ``_joint`` and ``_forces``).  The chain depends on the context,
+    bytes: each one's joint half, in three tiers (kinematics, value pass,
+    derivative pass) that each run the first time they are asked for, and
+    the force half of its last gamma and s (see ``_joint`` and
+    ``_forces``).  The chain depends on the context,
     the pose, gamma and s only, so every continuation stage, the
     post-solve observables and joint displacements that round to one pose
     share it.
@@ -215,27 +220,40 @@ def _com_gradient(config: ScenarioConfig, points) -> list:
     return [d_com_x, d_com_y]
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
+def _kinematic_values(ctx: StepContext, pose: np.ndarray) -> dict:
+    """Kinematic tier of the joint half at joint angles ``pose`` (theta +
+    dtheta): all that the cost and the equalities read.
+
+    Forward kinematics runs once per arm; the bar's origin (the object
+    position) and its waypoint ``error`` come from the end effectors.
+    ``position_cost`` is the cost's object-position term, and
+    ``equalities`` (grasp closure) is read-only.
+    """
+    config = ctx.config
+    points = config.joint_points(pose)
+    ee0, ee1 = points[0][-1], points[1][-1]
+    p_obj = st.bar_origin((ee0, ee1))
+    err = ctx.waypoint - p_obj
+    return {
+        "points": points, "object_position": p_obj, "error": err,
+        "position_cost": config.weight_position * float(err @ err),
+        "equalities": _read_only(
+            ee0 - ee1 + np.array([config.grasp_separation, 0.0])),
+    }
 
 
-def _joint_values(ctx: StepContext, pose: np.ndarray) -> dict:
-    """Value pass of the joint half at joint angles ``pose`` (theta + dtheta).
+def _joint_values(ctx: StepContext, joint: dict) -> dict:
+    """Value pass of the joint half, from its kinematic tier ``joint``.
 
-    Forward kinematics runs once per arm; the end effectors, the grasp
-    (hand load forces and object position), the contact gaps, the centre of
-    mass, the object's waypoint ``error`` and its deviation all come from
-    those joint points.
+    The grasp (hand load forces), the contact gaps, the centre of mass and
+    the object's deviation all come from the tier's joint points.
     ``load_points`` are four [x, y, z] lists, the hands' rows, then the
     supports'; ``hand_loads`` the hands' two force rows.  ``normals`` holds
-    each support's (cos, sin) of its normal angle.  ``position_cost`` is
-    the cost's object-position term, and ``equalities`` (grasp closure) is
-    read-only.
+    each support's (cos, sin) of its normal angle.
     """
     config = ctx.config
     plane = config.plane_height
-    points = config.joint_points(pose)
+    points = joint["points"]
     ee0, ee1 = points[0][-1], points[1][-1]
 
     grasp = st.bar_grasp((ee0, ee1), config.object_wrench)
@@ -245,11 +263,8 @@ def _joint_values(ctx: StepContext, pose: np.ndarray) -> dict:
     angles = [res.normal_angle for res in gaps]
     com = st.robot_center_of_mass(config.torso_mass, config.torso_position,
                                   config.link_mass, points, plane)
-    p_obj = grasp.origin
-    err = ctx.waypoint - p_obj
-    dev_dist, dev_dir = _smooth_norm(p_obj - ctx.waypoint)
+    dev_dist, dev_dir = _smooth_norm(joint["object_position"] - ctx.waypoint)
     return {
-        "points": points, "object_position": p_obj, "error": err,
         "grasp": grasp, "gaps": gaps, "phi": np.array([res.gap for res in gaps]),
         "normals": list(zip(np.cos(angles).tolist(), np.sin(angles).tolist())),
         "load_points": [[*point.tolist(), plane]
@@ -257,9 +272,6 @@ def _joint_values(ctx: StepContext, pose: np.ndarray) -> dict:
         "hand_loads": [grasp.wrenches[0:3].tolist(),
                        grasp.wrenches[6:9].tolist()],
         "com": com, "dev_dist": dev_dist, "dev_dir": dev_dir,
-        "position_cost": config.weight_position * float(err @ err),
-        "equalities": _read_only(
-            ee0 - ee1 + np.array([config.grasp_separation, 0.0])),
     }
 
 
@@ -396,14 +408,24 @@ def _remember(memo: dict, x: np.ndarray, compute):
     return memo[key]
 
 
-def _joint(ctx: StepContext, dtheta, derivatives: bool = False) -> dict:
-    """The joint half at ``dtheta``, the context's memo entry for the pose
-    theta + dtheta: the value pass runs once per pose, the derivative pass
-    the first time derivatives are asked for there.  Joint displacements
-    that round to the same pose share the entry; the entry holds no dtheta
-    term, which the NLP's cost and gradient add at the call."""
+def _kinematic(ctx: StepContext, dtheta) -> dict:
+    """The context's memo entry for the pose theta + dtheta, with at least
+    its kinematic tier, which runs once per pose.  Joint displacements that
+    round to the same pose share the entry; the entry holds no dtheta term,
+    which the NLP's cost and gradient add at the call."""
     pose = ctx.theta + np.asarray(dtheta, dtype=float)
-    joint = _remember(ctx.memo, pose, lambda: _joint_values(ctx, pose))
+    return _remember(ctx.memo, pose, lambda: _kinematic_values(ctx, pose))
+
+
+def _joint(ctx: StepContext, dtheta, derivatives: bool = False) -> dict:
+    """The joint half at ``dtheta``: the memo entry of its pose, whose three
+    tiers each run once per pose, the first time they are asked for.  The
+    kinematic tier (``_kinematic``) runs first, the value pass the first
+    time a value beyond it is asked for, and the derivative pass the first
+    time derivatives are."""
+    joint = _kinematic(ctx, dtheta)
+    if "grasp" not in joint:
+        joint.update(_joint_values(ctx, joint))
     if derivatives and "d_phi" not in joint:
         joint.update(_joint_derivatives(ctx, joint))
     return joint
@@ -433,12 +455,12 @@ def _forces(ctx: StepContext, x, derivatives: bool = False) -> dict:
 def build_step_nlp(ctx: StepContext, weight_slack: float) -> NlpProblem:
     """The NLP of the context's waypoint at slack weight ``weight_slack``.
 
-    Each field reads the context's memo, and only the half of the chain it
-    depends on: the cost and the equalities the joint half, the
-    inequalities the force half.  Value fields read the value pass only,
-    Jacobian fields the derivative pass too.  The cost adds the
-    displacement term ``weight_displacement * |dtheta|^2`` to the memo's
-    position term, then the stage's slack term ``weight_slack * s``; the
+    Each field reads the context's memo, and only the part of the chain it
+    depends on: the cost and the equalities the joint half's kinematic
+    tier, the inequalities the force half.  Value fields read no
+    derivative pass, Jacobian fields the derivative passes too.  The cost
+    adds the displacement term ``weight_displacement * |dtheta|^2`` to the
+    memo's position term, then the stage's slack term ``weight_slack * s``; the
     gradient adds ``2 weight_displacement dtheta`` to the memo's position
     gradient and has ``weight_slack`` as its last entry.  Each sum runs in
     the order of the whole expression, and the stage caches nothing of its
@@ -448,7 +470,7 @@ def build_step_nlp(ctx: StepContext, weight_slack: float) -> NlpProblem:
 
     def cost(x):
         dtheta = x[:NUM_JOINTS]
-        return (_joint(ctx, dtheta)["position_cost"]
+        return (_kinematic(ctx, dtheta)["position_cost"]
                 + weight_displacement * float(dtheta @ dtheta)
                 + weight_slack * float(x[-1]))
 
@@ -462,7 +484,7 @@ def build_step_nlp(ctx: StepContext, weight_slack: float) -> NlpProblem:
 
     return NlpProblem(
         dim=DECISION_DIM, cost=cost, cost_grad=cost_grad,
-        equalities=lambda x: _joint(ctx, x[:NUM_JOINTS])["equalities"],
+        equalities=lambda x: _kinematic(ctx, x[:NUM_JOINTS])["equalities"],
         equality_jac=lambda x: _joint(ctx, x[:NUM_JOINTS], True)["equality_jac"],
         inequalities=lambda x: _forces(ctx, x)["inequalities"],
         inequality_jac=lambda x: _forces(ctx, x, True)["inequality_jac"])

@@ -105,11 +105,16 @@ from .statics import check_support_region
 MAX_WAYPOINTS = 10_000
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _vec(raw, key: str, shape: tuple) -> np.ndarray:
-    """A finite float array of ``shape``; None in ``shape`` matches any
-    length."""
+    """A finite float array of ``shape``, a read-only copy of ``raw``; None
+    in ``shape`` matches any length."""
     try:
-        v = np.asarray(raw, dtype=float)
+        v = _read_only(np.array(raw, dtype=float))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{key} must be numbers of shape {shape}") from exc
     if v.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, v.shape)):
@@ -250,7 +255,7 @@ def _check_field(name: str, raw, keys: list):
                             + ", ".join(key for key, _ in keys))
     values = [check(part, key) for part, (key, check) in zip(parts, keys)]
     if name != "solver":
-        return np.array(values)
+        return _read_only(np.array(values))
     try:
         return SolverSettings(*values)
     except ValueError as exc:
@@ -264,7 +269,9 @@ class ScenarioConfig:
     Each field takes its key's value as a scenario file gives it, and
     construction checks it: ``arm_bases`` and ``port_edges`` take the left
     and the right key's value, ``solver`` a ``SolverSettings`` or its four
-    values, and a ``grasp_offsets`` of None is the bar's ends.
+    values, and a ``grasp_offsets`` of None is the bar's ends.  Each array
+    field holds a read-only copy of the value given, so a config cannot
+    change after its checks.
     """
 
     torso_mass: float
@@ -312,8 +319,8 @@ class ScenarioConfig:
             object.__setattr__(self, name, _check_field(name, raw, keys))
         mass = self.torso_mass + 2 * NUM_LINKS * self.link_mass
         object.__setattr__(self, "robot_mass", mass)
-        object.__setattr__(self, "robot_weight",
-                           mass * np.array([0.0, 0.0, -self.gravity]))
+        object.__setattr__(self, "robot_weight", _read_only(
+            mass * np.array([0.0, 0.0, -self.gravity])))
         if not np.all(np.isfinite(self.robot_weight)):
             # Blame the larger factor of mass * gravity, and of the mass
             # the larger term.

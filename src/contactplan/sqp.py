@@ -11,6 +11,15 @@ Problems are supplied as callables over a flat decision vector:
 cost/gradient, equality constraints (== 0), inequality constraints (>= 0),
 and their Jacobians.  All operations are deterministic for identical inputs.
 
+The line search evaluates the full step and its expansion in full, since
+it reads their merit.  A second-order-correction trial and a backtracking
+trial are evaluated in three steps, the cost, then the equalities, then the
+inequalities, and a trial is rejected without its inequalities once the
+cost plus the penalty times the equality violation, a lower bound of its
+merit, already exceeds the Armijo threshold.  The bound never rejects a
+trial the merit would accept, so every accepted trial is the one the merit
+alone picks.
+
 A run ends with one of these statuses: ``"converged"``; ``"iteration limit
 reached"``; ``"line search stalled"`` or ``"stalled at zero step"`` (x
 cannot move: no trial lowers the merit, or the QP's direction is
@@ -54,6 +63,8 @@ class SolverSettings:
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not value > 0.0:
                 raise ValueError(f"{name} must be > 0")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if isinstance(self.max_iterations, bool) \
                 or not isinstance(self.max_iterations, numbers.Integral):
             raise ValueError("max_iterations must be an integer, "
@@ -317,6 +328,27 @@ def _l1_violation(ce: np.ndarray, ci: np.ndarray) -> float:
     return float(np.abs(ce).sum() + np.maximum(0.0, -ci).sum())
 
 
+def _trial_merit(problem: NlpProblem, mu: float, x: np.ndarray,
+                 threshold: float = math.inf) -> float:
+    """The l1 merit f + mu (|c_E|_1 + |min(0, c_I)|_1) at a line-search
+    trial ``x``, or inf where it is not finite.
+
+    The cost is evaluated first, then the equalities, then the
+    inequalities.  f + mu |c_E|_1 is a lower bound of the merit as computed
+    in floats: every l1 term is >= 0, and IEEE addition and multiplication
+    by mu > 0 are monotone.  So when the bound exceeds ``threshold`` the
+    merit would too, and the trial is rejected with inf before the
+    inequalities run; an exception they would raise there is never raised.
+    A NaN bound falls through to the merit.
+    """
+    f = float(problem.cost(x))
+    ce = problem.equalities(x)
+    if f + mu * float(np.abs(ce).sum()) > threshold:
+        return math.inf
+    merit = f + mu * _l1_violation(ce, problem.inequalities(x))
+    return merit if math.isfinite(merit) else math.inf
+
+
 def _max_violation(ce: np.ndarray, ci: np.ndarray) -> float:
     return max(float(np.abs(ce).max(initial=0.0)),
                float(np.maximum(0.0, -ci).max(initial=0.0)))
@@ -388,7 +420,10 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     result with ``converged=False`` is returned when the iteration budget
     runs out, the line search stalls or the merit stagnates; the caller
     decides whether that is fatal.  An exception the problem's callables
-    raise, at an iterate or a line-search trial, propagates.
+    raise, at an iterate or a line-search trial, propagates; but a trial
+    rejected on its cost and equalities (see the module docstring) never
+    evaluates its inequalities, so an exception they would raise there is
+    never raised.
 
     Raises:
         InfeasibleStepError: a QP stays infeasible, or the cost, the rows,
@@ -489,24 +524,21 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             iterations += 1
             break
 
-        def merit_of(x_t: np.ndarray) -> float:
-            # A trial whose merit is not finite is rejected like any other
-            # worse point; an exception from the problem propagates.
-            merit = float(problem.cost(x_t)) + mu * _l1_violation(
-                problem.equalities(x_t), problem.inequalities(x_t))
-            return merit if math.isfinite(merit) else math.inf
-
+        # A trial whose merit is not finite is rejected like any other worse
+        # point; an exception from the problem propagates.  The full step and
+        # the expansion read the merit's value; a second-order correction
+        # and a backtracking trial only test it against their threshold.
         alpha = 1.0
         accepted = False
         x_trial = x + d
-        merit_trial = merit_of(x_trial)
+        merit_trial = _trial_merit(problem, mu, x_trial)
         if merit_trial <= merit0 + _ARMIJO_C1 * alpha * descent:
             accepted = True
             # Expand while the merit keeps strictly improving: recovers fast
             # progress when a stale Hessian approximation shrinks the step.
             for _ in range(40):
                 x_next = x + 2.0 * alpha * d
-                merit_next = merit_of(x_next)
+                merit_next = _trial_merit(problem, mu, x_next)
                 if merit_next < merit_trial:
                     alpha *= 2.0
                     x_trial, merit_trial = x_next, merit_next
@@ -528,16 +560,18 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
                 correction = a_act.T @ np.linalg.lstsq(
                     a_act @ a_act.T, np.asarray(rhs), rcond=None)[0]
                 x_soc = x + d + correction
-                merit_soc = merit_of(x_soc)
-                if merit_soc <= merit0 + _ARMIJO_C1 * descent:
+                threshold = merit0 + _ARMIJO_C1 * descent
+                merit_soc = _trial_merit(problem, mu, x_soc, threshold)
+                if merit_soc <= threshold:
                     accepted = True
                     x_trial, merit_trial = x_soc, merit_soc
         if not accepted:
             while alpha >= 1e-12:
                 alpha *= _BACKTRACK_RATIO
                 x_trial = x + alpha * d
-                merit_trial = merit_of(x_trial)
-                if merit_trial <= merit0 + _ARMIJO_C1 * alpha * descent:
+                threshold = merit0 + _ARMIJO_C1 * alpha * descent
+                merit_trial = _trial_merit(problem, mu, x_trial, threshold)
+                if merit_trial <= threshold:
                     accepted = True
                     break
         if not accepted:

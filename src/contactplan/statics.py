@@ -139,6 +139,13 @@ class BarGrasp:
     wrenches: np.ndarray
 
 
+def bar_origin(end_effectors) -> np.ndarray:
+    """The origin (2,) of a bar held by two planar end effectors: their
+    midpoint."""
+    (x0, y0), (x1, y1) = (ee.tolist() for ee in end_effectors)
+    return np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
+
+
 def bar_grasp(end_effectors, h_o) -> BarGrasp:
     """The grasp of a bar held by two planar end effectors about its
     origin, their midpoint, and the hands' share of the object wrench
@@ -152,13 +159,14 @@ def bar_grasp(end_effectors, h_o) -> BarGrasp:
     coincident ones included.
     """
     (x0, y0), (x1, y1) = (ee.tolist() for ee in end_effectors)
-    ox, oy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    origin = bar_origin(end_effectors)
+    ox, oy = origin.tolist()
     w = _GRASP_TEMPLATE.copy()
     w.flat[_SKEW_INDEX] = _skew_entries((ox - x0, oy - y0, 0.0),
                                         (ox - x1, oy - y1, 0.0))
     gram = w @ w.T
     gram_solve = np.linalg.solve(gram, h_o)
-    return BarGrasp(np.array([ox, oy]), w, gram, gram_solve, w.T @ gram_solve)
+    return BarGrasp(origin, w, gram, gram_solve, w.T @ gram_solve)
 
 
 def bar_grasp_gradients(grasp: BarGrasp, d_ee0, d_ee1) -> np.ndarray:

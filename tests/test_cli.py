@@ -97,13 +97,19 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="line 3"):
             read_csv(self.write(tmp_path, "\n".join([header, first, short]) + "\n"))
 
-    @pytest.mark.parametrize("column", ["step", "iters"])
-    def test_fractional_integer_column(self, tmp_path, column):
+    @pytest.mark.parametrize("values, match", [
+        ({"step": "1.5"}, "step 1.5"),
+        ({"iters": "1.5"}, "iters 1.5"),
+        ({"zmp_x": "nan", "gamma_1": "inf"}, "zmp_x nan is not finite"),
+    ], ids=["step", "iters", "non-finite"])
+    def test_fractional_integer_column(self, tmp_path, values, match):
+        # A fractional step or iters, and a number that is not finite.
         header, first, second = self.valid_rows(tmp_path)
         fields = second.split(",")
-        fields[header.split(",").index(column)] = "1.5"
+        for column, value in values.items():
+            fields[header.split(",").index(column)] = value
         text = "\n".join([header, first, ",".join(fields)]) + "\n"
-        with pytest.raises(ValueError, match=f"line 3.*{column} 1.5"):
+        with pytest.raises(ValueError, match=f"line 3.*{match}"):
             read_csv(self.write(tmp_path, text))
 
 

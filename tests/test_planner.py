@@ -312,11 +312,19 @@ class TestStepNlp:
         assert shapes == [(6, 6), (pl.NUM_JOINTS, 6, 6)]
 
     def test_value_fields_run_no_derivative_pass(self, ctx, monkeypatch):
+        # The cost and the equalities read the kinematic tier alone: a
+        # line-search trial rejected on them runs no value pass.
         nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
         passes = count_passes(monkeypatch)
+        fk_calls = count_fk(monkeypatch)
         x = self.nearby(np.zeros(pl.DECISION_DIM), 2e-3)
-        values = {name: getattr(nlp, name)(x) for name in self.VALUE_FIELDS}
-        assert passes == passes_of(1, 0, 1, 0)
+        values = {}
+        for name, expected in zip(self.VALUE_FIELDS, (passes_of(0, 0, 0, 0),
+                                                      passes_of(0, 0, 0, 0),
+                                                      passes_of(1, 0, 1, 0))):
+            values[name] = getattr(nlp, name)(x)
+            assert passes == expected, name
+        assert len(fk_calls) == 2
         expected = evaluate_nlp(self.fresh(ctx), x)
         for name in self.VALUE_FIELDS:
             np.testing.assert_array_equal(values[name], expected[name])
@@ -587,11 +595,12 @@ class TestPlanPath:
         # point's joint displacement (a force value pass only); derivatives
         # of both halves at each stage-1 start and each accepted iterate
         # (9 + 52); 329 QP active-set iterations (the settles' QPs have no
-        # inequality rows and take none).  FK runs twice per joint value
-        # pass (226), once per distinct pose in the start-up settle (60)
-        # and twice per active-edge choice (20: start-up and 9 waypoints);
-        # the post-solve contacts read the chain.  The support region is
-        # checked when a scenario loads, never while planning.
+        # inequality rows and take none).  No stage's trial fails the Armijo
+        # test on the cost and the equalities alone.  FK runs twice per pose
+        # of the joint half (226), once per distinct pose in the start-up
+        # settle (60) and twice per active-edge choice (20: start-up and 9
+        # waypoints); the post-solve contacts read the chain.  The support
+        # region is checked when a scenario loads, never while planning.
         passes = count_passes(monkeypatch)
         fk_calls = count_fk(monkeypatch)
         region_checks = []
@@ -627,18 +636,20 @@ class TestPlanPath:
     def test_slant_plan_work_counts(self, monkeypatch):
         # Pinned like the default plan's counts.  The slant path's first
         # stages stagnate at waypoints 1 and 2, and their line searches
-        # halve steps far below one ulp of theta: most of the 1,033 force
-        # value passes are at a pose the memo already holds, so the joint
-        # half runs 169 times and its derivative pass 31 times.  FK runs
-        # twice per joint value pass (338), 60 times in the start-up settle
-        # and twice per active-edge choice (8).
+        # halve steps far below one ulp of theta, at 169 poses.  Most
+        # backtracking trials fail the Armijo test on the cost and the
+        # equalities alone, so the force half's value pass runs 366 times
+        # and the joint half's 74 times, at the poses of the trials that
+        # reach the inequalities; its derivative pass runs 31 times.  FK
+        # runs twice per pose (338), 60 times in the start-up settle and
+        # twice per active-edge choice (8).
         config = default_scenario({"task": {
             "path_direction": [0.3, 1.0], "path_length": 0.1,
             "waypoint_count": 3}})
         passes = count_passes(monkeypatch)
         fk_calls = count_fk(monkeypatch)
         assert len(plan_path(config)) == 3
-        assert passes == passes_of(169, 31, 1033, 64)
+        assert passes == passes_of(74, 31, 366, 64)
         assert len(fk_calls) == 406
 
     def test_loads_are_the_support_forces(self, planned_steps, step_records):

@@ -426,6 +426,23 @@ def test_replace_runs_the_checks(changes, match):
         replace(default_scenario(), **changes)
 
 
+def test_array_fields_are_read_only_copies():
+    # A config's checks hold for its lifetime: replace copies the caller's
+    # array, and writing into a config's array raises instead of building a
+    # config whose load lifts the robot.
+    wrench = np.array([0.0, 10.0, -117.72, 0.0, 0.0, 0.0])
+    config = replace(default_scenario(), object_wrench=wrench)
+    assert config.object_wrench is not wrench
+    wrench[2] = 600.0
+    assert config.object_wrench[2] == -117.72
+    with pytest.raises(ValueError, match="read-only"):
+        config.object_wrench[2] = 600.0
+    for f in fields(ScenarioConfig):
+        value = getattr(config, f.name)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, f.name
+
+
 def short_link(length):
     """Overrides: link 2 ``length`` m long, two waypoints 5 cm apart."""
     return {"robot": {"link_lengths": [0.3, length, 0.3, 0.2]},

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -408,6 +409,96 @@ class TestLazyCertificate:
             problem.inequalities(x), max(10.0 * settings.tol_con, 1e-10))
 
 
+class TestMeritBound:
+    """A second-order-correction or backtracking trial is rejected on the
+    cost plus mu |c_E|_1, a lower bound of its merit, before the
+    inequalities run."""
+
+    X0 = np.array([0.9, 0.5])
+
+    @staticmethod
+    def circle_problem(calls: list) -> NlpProblem:
+        """min x0 + 0.1 x1^2 on the unit circle, with two inactive rows
+        whose evaluation points ``calls`` records."""
+        def inequalities(x):
+            calls.append(x.tobytes())
+            return np.array([x[1] + 2.0, 3.0 - x[0]])
+
+        return NlpProblem(
+            dim=2, cost=lambda x: float(x[0] + 0.1 * x[1] ** 2),
+            cost_grad=lambda x: np.array([1.0, 0.2 * x[1]]),
+            equalities=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
+            equality_jac=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
+            inequalities=inequalities,
+            inequality_jac=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    def test_trial_above_its_threshold_runs_no_inequalities(self, monkeypatch):
+        calls = []
+        result = solve_sqp(self.circle_problem(calls), self.X0,
+                           SolverSettings())
+        assert (result.status, result.iterations) == ("converged", 11)
+        # 52 when every trial runs the inequalities (below).
+        assert len(calls) == 40
+
+        # Each trial: did its bound exceed its threshold, and did the
+        # inequalities run?
+        trials = []
+        real = sqp._trial_merit
+
+        def spy(problem, mu, x, threshold=math.inf):
+            before = len(calls)
+            merit = real(problem, mu, x, threshold)
+            bound = float(problem.cost(x)) + mu * float(
+                np.abs(problem.equalities(x)).sum())
+            trials.append((bool(bound > threshold), len(calls) > before))
+            return merit
+
+        monkeypatch.setattr(sqp, "_trial_merit", spy)
+        spied = solve_sqp(self.circle_problem(calls), self.X0,
+                          SolverSettings())
+        assert spied.x.tobytes() == result.x.tobytes()
+        assert Counter(trials) == {(False, True): 22, (True, False): 12}
+
+        # The full merit at every trial decides the same run.
+        monkeypatch.setattr(sqp, "_trial_merit",
+                            lambda problem, mu, x, threshold=math.inf:
+                            real(problem, mu, x))
+        calls.clear()
+        full = solve_sqp(self.circle_problem(calls), self.X0, SolverSettings())
+        assert len(calls) == 52
+        assert full.x.tobytes() == result.x.tobytes()
+        assert (full.status, full.iterations) == (result.status,
+                                                  result.iterations)
+        assert full.merit_history == result.merit_history
+
+    def test_bound_is_at_most_the_merit(self, rng):
+        # Bit for bit, over magnitudes where the inequality term is lost in
+        # the rounding of the sum, and with NaN, inf and -inf rows.  At any
+        # threshold the trial is accepted exactly when its merit is, with
+        # that merit's value.
+        x = np.zeros(1)
+        for _ in range(3000):
+            f = float(rng.normal() * 10.0 ** rng.integers(-3, 9))
+            mu = float(10.0 ** rng.uniform(0.0, 15.0))
+            ce = rng.normal(size=2) * 10.0 ** rng.integers(-16, 3, size=2)
+            ci = rng.normal(size=3) * 10.0 ** rng.integers(-24, 3, size=3)
+            if rng.random() < 0.3:
+                ci[rng.integers(3)] = rng.choice([np.nan, np.inf, -np.inf])
+            problem = NlpProblem(dim=1, cost=lambda x, f=f: f,
+                                 cost_grad=lambda x: np.zeros(1),
+                                 equalities=lambda x, ce=ce: ce,
+                                 inequalities=lambda x, ci=ci: ci)
+            merit = sqp._trial_merit(problem, mu, x)
+            bound = f + mu * float(np.abs(ce).sum())
+            assert bound <= merit
+            for threshold in (merit, bound, np.nextafter(bound, -np.inf),
+                              np.nextafter(merit, -np.inf)):
+                trial = sqp._trial_merit(problem, mu, x, float(threshold))
+                assert (trial <= threshold) == (merit <= threshold)
+                if trial <= threshold:
+                    assert trial == merit
+
+
 class TestNlpProblem:
     def test_omitted_constraint_sets_are_empty(self):
         problem = quadratic_problem([0.3, -1.2, 2.0])
@@ -423,6 +514,8 @@ class TestSolverSettings:
     @pytest.mark.parametrize("field, value", [
         ("tol_kkt", float("nan")), ("tol_con", 0.0), ("max_iterations", 0),
         ("slack_max", 0.0), ("slack_max", float("nan")),
+        ("tol_kkt", float("inf")), ("tol_con", float("inf")),
+        ("slack_max", float("inf")),
     ])
     def test_invalid_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
