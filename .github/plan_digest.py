@@ -22,9 +22,11 @@ host, never two hosts.
 ``--outcomes`` prints a Markdown table, one row per case: the unperturbed
 plan's outcome (``plan``, or the failing waypoint index and the error
 message), its SQP iterations (every ``solve_sqp`` the plan makes, summed,
-as ``tests/test_sweep.py`` counts them), its value passes of the ZMP
-chain's joint half and force half (``planner._joint_values`` and
-``planner._force_values`` calls) and CPU seconds, and the outcomes
+as ``tests/test_sweep.py`` counts them), its passes of the ZMP chain's
+kinematic tier and its value passes of the joint half and the force half
+(``planner._kinematic_values``, ``planner._joint_values`` and
+``planner._force_values`` calls; a pose whose line-search trial stops at
+the merit bound runs the tier alone) and CPU seconds, and the outcomes
 of its 10 perturbed copies (``test_sweep.perturbed``, seeds 0-9; ``.`` for
 a plan, else the failing index) with their largest iteration count and CPU
 time.  Outcomes and iterations are deterministic on one host; times are
@@ -40,8 +42,9 @@ from pathlib import Path
 import numpy as np
 
 COPIES = 10
-# The ZMP chain's value passes, of its joint half and its force half.
-PASSES = ("_joint_values", "_force_values")
+# The ZMP chain's kinematic tier and value passes, of its joint half and
+# its force half.
+PASSES = ("_kinematic_values", "_joint_values", "_force_values")
 
 
 def _step_bytes(step) -> bytes:
@@ -105,22 +108,23 @@ def _print_outcomes(cases):
             error = exc
         return error, sum(iterations), time.process_time() - start
 
-    print("| case | unperturbed | iterations | joint values | force values "
-          "| CPU s | copies that plan | copies, seeds 0-9 | most iterations "
-          "| slowest copy, CPU s |")
-    print("| --- | --- | ---: | ---: | ---: | ---: | ---: | --- | ---: | ---: |")
+    print("| case | unperturbed | iterations | kinematic tier | joint values "
+          "| force values | CPU s | copies that plan | copies, seeds 0-9 "
+          "| most iterations | slowest copy, CPU s |")
+    print("| --- | --- | ---: | ---: | ---: | ---: | ---: | ---: | --- "
+          "| ---: | ---: |")
     for name, config in cases:
         error, count, cpu = run(config)
-        joint_values, force_values = (passes[p] for p in PASSES)
+        kinematic, joint_values, force_values = (passes[p] for p in PASSES)
         outcome = "plan" if error is None \
             else f"fails at {error.waypoint_index}: {error}"
         copies = [run(perturbed(config, seed)) for seed in range(COPIES)]
         marks = " ".join("." if e is None else str(e.waypoint_index)
                          for e, _, _ in copies)
         plans = sum(e is None for e, _, _ in copies)
-        print(f"| {name} | {outcome} | {count} | {joint_values} "
-              f"| {force_values} | {cpu:.2f} | {plans}/{COPIES} "
-              f"| {marks} | {max(c[1] for c in copies)} "
+        print(f"| {name} | {outcome} | {count} | {kinematic} "
+              f"| {joint_values} | {force_values} | {cpu:.2f} "
+              f"| {plans}/{COPIES} | {marks} | {max(c[1] for c in copies)} "
               f"| {max(c[2] for c in copies):.2f} |", flush=True)
 
 

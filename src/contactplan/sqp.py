@@ -11,14 +11,16 @@ Problems are supplied as callables over a flat decision vector:
 cost/gradient, equality constraints (== 0), inequality constraints (>= 0),
 and their Jacobians.  All operations are deterministic for identical inputs.
 
-The line search evaluates the full step and its expansion in full, since
-it reads their merit.  A second-order-correction trial and a backtracking
-trial are evaluated in three steps, the cost, then the equalities, then the
-inequalities, and a trial is rejected without its inequalities once the
-cost plus the penalty times the equality violation, a lower bound of its
-merit, already exceeds the Armijo threshold.  The bound never rejects a
-trial the merit would accept, so every accepted trial is the one the merit
-alone picks.
+The line search evaluates the full step in full, since a rejected full
+step goes on to the second-order correction, which reads its
+inequalities.  Every other trial is evaluated in three steps, the cost,
+then the equalities, then the inequalities, and is rejected without its
+inequalities once the cost plus the penalty times the equality violation,
+a lower bound of its merit, already exceeds its threshold: the Armijo
+threshold for a second-order-correction or backtracking trial, and the
+merit of the accepted trial it must beat for an expansion.  The bound
+never rejects a trial the merit would accept, so every accepted trial is
+the one the merit alone picks.
 
 A run ends with one of these statuses: ``"converged"``; ``"iteration limit
 reached"``; ``"line search stalled"`` or ``"stalled at zero step"`` (x
@@ -421,9 +423,9 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
     runs out, the line search stalls or the merit stagnates; the caller
     decides whether that is fatal.  An exception the problem's callables
     raise, at an iterate or a line-search trial, propagates; but a trial
-    rejected on its cost and equalities (see the module docstring) never
-    evaluates its inequalities, so an exception they would raise there is
-    never raised.
+    rejected on its cost and equalities (see the module docstring), an
+    expansion included, never evaluates its inequalities, so an exception
+    they would raise there is never raised.
 
     Raises:
         InfeasibleStepError: a QP stays infeasible, or the cost, the rows,
@@ -525,9 +527,11 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             break
 
         # A trial whose merit is not finite is rejected like any other worse
-        # point; an exception from the problem propagates.  The full step and
-        # the expansion read the merit's value; a second-order correction
-        # and a backtracking trial only test it against their threshold.
+        # point; an exception from the problem propagates.  The full step
+        # runs the full merit, whose finiteness decides whether a rejected
+        # step tries the second-order correction; every other trial is
+        # tested against its threshold, and only an accepted one's merit is
+        # read.
         alpha = 1.0
         accepted = False
         x_trial = x + d
@@ -536,9 +540,11 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             accepted = True
             # Expand while the merit keeps strictly improving: recovers fast
             # progress when a stale Hessian approximation shrinks the step.
+            # An expansion whose bound exceeds merit_trial has a merit above
+            # it too; one whose bound equals it falls through to the merit.
             for _ in range(40):
                 x_next = x + 2.0 * alpha * d
-                merit_next = _trial_merit(problem, mu, x_next)
+                merit_next = _trial_merit(problem, mu, x_next, merit_trial)
                 if merit_next < merit_trial:
                     alpha *= 2.0
                     x_trial, merit_trial = x_next, merit_next

@@ -590,17 +590,20 @@ class TestPlanPath:
         # Pinned so that a caching regression fails loudly: 74 SQP
         # iterations over 29 solves (2 start-up settles, 27 continuation
         # stages), all converged, none stagnated; 113 distinct solver points
-        # over the 27 stages, one joint and one force value pass each, plus
-        # 6 waypoints whose clamped decision is a new point at its solver
-        # point's joint displacement (a force value pass only); derivatives
-        # of both halves at each stage-1 start and each accepted iterate
-        # (9 + 52); 329 QP active-set iterations (the settles' QPs have no
-        # inequality rows and take none).  No stage's trial fails the Armijo
-        # test on the cost and the equalities alone.  FK runs twice per pose
-        # of the joint half (226), once per distinct pose in the start-up
-        # settle (60) and twice per active-edge choice (20: start-up and 9
-        # waypoints); the post-solve contacts read the chain.  The support
-        # region is checked when a scenario loads, never while planning.
+        # over the 27 stages (9 stage-1 starts, 52 full steps and their 52
+        # expansion trials), each running the kinematic tier.  49 of the
+        # expansions fail the Armijo test on the cost and the equalities
+        # alone and stop there, so one joint and one force value pass run
+        # at the other 64 points, plus a force value pass at each of 6
+        # waypoints whose clamped decision is a new point at its solver
+        # point's joint displacement; derivatives of both halves at each
+        # stage-1 start and each accepted iterate (9 + 52); 329 QP
+        # active-set iterations (the settles' QPs have no inequality rows
+        # and take none).  FK runs twice per pose of the kinematic tier
+        # (226), once per distinct pose in the start-up settle (60) and
+        # twice per active-edge choice (20: start-up and 9 waypoints); the
+        # post-solve contacts read the chain.  The support region is checked
+        # when a scenario loads, never while planning.
         passes = count_passes(monkeypatch)
         fk_calls = count_fk(monkeypatch)
         region_checks = []
@@ -628,7 +631,7 @@ class TestPlanPath:
         assert {status for status, _, _ in stages} == {"converged"}
         assert (len(stages), sum(n for _, n, _ in stages),
                 sum(n for _, _, n in stages)) == (29, 74, 329)
-        assert passes == passes_of(113, 61, 119, 61)
+        assert passes == passes_of(64, 61, 70, 61)
         assert (len(fk_calls), len(region_checks)) == (306, 0)
         default_scenario()
         assert len(region_checks) == 1
@@ -637,19 +640,19 @@ class TestPlanPath:
         # Pinned like the default plan's counts.  The slant path's first
         # stages stagnate at waypoints 1 and 2, and their line searches
         # halve steps far below one ulp of theta, at 169 poses.  Most
-        # backtracking trials fail the Armijo test on the cost and the
-        # equalities alone, so the force half's value pass runs 366 times
-        # and the joint half's 74 times, at the poses of the trials that
-        # reach the inequalities; its derivative pass runs 31 times.  FK
-        # runs twice per pose (338), 60 times in the start-up settle and
-        # twice per active-edge choice (8).
+        # backtracking trials and 19 expansion trials fail the Armijo test
+        # on the cost and the equalities alone, so the force half's value
+        # pass runs 347 times and the joint half's 55 times, at the poses of
+        # the trials that reach the inequalities; its derivative pass runs
+        # 31 times.  FK runs twice per pose (338), 60 times in the start-up
+        # settle and twice per active-edge choice (8).
         config = default_scenario({"task": {
             "path_direction": [0.3, 1.0], "path_length": 0.1,
             "waypoint_count": 3}})
         passes = count_passes(monkeypatch)
         fk_calls = count_fk(monkeypatch)
         assert len(plan_path(config)) == 3
-        assert passes == passes_of(74, 31, 366, 64)
+        assert passes == passes_of(55, 31, 347, 64)
         assert len(fk_calls) == 406
 
     def test_loads_are_the_support_forces(self, planned_steps, step_records):

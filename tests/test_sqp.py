@@ -410,11 +410,14 @@ class TestLazyCertificate:
 
 
 class TestMeritBound:
-    """A second-order-correction or backtracking trial is rejected on the
-    cost plus mu |c_E|_1, a lower bound of its merit, before the
-    inequalities run."""
+    """A line-search trial other than the full step is rejected on the cost
+    plus mu |c_E|_1, a lower bound of its merit, before the inequalities
+    run."""
 
     X0 = np.array([0.9, 0.5])
+    BOWL_MIN = np.array([1.0, 2.0])
+    # The unpatched merit, for the full-merit reruns.
+    TRIAL_MERIT = staticmethod(sqp._trial_merit)
 
     @staticmethod
     def circle_problem(calls: list) -> NlpProblem:
@@ -432,16 +435,27 @@ class TestMeritBound:
             inequalities=inequalities,
             inequality_jac=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
-    def test_trial_above_its_threshold_runs_no_inequalities(self, monkeypatch):
-        calls = []
-        result = solve_sqp(self.circle_problem(calls), self.X0,
-                           SolverSettings())
-        assert (result.status, result.iterations) == ("converged", 11)
-        # 52 when every trial runs the inequalities (below).
-        assert len(calls) == 40
+    @classmethod
+    def bowl_problem(cls, calls: list) -> NlpProblem:
+        """min |x - (1, 2)|^2 with two inactive rows whose evaluation points
+        ``calls`` records.  From the origin with the Hessian 2 I the first
+        step lands on the minimizer; a Hessian scaled up shortens the
+        steps."""
+        def inequalities(x):
+            calls.append(x.tobytes())
+            return np.array([10.0 - x[0] - x[1], x[0] + 5.0])
 
-        # Each trial: did its bound exceed its threshold, and did the
-        # inequalities run?
+        return NlpProblem(
+            dim=2, cost=lambda x: float((x - cls.BOWL_MIN) @ (x - cls.BOWL_MIN)),
+            cost_grad=lambda x: 2.0 * (x - cls.BOWL_MIN),
+            inequalities=inequalities,
+            inequality_jac=lambda x: np.array([[-1.0, -1.0], [1.0, 0.0]]))
+
+    @staticmethod
+    def spy_trials(monkeypatch, calls: list) -> list:
+        """Record every line-search trial from now on: its point, its
+        threshold, its returned merit, whether its bound exceeded the
+        threshold and whether the inequalities ran."""
         trials = []
         real = sqp._trial_merit
 
@@ -450,26 +464,92 @@ class TestMeritBound:
             merit = real(problem, mu, x, threshold)
             bound = float(problem.cost(x)) + mu * float(
                 np.abs(problem.equalities(x)).sum())
-            trials.append((bool(bound > threshold), len(calls) > before))
+            trials.append((x.tobytes(), threshold, merit,
+                           bool(bound > threshold), len(calls) > before))
             return merit
 
         monkeypatch.setattr(sqp, "_trial_merit", spy)
-        spied = solve_sqp(self.circle_problem(calls), self.X0,
-                          SolverSettings())
-        assert spied.x.tobytes() == result.x.tobytes()
-        assert Counter(trials) == {(False, True): 22, (True, False): 12}
+        return trials
 
-        # The full merit at every trial decides the same run.
+    @classmethod
+    def assert_full_merit_agrees(cls, monkeypatch, make_problem, result,
+                                 *args, **kwargs) -> list:
+        """Rerun with the full merit at every trial (the threshold ignored):
+        it must decide the same run.  Returns its inequality calls."""
         monkeypatch.setattr(sqp, "_trial_merit",
                             lambda problem, mu, x, threshold=math.inf:
-                            real(problem, mu, x))
-        calls.clear()
-        full = solve_sqp(self.circle_problem(calls), self.X0, SolverSettings())
-        assert len(calls) == 52
+                            cls.TRIAL_MERIT(problem, mu, x))
+        calls = []
+        full = solve_sqp(make_problem(calls), *args, **kwargs)
         assert full.x.tobytes() == result.x.tobytes()
         assert (full.status, full.iterations) == (result.status,
                                                   result.iterations)
         assert full.merit_history == result.merit_history
+        return calls
+
+    def test_trial_above_its_threshold_runs_no_inequalities(self, monkeypatch):
+        calls = []
+        result = solve_sqp(self.circle_problem(calls), self.X0,
+                           SolverSettings())
+        assert (result.status, result.iterations) == ("converged", 11)
+        # 52 when every trial runs the inequalities (below).
+        assert len(calls) == 35
+
+        # 17 trials, expansions among them, are rejected on the bound, and
+        # none of them calls the inequalities.
+        trials = self.spy_trials(monkeypatch, calls)
+        spied = solve_sqp(self.circle_problem(calls), self.X0,
+                          SolverSettings())
+        assert spied.x.tobytes() == result.x.tobytes()
+        assert Counter(t[3:] for t in trials) == {(False, True): 17,
+                                                  (True, False): 17}
+
+        full_calls = self.assert_full_merit_agrees(
+            monkeypatch, self.circle_problem, result, self.X0,
+            SolverSettings())
+        assert len(full_calls) == 52
+
+    def test_expansion_above_the_bound_runs_no_inequalities(self,
+                                                            monkeypatch):
+        # The full step lands on the minimizer, so the expansion, at twice
+        # the step, has a cost above the accepted trial's merit: it stops
+        # at the bound, and the inequalities never see its point.
+        calls = []
+        trials = self.spy_trials(monkeypatch, calls)
+        args = (np.zeros(2), SolverSettings())
+        result = solve_sqp(self.bowl_problem(calls), *args,
+                           initial_hessian=2.0 * np.eye(2))
+        assert (result.status, result.iterations) == ("converged", 1)
+        (step, _, merit, _, _), expansion = trials
+        assert step == self.BOWL_MIN.tobytes() and merit == 0.0
+        assert expansion[1:] == (0.0, math.inf, True, False)
+        assert expansion[0] not in calls
+
+        full_calls = self.assert_full_merit_agrees(
+            monkeypatch, self.bowl_problem, result, *args,
+            initial_hessian=2.0 * np.eye(2))
+        assert expansion[0] in full_calls
+        assert len(full_calls) == len(calls) + 1
+
+    def test_improving_expansions_all_pass_the_bound(self, monkeypatch):
+        # A Hessian 100 times too large shrinks each step, and the line
+        # search doubles it back while the merit strictly improves: 7, 4
+        # and 2 times in the three iterations.  Each expansion's threshold
+        # is the merit it must beat, so the bound blocks none of them.
+        calls = []
+        trials = self.spy_trials(monkeypatch, calls)
+        args = (np.zeros(2), SolverSettings())
+        result = solve_sqp(self.bowl_problem(calls), *args,
+                           initial_hessian=200.0 * np.eye(2))
+        assert (result.status, result.iterations) == ("converged", 3)
+        # Each iteration tries the full step, its 7, 4 and 2 doublings and
+        # one expansion more, and accepts its last doubling.
+        assert len(trials) == 3 + 13 + 3
+        assert [merit for _, _, merit in result.merit_history] \
+            == [trials[i][2] for i in (7, 13, 17)]
+
+        self.assert_full_merit_agrees(monkeypatch, self.bowl_problem, result,
+                                      *args, initial_hessian=200.0 * np.eye(2))
 
     def test_bound_is_at_most_the_merit(self, rng):
         # Bit for bit, over magnitudes where the inequality term is lost in
