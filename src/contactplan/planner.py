@@ -20,7 +20,8 @@ enters the balance at the end effectors; support forces enter at the port
 edges.  ``statics`` and ``contact`` own the grasp's and the gaps' values and
 derivatives, which the chain composes.  Every constraint Jacobian is
 analytic (the ZMP row differentiates the closed-form moment balance);
-``gradient_check`` validates them against central finite differences.
+the tests check them against central finite differences
+(``tests/derivatives.py``).
 
 The ZMP chain behind cost and constraints has two halves.  The joint half
 (``_joint``) depends on the pose theta + dtheta alone and has three tiers:
@@ -62,7 +63,7 @@ swapped only for the form numpy itself runs (``np.sqrt(v.dot(v))`` for a
 compares them bit for bit.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,7 +72,7 @@ from . import kinematics as kin
 from . import statics as st
 from .errors import ContactPlanError, PlanStepError
 from .scenario import ScenarioConfig, _read_only
-from .sqp import NlpProblem, SolverSettings, finite_difference_jacobian, solve_sqp
+from .sqp import NlpProblem, SolverSettings, solve_sqp
 
 NUM_JOINTS = 2 * kin.NUM_LINKS
 NUM_CONTACTS = 2
@@ -488,38 +489,6 @@ def build_step_nlp(ctx: StepContext, weight_slack: float) -> NlpProblem:
         equality_jac=lambda x: _joint(ctx, x[:NUM_JOINTS], True)["equality_jac"],
         inequalities=lambda x: _forces(ctx, x)["inequalities"],
         inequality_jac=lambda x: _forces(ctx, x, True)["inequality_jac"])
-
-
-def evaluate_nlp(ctx: StepContext, x) -> dict:
-    """The six ``NlpProblem`` fields at one decision vector, keyed by their
-    names, at the configured slack weight; read through the context's
-    memo, and read-only where they are arrays."""
-    nlp = build_step_nlp(ctx, ctx.config.weight_slack)
-    return {f.name: getattr(nlp, f.name)(x) for f in fields(NlpProblem)
-            if f.name != "dim"}
-
-
-def gradient_check(ctx: StepContext, decision: PlanDecision) -> float:
-    """Largest relative error of the analytic derivatives vs central FD
-    (``finite_difference_jacobian``'s step of 1e-6)."""
-    x = decision.to_vector()
-    values = evaluate_nlp(ctx, x)
-    analytic = np.vstack([values["cost_grad"][None, :], values["equality_jac"],
-                          values["inequality_jac"]])
-
-    def stacked(v: np.ndarray) -> np.ndarray:
-        values = evaluate_nlp(ctx, v)
-        return np.concatenate([[values["cost"]], values["equalities"],
-                               values["inequalities"]])
-
-    numeric = finite_difference_jacobian(stacked, x)
-    return relative_error(analytic, numeric)
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Elementwise |a - n| / max(1, |n|), reduced to the maximum."""
-    denom = np.maximum(1.0, np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 # ---------------------------------------------------------------------------

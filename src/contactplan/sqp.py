@@ -511,11 +511,6 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         l1 = _l1_violation(ce, ci)
         merit0 = f + mu * l1
         descent = float(grad @ d) - mu * l1
-        if descent > -1e-16:
-            # Not a descent direction for the merit: grow the penalty once.
-            mu *= 10.0
-            merit0 = f + mu * l1
-            descent = float(grad @ d) - mu * l1
         # The acceptance threshold must never allow a merit increase.
         descent = min(descent, -1e-16)
         # A negligible direction does not move x, which failed the
@@ -635,17 +630,3 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
                      converged=status == "converged", status=status,
                      qp_iterations=qp_iterations, merit_history=merit_history)
 
-
-def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x,
-                               step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued function."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.atleast_1d(np.asarray(fn(x), dtype=float))
-    jac = np.zeros((f0.shape[0], x.shape[0]))
-    for j in range(x.shape[0]):
-        dx = np.zeros_like(x)
-        dx[j] = step
-        f_plus = np.atleast_1d(np.asarray(fn(x + dx), dtype=float))
-        f_minus = np.atleast_1d(np.asarray(fn(x - dx), dtype=float))
-        jac[:, j] = (f_plus - f_minus) / (2.0 * step)
-    return jac

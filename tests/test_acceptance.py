@@ -10,11 +10,13 @@ import numpy as np
 from contactplan import planner as pl
 from contactplan.cli import read_csv, run
 from contactplan.kinematics import forward_kinematics, point_jacobian
-from contactplan.planner import PlanDecision, gradient_check
+from contactplan.planner import PlanDecision
 from contactplan.sqp import SolverSettings, solve_sqp
 from contactplan.statics import compute_zmp
 from contactplan.torque import ACTIVE_FORCE_TOL, PINV_RCOND, combined_torques
 
+from derivatives import finite_difference_jacobian, gradient_check
+from test_kinematics import link_point
 from test_sqp import halfspace_qp, mpcc_grid_oracle, toy_mpcc
 from test_statics import GRAVITY, horizontal_moment, zmp_oracle
 from test_torque import arm_block
@@ -101,8 +103,6 @@ def test_criterion_5_statics_matches_brute_force(rng):
 
 def test_criterion_6_derivatives_match_finite_differences(default_config, rng):
     # Kinematic Jacobians at random configurations.
-    step = 1e-6
-
     def left_arm(angles):
         return forward_kinematics(default_config.arm_bases[0],
                                   default_config.link_lengths, angles)
@@ -112,14 +112,10 @@ def test_criterion_6_derivatives_match_finite_differences(default_config, rng):
         link = int(rng.integers(0, 4))
         param = float(rng.uniform())
         jac = point_jacobian(left_arm(theta), link, param)
-        for j in range(4):
-            bump = np.zeros(4)
-            bump[j] = step
-            plus, minus = left_arm(theta + bump), left_arm(theta - bump)
-            fd = ((plus[link] + param * (plus[link + 1] - plus[link]))
-                  - (minus[link] + param * (minus[link + 1] - minus[link]))
-                  ) / (2 * step)
-            assert np.abs(jac[:, j] - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
+        numeric = finite_difference_jacobian(
+            lambda q: link_point(left_arm(q), link, param), theta, 1e-6)
+        for analytic, fd in zip(jac.T, numeric.T):
+            assert np.abs(analytic - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
     # Cost and constraint Jacobians of the waypoint NLP at random decisions.
     theta0 = pl.initial_joint_angles(default_config)
     ctx = pl.StepContext(default_config, theta0, default_config.waypoints()[1])

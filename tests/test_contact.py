@@ -4,6 +4,8 @@ import pytest
 from contactplan.contact import active_edges, edge_gap, edge_gap_gradients
 from contactplan.kinematics import forward_kinematics
 
+from derivatives import finite_difference_jacobian
+
 RADIUS = 0.04
 
 
@@ -53,22 +55,21 @@ class TestEvaluateGaps:
             moved = evaluate(arm_points(theta + eps), edge)
             assert abs(moved.normal_angle - base.normal_angle) < 1e-2
 
-    def test_gradients_match_finite_differences(self, rng):
+    @pytest.mark.parametrize("link_index", range(4))
+    def test_gradients_match_finite_differences(self, link_index, rng):
         # Interior and end-point closest points alike.
         for _ in range(20):
             theta = rng.normal(scale=1.0, size=4)
             edge = rng.uniform(-0.5, 1.0, size=2)
 
             def values(q):
-                res = evaluate(arm_points(q), edge)
+                res = evaluate(arm_points(q), edge, link_index)
                 return np.array([res.gap, res.normal_angle])
 
-            step = 1e-7
-            numeric = np.array([
-                (values(theta + step * e) - values(theta - step * e)) / (2 * step)
-                for e in np.eye(4)]).T
+            numeric = finite_difference_jacobian(values, theta, 1e-7)
             points = arm_points(theta)
-            analytic = edge_gap_gradients(points, 1, edge, evaluate(points, edge))
+            analytic = edge_gap_gradients(points, link_index, edge,
+                                          evaluate(points, edge, link_index))
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-5)
 
 

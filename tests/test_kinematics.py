@@ -8,6 +8,8 @@ from contactplan.kinematics import forward_kinematics, point_jacobian
 from contactplan.planner import StepContext, plan_path
 from contactplan.scenario import default_scenario
 
+from derivatives import finite_difference_jacobian
+
 LENGTHS = [0.3, 0.3, 0.25, 0.15]
 
 
@@ -15,6 +17,11 @@ def joint_points(theta, base=(0.2, 0.0)):
     return forward_kinematics(np.array(base, dtype=float),
                               np.array(LENGTHS, dtype=float),
                               np.array(theta, dtype=float))
+
+
+def link_point(points, link, param):
+    """The point at ``param`` along link ``link`` of a joint-point array."""
+    return points[link] + param * (points[link + 1] - points[link])
 
 
 def fk_oracle(base, lengths, theta):
@@ -95,33 +102,24 @@ class TestPointJacobian:
         assert np.any(jac[:, :2] != 0.0)
 
     def test_matches_finite_differences(self, rng):
-        step = 1e-6
         for _ in range(100):
             theta = rng.normal(scale=1.5, size=4)
             link = int(rng.integers(0, 4))
             param = float(rng.uniform())
             jac = point_jacobian(joint_points(theta), link, param)
-            for j in range(4):
-                bump = np.zeros(4)
-                bump[j] = step
-                plus, minus = (joint_points(theta + bump), joint_points(theta - bump))
-                fd = ((plus[link] + param * (plus[link + 1] - plus[link]))
-                      - (minus[link] + param * (minus[link + 1] - minus[link]))
-                      ) / (2 * step)
+            numeric = finite_difference_jacobian(
+                lambda q: link_point(joint_points(q), link, param), theta, 1e-6)
+            for analytic, fd in zip(jac.T, numeric.T):
                 np.testing.assert_allclose(
-                    jac[:, j], fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
+                    analytic, fd, atol=1e-5 * max(1.0, np.abs(fd).max()))
 
     def test_end_effector_jacobian_identity(self, rng):
         # The distal end of the last link is the end effector itself.
-        step = 1e-6
         theta = rng.normal(scale=1.0, size=4)
         jac = point_jacobian(joint_points(theta), 3, 1.0)
-        for j in range(4):
-            bump = np.zeros(4)
-            bump[j] = step
-            fd = (joint_points(theta + bump)[-1]
-                  - joint_points(theta - bump)[-1]) / (2 * step)
-            np.testing.assert_allclose(jac[:, j], fd, atol=1e-6)
+        numeric = finite_difference_jacobian(
+            lambda angles: joint_points(angles)[-1], theta, 1e-6)
+        np.testing.assert_allclose(jac, numeric, atol=1e-6)
 
     def test_range_checks(self):
         points = joint_points([0] * 4)

@@ -10,11 +10,12 @@ from contactplan import scenario
 from contactplan.errors import (ContactPlanError, InfeasibleStepError,
                                 PlanStepError, ScenarioError,
                                 UnbalancedStateError)
-from contactplan.planner import (PlanDecision, evaluate_nlp, gradient_check,
-                                 initial_joint_angles, plan_path,
-                                 plan_waypoint, relative_error)
+from contactplan.planner import (PlanDecision, initial_joint_angles,
+                                 plan_path, plan_waypoint)
 from contactplan.scenario import _DEFAULTS, default_scenario
 
+from derivatives import (evaluate_nlp, finite_difference_jacobian,
+                         gradient_check, relative_error)
 from test_scenario import SHORT_LINKS
 
 
@@ -188,8 +189,10 @@ def worst_gradient_error(config, rng) -> float:
 
 
 class TestGradientCheck:
-    def test_full_problem_matches_finite_differences(self, default_config, rng):
-        assert worst_gradient_error(default_config, rng) <= 1e-5
+    @pytest.mark.parametrize("link_index", range(4))
+    def test_full_problem_matches_finite_differences(self, link_index, rng):
+        config = default_scenario({"contact": {"link_index": link_index}})
+        assert worst_gradient_error(config, rng) <= 1e-5
 
     def test_object_moment_matches_finite_differences(self, rng):
         # A zero object moment leaves the hand forces' joint derivative at
@@ -212,7 +215,6 @@ class TestGradientCheck:
         ctx = pl.StepContext(config, theta, config.waypoints()[1])
         x = np.zeros(pl.DECISION_DIM)
         analytic = evaluate_nlp(ctx, x)["inequality_jac"]
-        from contactplan.sqp import finite_difference_jacobian
         numeric = finite_difference_jacobian(
             lambda v: evaluate_nlp(ctx, v)["inequalities"], x, 1e-6)
         corrupted = analytic.copy()

@@ -8,8 +8,9 @@ from collections import Counter
 
 from contactplan import sqp
 from contactplan.errors import InfeasibleStepError, UnbalancedStateError
-from contactplan.sqp import (NlpProblem, SolverSettings,
-                             finite_difference_jacobian, solve_qp, solve_sqp)
+from contactplan.sqp import NlpProblem, SolverSettings, solve_qp, solve_sqp
+
+from derivatives import finite_difference_jacobian
 
 
 def quadratic_problem(target):

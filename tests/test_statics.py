@@ -6,6 +6,8 @@ from contactplan.scenario import default_scenario
 from contactplan.statics import (bar_grasp, bar_grasp_gradients,
                                  check_support_region, compute_zmp)
 
+from derivatives import finite_difference_jacobian
+
 SP = np.array([[-0.2, -0.16], [0.2, -0.16], [0.2, 0.16], [-0.2, 0.16]])
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -241,10 +243,7 @@ class TestDistributeObjectWrench:
                 h_c = bar_grasp(v.reshape(2, 2), h_o).wrenches
                 return np.concatenate([h_c[0:3], h_c[6:9]])
 
-            step = 1e-6
-            numeric = np.array([
-                (forces(ees + step * e) - forces(ees - step * e)) / (2 * step)
-                for e in np.eye(4)]).T
+            numeric = finite_difference_jacobian(forces, ees, 1e-6)
             analytic = bar_grasp_gradients(bar_grasp(ees.reshape(2, 2), h_o),
                                            d_ee0, d_ee1)
             np.testing.assert_allclose(analytic.reshape(6, 4), numeric,

@@ -66,7 +66,7 @@ CASES = [
     # inactive, yet waypoint 2 fails, likely because solve_qp's tolerances
     # scale with the largest |b_in| (here about 1e3).
     case({"balance": {"object_radius": 1e3}}, 53, fails_at=2,
-         reason="solver did not converge", id="object-radius-1e3"),  # 46
+         reason="solver did not converge", id="object-radius-1e3"),  # 45
     # Diverging: waypoint 7's capped stages keep lowering the merit while
     # the slack grows, so they do not stagnate.  About 5 s.
     case({"task": {"path_length": 0.5}}, 455, fails_at=7,
@@ -76,8 +76,8 @@ CASES = [
     # capped 1e4 stage moves the point to where the target stage converges.
     # A knife edge in the last bit: renormalizing the already-unit path
     # direction, rounding-level changes to the grasp derivative, or
-    # deleting any one solver safeguard turns it into a PlanStepError at
-    # step 8.  About 6 s.
+    # deleting the step expansion turns it into a PlanStepError at step 8.
+    # About 6 s.
     case({"task": {"path_direction": [0.3, 1.0]}}, 970,
          id="slant-full"),                                  # 841 (2061 before)
 ]

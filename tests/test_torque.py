@@ -11,6 +11,8 @@ from contactplan.scenario import default_scenario
 from contactplan.statics import bar_grasp
 from contactplan.torque import ACTIVE_FORCE_TOL, PINV_RCOND, combined_torques
 
+from derivatives import finite_difference_jacobian
+from test_kinematics import link_point
 from test_statics import reference_grasp_map
 
 RADIUS = 0.04
@@ -185,7 +187,6 @@ class TestSupportTorques:
     def test_matches_virtual_work_oracle(self, rng):
         # tau_j = d(f . p_contact(theta)) / d theta_j with the force frozen
         # and the contact's material point fixed on the link.
-        step = 1e-6
         for _ in range(10):
             theta = rng.normal(scale=0.8, size=8)
             arms = make_arms(theta)
@@ -198,16 +199,10 @@ class TestSupportTorques:
             tau = support_part(arms, contacts, gamma)
             force = gamma[arm_index] * np.array(
                 [np.cos(contact.normal_angle), np.sin(contact.normal_angle)])
-            expected = np.zeros(8)
-            for j in range(8):
-                bump = np.zeros(8)
-                bump[j] = step
-                t = contact.axis_param
-                plus = make_arms(theta + bump)[arm_index]
-                minus = make_arms(theta - bump)[arm_index]
-                p_plus = plus[1] + t * (plus[2] - plus[1])
-                p_minus = minus[1] + t * (minus[2] - minus[1])
-                expected[j] = force @ (p_plus - p_minus) / (2 * step)
+            expected = finite_difference_jacobian(
+                lambda q: force @ link_point(make_arms(q)[arm_index], LINK,
+                                             contact.axis_param),
+                theta, 1e-6)[0]
             np.testing.assert_allclose(tau, expected,
                                        atol=1e-5 * max(1.0, np.abs(tau).max()))
 
