@@ -21,16 +21,16 @@ host, never two hosts.
 
 ``--outcomes`` prints a Markdown table, one row per case: the unperturbed
 plan's outcome (``plan``, or the failing waypoint index and the error
-message), its SQP iterations (every ``solve_sqp`` the plan makes, summed,
-as ``tests/test_sweep.py`` counts them), its passes of the ZMP chain's
-kinematic tier and its value passes of the joint half and the force half
-(``planner._kinematic_values``, ``planner._joint_values`` and
-``planner._force_values`` calls; a pose whose line-search trial stops at
-the merit bound runs the tier alone) and CPU seconds, and the outcomes
-of its 10 perturbed copies (``test_sweep.perturbed``, seeds 0-9; ``.`` for
-a plan, else the failing index) with their largest iteration count and CPU
-time.  Outcomes and iterations are deterministic on one host; times are
-not.  About 3 minutes.
+message), its SQP iterations (every ``solve_sqp`` the plan makes, summed),
+its passes of the ZMP chain's kinematic tier and its value passes of the
+joint half and the force half (``planner._kinematic_values``,
+``planner._joint_values`` and ``planner._force_values`` calls; a pose whose
+line-search trial stops at the merit bound runs the tier alone), all
+counted by ``tests/work.py`` as the tests count them, and CPU seconds, and
+the outcomes of its 10 perturbed copies (``test_sweep.perturbed``, seeds
+0-9; ``.`` for a plan, else the failing index) with their largest
+iteration count and CPU time.  Outcomes and iterations are deterministic on
+one host; times are not.  About 3 minutes.
 """
 
 import argparse
@@ -42,9 +42,6 @@ from pathlib import Path
 import numpy as np
 
 COPIES = 10
-# The ZMP chain's kinematic tier and value passes, of its joint half and
-# its force half.
-PASSES = ("_kinematic_values", "_joint_values", "_force_values")
 
 
 def _step_bytes(step) -> bytes:
@@ -75,38 +72,23 @@ def _print_digests(cases):
 
 
 def _print_outcomes(cases):
+    import pytest
     from contactplan import planner
     from contactplan.errors import PlanStepError
     from test_sweep import perturbed
-
-    iterations = []
-    passes = dict.fromkeys(PASSES, 0)
-    solve_sqp = planner.solve_sqp
-
-    def counted(*args, **kwargs):
-        result = solve_sqp(*args, **kwargs)
-        iterations.append(result.iterations)
-        return result
-
-    planner.solve_sqp = counted
-    for pass_name in PASSES:
-        def counted_pass(*args, real=getattr(planner, pass_name),
-                         pass_name=pass_name):
-            passes[pass_name] += 1
-            return real(*args)
-        setattr(planner, pass_name, counted_pass)
+    from work import watch
 
     def run(config):
-        """(the PlanStepError or None, SQP iterations, CPU s) of a plan."""
-        iterations.clear()
-        passes.update(dict.fromkeys(PASSES, 0))
-        start = time.process_time()
-        try:
-            planner.plan_path(config)
-            error = None
-        except PlanStepError as exc:
-            error = exc
-        return error, sum(iterations), time.process_time() - start
+        """(the PlanStepError or None, its ``work.Work``, CPU s) of a plan."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            work = watch(monkeypatch)
+            start = time.process_time()
+            try:
+                planner.plan_path(config)
+                error = None
+            except PlanStepError as exc:
+                error = exc
+            return error, work, time.process_time() - start
 
     print("| case | unperturbed | iterations | kinematic tier | joint values "
           "| force values | CPU s | copies that plan | copies, seeds 0-9 "
@@ -114,17 +96,17 @@ def _print_outcomes(cases):
     print("| --- | --- | ---: | ---: | ---: | ---: | ---: | ---: | --- "
           "| ---: | ---: |")
     for name, config in cases:
-        error, count, cpu = run(config)
-        kinematic, joint_values, force_values = (passes[p] for p in PASSES)
+        error, work, cpu = run(config)
         outcome = "plan" if error is None \
             else f"fails at {error.waypoint_index}: {error}"
         copies = [run(perturbed(config, seed)) for seed in range(COPIES)]
         marks = " ".join("." if e is None else str(e.waypoint_index)
                          for e, _, _ in copies)
         plans = sum(e is None for e, _, _ in copies)
-        print(f"| {name} | {outcome} | {count} | {kinematic} "
-              f"| {joint_values} | {force_values} | {cpu:.2f} "
-              f"| {plans}/{COPIES} | {marks} | {max(c[1] for c in copies)} "
+        print(f"| {name} | {outcome} | {work.iterations} "
+              f"| {work.kinematic_tier} | {work.passes['_joint_values']} "
+              f"| {work.passes['_force_values']} | {cpu:.2f} | {plans}/{COPIES} "
+              f"| {marks} | {max(c[1].iterations for c in copies)} "
               f"| {max(c[2] for c in copies):.2f} |", flush=True)
 
 
@@ -137,7 +119,9 @@ def main(argv) -> int:
                         help="print the outcome table instead of digests")
     args = parser.parse_args(argv)
     root = Path(args.root)
-    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    # The work spy is the checkout's own, or this script's where it has none.
+    sys.path[:0] = [str(root / "src"), str(root / "tests"),
+                    str(Path(__file__).resolve().parents[1] / "tests")]
     from contactplan.scenario import default_scenario
     from test_sweep import CASES
 

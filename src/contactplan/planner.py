@@ -63,7 +63,7 @@ swapped only for the form numpy itself runs (``np.sqrt(v.dot(v))`` for a
 compares them bit for bit.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -585,17 +585,7 @@ def plan_waypoint(ctx: StepContext) -> PlanStep:
     """
     config = ctx.config
     decision = solve_step(ctx)
-
-    # Clamp solver noise on the bound-constrained variables: a magnitude
-    # within tolerance of zero is an exactly-zero force or slack.
-    tol = config.solver.tol_con
-    gamma = np.where((decision.gamma < 0.0) & (decision.gamma > -tol),
-                     0.0, decision.gamma)
-    slack = 0.0 if -tol < decision.slack < 0.0 else decision.slack
-    decision = replace(decision, gamma=gamma, slack=float(slack))
-
-    # The solver's last point when the clamp changed nothing: a memo hit.
-    # The clamp keeps dtheta, so otherwise only the force half runs.
+    # The solver's last iterate, which it evaluated: a memo hit.
     joint = _joint(ctx, decision.dtheta)
     forces = _forces(ctx, decision.to_vector())
     fzmp = st.compute_zmp(config.robot_weight, joint["com"],

@@ -17,6 +17,7 @@ from contactplan.scenario import _DEFAULTS, default_scenario
 from derivatives import (evaluate_nlp, finite_difference_jacobian,
                          gradient_check, relative_error)
 from test_scenario import SHORT_LINKS
+from work import passes_of, watch
 
 
 def light_config():
@@ -223,42 +224,6 @@ class TestGradientCheck:
         assert relative_error(corrupted, numeric) > 1e-2
 
 
-PASSES = ("_joint_values", "_joint_derivatives", "_force_values",
-          "_force_derivatives")
-
-
-def count_passes(monkeypatch):
-    """Count the ZMP chain's value and derivative passes, of its joint and
-    force halves, from now on; keyed by ``PASSES``' names."""
-    passes = dict.fromkeys(PASSES, 0)
-    for name in PASSES:
-        def counted(*args, real=getattr(pl, name), name=name):
-            passes[name] += 1
-            return real(*args)
-        monkeypatch.setattr(pl, name, counted)
-    return passes
-
-
-def count_fk(monkeypatch) -> list:
-    """Record the arguments of every ``forward_kinematics`` call from now
-    on."""
-    calls = []
-    real = pl.kin.forward_kinematics
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(pl.kin, "forward_kinematics", counted)
-    return calls
-
-
-def passes_of(joint_values, joint_derivatives, force_values, force_derivatives):
-    """A ``count_passes`` dict, in ``PASSES``' order."""
-    return dict(zip(PASSES, (joint_values, joint_derivatives, force_values,
-                             force_derivatives)))
-
-
 class TestStepNlp:
     FIELDS = ("cost", "cost_grad", "equalities", "equality_jac",
               "inequalities", "inequality_jac")
@@ -282,13 +247,13 @@ class TestStepNlp:
 
     def test_one_evaluation_per_point(self, ctx, monkeypatch):
         nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
-        passes = count_passes(monkeypatch)
+        work = watch(monkeypatch)
         x = np.zeros(pl.DECISION_DIM)
         first = {name: getattr(nlp, name)(x) for name in self.FIELDS}
-        assert passes == passes_of(1, 1, 1, 1)
+        assert work.passes == passes_of(1, 1, 1, 1)
         for name in self.FIELDS:
             getattr(nlp, name)(self.nearby(x, 1e-3))
-        assert passes == passes_of(2, 2, 2, 2)
+        assert work.passes == passes_of(2, 2, 2, 2)
         expected = evaluate_nlp(self.fresh(ctx), x)
         for name in self.FIELDS:
             np.testing.assert_array_equal(first[name], expected[name])
@@ -317,16 +282,15 @@ class TestStepNlp:
         # The cost and the equalities read the kinematic tier alone: a
         # line-search trial rejected on them runs no value pass.
         nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
-        passes = count_passes(monkeypatch)
-        fk_calls = count_fk(monkeypatch)
+        work = watch(monkeypatch)
         x = self.nearby(np.zeros(pl.DECISION_DIM), 2e-3)
         values = {}
         for name, expected in zip(self.VALUE_FIELDS, (passes_of(0, 0, 0, 0),
                                                       passes_of(0, 0, 0, 0),
                                                       passes_of(1, 0, 1, 0))):
             values[name] = getattr(nlp, name)(x)
-            assert passes == expected, name
-        assert len(fk_calls) == 2
+            assert work.passes == expected, name
+        assert work.fk_calls == 2
         expected = evaluate_nlp(self.fresh(ctx), x)
         for name in self.VALUE_FIELDS:
             np.testing.assert_array_equal(values[name], expected[name])
@@ -336,7 +300,7 @@ class TestStepNlp:
         # The line search's expansion loop: values at x, then at x2, then
         # the Jacobians at the accepted x.
         nlp = pl.build_step_nlp(ctx, ctx.config.weight_slack)
-        passes = count_passes(monkeypatch)
+        work = watch(monkeypatch)
         x = np.zeros(pl.DECISION_DIM)
         x2 = self.nearby(x, 1e-3)
         for point in (x, x2):
@@ -344,7 +308,7 @@ class TestStepNlp:
                 getattr(nlp, name)(point)
         jacobians = {name: getattr(nlp, name)(x)
                      for name in ("cost_grad", "equality_jac", "inequality_jac")}
-        assert passes == passes_of(2, 1, 2, 1)
+        assert work.passes == passes_of(2, 1, 2, 1)
         expected = evaluate_nlp(self.fresh(ctx), x)
         for name, value in jacobians.items():
             np.testing.assert_array_equal(value, expected[name])
@@ -360,16 +324,13 @@ class TestStepNlp:
         x2[pl.NUM_JOINTS:] = [5.0, 2.5, 2e-5]
         for name in self.FIELDS:
             getattr(nlp, name)(x)
-        calls = []
-        for name in ("forward_kinematics", "point_jacobian"):
-            def counted(*args, real=getattr(pl.kin, name), name=name):
-                calls.append(name)
-                return real(*args)
-            monkeypatch.setattr(pl.kin, name, counted)
+        work = watch(monkeypatch)
         hit = {name: getattr(nlp, name)(x2)
                for name in self.VALUE_FIELDS + ("cost_grad", "equality_jac",
                                                 "inequality_jac")}
-        assert calls == []
+        # No kinematics: neither FK nor the joint half's tier and passes.
+        assert (work.fk_calls, work.kinematic_tier, work.passes["_joint_values"],
+                work.passes["_joint_derivatives"]) == (0, 0, 0, 0)
         monkeypatch.undo()
         expected = evaluate_nlp(self.fresh(ctx), x2)
         for name in self.FIELDS:
@@ -417,11 +378,10 @@ class TestStepNlp:
         assert (ctx.theta + x2[:pl.NUM_JOINTS]).tobytes() == \
             (ctx.theta + x[:pl.NUM_JOINTS]).tobytes()
         first = {name: getattr(nlp, name)(x) for name in self.FIELDS}
-        passes = count_passes(monkeypatch)
-        fk_calls = count_fk(monkeypatch)
+        work = watch(monkeypatch)
         hit = {name: getattr(nlp, name)(x2) for name in self.FIELDS}
-        assert passes == passes_of(0, 0, 0, 0)
-        assert fk_calls == []
+        assert work.passes == passes_of(0, 0, 0, 0)
+        assert work.fk_calls == 0
         assert len(ctx.memo) == 1
         monkeypatch.undo()
         expected = evaluate_nlp(self.fresh(ctx), x2)
@@ -466,29 +426,24 @@ class TestStepNlp:
         assert "forces" not in ctx.memo[pose]
 
     def test_later_stages_reuse_the_last_chain(self, default_config, monkeypatch):
-        # Stages 2 and 3 start where stage 1 ended; their seed Hessian and
-        # first iterate, and the post-solve observables, hit the memo.
+        # Stages 2 and 3 start where stage 1 ended, so their seed Hessian and
+        # first iterate hit the memo.  The post-solve observables are read
+        # at the solver's last iterate, which it evaluated: a hit too, also
+        # at the default plan's step 0, whose solver slack is -5.8e-18.
         theta = initial_joint_angles(default_config)
-        ctx = pl.StepContext(default_config, theta, default_config.waypoints()[1])
-        weights = []
-        stage_passes = []
-        passes = count_passes(monkeypatch)
-        real_solve = pl.solve_sqp
-
-        def solve(nlp, x0, settings, initial_hessian=None):
-            before = dict(passes)
-            result = real_solve(nlp, x0, settings, initial_hessian=initial_hessian)
-            # The slack entry of the cost gradient is the stage's weight.
-            weights.append(nlp.cost_grad(result.x)[-1])
-            stage_passes.append({k: passes[k] - before[k] for k in passes})
-            return result
-
-        monkeypatch.setattr(pl, "solve_sqp", solve)
-        decision = pl.solve_step(ctx)
-        assert weights == [1e2, 1e4, 1e6]
-        assert stage_passes[0]["_force_values"] > 0
-        assert stage_passes[1:] == [passes_of(0, 0, 0, 0)] * 2
-        assert decision.converged
+        ctx = pl.StepContext(default_config, theta, default_config.waypoints()[0])
+        work = watch(monkeypatch)
+        step = plan_waypoint(ctx)
+        totals = [solve.passes for solve in work.solves] + [work.passes]
+        assert totals[0]["_force_values"] > 0
+        # Stage 2, stage 3, then plan_waypoint after solve_step.
+        assert [{name: after[name] - before[name] for name in before}
+                for before, after in zip(totals, totals[1:])] == \
+            [passes_of(0, 0, 0, 0)] * 3
+        # The slack entry of the cost gradient is the stage's weight.
+        assert [solve.nlp.cost_grad(solve.result.x)[-1]
+                for solve in work.solves] == [1e2, 1e4, 1e6]
+        assert step.decision.converged
 
 
 @pytest.mark.parametrize("waypoint", [
@@ -596,45 +551,35 @@ class TestPlanPath:
         # expansion trials), each running the kinematic tier.  49 of the
         # expansions fail the Armijo test on the cost and the equalities
         # alone and stop there, so one joint and one force value pass run
-        # at the other 64 points, plus a force value pass at each of 6
-        # waypoints whose clamped decision is a new point at its solver
-        # point's joint displacement; derivatives of both halves at each
+        # at the other 64 points; derivatives of both halves at each
         # stage-1 start and each accepted iterate (9 + 52); 329 QP
         # active-set iterations (the settles' QPs have no inequality rows
         # and take none).  FK runs twice per pose of the kinematic tier
         # (226), once per distinct pose in the start-up settle (60) and
         # twice per active-edge choice (20: start-up and 9 waypoints); the
-        # post-solve contacts read the chain.  The support region is checked
-        # when a scenario loads, never while planning.
-        passes = count_passes(monkeypatch)
-        fk_calls = count_fk(monkeypatch)
+        # post-solve observables read the solver's last iterate from the
+        # memo.  The support region is checked when a scenario loads, never
+        # while planning.
+        work = watch(monkeypatch)
         region_checks = []
-        stages = []
-        real_solve = pl.solve_sqp
         real_check = pl.st.check_support_region
-
-        def solve(*args, **kwargs):
-            result = real_solve(*args, **kwargs)
-            stages.append((result.status, result.iterations,
-                           result.qp_iterations))
-            return result
 
         def counted_check(*args):
             region_checks.append(args)
             return real_check(*args)
 
-        monkeypatch.setattr(pl, "solve_sqp", solve)
         for module in (pl.st, scenario):
             monkeypatch.setattr(module, "check_support_region", counted_check)
         steps = plan_path(default_config)
         for step, expected in zip(steps, planned_steps):
             np.testing.assert_array_equal(step.decision.to_vector(),
                                           expected.decision.to_vector())
-        assert {status for status, _, _ in stages} == {"converged"}
-        assert (len(stages), sum(n for _, n, _ in stages),
-                sum(n for _, _, n in stages)) == (29, 74, 329)
-        assert passes == passes_of(64, 61, 70, 61)
-        assert (len(fk_calls), len(region_checks)) == (306, 0)
+        stages = [solve.result for solve in work.solves]
+        assert {stage.status for stage in stages} == {"converged"}
+        assert (len(stages), work.iterations,
+                sum(stage.qp_iterations for stage in stages)) == (29, 74, 329)
+        assert work.passes == passes_of(64, 61, 64, 61)
+        assert (work.fk_calls, len(region_checks)) == (306, 0)
         default_scenario()
         assert len(region_checks) == 1
 
@@ -644,18 +589,28 @@ class TestPlanPath:
         # halve steps far below one ulp of theta, at 169 poses.  Most
         # backtracking trials and 19 expansion trials fail the Armijo test
         # on the cost and the equalities alone, so the force half's value
-        # pass runs 347 times and the joint half's 55 times, at the poses of
+        # pass runs 345 times and the joint half's 55 times, at the poses of
         # the trials that reach the inequalities; its derivative pass runs
         # 31 times.  FK runs twice per pose (338), 60 times in the start-up
         # settle and twice per active-edge choice (8).
         config = default_scenario({"task": {
             "path_direction": [0.3, 1.0], "path_length": 0.1,
             "waypoint_count": 3}})
-        passes = count_passes(monkeypatch)
-        fk_calls = count_fk(monkeypatch)
+        work = watch(monkeypatch)
         assert len(plan_path(config)) == 3
-        assert passes == passes_of(55, 31, 347, 64)
-        assert len(fk_calls) == 406
+        assert work.passes == passes_of(55, 31, 345, 64)
+        assert work.fk_calls == 406
+
+    def test_decision_cost_is_the_target_stage_cost(self, default_config,
+                                                    planned_steps):
+        # A step reports the solver's last iterate as it returned it: its
+        # cost is the target stage's NLP cost there, bit for bit.
+        theta = initial_joint_angles(default_config)
+        for step, waypoint in zip(planned_steps, default_config.waypoints()):
+            nlp = pl.build_step_nlp(pl.StepContext(default_config, theta, waypoint),
+                                    default_config.weight_slack)
+            assert step.decision.cost == nlp.cost(step.decision.to_vector())
+            theta = step.theta_after
 
     def test_loads_are_the_support_forces(self, planned_steps, step_records):
         # The chain's support rows are gamma (cos beta, sin beta, 0), and the
@@ -756,26 +711,18 @@ class TestPlanPath:
         config = default_scenario({"task": {
             "path_direction": [0.3, 1.0], "path_length": 0.1,
             "waypoint_count": 3}})
-        stages = []
-        real = pl.solve_sqp
-
-        def solve(*args, **kwargs):
-            result = real(*args, **kwargs)
-            stages.append((result.status, result.iterations))
-            return result
-
-        monkeypatch.setattr(pl, "solve_sqp", solve)
+        work = watch(monkeypatch)
         steps = plan_path(config)
         assert len(steps) == 3
         # Two start-up settles, then three continuation stages per waypoint.
+        stages = [solve.result for solve in work.solves]
         per_waypoint = [stages[i:i + 3] for i in range(2, len(stages), 3)]
         assert len(per_waypoint) == 3
-        assert [status for status, _ in per_waypoint[0]] == ["converged"] * 3
-        for waypoint in per_waypoint[1:]:
-            (status, iterations), *later = waypoint
-            assert status == "stagnated"
-            assert iterations <= 30
-            assert [status for status, _ in later] == ["converged"] * 2
+        assert [stage.status for stage in per_waypoint[0]] == ["converged"] * 3
+        for first, *later in per_waypoint[1:]:
+            assert first.status == "stagnated"
+            assert first.iterations <= 30
+            assert [stage.status for stage in later] == ["converged"] * 2
 
     def test_deterministic(self, default_config, planned_steps):
         again = plan_path(default_config)

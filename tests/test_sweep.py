@@ -20,10 +20,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contactplan import planner as pl
 from contactplan.errors import PlanStepError
 from contactplan.planner import plan_path
 from contactplan.scenario import ScenarioConfig, default_scenario
+
+from work import watch
 
 GRAVITY = 9.81
 
@@ -86,15 +87,7 @@ CASES = [
 @pytest.mark.parametrize("overrides, budget, fails_at, reason", CASES)
 def test_sweep_case(overrides, budget, fails_at, reason, monkeypatch):
     config = default_scenario(overrides)
-    iterations = []
-    real = pl.solve_sqp
-
-    def solve(*args, **kwargs):
-        result = real(*args, **kwargs)
-        iterations.append(result.iterations)
-        return result
-
-    monkeypatch.setattr(pl, "solve_sqp", solve)
+    work = watch(monkeypatch)
     if fails_at is None:
         assert len(plan_path(config)) == config.waypoint_count
     else:
@@ -103,7 +96,7 @@ def test_sweep_case(overrides, budget, fails_at, reason, monkeypatch):
         assert excinfo.value.waypoint_index == fails_at
         assert len(excinfo.value.partial_steps) == fails_at
         assert reason in str(excinfo.value)
-    assert sum(iterations) <= budget
+    assert work.iterations <= budget
 
 
 def perturbed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
