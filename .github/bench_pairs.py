@@ -6,9 +6,11 @@ alternates from pair to pair, so a drift of the host's speed falls on both
 sides alike.  Then, for each end-to-end metric of HEAD's ``BENCHMARK.json``,
 it prints each side's median and quartiles, HEAD's median gain over BASE
 (positive when HEAD is better, by the metric's ``better`` direction), BASE's
-quartile spread, and the number of pairs HEAD wins (a tie counts for
-neither side).  Exits 1, after printing the run's last lines, as soon as a
-run fails or does not end with ``"correct": true``.
+quartile spread, the number of pairs HEAD wins (a tie counts for neither
+side), and whether a gain may be claimed: HEAD wins at least 9 of every 10
+pairs and its median gain exceeds BASE's q3 - q1.  Exits 1, after printing
+the run's last lines, as soon as a run fails or does not end with
+``"correct": true``.
 
     python3 .github/bench_pairs.py ../parent . --workload paper \\
         --pairs 10 --seconds 25 --seed 3
@@ -82,8 +84,8 @@ def main(argv) -> int:
     print(f"# workload={args.workload} seed={args.seed} "
           f"seconds={args.seconds:g} pairs={args.pairs}")
     print("| metric | better | base median [q1, q3] | head median [q1, q3] "
-          "| head gain | base q3 - q1 | head wins |")
-    print("| --- | --- | ---: | ---: | ---: | ---: | ---: |")
+          "| head gain | base q3 - q1 | head wins | gain claimable |")
+    print("| --- | --- | ---: | ---: | ---: | ---: | ---: | --- |")
     for metric in spec["end_to_end"]:
         name, better = metric["name"], metric["better"]
         if not all(name in run for side in runs.values() for run in side):
@@ -93,10 +95,12 @@ def main(argv) -> int:
         sign = 1.0 if better == "higher" else -1.0
         wins = sum(sign * (h - b) > 0.0 for b, h in zip(base, head))
         (bq1, bmed, bq3), (hq1, hmed, hq3) = _quartiles(base), _quartiles(head)
+        gain = sign * (hmed - bmed)
+        claimable = 10 * wins >= 9 * args.pairs and gain > bq3 - bq1
         print(f"| {name} | {better} | {bmed:.6g} [{bq1:.6g}, {bq3:.6g}] "
               f"| {hmed:.6g} [{hq1:.6g}, {hq3:.6g}] "
-              f"| {sign * (hmed - bmed):+.6g} | {bq3 - bq1:.6g} "
-              f"| {wins}/{args.pairs} |")
+              f"| {gain:+.6g} | {bq3 - bq1:.6g} "
+              f"| {wins}/{args.pairs} | {'yes' if claimable else 'no'} |")
     return 0
 
 

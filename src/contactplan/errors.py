@@ -15,9 +15,10 @@ class UnbalancedStateError(ContactPlanError):
 
 
 class InfeasibleStepError(ContactPlanError):
-    """The SQP cannot go on: a non-finite iterate, inconsistent equality
-    rows (raised in two places), the active-set iteration limit, or a QP
-    subproblem that stays infeasible after elastic relaxation."""
+    """The SQP cannot go on: a non-finite iterate, a non-finite QP input,
+    inconsistent equality rows (raised in two places), the active-set
+    iteration limit, or a QP subproblem that stays infeasible after elastic
+    relaxation."""
 
 
 class PlanStepError(ContactPlanError):

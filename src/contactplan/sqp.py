@@ -30,6 +30,19 @@ negligible, which the next QP at the same x would repeat); or
 left the merit unchanged to 1e-12 relative, which happens at degenerate
 complementarity corners (Fletcher & Leyffer 2004), where further
 iterations only spend line-search evaluations.
+
+Exactness rule for the QP, the planner's rule (``contactplan.planner``)
+extended: an ulp can flip a marginal solve, so ``solve_qp`` keeps every
+BLAS/LAPACK call, ``lstsq``, ``eigvalsh`` and each ``@``, in its numpy form
+with the same operands in the same order, and does only its bookkeeping on
+Python floats from ``tolist()``: the |.|-max of a vector, the multipliers'
+minimum and its first index, the initial slacks and the elastic value.  On
+finite values these give numpy's bits (a zero minimum may differ in sign,
+which the QP's comparisons cannot see); Python's ``max`` and ``min`` order
+NaN differently, so non-finite input is rejected first.  The working-set
+rows are gathered by index from one array of every constraint row, and the
+square KKT solves pass lstsq's own default cutoff, eps (n + k), as a
+number.  ``tests/test_exactness.py`` compares these forms bit for bit.
 """
 
 import math
@@ -141,6 +154,15 @@ class SqpResult:
 # ---------------------------------------------------------------------------
 
 _QP_TOL = 1e-10
+# lstsq's own cutoff for rcond=None is eps * max(rows, columns); the square
+# KKT solves pass it as a number.
+_EPS = np.finfo(float).eps
+
+
+def _abs_max(values) -> float:
+    """max |v| over finite Python floats, 0.0 when there are none: the bits
+    of ``np.abs(v).max(initial=0.0)``."""
+    return max(map(abs, values), default=0.0)
 
 
 def _solve_eqp(hess, grad_at_z, rows):
@@ -158,9 +180,10 @@ def _solve_eqp(hess, grad_at_z, rows):
     kkt[:n, n:] = -rows.T
     kkt[n:, :n] = rows
     rhs = np.concatenate([-grad_at_z, np.zeros(k)])
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    rcond = _EPS * (n + k)
+    sol = np.linalg.lstsq(kkt, rhs, rcond=rcond)[0]
     residual = rhs - kkt @ sol
-    sol = sol + np.linalg.lstsq(kkt, residual, rcond=None)[0]
+    sol = sol + np.linalg.lstsq(kkt, residual, rcond=rcond)[0]
     return sol[:n], sol[n:]
 
 
@@ -168,8 +191,9 @@ def _equality_start(rows, rhs):
     """Least-squares solution of rows @ x = rhs, or None when it misses an
     equation by more than 1e-8 relative (the rows are inconsistent)."""
     x0 = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-    tol = 1e-8 * (1.0 + np.abs(rhs).max(initial=0.0))
-    if np.abs(rows @ x0 - rhs).max(initial=0.0) > tol:
+    rhs = rhs.tolist()
+    tol = 1e-8 * (1.0 + _abs_max(rhs))
+    if _abs_max(v - b for v, b in zip((rows @ x0).tolist(), rhs)) > tol:
         return None
     return x0
 
@@ -188,8 +212,8 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
              elastic_weight: float = 1e4) -> QpSolution:
     """Solve min 0.5 x'Hx + g'x s.t. a_eq x = b_eq, a_in x >= b_in.
 
-    The inputs are float arrays; a constraint set without rows has a (0, n)
-    matrix and a (0,) bound.  H must be symmetric positive definite.
+    The inputs are finite float arrays; a constraint set without rows has a
+    (0, n) matrix and a (0,) bound.  H must be symmetric positive definite.
     Infeasible inequality systems are absorbed by an elastic variable t >= 0
     relaxing every inequality row by t at cost ``elastic_weight * t``; the
     returned ``elastic`` is its optimum (zero whenever the original QP is
@@ -198,9 +222,16 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
     to max(1, |grad|, |hess|).
 
     Raises:
-        InfeasibleStepError: inconsistent equality rows, or no progress in
-            the active-set iteration.
+        InfeasibleStepError: a non-finite input (checked before any LAPACK
+            call), inconsistent equality rows, or no progress in the
+            active-set iteration.
     """
+    for name, value in (("Hessian", hess), ("gradient", grad),
+                        ("equality matrix", a_eq), ("equality bound", b_eq),
+                        ("inequality matrix", a_in), ("inequality bound", b_in),
+                        ("elastic weight", elastic_weight)):
+        if not np.isfinite(value).all():
+            raise InfeasibleStepError(f"non-finite {name} in QP")
     n = grad.shape[0]
     m_eq, m_in = a_eq.shape[0], a_in.shape[0]
 
@@ -226,56 +257,60 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
         return QpSolution(x=x, lam_eq=lam * sigma, lam_in=np.zeros(0),
                           elastic=0.0)
 
-    # Elastic formulation over z = (x, t).
+    # Elastic formulation over z = (x, t).  Its constraint rows, built once:
+    # the equalities, the inequalities a_in x + t >= b_in, then t >= 0; the
+    # working set's KKT rows are gathered from them by index.
     nz = n + 1
     hz = np.zeros((nz, nz))
     hz[:n, :n] = hess
     hz[n, n] = max(1e-8 * elastic_weight, 1e-4)
     gz = np.concatenate([grad, [elastic_weight]])
-    eq_rows = np.hstack([a_eq, np.zeros((m_eq, 1))])
-    in_rows = np.vstack([
-        np.hstack([a_in, np.ones((m_in, 1))]),
-        np.concatenate([np.zeros(n), [1.0]])[None, :],
-    ])
-    in_rhs = np.concatenate([b_in, [0.0]])
+    rows = np.zeros((m_eq + m_in + 1, nz))
+    rows[:m_eq, :n] = a_eq
+    rows[m_eq:-1, :n] = a_in
+    rows[m_eq:, n] = 1.0
+    in_rows = rows[m_eq:]
+    eq_index = list(range(m_eq))
+    b_in_list = b_in.tolist()
+    in_rhs = b_in_list + [0.0]
+    b_scale = _abs_max(b_in_list)
 
     # Feasible start: least-squares equality solution, elastic covering the
     # worst inequality violation.
     x0 = _equality_start(a_eq, b_eq)
     if x0 is None:
         raise InfeasibleStepError("inconsistent equality constraints in QP")
-    t0 = max(0.0, float(np.max(b_in - a_in @ x0, initial=0.0)))
+    t0 = max(0.0, *(b - v for b, v in zip(b_in_list, (a_in @ x0).tolist())))
     z = np.concatenate([x0, [t0]])
+    z_list = z.tolist()
 
-    n_rows = in_rows.shape[0]
     # Tolerances scale with constraint-space magnitudes, never with the
     # gradient (which the elastic weight inflates).
-    geo_scale = 1.0 + float(np.abs(in_rhs).max(initial=0.0)) + float(np.abs(z).max())
-    slack0 = in_rows @ z - in_rhs
-    working = [i for i in range(n_rows) if slack0[i] <= _QP_TOL * geo_scale]
+    tol = _QP_TOL * (1.0 + b_scale + _abs_max(z_list))
+    working = [i for i, (v, b) in enumerate(zip((in_rows @ z).tolist(), in_rhs))
+               if v - b <= tol]
 
-    max_qp_iters = 50 * (n_rows + nz)
-    lam_work = np.zeros(0)
+    max_qp_iters = 50 * (m_in + 1 + nz)
     for iterations in range(1, max_qp_iters + 1):
-        rows = np.vstack([eq_rows, in_rows[working]])
         q = hz @ z + gz
-        p, lam = _solve_eqp(hz, q, rows)
-        lam_work = lam[m_eq:]
+        p, lam = _solve_eqp(hz, q, rows.take(
+            eq_index + [m_eq + i for i in working], axis=0))
         # Thresholds track the least-squares noise floor, which grows with
         # the gradient magnitude (the elastic weight dominates it).
-        noise = 1e-12 * (1.0 + float(np.abs(q).max(initial=0.0)))
-        if np.abs(p).max(initial=0.0) <= _QP_TOL * (1.0 + np.abs(z).max()) + 10 * noise:
-            if lam_work.size == 0 or lam_work.min() >= -10 * noise:
+        noise = 1e-12 * (1.0 + _abs_max(q.tolist()))
+        p_max = _abs_max(p.tolist())
+        if p_max <= _QP_TOL * (1.0 + _abs_max(z_list)) + 10 * noise:
+            lam_work = lam[m_eq:].tolist()
+            if not lam_work or min(lam_work) >= -10 * noise:
                 break
-            drop = int(np.argmin(lam_work))
-            working.pop(drop)
+            working.pop(lam_work.index(min(lam_work)))
             continue
         # Step length limited by the nearest blocking inactive constraint;
         # on a tie the lower row blocks.  The stacked products make each
         # row's own (1, n) @ (n, 1) dot, as row @ p would.
         alpha = 1.0
         blocking = -1
-        step_scale = 1.0 + float(np.abs(p).max())
+        step_scale = 1.0 + p_max
         denoms = (in_rows[:, None, :] @ p[:, None]).ravel().tolist()
         for i, denom in enumerate(denoms):
             if denom < -_QP_TOL * step_scale and i not in working:
@@ -284,6 +319,7 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
                     alpha = max(bound, 0.0)
                     blocking = i
         z = z + alpha * p
+        z_list = z.tolist()
         if blocking >= 0:
             working.append(blocking)
     else:
@@ -294,28 +330,33 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
         if row < m_in:
             lam_in_out[row] = max(lam_work[idx], 0.0) * sigma
     solution = QpSolution(x=z[:n], lam_eq=lam[:m_eq] * sigma, lam_in=lam_in_out,
-                          elastic=float(z[n]), iterations=iterations)
+                          elastic=z_list[n], iterations=iterations)
 
     # Polish: once the elastic is inactive, re-solve on the identified active
     # set in the original variables.  This strips the elastic weight out of
     # the KKT system, which otherwise leaves its noise in the multipliers.
-    if solution.elastic <= 1e-9 * (1.0 + np.abs(b_in).max(initial=0.0)):
+    if solution.elastic <= 1e-9 * (1.0 + b_scale):
         active = sorted(r for r in working if r < m_in)
-        polished = _equality_qp(hess, grad, np.vstack([a_eq, a_in[active]]),
-                                np.concatenate([b_eq, b_in[active]]))
+        polished = _equality_qp(
+            hess, grad,
+            rows[:, :n].take(eq_index + [m_eq + r for r in active], axis=0),
+            np.concatenate([b_eq, b_in[active]]))
         if polished is None:
             return solution
         x_p, lam_p = polished
         inactive = [i for i in range(m_in) if i not in active]
-        feas_tol = 1e-9 * (1.0 + np.abs(b_in).max(initial=0.0) + np.abs(x_p).max())
-        if inactive and np.min(a_in[inactive] @ x_p - b_in[inactive]) < -feas_tol:
-            return solution
-        lam_p_in = lam_p[m_eq:]
-        if lam_p_in.size and lam_p_in.min() < -1e-7 * (1.0 + np.abs(lam_p_in).max()):
+        feas_tol = 1e-9 * (1.0 + b_scale + _abs_max(x_p.tolist()))
+        if inactive:
+            products = (a_in[inactive] @ x_p).tolist()
+            if min(v - b_in_list[i] for i, v in zip(inactive, products)) \
+                    < -feas_tol:
+                return solution
+        lam_p_in = lam_p[m_eq:].tolist()
+        if lam_p_in and min(lam_p_in) < -1e-7 * (1.0 + _abs_max(lam_p_in)):
             return solution
         lam_in_out = np.zeros(m_in)
         for idx, row in enumerate(active):
-            lam_in_out[row] = max(float(lam_p_in[idx]), 0.0) * sigma
+            lam_in_out[row] = max(lam_p_in[idx], 0.0) * sigma
         return QpSolution(x=x_p, lam_eq=lam_p[:m_eq] * sigma,
                           lam_in=lam_in_out, elastic=solution.elastic,
                           iterations=iterations)

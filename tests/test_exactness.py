@@ -1,24 +1,29 @@
-"""Bit-for-bit checks of the ZMP chain's Python-float arithmetic.
+"""Bit-for-bit checks of the ZMP chain's and the QP's Python-float forms.
 
 The chain's small-array functions do their elementwise + - * / on Python
-floats.  Each test below compares one of them with the numpy form it
-replaced, on seeded inputs, and requires the same bytes (so the signs of
-zeros too).  The references call the same numpy routines for everything
-that is not elementwise (trigonometry, ``@``, norms, solves), so the
-comparisons cover elementwise IEEE arithmetic only and hold on any host.
+floats, and the active-set QP its reductions over short vectors.  Each
+test below compares one of them with the numpy form it replaced, on seeded
+inputs, and requires the same bytes (so the signs of zeros too, but for a
+zero minimum, whose sign the QP cannot see).  The references call the same
+numpy routines for everything that is not elementwise (trigonometry,
+``@``, norms, solves), so the comparisons cover elementwise IEEE
+arithmetic and ordering only and hold on any host.
 The grasp-map derivative is compared with its per-joint loop instead: its
 stacked ``matmul`` and ``solve`` calls must make the loop's BLAS/LAPACK
 call for each joint, and running this file on each supported numpy
 version checks that they do.  The same holds for the numpy forms the
 solver's trial path and the gap use in place of the usual calls (a stacked
 product for row-by-row dots, ``sqrt(v.dot(v))`` for ``norm``, ``a.sum()``
-for ``np.sum``): each pair must run the same kernel on the same data.
+for ``np.sum``, and the QP's working-set rows gathered from one array for
+the stacked rows they replace): each pair must run the same kernel on the
+same data.
 """
 
 import numpy as np
 import pytest
 
 from contactplan import planner as pl
+from contactplan import sqp
 from contactplan.contact import edge_gap, edge_gap_gradients
 from contactplan.kinematics import NUM_LINKS, forward_kinematics, point_jacobian
 from contactplan.statics import (bar_grasp, bar_grasp_gradients, compute_zmp,
@@ -466,3 +471,102 @@ def test_array_sum_matches_np_sum(rng):
         a = rng.normal(scale=10.0 ** rng.integers(-12, 4), size=k % 16)
         for part in (np.abs(a), np.maximum(0.0, -a)):
             assert_bitwise(part.sum(), np.sum(part))
+
+
+# ---------------------------------------------------------------------------
+# The active-set QP's bookkeeping (sqp.solve_qp)
+# ---------------------------------------------------------------------------
+
+def signed_draw(rng, size):
+    """Values with repeats and signed zeros over many decades."""
+    values = rng.choice([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0], size=size)
+    return values * 10.0 ** rng.integers(-12, 4)
+
+
+def test_abs_max_of_list_matches_np_abs_max(rng):
+    assert_bitwise(sqp._abs_max([]), np.abs(np.zeros(0)).max(initial=0.0))
+    for k in range(DRAWS):
+        for v in (signed_draw(rng, k % 14),
+                  rng.normal(scale=10.0 ** rng.integers(-12, 4), size=k % 14),
+                  np.array([-0.0] * (k % 4))):
+            assert_bitwise(sqp._abs_max(v.tolist()),
+                           np.abs(v).max(initial=0.0))
+
+
+def test_list_min_and_index_match_np_min_and_argmin(rng):
+    # The QP drops the working row of the most negative multiplier.  The
+    # sign of a zero minimum may differ (numpy keeps the later of -0.0 and
+    # 0.0, Python the earlier); the QP compares it with a negative bound
+    # only, so the comparison adds 0.0, which turns -0.0 into 0.0.
+    for k in range(DRAWS):
+        for v in (signed_draw(rng, 1 + k % 12),
+                  rng.normal(size=1 + k % 12)):
+            values = v.tolist()
+            low = min(values)
+            assert values.index(low) == np.argmin(v)
+            assert_bitwise(low + 0.0, v.min() + 0.0)
+            if low != 0.0:
+                assert_bitwise(low, v.min())
+
+
+def numpy_solve_eqp(hess, grad_at_z, rows):
+    """solve_qp's KKT solve with lstsq's default cutoff; returns (p,
+    multipliers, the KKT matrix)."""
+    n, k = hess.shape[0], rows.shape[0]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = hess
+    kkt[:n, n:] = -rows.T
+    kkt[n:, :n] = rows
+    rhs = np.concatenate([-grad_at_z, np.zeros(k)])
+    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    sol = sol + np.linalg.lstsq(kkt, rhs - kkt @ sol, rcond=None)[0]
+    return sol[:n], sol[n:], kkt
+
+
+def test_gathered_rows_match_stacked_rows(rng, monkeypatch):
+    # One pass of the active-set loop and the polish: rows gathered from
+    # the one constraint array against the vstack of the rows they replace,
+    # the KKT matrix lstsq receives, and the products with those rows.
+    kkts = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, rcond):
+        kkts.append(a.tobytes())
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    for k in range(DRAWS):
+        n, m_eq, m_in = 1 + k % 12, k % 4, 1 + k % 9
+        a_eq, a_in = signed_draw(rng, (m_eq, n)), signed_draw(rng, (m_in, n))
+        rows = np.zeros((m_eq + m_in + 1, n + 1))
+        rows[:m_eq, :n] = a_eq
+        rows[m_eq:-1, :n] = a_in
+        rows[m_eq:, n] = 1.0
+        eq_rows = np.hstack([a_eq, np.zeros((m_eq, 1))])
+        in_rows = np.vstack([np.hstack([a_in, np.ones((m_in, 1))]),
+                             np.concatenate([np.zeros(n), [1.0]])[None, :]])
+        working = sorted(rng.choice(m_in + 1, size=rng.integers(0, m_in + 2),
+                                    replace=False).tolist())
+        gathered = rows.take(list(range(m_eq)) + [m_eq + i for i in working],
+                             axis=0)
+        stacked = np.vstack([eq_rows, in_rows[working]])
+        assert_bitwise(gathered, stacked)
+        z = rng.normal(size=n + 1)
+        assert_bitwise(rows[m_eq:] @ z, in_rows @ z)
+
+        root = rng.normal(size=(n + 1, n + 1))
+        hess = root @ root.T + np.eye(n + 1)
+        q = rng.normal(scale=10.0 ** rng.integers(-3, 5), size=n + 1)
+        p_ref, lam_ref, kkt = numpy_solve_eqp(hess, q, stacked)
+        kkts.clear()
+        p, lam = sqp._solve_eqp(hess, q, gathered)
+        assert kkts == [kkt.tobytes()] * 2
+        assert_bitwise(p, p_ref)
+        assert_bitwise(lam, lam_ref)
+
+        active = [i for i in working if i < m_in]
+        polish = rows[:, :n].take(list(range(m_eq)) + [m_eq + i for i in active],
+                                  axis=0)
+        assert polish.flags.c_contiguous
+        assert_bitwise(polish, np.vstack([a_eq, a_in[active]]))
+        assert_bitwise(polish @ z[:n], np.vstack([a_eq, a_in[active]]) @ z[:n])

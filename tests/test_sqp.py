@@ -255,9 +255,24 @@ class TestSolveSqp:
             2.0 * x, eq_jac(x), np.zeros((0, 2)), eq(x), np.zeros(0), act_tol)
 
     def test_bad_start_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             solve_sqp(quadratic_problem([1.0]), np.array([np.nan]),
                       SolverSettings())
+
+    def test_start_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("shape (2,)")):
+            solve_sqp(quadratic_problem([1.0, 2.0]), np.zeros(3),
+                      SolverSettings())
+
+    def test_infeasible_qp_subproblem_raises(self):
+        # x >= 1 and x <= -1: no step closes the violation of 1 at x = 0.
+        problem = NlpProblem(
+            dim=1, cost=lambda x: float(x @ x), cost_grad=lambda x: 2.0 * x,
+            inequalities=lambda x: np.array([x[0] - 1.0, -1.0 - x[0]]),
+            inequality_jac=lambda x: np.array([[1.0], [-1.0]]))
+        with pytest.raises(InfeasibleStepError, match=re.escape(
+                "QP subproblem infeasible (residual 1 vs violation 1 ")):
+            solve_sqp(problem, np.zeros(1), SolverSettings())
 
     @staticmethod
     def constrained_problem():
@@ -679,6 +694,41 @@ class TestSolveQp:
             solve_qp(np.eye(1), np.zeros(1),
                      np.array([[1.0], [1.0]]), np.array([0.0, 1.0]),
                      np.zeros((0, 1)), np.zeros(0))
+
+    def test_inconsistent_equalities_raise_beside_inequality_rows(self):
+        # The elastic path's own check of the equality start.
+        with pytest.raises(InfeasibleStepError,
+                           match="inconsistent equality constraints in QP"):
+            solve_qp(np.eye(2), np.zeros(2),
+                     np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0.0, 1.0]),
+                     np.array([[0.0, 1.0]]), np.array([-1.0]))
+
+    @pytest.mark.parametrize("index, value, name", [
+        (1, np.nan, "gradient"), (0, np.inf, "Hessian"),
+        (2, np.inf, "equality matrix"), (3, -np.inf, "equality bound"),
+        (4, np.nan, "inequality matrix"), (5, np.nan, "inequality bound"),
+        (6, np.inf, "elastic weight")])
+    def test_non_finite_input_raises_before_lapack(self, index, value, name,
+                                                    monkeypatch):
+        # Without the check a NaN gradient ran the whole active-set loop
+        # into its iteration limit, and an inf Hessian warned in the
+        # normalization.
+        args = [np.eye(2), np.array([1.0, -1.0]), np.array([[1.0, 1.0]]),
+                np.array([1.0]), np.array([[1.0, 0.0]]), np.array([0.2]), 1e4]
+        if index == 6:
+            args[6] = value
+        else:
+            args[index] = args[index].copy()
+            args[index].flat[0] = value
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on non-finite data")
+
+        for routine in ("lstsq", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, routine, lapack)
+        with pytest.raises(InfeasibleStepError,
+                           match=f"^non-finite {name} in QP$"):
+            solve_qp(*args)
 
 
 class TestFiniteDifference:
