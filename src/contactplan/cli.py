@@ -64,7 +64,7 @@ def records_from_steps(steps, config: ScenarioConfig) -> list[StepRecord]:
     records = []
     for index, step in enumerate(steps):
         gamma = step.decision.gamma
-        command = tq.combined_torques(step.joint_points,
+        torques = tq.combined_torques(step.joint_points,
                                       config.contact_link_index, step.contacts,
                                       gamma, step.loads)
         records.append(StepRecord(
@@ -77,7 +77,7 @@ def records_from_steps(steps, config: ScenarioConfig) -> list[StepRecord]:
             beta=np.array([c.normal_angle for c in step.contacts]),
             gap=np.array([c.gap for c in step.contacts]),
             support_force_norm=float(np.linalg.norm(step.loads[2:])),
-            torque_norm=float(np.linalg.norm(command.torques)),
+            torque_norm=float(np.linalg.norm(torques)),
             iterations=step.decision.iterations,
             cost=step.decision.cost,
             slack=step.decision.slack,
@@ -238,7 +238,3 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -95,15 +95,6 @@ class PlanDecision:
     iterations: int = 0
     converged: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "dtheta",
-                           np.asarray(self.dtheta, dtype=float))
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
-        if self.dtheta.shape != (NUM_JOINTS,):
-            raise ValueError(f"dtheta must have shape ({NUM_JOINTS},)")
-        if self.gamma.shape != (NUM_CONTACTS,):
-            raise ValueError(f"gamma must have shape ({NUM_CONTACTS},)")
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.dtheta, self.gamma, [self.slack]])
 
@@ -696,7 +687,7 @@ def initial_joint_angles(config: ScenarioConfig) -> np.ndarray:
     return theta
 
 
-def plan_path(config: ScenarioConfig, theta0=None) -> list[PlanStep]:
+def plan_path(config: ScenarioConfig) -> list[PlanStep]:
     """Plan the configured straight path, one step per waypoint.
 
     Each step is warm-started from the previous configuration with zero
@@ -708,10 +699,8 @@ def plan_path(config: ScenarioConfig, theta0=None) -> list[PlanStep]:
     Raises:
         PlanStepError: a step failed; ``partial_steps`` holds the trace so
             far and ``waypoint_index`` names the step.
-        ValueError: ``theta0`` is not 8 finite joint angles.
     """
-    theta = np.asarray(theta0, dtype=float) if theta0 is not None \
-        else initial_joint_angles(config)
+    theta = initial_joint_angles(config)
     steps: list[PlanStep] = []
     for index, waypoint in enumerate(config.waypoints()):
         try:

@@ -88,6 +88,7 @@ relative scenario paths are resolved against when they do not exist locally.
 """
 
 import math
+import numbers
 import os
 from dataclasses import astuple, dataclass, field, fields as dataclass_fields
 from functools import partial
@@ -132,13 +133,15 @@ def _number(raw, key: str, lower: float = 0.0, upper: float = math.inf, *,
             closed: bool = False, integer: bool = False):
     """A finite scalar in (lower, upper), or in [lower, upper] when ``closed``.
 
-    Booleans, None, non-numeric strings and non-finite values are rejected,
-    and so is anything but an int for an ``integer`` key.  Numeric strings
-    are accepted for float keys: PyYAML reads ``2.0e6`` (no exponent sign)
-    as a string.  Every error names the key.
+    Booleans (numpy's too), None, non-numeric strings and non-finite values
+    are rejected, and for an ``integer`` key any number not integral (ints
+    and numpy integers pass, held as given).  PyYAML reads ``2.0e6`` (no
+    exponent sign) as a string, so float keys take numeric strings.  Every
+    error names the key.
     """
     kind = "an integer" if integer else "a finite number"
-    if isinstance(raw, bool) or (integer and not isinstance(raw, int)):
+    if isinstance(raw, (bool, np.bool_)) or (
+            integer and not isinstance(raw, numbers.Integral)):
         raise ScenarioError(f"{key} must be {kind}, got {raw!r}")
     try:
         value = raw if integer else float(raw)

@@ -129,10 +129,9 @@ def _skew_entries(r0, r1) -> list:
 
 @dataclass(frozen=True)
 class BarGrasp:
-    """``bar_grasp``'s result: the bar's origin (2,) between the hands, the
-    6x12 grasp map W, W W', (W W')^-1 h_o and the hands' wrenches."""
+    """``bar_grasp``'s result: the 6x12 grasp map W, W W', (W W')^-1 h_o
+    and the hands' wrenches."""
 
-    origin: np.ndarray
     grasp_map: np.ndarray
     gram: np.ndarray
     gram_solve: np.ndarray
@@ -159,14 +158,13 @@ def bar_grasp(end_effectors, h_o) -> BarGrasp:
     coincident ones included.
     """
     (x0, y0), (x1, y1) = (ee.tolist() for ee in end_effectors)
-    origin = bar_origin(end_effectors)
-    ox, oy = origin.tolist()
+    ox, oy = bar_origin(end_effectors).tolist()
     w = _GRASP_TEMPLATE.copy()
     w.flat[_SKEW_INDEX] = _skew_entries((ox - x0, oy - y0, 0.0),
                                         (ox - x1, oy - y1, 0.0))
     gram = w @ w.T
     gram_solve = np.linalg.solve(gram, h_o)
-    return BarGrasp(origin, w, gram, gram_solve, w.T @ gram_solve)
+    return BarGrasp(w, gram, gram_solve, w.T @ gram_solve)
 
 
 def bar_grasp_gradients(grasp: BarGrasp, d_ee0, d_ee1) -> np.ndarray:

@@ -16,10 +16,10 @@ arrays, one per arm (left then right).  Contacts are the planner's
 material point its ``axis_param`` names, and ``gamma`` holds their force
 magnitudes.  Loads are the ZMP chain's (4, 3) load rows
 (``PlanStep.loads``): the forces the object wrench puts on the two hands
-(``statics.bar_grasp``), then the two support forces.
+(``statics.bar_grasp``), then the two support forces.  Zeroing the hands'
+rows gives the support part alone, zeroing the supports' rows the projected
+object part alone: the projection reads ``gamma``, not those rows.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,18 +33,10 @@ ACTIVE_FORCE_TOL = 1e-6
 PINV_RCOND = 1e-10
 
 
-@dataclass(frozen=True)
-class TorqueCommand:
-    """Combined torques plus the pieces they were assembled from."""
-
-    torques: np.ndarray              # tau = support + projected object part
-    support_torques: np.ndarray
-    object_torques_projected: np.ndarray
-
-
 def combined_torques(points, link_index: int, contacts, gamma,
-                     loads) -> TorqueCommand:
-    """Support torques plus the null-space projected object-wrench torques.
+                     loads) -> np.ndarray:
+    """The (8,) joint torques: support torques plus the null-space projected
+    object-wrench torques.
 
     When an arm's transposed contact Jacobian has full column rank,
     recovering that arm's support force from the combined torques by its
@@ -60,7 +52,4 @@ def combined_torques(points, link_index: int, contacts, gamma,
         if force > ACTIVE_FORCE_TOL:
             tau = tau - jt @ np.linalg.lstsq(jt, tau, rcond=PINV_RCOND)[0]
         projected.append(tau)
-    tau_support, tau_object = np.concatenate(support), np.concatenate(projected)
-    return TorqueCommand(torques=tau_support + tau_object,
-                         support_torques=tau_support,
-                         object_torques_projected=tau_object)
+    return np.concatenate(support) + np.concatenate(projected)

@@ -19,7 +19,7 @@ from derivatives import finite_difference_jacobian, gradient_check
 from test_kinematics import link_point
 from test_sqp import halfspace_qp, mpcc_grid_oracle, toy_mpcc
 from test_statics import GRAVITY, horizontal_moment, zmp_oracle
-from test_torque import arm_block
+from test_torque import arm_block, torque_parts
 
 
 def _report(number: int, message: str) -> None:
@@ -147,11 +147,13 @@ def test_criterion_7_torque_priority_on_contact_steps(default_config,
             for i, (arm, c) in enumerate(zip(points, step.contacts))
             if gamma[i] > ACTIVE_FORCE_TOL])
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
-        command = combined_torques(points, link, step.contacts, gamma,
+        torques = combined_torques(points, link, step.contacts, gamma,
                                    step.loads)
+        projected = torque_parts(points, link, step.contacts, gamma,
+                                 step.loads)[1]
         pinv = np.linalg.pinv(j_support.T, rcond=PINV_RCOND)
-        assert np.abs(pinv @ command.object_torques_projected).max() <= 1e-9
-        recovered = pinv @ command.torques
+        assert np.abs(pinv @ projected).max() <= 1e-9
+        recovered = pinv @ torques
         planned = np.concatenate(
             [g * np.array([np.cos(c.normal_angle), np.sin(c.normal_angle)])
              for g, c in zip(gamma, step.contacts) if g > ACTIVE_FORCE_TOL])

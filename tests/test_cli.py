@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,16 +102,18 @@ class TestReadCsv:
         ({"step": "1.5"}, "step 1.5"),
         ({"iters": "1.5"}, "iters 1.5"),
         ({"zmp_x": "nan", "gamma_1": "inf"}, "zmp_x nan is not finite"),
-    ], ids=["step", "iters", "non-finite"])
+        ({"cost": "abc"}, "could not convert string to float: 'abc'"),
+    ], ids=["step", "iters", "non-finite", "non-number"])
     def test_fractional_integer_column(self, tmp_path, values, match):
-        # A fractional step or iters, and a number that is not finite.
+        # A fractional step or iters, a number that is not finite, and a
+        # field that is not a number: each message names the file and line.
         header, first, second = self.valid_rows(tmp_path)
         fields = second.split(",")
         for column, value in values.items():
             fields[header.split(",").index(column)] = value
-        text = "\n".join([header, first, ",".join(fields)]) + "\n"
-        with pytest.raises(ValueError, match=f"line 3.*{match}"):
-            read_csv(self.write(tmp_path, text))
+        path = self.write(tmp_path, "\n".join([header, first, ",".join(fields)]) + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(path)}, line 3: .*{match}"):
+            read_csv(path)
 
 
 class TestEmitPlots:

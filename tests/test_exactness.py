@@ -26,8 +26,8 @@ from contactplan import planner as pl
 from contactplan import sqp
 from contactplan.contact import edge_gap, edge_gap_gradients
 from contactplan.kinematics import NUM_LINKS, forward_kinematics, point_jacobian
-from contactplan.statics import (bar_grasp, bar_grasp_gradients, compute_zmp,
-                                 robot_center_of_mass)
+from contactplan.statics import (bar_grasp, bar_grasp_gradients, bar_origin,
+                                 compute_zmp, robot_center_of_mass)
 
 DRAWS = 200
 
@@ -312,7 +312,7 @@ def test_grasp_matrix_matches_identity_and_skew_blocks(rng):
         h_o = rng.normal(scale=20.0, size=6)
         grasp = bar_grasp((ee0, ee1), h_o)
         _, w, h_c = numpy_bar_grasp(ee0, ee1, plane, h_o)
-        assert_bitwise(grasp.origin, 0.5 * (ee0 + ee1))
+        assert_bitwise(bar_origin((ee0, ee1)), 0.5 * (ee0 + ee1))
         assert_bitwise(grasp.grasp_map, w)
         assert_bitwise(grasp.gram, w @ w.T)
         assert_bitwise(grasp.gram_solve, np.linalg.solve(w @ w.T, h_o))

@@ -5,7 +5,7 @@ import pytest
 from contactplan.contact import edge_gap
 from contactplan.errors import ScenarioError
 from contactplan.kinematics import forward_kinematics, point_jacobian
-from contactplan.planner import StepContext, plan_path
+from contactplan.planner import StepContext
 from contactplan.scenario import default_scenario
 
 from derivatives import finite_difference_jacobian
@@ -72,13 +72,11 @@ class TestForwardKinematics:
         np.testing.assert_allclose(points_b, points_a + shift, atol=1e-12)
 
     def test_nonfinite_angles_rejected(self, default_config):
-        # Joint angles enter from outside through a plan's start pose; the
-        # waypoint context rejects them before any kinematics runs.
+        # Joint angles enter from outside through a waypoint's context,
+        # which rejects them before any kinematics runs.
         for bad in (np.nan, np.inf):
             theta = np.zeros(8)
             theta[1] = bad
-            with pytest.raises(ValueError, match="finite"):
-                plan_path(default_config, theta0=theta)
             with pytest.raises(ValueError, match="finite"):
                 StepContext(default_config, theta, default_config.initial_center)
 

@@ -65,6 +65,29 @@ class TestInitialPose:
         assert poses
         assert len(poses) == len(set(poses))
 
+    @pytest.mark.parametrize("arm_index", [0, 1])
+    def test_bent_pose_kept_without_a_touching_pose(self, default_config,
+                                                    monkeypatch, arm_index):
+        # The fallback branch: with no touching pose for one arm, that arm
+        # keeps its bent pose bit for bit, hand on its grasp point, and the
+        # other arm is settled as before.
+        settled = initial_joint_angles(default_config)
+        real = pl._settle_on_edge
+
+        def settle(config, arm, *args):
+            return None if arm == arm_index else real(config, arm, *args)
+
+        monkeypatch.setattr(pl, "_settle_on_edge", settle)
+        theta = initial_joint_angles(default_config)
+        grasps = default_config.grasp_points(default_config.initial_center)
+        bent = pl._two_segment_angles(default_config, arm_index, grasps[arm_index])
+        own = slice(4 * arm_index, 4 * arm_index + 4)
+        other = slice(4 - 4 * arm_index, 8 - 4 * arm_index)
+        assert theta[own].tobytes() == bent.tobytes()
+        assert theta[other].tobytes() == settled[other].tobytes()
+        hand = default_config.joint_points(theta)[arm_index][-1]
+        np.testing.assert_allclose(hand, grasps[arm_index], atol=1e-12)
+
     def test_unreachable_initial_center(self, default_config):
         # The config cannot be built, so no start pose is ever asked for.
         with pytest.raises(ScenarioError, match="waypoint 0 "):
@@ -455,6 +478,13 @@ def test_context_rejects_a_bad_waypoint(default_config, waypoint):
                        waypoint)
 
 
+@pytest.mark.parametrize("theta", [np.zeros(7), np.zeros(9), np.zeros((2, 4))],
+                         ids=["seven", "nine", "per-arm"])
+def test_context_rejects_a_bad_pose(default_config, theta):
+    with pytest.raises(ValueError, match=re.escape("theta must have shape (8,)")):
+        pl.StepContext(default_config, theta, default_config.initial_center)
+
+
 class TestPlanWaypoint:
     def test_stationary_waypoint_keeps_configuration(self):
         config = light_config()
@@ -671,9 +701,13 @@ class TestPlanPath:
         def infeasible(*args, **kwargs):
             raise InfeasibleStepError("active-set QP iteration limit reached")
 
+        # The start pose skips the settles, which would call the patched
+        # solver before the first waypoint.
+        monkeypatch.setattr(pl, "initial_joint_angles",
+                            lambda config: np.zeros(pl.NUM_JOINTS))
         monkeypatch.setattr(pl, "solve_sqp", infeasible)
         with pytest.raises(PlanStepError) as excinfo:
-            plan_path(default_config, theta0=np.zeros(pl.NUM_JOINTS))
+            plan_path(default_config)
         assert excinfo.value.waypoint_index == 0
         assert excinfo.value.partial_steps == []
         assert isinstance(excinfo.value.__cause__, InfeasibleStepError)
@@ -696,9 +730,12 @@ class TestPlanPath:
                 raise InfeasibleStepError("QP subproblem infeasible")
             return real(*args, **kwargs)
 
+        # The start pose is settled before the patch, so its two solves do
+        # not count.
+        monkeypatch.setattr(pl, "initial_joint_angles", lambda config: theta0)
         monkeypatch.setattr(pl, "solve_sqp", fail_third)
         with pytest.raises(PlanStepError) as excinfo:
-            plan_path(default_config, theta0=theta0)
+            plan_path(default_config)
         assert excinfo.value.waypoint_index == 0
         diagnostics = excinfo.value.diagnostics
         assert diagnostics["slack_weight"] == default_config.weight_slack

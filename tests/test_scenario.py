@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from contactplan.errors import ScenarioError
 from contactplan.scenario import (_DEFAULTS, _KEYS, ScenarioConfig,
                                   default_scenario, load_scenario)
+from contactplan.sqp import SolverSettings
 from test_sweep import CASES, perturbed
 
 # Every key whose default is a single number, as "section.key" (or "key").
@@ -59,11 +60,15 @@ def assert_same_config(config, expected):
             assert value == want, f.name
 
 
-def _load_override(tmp_path, key, value):
+def _overrides_of(key, value):
+    """The overrides mapping that sets ``key`` ("section.key" or "key")."""
     section, _, name = key.rpartition(".")
+    return {section: {name: value}} if section else {name: value}
+
+
+def _load_override(tmp_path, key, value):
     path = tmp_path / "override.yaml"
-    path.write_text(yaml.safe_dump({section: {name: value}} if section
-                                   else {name: value}))
+    path.write_text(yaml.safe_dump(_overrides_of(key, value)))
     return load_scenario(str(path))
 
 
@@ -181,6 +186,16 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=re.escape(match)):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("text, match", [
+        ("task: 5\n", "task must be a mapping"),
+        ("- robot\n- task\n", "must contain a mapping"),
+    ], ids=["section", "file"])
+    def test_non_mapping_rejected(self, tmp_path, text, match):
+        path = tmp_path / "flat.yaml"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match=re.escape(match)):
+            load_scenario(str(path))
+
     def test_repeated_anchor_loads(self, tmp_path):
         # An alias repeats a node, not a key.
         path = tmp_path / "alias.yaml"
@@ -292,6 +307,40 @@ class TestScalarKeys:
     def test_integer_valued_float_keys_accept_ints(self, tmp_path):
         config = _load_override(tmp_path, "object.mass", 8)
         assert config.object_mass == 8.0 and isinstance(config.object_mass, float)
+
+
+class TestNumpyScalars:
+    """A numpy scalar is the number it holds: an integer key takes a numpy
+    integer, and a numpy bool is rejected as ``True`` is."""
+
+    # The integer keys, each with a valid value other than its default.
+    INTEGERS = {"task.waypoint_count": 5, "contact.link_index": 2,
+                "solver.max_iterations": 50}
+
+    def test_integer_keys_cover_the_schema(self):
+        assert sorted(self.INTEGERS) == sorted(
+            key for key, _, default, _ in _KEYS if type(default) is int)
+
+    @pytest.mark.parametrize("key", sorted(INTEGERS))
+    def test_integer_key_takes_a_numpy_integer(self, key):
+        value = self.INTEGERS[key]
+        expected = _replace_key(key, value)
+        assert_same_config(_replace_key(key, np.int64(value)), expected)
+        assert_same_config(default_scenario(_overrides_of(key, np.int64(value))),
+                           expected)
+
+    def test_solver_settings_with_a_numpy_integer(self):
+        solver = SolverSettings(max_iterations=np.int64(50))
+        assert_same_config(replace(default_scenario(), solver=solver),
+                           _replace_key("solver.max_iterations", 50))
+
+    @pytest.mark.parametrize("key", SCALAR_KEYS)
+    def test_numpy_bool_names_the_key(self, key):
+        kind = "an integer" if key in self.INTEGERS else "a finite number"
+        message = f"{key} must be {kind}, got {np.True_!r}"
+        assert _error(lambda: _replace_key(key, np.True_)) == message
+        assert _error(lambda: default_scenario(_overrides_of(key, np.True_))) \
+            == message
 
 
 class TestReplaceMatchesLoading:
@@ -473,6 +522,8 @@ def test_default_scenario_overrides():
     assert_same_config(config, replace(default_scenario(), waypoint_count=4))
     with pytest.raises(ScenarioError, match="task.waypoint_count"):
         default_scenario({"task": {"waypoint_count": 0}})
+    with pytest.raises(ScenarioError, match="task must be a mapping"):
+        default_scenario({"task": 5})
 
 
 # Leaf keys of the schema as (section, key); section None for top-level keys.

@@ -3,7 +3,7 @@ import pytest
 
 from contactplan.errors import ScenarioError, UnbalancedStateError
 from contactplan.scenario import default_scenario
-from contactplan.statics import (bar_grasp, bar_grasp_gradients,
+from contactplan.statics import (bar_grasp, bar_grasp_gradients, bar_origin,
                                  check_support_region, compute_zmp)
 
 from derivatives import finite_difference_jacobian
@@ -226,8 +226,8 @@ class TestDistributeObjectWrench:
     def test_grasp_map_from_points(self):
         # bar_grasp: the hands on the plane, about their midpoint.
         hands, w, _ = grasp([-0.3, 0.5], [0.3, 0.5])
-        result = bar_grasp((np.array([-0.3, 0.5]), np.array([0.3, 0.5])), np.zeros(6))
-        np.testing.assert_array_equal(result.origin, [0.0, 0.5])
+        ends = (np.array([-0.3, 0.5]), np.array([0.3, 0.5]))
+        np.testing.assert_array_equal(bar_origin(ends), [0.0, 0.5])
         assert w.shape == (6, 12)
         np.testing.assert_array_equal(w, reference_grasp_map(hands))
 

@@ -127,20 +127,29 @@ def stacked_torques(arms, link, contacts, gamma, loads):
     return tau_support, tau_object, projected
 
 
+def torque_parts(points, link, contacts, gamma, loads):
+    """combined_torques' support part and projected object part: its
+    torques with the hands' load rows zeroed, then with the supports'."""
+    hands_zeroed, supports_zeroed = np.array(loads), np.array(loads)
+    hands_zeroed[:2] = 0.0
+    supports_zeroed[2:] = 0.0
+    return (combined_torques(points, link, contacts, gamma, hands_zeroed),
+            combined_torques(points, link, contacts, gamma, supports_zeroed))
+
+
 def object_part(arms, h_o):
     """The unprojected object torques of the object wrench ``h_o``:
     combined_torques with no support force, so that nothing is projected."""
     contacts = both_contacts(arms)
     gamma = np.zeros(2)
     return combined_torques(arms, LINK, contacts, gamma,
-                            chain_loads(arms, contacts, gamma, h_o)).torques
+                            chain_loads(arms, contacts, gamma, h_o))
 
 
 def support_part(arms, contacts, gamma):
-    """The support torques of combined_torques, with no load on the hands."""
+    """combined_torques with no load on the hands: its support part alone."""
     return combined_torques(arms, LINK, contacts, gamma,
-                            chain_loads(arms, contacts, gamma,
-                                        np.zeros(6))).support_torques
+                            chain_loads(arms, contacts, gamma, np.zeros(6)))
 
 
 class TestObjectWrenchTorques:
@@ -218,33 +227,49 @@ class TestCombinedTorques:
 
     def test_zero_forces_pass_object_torques_through(self):
         arms, contacts, gamma, loads = self.setup_scene(gammas=(0.0, 0.0))
-        command = combined_torques(arms, LINK, contacts, gamma, loads)
+        torques = combined_torques(arms, LINK, contacts, gamma, loads)
+        support, projected = torque_parts(arms, LINK, contacts, gamma, loads)
         expected = np.concatenate([point_jacobian(arm, 3, 1.0).T @ load[:2]
                                    for arm, load in zip(arms, loads[:2])])
-        np.testing.assert_array_equal(command.torques, expected)
-        np.testing.assert_array_equal(command.object_torques_projected, expected)
-        np.testing.assert_allclose(command.support_torques, 0.0)
+        np.testing.assert_array_equal(torques, expected)
+        np.testing.assert_array_equal(projected, expected)
+        np.testing.assert_allclose(support, 0.0)
 
     def test_zero_wrench_gives_support_torques(self):
         arms, contacts, gamma, loads = self.setup_scene(h_o=np.zeros(6))
-        command = combined_torques(arms, LINK, contacts, gamma, loads)
-        np.testing.assert_allclose(command.torques, command.support_torques)
-        np.testing.assert_allclose(command.object_torques_projected, 0.0)
+        torques = combined_torques(arms, LINK, contacts, gamma, loads)
+        support, projected = torque_parts(arms, LINK, contacts, gamma, loads)
+        np.testing.assert_allclose(torques, support)
+        np.testing.assert_allclose(projected, 0.0)
 
     def test_decomposition_identity(self):
         arms, contacts, gamma, loads = self.setup_scene()
-        command = combined_torques(arms, LINK, contacts, gamma, loads)
-        np.testing.assert_allclose(
-            command.torques,
-            command.support_torques + command.object_torques_projected)
+        torques = combined_torques(arms, LINK, contacts, gamma, loads)
+        support, projected = torque_parts(arms, LINK, contacts, gamma, loads)
+        np.testing.assert_allclose(torques, support + projected)
+
+    def test_parts_sum_to_the_torques_exactly(self, rng):
+        # Each part runs the torques' own arithmetic on its rows, and the
+        # zeroed rows add only zeros: the sum is the torques to the bit
+        # (a signed zero aside).
+        for _ in range(20):
+            arms = make_arms(rng.normal(scale=0.8, size=8))
+            contacts = both_contacts(arms, rng.uniform(0.05, 0.95, size=2))
+            gamma = rng.uniform(0.0, 50.0, size=2)
+            loads = chain_loads(arms, contacts, gamma,
+                                rng.normal(scale=20.0, size=6))
+            support, projected = torque_parts(arms, LINK, contacts, gamma, loads)
+            np.testing.assert_array_equal(
+                combined_torques(arms, LINK, contacts, gamma, loads),
+                support + projected)
 
     def test_support_priority_recovery(self):
         arms, contacts, gamma, loads = self.setup_scene()
-        command = combined_torques(arms, LINK, contacts, gamma, loads)
+        torques = combined_torques(arms, LINK, contacts, gamma, loads)
         j_support = np.vstack([arm_block(i, point_jacobian(arm, LINK, c.axis_param))
                                for i, (arm, c) in enumerate(zip(arms, contacts))])
         assert np.linalg.matrix_rank(j_support.T) == j_support.shape[0]
-        recovered = pseudo_inverse(j_support.T) @ command.torques
+        recovered = pseudo_inverse(j_support.T) @ torques
         planned = np.concatenate([
             g * np.array([np.cos(c.normal_angle), np.sin(c.normal_angle)])
             for g, c in zip(gamma, contacts)])
@@ -257,7 +282,7 @@ class TestCombinedTorques:
 
         def torques(h_o):
             return combined_torques(arms, LINK, contacts, gamma,
-                                    chain_loads(arms, contacts, gamma, h_o)).torques
+                                    chain_loads(arms, contacts, gamma, h_o))
 
         tau_a, tau_b, tau_sum = torques(h_a), torques(h_b), torques(h_a + h_b)
         support = support_part(arms, contacts, gamma)
@@ -283,13 +308,14 @@ class TestCombinedTorques:
                     point_jacobian(arms[0], LINK, 0.0)) == 1
             loads = chain_loads(arms, contacts, gamma,
                                 rng.normal(scale=20.0, size=6))
-            command = combined_torques(arms, LINK, contacts, gamma, loads)
+            torques = combined_torques(arms, LINK, contacts, gamma, loads)
+            parts = torque_parts(arms, LINK, contacts, gamma, loads)
             support, unprojected, projected = stacked_torques(
                 arms, LINK, contacts, gamma, loads)
             scale = max(np.abs(support).max(), np.abs(unprojected).max())
-            for actual, expected in ((command.support_torques, support),
-                                     (command.object_torques_projected, projected),
-                                     (command.torques, support + projected)):
+            for actual, expected in ((parts[0], support),
+                                     (parts[1], projected),
+                                     (torques, support + projected)):
                 assert np.abs(actual - expected).max() <= 1e-12 * scale
 
 
@@ -313,8 +339,8 @@ class TestRecordTorques:
             h_c = w.T @ np.linalg.solve(w @ w.T, config.object_wrench)
             loads = [h_c[0:3], h_c[6:9],
                      *support_rows(step.contacts, step.decision.gamma)]
-            command = combined_torques(points, config.contact_link_index,
+            torques = combined_torques(points, config.contact_link_index,
                                        step.contacts, step.decision.gamma,
                                        loads)
             assert record.torque_norm == pytest.approx(
-                np.linalg.norm(command.torques), rel=1e-12, abs=0.0)
+                np.linalg.norm(torques), rel=1e-12, abs=0.0)
