@@ -158,20 +158,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="contactplan",
         description="Plan a dual-arm glovebox manipulation scenario and "
                     "write its trace.")
-    parser.add_argument("--scenario", default="default",
-                        help="scenario file path, or 'default' for the "
-                             "built-in experiment")
+    parser.add_argument("--scenario", metavar="PATH",
+                        help="scenario file (default: the built-in "
+                             "experiment)")
     parser.add_argument("--csv", metavar="PATH",
                         help="write the step trace as CSV")
     parser.add_argument("--svg", metavar="DIR",
                         help="write path/zmp/forces SVG plots into DIR")
-    parser.add_argument("--waypoints", type=int, metavar="N",
-                        help="override the waypoint count")
-    parser.add_argument("--max-iters", type=int, metavar="N",
-                        help="override the solver iteration limit")
-    parser.add_argument("--tol", type=float, metavar="X",
-                        help="override the solver KKT and constraint "
-                             "tolerances")
     parser.add_argument("--verbose", action="store_true",
                         help="log per-step progress to stderr")
     return parser
@@ -189,22 +182,9 @@ def run(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     log.setLevel(logging.INFO if args.verbose else logging.WARNING)
 
-    # Flags override scenario-file values and pass through the same checks.
-    overrides = {}
-    if args.waypoints is not None:
-        overrides["task"] = {"waypoint_count": args.waypoints}
-    solver = {}
-    if args.max_iters is not None:
-        solver["max_iterations"] = args.max_iters
-    if args.tol is not None:
-        solver.update(tol_kkt=args.tol, tol_con=args.tol)
-    if solver:
-        overrides["solver"] = solver
     try:
-        if args.scenario == "default":
-            config = default_scenario(overrides)
-        else:
-            config = load_scenario(args.scenario, overrides)
+        config = default_scenario() if args.scenario is None \
+            else load_scenario(args.scenario)
     except (ContactPlanError, ValueError) as exc:
         log.error("scenario error: %s", exc)
         return 1

@@ -83,13 +83,13 @@ lifts the robot (``task.object_wrench``; support forces are horizontal, so
 the ground reaction's z is the same in every pose).
 Planning never checks reach or balance again.
 
-The environment variable ``CONTACTPLAN_SCENARIO_DIR`` names a directory that
-relative scenario paths are resolved against when they do not exist locally.
+A run's scenario is one file, or the default experiment when no file is
+given: ``load_scenario`` opens its path as given, relative to the working
+directory, and no command-line flag or environment variable changes a key.
 """
 
 import math
 import numbers
-import os
 from dataclasses import astuple, dataclass, field, fields as dataclass_fields
 from functools import partial
 
@@ -430,8 +430,8 @@ def _from_dict(data: dict) -> ScenarioConfig:
 
 
 def default_scenario(overrides: dict | None = None) -> ScenarioConfig:
-    """The built-in experiment with all default constants; ``overrides``
-    replace defaults before the one validation, as in ``load_scenario``."""
+    """The built-in experiment; ``overrides``, a mapping in the file's schema,
+    replace defaults before the one validation, as a file's values do."""
     return _from_dict(_merge(_DEFAULTS, overrides or {}))
 
 
@@ -448,23 +448,11 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep)
 
 
-def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
-    """Load and validate a scenario file.
-
-    An empty file yields the full default scenario.  Relative paths that do
-    not exist are retried against ``$CONTACTPLAN_SCENARIO_DIR``.
-    ``overrides``, a mapping in the file's schema, replaces the file's
-    values before the one validation (the command line's flags).
-    """
-    resolved = path
-    if not os.path.exists(resolved) and not os.path.isabs(resolved):
-        base = os.environ.get("CONTACTPLAN_SCENARIO_DIR")
-        if base:
-            candidate = os.path.join(base, resolved)
-            if os.path.exists(candidate):
-                resolved = candidate
+def load_scenario(path: str) -> ScenarioConfig:
+    """Load and validate the scenario file at ``path``, opened as given; an
+    empty file yields the full default scenario."""
     try:
-        with open(resolved, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = yaml.load(handle, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
@@ -474,4 +462,4 @@ def load_scenario(path: str, overrides: dict | None = None) -> ScenarioConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ScenarioError(f"scenario file {path} must contain a mapping")
-    return _from_dict(_merge(_merge(_DEFAULTS, raw), overrides or {}))
+    return _from_dict(_merge(_DEFAULTS, raw))

@@ -184,8 +184,8 @@ def test_criterion_8_solver_unit_suite():
 def test_criterion_9_deterministic_csv(tmp_path):
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
-    assert run(["--scenario", "default", "--csv", str(path_a)]) == 0
-    assert run(["--scenario", "default", "--csv", str(path_b)]) == 0
+    assert run(["--csv", str(path_a)]) == 0
+    assert run(["--csv", str(path_b)]) == 0
     assert path_a.read_bytes() == path_b.read_bytes()
     assert len(read_csv(str(path_a))) == 9
     _report(9, "two default-scenario runs emit byte-identical CSV")

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 import yaml
 
-from contactplan import cli
 from contactplan.cli import CSV_HEADER, StepRecord, emit_csv, read_csv, run
 from contactplan.plots import emit_plots
-from contactplan.scenario import load_scenario
 
 from test_golden import GOLDEN
 from test_planner import NON_FINITE
-from test_scenario import SHORT_LINKS, assert_same_config
+from test_scenario import SHORT_LINKS
 
 
 def synthetic_records(count=3, gamma=(0.0, 0.0)):
@@ -165,12 +163,27 @@ def _zmp_scale(records, config):
     return _Canvas(640, 640, box).scale
 
 
+def _scenario(tmp_path, text, name="scenario.yaml"):
+    """The path of a scenario file holding ``text``, as a string."""
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
 class TestRun:
     def test_default_scenario_csv(self, tmp_path):
+        # Without --scenario the built-in experiment is planned.
         csv_path = tmp_path / "trace.csv"
-        assert run(["--scenario", "default", "--csv", str(csv_path)]) == 0
+        assert run(["--csv", str(csv_path)]) == 0
         rows = read_csv(str(csv_path))
         assert len(rows) == 9
+
+    def test_file_named_default_is_loaded(self, tmp_path, monkeypatch):
+        # "default" is a path like any other, not the built-in experiment.
+        monkeypatch.chdir(tmp_path)
+        _scenario(tmp_path, "task:\n  waypoint_count: 1\n", name="default")
+        assert run(["--scenario", "default", "--csv", "one.csv"]) == 0
+        assert len(read_csv(str(tmp_path / "one.csv"))) == 1
 
     def test_svg_output(self, tmp_path):
         out = tmp_path / "plots"
@@ -179,31 +192,22 @@ class TestRun:
             ["forces.svg", "path.svg", "zmp.svg"]
 
     def test_single_waypoint_rest_scenario(self, tmp_path):
-        scenario = tmp_path / "light.yaml"
-        scenario.write_text("task:\n  object_wrench: [0, 0, 0, 0, 0, 0]\n")
+        scenario = _scenario(tmp_path, "task:\n  waypoint_count: 1\n"
+                                       "  object_wrench: [0, 0, 0, 0, 0, 0]\n")
         csv_path = tmp_path / "one.csv"
-        assert run(["--scenario", str(scenario), "--waypoints", "1",
-                    "--csv", str(csv_path)]) == 0
+        assert run(["--scenario", scenario, "--csv", str(csv_path)]) == 0
         rows = read_csv(str(csv_path))
         assert len(rows) == 1
         np.testing.assert_allclose(rows[0].object_position, rows[0].waypoint,
                                    atol=1e-6)
 
-    def test_flags_leave_file_values_unchanged(self, tmp_path, monkeypatch):
-        # A flag that repeats the file's waypoint count plans the file's
-        # own scenario, the slanted path direction bit for bit.
-        scenario = tmp_path / "slant.yaml"
-        scenario.write_text("task:\n  path_direction: [0.3, 1.0]\n"
-                            "  waypoint_count: 9\n")
-        planned = []
-        monkeypatch.setattr(cli.pl, "plan_path",
-                            lambda config: planned.append(config) or [])
-        assert run(["--scenario", str(scenario), "--waypoints", "9"]) == 0
-        assert_same_config(planned[0], load_scenario(str(scenario)))
-
     def test_bad_flags_exit_2(self, capsys):
-        assert run(["--no-such-flag"]) == 2
-        assert "usage" in capsys.readouterr().err
+        # The waypoint count and the solver's settings are scenario keys,
+        # set in the file only: no flag sets them.
+        for argv in (["--no-such-flag"], ["--waypoints", "1"],
+                     ["--max-iters", "1"], ["--tol", "1e-5"]):
+            assert run(argv) == 2
+            assert "usage" in capsys.readouterr().err
 
     def test_missing_scenario_exit_1(self, tmp_path):
         assert run(["--scenario", str(tmp_path / "nope.yaml")]) == 1
@@ -241,23 +245,21 @@ class TestRun:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_failing_plan_exit_nonzero(self, tmp_path):
-        assert run(["--max-iters", "1"]) == 1
+        scenario = _scenario(tmp_path, "solver:\n  max_iterations: 1\n")
+        assert run(["--scenario", scenario]) == 1
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_invalid_waypoint_override_exit_1(self, tmp_path, caplog, count):
+        scenario = _scenario(tmp_path, f"task:\n  waypoint_count: {count}\n")
         csv_path = tmp_path / "none.csv"
-        assert run(["--waypoints", count, "--csv", str(csv_path)]) == 1
+        assert run(["--scenario", scenario, "--csv", str(csv_path)]) == 1
         assert "task.waypoint_count" in caplog.text
         assert not csv_path.exists()
 
-    def test_nan_tolerance_override_exit_1(self, caplog):
-        assert run(["--tol", "nan"]) == 1
+    def test_nan_tolerance_override_exit_1(self, tmp_path, caplog):
+        scenario = _scenario(tmp_path, "solver:\n  tol_kkt: .nan\n")
+        assert run(["--scenario", scenario]) == 1
         assert "solver.tol_kkt" in caplog.text
-
-    def test_tolerance_override(self, tmp_path):
-        csv_path = tmp_path / "loose.csv"
-        assert run(["--tol", "1e-5", "--csv", str(csv_path)]) == 0
-        assert len(read_csv(str(csv_path))) == 9
 
     @pytest.mark.parametrize("flag, target", [
         ("--csv", "missing/trace.csv"),
@@ -285,14 +287,15 @@ class TestRun:
         assert result.stdout == ""  # data streams stay machine-clean
         assert (tmp_path / "m.csv").exists()
 
-    def test_verbose_applies_to_each_run_in_a_process(self):
+    def test_verbose_applies_to_each_run_in_a_process(self, tmp_path):
         # Quiet, verbose, quiet: only the middle run logs its progress, and
         # only to stderr.
+        scenario = _scenario(tmp_path, "task:\n  waypoint_count: 1\n")
         script = (
             "import sys\n"
             "from contactplan.cli import run\n"
             "for flags in ([], ['--verbose'], []):\n"
-            "    assert run(['--waypoints', '1', *flags]) == 0\n"
+            f"    assert run(['--scenario', {scenario!r}, *flags]) == 0\n"
             "    print('--', file=sys.stderr, flush=True)\n")
         result = subprocess.run([sys.executable, "-c", script],
                                 capture_output=True, text=True, timeout=300)

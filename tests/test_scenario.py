@@ -213,12 +213,15 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(str(tmp_path / "nope.yaml"))
 
-    def test_scenario_dir_environment_fallback(self, tmp_path, monkeypatch):
+    def test_relative_path_is_opened_as_given(self, tmp_path, monkeypatch):
+        # A relative path is read from the working directory only: no
+        # environment variable names a second place to look.
         (tmp_path / "exp.yaml").write_text("object:\n  mass: 10.0\n")
+        (tmp_path / "elsewhere").mkdir()
         monkeypatch.setenv("CONTACTPLAN_SCENARIO_DIR", str(tmp_path))
-        monkeypatch.chdir(tmp_path / "..")
-        config = load_scenario("exp.yaml")
-        assert config.object_mass == pytest.approx(10.0)
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        with pytest.raises(ScenarioError, match="cannot read scenario file exp.yaml"):
+            load_scenario("exp.yaml")
 
     def test_unreachable_waypoints_rejected(self, tmp_path):
         path = tmp_path / "far.yaml"

@@ -703,6 +703,48 @@ class TestSolveQp:
                      np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([0.0, 1.0]),
                      np.array([[0.0, 1.0]]), np.array([-1.0]))
 
+    @staticmethod
+    def thin_band():
+        """A seeded QP whose two inequality rows a x >= b and -a x >= -b - 1e-7
+        leave a band 1e-7 wide, and whose gradient pushes x out of it."""
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((3, 3))
+        hess = a @ a.T + 1e-3 * np.eye(3)
+        grad = 100.0 * rng.standard_normal(3)
+        row, bound = rng.standard_normal(3), rng.standard_normal()
+        return (hess, grad, np.zeros((0, 3)), np.zeros(0),
+                np.array([row, -row]), np.array([bound, -bound - 1e-7]))
+
+    def test_thin_band_keeps_the_elastic_solution(self, monkeypatch):
+        # The polish's active set holds both rows, which no x meets with
+        # equality, so it returns the elastic phase's solution.  Its x meets
+        # both rows, and the net multiplier on a x = b is the equality QP's.
+        hess, grad, a_eq, b_eq, a_in, b_in = self.thin_band()
+        polishes = []
+        equality_qp = sqp._equality_qp
+
+        def spy(*args):
+            polishes.append(equality_qp(*args))
+            return polishes[-1]
+
+        monkeypatch.setattr(sqp, "_equality_qp", spy)
+        sol = solve_qp(hess, grad, a_eq, b_eq, a_in, b_in, elastic_weight=1e4)
+        assert polishes == [None]
+        assert np.all(a_in @ sol.x - b_in >= 0.0)
+        kkt = np.block([[hess, -a_in[:1].T], [a_in[:1], np.zeros((1, 1))]])
+        lam = np.linalg.solve(kkt, np.append(-grad, b_in[0]))[-1]
+        assert lam == pytest.approx(200.42, abs=5e-3)
+        assert sol.lam_in[0] - sol.lam_in[1] == pytest.approx(lam, rel=1e-8)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 6: on the thin band the elastic QP returns elastic "
+        "-5.0e-8, breaking its own t >= 0 row, and multipliers of about 9.7e5 "
+        "on both rows, although only a x >= b can be active"))
+    def test_thin_band_elastic_is_a_kkt_point(self):
+        sol = solve_qp(*self.thin_band(), elastic_weight=1e4)
+        assert sol.elastic >= 0.0
+        assert min(sol.lam_in) == 0.0
+
     @pytest.mark.parametrize("index, value, name", [
         (1, np.nan, "gradient"), (0, np.inf, "Hessian"),
         (2, np.inf, "equality matrix"), (3, -np.inf, "equality bound"),
