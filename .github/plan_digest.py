@@ -5,10 +5,12 @@ The plans are the default experiment's, then each sweep case's: the
 optional argument names the checkout to plan with (default: this script's
 own).
 
-The digest of a plan covers every accepted step's decision (dtheta, gamma,
-s, cost, KKT residual, iterations, convergence), theta after the step, the
-object position, the ZMP and FZMP with their ground forces, and the (4, 3)
-load rows.  A case that fails hashes its typed error's class and message
+The digest of a plan covers every field of every accepted step: its
+waypoint, its decision (dtheta, gamma, s, cost, KKT residual, iterations,
+convergence), theta after the step, the object position, both contacts
+(gap, separation, distance, normal angle and axis parameter), the ZMP and
+FZMP with their ground forces, both arms' joint points and the (4, 3) load
+rows.  A case that fails hashes its typed error's class and message
 and the partial steps instead.  So two checkouts plan byte-identically
 when the outputs match (about 15 s each):
 
@@ -46,12 +48,16 @@ COPIES = 10
 
 def _step_bytes(step) -> bytes:
     decision = step.decision
-    parts = [decision.dtheta, decision.gamma,
+    parts = [step.waypoint, decision.dtheta, decision.gamma,
              [decision.slack, decision.cost, decision.kkt_residual,
               decision.iterations, decision.converged],
-             step.theta_after, step.object_position,
-             step.zmp.zmp, step.zmp.ground_force,
-             step.fzmp.zmp, step.fzmp.ground_force, step.loads]
+             step.theta_after, step.object_position]
+    for res in step.contacts:
+        parts += [[res.gap], res.separation,
+                  [res.distance, res.normal_angle, res.axis_param]]
+    parts += [step.zmp.zmp, step.zmp.ground_force,
+              step.fzmp.zmp, step.fzmp.ground_force, *step.joint_points,
+              step.loads]
     return b"".join(np.asarray(part, dtype=float).tobytes() for part in parts)
 
 

@@ -40,13 +40,19 @@ waypoint's NLP (the evaluate-once interface of IPOPT and CasADi): an entry
 for each of its last 64 poses, with the joint half's tiers and the force
 half of the last gamma and s there, each run the first time it is asked
 for.  Every continuation stage and the post-solve observables read it.  A
-line search that backtracks along one joint direction while only gamma and
-s move reruns only the force half, and so does a trial whose step is below
-an ulp of theta: its dtheta differs, its pose does not.  A trial the SQP
-rejects on its cost and equalities alone runs only the kinematic tier.  The
-cost and its gradient add their dtheta terms at the call.  Each NLP field
-reads only what it depends on; Jacobians add the derivative passes, which
-the SQP asks for at start points and accepted iterates.
+context may start with the previous waypoint's entry for its start pose,
+the pose that waypoint accepted: ``plan_path`` carries it over when both
+contexts have the same active edges, keeps its tiers' fields that depend
+on the pose and the edges, recomputes its waypoint terms (the object's
+error, the position cost and its gradient, the deviation) for the new
+waypoint and leaves the force half behind.  A line search that backtracks
+along one joint direction while only gamma and s move reruns only the
+force half, and so does a trial whose step is below an ulp of theta: its
+dtheta differs, its pose does not.  A trial the SQP rejects on its cost
+and equalities alone runs only the kinematic tier.  The cost and its
+gradient add their dtheta terms at the call.  Each NLP field reads only
+what it depends on; Jacobians add the derivative passes, which the SQP
+asks for at start points and accepted iterates.
 
 Exactness rule: the SQP is sensitive to the last bit of the chain (an ulp
 can flip a marginal solve), so the chain's small-array code (forward
@@ -110,6 +116,7 @@ class PlanDecision:
 class StepContext:
     """Scenario state the solve of one waypoint works against.
 
+    ``theta`` and ``waypoint`` are read-only copies of the arguments.
     ``edges`` are the active port edges at ``theta``, a (2, 2) array with
     one row per arm (the arm's edge with the smaller gap to its contact
     link), chosen on construction and frozen for the solve.
@@ -121,7 +128,8 @@ class StepContext:
     ``_forces``).  The chain depends on the context,
     the pose, gamma and s only, so every continuation stage, the
     post-solve observables and joint displacements that round to one pose
-    share it.
+    share it; ``plan_path`` may seed it with the last waypoint's entry for
+    theta (``_start_context``).
 
     Raises:
         ValueError: ``theta`` is not 8 finite joint angles, or ``waypoint``
@@ -136,12 +144,14 @@ class StepContext:
                        compare=False)
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
+        # Read-only copies: the memo keys on poses from theta, and the edges
+        # are chosen at it, so a caller's later write must not move them.
+        theta = _read_only(np.array(self.theta, dtype=float))
         if theta.shape != (NUM_JOINTS,):
             raise ValueError(f"theta must have shape ({NUM_JOINTS},)")
         if not np.all(np.isfinite(theta)):
             raise ValueError("joint angles must be finite")
-        waypoint = np.asarray(self.waypoint, dtype=float)
+        waypoint = _read_only(np.array(self.waypoint, dtype=float))
         if waypoint.shape != (2,) or not np.all(np.isfinite(waypoint)):
             raise ValueError("waypoint must be 2 finite numbers")
         object.__setattr__(self, "theta", theta)
@@ -212,23 +222,45 @@ def _com_gradient(config: ScenarioConfig, points) -> list:
     return [d_com_x, d_com_y]
 
 
+def _position_terms(ctx: StepContext, object_position: np.ndarray) -> dict:
+    """The kinematic tier's waypoint terms: the object's ``error`` from the
+    waypoint and the cost's object-position term ``position_cost``."""
+    err = ctx.waypoint - object_position
+    return {"error": err,
+            "position_cost": ctx.config.weight_position * float(err @ err)}
+
+
+def _deviation_terms(ctx: StepContext, object_position: np.ndarray) -> dict:
+    """The value pass's waypoint terms: the object's smoothed deviation
+    ``dev_dist`` from the waypoint and its direction ``dev_dir``."""
+    dev_dist, dev_dir = _smooth_norm(object_position - ctx.waypoint)
+    return {"dev_dist": dev_dist, "dev_dir": dev_dir}
+
+
+def _gradient_terms(ctx: StepContext, error: np.ndarray,
+                    d_obj: np.ndarray) -> dict:
+    """The derivative pass's waypoint term: the position cost's joint
+    gradient ``position_grad`` (8,)."""
+    return {"position_grad":
+            -2.0 * ctx.config.weight_position * (error @ d_obj)}
+
+
 def _kinematic_values(ctx: StepContext, pose: np.ndarray) -> dict:
     """Kinematic tier of the joint half at joint angles ``pose`` (theta +
     dtheta): all that the cost and the equalities read.
 
     Forward kinematics runs once per arm; the bar's origin (the object
-    position) and its waypoint ``error`` come from the end effectors.
-    ``position_cost`` is the cost's object-position term, and
-    ``equalities`` (grasp closure) is read-only.
+    position) comes from the end effectors, and its waypoint terms from
+    the origin (``_position_terms``).  ``equalities`` (grasp closure) is
+    read-only.
     """
     config = ctx.config
     points = config.joint_points(pose)
     ee0, ee1 = points[0][-1], points[1][-1]
     p_obj = st.bar_origin((ee0, ee1))
-    err = ctx.waypoint - p_obj
     return {
-        "points": points, "object_position": p_obj, "error": err,
-        "position_cost": config.weight_position * float(err @ err),
+        "points": points, "object_position": p_obj,
+        **_position_terms(ctx, p_obj),
         "equalities": _read_only(
             ee0 - ee1 + np.array([config.grasp_separation, 0.0])),
     }
@@ -255,7 +287,6 @@ def _joint_values(ctx: StepContext, joint: dict) -> dict:
     angles = [res.normal_angle for res in gaps]
     com = st.robot_center_of_mass(config.torso_mass, config.torso_position,
                                   config.link_mass, points, plane)
-    dev_dist, dev_dir = _smooth_norm(joint["object_position"] - ctx.waypoint)
     return {
         "grasp": grasp, "gaps": gaps, "phi": np.array([res.gap for res in gaps]),
         "normals": list(zip(np.cos(angles).tolist(), np.sin(angles).tolist())),
@@ -263,7 +294,7 @@ def _joint_values(ctx: StepContext, joint: dict) -> dict:
                         for point in (ee0, ee1, *ctx.edges)],
         "hand_loads": [grasp.wrenches[0:3].tolist(),
                        grasp.wrenches[6:9].tolist()],
-        "com": com, "dev_dist": dev_dist, "dev_dir": dev_dir,
+        "com": com, **_deviation_terms(ctx, joint["object_position"]),
     }
 
 
@@ -310,7 +341,7 @@ def _joint_derivatives(ctx: StepContext, joint: dict) -> dict:
     equality_jac = np.hstack([j0 - j1, np.zeros((2, DECISION_DIM - NUM_JOINTS))])
     return {"d_phi": d_phi, "d_beta": [d_beta0, d_beta1], "d_obj": d_obj,
             "d_mx": d_mx, "d_my": d_my,
-            "position_grad": -2.0 * config.weight_position * (joint["error"] @ d_obj),
+            **_gradient_terms(ctx, joint["error"], d_obj),
             "equality_jac": _read_only(equality_jac)}
 
 
@@ -687,11 +718,51 @@ def initial_joint_angles(config: ScenarioConfig) -> np.ndarray:
     return theta
 
 
+# The fields of a memo entry that depend on its context's waypoint, and
+# the force half: what a context does not take over from the last one.
+_NOT_CARRIED = ("error", "position_cost", "dev_dist", "dev_dir",
+                "position_grad", "forces", "forces_at")
+
+
+def _start_context(config: ScenarioConfig, theta: np.ndarray,
+                   waypoint: np.ndarray,
+                   previous: StepContext | None) -> StepContext:
+    """The context of ``waypoint`` from ``theta``, the pose the last
+    waypoint's context ``previous`` (None at the first) accepted.
+
+    When both contexts have the same active edges, the new memo starts with
+    ``previous``'s entry for theta, where its post-solve observables read
+    the chain: the tiers that ran there, without their waypoint terms and
+    the force half, in a new dict, with the waypoint terms recomputed for
+    the new waypoint by the tiers' own ``_position_terms``,
+    ``_deviation_terms`` and ``_gradient_terms``.  The entry is keyed as
+    ``_kinematic`` keys the start pose, on the bytes of theta + 0.0, and
+    carried only when those are theta's own, the key the pose was accepted
+    under (a -0.0 angle makes them differ).
+    """
+    ctx = StepContext(config, theta, waypoint)
+    key = (ctx.theta + 0.0).tobytes()
+    entry = None if previous is None else previous.memo.get(key)
+    if entry is not None and key == ctx.theta.tobytes() \
+            and previous.edges.tobytes() == ctx.edges.tobytes():
+        joint = {name: value for name, value in entry.items()
+                 if name not in _NOT_CARRIED}
+        joint.update(_position_terms(ctx, joint["object_position"]))
+        if "grasp" in joint:
+            joint.update(_deviation_terms(ctx, joint["object_position"]))
+        if "d_phi" in joint:
+            joint.update(_gradient_terms(ctx, joint["error"], joint["d_obj"]))
+        ctx.memo[key] = joint
+    return ctx
+
+
 def plan_path(config: ScenarioConfig) -> list[PlanStep]:
     """Plan the configured straight path, one step per waypoint.
 
     Each step is warm-started from the previous configuration with zero
-    initial decision values.  The first failing step aborts the plan.
+    initial decision values, and its context starts with the chain the
+    previous context holds there (``_start_context``); only that entry
+    outlives the previous context.  The first failing step aborts the plan.
     Every scenario key, reach, balance geometry and the vertical load were
     checked when the config was constructed, by loading and by
     ``dataclasses.replace`` alike; planning does not check them again.
@@ -702,9 +773,11 @@ def plan_path(config: ScenarioConfig) -> list[PlanStep]:
     """
     theta = initial_joint_angles(config)
     steps: list[PlanStep] = []
+    ctx = None
     for index, waypoint in enumerate(config.waypoints()):
+        ctx = _start_context(config, theta, waypoint, ctx)
         try:
-            step = plan_waypoint(StepContext(config, theta, waypoint))
+            step = plan_waypoint(ctx)
         except ContactPlanError as exc:
             raise PlanStepError(
                 f"step {index} failed: {exc}", waypoint_index=index,

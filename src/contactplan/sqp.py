@@ -31,18 +31,26 @@ left the merit unchanged to 1e-12 relative, which happens at degenerate
 complementarity corners (Fletcher & Leyffer 2004), where further
 iterations only spend line-search evaluations.
 
-Exactness rule for the QP, the planner's rule (``contactplan.planner``)
-extended: an ulp can flip a marginal solve, so ``solve_qp`` keeps every
-BLAS/LAPACK call, ``lstsq``, ``eigvalsh`` and each ``@``, in its numpy form
-with the same operands in the same order, and does only its bookkeeping on
-Python floats from ``tolist()``: the |.|-max of a vector, the multipliers'
-minimum and its first index, the initial slacks and the elastic value.  On
+Exactness rule for the QP and the driver, the planner's rule
+(``contactplan.planner``) extended: an ulp can flip a marginal solve, so
+the solver keeps every BLAS/LAPACK call, ``lstsq``, ``eigvalsh`` and each
+``@``, in its numpy form with the same operands in the same order, and
+does only its bookkeeping on Python floats from ``tolist()``.  In
+``solve_qp`` that is the |.|-max of a vector, the multipliers' minimum and
+its first index, the initial slacks, the elastic value and the ratio
+test's numerators and denominators, each from one stacked product per
+pass that makes every row's own dot; in ``solve_sqp`` the maximum
+constraint violation, the multipliers' magnitude and the zero-step test;
+in the KKT certificate its maxima and its scan for near-active rows.  On
 finite values these give numpy's bits (a zero minimum may differ in sign,
-which the QP's comparisons cannot see); Python's ``max`` and ``min`` order
-NaN differently, so non-finite input is rejected first.  The working-set
-rows are gathered by index from one array of every constraint row, and the
-square KKT solves pass lstsq's own default cutoff, eps (n + k), as a
-number.  ``tests/test_exactness.py`` compares these forms bit for bit.
+which the comparisons cannot see); Python's ``max`` and ``min`` order NaN
+differently, so non-finite input is rejected first: ``solve_sqp`` at each
+iterate and ``solve_qp`` run one ``np.isfinite`` over all their inputs,
+raveled and joined, and only when it fails check them one by one to name
+the first.  The working-set rows are gathered by index from one array of
+every constraint row, and the square KKT solves pass lstsq's own default
+cutoff, eps (n + k), as a number.  ``tests/test_exactness.py`` compares
+these forms bit for bit.
 """
 
 import math
@@ -165,6 +173,17 @@ def _abs_max(values) -> float:
     return max(map(abs, values), default=0.0)
 
 
+def _check_finite(named, message: str) -> None:
+    """Raise ``InfeasibleStepError(message.format(name))`` for the first
+    ``(name, value)`` pair of ``named`` whose value is not all finite.  One
+    ``np.isfinite`` runs over every value, raveled and joined; the values
+    are checked one by one, in order, only when it fails."""
+    if not np.isfinite(np.concatenate([v for _, v in named], axis=None)).all():
+        for name, value in named:
+            if not np.isfinite(value).all():
+                raise InfeasibleStepError(message.format(name))
+
+
 def _solve_eqp(hess, grad_at_z, rows):
     """min 0.5 p'Hp + q'p s.t. rows @ p = 0; returns (p, multipliers).
 
@@ -226,12 +245,10 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
             call), inconsistent equality rows, or no progress in the
             active-set iteration.
     """
-    for name, value in (("Hessian", hess), ("gradient", grad),
-                        ("equality matrix", a_eq), ("equality bound", b_eq),
-                        ("inequality matrix", a_in), ("inequality bound", b_in),
-                        ("elastic weight", elastic_weight)):
-        if not np.isfinite(value).all():
-            raise InfeasibleStepError(f"non-finite {name} in QP")
+    _check_finite((("Hessian", hess), ("gradient", grad),
+                   ("equality matrix", a_eq), ("equality bound", b_eq),
+                   ("inequality matrix", a_in), ("inequality bound", b_in),
+                   ("elastic weight", elastic_weight)), "non-finite {} in QP")
     n = grad.shape[0]
     m_eq, m_in = a_eq.shape[0], a_in.shape[0]
 
@@ -307,14 +324,16 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
             continue
         # Step length limited by the nearest blocking inactive constraint;
         # on a tie the lower row blocks.  The stacked products make each
-        # row's own (1, n) @ (n, 1) dot, as row @ p would.
+        # row's own (1, n) @ (n, 1) dot, as row @ p and row @ z would.
         alpha = 1.0
         blocking = -1
         step_scale = 1.0 + p_max
-        denoms = (in_rows[:, None, :] @ p[:, None]).ravel().tolist()
+        stacked = in_rows[:, None, :]
+        denoms = (stacked @ p[:, None]).ravel().tolist()
+        values = (stacked @ z[:, None]).ravel().tolist()
         for i, denom in enumerate(denoms):
             if denom < -_QP_TOL * step_scale and i not in working:
-                bound = float(in_rhs[i] - in_rows[i] @ z) / denom
+                bound = (in_rhs[i] - values[i]) / denom
                 if bound < alpha - 1e-15:
                     alpha = max(bound, 0.0)
                     blocking = i
@@ -393,8 +412,10 @@ def _trial_merit(problem: NlpProblem, mu: float, x: np.ndarray,
 
 
 def _max_violation(ce: np.ndarray, ci: np.ndarray) -> float:
-    return max(float(np.abs(ce).max(initial=0.0)),
-               float(np.maximum(0.0, -ci).max(initial=0.0)))
+    """max(|c_E|_inf, |min(0, c_I)|_inf) of finite rows, on Python floats:
+    the bits of ``max(np.abs(ce).max(initial=0.0), np.maximum(0.0,
+    -ci).max(initial=0.0))``."""
+    return max(_abs_max(ce.tolist()), 0.0, *(-v for v in ci.tolist()))
 
 
 def _certificate_multipliers(grad, a_eq, a_in, ci, act_tol):
@@ -406,12 +427,12 @@ def _certificate_multipliers(grad, a_eq, a_in, ci, act_tol):
     matrix baked into the QP's own multipliers.
     """
     m_eq = a_eq.shape[0]
-    active = [i for i in range(a_in.shape[0]) if ci[i] <= act_tol]
+    active = [i for i, v in enumerate(ci.tolist()) if v <= act_tol]
     for _ in range(len(active) + 1):
         rows = np.vstack([a_eq, a_in[active]])
         lam = np.linalg.lstsq(rows.T, grad, rcond=None)[0]
-        lam_act = lam[m_eq:]
-        if lam_act.size == 0 or lam_act.min() >= 0.0:
+        lam_act = lam[m_eq:].tolist()
+        if min(lam_act, default=0.0) >= 0.0:
             break
         active = [row for row, value in zip(active, lam_act) if value >= 0.0]
     lam_eq = lam[:m_eq]
@@ -431,9 +452,10 @@ def _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol) -> float:
     """
     lam_eq, lam_in = _certificate_multipliers(grad, a_eq, a_in, ci, act_tol)
     r = grad - a_eq.T @ lam_eq - a_in.T @ lam_in
-    r_stat = float(np.abs(r).max(initial=0.0))
-    r_comp = float(np.abs(lam_in * ci).max(initial=0.0))
-    lam_mag = max(np.abs(lam_eq).max(initial=0.0), np.abs(lam_in).max(initial=0.0))
+    lam_in_list = lam_in.tolist()
+    r_stat = _abs_max(r.tolist())
+    r_comp = _abs_max([lam * c for lam, c in zip(lam_in_list, ci.tolist())])
+    lam_mag = max(_abs_max(lam_eq.tolist()), _abs_max(lam_in_list))
     scale = max(1.0, lam_mag / 1000.0)
     return max(r_stat, r_comp) / scale
 
@@ -507,12 +529,11 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
             grad = problem.cost_grad(x)
             a_eq, a_in = problem.equality_jac(x), problem.inequality_jac(x)
         # LAPACK fails untyped, or loops, on inf and NaN: check its inputs.
-        for name, value in (("cost", f), ("equality rows", ce),
-                            ("inequality rows", ci), ("cost gradient", grad),
-                            ("equality Jacobian", a_eq),
-                            ("inequality Jacobian", a_in), ("Hessian", hess)):
-            if not np.isfinite(value).all():
-                raise InfeasibleStepError(f"non-finite {name} at an SQP iterate")
+        _check_finite((("cost", f), ("equality rows", ce),
+                       ("inequality rows", ci), ("cost gradient", grad),
+                       ("equality Jacobian", a_eq),
+                       ("inequality Jacobian", a_in), ("Hessian", hess)),
+                      "non-finite {} at an SQP iterate")
         viol = _max_violation(ce, ci)
         # The certificate can only decide convergence at a feasible x.
         kkt = None
@@ -545,8 +566,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
 
         d = qp.x
         lam_eq, lam_in = qp.lam_eq, qp.lam_in
-        lam_mag = max(np.abs(lam_eq).max(initial=0.0),
-                      np.abs(lam_in).max(initial=0.0))
+        lam_mag = max(_abs_max(lam_eq.tolist()), _abs_max(lam_in.tolist()))
         mu = max(mu, _PENALTY_GROWTH * lam_mag + 1.0)
 
         l1 = _l1_violation(ce, ci)
@@ -557,7 +577,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
         # A negligible direction does not move x, which failed the
         # convergence test above.  The next QP would read the same x,
         # gradient, Jacobians and Hessian, and return the same direction.
-        if np.abs(d).max(initial=0.0) <= 1e-14 * (1.0 + np.abs(x).max()):
+        if _abs_max(d.tolist()) <= 1e-14 * (1.0 + _abs_max(x.tolist())):
             status = "stalled at zero step"
             iterations += 1
             break

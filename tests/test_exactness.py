@@ -1,7 +1,8 @@
 """Bit-for-bit checks of the ZMP chain's and the QP's Python-float forms.
 
 The chain's small-array functions do their elementwise + - * / on Python
-floats, and the active-set QP its reductions over short vectors.  Each
+floats, and the active-set QP, the SQP driver and its KKT certificate
+their reductions over short vectors.  Each
 test below compares one of them with the numpy form it replaced, on seeded
 inputs, and requires the same bytes (so the signs of zeros too, but for a
 zero minimum, whose sign the QP cannot see).  The references call the same
@@ -14,9 +15,10 @@ call for each joint, and running this file on each supported numpy
 version checks that they do.  The same holds for the numpy forms the
 solver's trial path and the gap use in place of the usual calls (a stacked
 product for row-by-row dots, ``sqrt(v.dot(v))`` for ``norm``, ``a.sum()``
-for ``np.sum``, and the QP's working-set rows gathered from one array for
-the stacked rows they replace): each pair must run the same kernel on the
-same data.
+for ``np.sum``, the QP's working-set rows gathered from one array for
+the stacked rows they replace, and its ratio test's stacked products with
+the step and the iterate): each pair must run the same kernel on the same
+data.
 """
 
 import numpy as np
@@ -447,13 +449,17 @@ def test_value_pass_matches_array_form(chain_points):
 
 def test_stacked_row_products_match_row_by_row(rng):
     # solve_qp's ratio test: the elastic QP's inequality rows are (m + 1,
-    # n + 1), 9 by 12 in the planner's subproblems.
+    # n + 1), 9 by 12 in the planner's subproblems, times the step p for
+    # the denominators and times the iterate z for the numerators.
     for k in range(DRAWS):
         rows = rng.normal(size=(1 + k % 12, 2 + k % 13))
         rows[:, -1] = 1.0
         p = rng.normal(scale=10.0 ** rng.integers(-12, 3), size=rows.shape[1])
-        stacked = (rows[:, None, :] @ p[:, None]).ravel()
-        assert_bitwise(stacked, [row @ p for row in rows])
+        z = signed_draw(rng, rows.shape[1]) + rng.normal(
+            scale=10.0 ** rng.integers(-6, 2), size=rows.shape[1]) * (k % 2)
+        for v in (p, z):
+            stacked = (rows[:, None, :] @ v[:, None]).ravel()
+            assert_bitwise(stacked, [row @ v for row in rows])
 
 
 def test_sqrt_of_dot_matches_norm(rng):
@@ -570,3 +576,69 @@ def test_gathered_rows_match_stacked_rows(rng, monkeypatch):
         assert polish.flags.c_contiguous
         assert_bitwise(polish, np.vstack([a_eq, a_in[active]]))
         assert_bitwise(polish @ z[:n], np.vstack([a_eq, a_in[active]]) @ z[:n])
+
+
+# ---------------------------------------------------------------------------
+# The SQP driver's and the KKT certificate's maxima (sqp.solve_sqp)
+# ---------------------------------------------------------------------------
+
+def numpy_max_violation(ce, ci):
+    return max(float(np.abs(ce).max(initial=0.0)),
+               float(np.maximum(0.0, -ci).max(initial=0.0)))
+
+
+def numpy_kkt_residual(grad, a_eq, a_in, ci, act_tol):
+    """The certificate multipliers' fit and the scaled residual on numpy
+    reductions and element reads."""
+    m_eq = a_eq.shape[0]
+    active = [i for i in range(a_in.shape[0]) if ci[i] <= act_tol]
+    for _ in range(len(active) + 1):
+        rows = np.vstack([a_eq, a_in[active]])
+        lam = np.linalg.lstsq(rows.T, grad, rcond=None)[0]
+        lam_act = lam[m_eq:]
+        if lam_act.size == 0 or lam_act.min() >= 0.0:
+            break
+        active = [row for row, value in zip(active, lam_act) if value >= 0.0]
+    lam_eq = lam[:m_eq]
+    lam_in = np.zeros(a_in.shape[0])
+    for row, value in zip(active, lam_act):
+        lam_in[row] = value
+    r = grad - a_eq.T @ lam_eq - a_in.T @ lam_in
+    r_stat = float(np.abs(r).max(initial=0.0))
+    r_comp = float(np.abs(lam_in * ci).max(initial=0.0))
+    lam_mag = max(np.abs(lam_eq).max(initial=0.0),
+                  np.abs(lam_in).max(initial=0.0))
+    scale = max(1.0, lam_mag / 1000.0)
+    return max(r_stat, r_comp) / scale
+
+
+def test_max_violation_matches_numpy_form(rng):
+    # Signed zeros, repeats, and empty equality or inequality rows.
+    for k in range(DRAWS):
+        for ce, ci in ((signed_draw(rng, k % 4), signed_draw(rng, k % 11)),
+                       (np.array([-0.0] * (k % 3)),
+                        np.array([0.0, -0.0] * (k % 5))),
+                       (rng.normal(size=k % 3), rng.normal(size=k % 9))):
+            assert_bitwise(sqp._max_violation(ce, ci),
+                           numpy_max_violation(ce, ci))
+
+
+def test_kkt_residual_matches_numpy_form(rng):
+    # Rows within act_tol of zero may carry a multiplier; a negative one
+    # is dropped and the fit repeated.  The multipliers' magnitude in the
+    # driver is the same maximum as the certificate's.
+    act_tol = 1e-5
+    for k in range(DRAWS):
+        n, m_eq, m_in = 2 + k % 10, k % 3, k % 9
+        grad = rng.normal(scale=10.0 ** rng.integers(-3, 7), size=n)
+        a_eq, a_in = rng.normal(size=(m_eq, n)), signed_draw(rng, (m_in, n))
+        ci = rng.choice([-act_tol, -0.0, 0.0, act_tol, 2 * act_tol, 0.3],
+                        size=m_in) * rng.choice([1.0, 0.5], size=m_in)
+        ce = rng.normal(size=m_eq)
+        assert_bitwise(sqp._kkt_residual(grad, a_eq, a_in, ce, ci, act_tol),
+                       numpy_kkt_residual(grad, a_eq, a_in, ci, act_tol))
+        lam_eq, lam_in = rng.normal(size=m_eq), signed_draw(rng, m_in)
+        assert_bitwise(max(sqp._abs_max(lam_eq.tolist()),
+                           sqp._abs_max(lam_in.tolist())),
+                       max(np.abs(lam_eq).max(initial=0.0),
+                           np.abs(lam_in).max(initial=0.0)))

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -485,6 +488,165 @@ def test_context_rejects_a_bad_pose(default_config, theta):
         pl.StepContext(default_config, theta, default_config.initial_center)
 
 
+def test_context_keeps_read_only_copies(default_config):
+    # The memo keys on poses from theta and the edges were chosen at it: a
+    # caller that writes its arrays afterwards moves neither.
+    theta = initial_joint_angles(default_config)
+    waypoint = default_config.waypoints()[1]
+    ctx = pl.StepContext(default_config, theta, waypoint)
+    kept = ctx.theta.tobytes(), ctx.waypoint.tobytes()
+    for array in (ctx.theta, ctx.waypoint):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    theta[0] += 0.5
+    waypoint[1] += 0.5
+    assert (ctx.theta.tobytes(), ctx.waypoint.tobytes()) == kept
+
+
+def entry_bytes(value) -> bytes:
+    """A memo entry's field as bytes: arrays, numbers, lists and tuples of
+    them, and the dataclasses that hold them, with each array's shape."""
+    if dataclasses.is_dataclass(value):
+        return b"".join(entry_bytes(getattr(value, f.name))
+                        for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return b"[" + b"".join(entry_bytes(v) for v in value) + b"]"
+    array = np.asarray(value, dtype=float)
+    return repr(array.shape).encode() + array.tobytes()
+
+
+class TestStartContext:
+    """``_start_context``: a waypoint's context starts with the previous
+    context's memo entry for its start pose, when the edges match."""
+
+    ZERO = np.zeros(pl.NUM_JOINTS)
+
+    @staticmethod
+    def fresh_entry(ctx):
+        """Every tier of a new context's entry for its start pose."""
+        fresh = pl.StepContext(ctx.config, ctx.theta, ctx.waypoint)
+        return pl._joint(fresh, TestStartContext.ZERO, derivatives=True)
+
+    @staticmethod
+    def assert_entries_equal(entry, expected):
+        assert set(entry) == set(expected)
+        for name in expected:
+            assert entry_bytes(entry[name]) == entry_bytes(expected[name]), name
+
+    def test_default_plan_starts_carry_the_accepted_entry(self, default_config,
+                                                          monkeypatch):
+        # At each waypoint start after the first, the memo holds one entry,
+        # under the start pose's key, and it equals a fresh context's byte
+        # for byte: every tier's fields and the NLP's six fields at
+        # dtheta = 0.  The first waypoint starts with an empty memo.
+        starts = []
+        real = pl.plan_waypoint
+
+        def spy(ctx):
+            starts.append((ctx.theta, ctx.waypoint,
+                           {key: dict(entry) for key, entry in ctx.memo.items()}))
+            return real(ctx)
+
+        monkeypatch.setattr(pl, "plan_waypoint", spy)
+        plan_path(default_config)
+        monkeypatch.undo()
+        assert len(starts) == 9
+        assert starts[0][2] == {}
+        for theta, waypoint, memo in starts[1:]:
+            ctx = pl.StepContext(default_config, theta, waypoint)
+            assert list(memo) == [(theta + 0.0).tobytes()]
+            entry = memo[theta.tobytes()]
+            assert "forces" not in entry
+            self.assert_entries_equal(entry, self.fresh_entry(ctx))
+            ctx.memo.update(memo)
+            x = np.zeros(pl.DECISION_DIM)
+            carried = evaluate_nlp(ctx, x)
+            expected = evaluate_nlp(pl.StepContext(default_config, theta,
+                                                   waypoint), x)
+            for name, value in expected.items():
+                assert entry_bytes(carried[name]) == entry_bytes(value), name
+
+    def test_carried_entry_is_a_new_dict(self, default_config):
+        config = default_config
+        waypoints = config.waypoints()
+        previous = pl.StepContext(config, initial_joint_angles(config),
+                                  waypoints[0])
+        step = plan_waypoint(previous)
+        key = step.theta_after.tobytes()
+        old = dict(previous.memo[key])
+        ctx = pl._start_context(config, step.theta_after, waypoints[1],
+                                previous)
+        assert ctx.memo[key] is not previous.memo[key]
+        nlp = pl.build_step_nlp(ctx, config.weight_slack)
+        nlp.inequality_jac(np.zeros(pl.DECISION_DIM))
+        assert "forces" in ctx.memo[key]
+        # The old entry keeps its own fields, its force half included.
+        assert previous.memo[key].keys() == old.keys()
+        for name, value in old.items():
+            assert previous.memo[key][name] is value, name
+
+    def test_other_edges_carry_nothing(self, default_config):
+        # Turning the left shoulder by -0.3 rad makes the inner edge the
+        # left arm's active edge.  No benchmark workload changes edges
+        # mid-path, so only this test reaches the path.
+        config = default_config
+        theta = initial_joint_angles(config)
+        previous = pl.StepContext(config, theta, config.waypoints()[0])
+        dtheta = np.zeros(pl.NUM_JOINTS)
+        dtheta[0] = -0.3
+        pl._joint(previous, dtheta, derivatives=True)
+        start = theta + dtheta
+        assert start.tobytes() in previous.memo
+        ctx = pl._start_context(config, start, config.waypoints()[1], previous)
+        assert ctx.edges.tolist() != previous.edges.tolist()
+        assert ctx.memo == {}
+        self.assert_entries_equal(pl._joint(ctx, self.ZERO, derivatives=True),
+                                  self.fresh_entry(ctx))
+
+    def test_negative_zero_angle_starts_fresh(self, default_config):
+        # theta + 0.0 turns a -0.0 angle into 0.0, so the start pose's key
+        # is not the bytes the pose was accepted under: nothing is carried,
+        # also when the previous memo holds the +0.0 pose too, and the
+        # context's own entry is keyed as _kinematic keys it.
+        config = default_config
+        theta = initial_joint_angles(config)
+        theta[3] = -0.0
+        previous = pl.StepContext(config, theta, config.waypoints()[0])
+        poses = []
+        for zero in (-0.0, 0.0):
+            dtheta = np.zeros(pl.NUM_JOINTS)
+            dtheta[0], dtheta[3] = 1e-3, zero
+            pl._joint(previous, dtheta, derivatives=True)
+            poses.append(theta + dtheta)
+        start, positive = poses
+        assert np.signbit(start[3]) and not np.signbit(positive[3])
+        assert positive.tobytes() == (start + 0.0).tobytes()
+        assert {start.tobytes(), positive.tobytes()} <= set(previous.memo)
+        ctx = pl._start_context(config, start, config.waypoints()[1], previous)
+        assert ctx.memo == {}
+        entry = pl._joint(ctx, self.ZERO, derivatives=True)
+        assert list(ctx.memo) == [(start + 0.0).tobytes()]
+        self.assert_entries_equal(entry, self.fresh_entry(ctx))
+
+    def test_finished_contexts_are_dropped(self, default_config, monkeypatch):
+        # While a waypoint is planned, and once plan_path returns, no
+        # earlier context is reachable: only the carried entry outlives it.
+        refs = []
+        real = pl.plan_waypoint
+
+        def spy(ctx):
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * len(refs)
+            refs.append(weakref.ref(ctx))
+            return real(ctx)
+
+        monkeypatch.setattr(pl, "plan_waypoint", spy)
+        steps = plan_path(default_config)
+        gc.collect()
+        assert len(refs) == len(steps) == 9
+        assert [ref() for ref in refs] == [None] * 9
+
+
 class TestPlanWaypoint:
     def test_stationary_waypoint_keeps_configuration(self):
         config = light_config()
@@ -578,18 +740,21 @@ class TestPlanPath:
         # iterations over 29 solves (2 start-up settles, 27 continuation
         # stages), all converged, none stagnated; 113 distinct solver points
         # over the 27 stages (9 stage-1 starts, 52 full steps and their 52
-        # expansion trials), each running the kinematic tier.  49 of the
-        # expansions fail the Armijo test on the cost and the equalities
-        # alone and stop there, so one joint and one force value pass run
-        # at the other 64 points; derivatives of both halves at each
-        # stage-1 start and each accepted iterate (9 + 52); 329 QP
-        # active-set iterations (the settles' QPs have no inequality rows
-        # and take none).  FK runs twice per pose of the kinematic tier
-        # (226), once per distinct pose in the start-up settle (60) and
-        # twice per active-edge choice (20: start-up and 9 waypoints); the
-        # post-solve observables read the solver's last iterate from the
-        # memo.  The support region is checked when a scenario loads, never
-        # while planning.
+        # expansion trials).  The 8 stage-1 starts after the first are the
+        # pose the last waypoint accepted, whose memo entry the context
+        # starts with, so the kinematic tier runs at the other 105 points.
+        # 49 of the expansions fail the Armijo test on the cost and the
+        # equalities alone and stop there, so the force value pass runs at
+        # the other 64 points and the joint value pass at 56 of them (not
+        # at the carried starts); derivatives of the force half at each
+        # stage-1 start and each accepted iterate (9 + 52), and of the joint
+        # half at 53 of them; 329 QP active-set iterations (the settles' QPs
+        # have no inequality rows and take none).  FK runs twice per pose
+        # of the kinematic tier (210), once per distinct pose in the
+        # start-up settle (60) and twice per active-edge choice (20:
+        # start-up and 9 waypoints); the post-solve observables read the
+        # solver's last iterate from the memo.  The support region is
+        # checked when a scenario loads, never while planning.
         work = watch(monkeypatch)
         region_checks = []
         real_check = pl.st.check_support_region
@@ -608,28 +773,33 @@ class TestPlanPath:
         assert {stage.status for stage in stages} == {"converged"}
         assert (len(stages), work.iterations,
                 sum(stage.qp_iterations for stage in stages)) == (29, 74, 329)
-        assert work.passes == passes_of(64, 61, 64, 61)
-        assert (work.fk_calls, len(region_checks)) == (306, 0)
+        assert work.kinematic_tier == 105
+        assert work.passes == passes_of(56, 53, 64, 61)
+        assert (work.fk_calls, len(region_checks)) == (290, 0)
         default_scenario()
         assert len(region_checks) == 1
 
     def test_slant_plan_work_counts(self, monkeypatch):
         # Pinned like the default plan's counts.  The slant path's first
         # stages stagnate at waypoints 1 and 2, and their line searches
-        # halve steps far below one ulp of theta, at 169 poses.  Most
-        # backtracking trials and 19 expansion trials fail the Armijo test
-        # on the cost and the equalities alone, so the force half's value
-        # pass runs 345 times and the joint half's 55 times, at the poses of
-        # the trials that reach the inequalities; its derivative pass runs
-        # 31 times.  FK runs twice per pose (338), 60 times in the start-up
-        # settle and twice per active-edge choice (8).
+        # halve steps far below one ulp of theta; the kinematic tier runs
+        # at 167 poses, the start poses of waypoints 1 and 2 being carried
+        # from the last waypoint's memo.  Most backtracking trials and 19
+        # expansion trials fail the Armijo test on the cost and the
+        # equalities alone, so the force half's value pass runs 345 times
+        # and the joint half's 53 times, at the poses of the trials that
+        # reach the inequalities but the carried starts; the joint half's
+        # derivative pass runs 29 times.  FK runs twice per pose of the
+        # tier (334), 60 times in the start-up settle and twice per
+        # active-edge choice (8).
         config = default_scenario({"task": {
             "path_direction": [0.3, 1.0], "path_length": 0.1,
             "waypoint_count": 3}})
         work = watch(monkeypatch)
         assert len(plan_path(config)) == 3
-        assert work.passes == passes_of(55, 31, 345, 64)
-        assert work.fk_calls == 406
+        assert work.kinematic_tier == 167
+        assert work.passes == passes_of(53, 29, 345, 64)
+        assert work.fk_calls == 402
 
     def test_decision_cost_is_the_target_stage_cost(self, default_config,
                                                     planned_steps):

@@ -288,16 +288,22 @@ class TestSolveSqp:
         ("cost", "cost"), ("equalities", "equality rows"),
         ("inequalities", "inequality rows"), ("cost_grad", "cost gradient"),
         ("equality_jac", "equality Jacobian"),
-        ("inequality_jac", "inequality Jacobian"), (None, "Hessian")])
+        ("inequality_jac", "inequality Jacobian"), (None, "Hessian"),
+        # Two at once: the message names the first in the check's order.
+        pytest.param((None, "inequalities"), "inequality rows",
+                     id="Hessian+inequalities-inequality rows"),
+        pytest.param(("equality_jac", "cost_grad"), "cost gradient",
+                     id="equality_jac+cost_grad-cost gradient")])
     def test_non_finite_data_raises_before_lapack(self, field, name,
                                                    monkeypatch):
         problem = self.constrained_problem()
         hessian = np.eye(2)
-        if field is None:
-            hessian[0, 0] = np.inf
-        else:
-            real = getattr(problem, field)
-            setattr(problem, field, lambda x: real(x) + np.inf)
+        for one in field if isinstance(field, tuple) else (field,):
+            if one is None:
+                hessian[0, 0] = np.inf
+            else:
+                real = getattr(problem, one)
+                setattr(problem, one, lambda x, real=real: real(x) + np.inf)
 
         def lapack(*args, **kwargs):
             raise AssertionError("LAPACK called on non-finite data")
@@ -749,7 +755,11 @@ class TestSolveQp:
         (1, np.nan, "gradient"), (0, np.inf, "Hessian"),
         (2, np.inf, "equality matrix"), (3, -np.inf, "equality bound"),
         (4, np.nan, "inequality matrix"), (5, np.nan, "inequality bound"),
-        (6, np.inf, "elastic weight")])
+        (6, np.inf, "elastic weight"),
+        # Two at once: the message names the first in the check's order.
+        pytest.param((6, 3), np.nan, "equality bound",
+                     id="6+3-nan-equality bound"),
+        pytest.param((5, 0), np.inf, "Hessian", id="5+0-inf-Hessian")])
     def test_non_finite_input_raises_before_lapack(self, index, value, name,
                                                     monkeypatch):
         # Without the check a NaN gradient ran the whole active-set loop
@@ -757,11 +767,12 @@ class TestSolveQp:
         # normalization.
         args = [np.eye(2), np.array([1.0, -1.0]), np.array([[1.0, 1.0]]),
                 np.array([1.0]), np.array([[1.0, 0.0]]), np.array([0.2]), 1e4]
-        if index == 6:
-            args[6] = value
-        else:
-            args[index] = args[index].copy()
-            args[index].flat[0] = value
+        for one in index if isinstance(index, tuple) else (index,):
+            if one == 6:
+                args[6] = value
+            else:
+                args[one] = args[one].copy()
+                args[one].flat[0] = value
 
         def lapack(*args, **kwargs):
             raise AssertionError("LAPACK called on non-finite data")
