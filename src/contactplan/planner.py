@@ -60,13 +60,14 @@ kinematics, point Jacobians, gaps, grasp map, centre of mass, ZMP and the
 derivative bookkeeping) does only its elementwise + - * / on Python floats,
 in the order the numpy form did them: CPython and numpy both round each of
 these once, without fused multiply-adds, so the bits stay the same.  Every
-other operation stays a numpy call: ``@``, ``np.linalg.solve`` and ``norm``
+other operation stays a numpy call: ``@``, the LAPACK solve and ``norm``
 (BLAS may fuse or reorder, so a 2-vector ``u @ v`` is not always
 ``u0*v0 + u1*v1``), ``np.cos``/``np.sin``/``np.arctan2`` (``math`` may round
 differently) and reductions such as ``np.cumsum``; a numpy call may be
 swapped only for the form numpy itself runs (``np.sqrt(v.dot(v))`` for a
-1-D ``norm``).  ``tests/test_exactness.py`` holds the numpy forms and
-compares them bit for bit.
+1-D ``norm``, and ``contactplan._lapack.solve``, the ``solve1``/``solve``
+gufunc call it makes, for ``np.linalg.solve``).  ``tests/test_exactness.py``
+holds the numpy forms and compares them bit for bit.
 """
 
 from dataclasses import dataclass, field

@@ -33,9 +33,11 @@ iterations only spend line-search evaluations.
 
 Exactness rule for the QP and the driver, the planner's rule
 (``contactplan.planner``) extended: an ulp can flip a marginal solve, so
-the solver keeps every BLAS/LAPACK call, ``lstsq``, ``eigvalsh`` and each
-``@``, in its numpy form with the same operands in the same order, and
-does only its bookkeeping on Python floats from ``tolist()``.  In
+the solver keeps every BLAS/LAPACK call in its numpy form with the same
+operands in the same order: each ``@``, and ``lstsq`` and ``eigvalsh`` as
+the gufunc calls ``np.linalg``'s wrappers make (``contactplan._lapack``,
+whose error state each calling function enters once), and does only its
+bookkeeping on Python floats from ``tolist()``.  In
 ``solve_qp`` that is the |.|-max of a vector, the multipliers' minimum and
 its first index, the initial slacks, the elastic value and the ratio
 test's numerators and denominators, each from one stacked product per
@@ -48,9 +50,8 @@ differently, so non-finite input is rejected first: ``solve_sqp`` at each
 iterate and ``solve_qp`` run one ``np.isfinite`` over all their inputs,
 raveled and joined, and only when it fails check them one by one to name
 the first.  The working-set rows are gathered by index from one array of
-every constraint row, and the square KKT solves pass lstsq's own default
-cutoff, eps (n + k), as a number.  ``tests/test_exactness.py`` compares
-these forms bit for bit.
+every constraint row.  ``tests/test_exactness.py`` compares these forms
+bit for bit.
 """
 
 import math
@@ -60,6 +61,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _lapack
 from .errors import InfeasibleStepError
 
 
@@ -162,9 +164,6 @@ class SqpResult:
 # ---------------------------------------------------------------------------
 
 _QP_TOL = 1e-10
-# lstsq's own cutoff for rcond=None is eps * max(rows, columns); the square
-# KKT solves pass it as a number.
-_EPS = np.finfo(float).eps
 
 
 def _abs_max(values) -> float:
@@ -199,17 +198,15 @@ def _solve_eqp(hess, grad_at_z, rows):
     kkt[:n, n:] = -rows.T
     kkt[n:, :n] = rows
     rhs = np.concatenate([-grad_at_z, np.zeros(k)])
-    rcond = _EPS * (n + k)
-    sol = np.linalg.lstsq(kkt, rhs, rcond=rcond)[0]
-    residual = rhs - kkt @ sol
-    sol = sol + np.linalg.lstsq(kkt, residual, rcond=rcond)[0]
+    sol = _lapack.lstsq(kkt, rhs)
+    sol = sol + _lapack.lstsq(kkt, rhs - kkt @ sol)
     return sol[:n], sol[n:]
 
 
 def _equality_start(rows, rhs):
     """Least-squares solution of rows @ x = rhs, or None when it misses an
     equation by more than 1e-8 relative (the rows are inconsistent)."""
-    x0 = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+    x0 = _lapack.lstsq(rows, rhs)
     rhs = rhs.tolist()
     tol = 1e-8 * (1.0 + _abs_max(rhs))
     if _abs_max(v - b for v, b in zip((rows @ x0).tolist(), rhs)) > tol:
@@ -227,6 +224,7 @@ def _equality_qp(hess, grad, rows, rhs):
     return x0 + p, lam
 
 
+@_lapack.raising
 def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
              elastic_weight: float = 1e4) -> QpSolution:
     """Solve min 0.5 x'Hx + g'x s.t. a_eq x = b_eq, a_in x >= b_in.
@@ -261,7 +259,7 @@ def solve_qp(hess, grad, a_eq, b_eq, a_in, b_in,
     grad = grad / sigma
     # Lift near-singular spectra so the KKT solves stay well conditioned;
     # well-conditioned problems pass through exactly.
-    eigenvalues = np.linalg.eigvalsh(hess)
+    eigenvalues = _lapack.eigvalsh(hess)
     floor = 1e-8 * max(eigenvalues[-1], 1e-8)
     if eigenvalues[0] < floor:
         hess = hess + (floor - eigenvalues[0]) * np.eye(n)
@@ -418,6 +416,7 @@ def _max_violation(ce: np.ndarray, ci: np.ndarray) -> float:
     return max(_abs_max(ce.tolist()), 0.0, *(-v for v in ci.tolist()))
 
 
+@_lapack.raising
 def _certificate_multipliers(grad, a_eq, a_in, ci, act_tol):
     """Least-squares multipliers certifying first-order stationarity.
 
@@ -430,7 +429,7 @@ def _certificate_multipliers(grad, a_eq, a_in, ci, act_tol):
     active = [i for i, v in enumerate(ci.tolist()) if v <= act_tol]
     for _ in range(len(active) + 1):
         rows = np.vstack([a_eq, a_in[active]])
-        lam = np.linalg.lstsq(rows.T, grad, rcond=None)[0]
+        lam = _lapack.lstsq(rows.T, grad)
         lam_act = lam[m_eq:].tolist()
         if min(lam_act, default=0.0) >= 0.0:
             break
@@ -440,6 +439,13 @@ def _certificate_multipliers(grad, a_eq, a_in, ci, act_tol):
     for row, value in zip(active, lam_act):
         lam_in[row] = value
     return lam_eq, lam_in
+
+
+@_lapack.raising
+def _correction(rows, rhs):
+    """The second-order correction's step rows' (rows rows')^+ rhs, the
+    minimum-norm step that restores the linearized active rows."""
+    return rows.T @ _lapack.lstsq(rows @ rows.T, rhs)
 
 
 def _kkt_residual(grad, a_eq, a_in, ce, ci, act_tol) -> float:
@@ -618,10 +624,7 @@ def solve_sqp(problem: NlpProblem, x0, settings: SolverSettings,
                     rows.append(a_in[i])
                     rhs.append(-ci_trial[i])
             if rows:
-                a_act = np.vstack(rows)
-                correction = a_act.T @ np.linalg.lstsq(
-                    a_act @ a_act.T, np.asarray(rhs), rcond=None)[0]
-                x_soc = x + d + correction
+                x_soc = x + d + _correction(np.vstack(rows), np.asarray(rhs))
                 threshold = merit0 + _ARMIJO_C1 * descent
                 merit_soc = _trial_merit(problem, mu, x_soc, threshold)
                 if merit_soc <= threshold:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import UnbalancedStateError
 
 
@@ -145,6 +146,7 @@ def bar_origin(end_effectors) -> np.ndarray:
     return np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
 
 
+@_lapack.raising
 def bar_grasp(end_effectors, h_o) -> BarGrasp:
     """The grasp of a bar held by two planar end effectors about its
     origin, their midpoint, and the hands' share of the object wrench
@@ -163,10 +165,11 @@ def bar_grasp(end_effectors, h_o) -> BarGrasp:
     w.flat[_SKEW_INDEX] = _skew_entries((ox - x0, oy - y0, 0.0),
                                         (ox - x1, oy - y1, 0.0))
     gram = w @ w.T
-    gram_solve = np.linalg.solve(gram, h_o)
+    gram_solve = _lapack.solve(gram, h_o)
     return BarGrasp(w, gram, gram_solve, w.T @ gram_solve)
 
 
+@_lapack.raising
 def bar_grasp_gradients(grasp: BarGrasp, d_ee0, d_ee1) -> np.ndarray:
     """(2, 3, n) gradients of the hands' forces in ``grasp``, from the end
     effectors' (2, n) Jacobians, through the value's W W' and its solve.
@@ -185,8 +188,8 @@ def bar_grasp_gradients(grasp: BarGrasp, d_ee0, d_ee1) -> np.ndarray:
     dw_t = dw.transpose(0, 2, 1)
     w, gram_solve = grasp.grasp_map, grasp.gram_solve
     ds = dw @ w.T + w @ dw_t
-    solved = np.linalg.solve(np.broadcast_to(grasp.gram, ds.shape),
-                             -(ds @ gram_solve)[..., None])
+    solved = _lapack.solve(np.broadcast_to(grasp.gram, ds.shape),
+                           -(ds @ gram_solve)[..., None])
     dh = dw_t @ gram_solve + (w.T @ solved)[..., 0]
     return np.stack([dh[:, 0:3].T, dh[:, 6:9].T])
 

@@ -23,6 +23,7 @@ object part alone: the projection reads ``gamma``, not those rows.
 
 import numpy as np
 
+from . import _lapack
 from . import kinematics as kin
 
 # Contacts with a force magnitude at or below this carry no support priority.
@@ -33,6 +34,7 @@ ACTIVE_FORCE_TOL = 1e-6
 PINV_RCOND = 1e-10
 
 
+@_lapack.raising
 def combined_torques(points, link_index: int, contacts, gamma,
                      loads) -> np.ndarray:
     """The (8,) joint torques: support torques plus the null-space projected
@@ -50,6 +52,6 @@ def combined_torques(points, link_index: int, contacts, gamma,
         support.append(jt @ support_load[:2])
         tau = kin.point_jacobian(arm_points, kin.NUM_LINKS - 1, 1.0).T @ load[:2]
         if force > ACTIVE_FORCE_TOL:
-            tau = tau - jt @ np.linalg.lstsq(jt, tau, rcond=PINV_RCOND)[0]
+            tau = tau - jt @ _lapack.lstsq(jt, tau, PINV_RCOND)
         projected.append(tau)
     return np.concatenate(support) + np.concatenate(projected)

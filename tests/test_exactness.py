@@ -18,12 +18,17 @@ product for row-by-row dots, ``sqrt(v.dot(v))`` for ``norm``, ``a.sum()``
 for ``np.sum``, the QP's working-set rows gathered from one array for
 the stacked rows they replace, and its ratio test's stacked products with
 the step and the iterate): each pair must run the same kernel on the same
-data.
+data.  Likewise the LAPACK forms of ``contactplan._lapack`` are compared
+with the ``np.linalg`` wrappers whose gufunc calls they make, failures
+included.
 """
+
+import importlib.util
 
 import numpy as np
 import pytest
 
+from contactplan import _lapack
 from contactplan import planner as pl
 from contactplan import sqp
 from contactplan.contact import edge_gap, edge_gap_gradients
@@ -534,13 +539,13 @@ def test_gathered_rows_match_stacked_rows(rng, monkeypatch):
     # the one constraint array against the vstack of the rows they replace,
     # the KKT matrix lstsq receives, and the products with those rows.
     kkts = []
-    lstsq = np.linalg.lstsq
+    lstsq = _lapack.lstsq
 
-    def spy(a, b, rcond):
+    def spy(a, b, rcond=None):
         kkts.append(a.tobytes())
-        return lstsq(a, b, rcond=rcond)
+        return lstsq(a, b, rcond)
 
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    monkeypatch.setattr(_lapack, "lstsq", spy)
     for k in range(DRAWS):
         n, m_eq, m_in = 1 + k % 12, k % 4, 1 + k % 9
         a_eq, a_in = signed_draw(rng, (m_eq, n)), signed_draw(rng, (m_in, n))
@@ -642,3 +647,100 @@ def test_kkt_residual_matches_numpy_form(rng):
                            sqp._abs_max(lam_in.tolist())),
                        max(np.abs(lam_eq).max(initial=0.0),
                            np.abs(lam_in).max(initial=0.0)))
+
+
+# ---------------------------------------------------------------------------
+# The LAPACK forms (contactplan._lapack) against np.linalg's wrappers
+# ---------------------------------------------------------------------------
+
+@_lapack.raising
+def inside_raising(form, *args):
+    """``form(*args)`` inside ``_lapack.raising``, as the solver calls it."""
+    return form(*args)
+
+
+def kkt_system(rng, size):
+    """A signed square KKT matrix [[H, -A'], [A, 0]] of ``size`` rows, with
+    1-4 constraint rows, every other draw repeating a row of A (rank
+    deficient), and a signed right-hand side."""
+    k = 1 + size % 4
+    n = size - k
+    root = signed_draw(rng, (n, n))
+    rows = signed_draw(rng, (k, n))
+    if size % 2:
+        rows[-1] = rows[0]
+    kkt = np.zeros((size, size))
+    kkt[:n, :n] = root + root.T
+    kkt[:n, n:] = -rows.T
+    kkt[n:, :n] = rows
+    return kkt, signed_draw(rng, size)
+
+
+def test_lstsq_form_matches_np_lstsq(rng):
+    # The square KKT solves with the default cutoff, under-determined rows
+    # and their transpose (the certificate passes rows.T), torque's cutoff,
+    # and an a without rows, for which numpy's wrapper returns zeros.
+    for k in range(DRAWS):
+        kkt, rhs = kkt_system(rng, 7 + k % 14)
+        assert_bitwise(inside_raising(_lapack.lstsq, kkt, rhs),
+                       np.linalg.lstsq(kkt, rhs, rcond=None)[0])
+        rows = signed_draw(rng, (2, 11))
+        b2, b11 = signed_draw(rng, 2), signed_draw(rng, 11)
+        assert_bitwise(inside_raising(_lapack.lstsq, rows, b2),
+                       np.linalg.lstsq(rows, b2, rcond=None)[0])
+        assert_bitwise(inside_raising(_lapack.lstsq, rows.T, b11),
+                       np.linalg.lstsq(rows.T, b11, rcond=None)[0])
+        assert_bitwise(inside_raising(_lapack.lstsq, rows.T, b11, 1e-10),
+                       np.linalg.lstsq(rows.T, b11, rcond=1e-10)[0])
+        empty = np.zeros((0, 1 + k % 12))
+        assert_bitwise(inside_raising(_lapack.lstsq, empty, np.zeros(0)),
+                       np.linalg.lstsq(empty, np.zeros(0), rcond=None)[0])
+
+
+def test_solve_and_eigvalsh_forms_match_np_linalg(rng):
+    # One vector right-hand side, a stack of 8 one-column right-hand sides
+    # against one broadcast matrix and against 8 matrices, and the
+    # spectrum of a symmetric 11 x 11 matrix.
+    for _ in range(DRAWS):
+        a = signed_draw(rng, (6, 6)) + np.diag(rng.uniform(1.0, 2.0, 6))
+        stack = signed_draw(rng, (8, 6, 6)) + 1e4 * np.eye(6)
+        b, columns = signed_draw(rng, 6), signed_draw(rng, (8, 6, 1))
+        assert_bitwise(inside_raising(_lapack.solve, a, b),
+                       np.linalg.solve(a, b))
+        broadcast = np.broadcast_to(a, stack.shape)
+        assert_bitwise(inside_raising(_lapack.solve, broadcast, columns),
+                       np.linalg.solve(broadcast, columns))
+        assert_bitwise(inside_raising(_lapack.solve, stack, columns),
+                       np.linalg.solve(stack, columns))
+        root = signed_draw(rng, (11, 11))
+        assert_bitwise(inside_raising(_lapack.eigvalsh, root + root.T),
+                       np.linalg.eigvalsh(root + root.T))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("form, args", [
+    pytest.param("lstsq", (np.array([[np.nan]]), np.ones(1)), id="lstsq-nan"),
+    pytest.param("solve", (np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2)),
+                 id="solve-singular")])
+def test_lapack_failure_raises_numpys_error(form, args):
+    # A LAPACK failure raises numpy's LinAlgError with numpy's message,
+    # never a RuntimeWarning or NaN.  (A NaN matrix larger than 2 x 2 can
+    # loop in LAPACK's SVD, which is why the solver rejects non-finite
+    # data first.)
+    with pytest.raises(np.linalg.LinAlgError) as numpy_error:
+        getattr(np.linalg, form)(*args)
+    with pytest.raises(np.linalg.LinAlgError) as error:
+        inside_raising(getattr(_lapack, form), *args)
+    assert str(error.value) == str(numpy_error.value)
+
+
+@pytest.mark.parametrize("gufunc", ["lstsq", "eigvalsh_lo", "solve", "solve1"])
+def test_missing_gufunc_fails_the_import(gufunc, monkeypatch):
+    # numpy 1.x has lstsq_m and lstsq_n instead of lstsq: the module names
+    # the gufunc it lacks when it is imported, not when a plan first runs.
+    monkeypatch.delattr(_lapack._umath_linalg, gufunc)
+    spec = importlib.util.spec_from_file_location("lapack_probe",
+                                                  _lapack.__file__)
+    with pytest.raises(ImportError,
+                       match=rf"_umath_linalg\.{gufunc}$"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -1,13 +1,16 @@
 import dataclasses
 import gc
 import re
+import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from contactplan import _lapack
 from contactplan import planner as pl
 from contactplan import scenario
 from contactplan.errors import (ContactPlanError, InfeasibleStepError,
@@ -292,13 +295,13 @@ class TestStepNlp:
         # The value pass solves W W' for the hands' wrenches; the derivative
         # pass reuses that solve and makes only the stacked dW solve.
         shapes = []
-        real = np.linalg.solve
+        real = _lapack.solve
 
         def counted(a, b):
             shapes.append(a.shape)
             return real(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(_lapack, "solve", counted)
         pl._joint(ctx, np.zeros(pl.NUM_JOINTS))
         assert shapes == [(6, 6)]
         pl._joint(ctx, np.zeros(pl.NUM_JOINTS), derivatives=True)
@@ -778,6 +781,26 @@ class TestPlanPath:
         assert (work.fk_calls, len(region_checks)) == (290, 0)
         default_scenario()
         assert len(region_checks) == 1
+
+    def test_default_plan_lapack_counts(self, default_config, monkeypatch):
+        # Pinned like the work counts, per LAPACK form and calling function:
+        # 1,024 least-squares solves, two per KKT system (one per active-set
+        # pass and per equality QP, 806), the QPs' equality starts, the KKT
+        # certificate's fits and the second-order corrections' solves; one
+        # spectrum per QP (74); and one W W' solve per value pass of the
+        # joint half (56) and one stacked dW solve per derivative pass (53).
+        calls = Counter()
+        for form in ("lstsq", "eigvalsh", "solve"):
+            def counted(*args, real=getattr(_lapack, form), form=form):
+                calls[form, sys._getframe(1).f_code.co_name] += 1
+                return real(*args)
+            monkeypatch.setattr(_lapack, form, counted)
+        plan_path(default_config)
+        assert calls == {
+            ("lstsq", "_solve_eqp"): 806, ("lstsq", "_equality_start"): 126,
+            ("lstsq", "_certificate_multipliers"): 86,
+            ("lstsq", "_correction"): 6, ("eigvalsh", "solve_qp"): 74,
+            ("solve", "bar_grasp"): 56, ("solve", "bar_grasp_gradients"): 53}
 
     def test_slant_plan_work_counts(self, monkeypatch):
         # Pinned like the default plan's counts.  The slant path's first

@@ -6,7 +6,7 @@ import pytest
 
 from collections import Counter
 
-from contactplan import sqp
+from contactplan import _lapack, sqp
 from contactplan.errors import InfeasibleStepError, UnbalancedStateError
 from contactplan.sqp import NlpProblem, SolverSettings, solve_qp, solve_sqp
 
@@ -309,7 +309,7 @@ class TestSolveSqp:
             raise AssertionError("LAPACK called on non-finite data")
 
         for routine in ("lstsq", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, routine, lapack)
+            monkeypatch.setattr(_lapack, routine, lapack)
         with pytest.raises(InfeasibleStepError, match=f"non-finite {name} "):
             solve_sqp(problem, np.zeros(2), SolverSettings(),
                       initial_hessian=hessian)
@@ -778,7 +778,7 @@ class TestSolveQp:
             raise AssertionError("LAPACK called on non-finite data")
 
         for routine in ("lstsq", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, routine, lapack)
+            monkeypatch.setattr(_lapack, routine, lapack)
         with pytest.raises(InfeasibleStepError,
                            match=f"^non-finite {name} in QP$"):
             solve_qp(*args)
